@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .model import SystemModel
-from .synth import DriftBound, GainConfig, _alpha, error_drift
+from .synth import DriftBound, GainConfig, coords_and_drift, error_values
 
 
 class QuadratureError(RuntimeError):
@@ -135,22 +135,22 @@ def es_control(spec: LyapunovSpec, gains: GainConfig, t: float, h) -> float:
 
 def standard_error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> np.ndarray:
     """Error coordinates of the coupled (textbook) recursion."""
-    xs, ys = tuple(x), tuple(yr_stack)
-    z = np.empty(sys.n)
-    z[0] = xs[0] - ys[0]
-    for i in range(2, sys.n + 1):
-        z[i - 1] = xs[i - 1] - _alpha(sys, gains.c, i - 1, xs, ys, couple=True) - ys[i - 1]
-    return z
+    return np.array(error_values(sys, gains.c, x, yr_stack, couple=True))
+
+
+def _ideal_and_last(sys, x, yr_stack, gains):
+    """(ideal input, z_n) from one coupled Taylor pass."""
+    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
+    out = -gains.c[-1] * z[-1] - drift
+    if sys.n >= 2:
+        out -= z[-2]
+    return out, z[-1]
 
 
 def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """What the textbook law would apply if the gain were exactly one:
     -c_n z_n - z_{n-1} minus the residual drift of the coupled recursion."""
-    z = standard_error_coords(sys, x, yr_stack, gains)
-    out = -gains.c[-1] * z[-1] - error_drift(sys, x, yr_stack, gains, couple=True)
-    if sys.n >= 2:
-        out -= z[-2]
-    return out
+    return _ideal_and_last(sys, x, yr_stack, gains)[0]
 
 
 def nominal_backstepping(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
@@ -178,10 +178,9 @@ def nussbaum_control(sys: SystemModel, x, yr_stack, gains: GainConfig,
 
     u = theta^2 cos(theta) * a_ideal,  dtheta/dt = -a_ideal * z_n.
     """
-    a_ideal = ideal_backstepping_input(sys, x, yr_stack, gains)
-    z = standard_error_coords(sys, x, yr_stack, gains)
+    a_ideal, z_n = _ideal_and_last(sys, x, yr_stack, gains)
     u = nussbaum_gain(state.theta) * a_ideal
-    return u, -a_ideal * float(z[-1])
+    return u, -a_ideal * float(z_n)
 
 
 # --- safety filter -------------------------------------------------------------

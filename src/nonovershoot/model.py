@@ -35,9 +35,13 @@ class SystemModel:
     """Strict-feedback plant of dimension n.
 
     drift[i] takes the first i+1 states as a sequence; gain takes the
-    full state.  Drift functions must be written with plain arithmetic
-    (or :mod:`nonovershoot.dualnum` helpers) so the synthesis recursion
-    can differentiate through them exactly.
+    full state.  The synthesis evaluates drifts on truncated Taylor series
+    (``dualnum.Jet``) and nested dual numbers as well as on floats, so they
+    must be built from plain arithmetic, nonnegative integer powers,
+    numeric coefficients (numpy scalars included) and the
+    :mod:`nonovershoot.dualnum` helpers ``sin``, ``cos`` and ``exp``;
+    anything else raises ``TypeError``.  The gain is only ever called on
+    floats.
     """
 
     n: int

@@ -20,7 +20,7 @@ from .control import (LyapunovSpec, NussbaumState, example_lyapunov_spec,
                       lyapunov_value_from_norm, nominal_backstepping,
                       nussbaum_control)
 from .model import BlowupError, Scenario, SystemModel, get_reference
-from .synth import GainConfig, _alpha, bound_report, check_gains
+from .synth import GainConfig, bound_report, check_gains, error_values
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -129,16 +129,9 @@ def gains_text(gains: GainConfig) -> str:
     return ";".join(parts)
 
 
-def _error_values(sys, c, xs, ys):
-    """Tracking-error coordinates as plain floats (hot path)."""
-    h = [xs[0] - ys[0]]
-    for i in range(2, sys.n + 1):
-        h.append(xs[i - 1] - _alpha(sys, c, i - 1, xs, ys, False) - ys[i - 1])
-    return h
-
-
 def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
-    """Return (aux0, stage) where stage(t, xs, aux, mode) -> (u, aux_rates)."""
+    """Return (aux0, stage) where stage(t, xs, aux, mode, h=None) -> (u,
+    aux_rates); h, when given, holds the error coordinates at (t, xs)."""
     n = sys.n
     c = gains.c
     drift = sys.drift
@@ -149,9 +142,10 @@ def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
         sq = math.sqrt(gains.omega)
         om, lam, beta = gains.omega, gains.lam, gains.beta
 
-        def es_u(t, xs):
-            ys = tuple(ref.derivative(t, k) for k in range(n + 1))
-            h = _error_values(sys, c, xs, ys)
+        def es_u(t, xs, h=None):
+            if h is None:
+                ys = tuple(ref.derivative(t, k) for k in range(n + 1))
+                h = error_values(sys, c, xs, ys)
             s = math.sqrt(math.fsum(v * v for v in h))
             if vc is not None:
                 acc = 0.0
@@ -170,13 +164,13 @@ def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
             return nominal_backstepping(sys, xs, ys, gains)
 
     if controller == "es":
-        return (), lambda t, xs, aux, mode: (es_u(t, xs), ())
+        return (), lambda t, xs, aux, mode, h=None: (es_u(t, xs, h), ())
 
     if controller == "nominal":
-        return (), lambda t, xs, aux, mode: (nominal_u(t, xs), ())
+        return (), lambda t, xs, aux, mode, h=None: (nominal_u(t, xs), ())
 
     if controller == "nussbaum":
-        def stage(t, xs, aux, mode):
+        def stage(t, xs, aux, mode, h=None):
             ys = tuple(ref.derivative(t, k) for k in range(n + 1))
             u, dtheta = nussbaum_control(sys, xs, ys, gains, NussbaumState(aux[0]))
             return u, (dtheta,)
@@ -184,8 +178,8 @@ def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
         return (0.0,), stage
 
     if controller == "safety-filter":
-        def stage(t, xs, aux, mode):
-            u = nominal_u(t, xs) if mode == 0 else es_u(t, xs)
+        def stage(t, xs, aux, mode, h=None):
+            u = nominal_u(t, xs) if mode == 0 else es_u(t, xs, h)
             return u, ()
 
         return (), stage
@@ -240,22 +234,30 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     mode_arr = np.empty(nsteps + 1, dtype=np.int8)
     is_filter = controller == "safety-filter"
 
-    def rhs(t, state, mode):
-        xs = state[:n]
-        u, aux_rates = stage(t, xs, state[n:], mode)
+    def deriv(xs, u, aux_rates):
         dx = tuple(xs[i + 1] + drift[i](xs[: i + 1]) for i in range(n - 1))
         return dx + (gain(xs) * u + drift[n - 1](xs),) + aux_rates
 
-    def record(k, t, state, mode, u):
+    def rhs(t, state, mode):
+        xs = state[:n]
+        u, aux_rates = stage(t, xs, state[n:], mode)
+        return deriv(xs, u, aux_rates)
+
+    def sample(k, t, state, mode):
+        """Record sample k; return the controller output there, which is
+        also k1's (the seeking law reuses the recorded error coordinates)."""
         xs = state[:n]
         ys = tuple(ref.derivative(t, j) for j in range(n + 1))
+        h = error_values(sys, c, xs, ys)
+        u, aux_rates = stage(t, xs, state[n:], mode, h)
         t_arr[k] = t
         x_arr[k] = xs
-        h_arr[k] = _error_values(sys, c, xs, ys)
+        h_arr[k] = h
         u_arr[k] = u
         yr_arr[k] = ys[0]
         m_arr[k] = ys[0] - xs[0]
         mode_arr[k] = mode
+        return u, aux_rates
 
     state = tuple(scenario.x0) + ((theta0,) if naux else ())
     k = 0
@@ -268,9 +270,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
             if is_filter:
                 mode = 0 if ref.derivative(t, 0) - xs[0] >= 0.0 else 1
             try:
-                u_rec, _ = stage(t, xs, state[n:], mode)
-                record(k, t, state, mode, u_rec)
-                k1 = rhs(t, state, mode)
+                u_rec, rates = sample(k, t, state, mode)
+                k1 = deriv(xs, u_rec, rates)
                 s2 = tuple(v + dt / 2 * d for v, d in zip(state, k1))
                 k2 = rhs(t + dt / 2, s2, mode)
                 s3 = tuple(v + dt / 2 * d for v, d in zip(state, k2))
@@ -290,8 +291,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         mode = -1
         if is_filter:
             mode = 0 if ref.derivative(t, 0) - state[0] >= 0.0 else 1
-        u_rec, _ = stage(t, state[:n], state[n:], mode)
-        record(nsteps, t, state, mode, u_rec)
+        sample(nsteps, t, state, mode)
     except BlowupError as exc:
         partial = Trajectory(t=t_arr[:k + 1].copy(), x=x_arr[:k + 1].copy(),
                              h=h_arr[:k + 1].copy(), u=u_arr[:k + 1].copy(),

@@ -10,8 +10,22 @@ Two recursion flavours share one implementation:
 * the textbook flavour keeps the coupling and is used by the known-gain
   nominal law and the oscillatory-gain comparator.
 
-All partial derivatives are propagated exactly through the recursion by
-nested dual numbers, never by finite differences.
+Everything on the simulation path runs the recursion once on truncated
+Taylor series in time (``dualnum.Jet``): the rate of a stabilizing
+function along the open loop is its total time derivative along the
+drift flow dx_k/dt = x_{k+1} + drift_k with dy^(k)/dt = y^(k+1), so one
+order-by-order pass yields every error coordinate and the rate of the
+last stabilizing function exactly, at a cost polynomial in n.  Values
+that only need order 0 stay plain floats.  ``virtual_controllers`` keeps
+the nested-dual recursion, which exposes every partial derivative
+separately and serves as the oracle for the Taylor pass.  Neither path
+uses finite differences.
+
+Drifts are evaluated on jets as well as on floats, so they must be built
+from plain arithmetic, nonnegative integer powers, numeric (also numpy
+scalar) coefficients and the ``dualnum`` helpers ``sin``, ``cos`` and
+``exp``; anything else (``math.sin``, comparisons, ``abs``) raises
+``TypeError``.
 """
 
 import math
@@ -61,7 +75,107 @@ def demo_gains(omega: float = 60.0) -> GainConfig:
     return GainConfig(c=(2.0, 1.5), kappa=1.1, lam=4.0, beta=0.8, omega=omega)
 
 
-# --- stabilizing-function recursion -----------------------------------------
+# --- Taylor-mode pass (simulation path) ----------------------------------------
+
+Jet = dualnum.Jet
+
+
+def _floats(v):
+    """A state or reference stack as a tuple; arrays become Python floats."""
+    if type(v) is tuple:
+        return v
+    return tuple(v.tolist()) if isinstance(v, np.ndarray) else tuple(v)
+
+
+def _taylor_pass(sys: SystemModel, c, xs, ys, couple: bool, s: int, p: int):
+    """Stabilizing functions a_1..a_s along the drift flow, a_s to order p.
+
+    a_i is needed to order q_i = p + s - i, and so is h_i (state series
+    X_i minus a_{i-1} minus the reference series Y_{i-1}, where
+    Y_j[m] = y^(j+m)/m!).  Each state series is filled order by order,
+    X_k[m+1] = (X_{k+1}[m] + F_k[m]) / (m+1) with F_k the drift on the
+    jets, and then
+
+        a_i = -c_i h_i - F_i + D(a_{i-1})  [- h_{i-1} if couple],
+
+    D being the series time derivative.  A series of order 0 is a plain
+    float.  Reads x_1..x_{s+p} from the tuple xs.  Returns three lists:
+    the values of h_1..h_s, their series, and the series of a_1..a_s.
+    """
+    drift = sys.drift
+    top = p + s - 1                      # order of X_1
+    if top > 0:
+        X = [[v] for v in xs[:s + p]]
+        for m in range(top):
+            kmax = top - m               # X_1..X_kmax gain order m+1
+            args = xs if m == 0 else tuple(Jet(X[j][:m + 1]) for j in range(kmax))
+            for k in range(kmax):
+                f = drift[k](args[:k + 1])
+                if m == 0:
+                    X[k].append(X[k + 1][0] + f)
+                else:
+                    fm = f.c[m] if isinstance(f, Jet) else 0.0   # constant drift
+                    X[k].append((X[k + 1][m] + fm) / (m + 1))
+    values, hs, alphas = [], [], []
+    h = a = None
+    for i in range(top):                 # stage i+1 as a series of order q >= 1
+        q = top - i
+        f = drift[i](tuple(Jet(X[j][:q + 1]) for j in range(i + 1)))
+        fc = f.c if isinstance(f, Jet) else [f] + [0.0] * q
+        xc, orders = X[i], range(q + 1)
+        if i == 0:
+            hc = [xc[m] - ys[m] / math.factorial(m) for m in orders]
+        else:
+            ac = a.c
+            hc = [xc[m] - ac[m] - ys[i + m] / math.factorial(m) for m in orders]
+        oc = [-c[i] * hc[m] - fc[m] for m in orders]
+        if i > 0:
+            oc = [oc[m] + (m + 1) * ac[m + 1] for m in orders]
+            if couple:
+                oc = [oc[m] - h.c[m] for m in orders]
+        h, a = Jet(hc), Jet(oc)
+        values.append(hc[0])
+        hs.append(h)
+        alphas.append(a)
+    if p == 0:                           # stage s to order 0, in plain floats
+        i = s - 1
+        hi = xs[0] - ys[0] if i == 0 else xs[i] - a.c[0] - ys[i]
+        out = -c[i] * hi - drift[i](xs[:s])
+        if i > 0:
+            out = out + a.c[1]
+            if couple:
+                out = out - h.c[0]
+        values.append(hi)
+        hs.append(hi)
+        alphas.append(out)
+    return values, hs, alphas
+
+
+def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list:
+    """Error coordinates as a list of floats (uncoupled: h, coupled: z);
+    c are the rate gains."""
+    n, xs, ys = sys.n, _floats(x), _floats(yr_stack)
+    if n == 1:
+        return [xs[0] - ys[0]]
+    values, _, alphas = _taylor_pass(sys, c, xs, ys, couple, n - 1, 0)
+    values.append(xs[n - 1] - alphas[-1] - ys[n - 1])
+    return values
+
+
+def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
+    """Error coordinates and the residual drift of the last one, from one
+    Taylor pass: (list of floats, dh_n/dt - gain * u)."""
+    n, xs, ys = sys.n, _floats(x), _floats(yr_stack)
+    base = sys.drift[n - 1](xs) - ys[n]
+    if n == 1:
+        return [xs[0] - ys[0]], base
+    values, _, alphas = _taylor_pass(sys, c, xs, ys, couple, n - 1, 1)
+    a = alphas[-1].c
+    values.append(xs[n - 1] - a[0] - ys[n - 1])
+    return values, base - a[1]
+
+
+# --- nested-dual recursion (explicit partials, oracle) ---------------------------
 
 def _alpha(sys: SystemModel, c, i: int, xs, ys, couple: bool):
     """Value of the i-th stabilizing function at (x_1..x_i, y..y^(i-1)).
@@ -129,21 +243,16 @@ def virtual_controllers(sys: SystemModel, x, yr_stack, gains: GainConfig):
 def error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> np.ndarray:
     """Tracking-error coordinates h: h_1 = x_1 - y, and each later state
     measured against its stabilizing function plus reference derivative."""
-    xs, ys = tuple(x), tuple(yr_stack)
-    h = np.empty(sys.n)
-    h[0] = xs[0] - ys[0]
-    for i in range(2, sys.n + 1):
-        h[i - 1] = xs[i - 1] - _alpha(sys, gains.c, i - 1, xs, ys, False) - ys[i - 1]
-    return h
+    return np.array(error_values(sys, gains.c, x, yr_stack))
 
 
 def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:
     """Invert error_coords (the map is triangular: solve state by state)."""
-    hs, ys = tuple(h), tuple(yr_stack)
+    hs, ys = _floats(h), _floats(yr_stack)
     xs = [hs[0] + ys[0]]
     for i in range(2, sys.n + 1):
-        # stage i-1 only reads x_1..x_{i-1}, all reconstructed already
-        a_prev = _alpha(sys, gains.c, i - 1, tuple(xs), ys, False)
+        # a_{i-1} to order 0 only reads x_1..x_{i-1}, all reconstructed already
+        a_prev = _taylor_pass(sys, gains.c, tuple(xs), ys, False, i - 1, 0)[2][-1]
         xs.append(hs[i - 1] + a_prev + ys[i - 1])
     return np.array(xs)
 
@@ -151,12 +260,7 @@ def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.nd
 def error_drift(sys: SystemModel, x, yr_stack, gains: GainConfig, couple: bool = False) -> float:
     """Drift of the last error coordinate under zero input:
     dh_n/dt = gain * u + error_drift."""
-    xs, ys = tuple(x), tuple(yr_stack)
-    n = sys.n
-    base = sys.drift[n - 1](xs) - ys[n]
-    if n == 1:
-        return base
-    return base - _alpha_rate(sys, gains.c, n - 1, xs, ys, couple)
+    return coords_and_drift(sys, gains.c, x, yr_stack, couple)[1]
 
 
 # --- residual-drift bound ----------------------------------------------------
@@ -250,21 +354,28 @@ def gain_floors(sys: SystemModel, x0, yr_stack, gains: GainConfig) -> np.ndarray
     Floor i depends on c_1..c_{i-1} only, so floors can be consumed
     sequentially: choose c_i > max(floor_i, 1), move to the next stage.
     """
-    xs, ys = tuple(x0), tuple(yr_stack)
-    h = error_coords(sys, x0, yr_stack, gains)
-    if h[0] >= 0:
+    xs, ys = _floats(x0), _floats(yr_stack)
+    h1 = xs[0] - ys[0]
+    if h1 >= 0:
         raise InitSignError(
-            f"h_1(0) = {h[0]:.6g} >= 0: floor-based selection needs the output to "
+            f"h_1(0) = {h1:.6g} >= 0: floor-based selection needs the output to "
             "start below the reference; use the descending-gain selection instead"
         )
-    floors = np.empty(sys.n - 1)
-    for i in range(1, sys.n):
-        if h[i - 1] == 0.0:
+    n = sys.n
+    floors = np.empty(n - 1)
+    if n == 1:
+        return floors
+    # h_i and its open-loop rate h_i[1] for i < n-1 come from one pass;
+    # the pass needs h_{n-1} to order 0 only, so its rate is formed here
+    values, hs, alphas = _taylor_pass(sys, gains.c, xs, ys, False, n - 1, 0)
+    rate = xs[n - 1] + sys.drift[n - 2](xs[:n - 1]) - ys[n - 1]
+    if n > 2:
+        rate = rate - alphas[-2].c[1]
+    rates = [h.c[1] for h in hs[:-1]] + [rate]
+    for i, (h, r) in enumerate(zip(values, rates), start=1):
+        if h == 0.0:
             raise InitSignError(f"h_{i}(0) = 0: no finite gain floor exists")
-        rate = xs[i] + sys.drift[i - 1](xs[:i]) - ys[i]
-        if i > 1:
-            rate = rate - _alpha_rate(sys, gains.c, i - 1, xs, ys, False)
-        floors[i - 1] = -rate / h[i - 1]
+        floors[i - 1] = -r / h
     return floors
 
 

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from nonovershoot import dualnum
-from nonovershoot.dualnum import Dual
+from nonovershoot.dualnum import Dual, Jet
 
 
 def test_arithmetic_derivative():
@@ -56,3 +57,64 @@ def test_value_strips_layers():
 def test_exp():
     got = dualnum.partial(lambda a: dualnum.exp(2.0 * a[0]), [0.3], 0)
     assert got == pytest.approx(2 * math.exp(0.6), rel=1e-12)
+
+
+# --- numpy scalars on the left -----------------------------------------------
+
+def test_numpy_scalar_times_dual_is_dual():
+    got = np.float64(0.3) * Dual(1.0, 2.0)
+    assert type(got) is Dual
+    assert got.re == 0.3 * 1.0 and got.eps == 0.3 * 2.0
+
+
+def test_numpy_scalar_times_jet_is_jet():
+    got = np.float64(0.3) * Jet([1.0, 2.0, -4.0])
+    assert type(got) is Jet
+    assert got.c == [0.3 * 1.0, 0.3 * 2.0, 0.3 * -4.0]
+    assert type(np.float64(1.5) + Jet([1.0, 2.0])) is Jet
+    assert (np.float64(1.5) - Jet([1.0, 2.0])).c == [0.5, -2.0]
+
+
+# --- truncated Taylor series ---------------------------------------------------
+
+def _time_series(t0, order):
+    """Jet of the identity s -> t0 + s."""
+    return Jet([t0, 1.0] + [0.0] * (order - 1))
+
+
+def test_jet_elementary_series():
+    t0 = 0.7
+    x = _time_series(t0, 4)
+    fact = [1.0, 1.0, 2.0, 6.0, 24.0]
+    # derivatives of sin, cos, exp at t0 divided by m!
+    sin_d = [math.sin(t0), math.cos(t0), -math.sin(t0), -math.cos(t0), math.sin(t0)]
+    cos_d = [math.cos(t0), -math.sin(t0), -math.cos(t0), math.sin(t0), math.cos(t0)]
+    assert dualnum.sin(x).c == pytest.approx([d / f for d, f in zip(sin_d, fact)], rel=1e-14)
+    assert dualnum.cos(x).c == pytest.approx([d / f for d, f in zip(cos_d, fact)], rel=1e-14)
+    assert dualnum.exp(2.0 * x).c == pytest.approx(
+        [math.exp(2 * t0) * 2.0**m / f for m, f in enumerate(fact)], rel=1e-14)
+
+
+def test_jet_division_and_power():
+    x = _time_series(0.0, 4)
+    # 1/(1 - s) = 1 + s + s^2 + ...
+    assert (1.0 / (1.0 - x)).c == [1.0] * 5
+    assert ((x + 1.0) ** 3).c == [1.0, 3.0, 3.0, 1.0, 0.0]
+    assert ((x + 1.0) ** 3 / (x + 1.0)).c == pytest.approx([1.0, 2.0, 1.0, 0.0, 0.0])
+    assert (x ** 0).c == [1.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(TypeError):
+        x ** 0.5
+
+
+def test_jet_keeps_the_shorter_length():
+    a, b = Jet([1.0, 2.0, 3.0]), Jet([4.0, 5.0])
+    assert (a + b).c == [5.0, 7.0]
+    assert (a * b).c == [4.0, 13.0]
+    assert (a - 1.0).c == [0.0, 2.0, 3.0]
+
+
+def test_jet_rejects_unsupported_operations():
+    with pytest.raises(TypeError):
+        math.sin(Jet([0.1, 1.0]))
+    with pytest.raises(TypeError):
+        Jet([0.1, 1.0]) * Dual(1.0, 1.0)

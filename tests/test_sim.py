@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nonovershoot import (BlowupError, GainConfig, Scenario, bound_report,
-                          es_control, example_lyapunov_spec, refine_dt,
-                          rk4_step, run_scenario, sweep)
+from nonovershoot import (BlowupError, GainConfig, Scenario, SystemModel,
+                          bound_report, error_coords, es_control, eval_dynamics,
+                          example_lyapunov_spec, get_reference, nominal_backstepping,
+                          refine_dt, rk4_step, run_scenario, state_from_errors, sweep)
 from nonovershoot.sim import fmt, gains_text
 
-from conftest import chain_integrator
+from conftest import chain_integrator, random_gains, random_poly_system
 
 
 def chain_gains():
@@ -262,3 +263,46 @@ def test_sweep_x0_axis(demo, gains):
     result = sweep(demo, "es", gains, sc, {"x0": [(-0.5, 0.0), (0.2, 0.0)]})
     assert len(result.rows) == 2
     assert "x0=0.2|0" in result.rows[1][0].scenario
+
+
+# --- higher-order plants and evaluation counts --------------------------------------
+
+def test_nominal_run_on_five_state_plant_replays():
+    sys = random_poly_system(5, 3)
+    gains = random_gains(5, 3, descending=True)
+    ref = get_reference("sine04")
+    x0 = state_from_errors(sys, [-0.1, 0.0, 0.0, 0.0, 0.0], ref.stack(0.0, 5), gains)
+    dt = 1e-3
+    traj, _ = run_scenario(sys, "nominal", gains,
+                             Scenario(x0=tuple(x0), t_end=0.05, dt=dt))
+    assert traj.complete and len(traj.t) == 51 and np.all(np.isfinite(traj.x))
+
+    def law(t, v):
+        return nominal_backstepping(sys, v, ref.stack(t, 5), gains)
+
+    assert traj.u[0] == pytest.approx(law(0.0, x0), rel=1e-12)
+    assert traj.h[0] == pytest.approx(error_coords(sys, x0, ref.stack(0.0, 5), gains),
+                                      rel=1e-12, abs=1e-15)
+    x1 = rk4_step(lambda t, v: eval_dynamics(sys, v, law(t, v)), 0.0, x0, dt)
+    assert traj.x[1] == pytest.approx(x1, rel=1e-12, abs=1e-15)
+
+
+def test_unsupported_drift_operation_is_not_divergence():
+    # math.sin cannot take the jets the synthesis pass feeds the drift
+    sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(TypeError):
+        run_scenario(sys, "nominal", chain_gains(), sc)
+
+
+def test_four_controller_evaluations_per_step():
+    # nominal law on a chain: each step reads the gain once for the floor
+    # check and twice per RK4 stage (law + plant), the last sample once
+    calls = []
+    base = chain_integrator(2)
+    sys = SystemModel(n=2, drift=base.drift, xi1=1.0,
+                      gain=lambda xs: calls.append(1) or 1.0)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
+    run_scenario(sys, "nominal", chain_gains(), sc)
+    assert len(calls) == 10 * (1 + 4 * 2) + 1

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonovershoot import (DriftBound, GainConfig, InitSignError, bound_report,
-                          check_gains, default_drift_bound, error_coords,
-                          error_drift, eval_dynamics, gain_floors, get_reference,
-                          demo_gains, scale_drift_bound, state_from_errors,
-                          virtual_controllers)
+from nonovershoot import (DriftBound, GainConfig, InitSignError, SystemModel,
+                          bound_report, check_gains, default_drift_bound, dualnum,
+                          error_coords, error_drift, eval_dynamics, gain_floors,
+                          get_reference, demo_gains, scale_drift_bound,
+                          state_from_errors, virtual_controllers)
+from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
+from nonovershoot.synth import _alpha, _alpha_rate
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -336,3 +338,82 @@ def test_gain_config_validation():
         GainConfig(c=(2.0, -1.0), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
     with pytest.raises(ValueError):
         GainConfig(c=(2.0,), kappa=0.0, lam=4.0, beta=0.8, omega=60.0)
+
+
+# --- Taylor pass against the nested-dual oracle -------------------------------------
+
+def trig_exp_system(n, seed):
+    """Random polynomial plant with dualnum.sin / dualnum.exp terms added to
+    every drift."""
+    base = random_poly_system(n, seed)
+    rng = np.random.default_rng(seed + 77)
+    amp = rng.uniform(-0.5, 0.5, size=(n, 2))
+
+    def make_drift(i):
+        def drift(xs, poly=base.drift[i], a=amp[i]):
+            return (poly(xs) + a[0] * dualnum.sin(xs[0] * xs[i])
+                    + a[1] * dualnum.exp(0.5 * xs[i]))
+        return drift
+
+    return SystemModel(n=n, drift=tuple(make_drift(i) for i in range(n)),
+                       gain=base.gain, xi1=base.xi1, name=f"trig{n}s{seed}")
+
+
+def _oracle(sys, x, ys, gains):
+    """Error coordinates, coupled coordinates, residual drifts (uncoupled,
+    coupled) and open-loop rates of h_1..h_{n-1}, all from nested duals."""
+    n, xs, ys = sys.n, tuple(x), tuple(ys)
+    stages = virtual_controllers(sys, x, ys, gains)
+    h = [xs[0] - ys[0]] + [xs[i] - stages[i - 1][0] - ys[i] for i in range(1, n)]
+    z = [xs[0] - ys[0]] + [xs[i] - _alpha(sys, gains.c, i, xs, ys, True) - ys[i]
+                           for i in range(1, n)]
+    # rate of a_i from its explicit partials: sum_k da/dx_k xdot_k + da/dy^(k-1) y^(k)
+    flow = [xs[k + 1] + sys.drift[k](xs[:k + 1]) for k in range(n - 1)]
+    rates = [0.0] + [float(np.dot(dx, flow[:i]) + np.dot(dy, ys[1:i + 1]))
+                     for i, (_, dx, dy) in enumerate(stages, start=1)]
+    h_rates = [flow[i] - ys[i + 1] - rates[i] for i in range(n - 1)]
+    base = sys.drift[n - 1](xs) - ys[n]
+    drifts = [base if n == 1 else base - _alpha_rate(sys, gains.c, n - 1, xs, ys, c)
+              for c in (False, True)]
+    return np.array(h), np.array(z), drifts, h_rates
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("trig", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(seed=st.integers(0, 200))
+@settings(max_examples=4)
+def test_taylor_pass_matches_nested_duals(seed, n, trig):
+    sys = trig_exp_system(n, seed) if trig else random_poly_system(n, seed)
+    gains = random_gains(n, seed)
+    rng = np.random.default_rng(seed + 11)
+    ys = get_reference("sine04").stack(rng.uniform(0, 20), n)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    x[0] = ys[0] - rng.uniform(0.1, 1.0)      # below the reference, for the floors
+    h, z, drifts, h_rates = _oracle(sys, x, ys, gains)
+
+    assert _close(error_coords(sys, x, ys, gains), h)
+    assert _close(standard_error_coords(sys, x, ys, gains), z)
+    assert _close(error_drift(sys, x, ys, gains), drifts[0])
+    assert _close(error_drift(sys, x, ys, gains, couple=True), drifts[1])
+    if np.all(h[:-1] != 0.0):
+        floors = gain_floors(sys, x, ys, gains)
+        # floor_i = -rate_i / h_i; compare the rates, which carry the rounding
+        assert _close(-floors * h[:-1], h_rates)
+    assert _close(state_from_errors(sys, h, ys, gains), x)
+    assert _close(error_coords(sys, state_from_errors(sys, h, ys, gains), ys, gains), h)
+
+
+def test_unsupported_drift_operation_is_a_type_error():
+    sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    ys = ref0(2)
+    # order 0 stays on floats, so the values still work ...
+    assert error_coords(sys, [0.1, 0.2], ys, demo_gains())[0] == pytest.approx(0.1 - ys[0])
+    # ... but a rate needs the drift on a jet
+    with pytest.raises(TypeError):
+        error_drift(sys, [0.1, 0.2], ys, demo_gains())
