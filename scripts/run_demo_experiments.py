@@ -13,6 +13,7 @@ from pathlib import Path
 
 from nonovershoot import (Scenario, deviation_study, example_lyapunov_spec,
                           example_system, demo_gains, run_scenario)
+from nonovershoot.sim import DEFAULT_PSI_SCALE
 
 
 def main():
@@ -54,7 +55,7 @@ def main():
         save(f"safety_{tag}.csv", trajs.to_csv())
 
     print("[4/4] full-vs-averaged deviation study")
-    spec = example_lyapunov_spec(system, gains, scale=0.0025)
+    spec = example_lyapunov_spec(system, gains, scale=DEFAULT_PSI_SCALE)
     sc = Scenario(x0=(-0.5, 0.0), t_end=10.0, dt=args.dt)
     study = deviation_study(system, spec, gains, sc, [60.0, 240.0, 960.0])
     for om, dev in zip(study.omegas, study.deviations):

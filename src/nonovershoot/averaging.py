@@ -12,32 +12,43 @@ pair instead yields lam*beta/2; both variants are exposed (``halved``)
 and the coupling integral itself is available as an independent probe.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .control import LyapunovSpec, lyapunov_weight
-from .model import BlowupError, Scenario, SystemModel, get_reference
-from .sim import fmt, refine_dt, run_scenario
+from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
+from .sim import fmt, refine_dt, rk4_tuple_step, run_scenario
 from .synth import GainConfig, error_coords, error_drift, state_from_errors
+
+
+def _averaged_rates(sys, spec, gains, ys, hs, coef):
+    """Averaged error rates at hbar = hs against the reference stack ys,
+    both tuples of floats; returns a tuple.  |hbar| goes through the same
+    BLAS dot product as ``np.linalg.norm``, so results match it bit for
+    bit at every n."""
+    n, c = sys.n, gains.c
+    xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
+    g = sys.gain(xs)
+    hv = np.array(hs)
+    r = math.sqrt(hv.dot(hv))
+    last = error_drift(sys, xs, ys, gains) \
+        - coef * g * g * lyapunov_weight(spec, r) * hs[n - 1]
+    return tuple(-c[i] * hs[i] + hs[i + 1] for i in range(n - 1)) + (last,)
+
+
+def _coef(gains, halved):
+    return gains.lam * gains.beta * (0.5 if halved else 1.0)
 
 
 def averaged_rhs(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                  reference, t: float, hbar, halved: bool = False) -> np.ndarray:
     """Right-hand side of the averaged error system at time t."""
-    hbar = np.asarray(hbar, dtype=float)
-    ys = get_reference(reference).stack(t, sys.n)
-    xbar = state_from_errors(sys, hbar, ys, gains)
-    g = sys.gain(tuple(xbar))
-    coef = gains.lam * gains.beta * (0.5 if halved else 1.0)
-    out = np.empty(sys.n)
-    for i in range(sys.n - 1):
-        out[i] = -gains.c[i] * hbar[i] + hbar[i + 1]
-    r = float(np.linalg.norm(hbar))
-    out[sys.n - 1] = (error_drift(sys, xbar, ys, gains)
-                      - coef * g * g * lyapunov_weight(spec, r) * hbar[sys.n - 1])
-    return out
+    hs = tuple(np.asarray(hbar, dtype=float).tolist())
+    ys = tuple(get_reference(reference).stack(t, sys.n).tolist())
+    return np.array(_averaged_rates(sys, spec, gains, ys, hs, _coef(gains, halved)))
 
 
 def effective_damping(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
@@ -58,25 +69,37 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     integration of stiff transients).  Returns an (N+1, n) sample array.
     """
     ref = get_reference(scenario.reference)
+    n = sys.n
     if h0 is None:
-        h0 = error_coords(sys, scenario.x0, ref.stack(t0, sys.n), gains)
-    h = np.asarray(h0, dtype=float).copy()
+        h0 = error_coords(sys, scenario.x0, ref.stack(t0, n), gains)
+    h = tuple(np.asarray(h0, dtype=float).tolist())
     nsteps = int(round(scenario.t_end / scenario.dt))
     dt = scenario.dt
-    out = np.empty((nsteps + 1, sys.n))
+    coef = _coef(gains, halved)
+
+    def rates(t, hs, ys, _arg):
+        return _averaged_rates(sys, spec, gains, ys, hs, coef)
+
+    def stack(t):
+        ys = ref.derivatives(t, n)
+        if not all(map(math.isfinite, ys)):
+            raise BlowupError("non-finite reference value", t=t)
+        return ys
+
+    out = np.empty((nsteps + 1, n))
     out[0] = h
     for k in range(nsteps):
         t = t0 + k * dt
         try:
-            k1 = averaged_rhs(sys, spec, gains, ref, t, h, halved)
-            k2 = averaged_rhs(sys, spec, gains, ref, t + dt / 2, h + dt / 2 * k1, halved)
-            k3 = averaged_rhs(sys, spec, gains, ref, t + dt / 2, h + dt / 2 * k2, halved)
-            k4 = averaged_rhs(sys, spec, gains, ref, t + dt, h + dt * k3, halved)
-        except (OverflowError, ValueError):
-            raise BlowupError("averaged system diverged", t=t, state=h) from None
-        h = h + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(h)):
-            raise BlowupError("averaged system diverged", t=t0 + (k + 1) * dt, state=h)
+            h = rk4_tuple_step(rates, t, h, dt, rates(t, h, stack(t), None),
+                               stack(t + dt / 2), stack(t + dt))
+        except (OverflowError, ValueError) as exc:
+            if not is_divergence(exc):
+                raise
+            raise BlowupError("averaged system diverged", t=t, state=np.array(h)) from None
+        if not all(math.isfinite(v) for v in h):
+            raise BlowupError("averaged system diverged", t=t0 + (k + 1) * dt,
+                              state=np.array(h))
         out[k + 1] = h
     return out
 

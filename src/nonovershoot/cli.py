@@ -84,17 +84,22 @@ def _print_report(rep):
           f"(delta_est={rep.delta_est:g} [{rep.delta_source}])")
 
 
+def _diverged(exc, out=None):
+    """Report a divergence (exit code 2); the partial trajectory goes to out."""
+    print(f"simulation diverged at t={exc.t:.6g}: {exc}", file=_sys.stderr)
+    partial = getattr(exc, "partial_trajectory", None)
+    if out and partial is not None:
+        _write(out, partial.to_csv())
+    return 2
+
+
 def _run_one(system, controller, gains, scenario, opts, out, report_path):
     kwargs = dict(psi_scale=opts["psi_scale"], delta_est=opts["delta_est"],
                   theta0=opts["theta0"])
     try:
         traj, rep = sim.run_scenario(system, controller, gains, scenario, **kwargs)
     except BlowupError as exc:
-        print(f"simulation diverged at t={exc.t:.6g}: {exc}", file=_sys.stderr)
-        partial = getattr(exc, "partial_trajectory", None)
-        if out and partial is not None:
-            _write(out, partial.to_csv())
-        return 2
+        return _diverged(exc, out)
     _print_report(rep)
     if out:
         _write(out, traj.to_csv())
@@ -135,10 +140,13 @@ def main(argv=None) -> int:
     if args.command == "compare":
         rows = []
         for controller in ("es", "nussbaum"):
-            _, rep = sim.run_scenario(system, controller, gains, scenario,
-                                      psi_scale=opts["psi_scale"],
-                                      delta_est=opts["delta_est"],
-                                      theta0=opts["theta0"])
+            try:
+                _, rep = sim.run_scenario(system, controller, gains, scenario,
+                                          psi_scale=opts["psi_scale"],
+                                          delta_est=opts["delta_est"],
+                                          theta0=opts["theta0"])
+            except BlowupError as exc:
+                return _diverged(exc)
             _print_report(rep)
             rows.append(rep)
         ratio = rows[1].max_h1 / rows[0].max_h1 if rows[0].max_h1 else float("inf")

@@ -7,6 +7,7 @@ blank lines and #-comments ignored.
 
 import re
 
+from .sim import DEFAULT_PSI_SCALE
 from .synth import GainConfig
 
 DEFAULTS = {
@@ -16,7 +17,7 @@ DEFAULTS = {
     "reference": "sine04",
     "theta0": "0",
     "delta_est": "0.1",
-    "psi_scale": "0.0025",
+    "psi_scale": str(DEFAULT_PSI_SCALE),
 }
 
 _KNOWN = {"kappa_n", "lambda", "beta", "omega", "x0", "reference",

@@ -11,6 +11,7 @@ gain (value and sign) is not.  Controllers only rely on a known positive
 floor ``xi1`` with gain(x)^2 >= xi1.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,48 @@ class BlowupError(RuntimeError):
         super().__init__(message)
         self.t = t
         self.state = state
+
+
+def _domain_messages():
+    """The texts of the ValueErrors :mod:`math` raises outside a function's
+    domain, as (exact texts, prefixes).  Where a text ends with the
+    offending argument (newer Pythons say "expected a positive input, got
+    -1.0" where older ones say "math domain error"), the part before it
+    becomes a prefix, so the same error at any other argument matches."""
+    probes = ((math.sqrt, -1.0), (math.log, 0.0), (math.log, -1.0),
+              (math.log10, -1.0), (math.log2, -1.0), (math.log1p, -2.0),
+              (math.sin, math.inf), (math.cos, math.inf), (math.tan, math.inf),
+              (math.asin, 2.0), (math.acos, 2.0), (math.acosh, 0.0),
+              (math.atanh, 2.0), (lambda v: math.pow(v, 0.5), -1.0),
+              (lambda v: math.fmod(v, 1.0), math.inf))
+    exact, prefixes = set(), set()
+    for fn, arg in probes:
+        try:
+            fn(arg)
+        except ValueError as exc:
+            text = str(exc)
+            if text.endswith(repr(arg)) and len(text) > len(repr(arg)):
+                prefixes.add(text[:-len(repr(arg))])
+            else:
+                exact.add(text)
+    return frozenset(exact), tuple(sorted(prefixes))
+
+
+_DOMAIN_EXACT, _DOMAIN_PREFIXES = _domain_messages()
+
+
+def is_divergence(exc: BaseException) -> bool:
+    """True for the arithmetic errors a diverging float computation raises:
+    ``OverflowError``, and the ``ValueError`` of a :mod:`math` function
+    called outside its domain (``sin(inf)``, ``sqrt(-1)``), recognised by
+    the texts :mod:`math` itself produces on this Python.  Any other
+    exception is a fault, not divergence."""
+    if isinstance(exc, OverflowError):
+        return True
+    if type(exc) is not ValueError:
+        return False
+    text = str(exc)
+    return text in _DOMAIN_EXACT or text.startswith(_DOMAIN_PREFIXES)
 
 
 class GainFloorViolation(RuntimeError):
@@ -90,8 +133,6 @@ def example_system() -> SystemModel:
     drift_1 = 0, drift_2 = x1^2, gain = 0.2*sin(x2) + 1.2.  The gain
     floor is exact: min over x2 of (0.2*sin(x2) + 1.2)^2 = 1.0.
     """
-    import math
-
     def _gain(xs):
         return 0.2 * math.sin(xs[1]) + 1.2
 
@@ -128,9 +169,19 @@ class Reference:
     def derivative(self, t: float, k: int) -> float:
         raise NotImplementedError
 
+    def derivatives(self, t: float, n: int) -> tuple:
+        """(y(t), y'(t), ..., y^(n)(t)) as n+1 floats.
+
+        A subclass may override this to share work across orders; the
+        override must return exactly the values ``derivative(t, k)``
+        returns, because the simulator reads the stack from here and the
+        checks read single orders from ``derivative``.
+        """
+        return tuple(self.derivative(t, k) for k in range(n + 1))
+
     def stack(self, t: float, n: int) -> np.ndarray:
         """[y(t), y'(t), ..., y^(n)(t)], length n+1."""
-        out = np.array([self.derivative(t, k) for k in range(n + 1)])
+        out = np.array(self.derivatives(t, n))
         if not np.all(np.isfinite(out)):
             raise BlowupError("non-finite reference value", t=t)
         return out
@@ -143,14 +194,24 @@ class SineReference(Reference):
     amplitude: float = -1.0
     rate: float = 0.4
 
-    def derivative(self, t, k):
-        import math
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the shared-sin/cos stack below would bypass a redefined derivative
+        if "derivative" in cls.__dict__ and "derivatives" not in cls.__dict__:
+            cls.derivatives = Reference.derivatives
 
+    def derivative(self, t, k):
         # quarter-phase cycle kept exact so derivatives vanish where they should
         phase = self.rate * t
         base = (math.sin(phase), math.cos(phase),
                 -math.sin(phase), -math.cos(phase))[k % 4]
         return self.amplitude * self.rate**k * base
+
+    def derivatives(self, t, n):
+        phase = self.rate * t
+        s, c = math.sin(phase), math.cos(phase)
+        cyc = (s, c, -s, -c)
+        return tuple(self.amplitude * self.rate**k * cyc[k % 4] for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -159,6 +220,9 @@ class ConstantReference(Reference):
 
     def derivative(self, t, k):
         return self.level if k == 0 else 0.0
+
+    def derivatives(self, t, n):
+        return (self.level,) + (0.0,) * n
 
 
 def get_reference(name) -> Reference:

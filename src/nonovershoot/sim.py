@@ -19,7 +19,7 @@ import numpy as np
 from .control import (LyapunovSpec, NussbaumState, example_lyapunov_spec,
                       lyapunov_value_from_norm, nominal_backstepping,
                       nussbaum_control)
-from .model import BlowupError, Scenario, SystemModel, get_reference
+from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
 from .synth import GainConfig, bound_report, check_gains, error_values
 
 DEFAULT_PSI_SCALE = 0.0025
@@ -55,6 +55,19 @@ def rk4_step(rhs, t: float, x, dt: float):
     return out
 
 
+def rk4_tuple_step(f, t: float, state: tuple, dt: float, k1: tuple,
+                   mid: tuple, end: tuple, arg=None) -> tuple:
+    """The update of ``rk4_step`` on a tuple of floats, bit for bit, with
+    the rate k1 at (t, state) given.  f(t, s, ys, arg) is the rate at a
+    later node, ys the reference stack there: ``mid`` at t + dt/2, shared
+    by k2 and k3, and ``end`` at t + dt."""
+    k2 = f(t + dt / 2, tuple(v + dt / 2 * d for v, d in zip(state, k1)), mid, arg)
+    k3 = f(t + dt / 2, tuple(v + dt / 2 * d for v, d in zip(state, k2)), mid, arg)
+    k4 = f(t + dt, tuple(v + dt * d for v, d in zip(state, k3)), end, arg)
+    return tuple(v + dt / 6 * (a + 2 * b + 2 * cc + d)
+                 for v, a, b, cc, d in zip(state, k1, k2, k3, k4))
+
+
 def refine_dt(dt: float, omega: float) -> float:
     """Shrink dt to an integer fraction that resolves the dither (40
     samples per period)."""
@@ -85,15 +98,16 @@ class Trajectory:
         n = self.n
         header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
             + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
-        lines = [",".join(header)]
-        for k in range(len(self.t)):
-            row = [fmt(self.t[k])]
-            row += [fmt(v) for v in self.x[k]]
-            row += [fmt(v) for v in self.h[k]]
-            row += [fmt(self.u[k]), fmt(self.yr[k]), fmt(self.margin[k]),
-                    MODE_LABELS[int(self.mode[k])]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        cols = (self.t, *self.x.T, *self.h.T, self.u, self.yr, self.margin)
+        row = ",".join(["%.17g"] * len(cols)) + ",%s"     # '%.17g' % v == fmt(v)
+        parts = [",".join(header)]
+        for a in range(0, len(self.t), _CSV_ROWS):
+            block = [col[a:a + _CSV_ROWS].tolist() for col in cols]
+            block.append([MODE_LABELS[m] for m in self.mode[a:a + _CSV_ROWS].tolist()])
+            # one exact-size string per block: a %-formatted row keeps its
+            # over-allocated buffer, a joined string does not
+            parts.append("\n".join(row % vals for vals in zip(*block)))
+        return "\n".join(parts) + "\n"
 
 
 @dataclass
@@ -129,22 +143,19 @@ def gains_text(gains: GainConfig) -> str:
     return ";".join(parts)
 
 
-def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
-    """Return (aux0, stage) where stage(t, xs, aux, mode, h=None) -> (u,
-    aux_rates); h, when given, holds the error coordinates at (t, xs)."""
-    n = sys.n
+def _build_stage(sys, controller, gains, lyap_spec):
+    """Return (aux0, stage) where stage(t, xs, ys, aux, mode, h=None) ->
+    (u, aux_rates); ys is the derivative stack at t of the reference the
+    law tracks, and h, when given, the error coordinates at (t, xs)."""
     c = gains.c
-    drift = sys.drift
-    gain = sys.gain
 
     if controller in ("es", "safety-filter"):
         vc = lyap_spec._value_coeffs if lyap_spec.closed_form else None
         sq = math.sqrt(gains.omega)
         om, lam, beta = gains.omega, gains.lam, gains.beta
 
-        def es_u(t, xs, h=None):
+        def es_stage(t, xs, ys, aux, mode, h=None):
             if h is None:
-                ys = tuple(ref.derivative(t, k) for k in range(n + 1))
                 h = error_values(sys, c, xs, ys)
             s = math.sqrt(math.fsum(v * v for v in h))
             if vc is not None:
@@ -154,37 +165,70 @@ def _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref):
                 val = acc * s * s
             else:
                 val = lyapunov_value_from_norm(lyap_spec, s)
-            return sq * (beta * math.cos(om * t) - lam * math.sin(om * t) * val)
-
-    if controller in ("nominal", "safety-filter"):
-        nref = nominal_ref if controller == "safety-filter" else ref
-
-        def nominal_u(t, xs):
-            ys = tuple(nref.derivative(t, k) for k in range(n + 1))
-            return nominal_backstepping(sys, xs, ys, gains)
+            return sq * (beta * math.cos(om * t) - lam * math.sin(om * t) * val), ()
 
     if controller == "es":
-        return (), lambda t, xs, aux, mode, h=None: (es_u(t, xs, h), ())
+        return (), es_stage
 
     if controller == "nominal":
-        return (), lambda t, xs, aux, mode, h=None: (nominal_u(t, xs), ())
+        return (), lambda t, xs, ys, aux, mode, h=None: (
+            nominal_backstepping(sys, xs, ys, gains), ())
 
     if controller == "nussbaum":
-        def stage(t, xs, aux, mode, h=None):
-            ys = tuple(ref.derivative(t, k) for k in range(n + 1))
+        def stage(t, xs, ys, aux, mode, h=None):
             u, dtheta = nussbaum_control(sys, xs, ys, gains, NussbaumState(aux[0]))
             return u, (dtheta,)
 
         return (0.0,), stage
 
     if controller == "safety-filter":
-        def stage(t, xs, aux, mode, h=None):
-            u = nominal_u(t, xs) if mode == 0 else es_u(t, xs, h)
-            return u, ()
+        def stage(t, xs, ys, aux, mode, h=None):
+            if mode == 0:
+                return nominal_backstepping(sys, xs, ys, gains), ()
+            return es_stage(t, xs, ys, aux, mode, h)
 
         return (), stage
 
     raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
+
+
+_FLUSH_ROWS = 256   # samples buffered by _Recorder between flushes
+_CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
+
+
+class _Recorder:
+    """Trajectory samples, appended one tuple per sample and flushed into
+    preallocated arrays every _FLUSH_ROWS rows: an item write into a numpy
+    array costs about as much as a step's own bookkeeping, and an
+    unbounded list would hold every sample twice."""
+
+    def __init__(self, size, n):
+        self.cols = (np.empty(size), np.empty((size, n)), np.empty((size, n)),
+                     np.empty(size), np.empty(size), np.empty(size, dtype=np.int8))
+        self.rows = []      # (t, x, h, u, yr, mode) since the last flush
+        self.count = 0      # rows already in the arrays
+
+    def append(self, row):
+        rows = self.rows
+        rows.append(row)
+        if len(rows) == _FLUSH_ROWS:
+            self.flush()
+
+    def flush(self):
+        if self.rows:
+            end = self.count + len(self.rows)
+            for arr, vals in zip(self.cols, zip(*self.rows)):
+                arr[self.count:end] = vals
+            self.count = end
+            self.rows.clear()
+
+    def trajectory(self, complete=True) -> Trajectory:
+        """The recorded rows, exactly; a partial record is copied out."""
+        self.flush()
+        t, x, h, u, yr, mode = (a if len(a) == self.count else a[:self.count].copy()
+                                for a in self.cols)
+        return Trajectory(t=t, x=x, h=h, u=u, yr=yr, margin=yr - x[:, 0], mode=mode,
+                          complete=complete)
 
 
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
@@ -201,7 +245,13 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     filter freezes its nominal/override decision at the start of each
     step so the switching signal is piecewise constant on the grid.
 
-    Raises BlowupError (partial trajectory attached) on divergence.
+    Each step evaluates the tracked reference's derivative stack once per
+    RK4 node (start, midpoint, end).
+
+    Raises BlowupError, with the samples recorded so far attached as
+    ``partial_trajectory``, on divergence: the state leaving the finite
+    range, an ``OverflowError``, or a math-domain ``ValueError`` (see
+    ``model.is_divergence``).  Any other exception propagates unchanged.
     """
     if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
@@ -219,89 +269,68 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     if delta_est is None:
         delta_est = DEFAULT_DELTA_EST
 
-    aux0, stage = _build_stage(sys, controller, gains, ref, lyap_spec, nominal_ref)
+    aux0, stage = _build_stage(sys, controller, gains, lyap_spec)
     n, naux = sys.n, len(aux0)
     drift, gain, c = sys.drift, sys.gain, gains.c
     nsteps = int(round(scenario.t_end / scenario.dt))
     dt = scenario.dt
-
-    t_arr = np.empty(nsteps + 1)
-    x_arr = np.empty((nsteps + 1, n))
-    h_arr = np.empty((nsteps + 1, n))
-    u_arr = np.empty(nsteps + 1)
-    yr_arr = np.empty(nsteps + 1)
-    m_arr = np.empty(nsteps + 1)
-    mode_arr = np.empty(nsteps + 1, dtype=np.int8)
     is_filter = controller == "safety-filter"
+    rec = _Recorder(nsteps + 1, n)
+    record = rec.append
 
     def deriv(xs, u, aux_rates):
         dx = tuple(xs[i + 1] + drift[i](xs[: i + 1]) for i in range(n - 1))
         return dx + (gain(xs) * u + drift[n - 1](xs),) + aux_rates
 
-    def rhs(t, state, mode):
+    def rhs(t, state, ys, mode):
         xs = state[:n]
-        u, aux_rates = stage(t, xs, state[n:], mode)
+        u, aux_rates = stage(t, xs, ys, state[n:], mode)
         return deriv(xs, u, aux_rates)
 
-    def sample(k, t, state, mode):
-        """Record sample k; return the controller output there, which is
-        also k1's (the seeking law reuses the recorded error coordinates)."""
+    def sample(t, state):
+        """Record the sample at (t, state).  Return the step's safety mode,
+        the reference its law tracks, and the controller output there,
+        which is also k1's (the seeking law reuses the recorded error
+        coordinates, and a law tracking ``ref`` its stack)."""
         xs = state[:n]
-        ys = tuple(ref.derivative(t, j) for j in range(n + 1))
-        h = error_values(sys, c, xs, ys)
-        u, aux_rates = stage(t, xs, state[n:], mode, h)
-        t_arr[k] = t
-        x_arr[k] = xs
-        h_arr[k] = h
-        u_arr[k] = u
-        yr_arr[k] = ys[0]
-        m_arr[k] = ys[0] - xs[0]
-        mode_arr[k] = mode
-        return u, aux_rates
-
-    state = tuple(scenario.x0) + ((theta0,) if naux else ())
-    k = 0
-    try:
-        for k in range(nsteps):
-            t = k * dt
-            xs = state[:n]
-            sys.check_gain_floor(xs)
-            mode = -1
-            if is_filter:
-                mode = 0 if ref.derivative(t, 0) - xs[0] >= 0.0 else 1
-            try:
-                u_rec, rates = sample(k, t, state, mode)
-                k1 = deriv(xs, u_rec, rates)
-                s2 = tuple(v + dt / 2 * d for v, d in zip(state, k1))
-                k2 = rhs(t + dt / 2, s2, mode)
-                s3 = tuple(v + dt / 2 * d for v, d in zip(state, k2))
-                k3 = rhs(t + dt / 2, s3, mode)
-                s4 = tuple(v + dt * d for v, d in zip(state, k3))
-                k4 = rhs(t + dt, s4, mode)
-                state = tuple(v + dt / 6 * (a + 2 * b + 2 * cc + d)
-                              for v, a, b, cc, d in zip(state, k1, k2, k3, k4))
-            except (OverflowError, ValueError) as exc:
-                raise BlowupError(f"arithmetic overflow: {exc}", t=t,
-                                  state=np.array(state[:n])) from None
-            bad = any(not math.isfinite(v) or abs(v) > _STATE_LIMIT for v in state)
-            if bad:
-                raise BlowupError("state left the finite range", t=(k + 1) * dt,
-                                  state=np.array(state[:n]))
-        t = nsteps * dt
+        ys = ref.derivatives(t, n)
         mode = -1
         if is_filter:
-            mode = 0 if ref.derivative(t, 0) - state[0] >= 0.0 else 1
-        sample(nsteps, t, state, mode)
+            mode = 0 if ys[0] - xs[0] >= 0.0 else 1
+        tracked = nominal_ref if mode == 0 else ref
+        h = error_values(sys, c, xs, ys)
+        u, aux_rates = stage(t, xs, ys if tracked is ref else tracked.derivatives(t, n),
+                             state[n:], mode, h)
+        record((t, xs, h, u, ys[0], mode))
+        return mode, tracked, u, aux_rates
+
+    state = tuple(scenario.x0) + ((theta0,) if naux else ())
+    t = 0.0
+    try:
+        try:
+            for k in range(nsteps):
+                t = k * dt
+                xs = state[:n]
+                sys.check_gain_floor(xs)
+                mode, tracked, u, rates = sample(t, state)
+                state = rk4_tuple_step(rhs, t, state, dt, deriv(xs, u, rates),
+                                       tracked.derivatives(t + dt / 2, n),
+                                       tracked.derivatives(t + dt, n), mode)
+                if any(not math.isfinite(v) or abs(v) > _STATE_LIMIT for v in state):
+                    raise BlowupError("state left the finite range", t=(k + 1) * dt,
+                                      state=np.array(state[:n]))
+            t = nsteps * dt
+            sample(t, state)
+        except (OverflowError, ValueError) as exc:
+            if not is_divergence(exc):
+                raise
+            raise BlowupError(f"arithmetic divergence: {exc}", t=t,
+                              state=np.array(state[:n])) from None
     except BlowupError as exc:
-        partial = Trajectory(t=t_arr[:k + 1].copy(), x=x_arr[:k + 1].copy(),
-                             h=h_arr[:k + 1].copy(), u=u_arr[:k + 1].copy(),
-                             yr=yr_arr[:k + 1].copy(), margin=m_arr[:k + 1].copy(),
-                             mode=mode_arr[:k + 1].copy(), complete=False)
-        exc.partial_trajectory = partial
+        exc.partial_trajectory = rec.trajectory(complete=False)
         raise
 
-    traj = Trajectory(t=t_arr, x=x_arr, h=h_arr, u=u_arr, yr=yr_arr,
-                      margin=m_arr, mode=mode_arr)
+    traj = rec.trajectory()
     bounds = _auto_bounds(sys, gains)
     sid = scenario_id or _default_id(sys, controller, scenario)
     report = overshoot_report(traj, gains, bounds, delta_est,

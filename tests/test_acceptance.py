@@ -16,7 +16,7 @@ from nonovershoot import (Scenario, demo_gains, deviation_study, dither_coupling
                           lyapunov_grad_last, lyapunov_value, run_scenario,
                           simulate_averaged, sweep, virtual_controllers)
 from nonovershoot.averaging import averaged_rhs
-from nonovershoot.sim import DEFAULT_DELTA_EST
+from nonovershoot.sim import DEFAULT_DELTA_EST, DEFAULT_PSI_SCALE
 
 from conftest import random_gains, random_poly_system
 
@@ -69,7 +69,7 @@ def safety_runs(demo):
 
 @pytest.fixture(scope="module")
 def study(demo):
-    spec = example_lyapunov_spec(demo, GAINS, scale=0.0025)
+    spec = example_lyapunov_spec(demo, GAINS, scale=DEFAULT_PSI_SCALE)
     sc = Scenario(x0=(-0.5, 0.0), t_end=10.0, dt=1e-3)
     return deviation_study(demo, spec, GAINS, sc, [60.0, 240.0, 960.0])
 

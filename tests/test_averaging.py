@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nonovershoot import (GainConfig, Scenario, averaged_rhs, bound_report,
+from nonovershoot import (BlowupError, GainConfig, Reference, Scenario, averaged_rhs, bound_report,
                           deviation_study, dither_coupling, effective_damping,
-                          example_lyapunov_spec, get_reference, lyapunov_weight,
-                          simulate_averaged)
+                          error_coords, example_lyapunov_spec, get_reference,
+                          lyapunov_weight, rk4_step, simulate_averaged)
+from nonovershoot.sim import DEFAULT_PSI_SCALE
 
 from conftest import chain_integrator
 
@@ -18,7 +19,7 @@ def cert(demo, gains):
 
 @pytest.fixture(scope="module")
 def soft(demo, gains):
-    return example_lyapunov_spec(demo, gains, scale=0.0025)
+    return example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
 
 
 def test_averaged_rest_point_chain():
@@ -189,3 +190,39 @@ def test_deviation_study_csv_shape(demo, gains, soft):
     assert lines[0] == "omega,max_deviation,blowup_flag"
     assert len(lines) == 2
     assert lines[1].split(",")[2] == "0"
+
+
+def test_simulate_averaged_is_rk4_over_averaged_rhs(demo, gains, soft):
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.2, dt=1e-3)
+    ref = get_reference(sc.reference)
+    h = error_coords(demo, sc.x0, ref.stack(0.0, 2), gains)
+    want = [h]
+    for k in range(200):
+        h = rk4_step(lambda t, v: averaged_rhs(demo, soft, gains, ref, t, v),
+                     k * sc.dt, h, sc.dt)
+        want.append(h)
+    assert np.array_equal(simulate_averaged(demo, soft, gains, sc), np.array(want))
+
+
+def test_simulate_averaged_passes_faults_through(demo, gains, soft):
+    class Faulty(Reference):
+        def derivative(self, t, k):
+            raise ValueError("bug")
+
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=Faulty())
+    with pytest.raises(ValueError, match="^bug$"):
+        simulate_averaged(demo, soft, gains, sc, h0=[0.1, 0.0])
+
+
+def test_simulate_averaged_rejects_non_finite_reference(demo, gains, soft):
+    # the same error averaged_rhs raises at the same node
+    class Blowing(Reference):
+        def derivative(self, t, k):
+            return math.inf if t > 0.0042 else 0.0
+
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=Blowing())
+    with pytest.raises(BlowupError, match="non-finite reference value") as info:
+        simulate_averaged(demo, soft, gains, sc, h0=[0.1, 0.0])
+    assert info.value.t == pytest.approx(0.0045)   # midpoint of step 4
+    with pytest.raises(BlowupError, match="non-finite reference value"):
+        averaged_rhs(demo, soft, gains, sc.reference, info.value.t, [0.1, 0.0])

@@ -99,6 +99,16 @@ def test_run_blowup_exit_code(tmp_path):
     assert out.exists()  # partial trajectory retained for diagnosis
 
 
+def test_compare_blowup_exit_code(tmp_path, capsys):
+    cfgp = tmp_path / "hot.cfg"
+    cfgp.write_text("psi_scale=1\n")
+    out = tmp_path / "cmp.csv"
+    rc = run_cli(["compare", "--t-end", "1", "--config", str(cfgp), "--out", str(out)])
+    assert rc == 2
+    assert "simulation diverged at t=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_two_rows(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     rc = run_cli(["compare", "--t-end", "1", "--out", str(out)])

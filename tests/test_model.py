@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonovershoot import (BlowupError, GainFloorViolation, Scenario, SystemModel,
-                          eval_dynamics, get_reference, get_system,
-                          reference_stack)
+from nonovershoot import (BlowupError, ConstantReference, GainFloorViolation, Reference,
+                          Scenario, SineReference, SystemModel, eval_dynamics,
+                          get_reference, get_system, reference_stack)
+
+from nonovershoot.model import is_divergence
 
 from conftest import chain_integrator, random_poly_system
 
@@ -87,6 +89,65 @@ def test_reference_derivative_consistency():
             fd = (ref.derivative(t + eps, k) - ref.derivative(t - eps, k)) / (2 * eps)
             want = ref.derivative(t, k + 1)
             assert fd == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+
+class _CubicReference(Reference):
+    """y = a t^3, defining only the per-order derivative."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def derivative(self, t, k):
+        a = self.a
+        return (a * t ** 3, 3 * a * t * t, 6 * a * t, 6 * a)[k] if k < 4 else 0.0
+
+
+_moderate = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(_moderate, st.floats(-5.0, 5.0), st.floats(-1e4, 1e4), st.integers(0, 8))
+def test_derivatives_equal_per_order_values(amplitude, rate, t, n):
+    # the stack the simulator reads matches derivative(t, k) bit for bit
+    for ref in (SineReference(amplitude, rate), ConstantReference(amplitude),
+                _CubicReference(amplitude)):
+        got = ref.derivatives(t, n)
+        assert type(got) is tuple
+        want = [ref.derivative(t, k) for k in range(n + 1)]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert np.array_equal(ref.stack(t, n), want)
+
+
+class _ShiftedSine(SineReference):
+    """A SineReference whose value is redefined; it inherits the stack."""
+
+    def derivative(self, t, k):
+        return super().derivative(t, k) + (1.0 if k == 0 else 0.0)
+
+
+def test_sine_subclass_redefining_derivative_gets_its_stack():
+    ref = _ShiftedSine()
+    assert ref.derivatives(0.3, 2) == tuple(ref.derivative(0.3, k) for k in range(3))
+    assert ref.derivatives(0.3, 2)[0] == SineReference().derivative(0.3, 0) + 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: math.sqrt(-2.5), lambda: math.log(-3.0), lambda: math.log(0),
+    lambda: math.log10(-7.0), lambda: math.sin(-math.inf), lambda: math.cos(-math.inf),
+    lambda: math.tan(-math.inf), lambda: math.acos(1.5), lambda: math.asin(-4.0),
+    lambda: math.atanh(-3.0), lambda: math.acosh(0.5), lambda: math.pow(-8.0, 1 / 3),
+], ids=["sqrt", "log", "log0", "log10", "sin", "cos", "tan", "acos", "asin",
+        "atanh", "acosh", "pow"])
+def test_math_domain_errors_are_divergence(call):
+    # other arguments than the ones is_divergence learns its texts from
+    with pytest.raises(ValueError) as info:
+        call()
+    assert is_divergence(info.value)
+
+
+def test_other_errors_are_not_divergence():
+    assert is_divergence(OverflowError("math range error"))
+    assert not is_divergence(ValueError("bug"))
+    assert not is_divergence(KeyError("math domain error"))
 
 
 @given(st.integers(0, 500), st.integers(2, 4))

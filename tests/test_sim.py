@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nonovershoot import (BlowupError, GainConfig, Scenario, SystemModel,
-                          bound_report, error_coords, es_control, eval_dynamics,
-                          example_lyapunov_spec, get_reference, nominal_backstepping,
-                          refine_dt, rk4_step, run_scenario, state_from_errors, sweep)
-from nonovershoot.sim import fmt, gains_text
+from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Reference,
+                          Scenario, SineReference, SystemModel, bound_report, dualnum,
+                          error_coords, es_control, eval_dynamics, example_lyapunov_spec,
+                          get_reference, nominal_backstepping, refine_dt, rk4_step,
+                          run_scenario, state_from_errors, sweep)
+from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -82,7 +83,7 @@ def test_trajectory_grid_invariants(demo, gains):
 def test_recorded_input_matches_library_law(demo, gains):
     # the hot-path inline dither must agree with the public control law
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.5, dt=1e-3)
-    spec = example_lyapunov_spec(demo, gains, scale=0.0025)
+    spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
     traj, _ = run_scenario(demo, "es", gains, sc, lyap_spec=spec)
     rng = np.random.default_rng(0)
     for k in rng.integers(0, len(traj.t), size=25):
@@ -306,3 +307,60 @@ def test_four_controller_evaluations_per_step():
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
     run_scenario(sys, "nominal", chain_gains(), sc)
     assert len(calls) == 10 * (1 + 4 * 2) + 1
+
+
+# --- per-node reference stacks, partial records, error classification ---------------
+
+def test_one_reference_stack_per_rk4_node(demo, gains):
+    # start (shared by the record and k1), midpoint (k2 and k3), end
+    calls = []
+
+    class CountedSine(SineReference):
+        def derivatives(self, t, n):
+            calls.append(t)
+            return super().derivatives(t, n)
+
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=CountedSine())
+    run_scenario(demo, "es", gains, sc)
+    assert len(calls) == 3 * 10 + 1
+
+
+def _exp_plant():
+    return SystemModel(n=2, drift=(lambda xs: dualnum.exp(xs[0]), lambda xs: 0.0),
+                       gain=lambda xs: 1.0, xi1=1.0)
+
+
+def _log_plant():
+    return SystemModel(n=2, drift=(lambda xs: 0.0, lambda xs: math.log(xs[0])),
+                       gain=lambda xs: 1.0, xi1=1.0)
+
+
+@pytest.mark.parametrize("plant, controller, x0, rows, cause", [
+    (_exp_plant, "nominal", (710.0, 0.0), 0, "range"),   # overflow in the first sample
+    (_log_plant, "es", (-0.5, 0.0), 1, "domain"),        # math-domain error in k1
+])
+def test_partial_trajectory_holds_exactly_the_recorded_rows(plant, controller, x0,
+                                                            rows, cause):
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0)), 1.5, 1.1)
+    sc = Scenario(x0=x0, t_end=0.01, dt=1e-3, reference="constant:0")
+    with pytest.raises(BlowupError, match=cause) as exc_info:
+        run_scenario(plant(), controller, chain_gains(), sc, lyap_spec=spec)
+    partial = exc_info.value.partial_trajectory
+    assert not partial.complete
+    assert [len(a) for a in (partial.t, partial.x, partial.h, partial.u, partial.yr,
+                             partial.margin, partial.mode)] == [rows] * 7
+    assert np.array_equal(partial.t, np.arange(rows) * 1e-3)
+    assert np.array_equal(partial.x, np.array([x0] * rows).reshape(rows, 2))
+    assert np.all(partial.mode == -1)
+    assert len(partial.to_csv().splitlines()) == rows + 1
+
+
+class _FaultyReference(Reference):
+    def derivative(self, t, k):
+        raise ValueError("bug")
+
+
+def test_fault_in_user_code_is_not_divergence(demo, gains):
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=_FaultyReference())
+    with pytest.raises(ValueError, match="^bug$"):
+        run_scenario(demo, "es", gains, sc)
