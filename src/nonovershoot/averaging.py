@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
@@ -73,7 +72,7 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     if h0 is None:
         h0 = error_coords(sys, scenario.x0, ref.stack(t0, n), gains)
     h = tuple(np.asarray(h0, dtype=float).tolist())
-    nsteps = int(round(scenario.t_end / scenario.dt))
+    nsteps = scenario.nsteps
     dt = scenario.dt
     coef = _coef(gains, halved)
 
@@ -118,6 +117,8 @@ def dither_coupling(inner, outer, period: float) -> float:
     well under 1e-9 for smooth dithers).  Rejects dithers whose mean over
     one period exceeds 1e-9.
     """
+    from scipy.integrate import cumulative_simpson, simpson   # only this probe needs scipy
+
     if period <= 0:
         raise ValueError("period must be positive")
     grid = np.linspace(0.0, period, _COUPLING_PANELS + 1)

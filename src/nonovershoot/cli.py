@@ -66,8 +66,11 @@ def _load(args):
         cfg = cfgmod.parse_config(args.config.read_text())
     system = get_system(args.system)
     gains = cfgmod.gains_from_config(cfg)
-    scenario = Scenario(x0=cfgmod.x0_from_config(cfg), t_end=args.t_end,
-                        dt=args.dt, reference=cfgmod.reference_from_config(cfg))
+    try:
+        scenario = Scenario(x0=cfgmod.x0_from_config(cfg), t_end=args.t_end,
+                            dt=args.dt, reference=cfgmod.reference_from_config(cfg))
+    except ValueError as exc:
+        raise SystemExit(f"nonovershoot: {exc}") from None
     return system, gains, scenario, cfgmod.option_floats(cfg)
 
 
@@ -135,7 +138,11 @@ def main(argv=None) -> int:
             _write(args.out, text)
         else:
             print(text, end="")
-        return 0
+        diverged = [(verdict, overrides) for _, verdict, overrides in result.rows
+                    if verdict.startswith("diverged")]
+        for verdict, overrides in diverged:
+            print(f"simulation {verdict} [{sim.grid_label(overrides)}]", file=_sys.stderr)
+        return 2 if diverged else 0
 
     if args.command == "compare":
         rows = []
@@ -149,8 +156,9 @@ def main(argv=None) -> int:
                 return _diverged(exc)
             _print_report(rep)
             rows.append(rep)
-        ratio = rows[1].max_h1 / rows[0].max_h1 if rows[0].max_h1 else float("inf")
-        print(f"overshoot ratio (comparator / seeking) = {ratio:.6g}")
+        for tag, rep in (("comparator", rows[1]), ("seeking law", rows[0])):
+            print(f"{tag}: max(x1-yr) = {rep.max_h1:.6g} at t = {rep.t_at_max:.6g}, "
+                  f"ceiling violation = {rep.envelope_violation:.6g}")
         if args.out:
             text = ",".join(sim.REPORT_COLUMNS) + "\n" \
                 + "\n".join(r.csv_row() for r in rows) + "\n"

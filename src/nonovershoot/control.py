@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .model import SystemModel
 from .synth import DriftBound, GainConfig, coords_and_drift, error_values
@@ -103,6 +102,8 @@ def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
         for coef in reversed(spec._value_coeffs):
             acc = acc * s + coef
         return acc * s * s
+    from scipy import integrate     # only this fallback needs scipy
+
     val, err = integrate.quad(lambda r: r * lyapunov_weight(spec, r), 0.0, s,
                               epsabs=1e-10, limit=200)
     if err > 1e-8:
@@ -111,8 +112,12 @@ def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
 
 
 def lyapunov_value(spec: LyapunovSpec, h) -> float:
-    """V(h); depends on h only through its Euclidean norm, V(0) = 0."""
-    return lyapunov_value_from_norm(spec, float(np.linalg.norm(h)))
+    """V(h); depends on h only through its Euclidean norm, V(0) = 0.
+
+    |h| is taken as sqrt(fsum(h_i^2)), the form the simulator's seeking
+    stage inlines, so ``es_control`` equals the simulated input bit for bit.
+    """
+    return lyapunov_value_from_norm(spec, math.sqrt(math.fsum(v * v for v in h)))
 
 
 def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:

@@ -251,7 +251,12 @@ def reference_stack(name, t: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Closed-loop run description: initial state, horizon, step, reference."""
+    """Closed-loop run description: initial state, horizon, step, reference.
+
+    The horizon must be a whole number of steps: t_end/dt within 1e-9
+    (relative) of an integer >= 1.  Anything else is rejected rather than
+    silently cut to the nearest grid point.
+    """
 
     x0: tuple
     t_end: float
@@ -260,9 +265,20 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        q = self.t_end / self.dt if self.dt > 0 else math.nan
+        if not (self.t_end > 0 and 0 < q < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
+        if round(q) < 1 or abs(q - round(q)) > 1e-9 * q:
+            near = sorted({max(math.floor(q), 1), max(math.ceil(q), 1)})
+            raise ValueError(
+                f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}; "
+                "nearest valid t_end: " + " or ".join(f"{k * self.dt:.12g}" for k in near))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+
+    @property
+    def nsteps(self) -> int:
+        """Number of fixed steps from t = 0 to t_end."""
+        return round(self.t_end / self.dt)
 
     def dither_resolved(self, omega: float) -> bool:
         """Step small enough to resolve a dither of frequency omega."""

@@ -157,7 +157,7 @@ def _build_stage(sys, controller, gains, lyap_spec):
         def es_stage(t, xs, ys, aux, mode, h=None):
             if h is None:
                 h = error_values(sys, c, xs, ys)
-            s = math.sqrt(math.fsum(v * v for v in h))
+            s = math.sqrt(math.fsum(v * v for v in h))    # as control.lyapunov_value
             if vc is not None:
                 acc = 0.0
                 for coef in reversed(vc):
@@ -272,7 +272,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     aux0, stage = _build_stage(sys, controller, gains, lyap_spec)
     n, naux = sys.n, len(aux0)
     drift, gain, c = sys.drift, sys.gain, gains.c
-    nsteps = int(round(scenario.t_end / scenario.dt))
+    nsteps = scenario.nsteps
     dt = scenario.dt
     is_filter = controller == "safety-filter"
     rec = _Recorder(nsteps + 1, n)
@@ -388,7 +388,7 @@ class SweepResult:
         lines = [",".join(REPORT_COLUMNS + ("verdict",))]
         for report, verdict, overrides in self.rows:
             if report is None:
-                lines.append(",".join([_grid_label(overrides), "", "nan", "nan",
+                lines.append(",".join([grid_label(overrides), "", "nan", "nan",
                                        "nan", "nan", "nan", verdict]))
             else:
                 lines.append(report.csv_row() + "," + verdict)
@@ -402,8 +402,10 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
 
     Grid keys: c1..cn, kappa_n, lambda, beta, omega, x0.  Points that
     fail the gain check for ``mode`` are recorded with their verdict and
-    not simulated.  Rows follow itertools.product order over the grid in
-    key order, so output is order-stable.
+    not simulated; a point whose run diverges is recorded with the verdict
+    "diverged at t=...: <cause>" and the grid goes on.  Rows follow
+    itertools.product order over the grid in key order, so output is
+    order-stable.
     """
     keys = list(grid.keys())
     rows = []
@@ -427,15 +429,20 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
             rows.append((None, text.replace(",", ";"), overrides))
             continue
         sc = replace(sc, dt=refine_dt(sc.dt, g.omega))
-        label = _grid_label(overrides)
-        _, report = run_scenario(sys, controller, g, sc,
-                                 scenario_id=f"{_default_id(sys, controller, sc)}/{label}",
-                                 **options)
+        label = grid_label(overrides)
+        try:
+            _, report = run_scenario(sys, controller, g, sc,
+                                     scenario_id=f"{_default_id(sys, controller, sc)}/{label}",
+                                     **options)
+        except BlowupError as exc:
+            text = f"diverged at t={exc.t:.6g}: {exc}"
+            rows.append((None, text.replace(",", ";"), overrides))
+            continue
         rows.append((report, "valid", overrides))
     return SweepResult(rows=tuple(rows))
 
 
-def _grid_label(overrides: dict) -> str:
+def grid_label(overrides: dict) -> str:
     parts = []
     for k, v in overrides.items():
         if isinstance(v, (tuple, list)):

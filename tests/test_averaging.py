@@ -124,12 +124,13 @@ def test_self_comparison_is_zero(demo, gains, cert):
     assert np.max(np.abs(a - b)) == 0.0
 
 
-def _stable_dt(demo, gains, cert, h0):
+def _stable_dt(demo, gains, cert, h0, t_end):
     # explicit RK4 needs dt below ~2.8 / damping; the certificate weight
-    # makes the damping enormous at large radius, so scale dt to the init
+    # makes the damping enormous at large radius, so scale dt to the init,
+    # then shrink it to a whole fraction of the horizon
     r0 = float(np.linalg.norm(h0))
     mu_max = 3.2 * 1.96 * lyapunov_weight(cert, r0)
-    return min(1e-3, 2.0 / mu_max)
+    return t_end / math.ceil(t_end / min(1e-3, 2.0 / mu_max))
 
 
 def test_averaged_ultimate_bound_across_inits(demo, gains, cert):
@@ -137,7 +138,7 @@ def test_averaged_ultimate_bound_across_inits(demo, gains, cert):
     # |h(0)| <= 5 ball
     rep = bound_report(gains, "uniform")
     for h0 in ([-0.5, -0.6], [1.2, -0.8], [0.0, 2.0], [-2.4, 0.7]):
-        dt = _stable_dt(demo, gains, cert, h0)
+        dt = _stable_dt(demo, gains, cert, h0, t_end=8.0)
         sc = Scenario(x0=(-0.5, 0.0), t_end=8.0, dt=dt)
         out = simulate_averaged(demo, cert, gains, sc, h0=h0)
         t = np.arange(len(out)) * dt
@@ -151,7 +152,7 @@ def test_averaged_lyapunov_decrease_above_residual(demo, gains, cert):
     ref = get_reference("sine04")
     seen_above = 0
     for h0 in ([-2.0, 2.5], [1.5, -3.0]):
-        dt = _stable_dt(demo, gains, cert, h0)
+        dt = _stable_dt(demo, gains, cert, h0, t_end=2.0)
         sc = Scenario(x0=(-0.5, 0.0), t_end=2.0, dt=dt)
         out = simulate_averaged(demo, cert, gains, sc, h0=h0)
         for k in range(0, len(out), 5):

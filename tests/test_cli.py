@@ -114,7 +114,10 @@ def test_compare_writes_two_rows(tmp_path, capsys):
     rc = run_cli(["compare", "--t-end", "1", "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 3
-    assert "overshoot ratio" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "comparator: max(x1-yr) = " in out_text
+    assert "seeking law: max(x1-yr) = " in out_text
+    assert "ceiling violation = " in out_text
 
 
 def test_safety_subcommand(tmp_path):
@@ -136,6 +139,25 @@ def test_sweep_subcommand(tmp_path):
     assert lines[0].endswith("verdict")
     assert len(lines) == 5
     assert sum("invalid" in ln for ln in lines) == 2
+
+
+def test_sweep_divergent_point_writes_csv_and_exits_2(tmp_path, capsys):
+    cfgp = tmp_path / "hot.cfg"
+    cfgp.write_text("psi_scale=1\n")
+    out = tmp_path / "sweep.csv"
+    rc = run_cli(["sweep", "--config", str(cfgp), "--t-end", "1", "--grid", "kappa_n=1.1",
+                  "--out", str(out)])
+    assert rc == 2
+    assert "simulation diverged at t=" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and ",diverged at t=" in lines[1]
+
+
+@pytest.mark.parametrize("t_end", ["0.0104", "5e-4"])
+def test_horizon_off_the_step_grid_is_a_message(t_end, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["run", "--t-end", t_end])
+    assert "nearest valid t_end" in str(exc_info.value.code)
 
 
 def test_average_subcommand(tmp_path, capsys):

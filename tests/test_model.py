@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from nonovershoot import (BlowupError, ConstantReference, GainFloorViolation, Reference,
                           Scenario, SineReference, SystemModel, eval_dynamics,
-                          get_reference, get_system, reference_stack)
+                          get_reference, get_system, reference_stack, refine_dt)
 
 from nonovershoot.model import is_divergence
 
@@ -189,3 +189,15 @@ def test_scenario_validation():
     sc = Scenario(x0=(0.0, 0.0), t_end=1.0, dt=1e-3)
     assert sc.dither_resolved(60.0)
     assert not sc.dither_resolved(1000.0)
+
+
+@pytest.mark.parametrize("t_end, nearest", [(0.0104, "0.01 or 0.011"), (5e-4, "0.001")])
+def test_scenario_rejects_horizon_off_the_step_grid(t_end, nearest):
+    with pytest.raises(ValueError, match=f"nearest valid t_end: {nearest}$"):
+        Scenario(x0=(0.0, 0.0), t_end=t_end, dt=1e-3)
+
+
+def test_scenario_step_count():
+    assert Scenario(x0=(0.0,), t_end=0.0104, dt=1.3e-3).nsteps == 8
+    # a refined step still divides the horizon
+    assert Scenario(x0=(0.0,), t_end=1.0, dt=refine_dt(1e-3, 960.0)).nsteps == 7000

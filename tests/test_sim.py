@@ -81,14 +81,18 @@ def test_trajectory_grid_invariants(demo, gains):
 
 
 def test_recorded_input_matches_library_law(demo, gains):
-    # the hot-path inline dither must agree with the public control law
-    sc = Scenario(x0=(-0.5, 0.0), t_end=0.5, dt=1e-3)
+    # the simulator's seeking law is the public control law, bit for bit:
+    # every es sample, and every override sample of the safety filter
     spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
-    traj, _ = run_scenario(demo, "es", gains, sc, lyap_spec=spec)
-    rng = np.random.default_rng(0)
-    for k in rng.integers(0, len(traj.t), size=25):
-        want = es_control(spec, gains, traj.t[k], traj.h[k])
-        assert traj.u[k] == pytest.approx(want, rel=1e-12)
+    es, _ = run_scenario(demo, "es", gains, Scenario(x0=(-0.5, 0.0), t_end=1.0, dt=1e-3),
+                         lyap_spec=spec)
+    filt, _ = run_scenario(demo, "safety-filter", gains,
+                           Scenario(x0=(0.2, 0.0), t_end=1.0, dt=1e-3), lyap_spec=spec)
+    override = filt.mode == 1
+    assert override.sum() > 500
+    for traj, rows in ((es, np.ones(len(es.t), dtype=bool)), (filt, override)):
+        for t, h, u in zip(traj.t[rows], traj.h[rows], traj.u[rows]):
+            assert u == es_control(spec, gains, t, h)
 
 
 def test_dither_resolution_precondition(demo, gains):
@@ -257,6 +261,19 @@ def test_sweep_rejects_unknown_key(demo, gains):
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
     with pytest.raises(KeyError):
         sweep(demo, "es", gains, sc, {"mass": [1.0]})
+
+
+def test_sweep_records_divergent_point_and_goes_on(demo, gains):
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
+    result = sweep(demo, "es", gains, sc, {"x0": [(0.0, 0.4), (-0.5, 0.0)]}, psi_scale=1.0)
+    assert len(result.rows) == 2
+    (clean, ok, _), (none, verdict, overrides) = result.rows
+    assert ok == "valid" and clean.max_h1 < 0.1
+    assert none is None and overrides == {"x0": (-0.5, 0.0)}
+    assert verdict.startswith("diverged at t=") and "," not in verdict
+    lines = result.to_csv().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("x0=-0.5|0,")
+    assert lines[2].endswith(verdict)
 
 
 def test_sweep_x0_axis(demo, gains):
