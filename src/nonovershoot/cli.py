@@ -10,7 +10,7 @@ import sys as _sys
 from pathlib import Path
 
 from . import averaging, config as cfgmod, sim
-from .model import BlowupError, Scenario, get_system
+from .model import BlowupError, Scenario, get_reference, get_system
 
 
 def _common(parser, controller=True):
@@ -61,17 +61,36 @@ def build_parser():
 
 
 def _load(args):
+    """System, gains, scenario and run options from the arguments and the
+    config file; ValueError or KeyError if any of them is malformed."""
     cfg = {}
     if args.config:
         cfg = cfgmod.parse_config(args.config.read_text())
     system = get_system(args.system)
     gains = cfgmod.gains_from_config(cfg)
-    try:
-        scenario = Scenario(x0=cfgmod.x0_from_config(cfg), t_end=args.t_end,
-                            dt=args.dt, reference=cfgmod.reference_from_config(cfg))
-    except ValueError as exc:
-        raise SystemExit(f"nonovershoot: {exc}") from None
+    reference = cfgmod.reference_from_config(cfg)
+    get_reference(reference)            # an unknown id fails here, not in a run
+    scenario = Scenario(x0=cfgmod.x0_from_config(cfg), t_end=args.t_end,
+                        dt=args.dt, reference=reference)
+    if len(scenario.x0) != system.n:
+        raise ValueError(f"x0 has {len(scenario.x0)} entries; system "
+                         f"{args.system!r} has {system.n} states")
     return system, gains, scenario, cfgmod.option_floats(cfg)
+
+
+def _grid(axes, gains, scenario):
+    """The sweep grid from the --grid arguments; every value of every axis
+    is applied once so that a bad key or value fails before any run."""
+    grid = {}
+    for axis in axes:
+        key, _, vals = axis.partition("=")
+        key = key.strip()
+        if key == "x0":
+            raise ValueError("x0 grids are only supported through the library API")
+        grid[key] = list(cfgmod.numbers(vals, f"--grid {key}"))
+        for v in grid[key]:
+            sim.grid_point(gains, scenario, {key: v})
+    return grid
 
 
 def _write(path, text):
@@ -113,7 +132,15 @@ def _run_one(system, controller, gains, scenario, opts, out, report_path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    system, gains, scenario, opts = _load(args)
+    try:
+        system, gains, scenario, opts = _load(args)
+        grid = _grid(args.grid, gains, scenario) if args.command == "sweep" else None
+        omegas = list(cfgmod.numbers(args.omegas, "--omegas")) \
+            if args.command == "average" else None
+    except (OSError, ValueError, KeyError) as exc:
+        # malformed input: one line, no traceback
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise SystemExit(f"nonovershoot: {text}") from None
 
     if args.command == "run":
         return _run_one(system, args.controller, gains, scenario, opts,
@@ -124,12 +151,6 @@ def main(argv=None) -> int:
                         args.out, args.report)
 
     if args.command == "sweep":
-        grid = {}
-        for axis in args.grid:
-            key, _, vals = axis.partition("=")
-            if key.strip() == "x0":
-                raise SystemExit("x0 grids are only supported through the library API")
-            grid[key.strip()] = [float(v) for v in vals.split(",")]
         result = sim.sweep(system, args.controller, gains, scenario, grid,
                            mode=args.mode, psi_scale=opts["psi_scale"],
                            delta_est=opts["delta_est"])
@@ -169,7 +190,6 @@ def main(argv=None) -> int:
         from .control import example_lyapunov_spec
 
         spec = example_lyapunov_spec(system, gains, scale=opts["psi_scale"])
-        omegas = [float(v) for v in args.omegas.split(",")]
         study = averaging.deviation_study(system, spec, gains, scenario, omegas,
                                           halved=args.halved)
         for om, dev, blow in zip(study.omegas, study.deviations, study.blowups):

@@ -20,8 +20,7 @@ DEFAULTS = {
     "psi_scale": str(DEFAULT_PSI_SCALE),
 }
 
-_KNOWN = {"kappa_n", "lambda", "beta", "omega", "x0", "reference",
-          "theta0", "delta_est", "psi_scale"}
+_KNOWN = {k for k in DEFAULTS if not re.fullmatch(r"c\d+", k)}
 
 
 def parse_config(text: str) -> dict:
@@ -48,26 +47,39 @@ def merged(cfg: dict) -> dict:
     return base
 
 
+def numbers(text: str, what: str) -> tuple:
+    """Comma-separated numbers as floats; ValueError naming ``what`` if
+    any of them is not a number."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}") from None
+
+
+def _number(cfg: dict, key: str) -> float:
+    try:
+        return float(cfg[key])
+    except ValueError:
+        raise ValueError(f"{key}: expected a number, got {cfg[key]!r}") from None
+
+
 def gains_from_config(cfg: dict) -> GainConfig:
     cfg = merged(cfg)
     indices = sorted(int(k[1:]) for k in cfg if re.fullmatch(r"c\d+", k))
     if indices != list(range(1, len(indices) + 1)):
         raise ValueError(f"rate gains must be contiguous c1..cn, got {indices}")
-    c = tuple(float(cfg[f"c{i}"]) for i in indices)
-    return GainConfig(c=c, kappa=float(cfg["kappa_n"]), lam=float(cfg["lambda"]),
-                      beta=float(cfg["beta"]), omega=float(cfg["omega"]))
+    c = tuple(_number(cfg, f"c{i}") for i in indices)
+    return GainConfig(c=c, kappa=_number(cfg, "kappa_n"), lam=_number(cfg, "lambda"),
+                      beta=_number(cfg, "beta"), omega=_number(cfg, "omega"))
 
 
 def x0_from_config(cfg: dict) -> tuple:
-    cfg = merged(cfg)
-    return tuple(float(v) for v in cfg["x0"].split(","))
+    return numbers(merged(cfg)["x0"], "x0")
 
 
 def option_floats(cfg: dict) -> dict:
     cfg = merged(cfg)
-    return {"theta0": float(cfg["theta0"]),
-            "delta_est": float(cfg["delta_est"]),
-            "psi_scale": float(cfg["psi_scale"])}
+    return {key: _number(cfg, key) for key in ("theta0", "delta_est", "psi_scale")}
 
 
 def reference_from_config(cfg: dict) -> str:

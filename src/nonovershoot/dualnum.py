@@ -12,9 +12,13 @@ error through the recursion.
   Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The synthesis pass
   evaluates the drifts on jets to get every time derivative along the
   drift flow in one sweep.
+* ``Rec``: a recording scalar.  Run through code in place of a float, it
+  writes each operation as one line of straight-line Python (taping turned
+  into source transformation, ibid. ch. 5); ``synth`` compiles the
+  synthesis pass of each plant this way.
 
-Both types set ``__array_ufunc__ = None`` so that a numpy scalar on the
-left (``np.float64 * x``) hands the operation to the reflected method
+All three types set ``__array_ufunc__ = None`` so that a numpy scalar on
+the left (``np.float64 * x``) hands the operation to the reflected method
 instead of wrapping it in an object-array ufunc.
 """
 
@@ -144,6 +148,91 @@ class Jet:
         return _power(self, k, lambda: Jet([1.0] + [0.0] * (len(self.c) - 1)))
 
 
+class Rec:
+    """Stand-in for a float that records instead of computing.
+
+    Each ``+ - * /``, unary minus, ``**`` and ``sin``/``cos``/``exp`` on a
+    Rec appends one entry ``(name, expression, operand names, may_raise)``
+    to the shared ``tape`` and returns the Rec of its result, so the tape
+    lists the float operations in the order they ran.  Constants must be
+    Python ints or floats (numpy float64 included) and are written by
+    value.  Anything that needs the value (``float``, ``bool``, a
+    comparison, numpy arrays) raises ``TypeError``: a completed trace has
+    no branch on the inputs and holds for all of them.
+    """
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None
+
+    def __init__(self, tape, name):
+        self.tape = tape
+        self.name = name
+
+    def __repr__(self):
+        return f"Rec({self.name!r})"
+
+    def __add__(self, other):
+        return _record("{} + {}", self, other)
+
+    def __radd__(self, other):
+        return _record("{} + {}", other, self)
+
+    def __sub__(self, other):
+        return _record("{} - {}", self, other)
+
+    def __rsub__(self, other):
+        return _record("{} - {}", other, self)
+
+    def __mul__(self, other):
+        return _record("{} * {}", self, other)
+
+    def __rmul__(self, other):
+        return _record("{} * {}", other, self)
+
+    def __truediv__(self, other):
+        return _record("{} / {}", self, other,
+                       may_raise=isinstance(other, Rec) or not other)
+
+    def __rtruediv__(self, other):
+        return _record("{} / {}", other, self, may_raise=True)
+
+    def __neg__(self):
+        return _record("-{}", self)
+
+    def __pow__(self, k):
+        # float ** is libm pow, which repeated multiplication does not equal
+        return _record("{} ** {}", self, k, may_raise=True)
+
+    def _needs_value(self, *args, **kwargs):
+        raise TypeError("a recorded value has no value while tracing")
+
+    __float__ = __bool__ = __array__ = _needs_value
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _needs_value
+    __hash__ = None
+
+
+def _operand(v):
+    """Source text of a recorded operand."""
+    if isinstance(v, Rec):
+        return v.name
+    if not isinstance(v, (int, float)):
+        raise TypeError(f"cannot record an operation with {type(v).__name__}")
+    text = repr(int(v) if isinstance(v, int) else float(v))   # numpy 2 reprs carry the type
+    return f"({text})" if text.startswith("-") else text
+
+
+def _record(form, *args, may_raise=False):
+    """Append the operation form(*args) to the tape of its Rec operand(s).
+    may_raise marks an operation that can raise on some input (division by
+    a variable, pow, sin/cos/exp); it is kept even when its result is
+    unused, so that compiled code raises where the traced code does."""
+    tape = next(a.tape for a in args if isinstance(a, Rec))
+    name = f"v{len(tape)}"
+    tape.append((name, form.format(*map(_operand, args)),
+                 tuple(a.name for a in args if isinstance(a, Rec)), may_raise))
+    return Rec(tape, name)
+
+
 def _power(x, k, one):
     """x**k by repeated multiplication; one() builds x**0."""
     if not isinstance(k, int) or k < 0:
@@ -169,7 +258,7 @@ def _series_div(a, b):
 
 def _sin_cos_series(a):
     """Coefficients of sin(a) and cos(a) from s' = a' c, c' = -a' s."""
-    s, c = [math.sin(a[0])], [math.cos(a[0])]
+    s, c = [sin(a[0])], [cos(a[0])]
     for m in range(1, len(a)):
         ds = dc = 0.0
         for j in range(1, m + 1):
@@ -189,6 +278,8 @@ def sin(x):
         return Dual(sin(x.re), cos(x.re) * x.eps)
     if isinstance(x, Jet):
         return Jet(_sin_cos_series(x.c)[0])
+    if isinstance(x, Rec):
+        return _record("sin({})", x, may_raise=True)
     return math.sin(x)
 
 
@@ -197,6 +288,8 @@ def cos(x):
         return Dual(cos(x.re), -sin(x.re) * x.eps)
     if isinstance(x, Jet):
         return Jet(_sin_cos_series(x.c)[1])
+    if isinstance(x, Rec):
+        return _record("cos({})", x, may_raise=True)
     return math.cos(x)
 
 
@@ -207,13 +300,15 @@ def exp(x):
     if isinstance(x, Jet):
         # e' = a' e  =>  e[m] = (1/m) sum_j j a[j] e[m-j]
         a = x.c
-        e = [math.exp(a[0])]
+        e = [exp(a[0])]
         for m in range(1, len(a)):
             acc = 0.0
             for j in range(1, m + 1):
                 acc += j * a[j] * e[m - j]
             e.append(acc / m)
         return Jet(e)
+    if isinstance(x, Rec):
+        return _record("exp({})", x, may_raise=True)
     return math.exp(x)
 
 

@@ -18,6 +18,15 @@ from typing import Callable
 import numpy as np
 
 
+DITHER_SAMPLES = 40     # steps per dither period a seeking run needs
+
+
+def max_dither_dt(omega: float) -> float:
+    """Largest step that resolves a dither of frequency omega (rad/s):
+    DITHER_SAMPLES steps per period."""
+    return (2 * math.pi / omega) / DITHER_SAMPLES
+
+
 class BlowupError(RuntimeError):
     """Raised when a simulated quantity stops being finite."""
 
@@ -85,6 +94,10 @@ class SystemModel:
     :mod:`nonovershoot.dualnum` helpers ``sin``, ``cos`` and ``exp``;
     anything else raises ``TypeError``.  The gain is only ever called on
     floats.
+
+    Building a plant compiles its synthesis kernels (see
+    :mod:`nonovershoot.synth`), which read the drifts' constants once, so
+    a drift must be a pure function of its arguments.
     """
 
     n: int
@@ -100,6 +113,9 @@ class SystemModel:
             raise ValueError(f"expected {self.n} drift functions, got {len(self.drift)}")
         if self.xi1 <= 0:
             raise ValueError("gain floor xi1 must be positive")
+        from . import synth         # synth imports this module
+        # built here, not on first use, so that no run pays for it
+        object.__setattr__(self, "_kernels", synth.compile_kernels(self))
 
     def check_gain_floor(self, x, tol=1e-12):
         g = self.gain(tuple(x))
@@ -111,7 +127,11 @@ class SystemModel:
 
 
 def eval_dynamics(sys: SystemModel, x, u: float) -> np.ndarray:
-    """Open-loop state derivative for input u."""
+    """Open-loop state derivative for input u.
+
+    The simulator inlines this rate on tuples; this array form is the
+    independent replay oracle (with ``sim.rk4_step``) that the
+    benchmark's checks run recorded steps through."""
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"state must have dimension {sys.n}")
@@ -282,4 +302,4 @@ class Scenario:
 
     def dither_resolved(self, omega: float) -> bool:
         """Step small enough to resolve a dither of frequency omega."""
-        return self.dt <= (2 * np.pi / omega) / 40.0
+        return self.dt <= max_dither_dt(omega)

@@ -19,7 +19,8 @@ import numpy as np
 from .control import (LyapunovSpec, NussbaumState, example_lyapunov_spec,
                       lyapunov_value_from_norm, nominal_backstepping,
                       nussbaum_control)
-from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
+from .model import (BlowupError, Scenario, SystemModel, get_reference, is_divergence,
+                    max_dither_dt)
 from .synth import GainConfig, bound_report, check_gains, error_values
 
 DEFAULT_PSI_SCALE = 0.0025
@@ -41,7 +42,12 @@ def fmt(v) -> str:
 
 
 def rk4_step(rhs, t: float, x, dt: float):
-    """Classical fourth-order Runge-Kutta update, local error O(dt^5)."""
+    """Classical fourth-order Runge-Kutta update, local error O(dt^5).
+
+    The simulator steps with ``rk4_tuple_step``; this array form, with
+    ``model.eval_dynamics`` as the rate, is the independent replay oracle
+    that the benchmark's checks run recorded steps through, as the nested
+    duals are for the synthesis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
@@ -69,9 +75,9 @@ def rk4_tuple_step(f, t: float, state: tuple, dt: float, k1: tuple,
 
 
 def refine_dt(dt: float, omega: float) -> float:
-    """Shrink dt to an integer fraction that resolves the dither (40
-    samples per period)."""
-    dt_max = (2 * math.pi / omega) / 40.0
+    """Shrink dt to an integer fraction that resolves the dither
+    (``model.max_dither_dt``)."""
+    dt_max = max_dither_dt(omega)
     if dt <= dt_max:
         return dt
     return dt / math.ceil(dt / dt_max)
@@ -261,7 +267,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     if needs_dither and not scenario.dither_resolved(gains.omega):
         raise ValueError(
             f"dt = {scenario.dt:g} does not resolve the dither at omega = "
-            f"{gains.omega:g} (need dt <= {2 * math.pi / gains.omega / 40:g})")
+            f"{gains.omega:g} (need dt <= {max_dither_dt(gains.omega):g})")
     if needs_dither and lyap_spec is None:
         lyap_spec = example_lyapunov_spec(sys, gains, scale=psi_scale)
     ref = get_reference(scenario.reference)
@@ -411,18 +417,7 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
-        g, sc = gains, scenario
-        c = list(g.c)
-        for key, val in overrides.items():
-            if key == "x0":
-                sc = replace(sc, x0=tuple(val))
-            elif key in _GAIN_KEYS:
-                g = replace(g, **{_GAIN_KEYS[key]: float(val)})
-            elif key.startswith("c") and key[1:].isdigit():
-                c[int(key[1:]) - 1] = float(val)
-            else:
-                raise KeyError(f"unknown sweep parameter {key!r}")
-        g = replace(g, c=tuple(c))
+        g, sc = grid_point(gains, scenario, overrides)
         verdict = check_gains(sys, g, mode)
         if not verdict.ok:
             text = "invalid: " + " & ".join(verdict.failures)
@@ -440,6 +435,24 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
             continue
         rows.append((report, "valid", overrides))
     return SweepResult(rows=tuple(rows))
+
+
+def grid_point(gains: GainConfig, scenario: Scenario, overrides: dict):
+    """(gains, scenario) with the overrides of one grid point applied; see
+    ``sweep`` for the keys.  KeyError for an unknown key."""
+    g, sc = gains, scenario
+    c = list(g.c)
+    for key, val in overrides.items():
+        if key == "x0":
+            sc = replace(sc, x0=tuple(val))
+        elif key in _GAIN_KEYS:
+            g = replace(g, **{_GAIN_KEYS[key]: float(val)})
+        elif key.startswith("c") and key[1:].isdigit() and 1 <= int(key[1:]) <= len(c):
+            c[int(key[1:]) - 1] = float(val)
+        else:
+            raise KeyError(f"unknown sweep parameter {key!r}; known: c1..c{len(c)}, "
+                           + ", ".join(_GAIN_KEYS) + ", x0")
+    return replace(g, c=tuple(c)), sc
 
 
 def grid_label(overrides: dict) -> str:

@@ -21,11 +21,23 @@ the nested-dual recursion, which exposes every partial derivative
 separately and serves as the oracle for the Taylor pass.  Neither path
 uses finite differences.
 
+For a fixed plant that pass runs the same float operations in the same
+order at every input, so it is compiled once per plant: when a
+``SystemModel`` is built, ``compile_kernels`` traces ``_error_values``
+and ``_coords_and_drift`` for each coupling flavour on recording scalars
+(``dualnum.Rec``), with the states, the reference stack and the rate
+gains as inputs, and turns each tape into a straight-line Python
+function, the kernel.  ``error_values`` and ``coords_and_drift`` call the
+kernel, which returns the pass's results bit for bit at a tenth of its
+cost or less.  The Jet pass is the kernel's definition and still runs
+wherever a drift cannot be traced; the nested duals stay the oracle.
+
 Drifts are evaluated on jets as well as on floats, so they must be built
 from plain arithmetic, nonnegative integer powers, numeric (also numpy
 scalar) coefficients and the ``dualnum`` helpers ``sin``, ``cos`` and
 ``exp``; anything else (``math.sin``, comparisons, ``abs``) raises
-``TypeError``.
+``TypeError``.  A drift must also be a pure function of its arguments:
+the kernel holds the constants it read when the plant was built.
 """
 
 import math
@@ -151,10 +163,9 @@ def _taylor_pass(sys: SystemModel, c, xs, ys, couple: bool, s: int, p: int):
     return values, hs, alphas
 
 
-def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list:
-    """Error coordinates as a list of floats (uncoupled: h, coupled: z);
-    c are the rate gains."""
-    n, xs, ys = sys.n, _floats(x), _floats(yr_stack)
+def _error_values(sys: SystemModel, c, xs, ys, couple):
+    """Error coordinates from one Taylor pass (definition of the kernel)."""
+    n = sys.n
     if n == 1:
         return [xs[0] - ys[0]]
     values, _, alphas = _taylor_pass(sys, c, xs, ys, couple, n - 1, 0)
@@ -162,10 +173,10 @@ def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list
     return values
 
 
-def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
-    """Error coordinates and the residual drift of the last one, from one
-    Taylor pass: (list of floats, dh_n/dt - gain * u)."""
-    n, xs, ys = sys.n, _floats(x), _floats(yr_stack)
+def _coords_and_drift(sys: SystemModel, c, xs, ys, couple):
+    """Error coordinates and residual drift from one Taylor pass
+    (definition of the kernel)."""
+    n = sys.n
     base = sys.drift[n - 1](xs) - ys[n]
     if n == 1:
         return [xs[0] - ys[0]], base
@@ -173,6 +184,89 @@ def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
     a = alphas[-1].c
     values.append(xs[n - 1] - a[0] - ys[n - 1])
     return values, base - a[1]
+
+
+def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list:
+    """Error coordinates as a list of floats (uncoupled: h, coupled: z);
+    c are the rate gains."""
+    xs, ys = _floats(x), _floats(yr_stack)
+    kernel = sys._kernels[0][1 if couple else 0]
+    if kernel is None:
+        return _error_values(sys, c, xs, ys, couple)
+    return kernel(xs, ys, c)
+
+
+def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
+    """Error coordinates and the residual drift of the last one, from one
+    Taylor pass: (list of floats, dh_n/dt - gain * u)."""
+    xs, ys = _floats(x), _floats(yr_stack)
+    kernel = sys._kernels[1][1 if couple else 0]
+    if kernel is None:
+        return _coords_and_drift(sys, c, xs, ys, couple)
+    return kernel(xs, ys, c)
+
+
+# --- compiled kernels -------------------------------------------------------------
+
+_KERNEL_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "inf": math.inf, "nan": math.nan}
+
+
+def compile_kernels(sys: SystemModel) -> tuple:
+    """The kernels of ``_error_values`` and ``_coords_and_drift`` (outer
+    index), uncoupled and coupled (inner index), for one plant.  An entry
+    is None where the plant's drifts cannot be traced."""
+    return tuple(tuple(_compile(fn, sys, couple) for couple in (False, True))
+                 for fn in (_error_values, _coords_and_drift))
+
+
+def _compile(fn, sys: SystemModel, couple: bool):
+    """Trace fn(sys, c, xs, ys, couple) on recording scalars and compile
+    the tape into ``kernel(xs, ys, c)``, which performs the same float
+    operations in the same order.  The only rewrite is dead-code
+    elimination; an operation that can raise stays, so the kernel raises
+    where the pass does.
+
+    The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
+    cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
+    ends the trace, and the pass stays in use: it then raises the same
+    error at the first call that needs that drift, as it would without a
+    kernel.
+    """
+    n, tape = sys.n, []
+    xs, ys, c = (tuple(dualnum.Rec(tape, f"{p}{i}") for i in range(k))
+                 for p, k in (("x", n), ("y", n + 1), ("c", n)))
+    try:
+        out = fn(sys, c, xs, ys, couple)
+    except Exception:       # the pass raises it again where it matters
+        return None
+    live = set()
+    ret = _source(out, live)
+    body = []
+    for name, expr, deps, may_raise in reversed(tape):
+        if may_raise or name in live:
+            live.update(deps)
+            body.append(f"    {name} = {expr}")
+    head = [f"    {p}{i} = {arg}[{i}]"
+            for arg, p, k in (("xs", "x", n), ("ys", "y", n + 1), ("c", "c", n))
+            for i in range(k) if f"{p}{i}" in live]
+    src = "\n".join(["def kernel(xs, ys, c):", *head, *reversed(body), f"    return {ret}"])
+    scope = dict(_KERNEL_SCOPE)
+    exec(compile(src, f"<{fn.__name__} kernel of {sys.name}>", "exec"), scope)
+    return scope["kernel"]
+
+
+def _source(out, live):
+    """Source text of a traced result (lists and tuples of recorded
+    values or constants); the names it reads are added to live."""
+    if isinstance(out, list):
+        return "[" + ", ".join(_source(v, live) for v in out) + "]"
+    if isinstance(out, tuple):
+        return "(" + "".join(_source(v, live) + ", " for v in out) + ")"
+    if isinstance(out, dualnum.Rec):
+        live.add(out.name)
+        return out.name
+    return repr(float(out))
 
 
 # --- nested-dual recursion (explicit partials, oracle) ---------------------------

@@ -160,6 +160,28 @@ def test_horizon_off_the_step_grid_is_a_message(t_end, capsys):
     assert "nearest valid t_end" in str(exc_info.value.code)
 
 
+@pytest.mark.parametrize("config, args, message", [
+    ("mass=1\n", ["run"], "unknown key 'mass'"),
+    ("omega=abc\n", ["run"], "omega: expected a number, got 'abc'"),
+    ("x0=1\n", ["run"], "x0 has 1 entries"),
+    ("reference=nope\n", ["run"], "unknown reference id 'nope'"),
+    ("", ["sweep", "--grid", "kappa_n=abc"], "--grid kappa_n: expected comma-separated"),
+    ("", ["sweep", "--grid", "mass=1"], "unknown sweep parameter 'mass'"),
+    ("", ["sweep", "--grid", "c3=1"], "unknown sweep parameter 'c3'"),
+    ("", ["sweep", "--grid", "x0=1"], "x0 grids are only supported"),
+    ("", ["average", "--omegas", "60,x"], "--omegas: expected comma-separated"),
+    ("", ["run", "--system", "nope"], "unknown system id 'nope'"),
+])
+def test_malformed_input_is_one_line(tmp_path, config, args, message):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(config)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(args + ["--t-end", "0.01", "--config", str(cfgp)])
+    text = exc_info.value.code
+    assert isinstance(text, str) and text.startswith("nonovershoot: ")
+    assert message in text and "\n" not in text
+
+
 def test_average_subcommand(tmp_path, capsys):
     out = tmp_path / "study.csv"
     rc = run_cli(["average", "--t-end", "1", "--omegas", "60,240", "--out", str(out)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonovershoot import dualnum
-from nonovershoot.dualnum import Dual, Jet
+from nonovershoot.dualnum import Dual, Jet, Rec
 
 
 def test_arithmetic_derivative():
@@ -118,3 +118,36 @@ def test_jet_rejects_unsupported_operations():
         math.sin(Jet([0.1, 1.0]))
     with pytest.raises(TypeError):
         Jet([0.1, 1.0]) * Dual(1.0, 1.0)
+
+
+def test_rec_records_each_operation_in_order():
+    tape = []
+    x, y = Rec(tape, "x0"), Rec(tape, "x1")
+    out = dualnum.sin(2.0 * x - np.float64(0.5)) / y + x ** 2
+    assert [(name, expr) for name, expr, _, _ in tape] == [
+        ("v0", "2.0 * x0"), ("v1", "v0 - 0.5"), ("v2", "sin(v1)"),
+        ("v3", "v2 / x1"), ("v4", "x0 ** 2"), ("v5", "v3 + v4")]
+    assert out.name == "v5"
+    # operations that can raise on some input are marked
+    assert [may_raise for *_, may_raise in tape] == [False, False, True, True, True, False]
+
+
+def test_rec_through_a_jet_records_the_series_arithmetic():
+    # exp(a^2), a = x0 + s: the product series, then e' = (a^2)' e term by
+    # term, every operation kept as the jet code runs it
+    tape = []
+    a = Jet([Rec(tape, "x0"), 1.0])
+    out = dualnum.exp(a * a)
+    assert [(name, expr) for name, expr, _, _ in tape] == [
+        ("v0", "x0 * x0"), ("v1", "x0 * 1.0"), ("v2", "1.0 * x0"), ("v3", "v1 + v2"),
+        ("v4", "exp(v0)"), ("v5", "1 * v3"), ("v6", "v5 * v4"), ("v7", "0.0 + v6"),
+        ("v8", "v7 / 1")]
+    assert [r.name for r in out.c] == ["v4", "v8"]
+
+
+def test_rec_refuses_anything_that_needs_its_value():
+    x = Rec([], "x0")
+    for needs_value in (float, bool, math.sin, abs, lambda v: v < 0.0,
+                        lambda v: v == 0.0, lambda v: np.asarray([v])):
+        with pytest.raises(TypeError):
+            needs_value(x)

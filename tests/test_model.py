@@ -13,6 +13,14 @@ from nonovershoot.model import is_divergence
 from conftest import chain_integrator, random_poly_system
 
 
+def test_plant_with_a_float_only_drift_is_built():
+    # math.sin cannot be traced into a synthesis kernel; the plant still
+    # builds and its open loop runs on floats
+    sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    assert eval_dynamics(sys, [0.5, 0.0], 0.0) == pytest.approx([math.sin(0.5), 0.0])
+
+
 def test_eval_dynamics_demo_drift_only(demo):
     assert eval_dynamics(demo, [-0.5, 0.0], 0.0) == pytest.approx([0.0, 0.25])
 

@@ -326,6 +326,26 @@ def test_four_controller_evaluations_per_step():
     assert len(calls) == 10 * (1 + 4 * 2) + 1
 
 
+def test_runs_on_a_fresh_plant_make_equal_drift_calls():
+    # the synthesis kernels are compiled when the plant is built, so the
+    # first run compiles nothing and calls the drifts as often as the next
+    calls = []
+    base = random_poly_system(3, 4)
+    sys = SystemModel(n=3, gain=base.gain, xi1=base.xi1,
+                      drift=tuple(lambda xs, d=d: calls.append(1) or d(xs)
+                                  for d in base.drift))
+    gains = random_gains(3, 4, descending=True)
+    ref = get_reference("sine04")
+    x0 = state_from_errors(base, [-0.1, 0.0, 0.0], ref.stack(0.0, 3), gains)
+    sc = Scenario(x0=tuple(x0), t_end=0.01, dt=1e-3)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run_scenario(sys, "nominal", gains, sc)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 # --- per-node reference stacks, partial records, error classification ---------------
 
 def test_one_reference_stack_per_rk4_node(demo, gains):

@@ -11,7 +11,8 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, SystemModel,
                           state_from_errors, virtual_controllers)
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
-from nonovershoot.synth import _alpha, _alpha_rate
+from nonovershoot.synth import (_alpha, _alpha_rate, _coords_and_drift, _error_values,
+                                coords_and_drift, error_values)
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -417,3 +418,54 @@ def test_unsupported_drift_operation_is_a_type_error():
     # ... but a rate needs the drift on a jet
     with pytest.raises(TypeError):
         error_drift(sys, [0.1, 0.2], ys, demo_gains())
+
+
+# --- compiled kernels against the Taylor pass ---------------------------------------
+
+def _hex(out):
+    """Every float of an error_values / coords_and_drift result, as hex."""
+    flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
+    return [float(v).hex() for v in flat]
+
+
+@pytest.mark.parametrize("trig", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(seed=st.integers(0, 200), t=st.floats(0.0, 20.0),
+       x=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+@settings(max_examples=5)
+def test_kernel_equals_taylor_pass_bit_for_bit(seed, t, x, n, trig):
+    sys = trig_exp_system(n, seed) if trig else random_poly_system(n, seed)
+    c = random_gains(n, seed).c
+    xs, ys = tuple(x[:n]), tuple(get_reference("sine04").stack(t, n).tolist())
+    for public, definition in ((error_values, _error_values),
+                               (coords_and_drift, _coords_and_drift)):
+        for couple in (False, True):
+            assert _hex(public(sys, c, xs, ys, couple)) == \
+                _hex(definition(sys, c, xs, ys, couple))
+
+
+def test_every_traceable_plant_gets_its_kernels(demo):
+    for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
+        assert all(k is not None for pair in sys._kernels for k in pair)
+
+
+def test_untraceable_drift_keeps_the_taylor_pass():
+    # math.sin needs a float: the plant is still built, and the functions
+    # that need that drift on a series keep raising TypeError (see above)
+    sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    assert sys._kernels == ((None, None), (None, None))
+    # a drift on numpy arrays may sum in another order on floats: not traced
+    arr = SystemModel(n=2, drift=(lambda xs: np.dot([0.5], xs), lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    assert arr._kernels[1] == (None, None)
+    lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
+                      gain=lambda xs: 1.0, xi1=1.0)
+    x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
+    assert error_drift(arr, x, ys, g) == pytest.approx(error_drift(lin, x, ys, g), rel=1e-12)
+
+
+def test_kernels_are_not_a_field(demo):
+    from dataclasses import fields, replace
+    assert "_kernels" not in {f.name for f in fields(demo)}
+    assert replace(demo) == demo and hash(replace(demo)) == hash(demo)
