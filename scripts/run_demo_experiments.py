@@ -5,9 +5,13 @@
 2. Contrast against the oscillatory-gain comparator on the same scenario.
 3. Safety-filtered regulation from a safe and an unsafe start.
 4. Full-vs-averaged deviation study over three dither frequencies.
+
+``--sha256`` prints each CSV's digest, so that two versions of the
+simulator can be compared for byte-identical output with one command.
 """
 
 import argparse
+import hashlib
 import time
 from pathlib import Path
 
@@ -21,6 +25,8 @@ def main():
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     ap.add_argument("--t-end", type=float, default=50.0)
     ap.add_argument("--dt", type=float, default=1e-3)
+    ap.add_argument("--sha256", action="store_true",
+                    help="print the SHA-256 digest of each CSV written")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -32,6 +38,8 @@ def main():
         path = args.outdir / name
         path.write_text(text)
         print(f"  -> {path}")
+        if args.sha256:
+            print(f"     sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 
     print("[1/4] tracking from below (seeking controller)")
     t0 = time.perf_counter()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
-from .sim import fmt, refine_dt, rk4_tuple_step, run_scenario
+from .sim import fmt, rate_step, refine_dt, run_scenario
 from .synth import GainConfig, error_coords, error_drift, state_from_errors
 
 
@@ -66,6 +66,7 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     Starts from the error coordinates of the scenario's initial state
     unless h0 is given; t0 shifts the reference clock (useful for phased
     integration of stiff transients).  Returns an (N+1, n) sample array.
+    Each step is the generated RK4 update of ``sim.rate_step``.
     """
     ref = get_reference(scenario.reference)
     n = sys.n
@@ -76,7 +77,7 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     dt = scenario.dt
     coef = _coef(gains, halved)
 
-    def rates(t, hs, ys, _arg):
+    def rates(t, hs, ys):
         return _averaged_rates(sys, spec, gains, ys, hs, coef)
 
     def stack(t):
@@ -85,13 +86,13 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
             raise BlowupError("non-finite reference value", t=t)
         return ys
 
+    step = rate_step(sys, rates, stack, dt)
     out = np.empty((nsteps + 1, n))
     out[0] = h
     for k in range(nsteps):
         t = t0 + k * dt
         try:
-            h = rk4_tuple_step(rates, t, h, dt, rates(t, h, stack(t), None),
-                               stack(t + dt / 2), stack(t + dt))
+            h = step(t, h)
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise

@@ -30,6 +30,13 @@ class SingularGainError(ZeroDivisionError):
     """Known-gain law evaluated where the input gain is (numerically) zero."""
 
 
+SINGULAR_GAIN = 1e-9    # |gain| below this is singular for the known-gain law
+
+
+def singular_gain(g: float) -> SingularGainError:
+    return SingularGainError(f"input gain {g:.3g} too close to zero")
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Radial Lyapunov shape: V(h) = integral_0^{|h|} r * weight(r) dr.
@@ -114,8 +121,8 @@ def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
 def lyapunov_value(spec: LyapunovSpec, h) -> float:
     """V(h); depends on h only through its Euclidean norm, V(0) = 0.
 
-    |h| is taken as sqrt(fsum(h_i^2)), the form the simulator's seeking
-    stage inlines, so ``es_control`` equals the simulated input bit for bit.
+    |h| is taken as sqrt(fsum(h_i^2)), the form the simulator's generated
+    step uses, so ``es_control`` equals the simulated input bit for bit.
     """
     return lyapunov_value_from_norm(spec, math.sqrt(math.fsum(v * v for v in h)))
 
@@ -161,8 +168,8 @@ def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -
 def nominal_backstepping(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """Known-gain law: divide the ideal input by the true gain."""
     g = sys.gain(tuple(x))
-    if abs(g) < 1e-9:
-        raise SingularGainError(f"input gain {g:.3g} too close to zero")
+    if abs(g) < SINGULAR_GAIN:
+        raise singular_gain(g)
     return ideal_backstepping_input(sys, x, yr_stack, gains) / g
 
 

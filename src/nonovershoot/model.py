@@ -82,6 +82,9 @@ class GainFloorViolation(RuntimeError):
     """The squared input gain dropped below its declared floor."""
 
 
+GAIN_FLOOR_TOL = 1e-12      # slack of the gain-floor check gain(x)^2 >= xi1
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Strict-feedback plant of dimension n.
@@ -95,9 +98,11 @@ class SystemModel:
     anything else raises ``TypeError``.  The gain is only ever called on
     floats.
 
-    Building a plant compiles its synthesis kernels (see
+    Building a plant traces and compiles its synthesis kernels (see
     :mod:`nonovershoot.synth`), which read the drifts' constants once, so
-    a drift must be a pure function of its arguments.
+    a drift must be a pure function of its arguments.  So must the gain:
+    the simulator evaluates it once per RK4 node and uses that one value
+    for the gain-floor check, the known-gain law and the plant rate.
     """
 
     n: int
@@ -114,24 +119,31 @@ class SystemModel:
         if self.xi1 <= 0:
             raise ValueError("gain floor xi1 must be positive")
         from . import synth         # synth imports this module
-        # built here, not on first use, so that no run pays for it
-        object.__setattr__(self, "_kernels", synth.compile_kernels(self))
+        # traced and compiled here, not on first use, so that no run pays for it
+        tapes, kernels = synth.compile_kernels(self)
+        object.__setattr__(self, "_tapes", tapes)
+        object.__setattr__(self, "_kernels", kernels)
+        # compiled closed-loop steps, built by sim on a controller's first run
+        object.__setattr__(self, "_steps", {})
 
-    def check_gain_floor(self, x, tol=1e-12):
+    def check_gain_floor(self, x, tol=GAIN_FLOOR_TOL):
         g = self.gain(tuple(x))
         if g * g < self.xi1 - tol:
-            raise GainFloorViolation(
-                f"gain(x)^2 = {g * g:.6g} < xi1 = {self.xi1:.6g} at x = {list(x)}"
-            )
+            raise self.floor_violation(g, x)
         return g
+
+    def floor_violation(self, g, x) -> GainFloorViolation:
+        """The error for gain value g below the floor at state x."""
+        return GainFloorViolation(
+            f"gain(x)^2 = {g * g:.6g} < xi1 = {self.xi1:.6g} at x = {list(x)}")
 
 
 def eval_dynamics(sys: SystemModel, x, u: float) -> np.ndarray:
     """Open-loop state derivative for input u.
 
-    The simulator inlines this rate on tuples; this array form is the
-    independent replay oracle (with ``sim.rk4_step``) that the
-    benchmark's checks run recorded steps through."""
+    The simulator's generated step writes this rate out on floats; this
+    array form is the independent replay oracle (with ``sim.rk4_step``)
+    that the tests and the benchmark's checks run recorded steps through."""
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"state must have dimension {sys.n}")

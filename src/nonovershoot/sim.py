@@ -7,6 +7,17 @@ gives bit-identical reruns.  The controller is re-evaluated at every
 RK4 sub-stage because the input depends continuously on time through
 the dither; sample-and-hold would inject averaging error at the
 square-root-of-frequency scale.
+
+That makes the simulator's cost its per-step overhead, so each step is
+one call of straight-line code generated for the plant and controller
+(``_step_source``), compiled on the controller's first run on that plant
+and cached on it.  Every RK4 node runs the plant's traced synthesis
+tapes (``synth.Tape``) written out as code, the control law and the
+plant rate, in the float operations of the library laws and of
+``rk4_step`` and in their order, so the results are theirs bit for bit.
+Gains, Lyapunov coefficients and references are inputs, so a sweep
+compiles one step.  The averaged system's RK4 update comes from the
+same emitter (``rate_step``).
 """
 
 import itertools
@@ -16,12 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (LyapunovSpec, NussbaumState, example_lyapunov_spec,
-                      lyapunov_value_from_norm, nominal_backstepping,
-                      nussbaum_control)
-from .model import (BlowupError, Scenario, SystemModel, get_reference, is_divergence,
-                    max_dither_dt)
-from .synth import GainConfig, bound_report, check_gains, error_values
+from .control import (SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec,
+                      lyapunov_value_from_norm, singular_gain)
+from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
+                    is_divergence, max_dither_dt)
+from .synth import (KERNEL_SCOPE, GainConfig, bound_report, check_gains,
+                    coords_and_drift, error_values)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -29,6 +40,7 @@ DEFAULT_DELTA_EST = 0.1
 _STATE_LIMIT = 1e9
 
 CONTROLLERS = ("es", "nominal", "nussbaum", "safety-filter")
+DITHERED = ("es", "safety-filter")      # the controllers whose input carries the dither
 
 MODE_LABELS = {-1: "-", 0: "nominal", 1: "override"}
 
@@ -44,10 +56,11 @@ def fmt(v) -> str:
 def rk4_step(rhs, t: float, x, dt: float):
     """Classical fourth-order Runge-Kutta update, local error O(dt^5).
 
-    The simulator steps with ``rk4_tuple_step``; this array form, with
-    ``model.eval_dynamics`` as the rate, is the independent replay oracle
-    that the benchmark's checks run recorded steps through, as the nested
-    duals are for the synthesis."""
+    The simulator steps with code generated for each plant and controller
+    (``run_scenario``); this array form, with ``model.eval_dynamics`` as
+    the rate, is the independent replay oracle that the tests and the
+    benchmark's checks run recorded steps through, as the nested duals
+    are for the synthesis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
@@ -59,19 +72,6 @@ def rk4_step(rhs, t: float, x, dt: float):
     if not np.all(np.isfinite(out)):
         raise BlowupError("non-finite RK4 update", t=t, state=x)
     return out
-
-
-def rk4_tuple_step(f, t: float, state: tuple, dt: float, k1: tuple,
-                   mid: tuple, end: tuple, arg=None) -> tuple:
-    """The update of ``rk4_step`` on a tuple of floats, bit for bit, with
-    the rate k1 at (t, state) given.  f(t, s, ys, arg) is the rate at a
-    later node, ys the reference stack there: ``mid`` at t + dt/2, shared
-    by k2 and k3, and ``end`` at t + dt."""
-    k2 = f(t + dt / 2, tuple(v + dt / 2 * d for v, d in zip(state, k1)), mid, arg)
-    k3 = f(t + dt / 2, tuple(v + dt / 2 * d for v, d in zip(state, k2)), mid, arg)
-    k4 = f(t + dt, tuple(v + dt * d for v, d in zip(state, k3)), end, arg)
-    return tuple(v + dt / 6 * (a + 2 * b + 2 * cc + d)
-                 for v, a, b, cc, d in zip(state, k1, k2, k3, k4))
 
 
 def refine_dt(dt: float, omega: float) -> float:
@@ -149,55 +149,6 @@ def gains_text(gains: GainConfig) -> str:
     return ";".join(parts)
 
 
-def _build_stage(sys, controller, gains, lyap_spec):
-    """Return (aux0, stage) where stage(t, xs, ys, aux, mode, h=None) ->
-    (u, aux_rates); ys is the derivative stack at t of the reference the
-    law tracks, and h, when given, the error coordinates at (t, xs)."""
-    c = gains.c
-
-    if controller in ("es", "safety-filter"):
-        vc = lyap_spec._value_coeffs if lyap_spec.closed_form else None
-        sq = math.sqrt(gains.omega)
-        om, lam, beta = gains.omega, gains.lam, gains.beta
-
-        def es_stage(t, xs, ys, aux, mode, h=None):
-            if h is None:
-                h = error_values(sys, c, xs, ys)
-            s = math.sqrt(math.fsum(v * v for v in h))    # as control.lyapunov_value
-            if vc is not None:
-                acc = 0.0
-                for coef in reversed(vc):
-                    acc = acc * s + coef
-                val = acc * s * s
-            else:
-                val = lyapunov_value_from_norm(lyap_spec, s)
-            return sq * (beta * math.cos(om * t) - lam * math.sin(om * t) * val), ()
-
-    if controller == "es":
-        return (), es_stage
-
-    if controller == "nominal":
-        return (), lambda t, xs, ys, aux, mode, h=None: (
-            nominal_backstepping(sys, xs, ys, gains), ())
-
-    if controller == "nussbaum":
-        def stage(t, xs, ys, aux, mode, h=None):
-            u, dtheta = nussbaum_control(sys, xs, ys, gains, NussbaumState(aux[0]))
-            return u, (dtheta,)
-
-        return (0.0,), stage
-
-    if controller == "safety-filter":
-        def stage(t, xs, ys, aux, mode, h=None):
-            if mode == 0:
-                return nominal_backstepping(sys, xs, ys, gains), ()
-            return es_stage(t, xs, ys, aux, mode, h)
-
-        return (), stage
-
-    raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
-
-
 _FLUSH_ROWS = 256   # samples buffered by _Recorder between flushes
 _CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
 
@@ -251,8 +202,10 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     filter freezes its nominal/override decision at the start of each
     step so the switching signal is piecewise constant on the grid.
 
-    Each step evaluates the tracked reference's derivative stack once per
-    RK4 node (start, midpoint, end).
+    Each step is one call of code generated for this plant and controller
+    (see ``_step_source``): it evaluates the tracked reference's
+    derivative stack once per RK4 node (start, midpoint, end), and the
+    gain once per node, where it also checks the gain floor.
 
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence: the state leaving the finite
@@ -263,7 +216,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
     if len(scenario.x0) != sys.n:
         raise ValueError(f"x0 must have dimension {sys.n}")
-    needs_dither = controller in ("es", "safety-filter")
+    needs_dither = controller in DITHERED
     if needs_dither and not scenario.dither_resolved(gains.omega):
         raise ValueError(
             f"dt = {scenario.dt:g} does not resolve the dither at omega = "
@@ -275,58 +228,23 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     if delta_est is None:
         delta_est = DEFAULT_DELTA_EST
 
-    aux0, stage = _build_stage(sys, controller, gains, lyap_spec)
-    n, naux = sys.n, len(aux0)
-    drift, gain, c = sys.drift, sys.gain, gains.c
-    nsteps = scenario.nsteps
-    dt = scenario.dt
-    is_filter = controller == "safety-filter"
+    n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
     rec = _Recorder(nsteps + 1, n)
-    record = rec.append
+    step = _closed_loop(sys, controller, lyap_spec)(
+        sys, gains, lyap_spec, ref.derivatives, nominal_ref.derivatives, dt, rec.append)
 
-    def deriv(xs, u, aux_rates):
-        dx = tuple(xs[i + 1] + drift[i](xs[: i + 1]) for i in range(n - 1))
-        return dx + (gain(xs) * u + drift[n - 1](xs),) + aux_rates
-
-    def rhs(t, state, ys, mode):
-        xs = state[:n]
-        u, aux_rates = stage(t, xs, ys, state[n:], mode)
-        return deriv(xs, u, aux_rates)
-
-    def sample(t, state):
-        """Record the sample at (t, state).  Return the step's safety mode,
-        the reference its law tracks, and the controller output there,
-        which is also k1's (the seeking law reuses the recorded error
-        coordinates, and a law tracking ``ref`` its stack)."""
-        xs = state[:n]
-        ys = ref.derivatives(t, n)
-        mode = -1
-        if is_filter:
-            mode = 0 if ys[0] - xs[0] >= 0.0 else 1
-        tracked = nominal_ref if mode == 0 else ref
-        h = error_values(sys, c, xs, ys)
-        u, aux_rates = stage(t, xs, ys if tracked is ref else tracked.derivatives(t, n),
-                             state[n:], mode, h)
-        record((t, xs, h, u, ys[0], mode))
-        return mode, tracked, u, aux_rates
-
-    state = tuple(scenario.x0) + ((theta0,) if naux else ())
+    state = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     t = 0.0
     try:
         try:
             for k in range(nsteps):
                 t = k * dt
-                xs = state[:n]
-                sys.check_gain_floor(xs)
-                mode, tracked, u, rates = sample(t, state)
-                state = rk4_tuple_step(rhs, t, state, dt, deriv(xs, u, rates),
-                                       tracked.derivatives(t + dt / 2, n),
-                                       tracked.derivatives(t + dt, n), mode)
-                if any(not math.isfinite(v) or abs(v) > _STATE_LIMIT for v in state):
+                state = step(t, state)
+                if not all(map(_STATE_LIMIT.__ge__, map(abs, state))):   # NaN fails too
                     raise BlowupError("state left the finite range", t=(k + 1) * dt,
                                       state=np.array(state[:n]))
             t = nsteps * dt
-            sample(t, state)
+            step(t, state, True)            # the last sample only
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise
@@ -342,6 +260,196 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     report = overshoot_report(traj, gains, bounds, delta_est,
                               scenario_id=sid, delta_source=delta_source)
     return traj, report
+
+
+# --- compiled closed-loop step ----------------------------------------------------
+
+_STEP_SCOPE = dict(KERNEL_SCOPE, sqrt=math.sqrt, fsum=math.fsum, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
+                   singular_gain=singular_gain, error_values=error_values,
+                   coords_and_drift=coords_and_drift,
+                   lyapunov_value_from_norm=lyapunov_value_from_norm)
+
+
+def _factory(sys: SystemModel, key, source):
+    """The factory compiled from ``source()``, cached on the plant under key."""
+    make = sys._steps.get(key)
+    if make is None:
+        scope = dict(_STEP_SCOPE)
+        exec(compile(source(), f"<{key[0]} step of {sys.name}>", "exec"), scope)
+        make = sys._steps[key] = scope["make"]
+    return make
+
+
+def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
+    """make(plant, gains, spec, ref_d, nom_d, dt, record) -> step for one
+    plant and controller (see ``_step_source``).  Of the Lyapunov
+    shape only the number of its coefficients is compiled in."""
+    ncoef = None
+    if controller in DITHERED and lyap_spec.closed_form:
+        ncoef = len(lyap_spec._value_coeffs)
+    return _factory(sys, (controller, ncoef),
+                    lambda: _step_source(sys, controller, ncoef))
+
+
+def rate_step(sys: SystemModel, rate, stack, dt: float):
+    """step(t, y) -> y after one RK4 step of dy/dt = rate(t, y, stack(t))
+    on n-tuples, from the emitter of the closed-loop step; stack is called
+    once per node."""
+    n = sys.n
+    first = ["ya = stack(t)", f"{_seq(f'k1_{i}' for i in range(n))}= rate(t, state, ya)"]
+    return _factory(sys, ("rate",), lambda: _source(
+        "rate, stack, dt", [], "step(t, state)",
+        _rk4(n, first, "rate({T}, ({S}), {Y})", "stack({})")))(rate, stack, dt)
+
+
+def _seq(names) -> str:
+    """"a, b, " for the names a, b: a tuple's items or an unpacking target."""
+    return "".join(f"{v}, " for v in names)
+
+
+def _rk4(m: int, first: list, call: str, fetch: str) -> list:
+    """Body of step(t, state): one RK4 step of the m floats in state, in
+    the float operations of ``rk4_step``.  ``first`` are the lines of node
+    1, which fetch its reference stack and set the rates k1_0..;
+    call.format(T=, S=, Y=) is the rates at a later node, at time T, state
+    items S and stack Y; fetch.format(T) is the stack at T, fetched once
+    k1 is known."""
+    lines = [f"{_seq(f's{i}' for i in range(m))}= state", *first,
+             "tm = t + half", f"ym = {fetch.format('tm')}",
+             "te = t + dt", f"ye = {fetch.format('te')}"]
+    for j, T, Y, frac in ((2, "tm", "ym", "half"), (3, "tm", "ym", "half"),
+                          (4, "te", "ye", "dt")):
+        S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
+        lines.append(f"{_seq(f'k{j}_{i}' for i in range(m))}= {call.format(T=T, S=S, Y=Y)}")
+    return lines + ["return (" + _seq(f"s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i}"
+                                      f" + k4_{i})" for i in range(m)) + ")"]
+
+
+def _source(params: str, setup: list, signature: str, body: list) -> str:
+    """``def make(<params>)``: the setup lines, then ``def <signature>``
+    with the body lines, which make returns."""
+    return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup),
+                      "    half = dt / 2", "    sixth = dt / 6", f"    def {signature}:",
+                      *(f"        {line}" for line in body), "    return step"])
+
+
+def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
+    """Source of the closed-loop step of one plant and controller.
+
+    make(plant, gains, spec, ref_d, nom_d, dt, record) binds one run's
+    inputs: the gains and Lyapunov coefficients are read there, so one
+    compiled step serves every point of a sweep.  ref_d and nom_d give the
+    derivative stacks of the tracked and the safety filter's nominal
+    reference, and record takes one sample row.  make returns step:
+    step(t, state) records the sample at (t, state) and returns the state
+    one RK4 step later; step(t, state, True) only records.
+
+    Every node evaluates the gain once and checks the gain floor on it,
+    then computes the error coordinates and the control law from the
+    plant's tapes (``synth.Tape``; a call to the Taylor pass where a
+    drift could not be traced), and the plant rate x_{i+1} + drift_i,
+    gain*u + drift_n.  The float operations and their order are those of
+    the library laws (``es_control``, ``nominal_backstepping``,
+    ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
+    is frozen over the step.  Node 1, which also records the sample, is
+    written into the step; nodes 2 to 4 call one straight-line node
+    function, so the step compiles two copies of the tapes, not four
+    (compiling four copies of the coupled tape at n = 4 peaks at about
+    2 MB).
+    """
+    n = sys.n
+    m = n + (controller == "nussbaum")
+    (h_tape, _), (_, z_tape) = sys._tapes
+    filt = controller == "safety-filter"
+
+    def unpack(Y):
+        return f"{_seq(f'{Y}{i}' for i in range(n + 1))}= {Y}"
+
+    def coords(tape, coupled, prefix, S, Y):
+        """(lines, sources) of the error coordinates at states S and stack
+        Y: uncoupled (``error_values``), or coupled with the residual drift
+        last (``coords_and_drift``)."""
+        if tape is not None:
+            return tape.render(prefix, S, [f"{Y}{i}" for i in range(n + 1)])
+        outs = [f"{prefix}{i}" for i in range(n + coupled)]
+        fn = "coords_and_drift" if coupled else "error_values"
+        target = f"[{_seq(outs[:n])}]" + "".join(f", {o}" for o in outs[n:])
+        return [f"{target} = {fn}(plant, c, ({_seq(S[:n])}), {Y}, {coupled})"], outs
+
+    def seek(T, h):                         # es_control
+        if ncoef is None:
+            value = "lyapunov_value_from_norm(spec, r)"
+        else:
+            acc = "0.0"
+            for k in reversed(range(ncoef)):
+                acc = f"({acc} * r + vc{k})"
+            value = f"{acc} * r * r"
+        return [f"r = sqrt(fsum(({_seq(f'{v} * {v}' for v in h)})))", f"V = {value}",
+                f"u = sq * (beta * cos(om * {T}) - lam * sin(om * {T}) * V)"]
+
+    def ideal(S, Y):                        # control._ideal_and_last
+        lines, z = coords(z_tape, True, "z", S, Y)
+        a = f"-c{n - 1} * {z[n - 1]} - {z[n]}" + (f" - {z[n - 2]}" if n >= 2 else "")
+        return lines + [f"a = {a}"], z[n - 1]
+
+    def nominal(S, Y):                      # nominal_backstepping
+        lines, _ = ideal(S, Y)
+        return [f"if abs(g) < {SINGULAR_GAIN!r}: raise singular_gain(g)", *lines, "u = a / g"]
+
+    def law(T, S, Y, k, h=None):
+        """Lines that set u (and the comparator's rate <k><n>) at one node;
+        h, the recorded error coordinates, is given at node 1."""
+        if controller == "nominal":
+            return nominal(S, Y)
+        if controller == "nussbaum":            # nussbaum_control
+            lines, zn = ideal(S, Y)
+            th = S[n]
+            return lines + [f"u = {th} * {th} * cos({th}) * a", f"{k}{n} = -a * {zn}"]
+        lines, h = coords(h_tape, False, "e", S, Y) if h is None else ([], h)
+        if controller == "es":
+            return lines + seek(T, h)
+        # safety filter, its mode frozen at the step's start; at node 1 the
+        # nominal law reads its own reference's stack
+        known = nominal(S, Y) if Y != "ya" else \
+            [f"yl = nom_d(t, {n})", unpack("yl"), *nominal(S, "yl")]
+        return ["if mode == 0:", *(f"    {v}" for v in known),
+                "else:", *(f"    {v}" for v in lines + seek(T, h))]
+
+    def node(S, Y, T, k, pre, h=None, post=()):
+        """Gain and floor check, the lines pre, the law, the lines post,
+        then the rates <k>0.. at one node."""
+        xs = f"({_seq(S[:n])})"
+        return [f"g = gain({xs})", f"if g * g < floor: raise violation(g, {xs})",
+                *pre, *law(T, S, Y, k, h), *post] + [
+            f"{k}{i} = {S[i + 1]} + d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [
+            f"{k}{n - 1} = g * u + d{n - 1}({xs})"]
+
+    S = [f"s{i}" for i in range(m)]
+    pre = [f"ya = ref_d(t, {n})", unpack("ya")]
+    if filt:
+        pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d"]
+    h_lines, h = coords(h_tape, False, "e", S, "ya")
+    first = node(S, "ya", "t", "k1_", pre + h_lines, h, [
+        f"record((t, ({_seq(S[:n])}), ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
+        "if last: return"])
+    P = [f"p{i}" for i in range(m)]
+    mode = ", mode" if filt else ""
+    setup = ["gain, violation = plant.gain, plant.floor_violation",
+             "floor = plant.xi1 - GAIN_FLOOR_TOL", "c = gains.c",
+             f"{_seq(f'c{i}' for i in range(n))}= c",
+             f"{_seq(f'd{i}' for i in range(n))}= plant.drift"]
+    if controller in DITHERED:
+        setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)"]
+    if ncoef is not None:
+        setup.append(f"{_seq(f'vc{k}' for k in range(ncoef))}= spec._value_coeffs")
+    if not filt:
+        setup.append("stack = ref_d")
+    setup += [f"def node(t, {_seq(P)}Y{mode}):",
+              *(f"    {v}" for v in node(P, "Y", "t", "k_", [unpack("Y")])),
+              f"    return ({_seq(f'k_{i}' for i in range(m))})"]
+    return _source("plant, gains, spec, ref_d, nom_d, dt, record", setup,
+                   "step(t, state, last=False)",
+                   _rk4(m, first, "node({T}, {S}{Y}" + mode + ")", f"stack({{}}, {n})"))
 
 
 def _default_id(sys, controller, scenario):
@@ -406,9 +514,11 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
           **options) -> SweepResult:
     """Run the scenario over a parameter grid.
 
-    Grid keys: c1..cn, kappa_n, lambda, beta, omega, x0.  Points that
-    fail the gain check for ``mode`` are recorded with their verdict and
-    not simulated; a point whose run diverges is recorded with the verdict
+    Grid keys: c1..cn, kappa_n, lambda, beta, omega, x0.  A dithered
+    controller (``DITHERED``) runs each point at the scenario's dt refined
+    to resolve the point's dither (``refine_dt``); the others run at the
+    scenario's dt.  Points that fail the gain check for ``mode`` are
+    recorded with their verdict and not simulated; a point whose run diverges is recorded with the verdict
     "diverged at t=...: <cause>" and the grid goes on.  Rows follow
     itertools.product order over the grid in key order, so output is
     order-stable.
@@ -423,7 +533,8 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
             text = "invalid: " + " & ".join(verdict.failures)
             rows.append((None, text.replace(",", ";"), overrides))
             continue
-        sc = replace(sc, dt=refine_dt(sc.dt, g.omega))
+        if controller in DITHERED:
+            sc = replace(sc, dt=refine_dt(sc.dt, g.omega))
         label = grid_label(overrides)
         try:
             _, report = run_scenario(sys, controller, g, sc,

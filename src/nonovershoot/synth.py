@@ -29,8 +29,11 @@ and ``_coords_and_drift`` for each coupling flavour on recording scalars
 gains as inputs, and turns each tape into a straight-line Python
 function, the kernel.  ``error_values`` and ``coords_and_drift`` call the
 kernel, which returns the pass's results bit for bit at a tenth of its
-cost or less.  The Jet pass is the kernel's definition and still runs
-wherever a drift cannot be traced; the nested duals stay the oracle.
+cost or less.  The plant also keeps each tape as source text (``Tape``),
+which the simulator writes into the RK4 nodes of its generated step
+(``sim._step_source``).  The Jet pass is the kernel's definition and
+still runs wherever a drift cannot be traced; the nested duals stay the
+oracle.
 
 Drifts are evaluated on jets as well as on floats, so they must be built
 from plain arithmetic, nonnegative integer powers, numeric (also numpy
@@ -41,6 +44,8 @@ the kernel holds the constants it read when the plant was built.
 """
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -208,24 +213,60 @@ def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
 
 # --- compiled kernels -------------------------------------------------------------
 
-_KERNEL_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "inf": math.inf, "nan": math.nan}
+KERNEL_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                "inf": math.inf, "nan": math.nan}
+
+_NAME = re.compile(r"\b([xyv])(\d+)\b")
+_TEMP = re.compile(r"\bv\d+\b")
+_MAX_NESTING = 24       # parentheses one tape expression may nest, well below the parser's limit
+
+
+@dataclass(frozen=True)
+class Tape:
+    """One traced pass as straight-line source.  ``lines`` are the
+    assignments ``vK = <expr>`` in the order they ran, over the states
+    x0.., the reference stack y0.., the rate gains c0.. and earlier vK;
+    ``outs`` is the source of each result: the error coordinates, then
+    (for ``_coords_and_drift``) the residual drift."""
+
+    lines: tuple
+    outs: tuple
+
+    def render(self, prefix: str, xs, ys):
+        """(lines, outs) with x_i written as xs[i], y_i as ys[i] and vK as
+        prefix + K, so that several tapes can share one function body;
+        c_i keep their names."""
+        def name(m):
+            kind, i = m.group(1), int(m.group(2))
+            return xs[i] if kind == "x" else ys[i] if kind == "y" else f"{prefix}{i}"
+
+        return ([_NAME.sub(name, line) for line in self.lines],
+                [_NAME.sub(name, out) for out in self.outs])
 
 
 def compile_kernels(sys: SystemModel) -> tuple:
-    """The kernels of ``_error_values`` and ``_coords_and_drift`` (outer
-    index), uncoupled and coupled (inner index), for one plant.  An entry
-    is None where the plant's drifts cannot be traced."""
-    return tuple(tuple(_compile(fn, sys, couple) for couple in (False, True))
-                 for fn in (_error_values, _coords_and_drift))
+    """(tapes, kernels) of ``_error_values`` and ``_coords_and_drift``
+    (outer index), uncoupled and coupled (inner index), for one plant.  An
+    entry is None where the plant's drifts cannot be traced."""
+    tapes = tuple(tuple(_trace(fn, sys, couple) for couple in (False, True))
+                  for fn in (_error_values, _coords_and_drift))
+    kernels = tuple(tuple(None if tape is None else _kernel(tape, sys, fn.__name__)
+                          for tape in pair)
+                    for fn, pair in zip((_error_values, _coords_and_drift), tapes))
+    return tapes, kernels
 
 
-def _compile(fn, sys: SystemModel, couple: bool):
-    """Trace fn(sys, c, xs, ys, couple) on recording scalars and compile
-    the tape into ``kernel(xs, ys, c)``, which performs the same float
-    operations in the same order.  The only rewrite is dead-code
-    elimination; an operation that can raise stays, so the kernel raises
-    where the pass does.
+def _trace(fn, sys: SystemModel, couple: bool) -> Optional[Tape]:
+    """Trace fn(sys, c, xs, ys, couple) on recording scalars.  The tape
+    keeps the same float operations on the same operands.  Two rewrites
+    only: dead-code elimination, which keeps every operation that can
+    raise, so code built from the tape raises where the pass does; and an
+    operation that cannot raise and whose result is read once is written
+    into its reader's expression, in parentheses, instead of a temporary.
+    Python evaluates every such operation exactly as before (no
+    reassociation, no fused operations), so results stay bit for bit,
+    and the tape is about a tenth as many lines, which is what keeps
+    compiling a closed-loop step of four nodes cheap.
 
     The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
     cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
@@ -240,33 +281,50 @@ def _compile(fn, sys: SystemModel, couple: bool):
         out = fn(sys, c, xs, ys, couple)
     except Exception:       # the pass raises it again where it matters
         return None
-    live = set()
-    ret = _source(out, live)
-    body = []
-    for name, expr, deps, may_raise in reversed(tape):
-        if may_raise or name in live:
-            live.update(deps)
-            body.append(f"    {name} = {expr}")
+    flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
+    named = {v.name for v in flat if isinstance(v, dualnum.Rec)}
+    live, kept = set(named), []
+    for entry in reversed(tape):
+        if entry[3] or entry[0] in live:
+            live.update(entry[2])
+            kept.append(entry)
+    uses = Counter(dep for entry in kept for dep in entry[2])
+    nested, depth, lines = {}, {}, []
+    for name, expr, deps, may_raise in reversed(kept):
+        d = 1
+        if any(dep in nested for dep in deps):
+            expr = _TEMP.sub(lambda m: f"({nested[m[0]]})" if m[0] in nested else m[0], expr)
+            d += max(depth.get(dep, 0) for dep in deps)
+        if may_raise or uses[name] != 1 or name in named or d > _MAX_NESTING:
+            lines.append(f"{name} = {expr}")
+        else:
+            nested[name], depth[name] = expr, d
+    return Tape(lines=tuple(lines), outs=tuple(map(_source, flat)))
+
+
+def _source(v) -> str:
+    """Source text of a traced result: a recorded name or a constant."""
+    if isinstance(v, dualnum.Rec):
+        return v.name
+    return f"({float(v)!r})"
+
+
+def _kernel(tape: Tape, sys: SystemModel, label: str):
+    """Compile a tape into ``kernel(xs, ys, c)``, which returns what the
+    traced function returns."""
+    n = sys.n
+    used = set(re.findall(r"\b[xyc]\d+\b", "\n".join(tape.lines + tape.outs)))
     head = [f"    {p}{i} = {arg}[{i}]"
             for arg, p, k in (("xs", "x", n), ("ys", "y", n + 1), ("c", "c", n))
-            for i in range(k) if f"{p}{i}" in live]
-    src = "\n".join(["def kernel(xs, ys, c):", *head, *reversed(body), f"    return {ret}"])
-    scope = dict(_KERNEL_SCOPE)
-    exec(compile(src, f"<{fn.__name__} kernel of {sys.name}>", "exec"), scope)
+            for i in range(k) if f"{p}{i}" in used]
+    ret = "[" + ", ".join(tape.outs[:n]) + "]"
+    if len(tape.outs) > n:
+        ret += ", " + tape.outs[n]
+    src = "\n".join(["def kernel(xs, ys, c):", *head, *("    " + line for line in tape.lines),
+                     f"    return {ret}"])
+    scope = dict(KERNEL_SCOPE)
+    exec(compile(src, f"<{label} kernel of {sys.name}>", "exec"), scope)
     return scope["kernel"]
-
-
-def _source(out, live):
-    """Source text of a traced result (lists and tuples of recorded
-    values or constants); the names it reads are added to live."""
-    if isinstance(out, list):
-        return "[" + ", ".join(_source(v, live) for v in out) + "]"
-    if isinstance(out, tuple):
-        return "(" + "".join(_source(v, live) + ", " for v in out) + ")"
-    if isinstance(out, dualnum.Rec):
-        live.add(out.name)
-        return out.name
-    return repr(float(out))
 
 
 # --- nested-dual recursion (explicit partials, oracle) ---------------------------

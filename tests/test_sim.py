@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Reference,
-                          Scenario, SineReference, SystemModel, bound_report, dualnum,
-                          error_coords, es_control, eval_dynamics, example_lyapunov_spec,
-                          get_reference, nominal_backstepping, refine_dt, rk4_step,
-                          run_scenario, state_from_errors, sweep)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolation,
+                          LyapunovSpec, NussbaumState, Reference, Scenario, SineReference,
+                          SystemModel, bound_report, dualnum, error_coords, es_control,
+                          eval_dynamics, example_lyapunov_spec, example_system,
+                          get_reference, nominal_backstepping, nussbaum_control, refine_dt,
+                          rk4_step, run_scenario, state_from_errors, sweep)
+from nonovershoot import sim
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
 from conftest import chain_integrator, random_gains, random_poly_system
+from test_synth import trig_exp_system
 
 
 def chain_gains():
@@ -276,6 +282,24 @@ def test_sweep_records_divergent_point_and_goes_on(demo, gains):
     assert lines[2].endswith(verdict)
 
 
+def test_sweep_runs_dither_free_laws_at_the_scenario_step(demo, gains, monkeypatch):
+    # omega does not enter the nominal law, so its rows must not depend on it
+    steps = []
+    run = sim.run_scenario
+    monkeypatch.setattr(sim, "run_scenario",
+                        lambda s, c, g, sc, **kw: steps.append(sc.dt) or run(s, c, g, sc, **kw))
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
+    rows = sweep(demo, "nominal", gains, sc, {"omega": [60.0, 960.0]}).rows
+    fields = ("max_h1", "t_at_max", "tail_abs_h1", "envelope_violation", "min_margin",
+              "max_abs_u")
+    assert [[getattr(r, f) for f in fields] for r, _, _ in rows] == \
+        [[getattr(rows[0][0], f) for f in fields]] * 2
+    assert steps == [1e-3, 1e-3]
+    steps.clear()
+    sweep(demo, "es", gains, sc, {"omega": [960.0]})
+    assert steps == [refine_dt(1e-3, 960.0)]
+
+
 def test_sweep_x0_axis(demo, gains):
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
     result = sweep(demo, "es", gains, sc, {"x0": [(-0.5, 0.0), (0.2, 0.0)]})
@@ -315,15 +339,26 @@ def test_unsupported_drift_operation_is_not_divergence():
 
 
 def test_four_controller_evaluations_per_step():
-    # nominal law on a chain: each step reads the gain once for the floor
-    # check and twice per RK4 stage (law + plant), the last sample once
+    # nominal law on a chain: each RK4 node reads the gain once, for the
+    # floor check, the law and the plant rate alike; the last sample once
     calls = []
     base = chain_integrator(2)
     sys = SystemModel(n=2, drift=base.drift, xi1=1.0,
                       gain=lambda xs: calls.append(1) or 1.0)
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
     run_scenario(sys, "nominal", chain_gains(), sc)
-    assert len(calls) == 10 * (1 + 4 * 2) + 1
+    assert len(calls) == 10 * 4 + 1
+
+
+def test_gain_floor_is_checked_at_every_rk4_node():
+    # the floor is broken only near x = 0.1, which the first step's second
+    # node visits (0 + dt/2 * 2) and no grid sample does
+    sys = SystemModel(n=1, drift=(lambda xs: 1.0,), xi1=1.0,
+                      gain=lambda xs: 0.5 if abs(xs[0] - 0.1) < 1e-3 else 1.0)
+    g = GainConfig(c=(2.0,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
+    with pytest.raises(GainFloorViolation, match=r"at x = \[0\.1"):
+        run_scenario(sys, "nominal", g, sc)
 
 
 def test_runs_on_a_fresh_plant_make_equal_drift_calls():
@@ -401,3 +436,108 @@ def test_fault_in_user_code_is_not_divergence(demo, gains):
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=_FaultyReference())
     with pytest.raises(ValueError, match="^bug$"):
         run_scenario(demo, "es", gains, sc)
+
+
+# --- the generated step against the library laws ------------------------------------
+
+def _untraced_poly_system(n, seed):
+    """random_poly_system with drifts that read their argument as an array:
+    they run on floats and jets but not while tracing, so the generated step
+    calls the Taylor pass and the drifts instead of inlining their tapes."""
+    base = random_poly_system(n, seed)
+    return SystemModel(n=n, gain=base.gain, xi1=base.xi1, name=f"untraced{n}s{seed}",
+                       drift=tuple(lambda xs, d=d: d(np.asarray(xs)) for d in base.drift))
+
+
+_FAMILIES = {"poly": random_poly_system, "trig": trig_exp_system,
+             "untraced": _untraced_poly_system}
+
+
+def _oracle_law(sys, controller, gains, spec, ref, nominal_ref, t, x):
+    """(u, aux rates) at (t, state) from the library laws, with the safety
+    filter's mode frozen at the sample (t, x)."""
+    n = sys.n
+    ys = ref.stack(t, n)
+    nominal_mode = controller == "nominal" or (
+        controller == "safety-filter" and ys[0] - x[0] >= 0.0)
+
+    def law(tt, s):
+        if nominal_mode:
+            r = ref if controller == "nominal" else nominal_ref
+            return nominal_backstepping(sys, s[:n], r.stack(tt, n), gains), []
+        if controller == "nussbaum":
+            u, dtheta = nussbaum_control(sys, s[:n], ref.stack(tt, n), gains,
+                                         NussbaumState(s[n]))
+            return u, [dtheta]
+        return es_control(spec, gains, tt, error_coords(sys, s[:n], ref.stack(tt, n), gains)), []
+
+    return law
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(seed=st.integers(0, 200), dt=st.floats(1e-4, 2e-3), theta0=st.floats(-2.0, 2.0),
+       h0=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5))
+@settings(max_examples=3)
+def test_generated_step_equals_the_library_laws_bit_for_bit(seed, dt, theta0, h0, n, family):
+    # h, u and the next state of every recorded step equal the library laws
+    # stepped by rk4_step over eval_dynamics, for all four controllers
+    sys = _FAMILIES[family](n, seed)
+    gains = random_gains(n, seed)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1),
+                        gains.c[-1], gains.kappa)
+    ref, nominal_ref = get_reference("sine04"), get_reference("constant:-0.2")
+    x0 = state_from_errors(sys, h0[:n], ref.stack(0.0, n), gains)
+    sc = Scenario(x0=tuple(x0), t_end=3 * dt, dt=dt, reference=ref)
+    for controller in ("es", "nominal", "nussbaum", "safety-filter"):
+        try:
+            traj, _ = run_scenario(sys, controller, gains, sc, lyap_spec=spec,
+                                   theta0=theta0, nominal_reference=nominal_ref)
+        except BlowupError as exc:      # a stiff random plant may leave the float range
+            traj = exc.partial_trajectory
+        # the comparator's adaptation state is not recorded: replay its first step
+        for k in range(min(len(traj.t), 1 if controller == "nussbaum" else 3)):
+            t = traj.t[k]
+            state = np.array(list(traj.x[k]) + ([theta0] if controller == "nussbaum" else []))
+            law = _oracle_law(sys, controller, gains, spec, ref, nominal_ref, t, state)
+            assert t == k * dt
+            assert _hex(traj.h[k]) == _hex(error_coords(sys, state[:n], ref.stack(t, n), gains))
+            assert float(traj.u[k]).hex() == float(law(t, state)[0]).hex()
+            if k + 1 < len(traj.t):
+                def rhs(tt, s):
+                    u, aux = law(tt, s)
+                    return np.concatenate([eval_dynamics(sys, s[:n], u), aux])
+
+                assert _hex(traj.x[k + 1]) == _hex(rk4_step(rhs, t, state, dt)[:n])
+
+
+def test_non_polynomial_lyapunov_shape_in_the_generated_step(demo, gains):
+    # a growth_fn bound has no closed-form V: the step calls the quadrature
+    bound = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE).drift_bound
+    spec = LyapunovSpec(DriftBound(growth_fn=bound.growth, offset=bound.offset),
+                        gains.c[-1], gains.kappa)
+    traj, _ = run_scenario(demo, "es", gains, Scenario(x0=(-0.5, 0.0), t_end=0.003,
+                                                        dt=1e-3), lyap_spec=spec)
+    for t, h, u in zip(traj.t, traj.h, traj.u):
+        assert u == es_control(spec, gains, t, h)
+
+
+def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
+    built = []
+    source = sim._step_source
+    monkeypatch.setattr(sim, "_step_source",
+                        lambda s, controller, ncoef: built.append(controller)
+                        or source(s, controller, ncoef))
+    plant = example_system()
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    result = sweep(plant, "es", gains, sc, {"kappa_n": [1.1, 3.0], "lambda": [4.0, 5.0]})
+    assert [v for _, v, _ in result.rows] == ["valid"] * 4
+    assert built == ["es"]
+    run_scenario(plant, "es", gains, sc)
+    assert built == ["es"]
+    run_scenario(plant, "nominal", gains, sc)
+    assert built == ["es", "nominal"]
