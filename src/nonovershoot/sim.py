@@ -230,8 +230,10 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
 
     n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
     rec = _Recorder(nsteps + 1, n)
+    ref_d = ref.derivatives
+    nom_d = ref_d if nominal_ref is ref else nominal_ref.derivatives
     step = _closed_loop(sys, controller, lyap_spec)(
-        sys, gains, lyap_spec, ref.derivatives, nominal_ref.derivatives, dt, rec.append)
+        sys, gains, lyap_spec, ref_d, nom_d, dt, rec.append)
 
     state = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     t = 0.0
@@ -340,9 +342,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     inputs: the gains and Lyapunov coefficients are read there, so one
     compiled step serves every point of a sweep.  ref_d and nom_d give the
     derivative stacks of the tracked and the safety filter's nominal
-    reference, and record takes one sample row.  make returns step:
-    step(t, state) records the sample at (t, state) and returns the state
-    one RK4 step later; step(t, state, True) only records.
+    reference (the same callable when they are one reference, whose stack
+    node 1 then fetches once), and record takes one sample row.  make
+    returns step: step(t, state) records the sample at (t, state) and
+    returns the state one RK4 step later; step(t, state, True) only
+    records.
 
     Every node evaluates the gain once and checks the gain floor on it,
     then computes the error coordinates and the control law from the
@@ -411,7 +415,8 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         # safety filter, its mode frozen at the step's start; at node 1 the
         # nominal law reads its own reference's stack
         known = nominal(S, Y) if Y != "ya" else \
-            [f"yl = nom_d(t, {n})", unpack("yl"), *nominal(S, "yl")]
+            [f"yl = ya if nom_d is ref_d else nom_d(t, {n})", unpack("yl"),
+             *nominal(S, "yl")]
         return ["if mode == 0:", *(f"    {v}" for v in known),
                 "else:", *(f"    {v}" for v in lines + seek(T, h))]
 
@@ -518,8 +523,9 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
     controller (``DITHERED``) runs each point at the scenario's dt refined
     to resolve the point's dither (``refine_dt``); the others run at the
     scenario's dt.  Points that fail the gain check for ``mode`` are
-    recorded with their verdict and not simulated; a point whose run diverges is recorded with the verdict
-    "diverged at t=...: <cause>" and the grid goes on.  Rows follow
+    recorded with their verdict and not simulated; a point whose run
+    diverges is recorded with the verdict "diverged at t=...: <cause>"
+    and the grid goes on.  Rows follow
     itertools.product order over the grid in key order, so output is
     order-stable.
     """

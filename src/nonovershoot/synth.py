@@ -218,7 +218,7 @@ KERNEL_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
 
 _NAME = re.compile(r"\b([xyv])(\d+)\b")
 _TEMP = re.compile(r"\bv\d+\b")
-_MAX_NESTING = 24       # parentheses one tape expression may nest, well below the parser's limit
+_MAX_NESTING = 24       # parentheses a tape expression may nest (the parser stops at 200)
 
 
 @dataclass(frozen=True)

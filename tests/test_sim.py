@@ -397,6 +397,21 @@ def test_one_reference_stack_per_rk4_node(demo, gains):
     assert len(calls) == 3 * 10 + 1
 
 
+def test_safety_filter_tracking_one_reference_fetches_one_stack_per_node(demo, gains):
+    calls = []
+
+    class CountedSine(SineReference):
+        def derivatives(self, t, n):
+            calls.append(t)
+            return super().derivatives(t, n)
+
+    ref = CountedSine(amplitude=1.0)        # starts safe: the nominal law runs
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=ref)
+    traj, _ = run_scenario(demo, "safety-filter", gains, sc, nominal_reference=ref)
+    assert np.all(traj.mode == 0)
+    assert len(calls) == 3 * 10 + 1
+
+
 def _exp_plant():
     return SystemModel(n=2, drift=(lambda xs: dualnum.exp(xs[0]), lambda xs: 0.0),
                        gain=lambda xs: 1.0, xi1=1.0)
@@ -443,7 +458,7 @@ def test_fault_in_user_code_is_not_divergence(demo, gains):
 def _untraced_poly_system(n, seed):
     """random_poly_system with drifts that read their argument as an array:
     they run on floats and jets but not while tracing, so the generated step
-    calls the Taylor pass and the drifts instead of inlining their tapes."""
+    calls the Taylor pass instead of writing out its tapes."""
     base = random_poly_system(n, seed)
     return SystemModel(n=n, gain=base.gain, xi1=base.xi1, name=f"untraced{n}s{seed}",
                        drift=tuple(lambda xs, d=d: d(np.asarray(xs)) for d in base.drift))
@@ -454,7 +469,7 @@ _FAMILIES = {"poly": random_poly_system, "trig": trig_exp_system,
 
 
 def _oracle_law(sys, controller, gains, spec, ref, nominal_ref, t, x):
-    """(u, aux rates) at (t, state) from the library laws, with the safety
+    """The library law as (tt, s) -> (u, aux rates), with the safety
     filter's mode frozen at the sample (t, x)."""
     n = sys.n
     ys = ref.stack(t, n)

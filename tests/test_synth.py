@@ -469,3 +469,24 @@ def test_kernels_are_not_a_field(demo):
     from dataclasses import fields, replace
     assert "_kernels" not in {f.name for f in fields(demo)}
     assert replace(demo) == demo and hash(replace(demo)) == hash(demo)
+
+
+def test_long_single_use_chains_are_split_and_stay_bit_identical():
+    # a 300-term sum is one chain of single-use operations: written into a
+    # single expression it would nest past the parser's limit
+    coef = np.random.default_rng(3).uniform(-1.0, 1.0, size=300)
+
+    def drift(xs):
+        acc = 0.0
+        for k in coef:
+            acc = acc + k * xs[0]
+        return acc
+
+    sys = SystemModel(n=2, drift=(drift, lambda xs: xs[0] * xs[1]), gain=lambda xs: 1.0,
+                      xi1=1.0)
+    tape = sys._tapes[1][0]
+    assert tape is not None and max(line.count("(") for line in tape.lines) < 100
+    c, xs, ys = (1.5, 1.2), (0.3, -0.7), tuple(ref0(2))
+    for public, definition in ((error_values, _error_values),
+                               (coords_and_drift, _coords_and_drift)):
+        assert _hex(public(sys, c, xs, ys)) == _hex(definition(sys, c, xs, ys, False))
