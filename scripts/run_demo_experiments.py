@@ -6,8 +6,9 @@
 3. Safety-filtered regulation from a safe and an unsafe start.
 4. Full-vs-averaged deviation study over three dither frequencies.
 
-``--sha256`` prints each CSV's digest, so that two versions of the
-simulator can be compared for byte-identical output with one command.
+Each CSV's SHA-256 digest is printed after its path, so that two versions
+of the simulator can be compared for byte-identical output with one
+command.
 """
 
 import argparse
@@ -25,8 +26,6 @@ def main():
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     ap.add_argument("--t-end", type=float, default=50.0)
     ap.add_argument("--dt", type=float, default=1e-3)
-    ap.add_argument("--sha256", action="store_true",
-                    help="print the SHA-256 digest of each CSV written")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -38,8 +37,7 @@ def main():
         path = args.outdir / name
         path.write_text(text)
         print(f"  -> {path}")
-        if args.sha256:
-            print(f"     sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+        print(f"     sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 
     print("[1/4] tracking from below (seeking controller)")
     t0 = time.perf_counter()

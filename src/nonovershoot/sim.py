@@ -205,7 +205,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     Each step is one call of code generated for this plant and controller
     (see ``_step_source``): it evaluates the tracked reference's
     derivative stack once per RK4 node (start, midpoint, end), and the
-    gain once per node, where it also checks the gain floor.
+    gain once per node, where it also checks the gain floor (the last
+    sample, which is no node of a step taken, is not checked).
 
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence: the state leaving the finite
@@ -348,18 +349,21 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     returns the state one RK4 step later; step(t, state, True) only
     records.
 
-    Every node evaluates the gain once and checks the gain floor on it,
+    Every node evaluates the gain once and checks the gain floor on it
+    (the last sample, which is no node of a step taken, is not checked),
     then computes the error coordinates and the control law from the
     plant's tapes (``synth.Tape``; a call to the Taylor pass where a
     drift could not be traced), and the plant rate x_{i+1} + drift_i,
     gain*u + drift_n.  The float operations and their order are those of
     the library laws (``es_control``, ``nominal_backstepping``,
     ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
-    is frozen over the step.  Node 1, which also records the sample, is
-    written into the step; nodes 2 to 4 call one straight-line node
-    function, so the step compiles two copies of the tapes, not four
-    (compiling four copies of the coupled tape at n = 4 peaks at about
-    2 MB).
+    is frozen over the step.  The floor test is written out rather than
+    a call of ``SystemModel.check_gain_floor``, whose rule it repeats:
+    calling it at every node made a demo step about a tenth slower.  Node
+    1, which also records the sample, is written into the step; nodes 2
+    to 4 call one straight-line node function, so the step compiles two
+    copies of the tapes, not four (compiling four copies of the coupled
+    tape at n = 4 peaks at about 2 MB).
     """
     n = sys.n
     m = n + (controller == "nussbaum")
@@ -420,11 +424,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         return ["if mode == 0:", *(f"    {v}" for v in known),
                 "else:", *(f"    {v}" for v in lines + seek(T, h))]
 
-    def node(S, Y, T, k, pre, h=None, post=()):
-        """Gain and floor check, the lines pre, the law, the lines post,
-        then the rates <k>0.. at one node."""
+    def node(S, Y, T, k, pre, h=None, post=(), floor="g * g < floor"):
+        """Gain and floor check (the condition floor), the lines pre, the
+        law, the lines post, then the rates <k>0.. at one node."""
         xs = f"({_seq(S[:n])})"
-        return [f"g = gain({xs})", f"if g * g < floor: raise violation(g, {xs})",
+        return [f"g = gain({xs})", f"if {floor}: raise violation(g, {xs})",
                 *pre, *law(T, S, Y, k, h), *post] + [
             f"{k}{i} = {S[i + 1]} + d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [
             f"{k}{n - 1} = g * u + d{n - 1}({xs})"]
@@ -436,7 +440,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     h_lines, h = coords(h_tape, False, "e", S, "ya")
     first = node(S, "ya", "t", "k1_", pre + h_lines, h, [
         f"record((t, ({_seq(S[:n])}), ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
-        "if last: return"])
+        "if last: return"], "g * g < floor and not last")
     P = [f"p{i}" for i in range(m)]
     mode = ", mode" if filt else ""
     setup = ["gain, violation = plant.gain, plant.floor_violation",

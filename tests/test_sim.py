@@ -338,7 +338,7 @@ def test_unsupported_drift_operation_is_not_divergence():
         run_scenario(sys, "nominal", chain_gains(), sc)
 
 
-def test_four_controller_evaluations_per_step():
+def test_four_controller_evaluations_per_step(monkeypatch):
     # nominal law on a chain: each RK4 node reads the gain once, for the
     # floor check, the law and the plant rate alike; the last sample once
     calls = []
@@ -348,6 +348,28 @@ def test_four_controller_evaluations_per_step():
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
     run_scenario(sys, "nominal", chain_gains(), sc)
     assert len(calls) == 10 * 4 + 1
+    # the law itself runs at every node too: where the drifts cannot be
+    # traced, each law evaluation calls the Taylor pass once (coupled for
+    # the nominal law, uncoupled for es), so sample-and-hold would show;
+    # each sample's recorded h is one more uncoupled pass for nominal
+    passes = []
+    for name in ("coords_and_drift", "error_values"):
+        monkeypatch.setitem(sim._STEP_SCOPE, name,
+                            lambda *a, name=name, fn=sim._STEP_SCOPE[name]:
+                            passes.append(name) or fn(*a))
+    sys = _untraced_poly_system(2, 3)       # a fresh plant: its steps compile here
+    gains = random_gains(2, 3, descending=True)
+    ref = get_reference("sine04")
+    x0 = state_from_errors(sys, [-0.1, 0.0], ref.stack(0.0, 2), gains)
+    sc = Scenario(x0=tuple(x0), t_end=0.01, dt=1e-3, reference=ref)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1),
+                        gains.c[-1], gains.kappa)
+    for controller, counts in (("nominal", {"coords_and_drift": 10 * 4 + 1,
+                                            "error_values": 10 + 1}),
+                               ("es", {"error_values": 10 * 4 + 1})):
+        passes.clear()
+        run_scenario(sys, controller, gains, sc, lyap_spec=spec)
+        assert {k: passes.count(k) for k in set(passes)} == counts
 
 
 def test_gain_floor_is_checked_at_every_rk4_node():
@@ -359,6 +381,22 @@ def test_gain_floor_is_checked_at_every_rk4_node():
     sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
     with pytest.raises(GainFloorViolation, match=r"at x = \[0\.1"):
         run_scenario(sys, "nominal", g, sc)
+
+
+def test_gain_floor_is_not_checked_at_the_last_sample():
+    # the last sample is no node of a step taken: a floor broken only at
+    # the final grid state leaves the run complete
+    def plant(gain):
+        return SystemModel(n=1, drift=(lambda xs: 1.0,), xi1=1.0, gain=gain)
+
+    g = GainConfig(c=(2.0,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
+    full, _ = run_scenario(plant(lambda xs: 1.0), "nominal", g, sc)
+    x_end = full.x[-1, 0]
+    traj, _ = run_scenario(plant(lambda xs: 0.5 if abs(xs[0] - x_end) < 1e-9 else 1.0),
+                           "nominal", g, sc)
+    assert traj.complete
+    assert np.array_equal(traj.x, full.x) and np.array_equal(traj.h, full.h)
 
 
 def test_runs_on_a_fresh_plant_make_equal_drift_calls():
