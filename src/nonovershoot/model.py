@@ -207,7 +207,9 @@ class Reference:
         A subclass may override this to share work across orders; the
         override must return exactly the values ``derivative(t, k)``
         returns, because the simulator reads the stack from here and the
-        checks read single orders from ``derivative``.
+        checks read single orders from ``derivative``.  The simulator
+        calls it once per RK4 node, three times per step, so an
+        override's cost is on the hot path.
         """
         return tuple(self.derivative(t, k) for k in range(n + 1))
 
@@ -219,9 +221,43 @@ class Reference:
         return out
 
 
+_SINE_STACKS: dict = {}     # n -> make(rate, a_0, ..., a_n) -> stack(t)
+
+
+def _sine_stack(amplitude: float, rate: float, n: int):
+    """stack(t) = SineReference(amplitude, rate).derivatives(t, n) as
+    straight-line code.  The source depends on n alone and is compiled
+    once per n; each scale a_k = amplitude * rate**k is computed here,
+    once.  Since ``derivative`` evaluates amplitude * rate**k * base as
+    (amplitude * rate**k) * base, the stack repeats its float operations
+    and operands and matches it bit for bit."""
+    make = _SINE_STACKS.get(n)
+    if make is None:
+        cyc = ("s", "c", "-s", "-c")
+        scales = "".join(f"a{k}, " for k in range(n + 1))
+        items = "".join(f"a{k} * {cyc[k % 4]}, " for k in range(n + 1))
+        source = (f"def make(rate, {scales}):\n"
+                  "    def stack(t):\n"
+                  "        phase = rate * t\n"
+                  "        s, c = sin(phase), cos(phase)\n"
+                  f"        return ({items})\n"
+                  "    return stack")
+        scope = {"sin": math.sin, "cos": math.cos}
+        exec(compile(source, f"<sine stack of order {n}>", "exec"), scope)
+        make = _SINE_STACKS[n] = scope["make"]
+    return make(rate, *(amplitude * rate**k for k in range(n + 1)))
+
+
 @dataclass(frozen=True)
 class SineReference(Reference):
-    """y(t) = amplitude * sin(rate * t)."""
+    """y(t) = amplitude * sin(rate * t).
+
+    ``derivatives(t, n)`` is one call of straight-line code: one sine, one
+    cosine and n+1 products (``_sine_stack``), bound on an instance's
+    first call for that n and kept on the instance.  That cache is no
+    field, so it takes no part in ``==``, ``hash``, ``repr`` or pickling,
+    and ``dataclasses.replace`` starts a new one.
+    """
 
     amplitude: float = -1.0
     rate: float = 0.4
@@ -232,6 +268,15 @@ class SineReference(Reference):
         if "derivative" in cls.__dict__ and "derivatives" not in cls.__dict__:
             cls.derivatives = Reference.derivatives
 
+    def __post_init__(self):
+        object.__setattr__(self, "_stacks", {})
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_stacks"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _stacks={})
+
     def derivative(self, t, k):
         # quarter-phase cycle kept exact so derivatives vanish where they should
         phase = self.rate * t
@@ -240,10 +285,11 @@ class SineReference(Reference):
         return self.amplitude * self.rate**k * base
 
     def derivatives(self, t, n):
-        phase = self.rate * t
-        s, c = math.sin(phase), math.cos(phase)
-        cyc = (s, c, -s, -c)
-        return tuple(self.amplitude * self.rate**k * cyc[k % 4] for k in range(n + 1))
+        try:
+            return self._stacks[n](t)
+        except KeyError:
+            stack = self._stacks[n] = _sine_stack(self.amplitude, self.rate, n)
+            return stack(t)
 
 
 @dataclass(frozen=True)
@@ -262,7 +308,7 @@ def get_reference(name) -> Reference:
     if isinstance(name, Reference):
         return name
     if name == "sine04":
-        return SineReference()
+        return _SINE04
     if isinstance(name, str) and name.startswith("constant:"):
         return ConstantReference(float(name.split(":", 1)[1]))
     if name in _REFERENCES:
@@ -271,6 +317,7 @@ def get_reference(name) -> Reference:
 
 
 _REFERENCES: dict = {}
+_SINE04 = SineReference()   # shared, so that every run on "sine04" reuses its stacks
 
 
 def register_reference(name: str, factory: Callable[[], Reference]):

@@ -211,7 +211,10 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence: the state leaving the finite
     range, an ``OverflowError``, or a math-domain ``ValueError`` (see
-    ``model.is_divergence``).  Any other exception propagates unchanged.
+    ``model.is_divergence``).  When a reference stack the failed step read
+    is not finite, the cause is "non-finite reference value" at the first
+    such node, as in ``averaging.simulate_averaged``.  Any other exception
+    propagates unchanged.
     """
     if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
@@ -237,16 +240,17 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         sys, gains, lyap_spec, ref_d, nom_d, dt, rec.append)
 
     state = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
-    t = 0.0
+    t, last = 0.0, False
     try:
         try:
             for k in range(nsteps):
                 t = k * dt
-                state = step(t, state)
-                if not all(map(_STATE_LIMIT.__ge__, map(abs, state))):   # NaN fails too
+                new = step(t, state)
+                if not all(map(_STATE_LIMIT.__ge__, map(abs, new))):   # NaN fails too
                     raise BlowupError("state left the finite range", t=(k + 1) * dt,
-                                      state=np.array(state[:n]))
-            t = nsteps * dt
+                                      state=np.array(new[:n]))
+                state = new
+            t, last = nsteps * dt, True
             step(t, state, True)            # the last sample only
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
@@ -254,8 +258,13 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
             raise BlowupError(f"arithmetic divergence: {exc}", t=t,
                               state=np.array(state[:n])) from None
     except BlowupError as exc:
+        # state is the start of the step that failed
+        node = _reference_fault(ref_d, nom_d if controller == "safety-filter" else None,
+                                n, t, state[0], dt, last)
+        if node is not None:
+            exc = BlowupError("non-finite reference value", t=node, state=np.array(state[:n]))
         exc.partial_trajectory = rec.trajectory(complete=False)
-        raise
+        raise exc from None
 
     traj = rec.trajectory()
     bounds = _auto_bounds(sys, gains)
@@ -263,6 +272,29 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     report = overshoot_report(traj, gains, bounds, delta_est,
                               scenario_id=sid, delta_source=delta_source)
     return traj, report
+
+
+def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last: bool):
+    """Time of the first RK4 node of the step from t (x1 its start's first
+    state) whose reference stack, as that step read it, is not finite;
+    None if every stack it read is finite.  nom_d is the safety filter's
+    nominal stack, None for the other controllers.  Only the diagnosis of
+    a failed step calls this, so the step itself checks no node.  A
+    reference that raises a divergence here leaves the step's own cause
+    standing."""
+    try:
+        ya = ref_d(t, n)
+        if not all(map(math.isfinite, ya)):
+            return t
+        # the filter's mode, frozen at the step's start, picks the law's stack
+        stack = nom_d if nom_d is not None and ya[0] - x1 >= 0.0 else ref_d
+        for node in (t,) if last else (t, t + dt / 2, t + dt):
+            if not all(map(math.isfinite, stack(node, n))):
+                return node
+    except (OverflowError, ValueError) as exc:
+        if not is_divergence(exc):
+            raise
+    return None
 
 
 # --- compiled closed-loop step ----------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +138,45 @@ def test_sine_subclass_redefining_derivative_gets_its_stack():
     ref = _ShiftedSine()
     assert ref.derivatives(0.3, 2) == tuple(ref.derivative(0.3, k) for k in range(3))
     assert ref.derivatives(0.3, 2)[0] == SineReference().derivative(0.3, 0) + 1.0
+
+
+# --- the compiled sine stack --------------------------------------------------------
+
+def _signed_zeros_or(strategy):
+    return st.one_of(st.sampled_from([0.0, -0.0]), strategy)
+
+
+@given(_signed_zeros_or(_moderate), _signed_zeros_or(st.floats(-5.0, 0.0)),
+       st.one_of(st.sampled_from([0.0, -0.0, math.pi / 0.4]), st.floats(-1e4, 1e4)),
+       st.integers(0, 12))
+def test_compiled_sine_stack_equals_per_order_values(amplitude, rate, t, n):
+    # negative rates, signed zeros and phases whose sine is exactly zero,
+    # up to order 12, on a fresh instance and on one already used at t
+    ref = SineReference(amplitude, rate)
+    want = [float(ref.derivative(t, k)).hex() for k in range(n + 1)]
+    assert [v.hex() for v in ref.derivatives(t, n)] == want
+    assert [v.hex() for v in ref.derivatives(t, n)] == want
+    assert [v.hex() for v in ref.derivatives(t + 1.0, n)] == \
+        [float(ref.derivative(t + 1.0, k)).hex() for k in range(n + 1)]
+
+
+def test_used_sine_reference_pickles_and_compares_as_a_fresh_one():
+    ref = SineReference(2.0, -0.3)
+    stack = ref.derivatives(0.7, 3)
+    back = pickle.loads(pickle.dumps(ref))
+    fresh = SineReference(2.0, -0.3)
+    assert back == ref == fresh and hash(back) == hash(ref) == hash(fresh)
+    assert repr(ref) == repr(fresh) == "SineReference(amplitude=2.0, rate=-0.3)"
+    assert back.derivatives(0.7, 3) == stack
+
+
+def test_replaced_sine_reference_reads_its_own_rate():
+    ref = SineReference()
+    old = ref.derivatives(1.3, 2)
+    new = replace(ref, rate=0.5).derivatives(1.3, 2)
+    assert [v.hex() for v in new] == [SineReference(-1.0, 0.5).derivative(1.3, k).hex()
+                                       for k in range(3)]
+    assert new != old and ref.derivatives(1.3, 2) == old
 
 
 @pytest.mark.parametrize("call", [

@@ -11,8 +11,9 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
                           SystemModel, bound_report, dualnum, error_coords, es_control,
                           eval_dynamics, example_lyapunov_spec, example_system,
                           get_reference, nominal_backstepping, nussbaum_control, refine_dt,
-                          rk4_step, run_scenario, state_from_errors, sweep)
-from nonovershoot import sim
+                          rk4_step, run_scenario, simulate_averaged, state_from_errors,
+                          sweep)
+from nonovershoot import model, sim
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
 from conftest import chain_integrator, random_gains, random_poly_system
@@ -480,6 +481,41 @@ def test_partial_trajectory_holds_exactly_the_recorded_rows(plant, controller, x
     assert len(partial.to_csv().splitlines()) == rows + 1
 
 
+class _BlowingReference(Reference):
+    """Zero up to t = start, infinite from there on."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def derivative(self, t, k):
+        return math.inf if t >= self.start else 0.0
+
+
+@pytest.mark.parametrize("controller, tracked", [
+    ("es", True), ("nominal", True), ("safety-filter", True), ("safety-filter", False)])
+@pytest.mark.parametrize("start", [0.005, 0.0042])     # an end node, a midpoint node
+def test_non_finite_reference_is_named_as_in_the_averaged_system(demo, gains, controller,
+                                                                 tracked, start):
+    # the filter starts safe, so its nominal law reads the nominal reference,
+    # which is the blowing one; tracked=False keeps the tracked one finite
+    blowing = _BlowingReference(start)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=blowing)
+    spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
+    with pytest.raises(BlowupError) as averaged:
+        simulate_averaged(demo, spec, gains, sc, h0=[0.1, 0.0])
+    run_sc = sc if tracked else Scenario(x0=sc.x0, t_end=sc.t_end, dt=sc.dt,
+                                         reference="constant:0")
+    with pytest.raises(BlowupError) as full:
+        run_scenario(demo, controller, gains, run_sc, lyap_spec=spec,
+                     nominal_reference=blowing)
+    assert str(full.value) == str(averaged.value) == "non-finite reference value"
+    assert full.value.t == averaged.value.t
+    partial = full.value.partial_trajectory
+    assert not partial.complete
+    assert np.array_equal(partial.t, np.arange(5) * 1e-3)     # samples up to t = 0.004
+    assert np.all(np.isfinite(partial.x))
+
+
 class _FaultyReference(Reference):
     def derivative(self, t, k):
         raise ValueError("bug")
@@ -594,3 +630,15 @@ def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
     assert built == ["es"]
     run_scenario(plant, "nominal", gains, sc)
     assert built == ["es", "nominal"]
+
+
+def test_a_sweep_on_the_sine_id_builds_its_stack_once(gains, monkeypatch):
+    built = []
+    bind = model._sine_stack
+    monkeypatch.setattr(model, "_SINE04", SineReference())      # nothing cached yet
+    monkeypatch.setattr(model, "_sine_stack",
+                        lambda a, r, n: built.append(n) or bind(a, r, n))
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="sine04")
+    result = sweep(example_system(), "es", gains, sc, {"kappa_n": [1.1, 2.0, 3.0]})
+    assert [v for _, v, _ in result.rows] == ["valid"] * 3
+    assert built == [2]
