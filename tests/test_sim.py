@@ -516,6 +516,22 @@ def test_non_finite_reference_is_named_as_in_the_averaged_system(demo, gains, co
     assert np.all(np.isfinite(partial.x))
 
 
+class _SqrtReference(Reference):
+    """sqrt(0.0042 - t): a math-domain error from the midpoint of step 4 on."""
+
+    def derivative(self, t, k):
+        return math.sqrt(0.0042 - t) if k == 0 else 0.0
+
+
+def test_reference_raising_a_divergence_keeps_the_steps_cause(demo, gains):
+    # re-reading the failed step's stacks raises again; the cause stands
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=_SqrtReference())
+    with pytest.raises(BlowupError, match="^arithmetic divergence") as info:
+        run_scenario(demo, "es", gains, sc)
+    assert info.value.t == 0.004
+    assert len(info.value.partial_trajectory.t) == 5
+
+
 class _FaultyReference(Reference):
     def derivative(self, t, k):
         raise ValueError("bug")
