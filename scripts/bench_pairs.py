@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating parent/change pairs and write BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr 9 --seeds 301-310
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr 9 --seeds 901-910
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits (git clones, so
 that each run records its commit).  Pair k runs
@@ -14,7 +14,7 @@ The set's summary gives, for every end-to-end metric that the change's
 BENCHMARK.json declares on each workload, the medians and quartiles of
 both sides and the number of pairs the change wins.  The file is
 rewritten after every pair, so an interrupted set keeps the pairs it
-finished.  With --append the set is added to the sets already in the file.
+finished.
 """
 
 import argparse
@@ -47,12 +47,10 @@ def commit(checkout: Path):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def run_once(checkout: Path, seed: int, seconds) -> dict:
+def run_once(checkout: Path, seed: int) -> dict:
     """One benchmark run in checkout: its env lines and its final JSON line."""
     cmd = [sys.executable, "bench/run_bench.py", "--workload", "all", "--trace", "0",
            "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.rstrip("\n").split("\n")
     if done.returncode != 0:
@@ -98,18 +96,10 @@ def main(argv=None):
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--seeds", required=True, type=parse_seeds,
                     help='one seed per pair: "301-310" or "5,7,9"')
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="passed to run_bench.py (its own default if omitted)")
     ap.add_argument("--note", default="", help="what this set measures")
     ap.add_argument("--host", default=f"{os.cpu_count()}-CPU host")
-    ap.add_argument("--out", type=Path, default=None, help="default: ./BENCH_<pr>.json")
-    ap.add_argument("--append", action="store_true",
-                    help="add the set to the file's existing sets")
     args = ap.parse_args(argv)
-    out = args.out or Path(f"BENCH_{args.pr}.json")
-    doc = {"what": WHAT, "host": args.host, "sets": []}
-    if args.append and out.exists():
-        doc = json.loads(out.read_text())
+    out = Path(f"BENCH_{args.pr}.json")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = end_to_end_metrics(checkouts["change"])
     seeds = args.seeds
@@ -118,12 +108,12 @@ def main(argv=None):
     bench_set = {"note": args.note, "parent_commit": commit(checkouts["parent"]),
                  "change_commit": commit(checkouts["change"]), "seeds": span,
                  "all_correct": True, "summary": {}, "runs": []}
-    doc["sets"].append(bench_set)
+    doc = {"what": WHAT, "host": args.host, "sets": [bench_set]}
     for pair, seed in enumerate(seeds, 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for position, side in enumerate(order, 1):
             print(f"pair {pair}/{len(seeds)} seed {seed}: {side}", file=sys.stderr, flush=True)
-            run = run_once(checkouts[side], seed, args.seconds)
+            run = run_once(checkouts[side], seed)
             result = run["result"]
             bench_set["all_correct"] &= result["correct"] and result["failed"] == 0
             bench_set["runs"].append({"pair": pair, "seed": seed, "side": side,
