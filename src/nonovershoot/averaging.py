@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
-from .sim import fmt, rate_step, refine_dt, run_scenario
+from .sim import _FLUSH_ROWS, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
 from .synth import GainConfig, error_coords, error_drift, state_from_errors
 
 
@@ -27,7 +27,8 @@ def _averaged_rates(sys, spec, gains, ys, hs, coef):
     """Averaged error rates at hbar = hs against the reference stack ys,
     both tuples of floats; returns a tuple.  |hbar| goes through the same
     BLAS dot product as ``np.linalg.norm``, so results match it bit for
-    bit at every n."""
+    bit at every n.  This is the definition of the generated step
+    (``_averaged_source``)."""
     n, c = sys.n, gains.c
     xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
     g = sys.gain(xs)
@@ -66,7 +67,12 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     Starts from the error coordinates of the scenario's initial state
     unless h0 is given; t0 shifts the reference clock (useful for phased
     integration of stiff transients).  Returns an (N+1, n) sample array.
-    Each step is the generated RK4 update of ``sim.rate_step``.
+    The run is the loop generated for the plant (``_averaged_source``),
+    called once per block of _FLUSH_ROWS steps.  Raises BlowupError
+    "averaged system diverged" when hbar leaves the finite range
+    (|hbar_i| > 1e9 or NaN, the full loop's rule) or on an arithmetic
+    divergence (``model.is_divergence``), and "non-finite reference value"
+    at the first RK4 node whose reference stack is not finite.
     """
     ref = get_reference(scenario.reference)
     n = sys.n
@@ -75,33 +81,83 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     h = tuple(np.asarray(h0, dtype=float).tolist())
     nsteps = scenario.nsteps
     dt = scenario.dt
-    coef = _coef(gains, halved)
-
-    def rates(t, hs, ys):
-        return _averaged_rates(sys, spec, gains, ys, hs, coef)
-
-    def stack(t):
-        ys = ref.derivatives(t, n)
-        if not all(map(math.isfinite, ys)):
-            raise BlowupError("non-finite reference value", t=t)
-        return ys
-
-    step = rate_step(sys, rates, stack, dt)
     out = np.empty((nsteps + 1, n))
     out[0] = h
-    for k in range(nsteps):
-        t = t0 + k * dt
-        try:
-            h = step(t, h)
-        except (OverflowError, ValueError) as exc:
-            if not is_divergence(exc):
-                raise
-            raise BlowupError("averaged system diverged", t=t, state=np.array(h)) from None
-        if not all(math.isfinite(v) for v in h):
-            raise BlowupError("averaged system diverged", t=t0 + (k + 1) * dt,
-                              state=np.array(h))
-        out[k + 1] = h
+    rows = []
+    nw = len(spec._weight_coeffs) if spec.closed_form else None
+    advance = _factory(sys, ("averaged", nw), lambda: _averaged_source(sys, nw))(
+        sys, gains, spec, _coef(gains, halved), ref.derivatives, dt, t0, rows.append)
+    pos = [0, h]        # (step, its start state) where the loop stopped
+    try:
+        while pos[0] < nsteps:
+            k = pos[0]
+            advance(pos, min(k + _FLUSH_ROWS, nsteps))
+            out[k + 1:pos[0] + 1] = rows
+            rows.clear()
+    except (OverflowError, ValueError) as exc:
+        if not is_divergence(exc):
+            raise
+        k, h = pos
+        raise BlowupError("averaged system diverged", t=t0 + k * dt, state=np.array(h)) from None
     return out
+
+
+def _averaged_source(sys: SystemModel, nw) -> str:
+    """Source of the averaged system's run loop on one plant.
+
+    make(plant, gains, spec, coef, ref_d, dt, t0, append) binds one run:
+    coef is the damping coefficient (``_coef``), ref_d the reference's
+    derivative stack and append takes each new hbar; nw is the number of
+    closed-form Lyapunov weight coefficients, written out as a Horner
+    chain, or None for a shape without them, whose weight is a call of
+    ``lyapunov_weight``.  make returns advance (``sim._source``), whose
+    steps run at t = t0 + k * dt.  Every RK4 node fetches the stack and
+    checks it is finite, then calls one node function: ``_averaged_rates``
+    written out, with the inverse map from the plant's tape of it
+    (``synth.state_tape``) and the residual drift from its uncoupled
+    ``coords_and_drift`` tape (a call of ``state_from_errors`` or
+    ``error_drift`` where a drift could not be traced).  Compiled on the
+    plant's first averaged run."""
+    n = sys.n
+    P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
+    x_tape, d_tape = sys._state_tape, sys._tapes[1][0]
+    body = [f"{_seq(Y)}= Y"]
+    if x_tape is None:
+        X = [f"x{i}" for i in range(n)]
+        body += [f"xs = tuple(state_from_errors(plant, ({_seq(P)}), Y, gains).tolist())",
+                 f"{_seq(X)}= xs"]
+    else:
+        lines, X = x_tape.render("w", P, Y)
+        body += lines + [f"xs = ({_seq(X)})"]
+    body += ["g = gain(xs)", f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))"]
+    if d_tape is None:
+        body.append("ed = error_drift(plant, xs, Y, gains)")
+    else:
+        lines, outs = d_tape.render("v", X, Y)
+        body += lines + [f"ed = {outs[n]}"]
+    weight = "lyapunov_weight(spec, r)"
+    if nw is not None:
+        weight = "0.0"
+        for k in reversed(range(nw)):
+            weight = f"({weight} * r + wc{k})"
+    rates = _seq(f"-c{i} * p{i} + p{i + 1}" for i in range(n - 1))
+    body.append(f"return ({rates}ed - coef * g * g * {weight} * p{n - 1}, )")
+    setup = ["gain = plant.gain", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
+    if nw is not None:
+        setup.append(f"{_seq(f'wc{k}' for k in range(nw))}= spec._weight_coeffs")
+    setup += [f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
+
+    def fetch(T, Ys):
+        return [f"{Ys} = ref_d({T}, {n})",
+                f"if not all(map(isfinite, {Ys})): "
+                f"raise BlowupError('non-finite reference value', t={T})"]
+
+    S = _seq(f"s{i}" for i in range(n))
+    first = [*fetch("t", "ya"), f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
+    return _source("plant, gains, spec, coef, ref_d, dt, t0, append", setup,
+                   "advance(pos, stop)", n, n, "t0 + k * dt",
+                   _rk4(n, first, "node({S}{Y})", fetch), "averaged system diverged",
+                   "t0 + (k + 1) * dt", [f"append(({_seq(f'n{i}' for i in range(n))}))"])
 
 
 # --- generic dither coupling ---------------------------------------------------

@@ -98,11 +98,12 @@ class SystemModel:
     anything else raises ``TypeError``.  The gain is only ever called on
     floats.
 
-    Building a plant traces and compiles its synthesis kernels (see
-    :mod:`nonovershoot.synth`), which read the drifts' constants once, so
-    a drift must be a pure function of its arguments.  So must the gain:
-    the simulator evaluates it once per RK4 node and uses that one value
-    for the gain-floor check, the known-gain law and the plant rate.
+    Building a plant traces and compiles its synthesis kernels, and traces
+    the inverse map (see :mod:`nonovershoot.synth`); both read the drifts'
+    constants once, so a drift must be a pure function of its arguments.
+    So must the gain: the simulator evaluates it once per RK4 node and
+    uses that one value for the gain-floor check, the known-gain law and
+    the plant rate.
     """
 
     n: int
@@ -123,6 +124,8 @@ class SystemModel:
         tapes, kernels = synth.compile_kernels(self)
         object.__setattr__(self, "_tapes", tapes)
         object.__setattr__(self, "_kernels", kernels)
+        # the inverse map's tape, which only the averaged system's loop reads
+        object.__setattr__(self, "_state_tape", synth.state_tape(self))
         # compiled closed-loop steps, built by sim on a controller's first run
         object.__setattr__(self, "_steps", {})
 

@@ -8,16 +8,18 @@ RK4 sub-stage because the input depends continuously on time through
 the dither; sample-and-hold would inject averaging error at the
 square-root-of-frequency scale.
 
-That makes the simulator's cost its per-step overhead, so each step is
-one call of straight-line code generated for the plant and controller
-(``_step_source``), compiled on the controller's first run on that plant
-and cached on it.  Every RK4 node runs the plant's traced synthesis
-tapes (``synth.Tape``) written out as code, the control law and the
-plant rate, in the float operations of the library laws and of
-``rk4_step`` and in their order, so the results are theirs bit for bit.
-Gains, Lyapunov coefficients and references are inputs, so a sweep
-compiles one step.  The averaged system's RK4 update comes from the
-same emitter (``rate_step``).
+That makes the simulator's cost its per-step overhead, so the run loop
+itself is code generated for the plant and controller (``_step_source``),
+compiled on the controller's first run on that plant and cached on it:
+each step is straight-line code apart from calls of one generated node
+function, and the loop records the samples and checks the state's range
+without leaving the generated code.  Every RK4 node runs the plant's
+traced synthesis tapes (``synth.Tape``) written out as code, the control
+law and the plant rate, in the float operations of the library laws and
+of ``rk4_step`` and in their order, so the results are theirs bit for
+bit.  Gains, Lyapunov coefficients and references are inputs, so a sweep
+compiles one loop.  The averaged system's loop comes from the same
+emitter (``_rk4``, ``_source``; see ``averaging``).
 """
 
 import itertools
@@ -28,16 +30,16 @@ from typing import Optional
 import numpy as np
 
 from .control import (SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec,
-                      lyapunov_value_from_norm, singular_gain)
+                      lyapunov_value_from_norm, lyapunov_weight, singular_gain)
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
 from .synth import (KERNEL_SCOPE, GainConfig, bound_report, check_gains,
-                    coords_and_drift, error_values)
+                    coords_and_drift, error_drift, error_values, state_from_errors)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
 
-_STATE_LIMIT = 1e9
+_STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``_source``)
 
 CONTROLLERS = ("es", "nominal", "nussbaum", "safety-filter")
 DITHERED = ("es", "safety-filter")      # the controllers whose input carries the dither
@@ -154,22 +156,17 @@ _CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
 
 
 class _Recorder:
-    """Trajectory samples, appended one tuple per sample and flushed into
-    preallocated arrays every _FLUSH_ROWS rows: an item write into a numpy
-    array costs about as much as a step's own bookkeeping, and an
-    unbounded list would hold every sample twice."""
+    """Trajectory samples, appended one tuple per sample to ``rows`` by the
+    generated run loop and flushed into preallocated arrays after every
+    block of _FLUSH_ROWS steps: an item write into a numpy array costs
+    about as much as a step's own bookkeeping, and an unbounded list would
+    hold every sample twice."""
 
     def __init__(self, size, n):
         self.cols = (np.empty(size), np.empty((size, n)), np.empty((size, n)),
                      np.empty(size), np.empty(size), np.empty(size, dtype=np.int8))
         self.rows = []      # (t, x, h, u, yr, mode) since the last flush
         self.count = 0      # rows already in the arrays
-
-    def append(self, row):
-        rows = self.rows
-        rows.append(row)
-        if len(rows) == _FLUSH_ROWS:
-            self.flush()
 
     def flush(self):
         if self.rows:
@@ -202,19 +199,21 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     filter freezes its nominal/override decision at the start of each
     step so the switching signal is piecewise constant on the grid.
 
-    Each step is one call of code generated for this plant and controller
-    (see ``_step_source``): it evaluates the tracked reference's
-    derivative stack once per RK4 node (start, midpoint, end), and the
-    gain once per node, where it also checks the gain floor (the last
-    sample, which is no node of a step taken, is not checked).
+    The run is a loop generated for this plant and controller (see
+    ``_step_source``), called once per block of _FLUSH_ROWS steps.  Each
+    step evaluates the tracked reference's derivative stack once per RK4
+    node (start, midpoint, end), and the gain once per node, where it also
+    checks the gain floor (the last sample, which is no node of a step
+    taken, is not checked).
 
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence: the state leaving the finite
-    range, an ``OverflowError``, or a math-domain ``ValueError`` (see
-    ``model.is_divergence``).  When a reference stack the failed step read
-    is not finite, the cause is "non-finite reference value" at the first
-    such node, as in ``averaging.simulate_averaged``.  Any other exception
-    propagates unchanged.
+    range (|x_i| > 1e9 or NaN, theta included), an ``OverflowError``, or a
+    math-domain ``ValueError`` (see ``model.is_divergence``).  When a
+    reference stack the failed step read is not finite, the cause is
+    "non-finite reference value" at the first such node, as in
+    ``averaging.simulate_averaged``.  Any other exception propagates
+    unchanged.
     """
     if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
@@ -236,31 +235,27 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     rec = _Recorder(nsteps + 1, n)
     ref_d = ref.derivatives
     nom_d = ref_d if nominal_ref is ref else nominal_ref.derivatives
-    step = _closed_loop(sys, controller, lyap_spec)(
-        sys, gains, lyap_spec, ref_d, nom_d, dt, rec.append)
+    advance = _closed_loop(sys, controller, lyap_spec)(
+        sys, gains, lyap_spec, ref_d, nom_d, dt, rec.rows.append)
 
-    state = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
-    t, last = 0.0, False
+    # (step, its start state) where the loop stopped
+    pos = [0, tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())]
     try:
         try:
-            for k in range(nsteps):
-                t = k * dt
-                new = step(t, state)
-                if not all(map(_STATE_LIMIT.__ge__, map(abs, new))):   # NaN fails too
-                    raise BlowupError("state left the finite range", t=(k + 1) * dt,
-                                      state=np.array(new[:n]))
-                state = new
-            t, last = nsteps * dt, True
-            step(t, state, True)            # the last sample only
+            while pos[0] < nsteps:
+                advance(pos, min(pos[0] + _FLUSH_ROWS, nsteps))
+                rec.flush()
+            advance(pos, nsteps + 1, True)      # the last sample only
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise
-            raise BlowupError(f"arithmetic divergence: {exc}", t=t,
+            k, state = pos
+            raise BlowupError(f"arithmetic divergence: {exc}", t=k * dt,
                               state=np.array(state[:n])) from None
     except BlowupError as exc:
-        # state is the start of the step that failed
+        k, state = pos
         node = _reference_fault(ref_d, nom_d if controller == "safety-filter" else None,
-                                n, t, state[0], dt, last)
+                                n, k * dt, state[0], dt, k == nsteps)
         if node is not None:
             exc = BlowupError("non-finite reference value", t=node, state=np.array(state[:n]))
         exc.partial_trajectory = rec.trajectory(complete=False)
@@ -297,11 +292,13 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
     return None
 
 
-# --- compiled closed-loop step ----------------------------------------------------
+# --- compiled closed-loop run loop ------------------------------------------------
 
-_STEP_SCOPE = dict(KERNEL_SCOPE, sqrt=math.sqrt, fsum=math.fsum, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
+_STEP_SCOPE = dict(KERNEL_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
+                   array=np.array, BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
                    singular_gain=singular_gain, error_values=error_values,
-                   coords_and_drift=coords_and_drift,
+                   coords_and_drift=coords_and_drift, error_drift=error_drift,
+                   state_from_errors=state_from_errors, lyapunov_weight=lyapunov_weight,
                    lyapunov_value_from_norm=lyapunov_value_from_norm)
 
 
@@ -310,14 +307,14 @@ def _factory(sys: SystemModel, key, source):
     make = sys._steps.get(key)
     if make is None:
         scope = dict(_STEP_SCOPE)
-        exec(compile(source(), f"<{key[0]} step of {sys.name}>", "exec"), scope)
+        exec(compile(source(), f"<{key[0]} loop of {sys.name}>", "exec"), scope)
         make = sys._steps[key] = scope["make"]
     return make
 
 
 def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
-    """make(plant, gains, spec, ref_d, nom_d, dt, record) -> step for one
-    plant and controller (see ``_step_source``).  Of the Lyapunov
+    """make(plant, gains, spec, ref_d, nom_d, dt, append) -> advance for
+    one plant and controller (see ``_step_source``).  Of the Lyapunov
     shape only the number of its coefficients is compiled in."""
     ncoef = None
     if controller in DITHERED and lyap_spec.closed_form:
@@ -326,60 +323,66 @@ def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
                     lambda: _step_source(sys, controller, ncoef))
 
 
-def rate_step(sys: SystemModel, rate, stack, dt: float):
-    """step(t, y) -> y after one RK4 step of dy/dt = rate(t, y, stack(t))
-    on n-tuples, from the emitter of the closed-loop step; stack is called
-    once per node."""
-    n = sys.n
-    first = ["ya = stack(t)", f"{_seq(f'k1_{i}' for i in range(n))}= rate(t, state, ya)"]
-    return _factory(sys, ("rate",), lambda: _source(
-        "rate, stack, dt", [], "step(t, state)",
-        _rk4(n, first, "rate({T}, ({S}), {Y})", "stack({})")))(rate, stack, dt)
-
-
 def _seq(names) -> str:
     """"a, b, " for the names a, b: a tuple's items or an unpacking target."""
     return "".join(f"{v}, " for v in names)
 
 
-def _rk4(m: int, first: list, call: str, fetch: str) -> list:
-    """Body of step(t, state): one RK4 step of the m floats in state, in
-    the float operations of ``rk4_step``.  ``first`` are the lines of node
-    1, which fetch its reference stack and set the rates k1_0..;
-    call.format(T=, S=, Y=) is the rates at a later node, at time T, state
-    items S and stack Y; fetch.format(T) is the stack at T, fetched once
-    k1 is known."""
-    lines = [f"{_seq(f's{i}' for i in range(m))}= state", *first,
-             "tm = t + half", f"ym = {fetch.format('tm')}",
-             "te = t + dt", f"ye = {fetch.format('te')}"]
+def _rk4(m: int, first: list, call: str, fetch) -> list:
+    """Lines of one RK4 step of the m floats s0.. from time t, in the float
+    operations of ``rk4_step``; they leave the new state in n0...
+    ``first`` are the lines of node 1, which fetch its reference stack and
+    set the rates k1_0..; call.format(T=, S=, Y=) is the rates at a later
+    node, at time T, state items S and stack Y; fetch(T, Y) are the lines
+    that set Y to the stack at T, run once k1 is known."""
+    lines = [*first, "tm = t + half", *fetch("tm", "ym"), "te = t + dt", *fetch("te", "ye")]
     for j, T, Y, frac in ((2, "tm", "ym", "half"), (3, "tm", "ym", "half"),
                           (4, "te", "ye", "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
         lines.append(f"{_seq(f'k{j}_{i}' for i in range(m))}= {call.format(T=T, S=S, Y=Y)}")
-    return lines + ["return (" + _seq(f"s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i}"
-                                      f" + k4_{i})" for i in range(m)) + ")"]
+    return lines + [f"n{i} = s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})"
+                    for i in range(m)]
 
 
-def _source(params: str, setup: list, signature: str, body: list) -> str:
-    """``def make(<params>)``: the setup lines, then ``def <signature>``
-    with the body lines, which make returns."""
+def _source(params: str, setup: list, signature: str, m: int, n: int, time: str,
+            step: list, cause: str, fail_t: str, post=()) -> str:
+    """``def make(<params>)``: the setup lines, then ``def <signature>``,
+    the run loop, which make returns.  advance(pos, stop, ...) runs the
+    steps pos[0]..stop-1 from the m floats pos[1]: each sets t to time,
+    runs the lines step, which leave the new state in n0.., checks it and
+    runs the lines post.  The check is the divergence rule of every
+    generated loop: a new item beyond +-_STATE_LIMIT, or NaN, raises
+    BlowupError(cause) at time fail_t with the new state's first n items.
+    Whether advance returns or raises, pos then holds the step where it
+    stopped and that step's start state: stop and the state reached, or
+    the step that failed."""
+    S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
+    in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
+    loop = [f"t = {time}", *step, f"if not ({in_range}):",
+            f"    raise BlowupError({cause!r}, t={fail_t}, "
+            f"state=array(({_seq(f'n{i}' for i in range(n))})))", *post, f"{S}= {N}"]
     return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup),
                       "    half = dt / 2", "    sixth = dt / 6", f"    def {signature}:",
-                      *(f"        {line}" for line in body), "    return step"])
+                      f"        k, ({S}) = pos", "        try:",
+                      "            for k in range(k, stop):",
+                      *(f"                {line}" for line in loop),
+                      "            k = stop", "        finally:",
+                      f"            pos[:] = k, ({S})", "    return advance"])
 
 
 def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
-    """Source of the closed-loop step of one plant and controller.
+    """Source of the closed-loop run loop of one plant and controller.
 
-    make(plant, gains, spec, ref_d, nom_d, dt, record) binds one run's
+    make(plant, gains, spec, ref_d, nom_d, dt, append) binds one run's
     inputs: the gains and Lyapunov coefficients are read there, so one
-    compiled step serves every point of a sweep.  ref_d and nom_d give the
+    compiled loop serves every point of a sweep.  ref_d and nom_d give the
     derivative stacks of the tracked and the safety filter's nominal
     reference (the same callable when they are one reference, whose stack
-    node 1 then fetches once), and record takes one sample row.  make
-    returns step: step(t, state) records the sample at (t, state) and
-    returns the state one RK4 step later; step(t, state, True) only
-    records.
+    node 1 then fetches once), and append takes one sample row.  make
+    returns advance (see ``_source``): advance(pos, stop) runs the steps
+    pos[0]..stop-1, each of which records the sample at its start, and
+    advance(pos, nsteps + 1, True) only records the last sample, with the
+    same code.
 
     Every node evaluates the gain once and checks the gain floor on it
     (the last sample, which is no node of a step taken, is not checked),
@@ -392,8 +395,8 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     is frozen over the step.  The floor test is written out rather than
     a call of ``SystemModel.check_gain_floor``, whose rule it repeats:
     calling it at every node made a demo step about a tenth slower.  Node
-    1, which also records the sample, is written into the step; nodes 2
-    to 4 call one straight-line node function, so the step compiles two
+    1, which also records the sample, is written into the loop; nodes 2
+    to 4 call one straight-line node function, so the loop compiles two
     copies of the tapes, not four (compiling four copies of the coupled
     tape at n = 4 peaks at about 2 MB).
     """
@@ -406,15 +409,15 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         return f"{_seq(f'{Y}{i}' for i in range(n + 1))}= {Y}"
 
     def coords(tape, coupled, prefix, S, Y):
-        """(lines, sources) of the error coordinates at states S and stack
-        Y: uncoupled (``error_values``), or coupled with the residual drift
-        last (``coords_and_drift``)."""
+        """(lines, sources) of the error coordinates at states S (their
+        tuple is xs) and stack Y: uncoupled (``error_values``), or coupled
+        with the residual drift last (``coords_and_drift``)."""
         if tape is not None:
             return tape.render(prefix, S, [f"{Y}{i}" for i in range(n + 1)])
         outs = [f"{prefix}{i}" for i in range(n + coupled)]
         fn = "coords_and_drift" if coupled else "error_values"
         target = f"[{_seq(outs[:n])}]" + "".join(f", {o}" for o in outs[n:])
-        return [f"{target} = {fn}(plant, c, ({_seq(S[:n])}), {Y}, {coupled})"], outs
+        return [f"{target} = {fn}(plant, c, xs, {Y}, {coupled})"], outs
 
     def seek(T, h):                         # es_control
         if ncoef is None:
@@ -459,11 +462,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     def node(S, Y, T, k, pre, h=None, post=(), floor="g * g < floor"):
         """Gain and floor check (the condition floor), the lines pre, the
         law, the lines post, then the rates <k>0.. at one node."""
-        xs = f"({_seq(S[:n])})"
-        return [f"g = gain({xs})", f"if {floor}: raise violation(g, {xs})",
+        return [f"xs = ({_seq(S[:n])})", "g = gain(xs)", f"if {floor}: raise violation(g, xs)",
                 *pre, *law(T, S, Y, k, h), *post] + [
             f"{k}{i} = {S[i + 1]} + d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [
-            f"{k}{n - 1} = g * u + d{n - 1}({xs})"]
+            f"{k}{n - 1} = g * u + d{n - 1}(xs)"]
 
     S = [f"s{i}" for i in range(m)]
     pre = [f"ya = ref_d(t, {n})", unpack("ya")]
@@ -471,7 +473,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d"]
     h_lines, h = coords(h_tape, False, "e", S, "ya")
     first = node(S, "ya", "t", "k1_", pre + h_lines, h, [
-        f"record((t, ({_seq(S[:n])}), ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
+        f"append((t, xs, ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
         "if last: return"], "g * g < floor and not last")
     P = [f"p{i}" for i in range(m)]
     mode = ", mode" if filt else ""
@@ -488,9 +490,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     setup += [f"def node(t, {_seq(P)}Y{mode}):",
               *(f"    {v}" for v in node(P, "Y", "t", "k_", [unpack("Y")])),
               f"    return ({_seq(f'k_{i}' for i in range(m))})"]
-    return _source("plant, gains, spec, ref_d, nom_d, dt, record", setup,
-                   "step(t, state, last=False)",
-                   _rk4(m, first, "node({T}, {S}{Y}" + mode + ")", f"stack({{}}, {n})"))
+    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup,
+                   "advance(pos, stop, last=False)", m, n, "k * dt",
+                   _rk4(m, first, "node({T}, {S}{Y}" + mode + ")",
+                        lambda T, Y: [f"{Y} = stack({T}, {n})"]),
+                   "state left the finite range", "(k + 1) * dt")
 
 
 def _default_id(sys, controller, scenario):

@@ -398,15 +398,30 @@ def error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> np.ndarray
     return np.array(error_values(sys, gains.c, x, yr_stack))
 
 
-def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:
-    """Invert error_coords (the map is triangular: solve state by state)."""
-    hs, ys = _floats(h), _floats(yr_stack)
+def _state_values(sys: SystemModel, c, hs, ys, couple=False):
+    """States from error coordinates, solved stage by stage (definition of
+    the tape ``state_tape``; the map is uncoupled, couple is not read)."""
     xs = [hs[0] + ys[0]]
     for i in range(2, sys.n + 1):
         # a_{i-1} to order 0 only reads x_1..x_{i-1}, all reconstructed already
-        a_prev = _taylor_pass(sys, gains.c, tuple(xs), ys, False, i - 1, 0)[2][-1]
+        a_prev = _taylor_pass(sys, c, tuple(xs), ys, False, i - 1, 0)[2][-1]
         xs.append(hs[i - 1] + a_prev + ys[i - 1])
-    return np.array(xs)
+    return xs
+
+
+def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:
+    """Invert error_coords (the map is triangular: solve state by state)."""
+    return np.array(_state_values(sys, gains.c, _floats(h), _floats(yr_stack)))
+
+
+def state_tape(sys: SystemModel) -> Optional[Tape]:
+    """Tape of ``state_from_errors``, the inverse map, whose inputs x0..
+    stand for the error coordinates h_1..; None where the plant's drifts
+    cannot be traced.  Only the averaged system's generated loop reads it,
+    but it is traced when the plant is built, with the kernels' tapes, so
+    that no run calls the drifts on recording scalars: the first averaged
+    run on a plant then calls the drifts as often as the next."""
+    return _trace(_state_values, sys, False)
 
 
 def error_drift(sys: SystemModel, x, yr_stack, gains: GainConfig, couple: bool = False) -> float:

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from nonovershoot import (BlowupError, GainConfig, Reference, Scenario, averaged_rhs, bound_report,
-                          deviation_study, dither_coupling, effective_damping,
-                          error_coords, example_lyapunov_spec, get_reference,
-                          lyapunov_weight, rk4_step, simulate_averaged)
-from nonovershoot.sim import DEFAULT_PSI_SCALE
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain_integrator
+from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Reference, Scenario,
+                          SystemModel, averaged_rhs, bound_report, deviation_study,
+                          dither_coupling, effective_damping, error_coords,
+                          example_lyapunov_spec, get_reference, lyapunov_weight, rk4_step,
+                          simulate_averaged)
+from nonovershoot.sim import _STATE_LIMIT, DEFAULT_PSI_SCALE
+
+from conftest import chain_integrator, random_gains, random_poly_system
+from test_sim import _FAMILIES, _hex
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +232,83 @@ def test_simulate_averaged_rejects_non_finite_reference(demo, gains, soft):
     assert info.value.t == pytest.approx(0.0045)   # midpoint of step 4
     with pytest.raises(BlowupError, match="non-finite reference value"):
         averaged_rhs(demo, soft, gains, sc.reference, info.value.t, [0.1, 0.0])
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("halved", [False, True])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(seed=st.integers(0, 200), dt=st.floats(1e-4, 2e-3),
+       h0=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5))
+@settings(max_examples=3)
+def test_generated_averaged_step_equals_rk4_over_averaged_rhs(seed, dt, halved, closed, h0,
+                                                              n, family):
+    # every step of the generated loop is rk4_step over averaged_rhs, bit for
+    # bit: traced and untraced drifts, both coefficients, and a weight in
+    # closed form or from a growth_fn bound
+    sys = _FAMILIES[family](n, seed)
+    gains = random_gains(n, seed)
+    bound = DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1)
+    if not closed:
+        bound = DriftBound(growth_fn=bound.growth, offset=bound.offset)
+    spec = LyapunovSpec(bound, gains.c[-1], gains.kappa)
+    assert spec.closed_form == closed
+    ref = get_reference("sine04")
+    h = np.array(h0[:n])
+    want = [_hex(h)]
+    for k in range(3):
+        sc = Scenario(x0=(0.0,) * n, t_end=(k + 1) * dt, dt=dt, reference=ref)
+        try:
+            got = simulate_averaged(sys, spec, gains, sc, h0=h0[:n], halved=halved)
+        except BlowupError as exc:      # a stiff random plant may leave the float range
+            assert str(exc) == "averaged system diverged"
+            try:
+                h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v,
+                                                       halved=halved), k * dt, h, dt)
+            except (BlowupError, OverflowError, ValueError):
+                return
+            assert np.max(np.abs(h)) > _STATE_LIMIT
+            return
+        h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v, halved=halved),
+                     k * dt, h, dt)
+        want.append(_hex(h))
+        assert [_hex(row) for row in got] == want
+
+
+def test_averaged_system_diverges_past_the_full_loops_range():
+    # x' = 100 x + u: hbar grows about 10% a step and passes 1e9 while
+    # finite; the averaged loop stops there, as the full loop does
+    plant = SystemModel(n=1, drift=(lambda xs: 100.0 * xs[0],), gain=lambda xs: 1.0, xi1=1.0)
+    gains = GainConfig(c=(1.5,), kappa=1.0, lam=0.1, beta=0.1, omega=60.0)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1e-12)), 1.5, 1.0)
+    sc = Scenario(x0=(0.0,), t_end=0.5, dt=1e-3, reference="constant:0")
+    with pytest.raises(BlowupError, match="^averaged system diverged$") as info:
+        simulate_averaged(plant, spec, gains, sc, h0=[1.0])
+    h, k = np.array([1.0]), 0
+    while abs(h[0]) <= _STATE_LIMIT:
+        h = rk4_step(lambda t, v: averaged_rhs(plant, spec, gains, "constant:0", t, v),
+                     k * 1e-3, h, 1e-3)
+        k += 1
+    assert info.value.t == k * 1e-3 < 0.5
+    assert np.array_equal(info.value.state, h)
+    assert np.all(np.isfinite(h))
+
+
+def test_averaged_runs_on_a_fresh_plant_make_equal_drift_calls():
+    # the inverse map is traced when the plant is built, so the first
+    # averaged run calls the drifts as often as the next: never, for a plant
+    # whose drifts are traced
+    calls = []
+    base = random_poly_system(3, 4)
+    plant = SystemModel(n=3, gain=base.gain, xi1=base.xi1,
+                        drift=tuple(lambda xs, d=d: calls.append(1) or d(xs)
+                                    for d in base.drift))
+    gains = random_gains(3, 4, descending=True)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0)), gains.c[-1], gains.kappa)
+    sc = Scenario(x0=(0.0, 0.0, 0.0), t_end=0.01, dt=1e-3)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        simulate_averaged(plant, spec, gains, sc, h0=[-0.1, 0.0, 0.0])
+        counts.append(len(calls))
+    assert counts == [0, 0]

@@ -481,6 +481,69 @@ def test_partial_trajectory_holds_exactly_the_recorded_rows(plant, controller, x
     assert len(partial.to_csv().splitlines()) == rows + 1
 
 
+class _JumpReference(Reference):
+    """Zero up to t = start, level from there on; its rates are zero."""
+
+    def __init__(self, start, level):
+        self.start, self.level = start, level
+
+    def derivative(self, t, k):
+        return self.level if k == 0 and t >= self.start else 0.0
+
+
+def _gainless_integrator():
+    """x' = 0 * u: the input never reaches the state, so the comparator's
+    theta can leave the range while x stays at rest (the floor 1e-13 is
+    below the check's slack, so gain 0 passes it)."""
+    return SystemModel(n=1, drift=(lambda xs: 0.0,), gain=lambda xs: 0.0, xi1=1e-13)
+
+
+@pytest.mark.parametrize("controller", ["es", "nominal", "safety-filter", "nussbaum"])
+@pytest.mark.parametrize("k", [sim._FLUSH_ROWS - 1, sim._FLUSH_ROWS, sim._FLUSH_ROWS + 1])
+def test_range_failure_at_a_flush_block_edge(controller, k):
+    # the reference jumps between node 1 and node 2 of step k, so step k is
+    # the first to leave the finite range (the seeking law's V grows as
+    # |h|^4, so a lower jump keeps its end state finite): rows 0..k are
+    # kept, and the error carries the end of step k, its replay through the
+    # library laws
+    dt = 1e-3
+    plant = _gainless_integrator() if controller == "nussbaum" else chain_integrator(1)
+    gains = GainConfig(c=(1.5,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0)), 1.5, 1.1)
+    ref = _JumpReference((k + 0.25) * dt, 1e2 if controller == "es" else 1e15)
+    sc = Scenario(x0=(0.0,), t_end=300 * dt, dt=dt, reference=ref)
+    with pytest.raises(BlowupError, match="^state left the finite range$") as info:
+        run_scenario(plant, controller, gains, sc, lyap_spec=spec, nominal_reference=ref)
+    partial = info.value.partial_trajectory
+    assert len(partial.t) == k + 1
+    assert np.array_equal(partial.t, np.arange(k + 1) * dt)
+    assert info.value.t == (k + 1) * dt
+    # the comparator's theta is not recorded; at rest it stays at theta0 = 0
+    state = np.array(list(partial.x[k]) + ([0.0] if controller == "nussbaum" else []))
+    law = _oracle_law(plant, controller, gains, spec, ref, ref, k * dt, state)
+
+    def rhs(tt, s):
+        u, aux = law(tt, s)
+        return np.concatenate([eval_dynamics(plant, s[:1], u), aux])
+
+    end = rk4_step(rhs, k * dt, state, dt)
+    assert _hex(info.value.state) == _hex(end[:1])
+    assert np.max(np.abs(end)) > sim._STATE_LIMIT
+    if controller == "nussbaum":      # theta alone left the range
+        assert list(info.value.state) == [0.0]
+
+
+@pytest.mark.parametrize("nsteps", [sim._FLUSH_ROWS - 1, sim._FLUSH_ROWS, sim._FLUSH_ROWS + 1])
+def test_runs_ending_at_a_flush_block_edge_keep_every_sample(demo, gains, nsteps):
+    sc = Scenario(x0=(-0.5, 0.0), t_end=300e-3, dt=1e-3)
+    full, _ = run_scenario(demo, "es", gains, sc)
+    short, _ = run_scenario(demo, "es", gains, Scenario(x0=sc.x0, t_end=nsteps * 1e-3,
+                                                         dt=1e-3))
+    assert short.complete and len(short.t) == nsteps + 1
+    for name in ("t", "x", "h", "u", "yr", "margin", "mode"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:nsteps + 1])
+
+
 class _BlowingReference(Reference):
     """Zero up to t = start, infinite from there on."""
 
