@@ -19,8 +19,9 @@ import numpy as np
 
 from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
-from .sim import _FLUSH_ROWS, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
-from .synth import GainConfig, error_coords, error_drift, state_from_errors
+from .sim import (_FLUSH_ROWS, _factory, _horner, _rk4, _seq, _source, fmt, refine_dt,
+                  run_scenario)
+from .synth import GainConfig, check_gain_count, error_coords, error_drift, state_from_errors
 
 
 def _averaged_rates(sys, spec, gains, ys, hs, coef):
@@ -73,7 +74,9 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     (|hbar_i| > 1e9 or NaN, the full loop's rule) or on an arithmetic
     divergence (``model.is_divergence``), and "non-finite reference value"
     at the first RK4 node whose reference stack is not finite.
+    ValueError if gains has not one rate gain per state.
     """
+    check_gain_count(sys, gains)
     ref = get_reference(scenario.reference)
     n = sys.n
     if h0 is None:
@@ -84,7 +87,7 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     out = np.empty((nsteps + 1, n))
     out[0] = h
     rows = []
-    nw = len(spec._weight_coeffs) if spec.closed_form else None
+    nw = len(spec._weight_coeffs)
     advance = _factory(sys, ("averaged", nw), lambda: _averaged_source(sys, nw))(
         sys, gains, spec, _coef(gains, halved), ref.derivatives, dt, t0, rows.append)
     pos = [0, h]        # (step, its start state) where the loop stopped
@@ -108,9 +111,8 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     make(plant, gains, spec, coef, ref_d, dt, t0, append) binds one run:
     coef is the damping coefficient (``_coef``), ref_d the reference's
     derivative stack and append takes each new hbar; nw is the number of
-    closed-form Lyapunov weight coefficients, written out as a Horner
-    chain, or None for a shape without them, whose weight is a call of
-    ``lyapunov_weight``.  make returns advance (``sim._source``), whose
+    the Lyapunov weight's coefficients, written out as a Horner chain
+    (``lyapunov_weight``).  make returns advance (``sim._source``), whose
     steps run at t = t0 + k * dt.  Every RK4 node fetches the stack and
     checks it is finite, then calls one node function: ``_averaged_rates``
     written out, with the inverse map from the plant's tape of it
@@ -135,17 +137,12 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     else:
         lines, outs = d_tape.render("v", X, Y)
         body += lines + [f"ed = {outs[n]}"]
-    weight = "lyapunov_weight(spec, r)"
-    if nw is not None:
-        weight = "0.0"
-        for k in reversed(range(nw)):
-            weight = f"({weight} * r + wc{k})"
+    wc = [f"wc{k}" for k in range(nw)]
     rates = _seq(f"-c{i} * p{i} + p{i + 1}" for i in range(n - 1))
-    body.append(f"return ({rates}ed - coef * g * g * {weight} * p{n - 1}, )")
-    setup = ["gain = plant.gain", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
-    if nw is not None:
-        setup.append(f"{_seq(f'wc{k}' for k in range(nw))}= spec._weight_coeffs")
-    setup += [f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
+    body.append(f"return ({rates}ed - coef * g * g * {_horner(wc, 'r')} * p{n - 1}, )")
+    setup = ["gain = plant.gain", f"{_seq(f'c{i}' for i in range(n))}= gains.c",
+             f"{_seq(wc)}= spec._weight_coeffs",
+             f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
 
     def fetch(T, Ys):
         return [f"{Ys} = ref_d({T}, {n})",
@@ -172,9 +169,10 @@ def dither_coupling(inner, outer, period: float) -> float:
 
     computed by composite quadrature on a fixed fine grid (absolute error
     well under 1e-9 for smooth dithers).  Rejects dithers whose mean over
-    one period exceeds 1e-9.
+    one period exceeds 1e-9.  This probe is the package's only scipy user;
+    it imports scipy when called, so no other path loads it.
     """
-    from scipy.integrate import cumulative_simpson, simpson   # only this probe needs scipy
+    from scipy.integrate import cumulative_simpson, simpson
 
     if period <= 0:
         raise ValueError("period must be positive")

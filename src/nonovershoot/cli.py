@@ -11,6 +11,7 @@ from pathlib import Path
 
 from . import averaging, config as cfgmod, sim
 from .model import BlowupError, Scenario, get_reference, get_system
+from .synth import check_gain_count
 
 
 def _common(parser, controller=True):
@@ -75,6 +76,7 @@ def _load(args):
     if len(scenario.x0) != system.n:
         raise ValueError(f"x0 has {len(scenario.x0)} entries; system "
                          f"{args.system!r} has {system.n} states")
+    check_gain_count(system, gains)
     return system, gains, scenario, cfgmod.option_floats(cfg)
 
 

@@ -2,9 +2,11 @@
 
 Recognised keys: c1..cn, kappa_n, lambda, beta, omega, x0 (comma
 separated), reference, theta0, delta_est, psi_scale.  One key per line;
-blank lines and #-comments ignored.
+blank lines and #-comments ignored.  Every number must be finite, and
+psi_scale positive.
 """
 
+import math
 import re
 
 from .sim import DEFAULT_PSI_SCALE
@@ -49,18 +51,24 @@ def merged(cfg: dict) -> dict:
 
 def numbers(text: str, what: str) -> tuple:
     """Comma-separated numbers as floats; ValueError naming ``what`` if
-    any of them is not a number."""
+    any of them is not a number or not finite."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{what}: expected finite numbers, got {text!r}")
+    return vals
 
 
 def _number(cfg: dict, key: str) -> float:
     try:
-        return float(cfg[key])
+        v = float(cfg[key])
     except ValueError:
         raise ValueError(f"{key}: expected a number, got {cfg[key]!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{key}: expected a finite number, got {cfg[key]!r}")
+    return v
 
 
 def gains_from_config(cfg: dict) -> GainConfig:
@@ -79,7 +87,10 @@ def x0_from_config(cfg: dict) -> tuple:
 
 def option_floats(cfg: dict) -> dict:
     cfg = merged(cfg)
-    return {key: _number(cfg, key) for key in ("theta0", "delta_est", "psi_scale")}
+    opts = {key: _number(cfg, key) for key in ("theta0", "delta_est", "psi_scale")}
+    if opts["psi_scale"] <= 0:
+        raise ValueError(f"psi_scale: expected a positive number, got {cfg['psi_scale']!r}")
+    return opts
 
 
 def reference_from_config(cfg: dict) -> str:

@@ -10,6 +10,10 @@
   sweeping an oscillatory gain theta^2*cos(theta).
 * ``safety_filter``: passes a nominal input inside the safe set and
   overrides it with the seeking law outside.
+
+The Lyapunov function has one shape: its weight is a polynomial in |h|
+built from a polynomial drift envelope, so V is a polynomial too and is
+evaluated in closed form.  Nothing here imports scipy.
 """
 
 import math
@@ -19,11 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SystemModel
-from .synth import DriftBound, GainConfig, coords_and_drift, error_values
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+from .synth import DriftBound, GainConfig, _positive, coords_and_drift, error_values, horner
 
 
 class SingularGainError(ZeroDivisionError):
@@ -43,9 +43,10 @@ class LyapunovSpec:
 
     weight(r) = kappa * [c_n/kappa + e(r) + e(r)^2] with e the drift-bound
     envelope; weight(r) >= c_n for every r, which is the workhorse floor
-    of the damping analysis.  Polynomial envelopes integrate in closed
-    form (the law evaluates V four times per integration step); anything
-    else falls back to adaptive quadrature.
+    of the damping analysis.  The envelope is a polynomial, so weight and
+    V are polynomials, kept as ascending coefficients (``_weight_coeffs``,
+    ``_value_coeffs``) and evaluated by Horner's rule: the law evaluates V
+    four times per integration step.
     """
 
     drift_bound: DriftBound
@@ -53,29 +54,21 @@ class LyapunovSpec:
     kappa: float
 
     def __post_init__(self):
-        if self.c_n <= 0 or self.kappa <= 0:
-            raise ValueError("c_n and kappa must be positive")
-        if self.drift_bound.is_polynomial:
-            # weight(r) = c_n + kappa*(w + w^2), w = envelope polynomial
-            w = list(self.drift_bound.growth_coeffs)
-            w[0] += self.drift_bound.offset
-            w2 = np.convolve(w, w)
-            coeffs = np.zeros(len(w2))
-            coeffs[: len(w)] += w
-            coeffs += w2
-            coeffs *= self.kappa
-            coeffs[0] += self.c_n
-            object.__setattr__(self, "_weight_coeffs", tuple(float(c) for c in coeffs))
-            # V(s) = sum_k coeffs[k] s^{k+2} / (k+2)
-            object.__setattr__(self, "_value_coeffs",
-                               tuple(float(ck) / (k + 2) for k, ck in enumerate(coeffs)))
-        else:
-            object.__setattr__(self, "_weight_coeffs", None)
-            object.__setattr__(self, "_value_coeffs", None)
-
-    @property
-    def closed_form(self) -> bool:
-        return self._weight_coeffs is not None
+        _positive("c_n", self.c_n)
+        _positive("kappa", self.kappa)
+        # weight(r) = c_n + kappa*(w + w^2), w = envelope polynomial
+        w = list(self.drift_bound.growth_coeffs)
+        w[0] += self.drift_bound.offset
+        w2 = np.convolve(w, w)
+        coeffs = np.zeros(len(w2))
+        coeffs[: len(w)] += w
+        coeffs += w2
+        coeffs *= self.kappa
+        coeffs[0] += self.c_n
+        object.__setattr__(self, "_weight_coeffs", tuple(float(c) for c in coeffs))
+        # V(s) = sum_k coeffs[k] s^{k+2} / (k+2)
+        object.__setattr__(self, "_value_coeffs",
+                           tuple(float(ck) / (k + 2) for k, ck in enumerate(coeffs)))
 
 
 def example_lyapunov_spec(sys, gains: GainConfig, scale: float = 1.0) -> LyapunovSpec:
@@ -92,30 +85,13 @@ def lyapunov_weight(spec: LyapunovSpec, r: float) -> float:
     """Radial weight; strictly increasing, bounded below by c_n."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if spec.closed_form:
-        acc = 0.0
-        for coef in reversed(spec._weight_coeffs):
-            acc = acc * r + coef
-        return acc
-    e = spec.drift_bound.envelope(r)
-    return spec.c_n + spec.kappa * (e + e * e)
+    return horner(spec._weight_coeffs, r)
 
 
 def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
     if s < 0:
         raise ValueError("norm must be nonnegative")
-    if spec.closed_form:
-        acc = 0.0
-        for coef in reversed(spec._value_coeffs):
-            acc = acc * s + coef
-        return acc * s * s
-    from scipy import integrate     # only this fallback needs scipy
-
-    val, err = integrate.quad(lambda r: r * lyapunov_weight(spec, r), 0.0, s,
-                              epsabs=1e-10, limit=200)
-    if err > 1e-8:
-        raise QuadratureError(f"V quadrature error {err:.3g} at |h| = {s:.6g}")
-    return val
+    return horner(spec._value_coeffs, s) * s * s
 
 
 def lyapunov_value(spec: LyapunovSpec, h) -> float:

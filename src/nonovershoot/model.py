@@ -129,12 +129,6 @@ class SystemModel:
         # compiled closed-loop steps, built by sim on a controller's first run
         object.__setattr__(self, "_steps", {})
 
-    def check_gain_floor(self, x, tol=GAIN_FLOOR_TOL):
-        g = self.gain(tuple(x))
-        if g * g < self.xi1 - tol:
-            raise self.floor_violation(g, x)
-        return g
-
     def floor_violation(self, g, x) -> GainFloorViolation:
         """The error for gain value g below the floor at state x."""
         return GainFloorViolation(
@@ -337,7 +331,7 @@ class Scenario:
 
     The horizon must be a whole number of steps: t_end/dt within 1e-9
     (relative) of an integer >= 1.  Anything else is rejected rather than
-    silently cut to the nearest grid point.
+    silently cut to the nearest grid point, as is a non-finite x0.
     """
 
     x0: tuple
@@ -356,6 +350,8 @@ class Scenario:
                 f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}; "
                 "nearest valid t_end: " + " or ".join(f"{k * self.dt:.12g}" for k in near))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        if not all(map(math.isfinite, self.x0)):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
     @property
     def nsteps(self) -> int:

@@ -29,11 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec,
-                      lyapunov_value_from_norm, lyapunov_weight, singular_gain)
+from .control import SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec, singular_gain
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
-from .synth import (KERNEL_SCOPE, GainConfig, bound_report, check_gains,
+from .synth import (KERNEL_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
                     coords_and_drift, error_drift, error_values, state_from_errors)
 
 DEFAULT_PSI_SCALE = 0.0025
@@ -219,6 +218,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
     if len(scenario.x0) != sys.n:
         raise ValueError(f"x0 must have dimension {sys.n}")
+    check_gain_count(sys, gains)
     needs_dither = controller in DITHERED
     if needs_dither and not scenario.dither_resolved(gains.omega):
         raise ValueError(
@@ -298,8 +298,7 @@ _STEP_SCOPE = dict(KERNEL_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.i
                    array=np.array, BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
                    singular_gain=singular_gain, error_values=error_values,
                    coords_and_drift=coords_and_drift, error_drift=error_drift,
-                   state_from_errors=state_from_errors, lyapunov_weight=lyapunov_weight,
-                   lyapunov_value_from_norm=lyapunov_value_from_norm)
+                   state_from_errors=state_from_errors)
 
 
 def _factory(sys: SystemModel, key, source):
@@ -315,10 +314,9 @@ def _factory(sys: SystemModel, key, source):
 def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
     """make(plant, gains, spec, ref_d, nom_d, dt, append) -> advance for
     one plant and controller (see ``_step_source``).  Of the Lyapunov
-    shape only the number of its coefficients is compiled in."""
-    ncoef = None
-    if controller in DITHERED and lyap_spec.closed_form:
-        ncoef = len(lyap_spec._value_coeffs)
+    shape only the number of its coefficients is compiled in, for the
+    dithered controllers; the others read none (ncoef None)."""
+    ncoef = len(lyap_spec._value_coeffs) if controller in DITHERED else None
     return _factory(sys, (controller, ncoef),
                     lambda: _step_source(sys, controller, ncoef))
 
@@ -326,6 +324,14 @@ def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
 def _seq(names) -> str:
     """"a, b, " for the names a, b: a tuple's items or an unpacking target."""
     return "".join(f"{v}, " for v in names)
+
+
+def _horner(coeffs: list, x: str) -> str:
+    """Source of ``synth.horner`` over the names coeffs at x."""
+    acc = "0.0"
+    for coef in reversed(coeffs):
+        acc = f"({acc} * {x} + {coef})"
+    return acc
 
 
 def _rk4(m: int, first: list, call: str, fetch) -> list:
@@ -392,9 +398,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     gain*u + drift_n.  The float operations and their order are those of
     the library laws (``es_control``, ``nominal_backstepping``,
     ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
-    is frozen over the step.  The floor test is written out rather than
-    a call of ``SystemModel.check_gain_floor``, whose rule it repeats:
-    calling it at every node made a demo step about a tenth slower.  Node
+    is frozen over the step.  The floor test, g * g < xi1 -
+    GAIN_FLOOR_TOL, is written out at every node and is the only copy of
+    that rule (a call per node made a demo step about a tenth slower);
+    ``SystemModel.floor_violation`` builds the error it raises.  Node
     1, which also records the sample, is written into the loop; nodes 2
     to 4 call one straight-line node function, so the loop compiles two
     copies of the tapes, not four (compiling four copies of the coupled
@@ -419,15 +426,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         target = f"[{_seq(outs[:n])}]" + "".join(f", {o}" for o in outs[n:])
         return [f"{target} = {fn}(plant, c, xs, {Y}, {coupled})"], outs
 
+    vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
+
     def seek(T, h):                         # es_control
-        if ncoef is None:
-            value = "lyapunov_value_from_norm(spec, r)"
-        else:
-            acc = "0.0"
-            for k in reversed(range(ncoef)):
-                acc = f"({acc} * r + vc{k})"
-            value = f"{acc} * r * r"
-        return [f"r = sqrt(fsum(({_seq(f'{v} * {v}' for v in h)})))", f"V = {value}",
+        return [f"r = sqrt(fsum(({_seq(f'{v} * {v}' for v in h)})))",
+                f"V = {_horner(vc, 'r')} * r * r",
                 f"u = sq * (beta * cos(om * {T}) - lam * sin(om * {T}) * V)"]
 
     def ideal(S, Y):                        # control._ideal_and_last
@@ -482,9 +485,8 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
              f"{_seq(f'c{i}' for i in range(n))}= c",
              f"{_seq(f'd{i}' for i in range(n))}= plant.drift"]
     if controller in DITHERED:
-        setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)"]
-    if ncoef is not None:
-        setup.append(f"{_seq(f'vc{k}' for k in range(ncoef))}= spec._value_coeffs")
+        setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
+                  f"{_seq(vc)}= spec._value_coeffs"]
     if not filt:
         setup.append("stack = ref_d")
     setup += [f"def node(t, {_seq(P)}Y{mode}):",

@@ -68,10 +68,10 @@ class GainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        if any(ci <= 0 for ci in self.c):
-            raise ValueError("all rate gains c_i must be positive")
-        if min(self.kappa, self.lam, self.beta, self.omega) <= 0:
-            raise ValueError("kappa, lam, beta, omega must be positive")
+        for i, ci in enumerate(self.c, start=1):
+            _positive(f"c{i}", ci)
+        for name in ("kappa", "lam", "beta", "omega"):
+            _positive(name, getattr(self, name))
 
     @property
     def n(self):
@@ -80,6 +80,28 @@ class GainConfig:
     @property
     def c_min(self):
         return min(self.c)
+
+
+def _positive(name: str, v) -> None:
+    """ValueError naming the value unless 0 < v < inf (NaN included)."""
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def horner(coeffs, x: float) -> float:
+    """sum_k coeffs[k] x^k by Horner's rule, starting from 0.0 (the
+    generated loops write out the same operations, ``sim._horner``)."""
+    acc = 0.0
+    for coef in reversed(coeffs):
+        acc = acc * x + coef
+    return acc
+
+
+def check_gain_count(sys: SystemModel, gains: GainConfig) -> None:
+    """ValueError unless there is one rate gain per state."""
+    if gains.n != sys.n:
+        raise ValueError(f"{gains.n} rate gains c1..c{gains.n} given; "
+                         f"system {sys.name!r} has {sys.n} states")
 
 
 class InitSignError(ValueError):
@@ -436,43 +458,33 @@ def error_drift(sys: SystemModel, x, yr_stack, gains: GainConfig, couple: bool =
 class DriftBound:
     """Radial envelope for the residual drift: |error_drift| <= growth(|h|) + offset.
 
-    growth is an increasing function vanishing at zero, stored as
-    polynomial coefficients (ascending powers, zero constant term) or as
-    an arbitrary increasing callable (quadrature fallback downstream).
+    growth is a polynomial, increasing and vanishing at zero, given by its
+    coefficients in ascending powers (zero constant term).  The Lyapunov
+    weight built on it (``control.LyapunovSpec``) is then a polynomial
+    too, which the law evaluates in closed form.
     """
 
-    growth_coeffs: Optional[tuple] = None
-    growth_fn: Optional[object] = None
+    growth_coeffs: tuple
     offset: float = 0.0
 
     def __post_init__(self):
-        if (self.growth_coeffs is None) == (self.growth_fn is None):
-            raise ValueError("provide exactly one of growth_coeffs / growth_fn")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
-        if self.growth_coeffs is not None:
-            coeffs = tuple(float(v) for v in self.growth_coeffs)
-            if coeffs and coeffs[0] != 0.0:
-                raise ValueError("growth must vanish at zero (constant coefficient 0)")
-            if any(v < 0 for v in coeffs):
-                raise ValueError("growth coefficients must be nonnegative")
-            if not any(v > 0 for v in coeffs[1:]):
-                raise ValueError("growth must be strictly increasing and unbounded")
-            object.__setattr__(self, "growth_coeffs", coeffs)
-
-    @property
-    def is_polynomial(self):
-        return self.growth_coeffs is not None
+        coeffs = tuple(float(v) for v in self.growth_coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"growth coefficients must be finite, got {coeffs}")
+        if not 0 <= self.offset < math.inf:
+            raise ValueError(f"offset must be nonnegative and finite, got {self.offset!r}")
+        if coeffs and coeffs[0] != 0.0:
+            raise ValueError("growth must vanish at zero (constant coefficient 0)")
+        if any(v < 0 for v in coeffs):
+            raise ValueError("growth coefficients must be nonnegative")
+        if not any(v > 0 for v in coeffs[1:]):
+            raise ValueError("growth must be strictly increasing and unbounded")
+        object.__setattr__(self, "growth_coeffs", coeffs)
 
     def growth(self, r: float) -> float:
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        if self.growth_coeffs is not None:
-            acc = 0.0
-            for coef in reversed(self.growth_coeffs):
-                acc = acc * r + coef
-            return acc
-        return self.growth_fn(r)
+        return horner(self.growth_coeffs, r)
 
     def envelope(self, r: float) -> float:
         return self.growth(r) + self.offset
@@ -503,12 +515,8 @@ def scale_drift_bound(bound: DriftBound, scale: float) -> DriftBound:
     """Uniformly scale a bound.  scale < 1 yields a non-certified bound
     (the envelope no longer dominates the residual drift); used to trade
     dither amplitude against the certified margin in simulations."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if bound.is_polynomial:
-        return DriftBound(growth_coeffs=tuple(scale * v for v in bound.growth_coeffs),
-                          offset=scale * bound.offset)
-    return DriftBound(growth_fn=lambda r: scale * bound.growth_fn(r),
+    _positive("scale", scale)
+    return DriftBound(growth_coeffs=tuple(scale * v for v in bound.growth_coeffs),
                       offset=scale * bound.offset)
 
 

@@ -115,6 +115,15 @@ def test_coupling_rejects_nonzero_mean():
         dither_coupling(lambda s: math.cos(s) + 0.1, math.sin, 2 * math.pi)
 
 
+@pytest.mark.parametrize("c", [(2.0,), (2.0, 1.5, 1.2)])
+def test_averaged_run_rejects_a_gain_count_off_the_state_dimension(demo, soft, c):
+    gains = GainConfig(c=c, kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match=f"^{len(c)} rate gains c1..c{len(c)} given; "
+                                         "system 'example' has 2 states$"):
+        simulate_averaged(demo, soft, gains, sc)
+
+
 def test_coupling_rejects_bad_period():
     with pytest.raises(ValueError):
         dither_coupling(math.cos, math.sin, 0.0)
@@ -234,25 +243,24 @@ def test_simulate_averaged_rejects_non_finite_reference(demo, gains, soft):
         averaged_rhs(demo, soft, gains, sc.reference, info.value.t, [0.1, 0.0])
 
 
-@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("linear", [True, False])
 @pytest.mark.parametrize("halved", [False, True])
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @given(seed=st.integers(0, 200), dt=st.floats(1e-4, 2e-3),
        h0=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5))
 @settings(max_examples=3)
-def test_generated_averaged_step_equals_rk4_over_averaged_rhs(seed, dt, halved, closed, h0,
+def test_generated_averaged_step_equals_rk4_over_averaged_rhs(seed, dt, halved, linear, h0,
                                                               n, family):
     # every step of the generated loop is rk4_step over averaged_rhs, bit for
-    # bit: traced and untraced drifts, both coefficients, and a weight in
-    # closed form or from a growth_fn bound
+    # bit: traced and untraced drifts, both coefficients, and a linear or a
+    # quadratic growth envelope, whose weights have 3 and 5 coefficients and
+    # so run two compiled loops
     sys = _FAMILIES[family](n, seed)
     gains = random_gains(n, seed)
-    bound = DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1)
-    if not closed:
-        bound = DriftBound(growth_fn=bound.growth, offset=bound.offset)
-    spec = LyapunovSpec(bound, gains.c[-1], gains.kappa)
-    assert spec.closed_form == closed
+    growth = (0.0, 1.0) if linear else (0.0, 1.0, 0.5)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=growth, offset=0.1), gains.c[-1], gains.kappa)
+    assert len(spec._weight_coeffs) == (3 if linear else 5)
     ref = get_reference("sine04")
     h = np.array(h0[:n])
     want = [_hex(h)]

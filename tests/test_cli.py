@@ -171,6 +171,8 @@ def test_horizon_off_the_step_grid_is_a_message(t_end, capsys):
     ("", ["sweep", "--grid", "x0=1"], "x0 grids are only supported"),
     ("", ["average", "--omegas", "60,x"], "--omegas: expected comma-separated"),
     ("", ["run", "--system", "nope"], "unknown system id 'nope'"),
+    ("", ["sweep", "--grid", "omega=60,inf"], "--grid omega: expected finite numbers"),
+    ("", ["average", "--omegas", "60,nan"], "--omegas: expected finite numbers"),
 ])
 def test_malformed_input_is_one_line(tmp_path, config, args, message):
     cfgp = tmp_path / "bad.cfg"
@@ -180,6 +182,41 @@ def test_malformed_input_is_one_line(tmp_path, config, args, message):
     text = exc_info.value.code
     assert isinstance(text, str) and text.startswith("nonovershoot: ")
     assert message in text and "\n" not in text
+
+
+_SUBCOMMANDS = [["run"], ["run", "--controller", "nussbaum"], ["compare"], ["safety"],
+                ["sweep", "--grid", "kappa_n=1.1"], ["average", "--omegas", "60"]]
+
+
+_BAD_CONFIGS = [
+    ("lambda=nan", "lambda: expected a finite number, got 'nan'"),
+    ("kappa_n=inf", "kappa_n: expected a finite number, got 'inf'"),
+    ("x0=nan,0", "x0: expected finite numbers, got 'nan,0'"),
+    ("beta=inf", "beta: expected a finite number, got 'inf'"),
+    ("theta0=inf", "theta0: expected a finite number, got 'inf'"),
+    ("omega=nan", "omega: expected a finite number, got 'nan'"),
+    ("omega=inf", "omega: expected a finite number, got 'inf'"),
+    ("psi_scale=0", "psi_scale: expected a positive number, got '0'"),
+    ("psi_scale=nan", "psi_scale: expected a finite number, got 'nan'"),
+    ("delta_est=nan", "delta_est: expected a finite number, got 'nan'"),
+    ("c1=2", "1 rate gains c1..c1 given; system 'example' has 2 states"),
+    ("c1=2\nc2=1.5\nc3=1.2", "3 rate gains c1..c3 given; system 'example' has 2 states"),
+]
+
+
+@pytest.mark.parametrize("args", _SUBCOMMANDS, ids=lambda a: "-".join(a[:1] + a[2:3]))
+@pytest.mark.parametrize("config, message", _BAD_CONFIGS,
+                         ids=[c.replace("\n", ";") for c, _ in _BAD_CONFIGS])
+def test_non_finite_option_or_gain_count_is_one_line(tmp_path, config, message, args):
+    # rejected where the input is read, before any run: not relabelled as
+    # a divergence, not a traceback from the generated loop
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(config + "\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(args + ["--t-end", "0.01", "--config", str(cfgp)])
+    text = exc_info.value.code          # a string: exit status 1, the text on stderr
+    assert text == f"nonovershoot: {message}"
+    assert "diverged" not in text
 
 
 def test_average_subcommand(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Importing the package and running the simulation paths loads no scipy:
-scipy is imported only by the quadrature fallback of the Lyapunov value
-and by the dither-coupling probe."""
+the only scipy import is in the dither-coupling probe
+(``averaging.dither_coupling``)."""
 
 import os
 import subprocess
@@ -12,14 +12,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROGRAM = """
 import sys
 import nonovershoot, nonovershoot.cli
-from nonovershoot import (Scenario, deviation_study, demo_gains, example_lyapunov_spec,
-                          example_system, run_scenario)
-from nonovershoot.sim import DEFAULT_PSI_SCALE
+from nonovershoot import (Scenario, averaged_rhs, deviation_study, demo_gains,
+                          example_lyapunov_spec, example_system, lyapunov_value,
+                          run_scenario, sweep)
+from nonovershoot.sim import CONTROLLERS, DEFAULT_PSI_SCALE
 plant, gains = example_system(), demo_gains()
-run_scenario(plant, "es", gains, Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3))
+sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+for controller in CONTROLLERS:
+    run_scenario(plant, controller, gains, sc)
+sweep(plant, "es", gains, sc, {"kappa_n": [1.1, 3.0]})
 spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
-deviation_study(plant, spec, gains, Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3),
-                [60.0, 240.0])
+lyapunov_value(spec, [0.3, -0.7])
+averaged_rhs(plant, spec, gains, "sine04", 0.0, [-0.5, 0.4])
+deviation_study(plant, spec, gains, sc, [60.0, 240.0])
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

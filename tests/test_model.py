@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonovershoot import (BlowupError, ConstantReference, GainFloorViolation, Reference,
-                          Scenario, SineReference, SystemModel, eval_dynamics,
-                          get_reference, get_system, reference_stack, refine_dt)
+from nonovershoot import (BlowupError, ConstantReference, GainConfig, GainFloorViolation,
+                          Reference, Scenario, SineReference, SystemModel, eval_dynamics,
+                          get_reference, get_system, reference_stack, refine_dt,
+                          run_scenario)
 
 from nonovershoot.model import is_divergence
 
@@ -64,11 +65,14 @@ def test_example_gain_floor_is_tight(demo):
 
 
 def test_gain_floor_monitor_trips():
+    # gain = x1 on x1' = u: from x1 = 1 the nominal law drives x1 to the
+    # reference 0, through the floor gain^2 >= 0.25 at x1 = 0.5
     sys = SystemModel(n=1, drift=(lambda xs: 0.0,), gain=lambda xs: xs[0],
                       xi1=0.25, name="crossing")
-    sys.check_gain_floor([1.0])
-    with pytest.raises(GainFloorViolation):
-        sys.check_gain_floor([0.1])
+    gains = GainConfig(c=(2.0,), kappa=1.0, lam=1.0, beta=1.0, omega=60.0)
+    sc = Scenario(x0=(1.0,), t_end=1.0, dt=1e-3, reference="constant:0")
+    with pytest.raises(GainFloorViolation, match="< xi1 = 0.25 at x = "):
+        run_scenario(sys, "nominal", gains, sc)
 
 
 def test_reference_stack_sine_at_zero():
@@ -238,6 +242,12 @@ def test_scenario_validation():
     sc = Scenario(x0=(0.0, 0.0), t_end=1.0, dt=1e-3)
     assert sc.dither_resolved(60.0)
     assert not sc.dither_resolved(1000.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_x0(bad):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        Scenario(x0=(-0.5, bad), t_end=1.0, dt=1e-3)
 
 
 @pytest.mark.parametrize("t_end, nearest", [(0.0104, "0.01 or 0.011"), (5e-4, "0.001")])

@@ -102,6 +102,16 @@ def test_recorded_input_matches_library_law(demo, gains):
             assert u == es_control(spec, gains, t, h)
 
 
+@pytest.mark.parametrize("c", [(2.0,), (2.0, 1.5, 1.2)])
+@pytest.mark.parametrize("controller", sim.CONTROLLERS)
+def test_run_rejects_a_gain_count_off_the_state_dimension(demo, c, controller):
+    gains = GainConfig(c=c, kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match=f"^{len(c)} rate gains c1..c{len(c)} given; "
+                                         "system 'example' has 2 states$"):
+        run_scenario(demo, controller, gains, sc)
+
+
 def test_dither_resolution_precondition(demo, gains):
     sc = Scenario(x0=(-0.5, 0.0), t_end=1.0, dt=5e-3)
     with pytest.raises(ValueError):
@@ -681,17 +691,6 @@ def test_generated_step_equals_the_library_laws_bit_for_bit(seed, dt, theta0, h0
                     return np.concatenate([eval_dynamics(sys, s[:n], u), aux])
 
                 assert _hex(traj.x[k + 1]) == _hex(rk4_step(rhs, t, state, dt)[:n])
-
-
-def test_non_polynomial_lyapunov_shape_in_the_generated_step(demo, gains):
-    # a growth_fn bound has no closed-form V: the step calls the quadrature
-    bound = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE).drift_bound
-    spec = LyapunovSpec(DriftBound(growth_fn=bound.growth, offset=bound.offset),
-                        gains.c[-1], gains.kappa)
-    traj, _ = run_scenario(demo, "es", gains, Scenario(x0=(-0.5, 0.0), t_end=0.003,
-                                                        dt=1e-3), lyap_spec=spec)
-    for t, h, u in zip(traj.t, traj.h, traj.u):
-        assert u == es_control(spec, gains, t, h)
 
 
 def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):

@@ -204,15 +204,36 @@ def test_scale_drift_bound(demo, gains):
         scale_drift_bound(bound, 0.0)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_scale_drift_bound_rejects_non_finite_scale(demo, gains, scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        scale_drift_bound(default_drift_bound(demo, gains), scale)
+
+
 def test_drift_bound_validation():
     with pytest.raises(ValueError):
         DriftBound(growth_coeffs=(1.0, 1.0))  # nonzero constant
     with pytest.raises(ValueError):
         DriftBound(growth_coeffs=(0.0, -1.0))
     with pytest.raises(ValueError):
-        DriftBound(growth_coeffs=(0.0, 1.0), growth_fn=lambda r: r)
-    with pytest.raises(ValueError):
         DriftBound(growth_coeffs=(0.0, 1.0), offset=-0.1)
+
+
+@pytest.mark.parametrize("coeffs, offset", [
+    ((0.0, 1.0, math.nan), 0.0), ((0.0, math.inf), 0.0),
+    ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf)])
+def test_drift_bound_rejects_non_finite_values(coeffs, offset):
+    with pytest.raises(ValueError, match="must be (nonnegative and )?finite"):
+        DriftBound(growth_coeffs=coeffs, offset=offset)
+
+
+@pytest.mark.parametrize("field", ["c", "kappa", "lam", "beta", "omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gain_config_rejects_non_finite_values(field, value):
+    good = dict(c=(2.0, 1.5), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    name = "c2" if field == "c" else field
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        GainConfig(**{**good, field: (2.0, value) if field == "c" else value})
 
 
 # --- gain floors -------------------------------------------------------------------
