@@ -46,7 +46,9 @@ def _coef(gains, halved):
 
 def averaged_rhs(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                  reference, t: float, hbar, halved: bool = False) -> np.ndarray:
-    """Right-hand side of the averaged error system at time t."""
+    """Right-hand side of the averaged error system at time t.  ValueError
+    if gains has not one rate gain per state."""
+    check_gain_count(sys, gains)
     hs = tuple(np.asarray(hbar, dtype=float).tolist())
     ys = tuple(get_reference(reference).stack(t, sys.n).tolist())
     return np.array(_averaged_rates(sys, spec, gains, ys, hs, _coef(gains, halved)))

@@ -2,8 +2,8 @@
 
 Recognised keys: c1..cn, kappa_n, lambda, beta, omega, x0 (comma
 separated), reference, theta0, delta_est, psi_scale.  One key per line;
-blank lines and #-comments ignored.  Every number must be finite, and
-psi_scale positive.
+blank lines and #-comments ignored.  Every number must be finite,
+psi_scale positive and delta_est nonnegative.
 """
 
 import math
@@ -90,6 +90,8 @@ def option_floats(cfg: dict) -> dict:
     opts = {key: _number(cfg, key) for key in ("theta0", "delta_est", "psi_scale")}
     if opts["psi_scale"] <= 0:
         raise ValueError(f"psi_scale: expected a positive number, got {cfg['psi_scale']!r}")
+    if opts["delta_est"] < 0:
+        raise ValueError(f"delta_est: expected a nonnegative number, got {cfg['delta_est']!r}")
     return opts
 
 

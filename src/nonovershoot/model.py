@@ -99,11 +99,14 @@ class SystemModel:
     floats.
 
     Building a plant traces and compiles its synthesis kernels, and traces
-    the inverse map (see :mod:`nonovershoot.synth`); both read the drifts'
-    constants once, so a drift must be a pure function of its arguments.
-    So must the gain: the simulator evaluates it once per RK4 node and
-    uses that one value for the gain-floor check, the known-gain law and
-    the plant rate.
+    the inverse map and the drifts themselves (see
+    :mod:`nonovershoot.synth`); the simulator's plant rate comes from the
+    drift tape, with a drift call only where a drift cannot be traced.
+    Each tape reads the drifts' constants once, so a drift must be a pure
+    function of its arguments.  So must the gain: the simulator evaluates
+    it once per RK4 node and uses that one value for the gain-floor
+    check, the known-gain law and the plant rate.  xi1 must be positive
+    and finite.
     """
 
     n: int
@@ -117,8 +120,8 @@ class SystemModel:
             raise ValueError("state dimension must be >= 1")
         if len(self.drift) != self.n:
             raise ValueError(f"expected {self.n} drift functions, got {len(self.drift)}")
-        if self.xi1 <= 0:
-            raise ValueError("gain floor xi1 must be positive")
+        if not 0 < self.xi1 < math.inf:      # NaN too: it would turn the floor check off
+            raise ValueError(f"gain floor xi1 must be positive and finite, got {self.xi1!r}")
         from . import synth         # synth imports this module
         # traced and compiled here, not on first use, so that no run pays for it
         tapes, kernels = synth.compile_kernels(self)
@@ -126,6 +129,8 @@ class SystemModel:
         object.__setattr__(self, "_kernels", kernels)
         # the inverse map's tape, which only the averaged system's loop reads
         object.__setattr__(self, "_state_tape", synth.state_tape(self))
+        # the drifts' tape, which the closed-loop run loop reads for the plant rate
+        object.__setattr__(self, "_drift_tape", synth.drift_tape(self))
         # compiled closed-loop steps, built by sim on a controller's first run
         object.__setattr__(self, "_steps", {})
 

@@ -15,9 +15,10 @@ each step is straight-line code apart from calls of one generated node
 function, and the loop records the samples and checks the state's range
 without leaving the generated code.  Every RK4 node runs the plant's
 traced synthesis tapes (``synth.Tape``) written out as code, the control
-law and the plant rate, in the float operations of the library laws and
-of ``rk4_step`` and in their order, so the results are theirs bit for
-bit.  Gains, Lyapunov coefficients and references are inputs, so a sweep
+law, and the plant rate from the traced drift tape (a drift call only
+where a drift cannot be traced), in the float operations of the library
+laws and of ``rk4_step`` and in their order, so the results are theirs
+bit for bit.  Gains, Lyapunov coefficients and references are inputs, so a sweep
 compiles one loop.  The averaged system's loop comes from the same
 emitter (``_rk4``, ``_source``; see ``averaging``).
 """
@@ -230,6 +231,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     nominal_ref = get_reference(nominal_reference)
     if delta_est is None:
         delta_est = DEFAULT_DELTA_EST
+    if not 0 <= delta_est < math.inf:     # a negative allowance would shrink the envelope
+        raise ValueError(f"delta_est must be nonnegative and finite, got {delta_est!r}")
 
     n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
     rec = _Recorder(nsteps + 1, n)
@@ -395,10 +398,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     then computes the error coordinates and the control law from the
     plant's tapes (``synth.Tape``; a call to the Taylor pass where a
     drift could not be traced), and the plant rate x_{i+1} + drift_i,
-    gain*u + drift_n.  The float operations and their order are those of
-    the library laws (``es_control``, ``nominal_backstepping``,
-    ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
-    is frozen over the step.  The floor test, g * g < xi1 -
+    gain*u + drift_n, with the drifts from the plant's drift tape
+    (``synth.drift_tape``; calls of the drifts where it is None).  The
+    float operations and their order are those of the library laws
+    (``es_control``, ``nominal_backstepping``, ``nussbaum_control``) and
+    of ``rk4_step``.  The safety filter's mode is frozen over the step.  The floor test, g * g < xi1 -
     GAIN_FLOOR_TOL, is written out at every node and is the only copy of
     that rule (a call per node made a demo step about a tenth slower);
     ``SystemModel.floor_violation`` builds the error it raises.  Node
@@ -410,6 +414,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     n = sys.n
     m = n + (controller == "nussbaum")
     (h_tape, _), (_, z_tape) = sys._tapes
+    d_tape = sys._drift_tape
     filt = controller == "safety-filter"
 
     def unpack(Y):
@@ -462,13 +467,22 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         return ["if mode == 0:", *(f"    {v}" for v in known),
                 "else:", *(f"    {v}" for v in lines + seek(T, h))]
 
+    def rates(S, k):
+        """Lines that set the plant's rates <k>0.. at states S, from the
+        drift tape, or by calls of the drifts where it is None."""
+        if d_tape is None:
+            lines = []
+            d = [f"d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [f"d{n - 1}(xs)"]
+        else:
+            lines, d = d_tape.render("f", S, ())
+        return lines + [f"{k}{i} = {S[i + 1]} + {d[i]}" for i in range(n - 1)] + [
+            f"{k}{n - 1} = g * u + {d[n - 1]}"]
+
     def node(S, Y, T, k, pre, h=None, post=(), floor="g * g < floor"):
         """Gain and floor check (the condition floor), the lines pre, the
         law, the lines post, then the rates <k>0.. at one node."""
         return [f"xs = ({_seq(S[:n])})", "g = gain(xs)", f"if {floor}: raise violation(g, xs)",
-                *pre, *law(T, S, Y, k, h), *post] + [
-            f"{k}{i} = {S[i + 1]} + d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [
-            f"{k}{n - 1} = g * u + d{n - 1}(xs)"]
+                *pre, *law(T, S, Y, k, h), *post, *rates(S, k)]
 
     S = [f"s{i}" for i in range(m)]
     pre = [f"ya = ref_d(t, {n})", unpack("ya")]
@@ -482,8 +496,9 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     mode = ", mode" if filt else ""
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", "c = gains.c",
-             f"{_seq(f'c{i}' for i in range(n))}= c",
-             f"{_seq(f'd{i}' for i in range(n))}= plant.drift"]
+             f"{_seq(f'c{i}' for i in range(n))}= c"]
+    if d_tape is None:
+        setup.append(f"{_seq(f'd{i}' for i in range(n))}= plant.drift")
     if controller in DITHERED:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]

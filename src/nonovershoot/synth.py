@@ -301,9 +301,10 @@ def _trace(fn, sys: SystemModel, couple: bool) -> Optional[Tape]:
                  for p, k in (("x", n), ("y", n + 1), ("c", n)))
     try:
         out = fn(sys, c, xs, ys, couple)
+        flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
+        outs = tuple(map(_source, flat))
     except Exception:       # the pass raises it again where it matters
         return None
-    flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
     named = {v.name for v in flat if isinstance(v, dualnum.Rec)}
     live, kept = set(named), []
     for entry in reversed(tape):
@@ -321,13 +322,16 @@ def _trace(fn, sys: SystemModel, couple: bool) -> Optional[Tape]:
             lines.append(f"{name} = {expr}")
         else:
             nested[name], depth[name] = expr, d
-    return Tape(lines=tuple(lines), outs=tuple(map(_source, flat)))
+    return Tape(lines=tuple(lines), outs=outs)
 
 
 def _source(v) -> str:
-    """Source text of a traced result: a recorded name or a constant."""
+    """Source text of a traced result: a recorded name or a constant.
+    TypeError for anything else (a drift that returns None or an array)."""
     if isinstance(v, dualnum.Rec):
         return v.name
+    if not isinstance(v, (int, float)):
+        raise TypeError(f"cannot trace a result of type {type(v).__name__}")
     return f"({float(v)!r})"
 
 
@@ -444,6 +448,20 @@ def state_tape(sys: SystemModel) -> Optional[Tape]:
     that no run calls the drifts on recording scalars: the first averaged
     run on a plant then calls the drifts as often as the next."""
     return _trace(_state_values, sys, False)
+
+
+def _drifts(sys: SystemModel, c, xs, ys, couple=False):
+    """drift_1..drift_n at the states xs (definition of the tape
+    ``drift_tape``; c, ys and couple are not read)."""
+    return [sys.drift[i](xs[:i + 1]) for i in range(sys.n)]
+
+
+def drift_tape(sys: SystemModel) -> Optional[Tape]:
+    """Tape of the plant's drifts, whose outs are drift_1..drift_n; None
+    where they cannot be traced.  The closed-loop run loop writes it into
+    every RK4 node for the plant rate (``sim._step_source``), so a run
+    on a plant whose drifts trace calls no drift."""
+    return _trace(_drifts, sys, False)
 
 
 def error_drift(sys: SystemModel, x, yr_stack, gains: GainConfig, couple: bool = False) -> float:

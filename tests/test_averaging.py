@@ -124,6 +124,13 @@ def test_averaged_run_rejects_a_gain_count_off_the_state_dimension(demo, soft, c
         simulate_averaged(demo, soft, gains, sc)
 
 
+def test_averaged_rhs_rejects_a_gain_count_off_the_state_dimension(demo, soft):
+    gains = GainConfig(c=(2.0, 1.5, 1.2), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    with pytest.raises(ValueError, match="^3 rate gains c1..c3 given; "
+                                         "system 'example' has 2 states$"):
+        averaged_rhs(demo, soft, gains, "sine04", 0.0, [0.1, 0.0])
+
+
 def test_coupling_rejects_bad_period():
     with pytest.raises(ValueError):
         dither_coupling(math.cos, math.sin, 0.0)

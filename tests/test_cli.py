@@ -199,6 +199,8 @@ _BAD_CONFIGS = [
     ("psi_scale=0", "psi_scale: expected a positive number, got '0'"),
     ("psi_scale=nan", "psi_scale: expected a finite number, got 'nan'"),
     ("delta_est=nan", "delta_est: expected a finite number, got 'nan'"),
+    ("delta_est=-5", "delta_est: expected a nonnegative number, got '-5'"),
+    ("delta_est=-1e-9", "delta_est: expected a nonnegative number, got '-1e-9'"),
     ("c1=2", "1 rate gains c1..c1 given; system 'example' has 2 states"),
     ("c1=2\nc2=1.5\nc3=1.2", "3 rate gains c1..c3 given; system 'example' has 2 states"),
 ]

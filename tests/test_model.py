@@ -236,6 +236,15 @@ def test_system_validation():
         SystemModel(n=1, drift=(lambda xs: 0.0,), gain=lambda xs: 1.0, xi1=-1.0)
 
 
+@pytest.mark.parametrize("xi1", [math.nan, math.inf, 0.0, -1.0])
+def test_gain_floor_must_be_positive_and_finite(xi1):
+    # a NaN floor would make every generated node's check g * g < nan - tol
+    # false, so the floor check would be off without a word
+    with pytest.raises(ValueError, match=f"^gain floor xi1 must be positive and finite, "
+                                         f"got {xi1!r}$"):
+        SystemModel(n=1, drift=(lambda xs: 0.0,), gain=lambda xs: 1.0, xi1=xi1)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(x0=(0.0,), t_end=0.0, dt=1e-3)

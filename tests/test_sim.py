@@ -410,11 +410,9 @@ def test_gain_floor_is_not_checked_at_the_last_sample():
     assert np.array_equal(traj.x, full.x) and np.array_equal(traj.h, full.h)
 
 
-def test_runs_on_a_fresh_plant_make_equal_drift_calls():
-    # the synthesis kernels are compiled when the plant is built, so the
-    # first run compiles nothing and calls the drifts as often as the next
+def _drift_calls_of_two_runs(base):
+    """Drift calls of two nominal runs on a fresh plant with base's drifts."""
     calls = []
-    base = random_poly_system(3, 4)
     sys = SystemModel(n=3, gain=base.gain, xi1=base.xi1,
                       drift=tuple(lambda xs, d=d: calls.append(1) or d(xs)
                                   for d in base.drift))
@@ -427,7 +425,38 @@ def test_runs_on_a_fresh_plant_make_equal_drift_calls():
         calls.clear()
         run_scenario(sys, "nominal", gains, sc)
         counts.append(len(calls))
+    return counts
+
+
+def test_runs_on_a_fresh_plant_make_equal_drift_calls():
+    # the synthesis kernels and the drift tape are compiled when the plant
+    # is built, so the first run compiles nothing and calls the drifts as
+    # often as the next: never, for a plant whose drifts are traced
+    assert _drift_calls_of_two_runs(random_poly_system(3, 4)) == [0, 0]
+
+
+def test_runs_on_a_fresh_untraced_plant_make_equal_drift_calls():
+    # where the drifts cannot be traced, the node calls them
+    counts = _drift_calls_of_two_runs(_untraced_poly_system(3, 4))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("controller", sim.CONTROLLERS)
+def test_generated_loop_calls_the_drifts_only_where_they_cannot_be_traced(controller):
+    ncoef = 3 if controller in sim.DITHERED else None
+    for plant, traced in ((random_poly_system(3, 4), True), (_untraced_poly_system(3, 4), False)):
+        source = sim._step_source(plant, controller, ncoef)
+        for text in ("d0(", "plant.drift"):
+            assert (text in source) is not traced
+
+
+@pytest.mark.parametrize("delta_est", [-5.0, -1e-9, math.nan, math.inf])
+def test_run_rejects_a_negative_or_non_finite_delta_est(demo, gains, delta_est):
+    # a negative allowance would shrink the transient envelope
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match=f"^delta_est must be nonnegative and finite, "
+                                         f"got {delta_est!r}$"):
+        run_scenario(demo, "es", gains, sc, delta_est=delta_est)
 
 
 # --- per-node reference stacks, partial records, error classification ---------------

@@ -468,6 +468,7 @@ def test_kernel_equals_taylor_pass_bit_for_bit(seed, t, x, n, trig):
 def test_every_traceable_plant_gets_its_kernels(demo):
     for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
         assert all(k is not None for pair in sys._kernels for k in pair)
+        assert sys._drift_tape is not None
 
 
 def test_untraceable_drift_keeps_the_taylor_pass():
@@ -476,6 +477,7 @@ def test_untraceable_drift_keeps_the_taylor_pass():
     sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     assert sys._kernels == ((None, None), (None, None))
+    assert sys._drift_tape is None
     # a drift on numpy arrays may sum in another order on floats: not traced
     arr = SystemModel(n=2, drift=(lambda xs: np.dot([0.5], xs), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
@@ -484,6 +486,14 @@ def test_untraceable_drift_keeps_the_taylor_pass():
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
     assert error_drift(arr, x, ys, g) == pytest.approx(error_drift(lin, x, ys, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [None, np.float32(0.5), np.array(0.5)])
+def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
+    # the tape writes a constant result as a float literal only where it is
+    # one; anything else leaves the plant untraced, and it is still built
+    sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
+    assert sys._drift_tape is None
 
 
 def test_kernels_are_not_a_field(demo):
