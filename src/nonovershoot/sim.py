@@ -18,9 +18,9 @@ traced synthesis tapes (``synth.Tape``) written out as code, the control
 law, and the plant rate from the traced drift tape (a drift call only
 where a drift cannot be traced), in the float operations of the library
 laws and of ``rk4_step`` and in their order, so the results are theirs
-bit for bit.  Gains, Lyapunov coefficients and references are inputs, so a sweep
-compiles one loop.  The averaged system's loop comes from the same
-emitter (``_rk4``, ``_source``; see ``averaging``).
+bit for bit.  Gains, Lyapunov coefficients and references are inputs,
+so a sweep compiles one loop.  The averaged system's loop comes from the
+same emitter (``_rk4``, ``_source``; see ``averaging``).
 """
 
 import itertools
@@ -402,14 +402,14 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     (``synth.drift_tape``; calls of the drifts where it is None).  The
     float operations and their order are those of the library laws
     (``es_control``, ``nominal_backstepping``, ``nussbaum_control``) and
-    of ``rk4_step``.  The safety filter's mode is frozen over the step.  The floor test, g * g < xi1 -
-    GAIN_FLOOR_TOL, is written out at every node and is the only copy of
-    that rule (a call per node made a demo step about a tenth slower);
-    ``SystemModel.floor_violation`` builds the error it raises.  Node
-    1, which also records the sample, is written into the loop; nodes 2
-    to 4 call one straight-line node function, so the loop compiles two
-    copies of the tapes, not four (compiling four copies of the coupled
-    tape at n = 4 peaks at about 2 MB).
+    of ``rk4_step``.  The safety filter's mode is frozen over the step.
+    The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
+    node and is the only copy of that rule (a call per node made a demo
+    step about a tenth slower); ``SystemModel.floor_violation`` builds the
+    error it raises.  Node 1, which also records the sample, is written
+    into the loop; nodes 2 to 4 call one straight-line node function, so
+    the loop compiles two copies of the tapes, not four (compiling four
+    copies of the coupled tape at n = 4 peaks at about 2 MB).
     """
     n = sys.n
     m = n + (controller == "nussbaum")
