@@ -76,13 +76,18 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     (|hbar_i| > 1e9 or NaN, the full loop's rule) or on an arithmetic
     divergence (``model.is_divergence``), and "non-finite reference value"
     at the first RK4 node whose reference stack is not finite.
-    ValueError if gains has not one rate gain per state.
+    ValueError if gains has not one rate gain per state, if a given h0 is
+    not n finite numbers, or if t0 is not finite.
     """
     check_gain_count(sys, gains)
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     ref = get_reference(scenario.reference)
     n = sys.n
     if h0 is None:
         h0 = error_coords(sys, scenario.x0, ref.stack(t0, n), gains)
+    elif np.shape(h0) != (n,) or not np.all(np.isfinite(h0)):
+        raise ValueError(f"h0 must be {n} finite numbers, got {h0!r}")
     h = tuple(np.asarray(h0, dtype=float).tolist())
     nsteps = scenario.nsteps
     dt = scenario.dt
@@ -117,14 +122,14 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     (``lyapunov_weight``).  make returns advance (``sim._source``), whose
     steps run at t = t0 + k * dt.  Every RK4 node fetches the stack and
     checks it is finite, then calls one node function: ``_averaged_rates``
-    written out, with the inverse map from the plant's tape of it
-    (``synth.state_tape``) and the residual drift from its uncoupled
-    ``coords_and_drift`` tape (a call of ``state_from_errors`` or
-    ``error_drift`` where a drift could not be traced).  Compiled on the
-    plant's first averaged run."""
+    written out, with the inverse map and the uncoupled residual drift
+    from the plant's tapes of them (``synth.plant_tapes``: ``state`` and
+    ``residual``; a call of ``state_from_errors`` or ``error_drift``
+    where a drift could not be traced).  Compiled on the plant's first
+    averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
-    x_tape, d_tape = sys._state_tape, sys._tapes[1][0]
+    x_tape, d_tape = sys._tapes["state"], sys._tapes["residual"]
     body = [f"{_seq(Y)}= Y"]
     if x_tape is None:
         X = [f"x{i}" for i in range(n)]
@@ -138,7 +143,7 @@ def _averaged_source(sys: SystemModel, nw) -> str:
         body.append("ed = error_drift(plant, xs, Y, gains)")
     else:
         lines, outs = d_tape.render("v", X, Y)
-        body += lines + [f"ed = {outs[n]}"]
+        body += lines + [f"ed = {outs[0]}"]
     wc = [f"wc{k}" for k in range(nw)]
     rates = _seq(f"-c{i} * p{i} + p{i + 1}" for i in range(n - 1))
     body.append(f"return ({rates}ed - coef * g * g * {_horner(wc, 'r')} * p{n - 1}, )")

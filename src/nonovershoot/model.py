@@ -98,15 +98,14 @@ class SystemModel:
     anything else raises ``TypeError``.  The gain is only ever called on
     floats.
 
-    Building a plant traces and compiles its synthesis kernels, and traces
-    the inverse map and the drifts themselves (see
-    :mod:`nonovershoot.synth`); the simulator's plant rate comes from the
-    drift tape, with a drift call only where a drift cannot be traced.
-    Each tape reads the drifts' constants once, so a drift must be a pure
-    function of its arguments.  So must the gain: the simulator evaluates
-    it once per RK4 node and uses that one value for the gain-floor
-    check, the known-gain law and the plant rate.  xi1 must be positive
-    and finite.
+    Building a plant traces its synthesis pass, its inverse map and its
+    drifts into tapes (``synth.plant_tapes``), which the simulator's
+    generated loops write out; they call the drifts or the Taylor pass
+    only where a drift cannot be traced.  Each tape reads the drifts'
+    constants once, so a drift must be a pure function of its arguments.
+    So must the gain: the simulator evaluates it once per RK4 node and
+    uses that one value for the gain-floor check, the known-gain law and
+    the plant rate.  xi1 must be positive and finite.
     """
 
     n: int
@@ -123,14 +122,8 @@ class SystemModel:
         if not 0 < self.xi1 < math.inf:      # NaN too: it would turn the floor check off
             raise ValueError(f"gain floor xi1 must be positive and finite, got {self.xi1!r}")
         from . import synth         # synth imports this module
-        # traced and compiled here, not on first use, so that no run pays for it
-        tapes, kernels = synth.compile_kernels(self)
-        object.__setattr__(self, "_tapes", tapes)
-        object.__setattr__(self, "_kernels", kernels)
-        # the inverse map's tape, which only the averaged system's loop reads
-        object.__setattr__(self, "_state_tape", synth.state_tape(self))
-        # the drifts' tape, which the closed-loop run loop reads for the plant rate
-        object.__setattr__(self, "_drift_tape", synth.drift_tape(self))
+        # traced here, not on a loop's first compile, so that no run pays for it
+        object.__setattr__(self, "_tapes", synth.plant_tapes(self))
         # compiled closed-loop steps, built by sim on a controller's first run
         object.__setattr__(self, "_steps", {})
 

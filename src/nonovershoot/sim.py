@@ -33,7 +33,7 @@ import numpy as np
 from .control import SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec, singular_gain
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
-from .synth import (KERNEL_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
+from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
                     coords_and_drift, error_drift, error_values, state_from_errors)
 
 DEFAULT_PSI_SCALE = 0.0025
@@ -233,6 +233,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         delta_est = DEFAULT_DELTA_EST
     if not 0 <= delta_est < math.inf:     # a negative allowance would shrink the envelope
         raise ValueError(f"delta_est must be nonnegative and finite, got {delta_est!r}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0!r}")
 
     n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
     rec = _Recorder(nsteps + 1, n)
@@ -297,7 +299,7 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
 
 # --- compiled closed-loop run loop ------------------------------------------------
 
-_STEP_SCOPE = dict(KERNEL_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
+_STEP_SCOPE = dict(TAPE_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
                    array=np.array, BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
                    singular_gain=singular_gain, error_values=error_values,
                    coords_and_drift=coords_and_drift, error_drift=error_drift,
@@ -399,7 +401,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     plant's tapes (``synth.Tape``; a call to the Taylor pass where a
     drift could not be traced), and the plant rate x_{i+1} + drift_i,
     gain*u + drift_n, with the drifts from the plant's drift tape
-    (``synth.drift_tape``; calls of the drifts where it is None).  The
+    (``synth.plant_tapes``; calls of the drifts where it is None).  The
     float operations and their order are those of the library laws
     (``es_control``, ``nominal_backstepping``, ``nussbaum_control``) and
     of ``rk4_step``.  The safety filter's mode is frozen over the step.
@@ -413,8 +415,8 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     """
     n = sys.n
     m = n + (controller == "nussbaum")
-    (h_tape, _), (_, z_tape) = sys._tapes
-    d_tape = sys._drift_tape
+    tapes = sys._tapes
+    h_tape, z_tape, d_tape = tapes["h"], tapes["z"], tapes["drift"]
     filt = controller == "safety-filter"
 
     def unpack(Y):

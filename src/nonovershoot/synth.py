@@ -16,31 +16,28 @@ function along the open loop is its total time derivative along the
 drift flow dx_k/dt = x_{k+1} + drift_k with dy^(k)/dt = y^(k+1), so one
 order-by-order pass yields every error coordinate and the rate of the
 last stabilizing function exactly, at a cost polynomial in n.  Values
-that only need order 0 stay plain floats.  ``virtual_controllers`` keeps
-the nested-dual recursion, which exposes every partial derivative
+that only need order 0 stay plain floats.  ``error_values`` and
+``coords_and_drift`` are that pass.  ``virtual_controllers`` keeps the
+nested-dual recursion, which exposes every partial derivative
 separately and serves as the oracle for the Taylor pass.  Neither path
 uses finite differences.
 
-For a fixed plant that pass runs the same float operations in the same
-order at every input, so it is compiled once per plant: when a
-``SystemModel`` is built, ``compile_kernels`` traces ``_error_values``
-and ``_coords_and_drift`` for each coupling flavour on recording scalars
-(``dualnum.Rec``), with the states, the reference stack and the rate
-gains as inputs, and turns each tape into a straight-line Python
-function, the kernel.  ``error_values`` and ``coords_and_drift`` call the
-kernel, which returns the pass's results bit for bit at a tenth of its
-cost or less.  The plant also keeps each tape as source text (``Tape``),
-which the simulator writes into the RK4 nodes of its generated step
-(``sim._step_source``).  The Jet pass is the kernel's definition and
-still runs wherever a drift cannot be traced; the nested duals stay the
-oracle.
+For a fixed plant the pass runs the same float operations in the same
+order at every input.  So when a ``SystemModel`` is built,
+``plant_tapes`` traces it, the inverse map and the drifts on recording
+scalars (``dualnum.Rec``), with the states, the reference stack and the
+rate gains as inputs, and keeps each trace as straight-line source
+text (``Tape``).  The generated run loops write those tapes into their
+RK4 nodes (``sim._step_source``, ``averaging._averaged_source``), so a
+run does the pass's float operations in its order, bit for bit, without
+running it; where a drift cannot be traced they call the pass instead.
 
 Drifts are evaluated on jets as well as on floats, so they must be built
 from plain arithmetic, nonnegative integer powers, numeric (also numpy
 scalar) coefficients and the ``dualnum`` helpers ``sin``, ``cos`` and
 ``exp``; anything else (``math.sin``, comparisons, ``abs``) raises
 ``TypeError``.  A drift must also be a pure function of its arguments:
-the kernel holds the constants it read when the plant was built.
+a tape holds the constants it read when the plant was built.
 """
 
 import math
@@ -120,7 +117,9 @@ Jet = dualnum.Jet
 
 
 def _floats(v):
-    """A state or reference stack as a tuple; arrays become Python floats."""
+    """A state or reference stack as a tuple; arrays become Python floats.
+    A tuple passes through unchanged, so the tracer's tuples of recording
+    scalars run the same code as floats."""
     if type(v) is tuple:
         return v
     return tuple(v.tolist()) if isinstance(v, np.ndarray) else tuple(v)
@@ -190,8 +189,10 @@ def _taylor_pass(sys: SystemModel, c, xs, ys, couple: bool, s: int, p: int):
     return values, hs, alphas
 
 
-def _error_values(sys: SystemModel, c, xs, ys, couple):
-    """Error coordinates from one Taylor pass (definition of the kernel)."""
+def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list:
+    """Error coordinates as a list of floats (uncoupled: h, coupled: z);
+    c are the rate gains."""
+    xs, ys = _floats(x), _floats(yr_stack)
     n = sys.n
     if n == 1:
         return [xs[0] - ys[0]]
@@ -200,9 +201,10 @@ def _error_values(sys: SystemModel, c, xs, ys, couple):
     return values
 
 
-def _coords_and_drift(sys: SystemModel, c, xs, ys, couple):
-    """Error coordinates and residual drift from one Taylor pass
-    (definition of the kernel)."""
+def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
+    """Error coordinates and the residual drift of the last one, from one
+    Taylor pass: (list of floats, dh_n/dt - gain * u)."""
+    xs, ys = _floats(x), _floats(yr_stack)
     n = sys.n
     base = sys.drift[n - 1](xs) - ys[n]
     if n == 1:
@@ -213,30 +215,10 @@ def _coords_and_drift(sys: SystemModel, c, xs, ys, couple):
     return values, base - a[1]
 
 
-def error_values(sys: SystemModel, c, x, yr_stack, couple: bool = False) -> list:
-    """Error coordinates as a list of floats (uncoupled: h, coupled: z);
-    c are the rate gains."""
-    xs, ys = _floats(x), _floats(yr_stack)
-    kernel = sys._kernels[0][1 if couple else 0]
-    if kernel is None:
-        return _error_values(sys, c, xs, ys, couple)
-    return kernel(xs, ys, c)
+# --- tapes: the pass traced as straight-line source --------------------------------
 
-
-def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
-    """Error coordinates and the residual drift of the last one, from one
-    Taylor pass: (list of floats, dh_n/dt - gain * u)."""
-    xs, ys = _floats(x), _floats(yr_stack)
-    kernel = sys._kernels[1][1 if couple else 0]
-    if kernel is None:
-        return _coords_and_drift(sys, c, xs, ys, couple)
-    return kernel(xs, ys, c)
-
-
-# --- compiled kernels -------------------------------------------------------------
-
-KERNEL_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                "inf": math.inf, "nan": math.nan}
+TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "inf": math.inf, "nan": math.nan}     # the names a tape's source reads
 
 _NAME = re.compile(r"\b([xyv])(\d+)\b")
 _TEMP = re.compile(r"\bv\d+\b")
@@ -246,10 +228,10 @@ _MAX_NESTING = 24       # parentheses a tape expression may nest (the parser sto
 @dataclass(frozen=True)
 class Tape:
     """One traced pass as straight-line source.  ``lines`` are the
-    assignments ``vK = <expr>`` in the order they ran, over the states
+    assignments ``vK = <expr>`` in the order they ran, over the inputs
     x0.., the reference stack y0.., the rate gains c0.. and earlier vK;
-    ``outs`` is the source of each result: the error coordinates, then
-    (for ``_coords_and_drift``) the residual drift."""
+    ``outs`` is the source of each result, in the order the traced
+    function returns them."""
 
     lines: tuple
     outs: tuple
@@ -266,41 +248,54 @@ class Tape:
                 [_NAME.sub(name, out) for out in self.outs])
 
 
-def compile_kernels(sys: SystemModel) -> tuple:
-    """(tapes, kernels) of ``_error_values`` and ``_coords_and_drift``
-    (outer index), uncoupled and coupled (inner index), for one plant.  An
-    entry is None where the plant's drifts cannot be traced."""
-    tapes = tuple(tuple(_trace(fn, sys, couple) for couple in (False, True))
-                  for fn in (_error_values, _coords_and_drift))
-    kernels = tuple(tuple(None if tape is None else _kernel(tape, sys, fn.__name__)
-                          for tape in pair)
-                    for fn, pair in zip((_error_values, _coords_and_drift), tapes))
-    return tapes, kernels
+def plant_tapes(sys: SystemModel) -> dict:
+    """The tapes the generated run loops write out, by name; an entry is
+    None where the plant's drifts cannot be traced.
+
+    * ``h``: ``error_values``, uncoupled: the error coordinates h;
+    * ``z``: ``coords_and_drift``, coupled: z, then the residual drift;
+    * ``residual``: the uncoupled residual drift of h_n alone;
+    * ``state``: ``state_from_errors``, the inverse map, whose inputs
+      x0.. stand for h_1..;
+    * ``drift``: the drifts, drift_1..drift_n.
+
+    ``SystemModel`` traces them when it is built, not when a loop is
+    compiled, so that no run calls the drifts on recording scalars: the
+    first run on a plant calls the drifts as often as the next.
+    """
+    n = sys.n
+    passes = {
+        "h": lambda c, xs, ys: error_values(sys, c, xs, ys),
+        "z": lambda c, xs, ys: coords_and_drift(sys, c, xs, ys, True),
+        "residual": lambda c, xs, ys: [coords_and_drift(sys, c, xs, ys)[1]],
+        "state": lambda c, hs, ys: _state_values(sys, c, hs, ys),
+        "drift": lambda c, xs, ys: [sys.drift[i](xs[:i + 1]) for i in range(n)],
+    }
+    return {name: _trace(sys, fn) for name, fn in passes.items()}
 
 
-def _trace(fn, sys: SystemModel, couple: bool) -> Optional[Tape]:
-    """Trace fn(sys, c, xs, ys, couple) on recording scalars.  The tape
-    keeps the same float operations on the same operands.  Two rewrites
-    only: dead-code elimination, which keeps every operation that can
-    raise, so code built from the tape raises where the pass does; and an
-    operation that cannot raise and whose result is read once is written
-    into its reader's expression, in parentheses, instead of a temporary.
-    Python evaluates every such operation exactly as before (no
-    reassociation, no fused operations), so results stay bit for bit,
-    and the tape is about a tenth as many lines, which is what keeps
-    compiling a closed-loop step of four nodes cheap.
+def _trace(sys: SystemModel, fn) -> Optional[Tape]:
+    """Trace fn(c, xs, ys) on recording scalars.  The tape keeps the same
+    float operations on the same operands.  Two rewrites only: dead-code
+    elimination, which keeps every operation that can raise, so code built
+    from the tape raises where the pass does; and an operation that cannot
+    raise and whose result is read once is written into its reader's
+    expression, in parentheses, instead of a temporary.  Python evaluates
+    every such operation exactly as before (no reassociation, no fused
+    operations), so results stay bit for bit, and the tape is about a
+    tenth as many lines, which is what keeps compiling a closed-loop step
+    of four nodes cheap.
 
     The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
     cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
-    ends the trace, and the pass stays in use: it then raises the same
-    error at the first call that needs that drift, as it would without a
-    kernel.
+    ends the trace, and the loops call the pass instead: it then raises
+    the same error at the first call that needs that drift.
     """
     n, tape = sys.n, []
     xs, ys, c = (tuple(dualnum.Rec(tape, f"{p}{i}") for i in range(k))
                  for p, k in (("x", n), ("y", n + 1), ("c", n)))
     try:
-        out = fn(sys, c, xs, ys, couple)
+        out = fn(c, xs, ys)
         flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
         outs = tuple(map(_source, flat))
     except Exception:       # the pass raises it again where it matters
@@ -333,24 +328,6 @@ def _source(v) -> str:
     if not isinstance(v, (int, float)):
         raise TypeError(f"cannot trace a result of type {type(v).__name__}")
     return f"({float(v)!r})"
-
-
-def _kernel(tape: Tape, sys: SystemModel, label: str):
-    """Compile a tape into ``kernel(xs, ys, c)``, which returns what the
-    traced function returns."""
-    n = sys.n
-    used = set(re.findall(r"\b[xyc]\d+\b", "\n".join(tape.lines + tape.outs)))
-    head = [f"    {p}{i} = {arg}[{i}]"
-            for arg, p, k in (("xs", "x", n), ("ys", "y", n + 1), ("c", "c", n))
-            for i in range(k) if f"{p}{i}" in used]
-    ret = "[" + ", ".join(tape.outs[:n]) + "]"
-    if len(tape.outs) > n:
-        ret += ", " + tape.outs[n]
-    src = "\n".join(["def kernel(xs, ys, c):", *head, *("    " + line for line in tape.lines),
-                     f"    return {ret}"])
-    scope = dict(KERNEL_SCOPE)
-    exec(compile(src, f"<{label} kernel of {sys.name}>", "exec"), scope)
-    return scope["kernel"]
 
 
 # --- nested-dual recursion (explicit partials, oracle) ---------------------------
@@ -424,9 +401,9 @@ def error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> np.ndarray
     return np.array(error_values(sys, gains.c, x, yr_stack))
 
 
-def _state_values(sys: SystemModel, c, hs, ys, couple=False):
-    """States from error coordinates, solved stage by stage (definition of
-    the tape ``state_tape``; the map is uncoupled, couple is not read)."""
+def _state_values(sys: SystemModel, c, hs, ys):
+    """States from error coordinates, solved stage by stage (the map is
+    uncoupled)."""
     xs = [hs[0] + ys[0]]
     for i in range(2, sys.n + 1):
         # a_{i-1} to order 0 only reads x_1..x_{i-1}, all reconstructed already
@@ -438,30 +415,6 @@ def _state_values(sys: SystemModel, c, hs, ys, couple=False):
 def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:
     """Invert error_coords (the map is triangular: solve state by state)."""
     return np.array(_state_values(sys, gains.c, _floats(h), _floats(yr_stack)))
-
-
-def state_tape(sys: SystemModel) -> Optional[Tape]:
-    """Tape of ``state_from_errors``, the inverse map, whose inputs x0..
-    stand for the error coordinates h_1..; None where the plant's drifts
-    cannot be traced.  Only the averaged system's generated loop reads it,
-    but it is traced when the plant is built, with the kernels' tapes, so
-    that no run calls the drifts on recording scalars: the first averaged
-    run on a plant then calls the drifts as often as the next."""
-    return _trace(_state_values, sys, False)
-
-
-def _drifts(sys: SystemModel, c, xs, ys, couple=False):
-    """drift_1..drift_n at the states xs (definition of the tape
-    ``drift_tape``; c, ys and couple are not read)."""
-    return [sys.drift[i](xs[:i + 1]) for i in range(sys.n)]
-
-
-def drift_tape(sys: SystemModel) -> Optional[Tape]:
-    """Tape of the plant's drifts, whose outs are drift_1..drift_n; None
-    where they cannot be traced.  The closed-loop run loop writes it into
-    every RK4 node for the plant rate (``sim._step_source``), so a run
-    on a plant whose drifts trace calls no drift."""
-    return _trace(_drifts, sys, False)
 
 
 def error_drift(sys: SystemModel, x, yr_stack, gains: GainConfig, couple: bool = False) -> float:

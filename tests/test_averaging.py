@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_averaged_run_rejects_a_gain_count_off_the_state_dimension(demo, soft, c
     with pytest.raises(ValueError, match=f"^{len(c)} rate gains c1..c{len(c)} given; "
                                          "system 'example' has 2 states$"):
         simulate_averaged(demo, soft, gains, sc)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"h0": (math.nan, 0.0)}, "h0 must be 2 finite numbers, got (nan, 0.0)"),
+    ({"h0": [0.1, -math.inf]}, "h0 must be 2 finite numbers, got [0.1, -inf]"),
+    ({"h0": (0.1,)}, "h0 must be 2 finite numbers, got (0.1,)"),
+    ({"h0": (0.1, 0.0, 0.0)}, "h0 must be 2 finite numbers, got (0.1, 0.0, 0.0)"),
+    ({"t0": math.inf}, "t0 must be finite, got inf"),
+    ({"t0": math.nan}, "t0 must be finite, got nan"),
+])
+def test_averaged_run_rejects_a_bad_start(demo, gains, soft, options, message):
+    # bad input, not divergence, a broadcast error or a math domain error
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_averaged(demo, soft, gains, sc, **options)
 
 
 def test_averaged_rhs_rejects_a_gain_count_off_the_state_dimension(demo, soft):

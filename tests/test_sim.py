@@ -429,9 +429,9 @@ def _drift_calls_of_two_runs(base):
 
 
 def test_runs_on_a_fresh_plant_make_equal_drift_calls():
-    # the synthesis kernels and the drift tape are compiled when the plant
-    # is built, so the first run compiles nothing and calls the drifts as
-    # often as the next: never, for a plant whose drifts are traced
+    # the plant's tapes are traced when the plant is built, so the first
+    # run traces nothing and calls the drifts as often as the next: never,
+    # for a plant whose drifts are traced
     assert _drift_calls_of_two_runs(random_poly_system(3, 4)) == [0, 0]
 
 
@@ -457,6 +457,16 @@ def test_run_rejects_a_negative_or_non_finite_delta_est(demo, gains, delta_est):
     with pytest.raises(ValueError, match=f"^delta_est must be nonnegative and finite, "
                                          f"got {delta_est!r}$"):
         run_scenario(demo, "es", gains, sc, delta_est=delta_est)
+
+
+@pytest.mark.parametrize("controller", ["nussbaum", "es"])
+@pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+def test_run_rejects_a_non_finite_theta0(demo, gains, controller, theta0):
+    # a non-finite start of the comparator's adaptation is bad input, not
+    # the state leaving the finite range at the first step
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match=f"^theta0 must be finite, got {theta0!r}$"):
+        run_scenario(demo, controller, gains, sc, theta0=theta0)
 
 
 # --- per-node reference stacks, partial records, error classification ---------------

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonovershoot import (DriftBound, GainConfig, InitSignError, SystemModel,
+from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, SystemModel,
                           bound_report, check_gains, default_drift_bound, dualnum,
                           error_coords, error_drift, eval_dynamics, gain_floors,
-                          get_reference, demo_gains, scale_drift_bound,
-                          state_from_errors, virtual_controllers)
+                          get_reference, demo_gains, nominal_backstepping, run_scenario,
+                          scale_drift_bound, state_from_errors, virtual_controllers)
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
-from nonovershoot.synth import (_alpha, _alpha_rate, _coords_and_drift, _error_values,
-                                coords_and_drift, error_values)
+from nonovershoot.synth import _alpha, _alpha_rate
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -441,34 +440,21 @@ def test_unsupported_drift_operation_is_a_type_error():
         error_drift(sys, [0.1, 0.2], ys, demo_gains())
 
 
-# --- compiled kernels against the Taylor pass ---------------------------------------
+# --- the plant's tapes -------------------------------------------------------------
+#
+# Each tape is pinned bit for bit against the Taylor pass by the loops that
+# write it out: h, z and drift by test_sim.py's
+# test_generated_step_equals_the_library_laws_bit_for_bit, residual and
+# state by test_averaging.py's
+# test_generated_averaged_step_equals_rk4_over_averaged_rhs.
 
-def _hex(out):
-    """Every float of an error_values / coords_and_drift result, as hex."""
-    flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
-    return [float(v).hex() for v in flat]
-
-
-@pytest.mark.parametrize("trig", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@given(seed=st.integers(0, 200), t=st.floats(0.0, 20.0),
-       x=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
-@settings(max_examples=5)
-def test_kernel_equals_taylor_pass_bit_for_bit(seed, t, x, n, trig):
-    sys = trig_exp_system(n, seed) if trig else random_poly_system(n, seed)
-    c = random_gains(n, seed).c
-    xs, ys = tuple(x[:n]), tuple(get_reference("sine04").stack(t, n).tolist())
-    for public, definition in ((error_values, _error_values),
-                               (coords_and_drift, _coords_and_drift)):
-        for couple in (False, True):
-            assert _hex(public(sys, c, xs, ys, couple)) == \
-                _hex(definition(sys, c, xs, ys, couple))
+TAPE_NAMES = {"h", "z", "residual", "state", "drift"}
 
 
-def test_every_traceable_plant_gets_its_kernels(demo):
+def test_every_traceable_plant_gets_its_tapes(demo):
     for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
-        assert all(k is not None for pair in sys._kernels for k in pair)
-        assert sys._drift_tape is not None
+        assert set(sys._tapes) == TAPE_NAMES
+        assert all(tape is not None for tape in sys._tapes.values())
 
 
 def test_untraceable_drift_keeps_the_taylor_pass():
@@ -476,12 +462,11 @@ def test_untraceable_drift_keeps_the_taylor_pass():
     # that need that drift on a series keep raising TypeError (see above)
     sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._kernels == ((None, None), (None, None))
-    assert sys._drift_tape is None
+    assert sys._tapes == dict.fromkeys(TAPE_NAMES)
     # a drift on numpy arrays may sum in another order on floats: not traced
     arr = SystemModel(n=2, drift=(lambda xs: np.dot([0.5], xs), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
-    assert arr._kernels[1] == (None, None)
+    assert arr._tapes == dict.fromkeys(TAPE_NAMES)
     lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
@@ -493,18 +478,19 @@ def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
     # the tape writes a constant result as a float literal only where it is
     # one; anything else leaves the plant untraced, and it is still built
     sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._drift_tape is None
+    assert sys._tapes["drift"] is None
 
 
-def test_kernels_are_not_a_field(demo):
+def test_tapes_are_not_a_field(demo):
     from dataclasses import fields, replace
-    assert "_kernels" not in {f.name for f in fields(demo)}
+    assert "_tapes" not in {f.name for f in fields(demo)}
     assert replace(demo) == demo and hash(replace(demo)) == hash(demo)
 
 
 def test_long_single_use_chains_are_split_and_stay_bit_identical():
     # a 300-term sum is one chain of single-use operations: written into a
-    # single expression it would nest past the parser's limit
+    # single expression it would nest past the parser's limit, and the
+    # generated loop that writes out the drift and z tapes would not compile
     coef = np.random.default_rng(3).uniform(-1.0, 1.0, size=300)
 
     def drift(xs):
@@ -515,9 +501,11 @@ def test_long_single_use_chains_are_split_and_stay_bit_identical():
 
     sys = SystemModel(n=2, drift=(drift, lambda xs: xs[0] * xs[1]), gain=lambda xs: 1.0,
                       xi1=1.0)
-    tape = sys._tapes[1][0]
-    assert tape is not None and max(line.count("(") for line in tape.lines) < 100
-    c, xs, ys = (1.5, 1.2), (0.3, -0.7), tuple(ref0(2))
-    for public, definition in ((error_values, _error_values),
-                               (coords_and_drift, _coords_and_drift)):
-        assert _hex(public(sys, c, xs, ys)) == _hex(definition(sys, c, xs, ys, False))
+    for tape in sys._tapes.values():
+        assert tape is not None and max(line.count("(") for line in tape.lines) < 100
+    gains = GainConfig(c=(1.5, 1.2), kappa=1.0, lam=4.0, beta=0.8, omega=60.0)
+    ref = get_reference("sine04")
+    traj, _ = run_scenario(sys, "nominal", gains,
+                           Scenario(x0=(0.3, -0.7), t_end=3e-3, dt=1e-3, reference=ref))
+    for t, x, u in zip(traj.t, traj.x, traj.u):
+        assert u == nominal_backstepping(sys, x, ref.stack(t, 2), gains)
