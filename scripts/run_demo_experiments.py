@@ -6,8 +6,10 @@
 3. Safety-filtered regulation from a safe and an unsafe start.
 4. Full-vs-averaged deviation study over three dither frequencies.
 
-Each CSV's SHA-256 digest is printed after its path, so that two versions
-of the simulator can be compared for byte-identical output with one
+Each CSV's SHA-256 digest is printed after its path, and the digests of
+the demo plant's generated run loop sources (the four controllers and the
+averaged system) follow, so that two versions of the simulator can be
+compared for byte-identical output and byte-identical loops with one
 command.
 """
 
@@ -16,9 +18,13 @@ import hashlib
 import time
 from pathlib import Path
 
-from nonovershoot import (Scenario, deviation_study, example_lyapunov_spec,
-                          example_system, demo_gains, run_scenario)
+from nonovershoot import (Scenario, averaging, deviation_study, example_lyapunov_spec,
+                          example_system, demo_gains, run_scenario, sim)
 from nonovershoot.sim import DEFAULT_PSI_SCALE
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main():
@@ -37,7 +43,7 @@ def main():
         path = args.outdir / name
         path.write_text(text)
         print(f"  -> {path}")
-        print(f"     sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+        print(f"     sha256 {sha256(text)}")
 
     print("[1/4] tracking from below (seeking controller)")
     t0 = time.perf_counter()
@@ -67,6 +73,13 @@ def main():
     for om, dev in zip(study.omegas, study.deviations):
         print(f"  omega={om:g}: max |h - h_avg| = {dev:.4f}")
     save("deviation_study.csv", study.to_csv())
+
+    print("generated loop sources of the demo plant")
+    for controller in sim.CONTROLLERS:
+        ncoef = len(spec._value_coeffs) if controller in sim.DITHERED else None
+        print(f"  {controller}: sha256 {sha256(sim._step_source(system, controller, ncoef))}")
+    source = averaging._averaged_source(system, len(spec._weight_coeffs))
+    print(f"  averaged: sha256 {sha256(source)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
 from .sim import (_FLUSH_ROWS, _factory, _horner, _rk4, _seq, _source, fmt, refine_dt,
                   run_scenario)
-from .synth import GainConfig, check_gain_count, error_coords, error_drift, state_from_errors
+from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
+                    state_from_errors)
 
 
 def _averaged_rates(sys, spec, gains, ys, hs, coef):
@@ -124,26 +125,13 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     checks it is finite, then calls one node function: ``_averaged_rates``
     written out, with the inverse map and the uncoupled residual drift
     from the plant's tapes of them (``synth.plant_tapes``: ``state`` and
-    ``residual``; a call of ``state_from_errors`` or ``error_drift``
-    where a drift could not be traced).  Compiled on the plant's first
-    averaged run."""
+    ``residual``).  Compiled on the plant's first averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
-    x_tape, d_tape = sys._tapes["state"], sys._tapes["residual"]
-    body = [f"{_seq(Y)}= Y"]
-    if x_tape is None:
-        X = [f"x{i}" for i in range(n)]
-        body += [f"xs = tuple(state_from_errors(plant, ({_seq(P)}), Y, gains).tolist())",
-                 f"{_seq(X)}= xs"]
-    else:
-        lines, X = x_tape.render("w", P, Y)
-        body += lines + [f"xs = ({_seq(X)})"]
-    body += ["g = gain(xs)", f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))"]
-    if d_tape is None:
-        body.append("ed = error_drift(plant, xs, Y, gains)")
-    else:
-        lines, outs = d_tape.render("v", X, Y)
-        body += lines + [f"ed = {outs[0]}"]
+    x_lines, X = sys._tapes["state"].render("w", P, "y")
+    d_lines, (ed,) = sys._tapes["residual"].render("v", X, "y")
+    body = [f"{_seq(Y)}= Y", *x_lines, f"xs = ({_seq(X)})", "g = gain(xs)",
+            f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))", *d_lines, f"ed = {ed}"]
     wc = [f"wc{k}" for k in range(nw)]
     rates = _seq(f"-c{i} * p{i} + p{i + 1}" for i in range(n - 1))
     body.append(f"return ({rates}ed - coef * g * g * {_horner(wc, 'r')} * p{n - 1}, )")
@@ -175,14 +163,14 @@ def dither_coupling(inner, outer, period: float) -> float:
         (1/T) * integral_0^T outer(s) * [integral_0^s inner(r) dr] ds
 
     computed by composite quadrature on a fixed fine grid (absolute error
-    well under 1e-9 for smooth dithers).  Rejects dithers whose mean over
-    one period exceeds 1e-9.  This probe is the package's only scipy user;
-    it imports scipy when called, so no other path loads it.
+    well under 1e-9 for smooth dithers).  Rejects a period that is not
+    positive and finite, and dithers whose mean over one period exceeds
+    1e-9.  This probe is the package's only scipy user; it imports scipy
+    when called, so no other path loads it.
     """
     from scipy.integrate import cumulative_simpson, simpson
 
-    if period <= 0:
-        raise ValueError("period must be positive")
+    _positive("period", period)
     grid = np.linspace(0.0, period, _COUPLING_PANELS + 1)
     fi = np.array([inner(s) for s in grid])
     fo = np.array([outer(s) for s in grid])

@@ -96,8 +96,11 @@ def _grid(axes, gains, scenario):
 
 
 def _write(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise SystemExit(f"nonovershoot: cannot write {path}: {exc.strerror or exc}") from None
     print(f"wrote {path}")
 
 

@@ -14,8 +14,9 @@ error through the recursion.
   drift flow in one sweep.
 * ``Rec``: a recording scalar.  Run through code in place of a float, it
   writes each operation as one line of straight-line Python (taping turned
-  into source transformation, ibid. ch. 5); ``synth`` compiles the
-  synthesis pass of each plant this way.
+  into source transformation, ibid. ch. 5); ``synth.plant_tapes`` traces
+  each plant's synthesis pass this way, and the generated run loops
+  write those tapes out.
 
 All three types set ``__array_ufunc__ = None`` so that a numpy scalar on
 the left (``np.float64 * x``) hands the operation to the reflected method

@@ -78,6 +78,12 @@ def is_divergence(exc: BaseException) -> bool:
     return text in _DOMAIN_EXACT or text.startswith(_DOMAIN_PREFIXES)
 
 
+def _one_cell(what: str, text: str) -> None:
+    """ValueError naming text unless it can stay one CSV cell."""
+    if any(ch in text for ch in ",\r\n"):
+        raise ValueError(f"{what} must not contain a comma or a line break, got {text!r}")
+
+
 class GainFloorViolation(RuntimeError):
     """The squared input gain dropped below its declared floor."""
 
@@ -100,12 +106,13 @@ class SystemModel:
 
     Building a plant traces its synthesis pass, its inverse map and its
     drifts into tapes (``synth.plant_tapes``), which the simulator's
-    generated loops write out; they call the drifts or the Taylor pass
-    only where a drift cannot be traced.  Each tape reads the drifts'
+    generated loops write out (a tape is a call of the pass or the drifts
+    where a drift cannot be traced).  A traced tape reads the drifts'
     constants once, so a drift must be a pure function of its arguments.
     So must the gain: the simulator evaluates it once per RK4 node and
     uses that one value for the gain-floor check, the known-gain law and
-    the plant rate.  xi1 must be positive and finite.
+    the plant rate.  xi1 must be positive and finite; the name, a CSV
+    cell in run ids, holds no comma or line break.
     """
 
     n: int
@@ -121,6 +128,7 @@ class SystemModel:
             raise ValueError(f"expected {self.n} drift functions, got {len(self.drift)}")
         if not 0 < self.xi1 < math.inf:      # NaN too: it would turn the floor check off
             raise ValueError(f"gain floor xi1 must be positive and finite, got {self.xi1!r}")
+        _one_cell("system name", self.name)
         from . import synth         # synth imports this module
         # traced here, not on a loop's first compile, so that no run pays for it
         object.__setattr__(self, "_tapes", synth.plant_tapes(self))
@@ -329,7 +337,8 @@ class Scenario:
 
     The horizon must be a whole number of steps: t_end/dt within 1e-9
     (relative) of an integer >= 1.  Anything else is rejected rather than
-    silently cut to the nearest grid point, as is a non-finite x0.
+    silently cut to the nearest grid point, as is a non-finite x0, or a
+    label (a CSV cell of report rows) with a comma or line break.
     """
 
     x0: tuple
@@ -350,6 +359,7 @@ class Scenario:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if not all(map(math.isfinite, self.x0)):
             raise ValueError(f"x0 must be finite, got {self.x0}")
+        _one_cell("scenario label", self.label)
 
     @property
     def nsteps(self) -> int:

@@ -14,11 +14,10 @@ compiled on the controller's first run on that plant and cached on it:
 each step is straight-line code apart from calls of one generated node
 function, and the loop records the samples and checks the state's range
 without leaving the generated code.  Every RK4 node runs the plant's
-traced synthesis tapes (``synth.Tape``) written out as code, the control
-law, and the plant rate from the traced drift tape (a drift call only
-where a drift cannot be traced), in the float operations of the library
-laws and of ``rk4_step`` and in their order, so the results are theirs
-bit for bit.  Gains, Lyapunov coefficients and references are inputs,
+tapes (``synth.plant_tapes``) written out as code, the control law and
+the plant rate, in the float operations of the library laws and of
+``rk4_step`` and in their order, so the results are theirs bit for
+bit.  Gains, Lyapunov coefficients and references are inputs,
 so a sweep compiles one loop.  The averaged system's loop comes from the
 same emitter (``_rk4``, ``_source``; see ``averaging``).
 """
@@ -33,8 +32,7 @@ import numpy as np
 from .control import SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec, singular_gain
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
-from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
-                    coords_and_drift, error_drift, error_values, state_from_errors)
+from .synth import TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -301,9 +299,7 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
 
 _STEP_SCOPE = dict(TAPE_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
                    array=np.array, BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
-                   singular_gain=singular_gain, error_values=error_values,
-                   coords_and_drift=coords_and_drift, error_drift=error_drift,
-                   state_from_errors=state_from_errors)
+                   singular_gain=singular_gain)
 
 
 def _factory(sys: SystemModel, key, source):
@@ -397,14 +393,12 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 
     Every node evaluates the gain once and checks the gain floor on it
     (the last sample, which is no node of a step taken, is not checked),
-    then computes the error coordinates and the control law from the
-    plant's tapes (``synth.Tape``; a call to the Taylor pass where a
-    drift could not be traced), and the plant rate x_{i+1} + drift_i,
-    gain*u + drift_n, with the drifts from the plant's drift tape
-    (``synth.plant_tapes``; calls of the drifts where it is None).  The
-    float operations and their order are those of the library laws
-    (``es_control``, ``nominal_backstepping``, ``nussbaum_control``) and
-    of ``rk4_step``.  The safety filter's mode is frozen over the step.
+    then computes the error coordinates, the control law and the plant
+    rate x_{i+1} + drift_i, gain*u + drift_n from the plant's tapes
+    (``synth.plant_tapes``).  The float operations and their order are
+    those of the library laws (``es_control``, ``nominal_backstepping``,
+    ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
+    is frozen over the step.
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
@@ -415,23 +409,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     """
     n = sys.n
     m = n + (controller == "nussbaum")
-    tapes = sys._tapes
-    h_tape, z_tape, d_tape = tapes["h"], tapes["z"], tapes["drift"]
+    h_tape, z_tape, d_tape = (sys._tapes[k] for k in ("h", "z", "drift"))
     filt = controller == "safety-filter"
 
     def unpack(Y):
         return f"{_seq(f'{Y}{i}' for i in range(n + 1))}= {Y}"
-
-    def coords(tape, coupled, prefix, S, Y):
-        """(lines, sources) of the error coordinates at states S (their
-        tuple is xs) and stack Y: uncoupled (``error_values``), or coupled
-        with the residual drift last (``coords_and_drift``)."""
-        if tape is not None:
-            return tape.render(prefix, S, [f"{Y}{i}" for i in range(n + 1)])
-        outs = [f"{prefix}{i}" for i in range(n + coupled)]
-        fn = "coords_and_drift" if coupled else "error_values"
-        target = f"[{_seq(outs[:n])}]" + "".join(f", {o}" for o in outs[n:])
-        return [f"{target} = {fn}(plant, c, xs, {Y}, {coupled})"], outs
 
     vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
 
@@ -441,7 +423,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
                 f"u = sq * (beta * cos(om * {T}) - lam * sin(om * {T}) * V)"]
 
     def ideal(S, Y):                        # control._ideal_and_last
-        lines, z = coords(z_tape, True, "z", S, Y)
+        lines, z = z_tape.render("z", S, Y)
         a = f"-c{n - 1} * {z[n - 1]} - {z[n]}" + (f" - {z[n - 2]}" if n >= 2 else "")
         return lines + [f"a = {a}"], z[n - 1]
 
@@ -458,7 +440,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
             lines, zn = ideal(S, Y)
             th = S[n]
             return lines + [f"u = {th} * {th} * cos({th}) * a", f"{k}{n} = -a * {zn}"]
-        lines, h = coords(h_tape, False, "e", S, Y) if h is None else ([], h)
+        lines, h = h_tape.render("e", S, Y) if h is None else ([], h)
         if controller == "es":
             return lines + seek(T, h)
         # safety filter, its mode frozen at the step's start; at node 1 the
@@ -469,28 +451,20 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
         return ["if mode == 0:", *(f"    {v}" for v in known),
                 "else:", *(f"    {v}" for v in lines + seek(T, h))]
 
-    def rates(S, k):
-        """Lines that set the plant's rates <k>0.. at states S, from the
-        drift tape, or by calls of the drifts where it is None."""
-        if d_tape is None:
-            lines = []
-            d = [f"d{i}(({_seq(S[:i + 1])}))" for i in range(n - 1)] + [f"d{n - 1}(xs)"]
-        else:
-            lines, d = d_tape.render("f", S, ())
-        return lines + [f"{k}{i} = {S[i + 1]} + {d[i]}" for i in range(n - 1)] + [
-            f"{k}{n - 1} = g * u + {d[n - 1]}"]
-
     def node(S, Y, T, k, pre, h=None, post=(), floor="g * g < floor"):
         """Gain and floor check (the condition floor), the lines pre, the
-        law, the lines post, then the rates <k>0.. at one node."""
+        law, the lines post, then the plant's rates <k>0.. at one node."""
+        lines, d = d_tape.render("f", S, "")
         return [f"xs = ({_seq(S[:n])})", "g = gain(xs)", f"if {floor}: raise violation(g, xs)",
-                *pre, *law(T, S, Y, k, h), *post, *rates(S, k)]
+                *pre, *law(T, S, Y, k, h), *post, *lines,
+                *(f"{k}{i} = {S[i + 1]} + {d[i]}" for i in range(n - 1)),
+                f"{k}{n - 1} = g * u + {d[n - 1]}"]
 
     S = [f"s{i}" for i in range(m)]
     pre = [f"ya = ref_d(t, {n})", unpack("ya")]
     if filt:
         pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d"]
-    h_lines, h = coords(h_tape, False, "e", S, "ya")
+    h_lines, h = h_tape.render("e", S, "ya")
     first = node(S, "ya", "t", "k1_", pre + h_lines, h, [
         f"append((t, xs, ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
         "if last: return"], "g * g < floor and not last")
@@ -499,8 +473,6 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", "c = gains.c",
              f"{_seq(f'c{i}' for i in range(n))}= c"]
-    if d_tape is None:
-        setup.append(f"{_seq(f'd{i}' for i in range(n))}= plant.drift")
     if controller in DITHERED:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
@@ -586,8 +558,11 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
     diverges is recorded with the verdict "diverged at t=...: <cause>"
     and the grid goes on.  Rows follow
     itertools.product order over the grid in key order, so output is
-    order-stable.
+    order-stable.  mode is "uniform" or "descending": floors mode
+    would need each point's x0.
     """
+    if mode not in ("uniform", "descending"):
+        raise ValueError(f"sweep mode must be 'uniform' or 'descending', got {mode!r}")
     keys = list(grid.keys())
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):

@@ -30,7 +30,8 @@ rate gains as inputs, and keeps each trace as straight-line source
 text (``Tape``).  The generated run loops write those tapes into their
 RK4 nodes (``sim._step_source``, ``averaging._averaged_source``), so a
 run does the pass's float operations in its order, bit for bit, without
-running it; where a drift cannot be traced they call the pass instead.
+running it.  Where a drift cannot be traced, the tape is one call of the
+pass or of the drifts, written as tape lines, so the loops have one path.
 
 Drifts are evaluated on jets as well as on floats, so they must be built
 from plain arithmetic, nonnegative integer powers, numeric (also numpy
@@ -217,9 +218,6 @@ def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
 
 # --- tapes: the pass traced as straight-line source --------------------------------
 
-TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "inf": math.inf, "nan": math.nan}     # the names a tape's source reads
-
 _NAME = re.compile(r"\b([xyv])(\d+)\b")
 _TEMP = re.compile(r"\bv\d+\b")
 _MAX_NESTING = 24       # parentheses a tape expression may nest (the parser stops at 200)
@@ -227,30 +225,29 @@ _MAX_NESTING = 24       # parentheses a tape expression may nest (the parser sto
 
 @dataclass(frozen=True)
 class Tape:
-    """One traced pass as straight-line source.  ``lines`` are the
-    assignments ``vK = <expr>`` in the order they ran, over the inputs
-    x0.., the reference stack y0.., the rate gains c0.. and earlier vK;
-    ``outs`` is the source of each result, in the order the traced
-    function returns them."""
+    """One traced pass (or one call, ``_call_tape``) as straight-line
+    source.  ``lines`` are the assignments ``vK = <expr>`` in the order
+    they ran, over the inputs x0.., the reference stack y0.., the rate
+    gains c0.. and earlier vK; ``outs`` is the source of each result."""
 
     lines: tuple
     outs: tuple
 
-    def render(self, prefix: str, xs, ys):
-        """(lines, outs) with x_i written as xs[i], y_i as ys[i] and vK as
+    def render(self, prefix: str, xs, ys: str):
+        """(lines, outs) with x_i written as xs[i], y_i as ys + i and vK as
         prefix + K, so that several tapes can share one function body;
         c_i keep their names."""
         def name(m):
             kind, i = m.group(1), int(m.group(2))
-            return xs[i] if kind == "x" else ys[i] if kind == "y" else f"{prefix}{i}"
+            return xs[i] if kind == "x" else f"{ys if kind == 'y' else prefix}{i}"
 
         return ([_NAME.sub(name, line) for line in self.lines],
                 [_NAME.sub(name, out) for out in self.outs])
 
 
 def plant_tapes(sys: SystemModel) -> dict:
-    """The tapes the generated run loops write out, by name; an entry is
-    None where the plant's drifts cannot be traced.
+    """The tapes the generated run loops write out, by name; where the
+    plant's drifts cannot be traced, a tape is one call (``_call_tape``).
 
     * ``h``: ``error_values``, uncoupled: the error coordinates h;
     * ``z``: ``coords_and_drift``, coupled: z, then the residual drift;
@@ -271,7 +268,25 @@ def plant_tapes(sys: SystemModel) -> dict:
         "state": lambda c, hs, ys: _state_values(sys, c, hs, ys),
         "drift": lambda c, xs, ys: [sys.drift[i](xs[:i + 1]) for i in range(n)],
     }
-    return {name: _trace(sys, fn) for name, fn in passes.items()}
+    return {name: _trace(sys, fn) or _call_tape(name, n) for name, fn in passes.items()}
+
+
+def _call_tape(name: str, n: int) -> Tape:
+    """The tape of one call of what ``plant_tapes`` traces as name, over
+    the same inputs; the loops that write it out bind ``plant``."""
+    def tup(p, k):
+        return "(" + "".join(f"{p}{i}, " for i in range(k)) + ")"
+
+    if name == "drift":
+        return Tape(lines=tuple(f"v{i} = plant.drift[{i}]({tup('x', i + 1)})" for i in range(n)),
+                    outs=tuple(f"v{i}" for i in range(n)))
+    args = f"plant, {tup('c', n)}, {tup('x', n)}, {tup('y', n + 1)}"
+    coords = tuple(f"v0[{i}]" for i in range(n))
+    line, outs = {"h": (f"v0 = error_values({args})", coords),
+                  "z": (f"v0, v1 = coords_and_drift({args}, True)", coords + ("v1",)),
+                  "residual": (f"v0 = coords_and_drift({args})[1]", ("v0",)),
+                  "state": (f"v0 = _state_values({args})", coords)}[name]
+    return Tape(lines=(line,), outs=outs)
 
 
 def _trace(sys: SystemModel, fn) -> Optional[Tape]:
@@ -288,8 +303,8 @@ def _trace(sys: SystemModel, fn) -> Optional[Tape]:
 
     The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
     cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
-    ends the trace, and the loops call the pass instead: it then raises
-    the same error at the first call that needs that drift.
+    ends the trace, and the tape becomes a call of the pass: it then
+    raises the same error at the first call that needs that drift.
     """
     n, tape = sys.n, []
     xs, ys, c = (tuple(dualnum.Rec(tape, f"{p}{i}") for i in range(k))
@@ -410,6 +425,12 @@ def _state_values(sys: SystemModel, c, hs, ys):
         a_prev = _taylor_pass(sys, c, tuple(xs), ys, False, i - 1, 0)[2][-1]
         xs.append(hs[i - 1] + a_prev + ys[i - 1])
     return xs
+
+
+# the names a tape's source reads; a call tape reads the pass's functions
+TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "inf": math.inf, "nan": math.nan, "error_values": error_values,
+              "coords_and_drift": coords_and_drift, "_state_values": _state_values}
 
 
 def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:

@@ -148,8 +148,11 @@ def test_averaged_rhs_rejects_a_gain_count_off_the_state_dimension(demo, soft):
 
 
 def test_coupling_rejects_bad_period():
-    with pytest.raises(ValueError):
-        dither_coupling(math.cos, math.sin, 0.0)
+    # NaN would return nan silently, inf would end in a math domain error
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^period must be positive and finite, "
+                                             f"got {period!r}$"):
+            dither_coupling(math.cos, math.sin, period)
 
 
 # --- averaged trajectories -------------------------------------------------------

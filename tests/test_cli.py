@@ -231,6 +231,21 @@ def test_average_subcommand(tmp_path, capsys):
     assert "max deviation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [["run", "--out"], ["run", "--report"],
+                                  ["average", "--omegas", "60", "--out"]],
+                         ids=["run-out", "run-report", "average-out"])
+def test_unwritable_output_is_one_line(tmp_path, args, capsys):
+    # the parent of the output path is a file: one line, exit status 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "y.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(args + [str(target), "--t-end", "0.01"])
+    text = exc_info.value.code          # a string: exit status 1, the text on stderr
+    assert isinstance(text, str) and text.startswith(f"nonovershoot: cannot write {target}: ")
+    assert "\n" not in text and "Errno" not in text
+
+
 def test_cli_help():
     with pytest.raises(SystemExit) as exc_info:
         run_cli(["--help"])

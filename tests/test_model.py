@@ -17,7 +17,7 @@ from conftest import chain_integrator, random_poly_system
 
 
 def test_plant_with_a_float_only_drift_is_built():
-    # math.sin cannot be traced into a synthesis kernel; the plant still
+    # math.sin cannot be traced into a tape; the plant still
     # builds and its open loop runs on floats
     sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)

@@ -11,7 +11,7 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           scale_drift_bound, state_from_errors, virtual_controllers)
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
-from nonovershoot.synth import _alpha, _alpha_rate
+from nonovershoot.synth import Tape, _alpha, _alpha_rate
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -454,7 +454,22 @@ TAPE_NAMES = {"h", "z", "residual", "state", "drift"}
 def test_every_traceable_plant_gets_its_tapes(demo):
     for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
         assert set(sys._tapes) == TAPE_NAMES
-        assert all(tape is not None for tape in sys._tapes.values())
+        # traced, not the call tapes of an untraceable plant (below)
+        assert not any("plant" in line for tape in sys._tapes.values() for line in tape.lines)
+
+
+# where a drift cannot be traced, each tape is one call of the Taylor pass
+# (or of the drifts) over the tape's input names
+CALL_TAPES_N2 = {
+    "h": ("v0 = error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+          "v0[0]", "v0[1]"),
+    "z": ("v0, v1 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
+          "v0[0]", "v0[1]", "v1"),
+    "residual": ("v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]",
+                 "v0"),
+    "state": ("v0 = _state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+              "v0[0]", "v0[1]"),
+}
 
 
 def test_untraceable_drift_keeps_the_taylor_pass():
@@ -462,11 +477,17 @@ def test_untraceable_drift_keeps_the_taylor_pass():
     # that need that drift on a series keep raising TypeError (see above)
     sys = SystemModel(n=2, drift=(lambda xs: math.sin(xs[0]), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._tapes == dict.fromkeys(TAPE_NAMES)
     # a drift on numpy arrays may sum in another order on floats: not traced
     arr = SystemModel(n=2, drift=(lambda xs: np.dot([0.5], xs), lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
-    assert arr._tapes == dict.fromkeys(TAPE_NAMES)
+    for plant in (sys, arr):
+        tapes = plant._tapes
+        assert set(tapes) == TAPE_NAMES
+        for name, (line, *outs) in CALL_TAPES_N2.items():
+            assert tapes[name] == Tape(lines=(line,), outs=tuple(outs))
+        assert tapes["drift"] == Tape(lines=("v0 = plant.drift[0]((x0, ))",
+                                             "v1 = plant.drift[1]((x0, x1, ))"),
+                                      outs=("v0", "v1"))
     lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
@@ -477,8 +498,9 @@ def test_untraceable_drift_keeps_the_taylor_pass():
 def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
     # the tape writes a constant result as a float literal only where it is
     # one; anything else leaves the plant untraced, and it is still built
+    # with a drift tape that calls the drift
     sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._tapes["drift"] is None
+    assert sys._tapes["drift"] == Tape(lines=("v0 = plant.drift[0]((x0, ))",), outs=("v0",))
 
 
 def test_tapes_are_not_a_field(demo):
@@ -502,7 +524,8 @@ def test_long_single_use_chains_are_split_and_stay_bit_identical():
     sys = SystemModel(n=2, drift=(drift, lambda xs: xs[0] * xs[1]), gain=lambda xs: 1.0,
                       xi1=1.0)
     for tape in sys._tapes.values():
-        assert tape is not None and max(line.count("(") for line in tape.lines) < 100
+        assert "plant" not in "".join(tape.lines)
+        assert max(line.count("(") for line in tape.lines) < 100
     gains = GainConfig(c=(1.5, 1.2), kappa=1.0, lam=4.0, beta=0.8, omega=60.0)
     ref = get_reference("sine04")
     traj, _ = run_scenario(sys, "nominal", gains,
