@@ -22,7 +22,7 @@ from .model import BlowupError, Scenario, SystemModel, get_reference, is_diverge
 from .sim import (_FLUSH_ROWS, _factory, _horner, _rk4, _seq, _source, fmt, refine_dt,
                   run_scenario)
 from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
-                    state_from_errors)
+                    render, state_from_errors)
 
 
 def _averaged_rates(sys, spec, gains, ys, hs, coef):
@@ -125,11 +125,14 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     checks it is finite, then calls one node function: ``_averaged_rates``
     written out, with the inverse map and the uncoupled residual drift
     from the plant's tapes of them (``synth.plant_tapes``: ``state`` and
-    ``residual``).  Compiled on the plant's first averaged run."""
+    ``residual``), rendered together so that the residual, whose inputs
+    are the state's outs, reuses what the inverse map computed
+    (``synth.render``).  Compiled on the plant's first averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
-    x_lines, X = sys._tapes["state"].render("w", P, "y")
-    d_lines, (ed,) = sys._tapes["residual"].render("v", X, "y")
+    state = sys._tapes["state"]
+    (x_lines, X), (d_lines, (ed,)) = render([(state, "w", P, "y"),
+                                             (sys._tapes["residual"], "v", state, "y")])
     body = [f"{_seq(Y)}= Y", *x_lines, f"xs = ({_seq(X)})", "g = gain(xs)",
             f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))", *d_lines, f"ed = {ed}"]
     wc = [f"wc{k}" for k in range(nw)]

@@ -14,7 +14,8 @@ compiled on the controller's first run on that plant and cached on it:
 each step is straight-line code apart from calls of one generated node
 function, and the loop records the samples and checks the state's range
 without leaving the generated code.  Every RK4 node runs the plant's
-tapes (``synth.plant_tapes``) written out as code, the control law and
+tapes (``synth.plant_tapes``), rendered together so that each distinct
+float operation is written once (``synth.render``), the control law and
 the plant rate, in the float operations of the library laws and of
 ``rk4_step`` and in their order, so the results are theirs bit for
 bit.  Gains, Lyapunov coefficients and references are inputs,
@@ -32,7 +33,8 @@ import numpy as np
 from .control import SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec, singular_gain
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
-from .synth import TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains
+from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
+                    render)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -397,8 +399,16 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     rate x_{i+1} + drift_i, gain*u + drift_n from the plant's tapes
     (``synth.plant_tapes``).  The float operations and their order are
     those of the library laws (``es_control``, ``nominal_backstepping``,
-    ``nussbaum_control``) and of ``rk4_step``.  The safety filter's mode
-    is frozen over the step.
+    ``nussbaum_control``) and of ``rk4_step``, less the repeats:
+    ``synth.render`` writes the tapes of one node (node 1's recorded h,
+    then the law's h or z, then the drifts) as one basic block, each
+    distinct operation once.  The safety filter's mode is frozen over the
+    step, and each of its two branches is a scope of its own: it reuses
+    what came before it, and nothing after it reuses what it computed.
+    The dithered laws' nodes 2 to 4 are passed the dither pair
+    cos(om * T), sin(om * T), which the loop computes once per time T
+    (the midpoint's serves nodes 2 and 3), and only in override mode for
+    the filter.
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
@@ -417,74 +427,93 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 
     vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
 
-    def seek(T, h):                         # es_control
+    def seek(h):                            # es_control, given the dither pair cw, sw
         return [f"r = sqrt(fsum(({_seq(f'{v} * {v}' for v in h)})))",
-                f"V = {_horner(vc, 'r')} * r * r",
-                f"u = sq * (beta * cos(om * {T}) - lam * sin(om * {T}) * V)"]
+                f"V = {_horner(vc, 'r')} * r * r", "u = sq * (beta * cw - lam * sw * V)"]
 
-    def ideal(S, Y):                        # control._ideal_and_last
-        lines, z = z_tape.render("z", S, Y)
-        a = f"-c{n - 1} * {z[n - 1]} - {z[n]}" + (f" - {z[n - 2]}" if n >= 2 else "")
-        return lines + [f"a = {a}"], z[n - 1]
+    def ideal(z):                           # control._ideal_and_last
+        return f"a = -c{n - 1} * {z[n - 1]} - {z[n]}" + (f" - {z[n - 2]}" if n >= 2 else "")
 
-    def nominal(S, Y):                      # nominal_backstepping
-        lines, _ = ideal(S, Y)
-        return [f"if abs(g) < {SINGULAR_GAIN!r}: raise singular_gain(g)", *lines, "u = a / g"]
+    def nominal(z_lines, z):                # nominal_backstepping
+        return [f"if abs(g) < {SINGULAR_GAIN!r}: raise singular_gain(g)", *z_lines, ideal(z),
+                "u = a / g"]
 
-    def law(T, S, Y, k, h=None):
-        """Lines that set u (and the comparator's rate <k><n>) at one node;
-        h, the recorded error coordinates, is given at node 1."""
-        if controller == "nominal":
-            return nominal(S, Y)
-        if controller == "nussbaum":            # nussbaum_control
-            lines, zn = ideal(S, Y)
-            th = S[n]
-            return lines + [f"u = {th} * {th} * cos({th}) * a", f"{k}{n} = -a * {zn}"]
-        lines, h = h_tape.render("e", S, Y) if h is None else ([], h)
+    def node(S, Y, k, pre, record=False):
+        """Gain and floor check, the lines pre, the law, then the plant's
+        rates <k>0.. at one node.  Node 1 (record) also records the sample:
+        it starts with the recorded h, which es reads as well.  All the
+        tapes a node writes out are rendered together (``synth.render``),
+        so the node writes each float operation once."""
+        h, d = (h_tape, "e", S, Y), (d_tape, "f", S, "")
+        # at node 1 the filter's nominal law reads its own reference's stack
+        z = (z_tape, "z", S, "yl" if record and filt else Y)
         if controller == "es":
-            return lines + seek(T, h)
-        # safety filter, its mode frozen at the step's start; at node 1 the
-        # nominal law reads its own reference's stack
-        known = nominal(S, Y) if Y != "ya" else \
-            [f"yl = ya if nom_d is ref_d else nom_d(t, {n})", unpack("yl"),
-             *nominal(S, "yl")]
-        return ["if mode == 0:", *(f"    {v}" for v in known),
-                "else:", *(f"    {v}" for v in lines + seek(T, h))]
+            law = [] if record else [h]
+        elif filt:                          # mode 0 | mode 1
+            law = [[[z], [] if record else [h]]]
+        else:
+            law = [z]
+        *parts, (d_lines, dv) = render([h] * record + law + [d])
+        lines, dither = [], []              # nodes 2 to 4 are passed cw, sw
+        if record:
+            (lines, hv), *parts = parts
+            dither = ["cw, sw = cos(om * t), sin(om * t)"]
+        if controller == "es":
+            if parts:
+                [(e_lines, hv)] = parts
+                lines += e_lines
+            lines += dither + seek(hv)
+        elif filt:
+            [[[(z_lines, zv)], alt]] = parts
+            e_lines, hv = alt[0] if alt else ([], hv)
+            known = nominal(z_lines, zv)
+            if record:
+                known = [f"yl = ya if nom_d is ref_d else nom_d(t, {n})", unpack("yl"), *known]
+            lines += ["if mode == 0:", *(f"    {v}" for v in known),
+                      "else:", *(f"    {v}" for v in e_lines + dither + seek(hv))]
+        else:
+            [(z_lines, zv)] = parts
+            if controller == "nominal":
+                lines += nominal(z_lines, zv)
+            else:                           # nussbaum_control
+                th = S[n]
+                lines += [*z_lines, ideal(zv), f"u = {th} * {th} * cos({th}) * a",
+                          f"{k}{n} = -a * {zv[n - 1]}"]
+        if record:
+            lines += [f"append((t, xs, ({_seq(hv)}), u, ya0, {'mode' if filt else -1}))",
+                      "if last: return"]
+        return [f"xs = ({_seq(S[:n])})", "g = gain(xs)",
+                f"if g * g < floor{' and not last' * record}: raise violation(g, xs)",
+                *pre, *lines, *d_lines,
+                *(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
+                f"{k}{n - 1} = g * u + {dv[n - 1]}"]
 
-    def node(S, Y, T, k, pre, h=None, post=(), floor="g * g < floor"):
-        """Gain and floor check (the condition floor), the lines pre, the
-        law, the lines post, then the plant's rates <k>0.. at one node."""
-        lines, d = d_tape.render("f", S, "")
-        return [f"xs = ({_seq(S[:n])})", "g = gain(xs)", f"if {floor}: raise violation(g, xs)",
-                *pre, *law(T, S, Y, k, h), *post, *lines,
-                *(f"{k}{i} = {S[i + 1]} + {d[i]}" for i in range(n - 1)),
-                f"{k}{n - 1} = g * u + {d[n - 1]}"]
-
-    S = [f"s{i}" for i in range(m)]
+    S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
     pre = [f"ya = ref_d(t, {n})", unpack("ya")]
     if filt:
         pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d"]
-    h_lines, h = h_tape.render("e", S, "ya")
-    first = node(S, "ya", "t", "k1_", pre + h_lines, h, [
-        f"append((t, xs, ({_seq(h)}), u, ya0, {'mode' if filt else -1}))",
-        "if last: return"], "g * g < floor and not last")
-    P = [f"p{i}" for i in range(m)]
-    mode = ", mode" if filt else ""
+    first = node(S, "ya", "k1_", pre, record=True)
     setup = ["gain, violation = plant.gain, plant.floor_violation",
-             "floor = plant.xi1 - GAIN_FLOOR_TOL", "c = gains.c",
-             f"{_seq(f'c{i}' for i in range(n))}= c"]
+             "floor = plant.xi1 - GAIN_FLOOR_TOL", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
+    fetch, params, args = [f"{{Y}} = stack({{T}}, {n})"], "", ""
     if controller in DITHERED:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
+        # the loop computes the dither pair once per time, so tm's serves
+        # nodes 2 and 3; the filter's nominal-mode steps compute none
+        pair = "cos(om * {T}), sin(om * {T})"
+        fetch.append("c{T}, s{T} = " + (f"({pair}) if mode else (0.0, 0.0)" if filt else pair))
+        params, args = "cw, sw, ", "c{T}, s{T}, "
     if not filt:
         setup.append("stack = ref_d")
-    setup += [f"def node(t, {_seq(P)}Y{mode}):",
-              *(f"    {v}" for v in node(P, "Y", "t", "k_", [unpack("Y")])),
+    mode = ", mode" if filt else ""
+    setup += [f"def node({params}{_seq(P)}Y{mode}):",
+              *(f"    {v}" for v in node(P, "Y", "k_", [unpack("Y")])),
               f"    return ({_seq(f'k_{i}' for i in range(m))})"]
+    call = "node(" + args + "{S}{Y}" + mode + ")"
     return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup,
                    "advance(pos, stop, last=False)", m, n, "k * dt",
-                   _rk4(m, first, "node({T}, {S}{Y}" + mode + ")",
-                        lambda T, Y: [f"{Y} = stack({T}, {n})"]),
+                   _rk4(m, first, call, lambda T, Y: [f.format(T=T, Y=Y) for f in fetch]),
                    "state left the finite range", "(k + 1) * dt")
 
 
@@ -505,25 +534,27 @@ def _auto_bounds(sys, gains):
 def overshoot_report(traj: Trajectory, gains: GainConfig, bounds, delta_est: float,
                      scenario_id: str = "run", delta_source: str = "configured") -> OvershootReport:
     """Metrics from samples; the transient envelope is anchored at the
-    trajectory's own initial error coordinates."""
+    trajectory's own initial error coordinates.  The reductions are ndarray
+    methods, the same as the ``np.*`` functions (NaN included) without
+    their dispatch, which cost more than the reductions of a short run."""
     h1 = traj.h[:, 0]
-    imax = int(np.argmax(h1))
+    imax = int(h1.argmax())
     tail = traj.t >= 0.8 * traj.t[-1]
     viol = float("nan")
     if bounds is not None and bounds.envelope_weights is not None:
-        env = bounds.envelope(np.abs(traj.h[0]), gains.c, traj.t, delta_est)
-        viol = max(0.0, float(np.max(h1 - env)))
+        env = bounds.envelope(traj.h[0].tolist(), gains.c, traj.t, delta_est)
+        viol = max(0.0, float((h1 - env).max()))
     return OvershootReport(
         scenario=scenario_id,
         gains_text=gains_text(gains),
         max_h1=float(h1[imax]),
         t_at_max=float(traj.t[imax]),
-        tail_abs_h1=float(np.max(np.abs(h1[tail]))),
+        tail_abs_h1=float(abs(h1[tail]).max()),
         envelope_violation=viol,
-        min_margin=float(np.min(traj.margin)),
+        min_margin=float(traj.margin.min()),
         delta_est=delta_est,
         delta_source=delta_source,
-        max_abs_u=float(np.max(np.abs(traj.u))),
+        max_abs_u=float(abs(traj.u).max()),
     )
 
 

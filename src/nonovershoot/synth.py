@@ -26,12 +26,15 @@ For a fixed plant the pass runs the same float operations in the same
 order at every input.  So when a ``SystemModel`` is built,
 ``plant_tapes`` traces it, the inverse map and the drifts on recording
 scalars (``dualnum.Rec``), with the states, the reference stack and the
-rate gains as inputs, and keeps each trace as straight-line source
-text (``Tape``).  The generated run loops write those tapes into their
-RK4 nodes (``sim._step_source``, ``averaging._averaged_source``), so a
-run does the pass's float operations in its order, bit for bit, without
-running it.  Where a drift cannot be traced, the tape is one call of the
-pass or of the drifts, written as tape lines, so the loops have one path.
+rate gains as inputs, and keeps each trace as straight-line operations
+(``Tape``).  The generated run loops write those tapes into their RK4
+nodes (``sim._step_source``, ``averaging._averaged_source``) through
+one renderer, ``render``, which value-numbers all the tapes that one
+node writes out: the node does each distinct float operation once,
+where the pass first does it, so a run gets the pass's results bit for
+bit without running it.  Where a drift cannot be traced, the tape is one
+call of the pass or of the drifts, written as tape entries that the
+renderer never merges, so the loops have one path.
 
 Drifts are evaluated on jets as well as on floats, so they must be built
 from plain arithmetic, nonnegative integer powers, numeric (also numpy
@@ -219,30 +222,105 @@ def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
 # --- tapes: the pass traced as straight-line source --------------------------------
 
 _NAME = re.compile(r"\b([xyv])(\d+)\b")
-_TEMP = re.compile(r"\bv\d+\b")
-_MAX_NESTING = 24       # parentheses a tape expression may nest (the parser stops at 200)
+_WORD = re.compile(r"\w+")
+_BINARY = re.compile(r"(\S+) (\*\*|[-+*/]) (\S+)")
+_MAX_NESTING = 24       # parentheses a rendered expression may nest (the parser stops at 200)
 
 
 @dataclass(frozen=True)
 class Tape:
-    """One traced pass (or one call, ``_call_tape``) as straight-line
-    source.  ``lines`` are the assignments ``vK = <expr>`` in the order
-    they ran, over the inputs x0.., the reference stack y0.., the rate
-    gains c0.. and earlier vK; ``outs`` is the source of each result."""
+    """One traced pass (or one call, ``_call_tape``) after dead-code
+    elimination.  ``entries`` are ``(name, expr, deps, may_raise)`` in the
+    order they ran: ``name = expr`` is one float operation over the inputs
+    x0.., the reference stack y0.., the rate gains c0.. and earlier vK, deps
+    are the recorded names it reads, and may_raise marks an operation that
+    can raise on some input.  ``outs`` is the source of each result.  ``calls``
+    marks a call tape, whose entries call user code: ``render`` never
+    merges them."""
 
-    lines: tuple
+    entries: tuple
     outs: tuple
+    calls: bool = False
 
-    def render(self, prefix: str, xs, ys: str):
-        """(lines, outs) with x_i written as xs[i], y_i as ys + i and vK as
-        prefix + K, so that several tapes can share one function body;
-        c_i keep their names."""
-        def name(m):
-            kind, i = m.group(1), int(m.group(2))
-            return xs[i] if kind == "x" else f"{ys if kind == 'y' else prefix}{i}"
 
-        return ([_NAME.sub(name, line) for line in self.lines],
-                [_NAME.sub(name, out) for out in self.outs])
+def render(segments) -> list:
+    """The source of the tapes that one generated node writes out, each
+    distinct float operation once (local value numbering over one basic
+    block).
+
+    A segment is (tape, prefix, xs, ys): the tape with x_i written as
+    xs[i], y_i as ys + i and vK as prefix + K; c_i keep their names.  xs
+    may also be the tape of an earlier segment, whose outs then stand for
+    x0...  An item that is a list is a branch: a list of alternatives, each
+    a list of items.  An alternative may reuse what was computed before
+    the branch; nothing after the branch reuses what was computed in it.
+    Returns the items in the same shape, a segment as [lines, outs].
+
+    An operation whose text, operands written by their first names, was
+    computed before is not written again: it reads the first result,
+    which stays where it was.  So nothing runs earlier, and a repeat that
+    could raise would have raised at the first.  The operands of + and * are keyed in sorted
+    order, since IEEE addition and multiplication commute exactly (only a
+    NaN's payload may differ, which nothing reads).  A call tape's
+    entries are never merged.  Then an operation that cannot raise and
+    whose result is read once is written into its reader's expression, in
+    parentheses, instead of a temporary, at most _MAX_NESTING deep.
+    Python evaluates every operation as written (no reassociation, no
+    fused operations), so the results are the traced pass's bit for bit.
+    """
+    outs_of, flat = {}, []          # flat: the segments in the order they run
+
+    def number(items, seen):
+        out = []
+        for item in items:
+            if isinstance(item, list):
+                out.append([number(alt, dict(seen)) for alt in item])
+                continue
+            tape, prefix, xs, ys = item
+            if isinstance(xs, Tape):
+                xs = outs_of[id(xs)]
+            names = {f"x{i}": v for i, v in enumerate(xs)}      # and vK, once written
+
+            def source(v):
+                return names.get(v) or (f"{ys}{v[1:]}" if v[0] == "y" else v)
+
+            entries = []
+            for v, expr, deps, may_raise in tape.entries:
+                m = None if tape.calls else _BINARY.fullmatch(expr)
+                if m is None:
+                    text = key = _NAME.sub(lambda t: source(t[0]), expr)
+                else:
+                    a, op, b = source(m[1]), m[2], source(m[3])
+                    text = key = f"{a} {op} {b}"
+                    if op in "+*" and b < a:
+                        key = f"{b} {op} {a}"
+                if key in seen and not tape.calls:
+                    names[v] = seen[key]
+                    continue
+                names[v] = seen[key] = prefix + v[1:]
+                entries.append((names[v], text, [source(d) for d in deps], may_raise))
+            outs_of[id(tape)] = outs = [_NAME.sub(lambda t: source(t[0]), o) for o in tape.outs]
+            flat.append([entries, outs])
+            out.append(flat[-1])
+        return out
+
+    rendered = number(segments, {})
+    uses = Counter(d for entries, _ in flat for e in entries for d in e[2])
+    named = {o for _, outs in flat for o in outs}
+    nested, depth = {}, {}
+    for segment in flat:
+        lines = []
+        for v, expr, deps, may_raise in segment[0]:
+            d = 1
+            if any(dep in nested for dep in deps):
+                expr = _WORD.sub(lambda m: f"({nested[m[0]]})" if m[0] in nested else m[0], expr)
+                d += max(depth.get(dep, 0) for dep in deps)
+            if may_raise or uses[v] != 1 or v in named or d > _MAX_NESTING:
+                lines.append(f"{v} = {expr}")
+            else:
+                nested[v], depth[v] = expr, d
+        segment[0] = lines
+    return rendered
 
 
 def plant_tapes(sys: SystemModel) -> dict:
@@ -278,28 +356,25 @@ def _call_tape(name: str, n: int) -> Tape:
         return "(" + "".join(f"{p}{i}, " for i in range(k)) + ")"
 
     if name == "drift":
-        return Tape(lines=tuple(f"v{i} = plant.drift[{i}]({tup('x', i + 1)})" for i in range(n)),
-                    outs=tuple(f"v{i}" for i in range(n)))
+        return Tape(entries=tuple((f"v{i}", f"plant.drift[{i}]({tup('x', i + 1)})", (), True)
+                                  for i in range(n)),
+                    outs=tuple(f"v{i}" for i in range(n)), calls=True)
     args = f"plant, {tup('c', n)}, {tup('x', n)}, {tup('y', n + 1)}"
     coords = tuple(f"v0[{i}]" for i in range(n))
-    line, outs = {"h": (f"v0 = error_values({args})", coords),
-                  "z": (f"v0, v1 = coords_and_drift({args}, True)", coords + ("v1",)),
-                  "residual": (f"v0 = coords_and_drift({args})[1]", ("v0",)),
-                  "state": (f"v0 = _state_values({args})", coords)}[name]
-    return Tape(lines=(line,), outs=outs)
+    expr, outs = {"h": (f"error_values({args})", coords),
+                  "z": (f"coords_and_drift({args}, True)",
+                        tuple(f"v0[0][{i}]" for i in range(n)) + ("v0[1]",)),
+                  "residual": (f"coords_and_drift({args})[1]", ("v0",)),
+                  "state": (f"_state_values({args})", coords)}[name]
+    return Tape(entries=(("v0", expr, (), True),), outs=outs, calls=True)
 
 
 def _trace(sys: SystemModel, fn) -> Optional[Tape]:
     """Trace fn(c, xs, ys) on recording scalars.  The tape keeps the same
-    float operations on the same operands.  Two rewrites only: dead-code
-    elimination, which keeps every operation that can raise, so code built
-    from the tape raises where the pass does; and an operation that cannot
-    raise and whose result is read once is written into its reader's
-    expression, in parentheses, instead of a temporary.  Python evaluates
-    every such operation exactly as before (no reassociation, no fused
-    operations), so results stay bit for bit, and the tape is about a
-    tenth as many lines, which is what keeps compiling a closed-loop step
-    of four nodes cheap.
+    float operations on the same operands, less those whose result no
+    result reads (dead-code elimination), except that every operation that
+    can raise is kept, so code built from the tape raises where the pass
+    does.  ``render`` writes a tape out.
 
     The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
     cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
@@ -315,24 +390,12 @@ def _trace(sys: SystemModel, fn) -> Optional[Tape]:
         outs = tuple(map(_source, flat))
     except Exception:       # the pass raises it again where it matters
         return None
-    named = {v.name for v in flat if isinstance(v, dualnum.Rec)}
-    live, kept = set(named), []
+    live, kept = {v.name for v in flat if isinstance(v, dualnum.Rec)}, []
     for entry in reversed(tape):
         if entry[3] or entry[0] in live:
             live.update(entry[2])
             kept.append(entry)
-    uses = Counter(dep for entry in kept for dep in entry[2])
-    nested, depth, lines = {}, {}, []
-    for name, expr, deps, may_raise in reversed(kept):
-        d = 1
-        if any(dep in nested for dep in deps):
-            expr = _TEMP.sub(lambda m: f"({nested[m[0]]})" if m[0] in nested else m[0], expr)
-            d += max(depth.get(dep, 0) for dep in deps)
-        if may_raise or uses[name] != 1 or name in named or d > _MAX_NESTING:
-            lines.append(f"{name} = {expr}")
-        else:
-            nested[name], depth[name] = expr, d
-    return Tape(lines=tuple(lines), outs=outs)
+    return Tape(entries=tuple(reversed(kept)), outs=outs)
 
 
 def _source(v) -> str:

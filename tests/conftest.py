@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from nonovershoot import GainConfig, SystemModel, example_system, demo_gains
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=40)
 settings.load_profile("ci")
+
+# every phase but shrinking: for the run-loop properties, whose cases each
+# compile loops, shrinking a failure took minutes; the examples stay the same
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Ref
                           simulate_averaged)
 from nonovershoot.sim import _STATE_LIMIT, DEFAULT_PSI_SCALE
 
-from conftest import chain_integrator, random_gains, random_poly_system
+from conftest import NO_SHRINK, chain_integrator, random_gains, random_poly_system
 from test_sim import _FAMILIES, _hex
 
 
@@ -275,7 +275,7 @@ def test_simulate_averaged_rejects_non_finite_reference(demo, gains, soft):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @given(seed=st.integers(0, 200), dt=st.floats(1e-4, 2e-3),
        h0=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5))
-@settings(max_examples=3)
+@settings(max_examples=3, phases=NO_SHRINK)
 def test_generated_averaged_step_equals_rk4_over_averaged_rhs(seed, dt, halved, linear, h0,
                                                               n, family):
     # every step of the generated loop is rk4_step over averaged_rhs, bit for

@@ -17,7 +17,7 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
 from nonovershoot import model, sim
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
-from conftest import chain_integrator, random_gains, random_poly_system
+from conftest import NO_SHRINK, chain_integrator, random_gains, random_poly_system
 from test_synth import trig_exp_system
 
 
@@ -722,7 +722,7 @@ def _hex(values):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @given(seed=st.integers(0, 200), dt=st.floats(1e-4, 2e-3), theta0=st.floats(-2.0, 2.0),
        h0=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5))
-@settings(max_examples=3)
+@settings(max_examples=3, phases=NO_SHRINK)
 def test_generated_step_equals_the_library_laws_bit_for_bit(seed, dt, theta0, h0, n, family):
     # h, u and the next state of every recorded step equal the library laws
     # stepped by rk4_step over eval_dynamics, for all four controllers

@@ -11,7 +11,7 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           scale_drift_bound, state_from_errors, virtual_controllers)
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
-from nonovershoot.synth import Tape, _alpha, _alpha_rate
+from nonovershoot.synth import Tape, _alpha, _alpha_rate, render
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -455,21 +455,24 @@ def test_every_traceable_plant_gets_its_tapes(demo):
     for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
         assert set(sys._tapes) == TAPE_NAMES
         # traced, not the call tapes of an untraceable plant (below)
-        assert not any("plant" in line for tape in sys._tapes.values() for line in tape.lines)
+        assert not any(tape.calls for tape in sys._tapes.values())
 
 
 # where a drift cannot be traced, each tape is one call of the Taylor pass
 # (or of the drifts) over the tape's input names
 CALL_TAPES_N2 = {
-    "h": ("v0 = error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
-          "v0[0]", "v0[1]"),
-    "z": ("v0, v1 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
-          "v0[0]", "v0[1]", "v1"),
-    "residual": ("v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]",
-                 "v0"),
-    "state": ("v0 = _state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
-              "v0[0]", "v0[1]"),
+    "h": ("error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))", "v0[0]", "v0[1]"),
+    "z": ("coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
+          "v0[0][0]", "v0[0][1]", "v0[1]"),
+    "residual": ("coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]", "v0"),
+    "state": ("_state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))", "v0[0]", "v0[1]"),
 }
+
+
+def _call(*exprs):
+    """The call tape of the calls exprs, one result each."""
+    return Tape(entries=tuple((f"v{i}", e, (), True) for i, e in enumerate(exprs)),
+                outs=tuple(f"v{i}" for i in range(len(exprs))), calls=True)
 
 
 def test_untraceable_drift_keeps_the_taylor_pass():
@@ -483,11 +486,10 @@ def test_untraceable_drift_keeps_the_taylor_pass():
     for plant in (sys, arr):
         tapes = plant._tapes
         assert set(tapes) == TAPE_NAMES
-        for name, (line, *outs) in CALL_TAPES_N2.items():
-            assert tapes[name] == Tape(lines=(line,), outs=tuple(outs))
-        assert tapes["drift"] == Tape(lines=("v0 = plant.drift[0]((x0, ))",
-                                             "v1 = plant.drift[1]((x0, x1, ))"),
-                                      outs=("v0", "v1"))
+        for name, (expr, *outs) in CALL_TAPES_N2.items():
+            assert tapes[name] == Tape(entries=(("v0", expr, (), True),), outs=tuple(outs),
+                                       calls=True)
+        assert tapes["drift"] == _call("plant.drift[0]((x0, ))", "plant.drift[1]((x0, x1, ))")
     lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
@@ -500,13 +502,74 @@ def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
     # one; anything else leaves the plant untraced, and it is still built
     # with a drift tape that calls the drift
     sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._tapes["drift"] == Tape(lines=("v0 = plant.drift[0]((x0, ))",), outs=("v0",))
+    assert sys._tapes["drift"] == _call("plant.drift[0]((x0, ))")
 
 
 def test_tapes_are_not_a_field(demo):
     from dataclasses import fields, replace
     assert "_tapes" not in {f.name for f in fields(demo)}
     assert replace(demo) == demo and hash(replace(demo)) == hash(demo)
+
+
+# --- rendering: value numbering and nesting ------------------------------------------
+
+def _traced(*entries, outs):
+    """A traced tape of the (name, expr, deps) entries, none of which raises."""
+    return Tape(entries=tuple(e + (False,) for e in entries), outs=outs)
+
+
+def test_an_operation_that_two_segments_share_is_rendered_once():
+    # x0 * x1 and x1 * x0 are one operation (IEEE * commutes); x0 - x1 and
+    # x1 - x0 are two
+    a = _traced(("v0", "x0 * x1", ("x0", "x1")), ("v1", "v0 + y0", ("v0", "y0")),
+                ("v2", "x0 - x1", ("x0", "x1")), outs=("v1", "v2"))
+    b = _traced(("v0", "x1 * x0", ("x1", "x0")), ("v1", "v0 - x0", ("v0", "x0")),
+                ("v2", "x1 - x0", ("x1", "x0")), outs=("v1", "v2"))
+    assert render([(a, "a", ["s0", "s1"], "ya"), (b, "b", ["s0", "s1"], "ya")]) == [
+        [["a0 = s0 * s1", "a1 = a0 + ya0", "a2 = s0 - s1"], ["a1", "a2"]],
+        [["b1 = a0 - s0", "b2 = s1 - s0"], ["b1", "b2"]]]
+
+
+def test_a_repeated_result_reads_the_first_and_a_later_segment_reads_earlier_outs():
+    # the residual is rendered over the state's outs (the averaged node);
+    # a result that repeats an earlier one is written as that one's name
+    state = _traced(("v0", "x0 + y0", ("x0", "y0")), ("v1", "x0 + y0", ("x0", "y0")),
+                    outs=("v1", "v0"))
+    residual = _traced(("v0", "x0 * x1", ("x0", "x1")), ("v1", "v0 * x1", ("v0", "x1")),
+                       outs=("v1",))
+    assert render([(state, "w", ["p0"], "y"), (residual, "v", state, "y")]) == [
+        [["w0 = p0 + y0"], ["w0", "w0"]], [["v1 = (w0 * w0) * w0"], ["v1"]]]
+
+
+def test_a_call_line_in_two_segments_is_kept_twice():
+    # a call runs user code, which may count its calls: never merged, unlike
+    # the same text traced
+    call = _call("plant.drift[0]((x0, ))")
+    assert render([(call, "f", ["s0"], ""), (call, "g", ["s0"], "")]) == [
+        [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [["g0 = plant.drift[0]((s0, ))"], ["g0"]]]
+    traced = _traced(("v0", "plant.drift[0]((x0, ))", ("x0",)), outs=("v0",))
+    assert render([(traced, "f", ["s0"], ""), (traced, "g", ["s0"], "")]) == [
+        [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [[], ["f0"]]]
+
+
+def test_a_value_computed_in_a_branch_is_not_reused_after_it():
+    # an alternative reuses what came before the branch, but neither the
+    # other alternative nor what follows the branch reuses what it computed
+    sq = _traced(("v0", "x0 * x0", ("x0", "x0")), outs=("v0",))
+    assert render([(sq, "a", ["s0"], ""),
+                   [[(sq, "b", ["s0"], ""), (sq, "c", ["s1"], "")], [(sq, "d", ["s1"], "")]],
+                   (sq, "e", ["s1"], "")]) == [
+        [["a0 = s0 * s0"], ["a0"]],
+        [[[[], ["a0"]], [["c0 = s1 * s1"], ["c0"]]], [[["d0 = s1 * s1"], ["d0"]]]],
+        [["e0 = s1 * s1"], ["e0"]]]
+
+
+def test_an_operation_that_can_raise_is_written_even_when_unread():
+    div = Tape(entries=(("v0", "x0 / x1", ("x0", "x1"), True),
+                        ("v1", "x0 * x1", ("x0", "x1"), False),
+                        ("v2", "v1 + x0", ("v1", "x0"), False)), outs=("v2",))
+    assert render([(div, "v", ["s0", "s1"], "")]) == [
+        [["v0 = s0 / s1", "v2 = (s0 * s1) + s0"], ["v2"]]]
 
 
 def test_long_single_use_chains_are_split_and_stay_bit_identical():
@@ -524,8 +587,9 @@ def test_long_single_use_chains_are_split_and_stay_bit_identical():
     sys = SystemModel(n=2, drift=(drift, lambda xs: xs[0] * xs[1]), gain=lambda xs: 1.0,
                       xi1=1.0)
     for tape in sys._tapes.values():
-        assert "plant" not in "".join(tape.lines)
-        assert max(line.count("(") for line in tape.lines) < 100
+        assert not tape.calls
+        [(lines, _)] = render([(tape, "v", ["x0", "x1"], "y")])
+        assert max(line.count("(") for line in lines) < 100
     gains = GainConfig(c=(1.5, 1.2), kappa=1.0, lam=4.0, beta=0.8, omega=60.0)
     ref = get_reference("sine04")
     traj, _ = run_scenario(sys, "nominal", gains,
