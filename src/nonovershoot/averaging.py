@@ -19,26 +19,22 @@ import numpy as np
 
 from .control import LyapunovSpec, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
-from .sim import (_FLUSH_ROWS, _factory, _horner, _rk4, _seq, _source, fmt, refine_dt,
-                  run_scenario)
+from .sim import _FLUSH_ROWS, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
 from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
-                    render, state_from_errors)
+                    horner, render, state_from_errors, trace)
 
 
-def _averaged_rates(sys, spec, gains, ys, hs, coef):
-    """Averaged error rates at hbar = hs against the reference stack ys,
-    both tuples of floats; returns a tuple.  |hbar| goes through the same
-    BLAS dot product as ``np.linalg.norm``, so results match it bit for
-    bit at every n.  This is the definition of the generated step
-    (``_averaged_source``)."""
-    n, c = sys.n, gains.c
-    xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
-    g = sys.gain(xs)
-    hv = np.array(hs)
-    r = math.sqrt(hv.dot(hv))
-    last = error_drift(sys, xs, ys, gains) \
-        - coef * g * g * lyapunov_weight(spec, r) * hs[n - 1]
-    return tuple(-c[i] * hs[i] + hs[i + 1] for i in range(n - 1)) + (last,)
+def _damping(coef, g, w):      # of the last averaged coordinate, w the weight at |hbar|
+    return coef * g * g * w
+
+
+def averaged_error_rates(hd, c, coef, g, r, wc):
+    """The rates of the cascade at hd = (hbar_1, .., hbar_n, residual drift),
+    |hbar| = r, wc the weight's coefficients; a tuple."""
+    *h, drift = hd
+    n = len(h)
+    return tuple(-c[i] * h[i] + h[i + 1] for i in range(n - 1)) \
+        + (drift - _damping(coef, g, horner(wc, r)) * h[n - 1],)
 
 
 def _coef(gains, halved):
@@ -47,20 +43,24 @@ def _coef(gains, halved):
 
 def averaged_rhs(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                  reference, t: float, hbar, halved: bool = False) -> np.ndarray:
-    """Right-hand side of the averaged error system at time t.  ValueError
-    if gains has not one rate gain per state."""
+    """Right-hand side of the averaged error system at time t; |hbar| is
+    the BLAS dot product of ``np.linalg.norm``, bit for bit at every n.
+    ValueError if gains has not one rate gain per state."""
     check_gain_count(sys, gains)
     hs = tuple(np.asarray(hbar, dtype=float).tolist())
     ys = tuple(get_reference(reference).stack(t, sys.n).tolist())
-    return np.array(_averaged_rates(sys, spec, gains, ys, hs, _coef(gains, halved)))
+    xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
+    hv = np.array(hs)
+    return np.array(averaged_error_rates((*hs, error_drift(sys, xs, ys, gains)), gains.c,
+                                         _coef(gains, halved), sys.gain(xs),
+                                         math.sqrt(hv.dot(hv)), spec._weight_coeffs))
 
 
 def effective_damping(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                       x, r: float) -> float:
     """Damping coefficient lam*beta*gain(x)^2*weight(r) of the last averaged
     coordinate; >= c_n whenever lam*beta >= 1/xi1."""
-    g = sys.gain(tuple(x))
-    return gains.lam * gains.beta * g * g * lyapunov_weight(spec, r)
+    return _damping(gains.lam * gains.beta, sys.gain(tuple(x)), lyapunov_weight(spec, r))
 
 
 def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
@@ -119,36 +119,32 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     make(plant, gains, spec, coef, ref_d, dt, t0, append) binds one run:
     coef is the damping coefficient (``_coef``), ref_d the reference's
     derivative stack and append takes each new hbar; nw is the number of
-    the Lyapunov weight's coefficients, written out as a Horner chain
-    (``lyapunov_weight``).  make returns advance (``sim._source``), whose
-    steps run at t = t0 + k * dt.  Every RK4 node fetches the stack and
-    checks it is finite, then calls one node function: ``_averaged_rates``
-    written out, with the inverse map and the uncoupled residual drift
-    from the plant's tapes of them (``synth.plant_tapes``: ``state`` and
-    ``residual``), rendered together so that the residual, whose inputs
-    are the state's outs, reuses what the inverse map computed
+    the Lyapunov weight's coefficients.  make returns advance
+    (``sim._source``), whose steps run at t = t0 + k * dt.  Every RK4 node
+    fetches the stack and checks it is finite, then calls one node
+    function: ``averaged_rhs`` written out from the plant's ``state`` and
+    ``residual`` tapes and its kernel's, traced here, rendered together
     (``synth.render``).  Compiled on the plant's first averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
-    state = sys._tapes["state"]
-    (x_lines, X), (d_lines, (ed,)) = render([(state, "w", P, "y"),
-                                             (sys._tapes["residual"], "v", state, "y")])
+    c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
+    state, residual = sys._tapes["state"], sys._tapes["residual"]
+    rates = trace(averaged_error_rates, [*P, residual], c, "coef", "g", "r", wc)
+    (x_lines, X), (d_lines, _), (r_lines, R) = render([(state, "w", P, "y"),
+                                                      (residual, "v", state, "y"),
+                                                      (rates, "u", residual, "")])
     body = [f"{_seq(Y)}= Y", *x_lines, f"xs = ({_seq(X)})", "g = gain(xs)",
-            f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))", *d_lines, f"ed = {ed}"]
-    wc = [f"wc{k}" for k in range(nw)]
-    rates = _seq(f"-c{i} * p{i} + p{i + 1}" for i in range(n - 1))
-    body.append(f"return ({rates}ed - coef * g * g * {_horner(wc, 'r')} * p{n - 1}, )")
-    setup = ["gain = plant.gain", f"{_seq(f'c{i}' for i in range(n))}= gains.c",
+            f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))", *d_lines, *r_lines,
+            f"return ({_seq(R)})"]
+    setup = ["gain = plant.gain", f"{_seq(c)}= gains.c",
              f"{_seq(wc)}= spec._weight_coeffs",
              f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
 
-    def fetch(T, Ys):
-        return [f"{Ys} = ref_d({T}, {n})",
-                f"if not all(map(isfinite, {Ys})): "
-                f"raise BlowupError('non-finite reference value', t={T})"]
-
+    fetch = [f"{{Y}} = ref_d({{T}}, {n})", "if not all(map(isfinite, {Y})): "
+             "raise BlowupError('non-finite reference value', t={T})"]
     S = _seq(f"s{i}" for i in range(n))
-    first = [*fetch("t", "ya"), f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
+    first = [*(f.format(T="t", Y="ya") for f in fetch),
+             f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
     return _source("plant, gains, spec, coef, ref_d, dt, t0, append", setup,
                    "advance(pos, stop)", n, n, "t0 + k * dt",
                    _rk4(n, first, "node({S}{Y})", fetch), "averaged system diverged",

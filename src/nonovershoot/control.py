@@ -11,6 +11,10 @@
 * ``safety_filter``: passes a nominal input inside the safe set and
   overrides it with the seeking law outside.
 
+Each law's formula is one kernel (``*_input``) over the floats a run
+loop's node holds; the law computes them and calls it, and the simulator
+traces it into its loops (``synth.trace``), so it must record.
+
 The Lyapunov function has one shape: its weight is a polynomial in |h|
 built from a polynomial drift envelope, so V is a polynomial too and is
 evaluated in closed form.  Nothing here imports scipy.
@@ -22,19 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import SystemModel
+from .dualnum import cos, fsum, guard, sqrt
+from .model import SINGULAR_GAIN, SingularGainError, SystemModel
 from .synth import DriftBound, GainConfig, _positive, coords_and_drift, error_values, horner
-
-
-class SingularGainError(ZeroDivisionError):
-    """Known-gain law evaluated where the input gain is (numerically) zero."""
-
-
-SINGULAR_GAIN = 1e-9    # |gain| below this is singular for the known-gain law
-
-
-def singular_gain(g: float) -> SingularGainError:
-    return SingularGainError(f"input gain {g:.3g} too close to zero")
 
 
 @dataclass(frozen=True)
@@ -88,19 +82,23 @@ def lyapunov_weight(spec: LyapunovSpec, r: float) -> float:
     return horner(spec._weight_coeffs, r)
 
 
+def _norm(h):
+    return sqrt(fsum([v * v for v in h]))
+
+
+def _value(vc, r):      # V at |h| = r from its coefficients vc
+    return horner(vc, r) * r * r
+
+
 def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
     if s < 0:
         raise ValueError("norm must be nonnegative")
-    return horner(spec._value_coeffs, s) * s * s
+    return _value(spec._value_coeffs, s)
 
 
 def lyapunov_value(spec: LyapunovSpec, h) -> float:
-    """V(h); depends on h only through its Euclidean norm, V(0) = 0.
-
-    |h| is taken as sqrt(fsum(h_i^2)), the form the simulator's generated
-    step uses, so ``es_control`` equals the simulated input bit for bit.
-    """
-    return lyapunov_value_from_norm(spec, math.sqrt(math.fsum(v * v for v in h)))
+    """V(h); depends on h only through its Euclidean norm, V(0) = 0."""
+    return lyapunov_value_from_norm(spec, _norm(h))
 
 
 def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:
@@ -111,12 +109,16 @@ def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:
     return lyapunov_weight(spec, float(np.linalg.norm(h))) * float(h[-1])
 
 
+def seeking_input(h, cw, sw, sq, beta, lam, vc):
+    """``es_control`` at cw, sw = cos(wt), sin(wt), sq = sqrt(w), vc V's coefficients."""
+    return sq * (beta * cw - lam * sw * _value(vc, _norm(h)))
+
+
 def es_control(spec: LyapunovSpec, gains: GainConfig, t: float, h) -> float:
     """Dithered seeking input sqrt(w)*[beta cos(wt) - lam sin(wt) V(h)]."""
-    sq = math.sqrt(gains.omega)
     wt = gains.omega * t
-    return sq * (gains.beta * math.cos(wt)
-                 - gains.lam * math.sin(wt) * lyapunov_value(spec, h))
+    return seeking_input(h, math.cos(wt), math.sin(wt), math.sqrt(gains.omega), gains.beta,
+                         gains.lam, spec._value_coeffs)
 
 
 # --- textbook laws (known gain / oscillatory gain) ----------------------------
@@ -126,27 +128,32 @@ def standard_error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> n
     return np.array(error_values(sys, gains.c, x, yr_stack, couple=True))
 
 
-def _ideal_and_last(sys, x, yr_stack, gains):
-    """(ideal input, z_n) from one coupled Taylor pass."""
-    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
-    out = -gains.c[-1] * z[-1] - drift
-    if sys.n >= 2:
-        out -= z[-2]
-    return out, z[-1]
+def ideal_input(zd, c_n):
+    """-c_n z_n - z_{n-1} - drift, zd = (z_1, .., z_n, drift) the coupled pass's."""
+    *z, drift = zd
+    out = -c_n * z[-1] - drift
+    if len(z) >= 2:
+        out = out - z[-2]
+    return out
 
 
 def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """What the textbook law would apply if the gain were exactly one:
     -c_n z_n - z_{n-1} minus the residual drift of the coupled recursion."""
-    return _ideal_and_last(sys, x, yr_stack, gains)[0]
+    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
+    return ideal_input((*z, drift), gains.c[-1])
+
+
+def known_gain_input(zd, c_n, g):
+    """The ideal input over the gain g, SingularGainError if |g| is tiny."""
+    return ideal_input(zd, c_n) / guard(g, SINGULAR_GAIN, SingularGainError)
 
 
 def nominal_backstepping(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """Known-gain law: divide the ideal input by the true gain."""
     g = sys.gain(tuple(x))
-    if abs(g) < SINGULAR_GAIN:
-        raise singular_gain(g)
-    return ideal_backstepping_input(sys, x, yr_stack, gains) / g
+    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
+    return known_gain_input((*z, drift), gains.c[-1], g)
 
 
 @dataclass
@@ -157,7 +164,13 @@ class NussbaumState:
 
 
 def nussbaum_gain(theta: float) -> float:
-    return theta * theta * math.cos(theta)
+    return theta * theta * cos(theta)
+
+
+def comparator_input(zd, c_n, theta):
+    """``nussbaum_control``'s (u, dtheta/dt), a the ideal input."""
+    a = ideal_input(zd, c_n)
+    return nussbaum_gain(theta) * a, -a * zd[-2]
 
 
 def nussbaum_control(sys: SystemModel, x, yr_stack, gains: GainConfig,
@@ -166,9 +179,8 @@ def nussbaum_control(sys: SystemModel, x, yr_stack, gains: GainConfig,
 
     u = theta^2 cos(theta) * a_ideal,  dtheta/dt = -a_ideal * z_n.
     """
-    a_ideal, z_n = _ideal_and_last(sys, x, yr_stack, gains)
-    u = nussbaum_gain(state.theta) * a_ideal
-    return u, -a_ideal * float(z_n)
+    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
+    return comparator_input((*z, drift), gains.c[-1], state.theta)
 
 
 # --- safety filter -------------------------------------------------------------

@@ -15,8 +15,8 @@ error through the recursion.
 * ``Rec``: a recording scalar.  Run through code in place of a float, it
   writes each operation as one line of straight-line Python (taping turned
   into source transformation, ibid. ch. 5); ``synth.plant_tapes`` traces
-  each plant's synthesis pass this way, and the generated run loops
-  write those tapes out.
+  each plant's synthesis pass this way, ``synth.trace`` each control
+  law's kernel, and the generated run loops write those tapes out.
 
 All three types set ``__array_ufunc__ = None`` so that a numpy scalar on
 the left (``np.float64 * x``) hands the operation to the reflected method
@@ -152,14 +152,15 @@ class Jet:
 class Rec:
     """Stand-in for a float that records instead of computing.
 
-    Each ``+ - * /``, unary minus, ``**`` and ``sin``/``cos``/``exp`` on a
-    Rec appends one entry ``(name, expression, operand names, may_raise)``
-    to the shared ``tape`` and returns the Rec of its result, so the tape
-    lists the float operations in the order they ran.  Constants must be
-    Python ints or floats (numpy float64 included) and are written by
-    value.  Anything that needs the value (``float``, ``bool``, a
-    comparison, numpy arrays) raises ``TypeError``: a completed trace has
-    no branch on the inputs and holds for all of them.
+    Each ``+ - * /``, unary minus, ``**``, ``sin``/``cos``/``exp``/``sqrt``
+    and ``fsum`` on a Rec appends one entry ``(name, expression, operand
+    names, may_raise)`` to the shared ``tape`` and returns the Rec of its
+    result, and ``guard`` its guard statement, so the tape lists the
+    operations in the order they ran.  Constants must be Python ints or
+    floats (numpy float64 included) and are written by value.  Anything
+    that needs the value (``float``, ``bool``, a comparison, numpy arrays)
+    raises ``TypeError``: a completed trace has no branch on the inputs
+    and holds for all of them.
     """
 
     __slots__ = ("tape", "name")
@@ -225,8 +226,8 @@ def _operand(v):
 def _record(form, *args, may_raise=False):
     """Append the operation form(*args) to the tape of its Rec operand(s).
     may_raise marks an operation that can raise on some input (division by
-    a variable, pow, sin/cos/exp); it is kept even when its result is
-    unused, so that compiled code raises where the traced code does."""
+    a variable, pow, the math functions, fsum, a guard); it is kept even
+    when unused, so that compiled code raises where the traced code does."""
     tape = next(a.tape for a in args if isinstance(a, Rec))
     name = f"v{len(tape)}"
     tape.append((name, form.format(*map(_operand, args)),
@@ -311,6 +312,29 @@ def exp(x):
     if isinstance(x, Rec):
         return _record("exp({})", x, may_raise=True)
     return math.exp(x)
+
+
+def sqrt(x):
+    if isinstance(x, Rec):
+        return _record("sqrt({})", x, may_raise=True)
+    return math.sqrt(x)
+
+
+def fsum(values):
+    """math.fsum of the sequence values; one recorded fsum if one is a Rec."""
+    if any(isinstance(v, Rec) for v in values):
+        return _record("fsum((" + "{}, " * len(values) + "))", *values, may_raise=True)
+    return math.fsum(values)
+
+
+def guard(x, bound: float, error):
+    """x, unless abs(x) < bound (NaN passes): then raise error(x).  On a Rec,
+    records the statement ``if abs(x) < bound: raise <error.__name__>(x)``."""
+    if isinstance(x, Rec):
+        _record(f"if abs({{0}}) < {bound!r}: raise {error.__name__}({{0}})", x, may_raise=True)
+    elif abs(x) < bound:
+        raise error(x)
+    return x
 
 
 def value(x):

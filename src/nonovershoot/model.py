@@ -91,6 +91,16 @@ class GainFloorViolation(RuntimeError):
 GAIN_FLOOR_TOL = 1e-12      # slack of the gain-floor check gain(x)^2 >= xi1
 
 
+class SingularGainError(ZeroDivisionError):
+    """Known-gain law evaluated where the input gain g is (numerically) zero."""
+
+    def __init__(self, g):
+        super().__init__(f"input gain {g:.3g} too close to zero")
+
+
+SINGULAR_GAIN = 1e-9    # |gain| below this is singular for the known-gain law
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Strict-feedback plant of dimension n.
@@ -101,8 +111,8 @@ class SystemModel:
     must be built from plain arithmetic, nonnegative integer powers,
     numeric coefficients (numpy scalars included) and the
     :mod:`nonovershoot.dualnum` helpers ``sin``, ``cos`` and ``exp``;
-    anything else raises ``TypeError``.  The gain is only ever called on
-    floats.
+    anything else (``math.sin``, comparisons, ``abs``) raises
+    ``TypeError``.  The gain is only ever called on floats.
 
     Building a plant traces its synthesis pass, its inverse map and its
     drifts into tapes (``synth.plant_tapes``), which the simulator's
@@ -299,6 +309,10 @@ class SineReference(Reference):
 class ConstantReference(Reference):
     level: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"constant level must be finite, got {self.level!r}")
+
     def derivative(self, t, k):
         return self.level if k == 0 else 0.0
 
@@ -313,7 +327,10 @@ def get_reference(name) -> Reference:
     if name == "sine04":
         return _SINE04
     if isinstance(name, str) and name.startswith("constant:"):
-        return ConstantReference(float(name.split(":", 1)[1]))
+        try:
+            return ConstantReference(float(name.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValueError(f"reference id {name!r}: {exc}") from None
     if name in _REFERENCES:
         return _REFERENCES[name]()
     raise KeyError(f"unknown reference id {name!r}")

@@ -10,17 +10,13 @@ square-root-of-frequency scale.
 
 That makes the simulator's cost its per-step overhead, so the run loop
 itself is code generated for the plant and controller (``_step_source``),
-compiled on the controller's first run on that plant and cached on it:
-each step is straight-line code apart from calls of one generated node
-function, and the loop records the samples and checks the state's range
-without leaving the generated code.  Every RK4 node runs the plant's
-tapes (``synth.plant_tapes``), rendered together so that each distinct
-float operation is written once (``synth.render``), the control law and
-the plant rate, in the float operations of the library laws and of
-``rk4_step`` and in their order, so the results are theirs bit for
-bit.  Gains, Lyapunov coefficients and references are inputs,
-so a sweep compiles one loop.  The averaged system's loop comes from the
-same emitter (``_rk4``, ``_source``; see ``averaging``).
+compiled on the controller's first run on that plant and cached on it.
+It writes out the plant's tapes and the control law's, traced from the
+library's own functions (``synth.trace``), and holds only the
+integrator, so a run's results are those of the library laws and of
+``rk4_step`` bit for bit.  Gains, Lyapunov coefficients and references
+are inputs, so a sweep compiles one loop.  The averaged system's loop
+comes from the same emitter (``_rk4``, ``_source``; see ``averaging``).
 """
 
 import itertools
@@ -30,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .control import SINGULAR_GAIN, LyapunovSpec, example_lyapunov_spec, singular_gain
+from . import control
 from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
                     is_divergence, max_dither_dt)
 from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
-                    render)
+                    render, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -186,7 +182,7 @@ class _Recorder:
 
 
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
-                 scenario: Scenario, *, lyap_spec: Optional[LyapunovSpec] = None,
+                 scenario: Scenario, *, lyap_spec: Optional[control.LyapunovSpec] = None,
                  psi_scale: float = DEFAULT_PSI_SCALE, theta0: float = 0.0,
                  delta_est: Optional[float] = None, delta_source: str = "configured",
                  nominal_reference="constant:0", scenario_id: Optional[str] = None):
@@ -199,12 +195,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     filter freezes its nominal/override decision at the start of each
     step so the switching signal is piecewise constant on the grid.
 
-    The run is a loop generated for this plant and controller (see
-    ``_step_source``), called once per block of _FLUSH_ROWS steps.  Each
-    step evaluates the tracked reference's derivative stack once per RK4
-    node (start, midpoint, end), and the gain once per node, where it also
-    checks the gain floor (the last sample, which is no node of a step
-    taken, is not checked).
+    The run is the loop generated for this plant and controller
+    (``_step_source``), called once per block of _FLUSH_ROWS steps.
 
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence: the state leaving the finite
@@ -226,7 +218,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
             f"dt = {scenario.dt:g} does not resolve the dither at omega = "
             f"{gains.omega:g} (need dt <= {max_dither_dt(gains.omega):g})")
     if needs_dither and lyap_spec is None:
-        lyap_spec = example_lyapunov_spec(sys, gains, scale=psi_scale)
+        lyap_spec = control.example_lyapunov_spec(sys, gains, scale=psi_scale)
     ref = get_reference(scenario.reference)
     nominal_ref = get_reference(nominal_reference)
     if delta_est is None:
@@ -240,7 +232,9 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     rec = _Recorder(nsteps + 1, n)
     ref_d = ref.derivatives
     nom_d = ref_d if nominal_ref is ref else nominal_ref.derivatives
-    advance = _closed_loop(sys, controller, lyap_spec)(
+    # of the Lyapunov shape only the number of its coefficients is compiled in
+    ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
+    advance = _factory(sys, (controller, ncoef), lambda: _step_source(sys, controller, ncoef))(
         sys, gains, lyap_spec, ref_d, nom_d, dt, rec.rows.append)
 
     # (step, its start state) where the loop stopped
@@ -299,9 +293,8 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
 
 # --- compiled closed-loop run loop ------------------------------------------------
 
-_STEP_SCOPE = dict(TAPE_SCOPE, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
-                   array=np.array, BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL,
-                   singular_gain=singular_gain)
+_STEP_SCOPE = dict(TAPE_SCOPE, isfinite=math.isfinite, array=np.array,
+                   BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL)
 
 
 def _factory(sys: SystemModel, key, source):
@@ -314,37 +307,20 @@ def _factory(sys: SystemModel, key, source):
     return make
 
 
-def _closed_loop(sys: SystemModel, controller: str, lyap_spec):
-    """make(plant, gains, spec, ref_d, nom_d, dt, append) -> advance for
-    one plant and controller (see ``_step_source``).  Of the Lyapunov
-    shape only the number of its coefficients is compiled in, for the
-    dithered controllers; the others read none (ncoef None)."""
-    ncoef = len(lyap_spec._value_coeffs) if controller in DITHERED else None
-    return _factory(sys, (controller, ncoef),
-                    lambda: _step_source(sys, controller, ncoef))
-
-
 def _seq(names) -> str:
     """"a, b, " for the names a, b: a tuple's items or an unpacking target."""
     return "".join(f"{v}, " for v in names)
 
 
-def _horner(coeffs: list, x: str) -> str:
-    """Source of ``synth.horner`` over the names coeffs at x."""
-    acc = "0.0"
-    for coef in reversed(coeffs):
-        acc = f"({acc} * {x} + {coef})"
-    return acc
-
-
-def _rk4(m: int, first: list, call: str, fetch) -> list:
+def _rk4(m: int, first: list, call: str, fetch: list) -> list:
     """Lines of one RK4 step of the m floats s0.. from time t, in the float
     operations of ``rk4_step``; they leave the new state in n0...
     ``first`` are the lines of node 1, which fetch its reference stack and
     set the rates k1_0..; call.format(T=, S=, Y=) is the rates at a later
-    node, at time T, state items S and stack Y; fetch(T, Y) are the lines
-    that set Y to the stack at T, run once k1 is known."""
-    lines = [*first, "tm = t + half", *fetch("tm", "ym"), "te = t + dt", *fetch("te", "ye")]
+    node, at time T, state items S and stack Y; the lines fetch, formatted
+    with T= and Y=, set Y to the stack at T, and run once k1 is known."""
+    lines = [*first, "tm = t + half", *(f.format(T="tm", Y="ym") for f in fetch),
+             "te = t + dt", *(f.format(T="te", Y="ye") for f in fetch)]
     for j, T, Y, frac in ((2, "tm", "ym", "half"), (3, "tm", "ym", "half"),
                           (4, "te", "ye", "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
@@ -383,32 +359,25 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     """Source of the closed-loop run loop of one plant and controller.
 
     make(plant, gains, spec, ref_d, nom_d, dt, append) binds one run's
-    inputs: the gains and Lyapunov coefficients are read there, so one
-    compiled loop serves every point of a sweep.  ref_d and nom_d give the
-    derivative stacks of the tracked and the safety filter's nominal
-    reference (the same callable when they are one reference, whose stack
-    node 1 then fetches once), and append takes one sample row.  make
-    returns advance (see ``_source``): advance(pos, stop) runs the steps
-    pos[0]..stop-1, each of which records the sample at its start, and
-    advance(pos, nsteps + 1, True) only records the last sample, with the
-    same code.
+    inputs, so one compiled loop serves every point of a sweep.  ref_d and
+    nom_d give the derivative stacks of the tracked and the safety
+    filter's nominal reference (the same callable when they are one
+    reference, whose stack node 1 then fetches once), and append takes one
+    sample row.  make returns advance (``_source``), whose steps each
+    record the sample at their start; advance(pos, nsteps + 1, True) only
+    records the last sample, with the same code.
 
     Every node evaluates the gain once and checks the gain floor on it
     (the last sample, which is no node of a step taken, is not checked),
-    then computes the error coordinates, the control law and the plant
-    rate x_{i+1} + drift_i, gain*u + drift_n from the plant's tapes
-    (``synth.plant_tapes``).  The float operations and their order are
-    those of the library laws (``es_control``, ``nominal_backstepping``,
-    ``nussbaum_control``) and of ``rk4_step``, less the repeats:
-    ``synth.render`` writes the tapes of one node (node 1's recorded h,
-    then the law's h or z, then the drifts) as one basic block, each
-    distinct operation once.  The safety filter's mode is frozen over the
-    step, and each of its two branches is a scope of its own: it reuses
-    what came before it, and nothing after it reuses what it computed.
-    The dithered laws' nodes 2 to 4 are passed the dither pair
-    cos(om * T), sin(om * T), which the loop computes once per time T
-    (the midpoint's serves nodes 2 and 3), and only in override mode for
-    the filter.
+    then writes out the tapes of the error coordinates, of the law's
+    kernel (``control.seeking_input`` over h, ``known_gain_input`` or
+    ``comparator_input`` over z, traced here over the coordinates, g, the
+    dither pair cw, sw and the gains) and of the drifts, then the plant
+    rate.  ``synth.render`` writes one node's tapes as one basic block,
+    each distinct float operation once; the safety filter's two laws are
+    branches on its mode, which is frozen over the step.  The dither pair
+    is computed once per node time (the midpoint's serves nodes 2 and 3),
+    by the filter in override mode only.
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
@@ -419,7 +388,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     """
     n = sys.n
     m = n + (controller == "nussbaum")
-    h_tape, z_tape, d_tape = (sys._tapes[k] for k in ("h", "z", "drift"))
+    tapes = sys._tapes
     filt = controller == "safety-filter"
 
     def unpack(Y):
@@ -427,58 +396,30 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 
     vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
 
-    def seek(h):                            # es_control, given the dither pair cw, sw
-        return [f"r = sqrt(fsum(({_seq(f'{v} * {v}' for v in h)})))",
-                f"V = {_horner(vc, 'r')} * r * r", "u = sq * (beta * cw - lam * sw * V)"]
-
-    def ideal(z):                           # control._ideal_and_last
-        return f"a = -c{n - 1} * {z[n - 1]} - {z[n]}" + (f" - {z[n - 2]}" if n >= 2 else "")
-
-    def nominal(z_lines, z):                # nominal_backstepping
-        return [f"if abs(g) < {SINGULAR_GAIN!r}: raise singular_gain(g)", *z_lines, ideal(z),
-                "u = a / g"]
-
     def node(S, Y, k, pre, record=False):
         """Gain and floor check, the lines pre, the law, then the plant's
         rates <k>0.. at one node.  Node 1 (record) also records the sample:
-        it starts with the recorded h, which es reads as well.  All the
-        tapes a node writes out are rendered together (``synth.render``),
-        so the node writes each float operation once."""
-        h, d = (h_tape, "e", S, Y), (d_tape, "f", S, "")
+        it starts with the recorded h, which es reads as well."""
+        h, d = (tapes["h"], "e", S, Y), (tapes["drift"], "f", S, "")
         # at node 1 the filter's nominal law reads its own reference's stack
-        z = (z_tape, "z", S, "yl" if record and filt else Y)
-        if controller == "es":
-            law = [] if record else [h]
-        elif filt:                          # mode 0 | mode 1
-            law = [[[z], [] if record else [h]]]
-        else:
-            law = [z]
-        *parts, (d_lines, dv) = render([h] * record + law + [d])
-        lines, dither = [], []              # nodes 2 to 4 are passed cw, sw
+        z = (tapes["z"], "z", S, "yl" if record and filt else Y)
+        coords = {"h": [h] * (not record), "z": [z]}
+        known = (control.known_gain_input, "z", f"c{n - 1}", "g")
+        seek = (control.seeking_input, "h", "cw", "sw", "sq", "beta", "lam", vc)
+        compare = (control.comparator_input, "z", f"c{n - 1}", S[-1])     # theta: the last state
+        alts = [coords[c] + [(trace(fn, [tapes[c]], *args), "u" + c, tapes[c], "")]
+                for fn, c, *args in {"es": [seek], "nominal": [known], "nussbaum": [compare],
+                                     "safety-filter": [known, seek]}[controller]]
+        *parts, (d_lines, dv) = render([h] * record + ([alts] if filt else alts[0]) + [d])
+        lines = []
         if record:
             (lines, hv), *parts = parts
-            dither = ["cw, sw = cos(om * t), sin(om * t)"]
-        if controller == "es":
-            if parts:
-                [(e_lines, hv)] = parts
-                lines += e_lines
-            lines += dither + seek(hv)
-        elif filt:
-            [[[(z_lines, zv)], alt]] = parts
-            e_lines, hv = alt[0] if alt else ([], hv)
-            known = nominal(z_lines, zv)
-            if record:
-                known = [f"yl = ya if nom_d is ref_d else nom_d(t, {n})", unpack("yl"), *known]
-            lines += ["if mode == 0:", *(f"    {v}" for v in known),
-                      "else:", *(f"    {v}" for v in e_lines + dither + seek(hv))]
-        else:
-            [(z_lines, zv)] = parts
-            if controller == "nominal":
-                lines += nominal(z_lines, zv)
-            else:                           # nussbaum_control
-                th = S[n]
-                lines += [*z_lines, ideal(zv), f"u = {th} * {th} * cos({th}) * a",
-                          f"{k}{n} = -a * {zv[n - 1]}"]
+        for mode, alt in enumerate(parts[0] if filt else [parts]):    # the filter's by mode
+            body = [v for seg_lines, _ in alt for v in seg_lines]
+            body += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), alt[-1][1])]
+            if filt:
+                body = [("if mode == 0:", "else:")[mode], *(f"    {v}" for v in body)]
+            lines += body
         if record:
             lines += [f"append((t, xs, ({_seq(hv)}), u, ya0, {'mode' if filt else -1}))",
                       "if last: return"]
@@ -490,22 +431,23 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 
     S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
     pre = [f"ya = ref_d(t, {n})", unpack("ya")]
-    if filt:
-        pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d"]
-    first = node(S, "ya", "k1_", pre, record=True)
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
     fetch, params, args = [f"{{Y}} = stack({{T}}, {n})"], "", ""
+    if filt:
+        pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d",
+                f"yl = ya if stack is ref_d else stack(t, {n})", unpack("yl")]
+    else:
+        setup.append("stack = ref_d")
     if controller in DITHERED:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
-        # the loop computes the dither pair once per time, so tm's serves
-        # nodes 2 and 3; the filter's nominal-mode steps compute none
         pair = "cos(om * {T}), sin(om * {T})"
-        fetch.append("c{T}, s{T} = " + (f"({pair}) if mode else (0.0, 0.0)" if filt else pair))
+        pair = f"({pair}) if mode else (0.0, 0.0)" if filt else pair
+        pre.append("cw, sw = " + pair.format(T="t"))
+        fetch.append("c{T}, s{T} = " + pair)
         params, args = "cw, sw, ", "c{T}, s{T}, "
-    if not filt:
-        setup.append("stack = ref_d")
+    first = node(S, "ya", "k1_", pre, record=True)
     mode = ", mode" if filt else ""
     setup += [f"def node({params}{_seq(P)}Y{mode}):",
               *(f"    {v}" for v in node(P, "Y", "k_", [unpack("Y")])),
@@ -513,7 +455,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     call = "node(" + args + "{S}{Y}" + mode + ")"
     return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup,
                    "advance(pos, stop, last=False)", m, n, "k * dt",
-                   _rk4(m, first, call, lambda T, Y: [f.format(T=T, Y=Y) for f in fetch]),
+                   _rk4(m, first, call, fetch),
                    "state left the finite range", "(k + 1) * dt")
 
 

@@ -23,27 +23,23 @@ separately and serves as the oracle for the Taylor pass.  Neither path
 uses finite differences.
 
 For a fixed plant the pass runs the same float operations in the same
-order at every input.  So when a ``SystemModel`` is built,
-``plant_tapes`` traces it, the inverse map and the drifts on recording
-scalars (``dualnum.Rec``), with the states, the reference stack and the
-rate gains as inputs, and keeps each trace as straight-line operations
-(``Tape``).  The generated run loops write those tapes into their RK4
-nodes (``sim._step_source``, ``averaging._averaged_source``) through
-one renderer, ``render``, which value-numbers all the tapes that one
-node writes out: the node does each distinct float operation once,
-where the pass first does it, so a run gets the pass's results bit for
-bit without running it.  Where a drift cannot be traced, the tape is one
-call of the pass or of the drifts, written as tape entries that the
-renderer never merges, so the loops have one path.
+order at every input, and so does each control law's kernel.  So
+``trace`` runs them on recording scalars (``dualnum.Rec``) and keeps
+each trace as straight-line operations (``Tape``): ``plant_tapes`` the
+pass, the inverse map and the drifts when a ``SystemModel`` is built,
+the run loops each law when they are built.  The loops write the tapes
+into their RK4 nodes through one renderer, ``render``, which
+value-numbers all the tapes that one node writes out, so a node does
+each distinct float operation once and a run gets the library's results
+bit for bit without running it.  Where a drift cannot be traced, the
+tape is one call of the pass or of the drifts, written as tape entries
+that the renderer never merges, so the loops have one path.
 
-Drifts are evaluated on jets as well as on floats, so they must be built
-from plain arithmetic, nonnegative integer powers, numeric (also numpy
-scalar) coefficients and the ``dualnum`` helpers ``sin``, ``cos`` and
-``exp``; anything else (``math.sin``, comparisons, ``abs``) raises
-``TypeError``.  A drift must also be a pure function of its arguments:
-a tape holds the constants it read when the plant was built.
+Drifts are evaluated on jets as well as on floats, which limits what
+they may be built from (``model.SystemModel``).
 """
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -53,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dualnum
-from .model import SystemModel
+from .model import SingularGainError, SystemModel
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ def _positive(name: str, v) -> None:
 
 
 def horner(coeffs, x: float) -> float:
-    """sum_k coeffs[k] x^k by Horner's rule, starting from 0.0 (the
-    generated loops write out the same operations, ``sim._horner``)."""
+    """sum_k coeffs[k] x^k by Horner's rule, starting from 0.0.  It runs on
+    recording scalars too: the laws that call it are traced with it."""
     acc = 0.0
     for coef in reversed(coeffs):
         acc = acc * x + coef
@@ -229,14 +225,15 @@ _MAX_NESTING = 24       # parentheses a rendered expression may nest (the parser
 
 @dataclass(frozen=True)
 class Tape:
-    """One traced pass (or one call, ``_call_tape``) after dead-code
+    """One traced pass or law (or one call, ``_call_tape``) after dead-code
     elimination.  ``entries`` are ``(name, expr, deps, may_raise)`` in the
     order they ran: ``name = expr`` is one float operation over the inputs
-    x0.., the reference stack y0.., the rate gains c0.. and earlier vK, deps
-    are the recorded names it reads, and may_raise marks an operation that
-    can raise on some input.  ``outs`` is the source of each result.  ``calls``
-    marks a call tape, whose entries call user code: ``render`` never
-    merges them."""
+    (x0.., the reference stack y0.., the rate gains c0.., or the names a
+    law was traced over) and earlier vK, deps are the recorded names it
+    reads, and may_raise marks an operation that can raise on some input;
+    an expr ``if ...`` is a guard (``dualnum.guard``), written as it
+    stands.  ``outs`` is the source of each result.  ``calls`` marks a
+    call tape, whose entries call user code: ``render`` never merges them."""
 
     entries: tuple
     outs: tuple
@@ -316,7 +313,7 @@ def render(segments) -> list:
                 expr = _WORD.sub(lambda m: f"({nested[m[0]]})" if m[0] in nested else m[0], expr)
                 d += max(depth.get(dep, 0) for dep in deps)
             if may_raise or uses[v] != 1 or v in named or d > _MAX_NESTING:
-                lines.append(f"{v} = {expr}")
+                lines.append(expr if expr.startswith("if ") else f"{v} = {expr}")
             else:
                 nested[v], depth[v] = expr, d
         segment[0] = lines
@@ -334,9 +331,10 @@ def plant_tapes(sys: SystemModel) -> dict:
       x0.. stand for h_1..;
     * ``drift``: the drifts, drift_1..drift_n.
 
-    ``SystemModel`` traces them when it is built, not when a loop is
-    compiled, so that no run calls the drifts on recording scalars: the
-    first run on a plant calls the drifts as often as the next.
+    ``SystemModel`` traces them when it is built, so that no run calls
+    the drifts on recording scalars.  Whatever the drifts cannot take on
+    a Rec (``math.sin``, a comparison, numpy arrays, ...) ends a trace,
+    and the call raises that error where it matters.
     """
     n = sys.n
     passes = {
@@ -346,7 +344,14 @@ def plant_tapes(sys: SystemModel) -> dict:
         "state": lambda c, hs, ys: _state_values(sys, c, hs, ys),
         "drift": lambda c, xs, ys: [sys.drift[i](xs[:i + 1]) for i in range(n)],
     }
-    return {name: _trace(sys, fn) or _call_tape(name, n) for name, fn in passes.items()}
+    c, xs, ys = ([f"{p}{i}" for i in range(k)] for p, k in (("c", n), ("x", n), ("y", n + 1)))
+    tapes = {}
+    for name, fn in passes.items():
+        try:
+            tapes[name] = trace(fn, c, xs, ys)
+        except Exception:
+            tapes[name] = _call_tape(name, n)
+    return tapes
 
 
 def _call_tape(name: str, n: int) -> Tape:
@@ -369,28 +374,27 @@ def _call_tape(name: str, n: int) -> Tape:
     return Tape(entries=(("v0", expr, (), True),), outs=outs, calls=True)
 
 
-def _trace(sys: SystemModel, fn) -> Optional[Tape]:
-    """Trace fn(c, xs, ys) on recording scalars.  The tape keeps the same
-    float operations on the same operands, less those whose result no
-    result reads (dead-code elimination), except that every operation that
-    can raise is kept, so code built from the tape raises where the pass
-    does.  ``render`` writes a tape out.
+def trace(fn, *args) -> Tape:
+    """The tape of fn(*args) on recording scalars: a text argument is one
+    of that name, and a list argument a tuple, of such scalars and of a
+    tape's outs as x0, x1, .. (which a segment with that tape as xs
+    renders).  fn returns a result, or a list or tuple of results and
+    lists of them.
+    The tape keeps fn's float operations, less those whose result no
+    result reads, but every one that can raise (dead-code elimination)."""
+    tape, count = [], itertools.count()
 
-    The trace runs the plant's drifts on ``dualnum.Rec``.  Whatever they
-    cannot take on it (``math.sin``, a comparison, numpy arrays, ...)
-    ends the trace, and the tape becomes a call of the pass: it then
-    raises the same error at the first call that needs that drift.
-    """
-    n, tape = sys.n, []
-    xs, ys, c = (tuple(dualnum.Rec(tape, f"{p}{i}") for i in range(k))
-                 for p, k in (("x", n), ("y", n + 1), ("c", n)))
-    try:
-        out = fn(c, xs, ys)
-        flat = list(out[0]) + [out[1]] if isinstance(out, tuple) else list(out)
-        outs = tuple(map(_source, flat))
-    except Exception:       # the pass raises it again where it matters
-        return None
-    live, kept = {v.name for v in flat if isinstance(v, dualnum.Rec)}, []
+    def recs(item):
+        if isinstance(item, Tape):
+            return [dualnum.Rec(tape, f"x{next(count)}") for _ in item.outs]
+        return [dualnum.Rec(tape, item)]
+
+    out = fn(*(tuple(v for item in arg for v in recs(item)) if isinstance(arg, list)
+               else dualnum.Rec(tape, arg) for arg in args))
+    results = [v for r in (out if isinstance(out, (list, tuple)) else [out])
+               for v in (r if isinstance(r, list) else [r])]
+    outs = tuple(map(_source, results))
+    live, kept = {v.name for v in results if isinstance(v, dualnum.Rec)}, []
     for entry in reversed(tape):
         if entry[3] or entry[0] in live:
             live.update(entry[2])
@@ -491,8 +495,9 @@ def _state_values(sys: SystemModel, c, hs, ys):
 
 
 # the names a tape's source reads; a call tape reads the pass's functions
-TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "inf": math.inf, "nan": math.nan, "error_values": error_values,
+TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
+              "fsum": math.fsum, "inf": math.inf, "nan": math.nan,
+              "SingularGainError": SingularGainError, "error_values": error_values,
               "coords_and_drift": coords_and_drift, "_state_values": _state_values}
 
 

@@ -60,6 +60,12 @@ def random_poly_system(n: int, seed: int) -> SystemModel:
     )
 
 
+def negated_gain(sys: SystemModel) -> SystemModel:
+    """The plant with its input gain negated: same drifts, same floor."""
+    return SystemModel(n=sys.n, drift=sys.drift, gain=lambda xs: -sys.gain(xs), xi1=sys.xi1,
+                       name=f"{sys.name}-negated")
+
+
 def random_gains(n: int, seed: int, descending: bool = False) -> GainConfig:
     rng = np.random.default_rng(seed + 10_000)
     if descending:

@@ -14,7 +14,8 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Ref
                           simulate_averaged)
 from nonovershoot.sim import _STATE_LIMIT, DEFAULT_PSI_SCALE
 
-from conftest import NO_SHRINK, chain_integrator, random_gains, random_poly_system
+from conftest import (NO_SHRINK, chain_integrator, negated_gain, random_gains,
+                      random_poly_system)
 from test_sim import _FAMILIES, _hex
 
 
@@ -279,34 +280,39 @@ def test_simulate_averaged_rejects_non_finite_reference(demo, gains, soft):
 def test_generated_averaged_step_equals_rk4_over_averaged_rhs(seed, dt, halved, linear, h0,
                                                               n, family):
     # every step of the generated loop is rk4_step over averaged_rhs, bit for
-    # bit: traced and untraced drifts, both coefficients, and a linear or a
+    # bit: traced and untraced drifts, both coefficients, a linear or a
     # quadratic growth envelope, whose weights have 3 and 5 coefficients and
-    # so run two compiled loops
-    sys = _FAMILIES[family](n, seed)
+    # so run two compiled loops, and the plant with its gain negated
+    base = _FAMILIES[family](n, seed)
     gains = random_gains(n, seed)
     growth = (0.0, 1.0) if linear else (0.0, 1.0, 0.5)
     spec = LyapunovSpec(DriftBound(growth_coeffs=growth, offset=0.1), gains.c[-1], gains.kappa)
     assert len(spec._weight_coeffs) == (3 if linear else 5)
     ref = get_reference("sine04")
-    h = np.array(h0[:n])
-    want = [_hex(h)]
-    for k in range(3):
-        sc = Scenario(x0=(0.0,) * n, t_end=(k + 1) * dt, dt=dt, reference=ref)
-        try:
-            got = simulate_averaged(sys, spec, gains, sc, h0=h0[:n], halved=halved)
-        except BlowupError as exc:      # a stiff random plant may leave the float range
-            assert str(exc) == "averaged system diverged"
+
+    def replay(sys):
+        h = np.array(h0[:n])
+        want = [_hex(h)]
+        for k in range(3):
+            sc = Scenario(x0=(0.0,) * n, t_end=(k + 1) * dt, dt=dt, reference=ref)
             try:
-                h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v,
-                                                       halved=halved), k * dt, h, dt)
-            except (BlowupError, OverflowError, ValueError):
+                got = simulate_averaged(sys, spec, gains, sc, h0=h0[:n], halved=halved)
+            except BlowupError as exc:      # a stiff random plant may leave the float range
+                assert str(exc) == "averaged system diverged"
+                try:
+                    h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v,
+                                                           halved=halved), k * dt, h, dt)
+                except (BlowupError, OverflowError, ValueError):
+                    return
+                assert np.max(np.abs(h)) > _STATE_LIMIT
                 return
-            assert np.max(np.abs(h)) > _STATE_LIMIT
-            return
-        h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v, halved=halved),
-                     k * dt, h, dt)
-        want.append(_hex(h))
-        assert [_hex(row) for row in got] == want
+            h = rk4_step(lambda t, v: averaged_rhs(sys, spec, gains, ref, t, v, halved=halved),
+                         k * dt, h, dt)
+            want.append(_hex(h))
+            assert [_hex(row) for row in got] == want
+
+    replay(base)
+    replay(negated_gain(base))
 
 
 def test_averaged_system_diverges_past_the_full_loops_range():

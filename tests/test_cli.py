@@ -221,6 +221,22 @@ def test_non_finite_option_or_gain_count_is_one_line(tmp_path, config, message, 
     assert "diverged" not in text
 
 
+@pytest.mark.parametrize("level, cause", [("nan", "must be finite, got nan"),
+                                          ("inf", "must be finite, got inf"),
+                                          ("abc", "could not convert string to float")])
+def test_malformed_constant_reference_is_one_line(tmp_path, level, cause):
+    # rejected when the config is read (exit status 1, the text on stderr),
+    # not reported as a divergence of the run; the message names the id
+    cfgp = tmp_path / "ref.cfg"
+    cfgp.write_text(f"reference=constant:{level}\n")
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["run", "--t-end", "0.01", "--config", str(cfgp)])
+    text = exc_info.value.code
+    assert isinstance(text, str) and "\n" not in text and "diverged" not in text
+    assert text.startswith(f"nonovershoot: reference id 'constant:{level}': ")
+    assert cause in text
+
+
 def test_average_subcommand(tmp_path, capsys):
     out = tmp_path / "study.csv"
     rc = run_cli(["average", "--t-end", "1", "--omegas", "60,240", "--out", str(out)])

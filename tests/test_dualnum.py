@@ -145,6 +145,24 @@ def test_rec_through_a_jet_records_the_series_arithmetic():
     assert [r.name for r in out.c] == ["v4", "v8"]
 
 
+def test_rec_records_sqrt_fsum_and_a_guard():
+    tape = []
+    x, y = Rec(tape, "x0"), Rec(tape, "x1")
+    out = dualnum.sqrt(dualnum.fsum([x * x, y, 1.0]))
+    assert dualnum.guard(y, 1e-9, ZeroDivisionError) is y
+    assert [(name, expr) for name, expr, _, _ in tape] == [
+        ("v0", "x0 * x0"), ("v1", "fsum((v0, x1, 1.0, ))"), ("v2", "sqrt(v1)"),
+        ("v3", "if abs(x1) < 1e-09: raise ZeroDivisionError(x1)")]
+    assert out.name == "v2"
+    assert [may_raise for *_, may_raise in tape] == [False, True, True, True]
+    # on floats they are math's, and the guard passes NaN as the rule does
+    assert dualnum.sqrt(2.0) == math.sqrt(2.0) and dualnum.fsum([0.1] * 10) == 1.0
+    assert dualnum.guard(-2e-9, 1e-9, ZeroDivisionError) == -2e-9
+    assert math.isnan(dualnum.guard(math.nan, 1e-9, ZeroDivisionError))
+    with pytest.raises(ZeroDivisionError):
+        dualnum.guard(-1e-12, 1e-9, ZeroDivisionError)
+
+
 def test_rec_refuses_anything_that_needs_its_value():
     x = Rec([], "x0")
     for needs_value in (float, bool, math.sin, abs, lambda v: v < 0.0,

@@ -88,6 +88,14 @@ def test_reference_stack_constant():
     assert reference_stack("constant:2.5", 13.7, 4) == pytest.approx([2.5, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_constant_reference_rejects_a_non_finite_level(level):
+    with pytest.raises(ValueError, match="must be finite"):
+        ConstantReference(level)
+    with pytest.raises(ValueError, match=f"reference id 'constant:{level}'"):
+        get_reference(f"constant:{level}")
+
+
 def test_reference_unknown_id():
     with pytest.raises(KeyError):
         get_reference("warble")

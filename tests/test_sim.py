@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -14,10 +15,12 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
                           get_reference, nominal_backstepping, nussbaum_control, refine_dt,
                           rk4_step, run_scenario, simulate_averaged, state_from_errors,
                           sweep)
-from nonovershoot import model, sim
+from nonovershoot import control, model, sim
+from nonovershoot.synth import coords_and_drift
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
-from conftest import NO_SHRINK, chain_integrator, random_gains, random_poly_system
+from conftest import (NO_SHRINK, chain_integrator, negated_gain, random_gains,
+                      random_poly_system)
 from test_synth import trig_exp_system
 
 
@@ -101,6 +104,18 @@ def test_recorded_input_matches_library_law(demo, gains):
     for traj, rows in ((es, np.ones(len(es.t), dtype=bool)), (filt, override)):
         for t, h, u in zip(traj.t[rows], traj.h[rows], traj.u[rows]):
             assert u == es_control(spec, gains, t, h)
+
+
+def test_seeking_law_tracks_either_control_direction(demo, gains):
+    # the paper's title claim at g < 0: es on the demo plant and on the same
+    # plant with its gain negated, one Lyapunov shape, stays under the
+    # transient ceiling both ways and peaks alike (0.24370 vs 0.24379)
+    spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=15.0, dt=1e-3)
+    reports = [run_scenario(plant, "es", gains, sc, lyap_spec=spec)[1]
+               for plant in (demo, negated_gain(demo))]
+    assert [rep.envelope_violation for rep in reports] == [0.0, 0.0]
+    assert abs(reports[0].max_h1 - reports[1].max_h1) <= 1e-3
 
 
 @pytest.mark.parametrize("c", [(2.0,), (2.0, 1.5, 1.2)])
@@ -725,15 +740,18 @@ def _hex(values):
 @settings(max_examples=3, phases=NO_SHRINK)
 def test_generated_step_equals_the_library_laws_bit_for_bit(seed, dt, theta0, h0, n, family):
     # h, u and the next state of every recorded step equal the library laws
-    # stepped by rk4_step over eval_dynamics, for all four controllers
-    sys = _FAMILIES[family](n, seed)
+    # stepped by rk4_step over eval_dynamics, for all four controllers, on
+    # the plant and on the plant with its gain negated (same floor), which
+    # pins the traced a / g, the comparator and the floor check for g < 0
+    base = _FAMILIES[family](n, seed)
     gains = random_gains(n, seed)
     spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1),
                         gains.c[-1], gains.kappa)
     ref, nominal_ref = get_reference("sine04"), get_reference("constant:-0.2")
-    x0 = state_from_errors(sys, h0[:n], ref.stack(0.0, n), gains)
+    x0 = state_from_errors(base, h0[:n], ref.stack(0.0, n), gains)
     sc = Scenario(x0=tuple(x0), t_end=3 * dt, dt=dt, reference=ref)
-    for controller in ("es", "nominal", "nussbaum", "safety-filter"):
+    for sys, controller in itertools.product((base, negated_gain(base)),
+                                             ("es", "nominal", "nussbaum", "safety-filter")):
         try:
             traj, _ = run_scenario(sys, controller, gains, sc, lyap_spec=spec,
                                    theta0=theta0, nominal_reference=nominal_ref)
@@ -753,6 +771,30 @@ def test_generated_step_equals_the_library_laws_bit_for_bit(seed, dt, theta0, h0
                     return np.concatenate([eval_dynamics(sys, s[:n], u), aux])
 
                 assert _hex(traj.x[k + 1]) == _hex(rk4_step(rhs, t, state, dt)[:n])
+
+
+def test_the_run_loop_writes_the_library_law_kernels(gains, monkeypatch):
+    # the loops hold no copy of a law: on a fresh plant, whose loops compile
+    # here, a changed kernel changes the recorded u as it changes the law
+    seeking, known = control.seeking_input, control.known_gain_input
+    monkeypatch.setattr(control, "seeking_input", lambda *a: 0.5 * seeking(*a))
+    monkeypatch.setattr(control, "known_gain_input", lambda *a: known(*a) + 0.25)
+    plant = example_system()
+    spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
+    es, _ = run_scenario(plant, "es", gains, sc, lyap_spec=spec)
+    for t, h, u in zip(es.t, es.h, es.u):
+        wt = gains.omega * t
+        assert u == es_control(spec, gains, t, h) == 0.5 * seeking(
+            h, math.cos(wt), math.sin(wt), math.sqrt(gains.omega), gains.beta, gains.lam,
+            spec._value_coeffs)
+    nominal, _ = run_scenario(plant, "nominal", gains, sc)
+    ref = get_reference(sc.reference)
+    for t, x, u in zip(nominal.t, nominal.x, nominal.u):
+        g = plant.gain(tuple(x))
+        z, drift = coords_and_drift(plant, gains.c, x, ref.stack(t, 2), couple=True)
+        assert u == nominal_backstepping(plant, x, ref.stack(t, 2), gains) \
+            == known((*z, drift), gains.c[-1], g) + 0.25
 
 
 def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
