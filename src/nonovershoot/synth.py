@@ -375,13 +375,13 @@ def _call_tape(name: str, n: int) -> Tape:
 
 
 def trace(fn, *args) -> Tape:
-    """The tape of fn(*args) on recording scalars: a text argument is one
-    of that name, and a list argument a tuple, of such scalars and of a
-    tape's outs as x0, x1, .. (which a segment with that tape as xs
-    renders).  fn returns a result, or a list or tuple of results and
-    lists of them.
-    The tape keeps fn's float operations, less those whose result no
-    result reads, but every one that can raise (dead-code elimination)."""
+    """The tape of fn(*args) on recording scalars.  A text argument is one
+    scalar of that name; a list argument is a tuple of such scalars and of
+    a tape's outs, named x0, x1, .. (a segment with that tape as xs renders
+    them).  fn returns a result, or a list or tuple of results and lists of
+    them.  The tape keeps fn's float operations, less those whose result
+    no result reads, but every one that can raise, so code built from it
+    raises where fn does."""
     tape, count = [], itertools.count()
 
     def recs(item):
