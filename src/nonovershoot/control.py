@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .dualnum import cos, fsum, guard, sqrt
-from .model import SINGULAR_GAIN, SingularGainError, SystemModel
+from .model import SINGULAR_GAIN, SingularGainError, SystemModel, singular_gain
 from .synth import DriftBound, GainConfig, _positive, coords_and_drift, error_values, horner
 
 
@@ -145,8 +145,8 @@ def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -
 
 
 def known_gain_input(zd, c_n, g):
-    """The ideal input over the gain g, SingularGainError if |g| is tiny."""
-    return ideal_input(zd, c_n) / guard(g, SINGULAR_GAIN, SingularGainError)
+    """The ideal input over the gain g; SingularGainError if |g| < SINGULAR_GAIN."""
+    return ideal_input(zd, c_n) / guard(g, SINGULAR_GAIN, singular_gain)
 
 
 def nominal_backstepping(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
@@ -168,7 +168,8 @@ def nussbaum_gain(theta: float) -> float:
 
 
 def comparator_input(zd, c_n, theta):
-    """``nussbaum_control``'s (u, dtheta/dt), a the ideal input."""
+    """``nussbaum_control``'s (u, dtheta/dt) = (theta^2 cos(theta) a, -a z_n),
+    a the ideal input."""
     a = ideal_input(zd, c_n)
     return nussbaum_gain(theta) * a, -a * zd[-2]
 

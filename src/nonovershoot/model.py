@@ -92,13 +92,14 @@ GAIN_FLOOR_TOL = 1e-12      # slack of the gain-floor check gain(x)^2 >= xi1
 
 
 class SingularGainError(ZeroDivisionError):
-    """Known-gain law evaluated where the input gain g is (numerically) zero."""
-
-    def __init__(self, g):
-        super().__init__(f"input gain {g:.3g} too close to zero")
+    """Known-gain law evaluated where the input gain is (numerically) zero."""
 
 
 SINGULAR_GAIN = 1e-9    # |gain| below this is singular for the known-gain law
+
+
+def singular_gain(g: float) -> SingularGainError:
+    return SingularGainError(f"input gain {g:.3g} too close to zero")
 
 
 @dataclass(frozen=True)

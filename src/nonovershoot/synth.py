@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dualnum
-from .model import SingularGainError, SystemModel
+from .model import SystemModel, singular_gain
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ def _state_values(sys: SystemModel, c, hs, ys):
 # the names a tape's source reads; a call tape reads the pass's functions
 TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
               "fsum": math.fsum, "inf": math.inf, "nan": math.nan,
-              "SingularGainError": SingularGainError, "error_values": error_values,
+              "singular_gain": singular_gain, "error_values": error_values,
               "coords_and_drift": coords_and_drift, "_state_values": _state_values}
 
 

@@ -11,7 +11,7 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           scale_drift_bound, state_from_errors, virtual_controllers)
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
-from nonovershoot.model import SingularGainError
+from nonovershoot.model import singular_gain
 from nonovershoot.synth import Tape, _alpha, _alpha_rate, render, trace
 
 from conftest import chain_integrator, random_gains, random_poly_system
@@ -546,13 +546,13 @@ def test_a_law_is_traced_over_named_inputs_and_a_tapes_outs():
     # a text argument is one input of that name, a tape's outs are x0..,
     # which the segment's xs then names; the guard is written as a statement
     z = _traced(("v0", "x0 - y0", ("x0", "y0")), outs=("v0", "(0.0)"))
-    law = trace(lambda zd, g: (zd[0] + zd[1]) / dualnum.guard(g, 1e-9, SingularGainError),
+    law = trace(lambda zd, g: (zd[0] + zd[1]) / dualnum.guard(g, 1e-9, singular_gain),
                 [z], "g")
     assert [e[1] for e in law.entries] == [
-        "x0 + x1", "if abs(g) < 1e-09: raise SingularGainError(g)", "v0 / g"]
+        "x0 + x1", "if abs(g) < 1e-09: raise singular_gain(g)", "v0 / g"]
     assert render([(z, "z", ["s0"], "ya"), (law, "u", z, "")]) == [
         [["z0 = s0 - ya0"], ["z0", "(0.0)"]],
-        [["if abs(g) < 1e-09: raise SingularGainError(g)", "u2 = (z0 + (0.0)) / g"], ["u2"]]]
+        [["if abs(g) < 1e-09: raise singular_gain(g)", "u2 = (z0 + (0.0)) / g"], ["u2"]]]
 
 
 def test_a_call_line_in_two_segments_is_kept_twice():
