@@ -82,7 +82,7 @@ def lyapunov_weight(spec: LyapunovSpec, r: float) -> float:
     return horner(spec._weight_coeffs, r)
 
 
-def _norm(h):
+def _norm(h):        # |h| as sqrt(fsum(h_i^2)), the one form every V(h) uses
     return sqrt(fsum([v * v for v in h]))
 
 

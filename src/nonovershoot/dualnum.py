@@ -322,7 +322,7 @@ def sqrt(x):
 
 def fsum(values):
     """math.fsum of the sequence values; one recorded fsum if one is a Rec."""
-    if any(isinstance(v, Rec) for v in values):
+    if Rec in map(type, values):
         return _record("fsum((" + "{}, " * len(values) + "))", *values, may_raise=True)
     return math.fsum(values)
 
