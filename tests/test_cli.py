@@ -173,6 +173,12 @@ def test_horizon_off_the_step_grid_is_a_message(t_end, capsys):
     ("", ["run", "--system", "nope"], "unknown system id 'nope'"),
     ("", ["sweep", "--grid", "omega=60,inf"], "--grid omega: expected finite numbers"),
     ("", ["average", "--omegas", "60,nan"], "--omegas: expected finite numbers"),
+    ("reference=constant:nan\n", ["run"],
+     "reference id 'constant:nan': constant level must be finite, got nan"),
+    ("reference=constant:inf\n", ["run"],
+     "reference id 'constant:inf': constant level must be finite, got inf"),
+    ("reference=constant:abc\n", ["run"],
+     "reference id 'constant:abc': could not convert string to float: 'abc'"),
 ])
 def test_malformed_input_is_one_line(tmp_path, config, args, message):
     cfgp = tmp_path / "bad.cfg"
@@ -219,22 +225,6 @@ def test_non_finite_option_or_gain_count_is_one_line(tmp_path, config, message, 
     text = exc_info.value.code          # a string: exit status 1, the text on stderr
     assert text == f"nonovershoot: {message}"
     assert "diverged" not in text
-
-
-@pytest.mark.parametrize("level, cause", [("nan", "must be finite, got nan"),
-                                          ("inf", "must be finite, got inf"),
-                                          ("abc", "could not convert string to float")])
-def test_malformed_constant_reference_is_one_line(tmp_path, level, cause):
-    # rejected when the config is read (exit status 1, the text on stderr),
-    # not reported as a divergence of the run; the message names the id
-    cfgp = tmp_path / "ref.cfg"
-    cfgp.write_text(f"reference=constant:{level}\n")
-    with pytest.raises(SystemExit) as exc_info:
-        run_cli(["run", "--t-end", "0.01", "--config", str(cfgp)])
-    text = exc_info.value.code
-    assert isinstance(text, str) and "\n" not in text and "diverged" not in text
-    assert text.startswith(f"nonovershoot: reference id 'constant:{level}': ")
-    assert cause in text
 
 
 def test_average_subcommand(tmp_path, capsys):
