@@ -6,9 +6,10 @@
 3. Safety-filtered regulation from a safe and an unsafe start.
 4. Full-vs-averaged deviation study over three dither frequencies.
 
-Each CSV's SHA-256 digest is printed after its path, and the digests of
-the demo plant's generated run loop sources (the four controllers and the
-averaged system) follow, so that two versions of the simulator can be
+Each CSV's SHA-256 digest is printed after its path.  The digest of the
+averaged system's samples over the study's 10 s follows, then those of
+the demo plant's generated run loop sources (the four controllers and
+the averaged system), so that two versions of the simulator can be
 compared for byte-identical output and byte-identical loops with one
 command.
 """
@@ -19,8 +20,8 @@ import time
 from pathlib import Path
 
 from nonovershoot import (Scenario, averaging, deviation_study, example_lyapunov_spec,
-                          example_system, demo_gains, run_scenario, sim)
-from nonovershoot.sim import DEFAULT_PSI_SCALE
+                          example_system, demo_gains, run_scenario, sim, simulate_averaged)
+from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt
 
 
 def sha256(text):
@@ -73,6 +74,11 @@ def main():
     for om, dev in zip(study.omegas, study.deviations):
         print(f"  omega={om:g}: max |h - h_avg| = {dev:.4f}")
     save("deviation_study.csv", study.to_csv())
+    # the study keeps one maximum per frequency; the averaged samples
+    # themselves, in the rows of tests/test_demo_digests.py
+    rows = simulate_averaged(system, spec, gains, sc).tolist()
+    text = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    print(f"  averaged samples: sha256 {sha256(text)}")
 
     print("generated loop sources of the demo plant")
     for controller in sim.CONTROLLERS:

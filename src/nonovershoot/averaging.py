@@ -6,20 +6,22 @@ grows) to the cascade
     dhbar_i/dt = -c_i hbar_i + hbar_{i+1}            i < n
     dhbar_n/dt = drift(xbar) - coef * gain(xbar)^2 * weight(|hbar|) * hbar_n
 
-where xbar is the state reconstructed from hbar and coef defaults to
-lam*beta.  Applying the generic coupling integral to the cos/sin dither
-pair instead yields lam*beta/2; both variants are exposed (``halved``)
-and the coupling integral itself is available as an independent probe.
+where xbar is the state reconstructed from hbar, |hbar| is the |h| of the
+seeking law's V (``control._norm``) and coef defaults to lam*beta.
+Applying the generic coupling integral to the cos/sin dither pair
+instead yields lam*beta/2; both variants are exposed (``halved``) and the
+coupling integral itself is available as an independent probe.
+The averaged system runs on the closed loop's generated-loop emitter and
+driver (``sim._source``, ``sim._drive``).
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import LyapunovSpec, lyapunov_weight
-from .model import BlowupError, Scenario, SystemModel, get_reference, is_divergence
-from .sim import _FLUSH_ROWS, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
+from .control import LyapunovSpec, _norm, lyapunov_weight
+from .model import BlowupError, Scenario, SystemModel, get_reference
+from .sim import _Recorder, _drive, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
 from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, state_from_errors, trace)
 
@@ -28,13 +30,14 @@ def _damping(coef, g, w):      # of the last averaged coordinate, w the weight a
     return coef * g * g * w
 
 
-def averaged_error_rates(hd, c, coef, g, r, wc):
+def averaged_error_rates(hd, c, coef, g, wc):
     """The rates of the cascade at hd = (hbar_1, .., hbar_n, residual drift),
-    |hbar| = r, wc the weight's coefficients; a tuple."""
+    wc the weight's coefficients; a tuple.  |hbar| is ``control._norm``'s,
+    the |h| of V."""
     *h, drift = hd
     n = len(h)
     return tuple(-c[i] * h[i] + h[i + 1] for i in range(n - 1)) \
-        + (drift - _damping(coef, g, horner(wc, r)) * h[n - 1],)
+        + (drift - _damping(coef, g, horner(wc, _norm(h))) * h[n - 1],)
 
 
 def _coef(gains, halved):
@@ -43,17 +46,15 @@ def _coef(gains, halved):
 
 def averaged_rhs(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                  reference, t: float, hbar, halved: bool = False) -> np.ndarray:
-    """Right-hand side of the averaged error system at time t; |hbar| is
-    the BLAS dot product of ``np.linalg.norm``, bit for bit at every n.
-    ValueError if gains has not one rate gain per state."""
+    """Right-hand side of the averaged error system at time t.  ValueError
+    if gains has not one rate gain per state."""
     check_gain_count(sys, gains)
     hs = tuple(np.asarray(hbar, dtype=float).tolist())
     ys = tuple(get_reference(reference).stack(t, sys.n).tolist())
     xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
-    hv = np.array(hs)
     return np.array(averaged_error_rates((*hs, error_drift(sys, xs, ys, gains)), gains.c,
                                          _coef(gains, halved), sys.gain(xs),
-                                         math.sqrt(hv.dot(hv)), spec._weight_coeffs))
+                                         spec._weight_coeffs))
 
 
 def effective_damping(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
@@ -64,91 +65,66 @@ def effective_damping(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
 
 
 def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
-                      scenario: Scenario, h0=None, halved: bool = False,
-                      t0: float = 0.0) -> np.ndarray:
+                      scenario: Scenario, h0=None, halved: bool = False) -> np.ndarray:
     """Integrate the averaged system on the scenario grid.
 
     Starts from the error coordinates of the scenario's initial state
-    unless h0 is given; t0 shifts the reference clock (useful for phased
-    integration of stiff transients).  Returns an (N+1, n) sample array.
-    The run is the loop generated for the plant (``_averaged_source``),
-    called once per block of _FLUSH_ROWS steps.  Raises BlowupError
-    "averaged system diverged" when hbar leaves the finite range
-    (|hbar_i| > 1e9 or NaN, the full loop's rule) or on an arithmetic
-    divergence (``model.is_divergence``), and "non-finite reference value"
-    at the first RK4 node whose reference stack is not finite.
-    ValueError if gains has not one rate gain per state, if a given h0 is
-    not n finite numbers, or if t0 is not finite.
+    unless h0 is given.  Returns an (N+1, n) sample array.  The run is the
+    loop generated for the plant (``_averaged_source``) on the closed
+    loop's driver (``sim._drive``), so it diverges as a closed loop does;
+    its range check's cause is "averaged system diverged" (|hbar_i| > 1e9
+    or NaN).  ValueError if gains has not one rate gain per state, or if a
+    given h0 is not n finite numbers.
     """
     check_gain_count(sys, gains)
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
     ref = get_reference(scenario.reference)
     n = sys.n
     if h0 is None:
-        h0 = error_coords(sys, scenario.x0, ref.stack(t0, n), gains)
+        h0 = error_coords(sys, scenario.x0, ref.stack(0.0, n), gains)
     elif np.shape(h0) != (n,) or not np.all(np.isfinite(h0)):
         raise ValueError(f"h0 must be {n} finite numbers, got {h0!r}")
-    h = tuple(np.asarray(h0, dtype=float).tolist())
-    nsteps = scenario.nsteps
-    dt = scenario.dt
+    nsteps, dt, ref_d = scenario.nsteps, scenario.dt, ref.derivatives
     out = np.empty((nsteps + 1, n))
-    out[0] = h
-    rows = []
+    rec = _Recorder(tuple(out.T))       # the columns of out
     nw = len(spec._weight_coeffs)
     advance = _factory(sys, ("averaged", nw), lambda: _averaged_source(sys, nw))(
-        sys, gains, spec, _coef(gains, halved), ref.derivatives, dt, t0, rows.append)
-    pos = [0, h]        # (step, its start state) where the loop stopped
-    try:
-        while pos[0] < nsteps:
-            k = pos[0]
-            advance(pos, min(k + _FLUSH_ROWS, nsteps))
-            out[k + 1:pos[0] + 1] = rows
-            rows.clear()
-    except (OverflowError, ValueError) as exc:
-        if not is_divergence(exc):
-            raise
-        k, h = pos
-        raise BlowupError("averaged system diverged", t=t0 + k * dt, state=np.array(h)) from None
+        sys, gains, spec, _coef(gains, halved), ref_d, dt, rec.rows.append)
+    _drive(advance, rec, tuple(np.asarray(h0, dtype=float).tolist()), nsteps, dt, n,
+           ref_d, None)
     return out
 
 
 def _averaged_source(sys: SystemModel, nw) -> str:
     """Source of the averaged system's run loop on one plant.
 
-    make(plant, gains, spec, coef, ref_d, dt, t0, append) binds one run:
-    coef is the damping coefficient (``_coef``), ref_d the reference's
-    derivative stack and append takes each new hbar; nw is the number of
-    the Lyapunov weight's coefficients.  make returns advance
-    (``sim._source``), whose steps run at t = t0 + k * dt.  Every RK4 node
-    fetches the stack and checks it is finite, then calls one node
-    function: ``averaged_rhs`` written out from the plant's ``state`` and
-    ``residual`` tapes and its kernel's, traced here, rendered together
-    (``synth.render``).  Compiled on the plant's first averaged run."""
+    make(plant, gains, spec, coef, ref_d, dt, append) binds one run: coef
+    is the damping coefficient (``_coef``), ref_d the reference's
+    derivative stack and append takes each step's start hbar; nw is the
+    number of the Lyapunov weight's coefficients.  make returns advance
+    (``sim._source``), as the closed loop's does.  Every RK4 node fetches
+    the stack and calls one node function: ``averaged_rhs`` written out
+    from the plant's ``state`` and ``residual`` tapes and its kernel's,
+    traced here with its |hbar|, rendered together (``synth.render``).
+    Compiled on the plant's first averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
     state, residual = sys._tapes["state"], sys._tapes["residual"]
-    rates = trace(averaged_error_rates, [*P, residual], c, "coef", "g", "r", wc)
+    rates = trace(averaged_error_rates, [*P, residual], c, "coef", "g", wc)
     (x_lines, X), (d_lines, _), (r_lines, R) = render([(state, "w", P, "y"),
                                                       (residual, "v", state, "y"),
                                                       (rates, "u", residual, "")])
     body = [f"{_seq(Y)}= Y", *x_lines, f"xs = ({_seq(X)})", "g = gain(xs)",
-            f"hv = array(({_seq(P)}))", "r = sqrt(hv.dot(hv))", *d_lines, *r_lines,
-            f"return ({_seq(R)})"]
+            *d_lines, *r_lines, f"return ({_seq(R)})"]
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c",
              f"{_seq(wc)}= spec._weight_coeffs",
              f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
-
-    fetch = [f"{{Y}} = ref_d({{T}}, {n})", "if not all(map(isfinite, {Y})): "
-             "raise BlowupError('non-finite reference value', t={T})"]
     S = _seq(f"s{i}" for i in range(n))
-    first = [*(f.format(T="t", Y="ya") for f in fetch),
+    first = [f"append(({S}))", "if last: return", f"ya = ref_d(t, {n})",
              f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
-    return _source("plant, gains, spec, coef, ref_d, dt, t0, append", setup,
-                   "advance(pos, stop)", n, n, "t0 + k * dt",
-                   _rk4(n, first, "node({S}{Y})", fetch), "averaged system diverged",
-                   "t0 + (k + 1) * dt", [f"append(({_seq(f'n{i}' for i in range(n))}))"])
+    return _source("plant, gains, spec, coef, ref_d, dt, append", setup, n, n,
+                   _rk4(n, first, "node({S}{Y})", [f"{{Y}} = ref_d({{T}}, {n})"]),
+                   "averaged system diverged")
 
 
 # --- generic dither coupling ---------------------------------------------------

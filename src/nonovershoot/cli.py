@@ -195,8 +195,11 @@ def main(argv=None) -> int:
         from .control import example_lyapunov_spec
 
         spec = example_lyapunov_spec(system, gains, scale=opts["psi_scale"])
-        study = averaging.deviation_study(system, spec, gains, scenario, omegas,
-                                          halved=args.halved)
+        try:
+            study = averaging.deviation_study(system, spec, gains, scenario, omegas,
+                                              halved=args.halved)
+        except BlowupError as exc:      # the averaged system; a full loop's is a row
+            return _diverged(exc)
         for om, dev, blow in zip(study.omegas, study.deviations, study.blowups):
             flag = " (diverged)" if blow else ""
             print(f"omega={om:g}: max deviation = {dev:.6g}{flag}")

@@ -82,7 +82,7 @@ def lyapunov_weight(spec: LyapunovSpec, r: float) -> float:
     return horner(spec._weight_coeffs, r)
 
 
-def _norm(h):        # |h| as sqrt(fsum(h_i^2)), the one form every V(h) uses
+def _norm(h):        # |h| as sqrt(fsum(h_i^2)): V, dV/dh_n and the averaged damping
     return sqrt(fsum([v * v for v in h]))
 
 
@@ -103,10 +103,10 @@ def lyapunov_value(spec: LyapunovSpec, h) -> float:
 
 def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:
     """dV/dh_n = weight(|h|) * h_n (continuous through h = 0)."""
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=float).tolist()
     if h[-1] == 0.0:
         return 0.0
-    return lyapunov_weight(spec, float(np.linalg.norm(h))) * float(h[-1])
+    return lyapunov_weight(spec, _norm(h)) * h[-1]
 
 
 def seeking_input(h, cw, sw, sq, beta, lam, vc):

@@ -16,7 +16,7 @@ library's own functions (``synth.trace``), and holds only the
 integrator, so a run's results are those of the library laws and of
 ``rk4_step`` bit for bit.  Gains, Lyapunov coefficients and references
 are inputs, so a sweep compiles one loop.  The averaged system's loop
-comes from the same emitter (``_rk4``, ``_source``; see ``averaging``).
+comes from the same emitter and runs on the same driver (``_drive``).
 """
 
 import itertools
@@ -152,16 +152,15 @@ _CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
 
 
 class _Recorder:
-    """Trajectory samples, appended one tuple per sample to ``rows`` by the
-    generated run loop and flushed into preallocated arrays after every
-    block of _FLUSH_ROWS steps: an item write into a numpy array costs
-    about as much as a step's own bookkeeping, and an unbounded list would
-    hold every sample twice."""
+    """Samples, appended one tuple per sample to ``rows`` by a generated run
+    loop and flushed into the arrays ``cols``, one per tuple item, after
+    every block of _FLUSH_ROWS steps (``_drive``): an item write into a
+    numpy array costs about as much as a step's own bookkeeping, and an
+    unbounded list would hold every sample twice."""
 
-    def __init__(self, size, n):
-        self.cols = (np.empty(size), np.empty((size, n)), np.empty((size, n)),
-                     np.empty(size), np.empty(size), np.empty(size, dtype=np.int8))
-        self.rows = []      # (t, x, h, u, yr, mode) since the last flush
+    def __init__(self, cols):
+        self.cols = cols
+        self.rows = []      # sample tuples since the last flush
         self.count = 0      # rows already in the arrays
 
     def flush(self):
@@ -173,7 +172,7 @@ class _Recorder:
             self.rows.clear()
 
     def trajectory(self, complete=True) -> Trajectory:
-        """The recorded rows, exactly; a partial record is copied out."""
+        """The closed loop's rows, exactly; a partial record is copied out."""
         self.flush()
         t, x, h, u, yr, mode = (a if len(a) == self.count else a[:self.count].copy()
                                 for a in self.cols)
@@ -185,7 +184,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
                  scenario: Scenario, *, lyap_spec: Optional[control.LyapunovSpec] = None,
                  psi_scale: float = DEFAULT_PSI_SCALE, theta0: float = 0.0,
                  delta_est: Optional[float] = None, delta_source: str = "configured",
-                 nominal_reference="constant:0", scenario_id: Optional[str] = None):
+                 nominal_reference="constant:0"):
     """Integrate one closed loop and report overshoot metrics.
 
     The seeking controllers need a LyapunovSpec; for the demo plant one
@@ -196,16 +195,13 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     step so the switching signal is piecewise constant on the grid.
 
     The run is the loop generated for this plant and controller
-    (``_step_source``), called once per block of _FLUSH_ROWS steps.
+    (``_step_source``), run by ``_drive``.
 
     Raises BlowupError, with the samples recorded so far attached as
-    ``partial_trajectory``, on divergence: the state leaving the finite
-    range (|x_i| > 1e9 or NaN, theta included), an ``OverflowError``, or a
-    math-domain ``ValueError`` (see ``model.is_divergence``).  When a
-    reference stack the failed step read is not finite, the cause is
-    "non-finite reference value" at the first such node, as in
-    ``averaging.simulate_averaged``.  Any other exception propagates
-    unchanged.
+    ``partial_trajectory``, on divergence (``_drive``): the state leaving
+    the finite range (|x_i| > 1e9 or NaN, theta included), "arithmetic
+    divergence: <cause>", or "non-finite reference value".  Any other
+    exception propagates unchanged.
     """
     if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller id {controller!r}; known: {CONTROLLERS}")
@@ -229,50 +225,68 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         raise ValueError(f"theta0 must be finite, got {theta0!r}")
 
     n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
-    rec = _Recorder(nsteps + 1, n)
+    size = nsteps + 1
+    rec = _Recorder((np.empty(size), np.empty((size, n)), np.empty((size, n)),
+                     np.empty(size), np.empty(size), np.empty(size, dtype=np.int8)))
     ref_d = ref.derivatives
     nom_d = ref_d if nominal_ref is ref else nominal_ref.derivatives
     # of the Lyapunov shape only the number of its coefficients is compiled in
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
     advance = _factory(sys, (controller, ncoef), lambda: _step_source(sys, controller, ncoef))(
         sys, gains, lyap_spec, ref_d, nom_d, dt, rec.rows.append)
+    start = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
+    try:
+        _drive(advance, rec, start, nsteps, dt, n, ref_d,
+               nom_d if controller == "safety-filter" else None)
+    except BlowupError as exc:
+        exc.partial_trajectory = rec.trajectory(complete=False)
+        raise
 
-    # (step, its start state) where the loop stopped
-    pos = [0, tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())]
+    traj = rec.trajectory()
+    bounds = _auto_bounds(sys, gains)
+    report = overshoot_report(traj, gains, bounds, delta_est,
+                              scenario_id=_default_id(sys, controller, scenario),
+                              delta_source=delta_source)
+    return traj, report
+
+
+def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref_d, nom_d):
+    """Run advance (``_source``) from the state start: the steps 0..nsteps-1
+    a block of _FLUSH_ROWS at a time, flushing rec after each, then the last
+    sample.  The one divergence diagnosis of the generated loops: besides
+    the loop's range check, an ``OverflowError`` or math-domain
+    ``ValueError`` (``model.is_divergence``) in step k is BlowupError
+    "arithmetic divergence: <cause>" at k * dt, and once a step has failed,
+    a non-finite stack that it read (``_reference_fault``) is the cause
+    instead.  Other exceptions propagate; rec keeps what was recorded."""
+    pos = [0, start]        # (step, its start state) where the loop stopped
     try:
         try:
             while pos[0] < nsteps:
                 advance(pos, min(pos[0] + _FLUSH_ROWS, nsteps))
                 rec.flush()
             advance(pos, nsteps + 1, True)      # the last sample only
+            rec.flush()
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise
             k, state = pos
             raise BlowupError(f"arithmetic divergence: {exc}", t=k * dt,
                               state=np.array(state[:n])) from None
-    except BlowupError as exc:
+    except BlowupError:
         k, state = pos
-        node = _reference_fault(ref_d, nom_d if controller == "safety-filter" else None,
-                                n, k * dt, state[0], dt, k == nsteps)
-        if node is not None:
-            exc = BlowupError("non-finite reference value", t=node, state=np.array(state[:n]))
-        exc.partial_trajectory = rec.trajectory(complete=False)
-        raise exc from None
-
-    traj = rec.trajectory()
-    bounds = _auto_bounds(sys, gains)
-    sid = scenario_id or _default_id(sys, controller, scenario)
-    report = overshoot_report(traj, gains, bounds, delta_est,
-                              scenario_id=sid, delta_source=delta_source)
-    return traj, report
+        node = _reference_fault(ref_d, nom_d, n, k * dt, state[0], dt, k == nsteps)
+        if node is None:
+            raise
+        raise BlowupError("non-finite reference value", t=node,
+                          state=np.array(state[:n])) from None
 
 
 def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last: bool):
     """Time of the first RK4 node of the step from t (x1 its start's first
     state) whose reference stack, as that step read it, is not finite;
     None if every stack it read is finite.  nom_d is the safety filter's
-    nominal stack, None for the other controllers.  Only the diagnosis of
+    nominal stack, None for the other loops.  Only the diagnosis of
     a failed step calls this, so the step itself checks no node.  A
     reference that raises a divergence here leaves the step's own cause
     standing."""
@@ -293,7 +307,7 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
 
 # --- compiled closed-loop run loop ------------------------------------------------
 
-_STEP_SCOPE = dict(TAPE_SCOPE, isfinite=math.isfinite, array=np.array,
+_STEP_SCOPE = dict(TAPE_SCOPE, array=np.array,
                    BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL)
 
 
@@ -329,25 +343,25 @@ def _rk4(m: int, first: list, call: str, fetch: list) -> list:
                     for i in range(m)]
 
 
-def _source(params: str, setup: list, signature: str, m: int, n: int, time: str,
-            step: list, cause: str, fail_t: str, post=()) -> str:
-    """``def make(<params>)``: the setup lines, then ``def <signature>``,
-    the run loop, which make returns.  advance(pos, stop, ...) runs the
-    steps pos[0]..stop-1 from the m floats pos[1]: each sets t to time,
-    runs the lines step, which leave the new state in n0.., checks it and
-    runs the lines post.  The check is the divergence rule of every
-    generated loop: a new item beyond +-_STATE_LIMIT, or NaN, raises
-    BlowupError(cause) at time fail_t with the new state's first n items.
-    Whether advance returns or raises, pos then holds the step where it
-    stopped and that step's start state: stop and the state reached, or
-    the step that failed."""
+def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) -> str:
+    """``def make(<params>)``: the setup lines, then the run loop advance,
+    which make returns.  advance(pos, stop, last=False) runs the steps
+    pos[0]..stop-1 from the m floats pos[1]: each sets t = k * dt and runs
+    the lines step, which record the start sample (and return if last) and
+    leave the new state in n0.., then checks it.  The check is the
+    divergence rule of every generated loop: a new item beyond
+    +-_STATE_LIMIT, or NaN, raises BlowupError(cause) at (k + 1) * dt with
+    the new state's first n items.  Whether advance returns or raises, pos
+    then holds the step where it stopped and that step's start state: stop
+    and the state reached, or the step that failed."""
     S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
     in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
-    loop = [f"t = {time}", *step, f"if not ({in_range}):",
-            f"    raise BlowupError({cause!r}, t={fail_t}, "
-            f"state=array(({_seq(f'n{i}' for i in range(n))})))", *post, f"{S}= {N}"]
+    loop = ["t = k * dt", *step, f"if not ({in_range}):",
+            f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
+            f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
     return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup),
-                      "    half = dt / 2", "    sixth = dt / 6", f"    def {signature}:",
+                      "    half = dt / 2", "    sixth = dt / 6",
+                      "    def advance(pos, stop, last=False):",
                       f"        k, ({S}) = pos", "        try:",
                       "            for k in range(k, stop):",
                       *(f"                {line}" for line in loop),
@@ -453,10 +467,8 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
               *(f"    {v}" for v in node(P, "Y", "k_", [unpack("Y")])),
               f"    return ({_seq(f'k_{i}' for i in range(m))})"]
     call = "node(" + args + "{S}{Y}" + mode + ")"
-    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup,
-                   "advance(pos, stop, last=False)", m, n, "k * dt",
-                   _rk4(m, first, call, fetch),
-                   "state left the finite range", "(k + 1) * dt")
+    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup, m, n,
+                   _rk4(m, first, call, fetch), "state left the finite range")
 
 
 def _default_id(sys, controller, scenario):
@@ -548,11 +560,9 @@ def sweep(sys: SystemModel, controller: str, gains: GainConfig,
             continue
         if controller in DITHERED:
             sc = replace(sc, dt=refine_dt(sc.dt, g.omega))
-        label = grid_label(overrides)
+        sc = replace(sc, label=f"{_default_id(sys, controller, sc)}/{grid_label(overrides)}")
         try:
-            _, report = run_scenario(sys, controller, g, sc,
-                                     scenario_id=f"{_default_id(sys, controller, sc)}/{label}",
-                                     **options)
+            _, report = run_scenario(sys, controller, g, sc, **options)
         except BlowupError as exc:
             text = f"diverged at t={exc.t:.6g}: {exc}"
             rows.append((None, text.replace(",", ";"), overrides))

@@ -109,6 +109,20 @@ def test_compare_blowup_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_average_blowup_exit_code(tmp_path, capsys):
+    # the unscaled certificate far from the reference: the averaged system
+    # itself diverges, which ends the study
+    cfgp = tmp_path / "hot.cfg"
+    cfgp.write_text("psi_scale=1\nx0=-20,0\n")
+    out = tmp_path / "dev.csv"
+    rc = run_cli(["average", "--t-end", "1", "--omegas", "60", "--config", str(cfgp),
+                  "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["simulation diverged at t=0.001: averaged system diverged"]
+    assert not out.exists()
+
+
 def test_compare_writes_two_rows(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     rc = run_cli(["compare", "--t-end", "1", "--out", str(out)])

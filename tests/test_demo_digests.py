@@ -6,8 +6,9 @@ of 10 s), so a change to the simulator that moves any recorded float by
 one bit fails here, not only in the 50 s script's digests.  The averaged
 system's samples, which the study reduces to one maximum per frequency,
 are pinned as well.  The digests hold for IEEE doubles with the libm
-``sin``/``cos`` and the FMA-fused OpenBLAS ``dot`` of an x86-64 Linux
-build; another math library may change last bits and then these digests.
+``sin``/``cos`` of an x86-64 Linux build; another math library may change
+last bits and then these digests.  No pinned digest depends on a BLAS
+routine: every |h| is ``math.fsum`` of squares (``control._norm``).
 """
 
 import hashlib

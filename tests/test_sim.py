@@ -674,12 +674,18 @@ class _SqrtReference(Reference):
 
 
 def test_reference_raising_a_divergence_keeps_the_steps_cause(demo, gains):
-    # re-reading the failed step's stacks raises again; the cause stands
+    # re-reading the failed step's stacks raises again; the cause stands, in
+    # the closed loop and in the averaged system alike
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=_SqrtReference())
-    with pytest.raises(BlowupError, match="^arithmetic divergence") as info:
+    with pytest.raises(BlowupError, match="^arithmetic divergence: ") as info:
         run_scenario(demo, "es", gains, sc)
     assert info.value.t == 0.004
     assert len(info.value.partial_trajectory.t) == 5
+    spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
+    with pytest.raises(BlowupError) as averaged:
+        simulate_averaged(demo, spec, gains, sc, h0=[0.1, 0.0])
+    assert str(averaged.value) == str(info.value)
+    assert averaged.value.t == 0.004
 
 
 class _FaultyReference(Reference):
