@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import LyapunovSpec, _norm, lyapunov_weight
-from .model import BlowupError, Scenario, SystemModel, get_reference
+from .model import BlowupError, Scenario, SystemModel, bound_stack, get_reference
 from .sim import _Recorder, _drive, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
 from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, state_from_errors, trace)
@@ -47,8 +47,10 @@ def _coef(gains, halved):
 def averaged_rhs(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
                  reference, t: float, hbar, halved: bool = False) -> np.ndarray:
     """Right-hand side of the averaged error system at time t.  ValueError
-    if gains has not one rate gain per state."""
+    if gains has not one rate gain per state or hbar not n items."""
     check_gain_count(sys, gains)
+    if np.shape(hbar) != (sys.n,):
+        raise ValueError(f"hbar must have dimension {sys.n}")
     hs = tuple(np.asarray(hbar, dtype=float).tolist())
     ys = tuple(get_reference(reference).stack(t, sys.n).tolist())
     xs = tuple(state_from_errors(sys, hs, ys, gains).tolist())
@@ -73,17 +75,20 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     loop generated for the plant (``_averaged_source``) on the closed
     loop's driver (``sim._drive``), so it diverges as a closed loop does;
     its range check's cause is "averaged system diverged" (|hbar_i| > 1e9
-    or NaN).  ValueError if gains has not one rate gain per state, or if a
-    given h0 is not n finite numbers.
+    or NaN).  ValueError if gains has not one rate gain per state, if the
+    scenario's x0 has not n items, or if a given h0 is not n finite
+    numbers.
     """
     check_gain_count(sys, gains)
     ref = get_reference(scenario.reference)
     n = sys.n
+    if len(scenario.x0) != n:
+        raise ValueError(f"x0 must have dimension {n}")
     if h0 is None:
         h0 = error_coords(sys, scenario.x0, ref.stack(0.0, n), gains)
     elif np.shape(h0) != (n,) or not np.all(np.isfinite(h0)):
         raise ValueError(f"h0 must be {n} finite numbers, got {h0!r}")
-    nsteps, dt, ref_d = scenario.nsteps, scenario.dt, ref.derivatives
+    nsteps, dt, ref_d = scenario.nsteps, scenario.dt, bound_stack(ref, n)
     out = np.empty((nsteps + 1, n))
     rec = _Recorder(tuple(out.T))       # the columns of out
     nw = len(spec._weight_coeffs)
@@ -98,14 +103,15 @@ def _averaged_source(sys: SystemModel, nw) -> str:
     """Source of the averaged system's run loop on one plant.
 
     make(plant, gains, spec, coef, ref_d, dt, append) binds one run: coef
-    is the damping coefficient (``_coef``), ref_d the reference's
-    derivative stack and append takes each step's start hbar; nw is the
-    number of the Lyapunov weight's coefficients.  make returns advance
-    (``sim._source``), as the closed loop's does.  Every RK4 node fetches
-    the stack and calls one node function: ``averaged_rhs`` written out
-    from the plant's ``state`` and ``residual`` tapes and its kernel's,
-    traced here with its |hbar|, rendered together (``synth.render``).
-    Compiled on the plant's first averaged run."""
+    is the damping coefficient (``_coef``), ref_d maps t to the reference's
+    derivative stack (``model.bound_stack``) and append takes each step's
+    start hbar; nw is the number of the Lyapunov weight's coefficients.
+    make returns advance (``sim._source``), as the closed loop's does.
+    Every RK4 node fetches the stack and calls one node function:
+    ``averaged_rhs`` written out from the plant's ``state`` and
+    ``residual`` tapes and its kernel's, traced here with its |hbar|,
+    rendered together (``synth.render``).  Compiled on the plant's first
+    averaged run."""
     n = sys.n
     P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
@@ -120,10 +126,10 @@ def _averaged_source(sys: SystemModel, nw) -> str:
              f"{_seq(wc)}= spec._weight_coeffs",
              f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
     S = _seq(f"s{i}" for i in range(n))
-    first = [f"append(({S}))", "if last: return", f"ya = ref_d(t, {n})",
+    first = [f"append(({S}))", "if last: return", "ya = ref_d(t)",
              f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
     return _source("plant, gains, spec, coef, ref_d, dt, append", setup, n, n,
-                   _rk4(n, first, "node({S}{Y})", [f"{{Y}} = ref_d({{T}}, {n})"]),
+                   _rk4(n, first, "node({S}{Y})", ["{Y} = ref_d({T})"]),
                    "averaged system diverged")
 
 

@@ -108,7 +108,7 @@ def _print_report(rep):
     print(f"{rep.scenario}: max_h1={rep.max_h1:.6g} at t={rep.t_at_max:.6g}, "
           f"tail|h1|={rep.tail_abs_h1:.6g}, envelope_violation={rep.envelope_violation:.6g}, "
           f"min_H={rep.min_margin:.6g}, max|u|={rep.max_abs_u:.6g} "
-          f"(delta_est={rep.delta_est:g} [{rep.delta_source}])")
+          f"(delta_est={rep.delta_est:g})")
 
 
 def _diverged(exc, out=None):

@@ -13,7 +13,7 @@ error through the recursion.
   evaluates the drifts on jets to get every time derivative along the
   drift flow in one sweep.
 * ``Rec``: a recording scalar.  Run through code in place of a float, it
-  writes each operation as one line of straight-line Python (taping turned
+  records each operation as a format and its operands (taping turned
   into source transformation, ibid. ch. 5); ``synth.plant_tapes`` traces
   each plant's synthesis pass this way, ``synth.trace`` each control
   law's kernel, and the generated run loops write those tapes out.
@@ -153,11 +153,12 @@ class Rec:
     """Stand-in for a float that records instead of computing.
 
     Each ``+ - * /``, unary minus, ``**``, ``sin``/``cos``/``exp``/``sqrt``
-    and ``fsum`` on a Rec appends one entry ``(name, expression, operand
-    names, may_raise)`` to the shared ``tape`` and returns the Rec of its
-    result, and ``guard`` its guard statement, so the tape lists the
-    operations in the order they ran.  Constants must be Python ints or
-    floats (numpy float64 included) and are written by value.  Anything
+    and ``fsum`` on a Rec appends one entry ``(name, form, operands,
+    may_raise)`` to the shared ``tape`` and returns the Rec of its result,
+    and ``guard`` its guard statement, so the tape lists the operations in
+    the order they ran.  form is the source with ``{}`` for each operand
+    (``"{} * {}"``), operands their texts: recorded names, and constants,
+    which must be Python ints or floats (numpy float64 included).  Anything
     that needs the value (``float``, ``bool``, a comparison, numpy arrays)
     raises ``TypeError``: a completed trace has no branch on the inputs
     and holds for all of them.
@@ -230,8 +231,7 @@ def _record(form, *args, may_raise=False):
     when unused, so that compiled code raises where the traced code does."""
     tape = next(a.tape for a in args if isinstance(a, Rec))
     name = f"v{len(tape)}"
-    tape.append((name, form.format(*map(_operand, args)),
-                 tuple(a.name for a in args if isinstance(a, Rec)), may_raise))
+    tape.append((name, form, tuple(map(_operand, args)), may_raise))
     return Rec(tape, name)
 
 

@@ -221,9 +221,9 @@ class Reference:
         A subclass may override this to share work across orders; the
         override must return exactly the values ``derivative(t, k)``
         returns, because the simulator reads the stack from here and the
-        checks read single orders from ``derivative``.  The simulator
-        calls it once per RK4 node, three times per step, so an
-        override's cost is on the hot path.
+        checks read single orders from ``derivative``.  A run binds
+        t -> derivatives(t, n) once (``bound_stack``) and calls it at three
+        RK4 nodes per step, so an override's cost is on the hot path.
         """
         return tuple(self.derivative(t, k) for k in range(n + 1))
 
@@ -239,7 +239,7 @@ _SINE_STACKS: dict = {}     # n -> make(rate, a_0, ..., a_n) -> stack(t)
 
 
 def _sine_stack(amplitude: float, rate: float, n: int):
-    """stack(t) = SineReference(amplitude, rate).derivatives(t, n) as
+    """stack(t) = (y(t), .., y^(n)(t)) of y = amplitude * sin(rate * t), as
     straight-line code.  The source depends on n alone and is compiled
     once per n; each scale a_k = amplitude * rate**k is computed here,
     once.  Since ``derivative`` evaluates amplitude * rate**k * base as
@@ -266,11 +266,10 @@ def _sine_stack(amplitude: float, rate: float, n: int):
 class SineReference(Reference):
     """y(t) = amplitude * sin(rate * t).
 
-    ``derivatives(t, n)`` is one call of straight-line code: one sine, one
-    cosine and n+1 products (``_sine_stack``), bound on an instance's
-    first call for that n and kept on the instance.  That cache is no
-    field, so it takes no part in ``==``, ``hash``, ``repr`` or pickling,
-    and ``dataclasses.replace`` starts a new one.
+    ``derivatives(t, n)`` runs straight-line code: one sine, one cosine and
+    n+1 products (``_sine_stack``).  A run binds that code once
+    (``bound_stack``), so each of its fetches is one call; the instance
+    holds nothing but its fields.
     """
 
     amplitude: float = -1.0
@@ -282,15 +281,6 @@ class SineReference(Reference):
         if "derivative" in cls.__dict__ and "derivatives" not in cls.__dict__:
             cls.derivatives = Reference.derivatives
 
-    def __post_init__(self):
-        object.__setattr__(self, "_stacks", {})
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_stacks"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, _stacks={})
-
     def derivative(self, t, k):
         # quarter-phase cycle kept exact so derivatives vanish where they should
         phase = self.rate * t
@@ -299,11 +289,7 @@ class SineReference(Reference):
         return self.amplitude * self.rate**k * base
 
     def derivatives(self, t, n):
-        try:
-            return self._stacks[n](t)
-        except KeyError:
-            stack = self._stacks[n] = _sine_stack(self.amplitude, self.rate, n)
-            return stack(t)
+        return _sine_stack(self.amplitude, self.rate, n)(t)
 
 
 @dataclass(frozen=True)
@@ -326,7 +312,7 @@ def get_reference(name) -> Reference:
     if isinstance(name, Reference):
         return name
     if name == "sine04":
-        return _SINE04
+        return SineReference()
     if isinstance(name, str) and name.startswith("constant:"):
         try:
             return ConstantReference(float(name.split(":", 1)[1]))
@@ -338,11 +324,19 @@ def get_reference(name) -> Reference:
 
 
 _REFERENCES: dict = {}
-_SINE04 = SineReference()   # shared, so that every run on "sine04" reuses its stacks
 
 
 def register_reference(name: str, factory: Callable[[], Reference]):
     _REFERENCES[name] = factory
+
+
+def bound_stack(ref: Reference, n: int):
+    """t -> ref.derivatives(t, n), bound once per run: the compiled stack
+    itself (``_sine_stack``) where ref's ``derivatives`` is
+    SineReference's, so a fetch is one call."""
+    if type(ref).derivatives is SineReference.derivatives:
+        return _sine_stack(ref.amplitude, ref.rate, n)
+    return lambda t: ref.derivatives(t, n)
 
 
 def reference_stack(name, t: float, n: int) -> np.ndarray:

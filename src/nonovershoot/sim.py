@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import control
-from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, get_reference,
-                    is_divergence, max_dither_dt)
+from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, bound_stack,
+                    get_reference, is_divergence, max_dither_dt)
 from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
                     render, trace)
 
@@ -119,8 +119,7 @@ class OvershootReport:
     """Overshoot / residual metrics of one run.
 
     envelope_violation is the clipped-excess of h_1 over the transient
-    ceiling (NaN when the gain ordering provides no envelope weights);
-    delta_source records where the averaging-distance estimate came from.
+    ceiling (NaN when the gain ordering provides no envelope weights).
     """
 
     scenario: str
@@ -131,7 +130,6 @@ class OvershootReport:
     envelope_violation: float
     min_margin: float
     delta_est: float
-    delta_source: str
     max_abs_u: float
 
     def csv_row(self) -> str:
@@ -183,7 +181,7 @@ class _Recorder:
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
                  scenario: Scenario, *, lyap_spec: Optional[control.LyapunovSpec] = None,
                  psi_scale: float = DEFAULT_PSI_SCALE, theta0: float = 0.0,
-                 delta_est: Optional[float] = None, delta_source: str = "configured",
+                 delta_est: Optional[float] = None,
                  nominal_reference="constant:0"):
     """Integrate one closed loop and report overshoot metrics.
 
@@ -228,8 +226,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     size = nsteps + 1
     rec = _Recorder((np.empty(size), np.empty((size, n)), np.empty((size, n)),
                      np.empty(size), np.empty(size), np.empty(size, dtype=np.int8)))
-    ref_d = ref.derivatives
-    nom_d = ref_d if nominal_ref is ref else nominal_ref.derivatives
+    ref_d = bound_stack(ref, n)
+    nom_d = ref_d if nominal_ref is ref else bound_stack(nominal_ref, n)
     # of the Lyapunov shape only the number of its coefficients is compiled in
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
     advance = _factory(sys, (controller, ncoef), lambda: _step_source(sys, controller, ncoef))(
@@ -245,8 +243,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     traj = rec.trajectory()
     bounds = _auto_bounds(sys, gains)
     report = overshoot_report(traj, gains, bounds, delta_est,
-                              scenario_id=_default_id(sys, controller, scenario),
-                              delta_source=delta_source)
+                              scenario_id=_default_id(sys, controller, scenario))
     return traj, report
 
 
@@ -275,14 +272,14 @@ def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref_d
                               state=np.array(state[:n])) from None
     except BlowupError:
         k, state = pos
-        node = _reference_fault(ref_d, nom_d, n, k * dt, state[0], dt, k == nsteps)
+        node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
         if node is None:
             raise
         raise BlowupError("non-finite reference value", t=node,
                           state=np.array(state[:n])) from None
 
 
-def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last: bool):
+def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
     """Time of the first RK4 node of the step from t (x1 its start's first
     state) whose reference stack, as that step read it, is not finite;
     None if every stack it read is finite.  nom_d is the safety filter's
@@ -291,13 +288,13 @@ def _reference_fault(ref_d, nom_d, n: int, t: float, x1: float, dt: float, last:
     reference that raises a divergence here leaves the step's own cause
     standing."""
     try:
-        ya = ref_d(t, n)
+        ya = ref_d(t)
         if not all(map(math.isfinite, ya)):
             return t
         # the filter's mode, frozen at the step's start, picks the law's stack
         stack = nom_d if nom_d is not None and ya[0] - x1 >= 0.0 else ref_d
         for node in (t,) if last else (t, t + dt / 2, t + dt):
-            if not all(map(math.isfinite, stack(node, n))):
+            if not all(map(math.isfinite, stack(node))):
                 return node
     except (OverflowError, ValueError) as exc:
         if not is_divergence(exc):
@@ -374,9 +371,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 
     make(plant, gains, spec, ref_d, nom_d, dt, append) binds one run's
     inputs, so one compiled loop serves every point of a sweep.  ref_d and
-    nom_d give the derivative stacks of the tracked and the safety
-    filter's nominal reference (the same callable when they are one
-    reference, whose stack node 1 then fetches once), and append takes one
+    nom_d map t to the derivative stacks of the tracked and the safety
+    filter's nominal reference (``model.bound_stack``; the same callable
+    when they are one reference, whose stack node 1 then fetches once),
+    and append takes one
     sample row.  make returns advance (``_source``), whose steps each
     record the sample at their start; advance(pos, nsteps + 1, True) only
     records the last sample, with the same code.
@@ -444,13 +442,13 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
                 f"{k}{n - 1} = g * u + {dv[n - 1]}"]
 
     S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
-    pre = [f"ya = ref_d(t, {n})", unpack("ya")]
+    pre = ["ya = ref_d(t)", unpack("ya")]
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
-    fetch, params, args = [f"{{Y}} = stack({{T}}, {n})"], "", ""
+    fetch, params, args = ["{Y} = stack({T})"], "", ""
     if filt:
         pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d",
-                f"yl = ya if stack is ref_d else stack(t, {n})", unpack("yl")]
+                "yl = ya if stack is ref_d else stack(t)", unpack("yl")]
     else:
         setup.append("stack = ref_d")
     if controller in DITHERED:
@@ -486,7 +484,7 @@ def _auto_bounds(sys, gains):
 
 
 def overshoot_report(traj: Trajectory, gains: GainConfig, bounds, delta_est: float,
-                     scenario_id: str = "run", delta_source: str = "configured") -> OvershootReport:
+                     scenario_id: str = "run") -> OvershootReport:
     """Metrics from samples; the transient envelope is anchored at the
     trajectory's own initial error coordinates.  The reductions are ndarray
     methods, the same as the ``np.*`` functions (NaN included) without
@@ -507,7 +505,6 @@ def overshoot_report(traj: Trajectory, gains: GainConfig, bounds, delta_est: flo
         envelope_violation=viol,
         min_margin=float(traj.margin.min()),
         delta_est=delta_est,
-        delta_source=delta_source,
         max_abs_u=float(abs(traj.u).max()),
     )
 

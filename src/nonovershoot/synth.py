@@ -32,8 +32,8 @@ into their RK4 nodes through one renderer, ``render``, which
 value-numbers all the tapes that one node writes out, so a node does
 each distinct float operation once and a run gets the library's results
 bit for bit without running it.  Where a drift cannot be traced, the
-tape is one call of the pass or of the drifts, written as tape entries
-that the renderer never merges, so the loops have one path.
+tape is one call of the pass or of the drifts, then its result's items,
+entries that the renderer never merges, so the loops have one path.
 
 Drifts are evaluated on jets as well as on floats, which limits what
 they may be built from (``model.SystemModel``).
@@ -41,7 +41,6 @@ they may be built from (``model.SystemModel``).
 
 import itertools
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -217,23 +216,21 @@ def coords_and_drift(sys: SystemModel, c, x, yr_stack, couple: bool = False):
 
 # --- tapes: the pass traced as straight-line source --------------------------------
 
-_NAME = re.compile(r"\b([xyv])(\d+)\b")
-_WORD = re.compile(r"\w+")
-_BINARY = re.compile(r"(\S+) (\*\*|[-+*/]) (\S+)")
+_COMMUTATIVE = {"{} + {}", "{} * {}"}      # IEEE + and * commute exactly
 _MAX_NESTING = 24       # parentheses a rendered expression may nest (the parser stops at 200)
 
 
 @dataclass(frozen=True)
 class Tape:
     """One traced pass or law (or one call, ``_call_tape``) after dead-code
-    elimination.  ``entries`` are ``(name, expr, deps, may_raise)`` in the
-    order they ran: ``name = expr`` is one float operation over the inputs
-    (x0.., the reference stack y0.., the rate gains c0.., or the names a
-    law was traced over) and earlier vK, deps are the recorded names it
-    reads, and may_raise marks an operation that can raise on some input;
-    an expr ``if ...`` is a guard (``dualnum.guard``), written as it
-    stands.  ``outs`` is the source of each result.  ``calls`` marks a
-    call tape, whose entries call user code: ``render`` never merges them."""
+    elimination.  ``entries`` are ``(name, form, operands, may_raise)`` in
+    the order they ran (``dualnum.Rec``): ``name = form.format(*operands)``
+    is one float operation over the inputs (x0.., the reference stack
+    y0.., the rate gains c0.., or the names a law was traced over), earlier
+    vK and constants; may_raise marks one that can raise on some input, and
+    a form ``if ...`` is a guard (``dualnum.guard``).  ``outs`` is the
+    source of each result.  ``calls`` marks a call tape, whose entries call
+    user code: ``render`` never merges them."""
 
     entries: tuple
     outs: tuple
@@ -246,24 +243,26 @@ def render(segments) -> list:
     block).
 
     A segment is (tape, prefix, xs, ys): the tape with x_i written as
-    xs[i], y_i as ys + i and vK as prefix + K; c_i keep their names.  xs
-    may also be the tape of an earlier segment, whose outs then stand for
-    x0...  An item that is a list is a branch: a list of alternatives, each
-    a list of items.  An alternative may reuse what was computed before
-    the branch; nothing after the branch reuses what was computed in it.
-    Returns the items in the same shape, a segment as [lines, outs].
+    xs[i], y_i as ys + i and vK as prefix + K; other operands (c_i, a law's
+    input names, constants) stand as they are.  xs may also be the tape of
+    an earlier segment, whose outs then stand for x0...  An item that is a
+    list is a branch: a list of alternatives, each a list of items.  An
+    alternative may reuse what was computed before the branch; nothing
+    after the branch reuses what was computed in it.  Returns the items in
+    the same shape, a segment as [lines, outs].
 
-    An operation whose text, operands written by their first names, was
-    computed before is not written again: it reads the first result,
-    which stays where it was.  So nothing runs earlier, and a repeat that
-    could raise would have raised at the first.  The operands of + and * are keyed in sorted
+    Each entry is its form over its renamed operands.  An operation whose
+    text, operands written by their first names, was computed before is
+    not written again: it reads the first result, which stays where it
+    was.  So nothing runs earlier, and a repeat that could raise would
+    have raised at the first.  The operands of + and * are keyed in sorted
     order, since IEEE addition and multiplication commute exactly (only a
-    NaN's payload may differ, which nothing reads).  A call tape's
-    entries are never merged.  Then an operation that cannot raise and
-    whose result is read once is written into its reader's expression, in
-    parentheses, instead of a temporary, at most _MAX_NESTING deep.
-    Python evaluates every operation as written (no reassociation, no
-    fused operations), so the results are the traced pass's bit for bit.
+    NaN's payload may differ, which nothing reads).  A call tape's entries
+    are never merged.  Then an operation that cannot raise and whose
+    result is read once is written into its reader's form, in parentheses,
+    instead of a temporary, at most _MAX_NESTING deep.  Python evaluates
+    every operation as written (no reassociation, no fused operations), so
+    the results are the traced pass's bit for bit.
     """
     outs_of, flat = {}, []          # flat: the segments in the order they run
 
@@ -279,24 +278,18 @@ def render(segments) -> list:
             names = {f"x{i}": v for i, v in enumerate(xs)}      # and vK, once written
 
             def source(v):
-                return names.get(v) or (f"{ys}{v[1:]}" if v[0] == "y" else v)
+                return names.get(v) or (ys + v[1:] if v[0] == "y" and v[1:].isdigit() else v)
 
             entries = []
-            for v, expr, deps, may_raise in tape.entries:
-                m = None if tape.calls else _BINARY.fullmatch(expr)
-                if m is None:
-                    text = key = _NAME.sub(lambda t: source(t[0]), expr)
-                else:
-                    a, op, b = source(m[1]), m[2], source(m[3])
-                    text = key = f"{a} {op} {b}"
-                    if op in "+*" and b < a:
-                        key = f"{b} {op} {a}"
+            for v, form, operands, may_raise in tape.entries:
+                ops = [source(o) for o in operands]
+                key = form.format(*sorted(ops) if form in _COMMUTATIVE else ops)
                 if key in seen and not tape.calls:
                     names[v] = seen[key]
                     continue
                 names[v] = seen[key] = prefix + v[1:]
-                entries.append((names[v], text, [source(d) for d in deps], may_raise))
-            outs_of[id(tape)] = outs = [_NAME.sub(lambda t: source(t[0]), o) for o in tape.outs]
+                entries.append((names[v], form, ops, may_raise))
+            outs_of[id(tape)] = outs = [source(o) for o in tape.outs]
             flat.append([entries, outs])
             out.append(flat[-1])
         return out
@@ -307,11 +300,9 @@ def render(segments) -> list:
     nested, depth = {}, {}
     for segment in flat:
         lines = []
-        for v, expr, deps, may_raise in segment[0]:
-            d = 1
-            if any(dep in nested for dep in deps):
-                expr = _WORD.sub(lambda m: f"({nested[m[0]]})" if m[0] in nested else m[0], expr)
-                d += max(depth.get(dep, 0) for dep in deps)
+        for v, form, ops, may_raise in segment[0]:
+            expr = form.format(*(f"({nested[o]})" if o in nested else o for o in ops))
+            d = 1 + max(depth.get(o, 0) for o in ops)
             if may_raise or uses[v] != 1 or v in named or d > _MAX_NESTING:
                 lines.append(expr if expr.startswith("if ") else f"{v} = {expr}")
             else:
@@ -356,22 +347,26 @@ def plant_tapes(sys: SystemModel) -> dict:
 
 def _call_tape(name: str, n: int) -> Tape:
     """The tape of one call of what ``plant_tapes`` traces as name, over
-    the same inputs; the loops that write it out bind ``plant``."""
-    def tup(p, k):
-        return "(" + "".join(f"{p}{i}, " for i in range(k)) + ")"
+    the same inputs, and of one entry per item of its result; the loops
+    that write it out bind ``plant``."""
+    def tup(k):
+        return "(" + "{}, " * k + ")"
 
+    c, x, y = ([f"{p}{i}" for i in range(k)] for p, k in (("c", n), ("x", n), ("y", n + 1)))
     if name == "drift":
-        return Tape(entries=tuple((f"v{i}", f"plant.drift[{i}]({tup('x', i + 1)})", (), True)
+        return Tape(entries=tuple((f"v{i}", f"plant.drift[{i}]({tup(i + 1)})", x[:i + 1], True)
                                   for i in range(n)),
                     outs=tuple(f"v{i}" for i in range(n)), calls=True)
-    args = f"plant, {tup('c', n)}, {tup('x', n)}, {tup('y', n + 1)}"
-    coords = tuple(f"v0[{i}]" for i in range(n))
-    expr, outs = {"h": (f"error_values({args})", coords),
-                  "z": (f"coords_and_drift({args}, True)",
-                        tuple(f"v0[0][{i}]" for i in range(n)) + ("v0[1]",)),
-                  "residual": (f"coords_and_drift({args})[1]", ("v0",)),
-                  "state": (f"_state_values({args})", coords)}[name]
-    return Tape(entries=(("v0", expr, (), True),), outs=outs, calls=True)
+    args = f"plant, {tup(n)}, {tup(n)}, {tup(n + 1)}"
+    coords = [f"{{}}[{i}]" for i in range(n)]
+    form, items = {"h": (f"error_values({args})", coords),
+                   "z": (f"coords_and_drift({args}, True)",
+                         [f"{{}}[0][{i}]" for i in range(n)] + ["{}[1]"]),
+                   "residual": (f"coords_and_drift({args})[1]", []),
+                   "state": (f"_state_values({args})", coords)}[name]
+    entries = (("v0", form, (*c, *x, *y), True),) \
+        + tuple((f"v{k}", item, ("v0",), False) for k, item in enumerate(items, 1))
+    return Tape(entries=entries, outs=tuple(e[0] for e in entries[bool(items):]), calls=True)
 
 
 def trace(fn, *args) -> Tape:

@@ -131,12 +131,20 @@ def test_averaged_run_rejects_a_gain_count_off_the_state_dimension(demo, soft, c
     ({"h0": [0.1, -math.inf]}, "h0 must be 2 finite numbers, got [0.1, -inf]"),
     ({"h0": (0.1,)}, "h0 must be 2 finite numbers, got (0.1,)"),
     ({"h0": (0.1, 0.0, 0.0)}, "h0 must be 2 finite numbers, got (0.1, 0.0, 0.0)"),
+    ({"x0": (-0.5,)}, "x0 must have dimension 2"),
+    ({"x0": (-0.5, 0.0, 7.0)}, "x0 must have dimension 2"),
+    ({"x0": (-0.5, 0.0, 7.0), "h0": (0.1, 0.0)}, "x0 must have dimension 2"),
 ])
 def test_averaged_run_rejects_a_bad_start(demo, gains, soft, options, message):
-    # bad input, not divergence, a broadcast error or a math domain error
-    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    # bad input, not divergence, a broadcast error, an index error, a math
+    # domain error or a run on the first items of x0
+    options = dict(options)
+    sc = Scenario(x0=options.pop("x0", (-0.5, 0.0)), t_end=0.01, dt=1e-3)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate_averaged(demo, soft, gains, sc, **options)
+    if "h0" not in options:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            deviation_study(demo, soft, gains, sc, [60.0])
 
 
 def test_averaged_rhs_rejects_a_gain_count_off_the_state_dimension(demo, soft):
@@ -144,6 +152,13 @@ def test_averaged_rhs_rejects_a_gain_count_off_the_state_dimension(demo, soft):
     with pytest.raises(ValueError, match="^3 rate gains c1..c3 given; "
                                          "system 'example' has 2 states$"):
         averaged_rhs(demo, soft, gains, "sine04", 0.0, [0.1, 0.0])
+
+
+@pytest.mark.parametrize("hbar", [[0.1, 0.2, 0.3], [0.1], 0.1, [[0.1, 0.2]]])
+def test_averaged_rhs_rejects_an_hbar_off_the_state_dimension(demo, soft, gains, hbar):
+    # it returned a 3-vector for three items
+    with pytest.raises(ValueError, match="^hbar must have dimension 2$"):
+        averaged_rhs(demo, soft, gains, "sine04", 0.0, hbar)
 
 
 def test_coupling_rejects_bad_period():

@@ -124,7 +124,10 @@ def test_rec_records_each_operation_in_order():
     tape = []
     x, y = Rec(tape, "x0"), Rec(tape, "x1")
     out = dualnum.sin(2.0 * x - np.float64(0.5)) / y + x ** 2
-    assert [(name, expr) for name, expr, _, _ in tape] == [
+    # an entry is the operation's form and its operands' texts
+    assert tape[:2] == [("v0", "{} * {}", ("2.0", "x0"), False),
+                        ("v1", "{} - {}", ("v0", "0.5"), False)]
+    assert [(name, form.format(*ops)) for name, form, ops, _ in tape] == [
         ("v0", "2.0 * x0"), ("v1", "v0 - 0.5"), ("v2", "sin(v1)"),
         ("v3", "v2 / x1"), ("v4", "x0 ** 2"), ("v5", "v3 + v4")]
     assert out.name == "v5"
@@ -138,7 +141,7 @@ def test_rec_through_a_jet_records_the_series_arithmetic():
     tape = []
     a = Jet([Rec(tape, "x0"), 1.0])
     out = dualnum.exp(a * a)
-    assert [(name, expr) for name, expr, _, _ in tape] == [
+    assert [(name, form.format(*ops)) for name, form, ops, _ in tape] == [
         ("v0", "x0 * x0"), ("v1", "x0 * 1.0"), ("v2", "1.0 * x0"), ("v3", "v1 + v2"),
         ("v4", "exp(v0)"), ("v5", "1 * v3"), ("v6", "v5 * v4"), ("v7", "0.0 + v6"),
         ("v8", "v7 / 1")]
@@ -150,7 +153,9 @@ def test_rec_records_sqrt_fsum_and_a_guard():
     x, y = Rec(tape, "x0"), Rec(tape, "x1")
     out = dualnum.sqrt(dualnum.fsum([x * x, y, 1.0]))
     assert dualnum.guard(y, 1e-9, ZeroDivisionError) is y
-    assert [(name, expr) for name, expr, _, _ in tape] == [
+    assert tape[1][1:3] == ("fsum(({}, {}, {}, ))", ("v0", "x1", "1.0"))
+    assert tape[3][1:3] == ("if abs({0}) < 1e-09: raise ZeroDivisionError({0})", ("x1",))
+    assert [(name, form.format(*ops)) for name, form, ops, _ in tape] == [
         ("v0", "x0 * x0"), ("v1", "fsum((v0, x1, 1.0, ))"), ("v2", "sqrt(v1)"),
         ("v3", "if abs(x1) < 1e-09: raise ZeroDivisionError(x1)")]
     assert out.name == "v2"

@@ -11,7 +11,7 @@ from nonovershoot import (BlowupError, ConstantReference, GainConfig, GainFloorV
                           get_reference, get_system, reference_stack, refine_dt,
                           run_scenario)
 
-from nonovershoot.model import is_divergence
+from nonovershoot.model import bound_stack, is_divergence
 
 from conftest import chain_integrator, random_poly_system
 
@@ -129,13 +129,16 @@ _moderate = st.floats(-1e3, 1e3, allow_nan=False)
 
 @given(_moderate, st.floats(-5.0, 5.0), st.floats(-1e4, 1e4), st.integers(0, 8))
 def test_derivatives_equal_per_order_values(amplitude, rate, t, n):
-    # the stack the simulator reads matches derivative(t, k) bit for bit
+    # the stack the simulator reads, as a run binds it (bound_stack), matches
+    # derivative(t, k) bit for bit
     for ref in (SineReference(amplitude, rate), ConstantReference(amplitude),
                 _CubicReference(amplitude)):
         got = ref.derivatives(t, n)
         assert type(got) is tuple
         want = [ref.derivative(t, k) for k in range(n + 1)]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert [float(v).hex() for v in bound_stack(ref, n)(t)] == \
+            [float(v).hex() for v in want]
         assert np.array_equal(ref.stack(t, n), want)
 
 
@@ -150,6 +153,7 @@ def test_sine_subclass_redefining_derivative_gets_its_stack():
     ref = _ShiftedSine()
     assert ref.derivatives(0.3, 2) == tuple(ref.derivative(0.3, k) for k in range(3))
     assert ref.derivatives(0.3, 2)[0] == SineReference().derivative(0.3, 0) + 1.0
+    assert bound_stack(ref, 2)(0.3) == ref.derivatives(0.3, 2)
 
 
 # --- the compiled sine stack --------------------------------------------------------
@@ -175,6 +179,7 @@ def test_compiled_sine_stack_equals_per_order_values(amplitude, rate, t, n):
 def test_used_sine_reference_pickles_and_compares_as_a_fresh_one():
     ref = SineReference(2.0, -0.3)
     stack = ref.derivatives(0.7, 3)
+    assert vars(ref) == {"amplitude": 2.0, "rate": -0.3}      # nothing kept on it
     back = pickle.loads(pickle.dumps(ref))
     fresh = SineReference(2.0, -0.3)
     assert back == ref == fresh and hash(back) == hash(ref) == hash(fresh)

@@ -199,14 +199,6 @@ def test_envelope_violation_small_for_both_inits(demo, gains):
         assert rep.envelope_violation <= 0.1
 
 
-def test_report_states_delta_source(demo, gains):
-    sc = Scenario(x0=(-0.5, 0.0), t_end=0.5, dt=1e-3)
-    _, rep = run_scenario(demo, "es", gains, sc, delta_est=0.37,
-                          delta_source="study")
-    assert rep.delta_est == 0.37
-    assert rep.delta_source == "study"
-
-
 def test_scalar_plant_paths():
     # n = 1: no stabilizing stages, trivial error coordinate
     sys = chain_integrator(1)
@@ -240,7 +232,6 @@ def test_report_envelope_anchored_at_initial_errors(demo, gains):
     assert env0 == pytest.approx(0.30303 + 0.1 + 0.2 + 1.6, abs=1e-5)
     assert rep.envelope_violation == 0.0
     assert rep.delta_est == 0.1
-    assert rep.delta_source == "configured"
 
 
 def test_report_csv_row(demo, gains):
@@ -486,6 +477,16 @@ def test_generated_loop_calls_the_drifts_only_where_they_cannot_be_traced(contro
     for plant, traced in ((random_poly_system(3, 4), True), (_untraced_poly_system(3, 4), False)):
         source = sim._step_source(plant, controller, ncoef)
         assert ("plant.drift[" in source) is not traced
+
+
+@pytest.mark.parametrize("controller", sim.DITHERED)
+def test_an_untraced_loop_reads_each_call_result_item_from_one_name(controller):
+    # a call tape's outs are names: each item of a call's result is unpacked
+    # into one name (e1 = e0[0]), which the law and the record then read
+    source = sim._step_source(_untraced_poly_system(2, 3), controller, 3)
+    subscripts = re.findall(r"\b[a-z]\d+(?:\[\d+\])+", source)
+    unpacked = re.findall(r"^ *\w+ = ([a-z]\d+(?:\[\d+\])+)$", source, re.M)
+    assert subscripts and sorted(subscripts) == sorted(unpacked)
 
 
 @pytest.mark.parametrize("delta_est", [-5.0, -1e-9, math.nan, math.inf])
@@ -820,13 +821,14 @@ def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
     assert built == ["es", "nominal"]
 
 
-def test_a_sweep_on_the_sine_id_builds_its_stack_once(gains, monkeypatch):
+def test_a_sweep_on_the_sine_id_binds_its_stack_once_per_run(gains, monkeypatch):
+    # a run binds the compiled stack once (model.bound_stack) and its nodes
+    # call it, so the sweep's three runs bind three stacks and nothing else
     built = []
     bind = model._sine_stack
-    monkeypatch.setattr(model, "_SINE04", SineReference())      # nothing cached yet
     monkeypatch.setattr(model, "_sine_stack",
                         lambda a, r, n: built.append(n) or bind(a, r, n))
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="sine04")
     result = sweep(example_system(), "es", gains, sc, {"kappa_n": [1.1, 2.0, 3.0]})
     assert [v for _, v, _ in result.rows] == ["valid"] * 3
-    assert built == [2]
+    assert built == [2] * 3

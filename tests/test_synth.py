@@ -460,20 +460,27 @@ def test_every_traceable_plant_gets_its_tapes(demo):
 
 
 # where a drift cannot be traced, each tape is one call of the Taylor pass
-# (or of the drifts) over the tape's input names
+# (or of the drifts) over the tape's input names, then one entry per item
+# of the call's result; written out over those names, its lines and outs
 CALL_TAPES_N2 = {
-    "h": ("error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))", "v0[0]", "v0[1]"),
-    "z": ("coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
-          "v0[0][0]", "v0[0][1]", "v0[1]"),
-    "residual": ("coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]", "v0"),
-    "state": ("_state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))", "v0[0]", "v0[1]"),
+    "h": (["v0 = error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+           "v1 = v0[0]", "v2 = v0[1]"], ["v1", "v2"]),
+    "z": (["v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
+           "v1 = v0[0][0]", "v2 = v0[0][1]", "v3 = v0[1]"], ["v1", "v2", "v3"]),
+    "residual": (["v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]"],
+                 ["v0"]),
+    "state": (["v0 = _state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+               "v1 = v0[0]", "v2 = v0[1]"], ["v1", "v2"]),
+    "drift": (["v0 = plant.drift[0]((x0, ))", "v1 = plant.drift[1]((x0, x1, ))"],
+              ["v0", "v1"]),
 }
 
 
-def _call(*exprs):
-    """The call tape of the calls exprs, one result each."""
-    return Tape(entries=tuple((f"v{i}", e, (), True) for i, e in enumerate(exprs)),
-                outs=tuple(f"v{i}" for i in range(len(exprs))), calls=True)
+def _written(tape, n):
+    """(lines, outs) of a call tape written out over its own input names."""
+    assert tape.calls
+    [(lines, outs)] = render([(tape, "v", [f"x{i}" for i in range(n)], "y")])
+    return lines, outs
 
 
 def test_untraceable_drift_keeps_the_taylor_pass():
@@ -487,10 +494,10 @@ def test_untraceable_drift_keeps_the_taylor_pass():
     for plant in (sys, arr):
         tapes = plant._tapes
         assert set(tapes) == TAPE_NAMES
-        for name, (expr, *outs) in CALL_TAPES_N2.items():
-            assert tapes[name] == Tape(entries=(("v0", expr, (), True),), outs=tuple(outs),
-                                       calls=True)
-        assert tapes["drift"] == _call("plant.drift[0]((x0, ))", "plant.drift[1]((x0, x1, ))")
+        for name, written in CALL_TAPES_N2.items():
+            assert _written(tapes[name], 2) == written
+        # an item of the call's result is an entry over the call's name
+        assert tapes["z"].entries[2] == ("v2", "{}[0][1]", ("v0",), False)
     lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
@@ -503,7 +510,7 @@ def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
     # one; anything else leaves the plant untraced, and it is still built
     # with a drift tape that calls the drift
     sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
-    assert sys._tapes["drift"] == _call("plant.drift[0]((x0, ))")
+    assert _written(sys._tapes["drift"], 1) == (["v0 = plant.drift[0]((x0, ))"], ["v0"])
 
 
 def test_tapes_are_not_a_field(demo):
@@ -515,17 +522,18 @@ def test_tapes_are_not_a_field(demo):
 # --- rendering: value numbering and nesting ------------------------------------------
 
 def _traced(*entries, outs):
-    """A traced tape of the (name, expr, deps) entries, none of which raises."""
+    """A traced tape of the (name, form, operands) entries, none of which
+    raises."""
     return Tape(entries=tuple(e + (False,) for e in entries), outs=outs)
 
 
 def test_an_operation_that_two_segments_share_is_rendered_once():
     # x0 * x1 and x1 * x0 are one operation (IEEE * commutes); x0 - x1 and
     # x1 - x0 are two
-    a = _traced(("v0", "x0 * x1", ("x0", "x1")), ("v1", "v0 + y0", ("v0", "y0")),
-                ("v2", "x0 - x1", ("x0", "x1")), outs=("v1", "v2"))
-    b = _traced(("v0", "x1 * x0", ("x1", "x0")), ("v1", "v0 - x0", ("v0", "x0")),
-                ("v2", "x1 - x0", ("x1", "x0")), outs=("v1", "v2"))
+    a = _traced(("v0", "{} * {}", ("x0", "x1")), ("v1", "{} + {}", ("v0", "y0")),
+                ("v2", "{} - {}", ("x0", "x1")), outs=("v1", "v2"))
+    b = _traced(("v0", "{} * {}", ("x1", "x0")), ("v1", "{} - {}", ("v0", "x0")),
+                ("v2", "{} - {}", ("x1", "x0")), outs=("v1", "v2"))
     assert render([(a, "a", ["s0", "s1"], "ya"), (b, "b", ["s0", "s1"], "ya")]) == [
         [["a0 = s0 * s1", "a1 = a0 + ya0", "a2 = s0 - s1"], ["a1", "a2"]],
         [["b1 = a0 - s0", "b2 = s1 - s0"], ["b1", "b2"]]]
@@ -534,9 +542,9 @@ def test_an_operation_that_two_segments_share_is_rendered_once():
 def test_a_repeated_result_reads_the_first_and_a_later_segment_reads_earlier_outs():
     # the residual is rendered over the state's outs (the averaged node);
     # a result that repeats an earlier one is written as that one's name
-    state = _traced(("v0", "x0 + y0", ("x0", "y0")), ("v1", "x0 + y0", ("x0", "y0")),
+    state = _traced(("v0", "{} + {}", ("x0", "y0")), ("v1", "{} + {}", ("x0", "y0")),
                     outs=("v1", "v0"))
-    residual = _traced(("v0", "x0 * x1", ("x0", "x1")), ("v1", "v0 * x1", ("v0", "x1")),
+    residual = _traced(("v0", "{} * {}", ("x0", "x1")), ("v1", "{} * {}", ("v0", "x1")),
                        outs=("v1",))
     assert render([(state, "w", ["p0"], "y"), (residual, "v", state, "y")]) == [
         [["w0 = p0 + y0"], ["w0", "w0"]], [["v1 = (w0 * w0) * w0"], ["v1"]]]
@@ -545,10 +553,10 @@ def test_a_repeated_result_reads_the_first_and_a_later_segment_reads_earlier_out
 def test_a_law_is_traced_over_named_inputs_and_a_tapes_outs():
     # a text argument is one input of that name, a tape's outs are x0..,
     # which the segment's xs then names; the guard is written as a statement
-    z = _traced(("v0", "x0 - y0", ("x0", "y0")), outs=("v0", "(0.0)"))
+    z = _traced(("v0", "{} - {}", ("x0", "y0")), outs=("v0", "(0.0)"))
     law = trace(lambda zd, g: (zd[0] + zd[1]) / dualnum.guard(g, 1e-9, singular_gain),
                 [z], "g")
-    assert [e[1] for e in law.entries] == [
+    assert [e[1].format(*e[2]) for e in law.entries] == [
         "x0 + x1", "if abs(g) < 1e-09: raise singular_gain(g)", "v0 / g"]
     assert render([(z, "z", ["s0"], "ya"), (law, "u", z, "")]) == [
         [["z0 = s0 - ya0"], ["z0", "(0.0)"]],
@@ -558,10 +566,11 @@ def test_a_law_is_traced_over_named_inputs_and_a_tapes_outs():
 def test_a_call_line_in_two_segments_is_kept_twice():
     # a call runs user code, which may count its calls: never merged, unlike
     # the same text traced
-    call = _call("plant.drift[0]((x0, ))")
+    call = Tape(entries=(("v0", "plant.drift[0](({}, ))", ("x0",), True),), outs=("v0",),
+                calls=True)
     assert render([(call, "f", ["s0"], ""), (call, "g", ["s0"], "")]) == [
         [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [["g0 = plant.drift[0]((s0, ))"], ["g0"]]]
-    traced = _traced(("v0", "plant.drift[0]((x0, ))", ("x0",)), outs=("v0",))
+    traced = _traced(("v0", "plant.drift[0](({}, ))", ("x0",)), outs=("v0",))
     assert render([(traced, "f", ["s0"], ""), (traced, "g", ["s0"], "")]) == [
         [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [[], ["f0"]]]
 
@@ -569,7 +578,7 @@ def test_a_call_line_in_two_segments_is_kept_twice():
 def test_a_value_computed_in_a_branch_is_not_reused_after_it():
     # an alternative reuses what came before the branch, but neither the
     # other alternative nor what follows the branch reuses what it computed
-    sq = _traced(("v0", "x0 * x0", ("x0", "x0")), outs=("v0",))
+    sq = _traced(("v0", "{} * {}", ("x0", "x0")), outs=("v0",))
     assert render([(sq, "a", ["s0"], ""),
                    [[(sq, "b", ["s0"], ""), (sq, "c", ["s1"], "")], [(sq, "d", ["s1"], "")]],
                    (sq, "e", ["s1"], "")]) == [
@@ -579,9 +588,9 @@ def test_a_value_computed_in_a_branch_is_not_reused_after_it():
 
 
 def test_an_operation_that_can_raise_is_written_even_when_unread():
-    div = Tape(entries=(("v0", "x0 / x1", ("x0", "x1"), True),
-                        ("v1", "x0 * x1", ("x0", "x1"), False),
-                        ("v2", "v1 + x0", ("v1", "x0"), False)), outs=("v2",))
+    div = Tape(entries=(("v0", "{} / {}", ("x0", "x1"), True),
+                        ("v1", "{} * {}", ("x0", "x1"), False),
+                        ("v2", "{} + {}", ("v1", "x0"), False)), outs=("v2",))
     assert render([(div, "v", ["s0", "s1"], "")]) == [
         [["v0 = s0 / s1", "v2 = (s0 * s1) + s0"], ["v2"]]]
 
