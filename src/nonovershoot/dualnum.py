@@ -225,10 +225,11 @@ def _operand(v):
 
 
 def _record(form, *args, may_raise=False):
-    """Append the operation form(*args) to the tape of its Rec operand(s).
-    may_raise marks an operation that can raise on some input (division by
-    a variable, pow, the math functions, fsum, a guard); it is kept even
-    when unused, so that compiled code raises where the traced code does."""
+    """Append the operation form over args, as (name, form, the texts of
+    args, may_raise), to the tape of its Rec operand(s).  may_raise marks
+    an operation that can raise on some input (division by a variable,
+    pow, the math functions, fsum, a guard); it is kept even when unused,
+    so that compiled code raises where the traced code does."""
     tape = next(a.tape for a in args if isinstance(a, Rec))
     name = f"v{len(tape)}"
     tape.append((name, form, tuple(map(_operand, args)), may_raise))

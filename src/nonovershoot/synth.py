@@ -374,9 +374,10 @@ def trace(fn, *args) -> Tape:
     scalar of that name; a list argument is a tuple of such scalars and of
     a tape's outs, named x0, x1, .. (a segment with that tape as xs renders
     them).  fn returns a result, or a list or tuple of results and lists of
-    them.  The tape keeps fn's float operations, less those whose result
-    no result reads, but every one that can raise, so code built from it
-    raises where fn does."""
+    them.  The tape keeps the entries of fn's float operations as
+    ``dualnum.Rec`` records them, less those whose result no result reads,
+    but every one that can raise, so code built from it raises where fn
+    does."""
     tape, count = [], itertools.count()
 
     def recs(item):
