@@ -10,7 +10,7 @@ from .control import (LyapunovSpec, NussbaumState, SafetySwitch, es_control,
 from .model import (BlowupError, ConstantReference, GainFloorViolation, Reference,
                     Scenario, SineReference, SystemModel, eval_dynamics,
                     example_system, get_reference, get_system, reference_stack,
-                    register_reference, register_system)
+                    register_system)
 from .sim import (OvershootReport, SweepResult, Trajectory, overshoot_report,
                   refine_dt, rk4_step, run_scenario, sweep)
 from .synth import (BoundReport, DriftBound, GainConfig, GainVerdict, InitSignError,

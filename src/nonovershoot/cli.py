@@ -7,6 +7,7 @@ regulation), average (full-vs-averaged deviation study).
 
 import argparse
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import averaging, config as cfgmod, sim
@@ -141,7 +142,9 @@ def main(argv=None) -> int:
         system, gains, scenario, opts = _load(args)
         grid = _grid(args.grid, gains, scenario) if args.command == "sweep" else None
         omegas = list(cfgmod.numbers(args.omegas, "--omegas")) \
-            if args.command == "average" else None
+            if args.command == "average" else []
+        for v in omegas:        # a bad frequency fails here, not in the study
+            replace(gains, omega=v)
     except (OSError, ValueError, KeyError) as exc:
         # malformed input: one line, no traceback
         text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -1,9 +1,9 @@
 """Flat key=value configuration for gains and run options.
 
 Recognised keys: c1..cn, kappa_n, lambda, beta, omega, x0 (comma
-separated), reference, theta0, delta_est, psi_scale.  One key per line;
-blank lines and #-comments ignored.  Every number must be finite,
-psi_scale positive and delta_est nonnegative.
+separated), reference, theta0, delta_est, psi_scale.  One key per line,
+and each key at most once; blank lines and #-comments ignored.  Every
+number must be finite, psi_scale positive and delta_est nonnegative.
 """
 
 import math
@@ -36,6 +36,8 @@ def parse_config(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if not (key in _KNOWN or re.fullmatch(r"c\d+", key)):
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         out[key] = val
     return out
 

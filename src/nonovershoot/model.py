@@ -208,28 +208,19 @@ def get_system(name: str) -> SystemModel:
 class Reference:
     """Analytic reference signal: value plus exact derivatives of any order.
 
-    Derivatives are analytic, never finite-differenced, because the
-    virtual controllers consume them exactly up to order n.
+    A subclass defines ``derivative(t, k)``, the k-th derivative at t, and
+    nothing else: the stack (y, y', ..., y^(n)) the simulator reads at
+    every RK4 node is made from it by ``bound_stack``.  Derivatives are
+    analytic, never finite-differenced, because the virtual controllers
+    consume them exactly up to order n.
     """
 
     def derivative(self, t: float, k: int) -> float:
         raise NotImplementedError
 
-    def derivatives(self, t: float, n: int) -> tuple:
-        """(y(t), y'(t), ..., y^(n)(t)) as n+1 floats.
-
-        A subclass may override this to share work across orders; the
-        override must return exactly the values ``derivative(t, k)``
-        returns, because the simulator reads the stack from here and the
-        checks read single orders from ``derivative``.  A run binds
-        t -> derivatives(t, n) once (``bound_stack``) and calls it at three
-        RK4 nodes per step, so an override's cost is on the hot path.
-        """
-        return tuple(self.derivative(t, k) for k in range(n + 1))
-
     def stack(self, t: float, n: int) -> np.ndarray:
         """[y(t), y'(t), ..., y^(n)(t)], length n+1."""
-        out = np.array(self.derivatives(t, n))
+        out = np.array(bound_stack(self, n)(t))
         if not np.all(np.isfinite(out)):
             raise BlowupError("non-finite reference value", t=t)
         return out
@@ -264,22 +255,21 @@ def _sine_stack(amplitude: float, rate: float, n: int):
 
 @dataclass(frozen=True)
 class SineReference(Reference):
-    """y(t) = amplitude * sin(rate * t).
+    """y(t) = amplitude * sin(rate * t); amplitude and rate must be finite.
 
-    ``derivatives(t, n)`` runs straight-line code: one sine, one cosine and
-    n+1 products (``_sine_stack``).  A run binds that code once
-    (``bound_stack``), so each of its fetches is one call; the instance
-    holds nothing but its fields.
+    A run's stack is straight-line code, one sine, one cosine and n+1
+    products (``_sine_stack``), bound once (``bound_stack``); a subclass
+    that redefines ``derivative`` gets a stack of its own values instead.
+    The instance holds nothing but its fields.
     """
 
     amplitude: float = -1.0
     rate: float = 0.4
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # the shared-sin/cos stack below would bypass a redefined derivative
-        if "derivative" in cls.__dict__ and "derivatives" not in cls.__dict__:
-            cls.derivatives = Reference.derivatives
+    def __post_init__(self):
+        for name, v in (("amplitude", self.amplitude), ("rate", self.rate)):
+            if not math.isfinite(v):
+                raise ValueError(f"sine {name} must be finite, got {v!r}")
 
     def derivative(self, t, k):
         # quarter-phase cycle kept exact so derivatives vanish where they should
@@ -287,9 +277,6 @@ class SineReference(Reference):
         base = (math.sin(phase), math.cos(phase),
                 -math.sin(phase), -math.cos(phase))[k % 4]
         return self.amplitude * self.rate**k * base
-
-    def derivatives(self, t, n):
-        return _sine_stack(self.amplitude, self.rate, n)(t)
 
 
 @dataclass(frozen=True)
@@ -303,9 +290,6 @@ class ConstantReference(Reference):
     def derivative(self, t, k):
         return self.level if k == 0 else 0.0
 
-    def derivatives(self, t, n):
-        return (self.level,) + (0.0,) * n
-
 
 def get_reference(name) -> Reference:
     """Resolve a reference id: "sine04", "constant:<value>", or a Reference."""
@@ -318,25 +302,23 @@ def get_reference(name) -> Reference:
             return ConstantReference(float(name.split(":", 1)[1]))
         except ValueError as exc:
             raise ValueError(f"reference id {name!r}: {exc}") from None
-    if name in _REFERENCES:
-        return _REFERENCES[name]()
     raise KeyError(f"unknown reference id {name!r}")
 
 
-_REFERENCES: dict = {}
-
-
-def register_reference(name: str, factory: Callable[[], Reference]):
-    _REFERENCES[name] = factory
-
-
 def bound_stack(ref: Reference, n: int):
-    """t -> ref.derivatives(t, n), bound once per run: the compiled stack
-    itself (``_sine_stack``) where ref's ``derivatives`` is
-    SineReference's, so a fetch is one call."""
-    if type(ref).derivatives is SineReference.derivatives:
+    """t -> (y(t), y'(t), ..., y^(n)(t)) of ref as n+1 floats, bound once per
+    run; the one place that decides how a stack is made, by the class's
+    ``derivative``.  SineReference's gets the compiled stack itself
+    (``_sine_stack``), ConstantReference's one fixed tuple, any other a
+    tuple of ``derivative(t, k)`` for k = 0..n.  Each form equals
+    ``derivative`` bit for bit."""
+    derivative = type(ref).derivative
+    if derivative is SineReference.derivative:
         return _sine_stack(ref.amplitude, ref.rate, n)
-    return lambda t: ref.derivatives(t, n)
+    if derivative is ConstantReference.derivative:
+        stack = (ref.level,) + (0.0,) * n
+        return lambda t: stack
+    return lambda t: tuple(ref.derivative(t, k) for k in range(n + 1))
 
 
 def reference_stack(name, t: float, n: int) -> np.ndarray:

@@ -241,7 +241,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         raise
 
     traj = rec.trajectory()
-    bounds = _auto_bounds(sys, gains)
+    descending = check_gains(sys, gains, "descending").ok   # else no envelope: NaN
+    bounds = bound_report(gains, "descending") if descending else None
     report = overshoot_report(traj, gains, bounds, delta_est,
                               scenario_id=_default_id(sys, controller, scenario))
     return traj, report
@@ -472,15 +473,6 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
 def _default_id(sys, controller, scenario):
     x0 = "|".join(f"{v:g}" for v in scenario.x0)  # comma-free for CSV cells
     return scenario.label or f"{sys.name}/{controller}/x0={x0}"
-
-
-def _auto_bounds(sys, gains):
-    """Best available bound report: envelope weights when the gain chain
-    is strictly descending, cores alone otherwise, None if c_min <= 1."""
-    for mode in ("descending", "uniform"):
-        if check_gains(sys, gains, mode).ok:
-            return bound_report(gains, mode)
-    return None
 
 
 def overshoot_report(traj: Trajectory, gains: GainConfig, bounds, delta_est: float,

@@ -193,6 +193,9 @@ def test_horizon_off_the_step_grid_is_a_message(t_end, capsys):
      "reference id 'constant:inf': constant level must be finite, got inf"),
     ("reference=constant:abc\n", ["run"],
      "reference id 'constant:abc': could not convert string to float: 'abc'"),
+    ("", ["average", "--omegas", "60,-60"], "omega must be positive and finite, got -60.0"),
+    ("", ["average", "--omegas", "0"], "omega must be positive and finite, got 0.0"),
+    ("c1=2\nc1=3\n", ["run"], "config line 2: duplicate key 'c1'"),
 ])
 def test_malformed_input_is_one_line(tmp_path, config, args, message):
     cfgp = tmp_path / "bad.cfg"

@@ -90,8 +90,12 @@ def test_reference_stack_constant():
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
 def test_constant_reference_rejects_a_non_finite_level(level):
-    with pytest.raises(ValueError, match="must be finite"):
-        ConstantReference(level)
+    # a sine's amplitude and rate too: bad input, not a divergence at t = 0
+    for field, make in (("constant level", ConstantReference),
+                        ("sine amplitude", lambda v: SineReference(amplitude=v)),
+                        ("sine rate", lambda v: SineReference(rate=v))):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {level!r}$"):
+            make(level)
     with pytest.raises(ValueError, match=f"reference id 'constant:{level}'"):
         get_reference(f"constant:{level}")
 
@@ -133,27 +137,36 @@ def test_derivatives_equal_per_order_values(amplitude, rate, t, n):
     # derivative(t, k) bit for bit
     for ref in (SineReference(amplitude, rate), ConstantReference(amplitude),
                 _CubicReference(amplitude)):
-        got = ref.derivatives(t, n)
+        got = bound_stack(ref, n)(t)
         assert type(got) is tuple
         want = [ref.derivative(t, k) for k in range(n + 1)]
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-        assert [float(v).hex() for v in bound_stack(ref, n)(t)] == \
-            [float(v).hex() for v in want]
         assert np.array_equal(ref.stack(t, n), want)
 
 
 class _ShiftedSine(SineReference):
-    """A SineReference whose value is redefined; it inherits the stack."""
+    """A SineReference whose value is redefined."""
 
     def derivative(self, t, k):
         return super().derivative(t, k) + (1.0 if k == 0 else 0.0)
 
 
+class _Ramp(ConstantReference):
+    """A ConstantReference redefined as y = level + t."""
+
+    def derivative(self, t, k):
+        return (self.level + t, 1.0)[k] if k < 2 else 0.0
+
+
 def test_sine_subclass_redefining_derivative_gets_its_stack():
-    ref = _ShiftedSine()
-    assert ref.derivatives(0.3, 2) == tuple(ref.derivative(0.3, k) for k in range(3))
-    assert ref.derivatives(0.3, 2)[0] == SineReference().derivative(0.3, 0) + 1.0
-    assert bound_stack(ref, 2)(0.3) == ref.derivatives(0.3, 2)
+    # a subclass of either built-in reference is simulated with its own values
+    shifted, ramp = _ShiftedSine(), _Ramp()
+    assert bound_stack(shifted, 2)(0.3)[0] == SineReference().derivative(0.3, 0) + 1.0
+    assert bound_stack(ramp, 2)(0.5) == (0.5, 1.0, 0.0)
+    for ref in (shifted, ramp):
+        want = tuple(ref.derivative(0.5, k) for k in range(3))
+        assert bound_stack(ref, 2)(0.5) == want
+        assert np.array_equal(ref.stack(0.5, 2), want)
 
 
 # --- the compiled sine stack --------------------------------------------------------
@@ -167,33 +180,34 @@ def _signed_zeros_or(strategy):
        st.integers(0, 12))
 def test_compiled_sine_stack_equals_per_order_values(amplitude, rate, t, n):
     # negative rates, signed zeros and phases whose sine is exactly zero,
-    # up to order 12, on a fresh instance and on one already used at t
+    # up to order 12, on a fresh stack and on one already called at t
     ref = SineReference(amplitude, rate)
+    stack = bound_stack(ref, n)
     want = [float(ref.derivative(t, k)).hex() for k in range(n + 1)]
-    assert [v.hex() for v in ref.derivatives(t, n)] == want
-    assert [v.hex() for v in ref.derivatives(t, n)] == want
-    assert [v.hex() for v in ref.derivatives(t + 1.0, n)] == \
+    assert [v.hex() for v in stack(t)] == want
+    assert [v.hex() for v in stack(t)] == want
+    assert [v.hex() for v in stack(t + 1.0)] == \
         [float(ref.derivative(t + 1.0, k)).hex() for k in range(n + 1)]
 
 
 def test_used_sine_reference_pickles_and_compares_as_a_fresh_one():
     ref = SineReference(2.0, -0.3)
-    stack = ref.derivatives(0.7, 3)
+    stack = ref.stack(0.7, 3)
     assert vars(ref) == {"amplitude": 2.0, "rate": -0.3}      # nothing kept on it
     back = pickle.loads(pickle.dumps(ref))
     fresh = SineReference(2.0, -0.3)
     assert back == ref == fresh and hash(back) == hash(ref) == hash(fresh)
     assert repr(ref) == repr(fresh) == "SineReference(amplitude=2.0, rate=-0.3)"
-    assert back.derivatives(0.7, 3) == stack
+    assert np.array_equal(back.stack(0.7, 3), stack)
 
 
 def test_replaced_sine_reference_reads_its_own_rate():
     ref = SineReference()
-    old = ref.derivatives(1.3, 2)
-    new = replace(ref, rate=0.5).derivatives(1.3, 2)
+    old = bound_stack(ref, 2)(1.3)
+    new = bound_stack(replace(ref, rate=0.5), 2)(1.3)
     assert [v.hex() for v in new] == [SineReference(-1.0, 0.5).derivative(1.3, k).hex()
                                        for k in range(3)]
-    assert new != old and ref.derivatives(1.3, 2) == old
+    assert new != old and bound_stack(ref, 2)(1.3) == old
 
 
 @pytest.mark.parametrize("call", [

@@ -514,10 +514,11 @@ def test_one_reference_stack_per_rk4_node(demo, gains):
     # start (shared by the record and k1), midpoint (k2 and k3), end
     calls = []
 
-    class CountedSine(SineReference):
-        def derivatives(self, t, n):
-            calls.append(t)
-            return super().derivatives(t, n)
+    class CountedSine(SineReference):      # each stack reads order 0 once
+        def derivative(self, t, k):
+            if k == 0:
+                calls.append(t)
+            return super().derivative(t, k)
 
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=CountedSine())
     run_scenario(demo, "es", gains, sc)
@@ -527,10 +528,11 @@ def test_one_reference_stack_per_rk4_node(demo, gains):
 def test_safety_filter_tracking_one_reference_fetches_one_stack_per_node(demo, gains):
     calls = []
 
-    class CountedSine(SineReference):
-        def derivatives(self, t, n):
-            calls.append(t)
-            return super().derivatives(t, n)
+    class CountedSine(SineReference):      # each stack reads order 0 once
+        def derivative(self, t, k):
+            if k == 0:
+                calls.append(t)
+            return super().derivative(t, k)
 
     ref = CountedSine(amplitude=1.0)        # starts safe: the nominal law runs
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=ref)
