@@ -28,7 +28,7 @@ import numpy as np
 
 from .dualnum import cos, fsum, guard, sqrt
 from .model import SINGULAR_GAIN, SingularGainError, SystemModel, singular_gain
-from .synth import DriftBound, GainConfig, _positive, coords_and_drift, error_values, horner
+from .synth import DriftBound, GainConfig, _positive, coupled_values, error_values, horner
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ def ideal_input(zd, c_n):
 def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """What the textbook law would apply if the gain were exactly one:
     -c_n z_n - z_{n-1} minus the residual drift of the coupled recursion."""
-    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
-    return ideal_input((*z, drift), gains.c[-1])
+    return ideal_input(coupled_values(sys, gains.c, x, yr_stack), gains.c[-1])
 
 
 def known_gain_input(zd, c_n, g):
@@ -152,8 +151,7 @@ def known_gain_input(zd, c_n, g):
 def nominal_backstepping(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
     """Known-gain law: divide the ideal input by the true gain."""
     g = sys.gain(tuple(x))
-    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
-    return known_gain_input((*z, drift), gains.c[-1], g)
+    return known_gain_input(coupled_values(sys, gains.c, x, yr_stack), gains.c[-1], g)
 
 
 @dataclass
@@ -180,8 +178,7 @@ def nussbaum_control(sys: SystemModel, x, yr_stack, gains: GainConfig,
 
     u = theta^2 cos(theta) * a_ideal,  dtheta/dt = -a_ideal * z_n.
     """
-    z, drift = coords_and_drift(sys, gains.c, x, yr_stack, couple=True)
-    return comparator_input((*z, drift), gains.c[-1], state.theta)
+    return comparator_input(coupled_values(sys, gains.c, x, yr_stack), gains.c[-1], state.theta)
 
 
 # --- safety filter -------------------------------------------------------------

@@ -117,8 +117,8 @@ class SystemModel:
 
     Building a plant traces its synthesis pass, its inverse map and its
     drifts into tapes (``synth.plant_tapes``), which the simulator's
-    generated loops write out (a tape is a call of the pass or the drifts
-    where a drift cannot be traced).  A traced tape reads the drifts'
+    generated loops write out (a tape is a call of its pass,
+    ``synth.PLANT_PASSES``, where a drift cannot be traced).  A traced tape reads the drifts'
     constants once, so a drift must be a pure function of its arguments.
     So must the gain: the simulator evaluates it once per RK4 node and
     uses that one value for the gain-floor check, the known-gain law and
@@ -235,7 +235,8 @@ def _sine_stack(amplitude: float, rate: float, n: int):
     once per n; each scale a_k = amplitude * rate**k is computed here,
     once.  Since ``derivative`` evaluates amplitude * rate**k * base as
     (amplitude * rate**k) * base, the stack repeats its float operations
-    and operands and matches it bit for bit."""
+    and operands and matches it bit for bit.  Where ``derivative`` raises
+    on rate**k overflowing, the scales are inf: no t has a finite stack."""
     make = _SINE_STACKS.get(n)
     if make is None:
         cyc = ("s", "c", "-s", "-c")
@@ -250,7 +251,11 @@ def _sine_stack(amplitude: float, rate: float, n: int):
         scope = {"sin": math.sin, "cos": math.cos}
         exec(compile(source, f"<sine stack of order {n}>", "exec"), scope)
         make = _SINE_STACKS[n] = scope["make"]
-    return make(rate, *(amplitude * rate**k for k in range(n + 1)))
+    try:
+        scales = [amplitude * rate**k for k in range(n + 1)]
+    except OverflowError:       # rate**k past the float range
+        scales = [math.inf] * (n + 1)
+    return make(rate, *scales)
 
 
 @dataclass(frozen=True)

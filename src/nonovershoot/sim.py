@@ -327,10 +327,10 @@ def _seq(names) -> str:
 def _rk4(m: int, first: list, call: str, fetch: list) -> list:
     """Lines of one RK4 step of the m floats s0.. from time t, in the float
     operations of ``rk4_step``; they leave the new state in n0...
-    ``first`` are the lines of node 1, which fetch its reference stack and
-    set the rates k1_0..; call.format(T=, S=, Y=) is the rates at a later
-    node, at time T, state items S and stack Y; the lines fetch, formatted
-    with T= and Y=, set Y to the stack at T, and run once k1 is known."""
+    ``first`` are the lines of node 1, which set the rates k1_0..;
+    call.format(T=, S=, Y=) is the rates at a later node, at time T, state
+    items S and stack Y; the lines fetch, formatted with T= and Y=, set Y
+    to the stack at T, and run once k1 is known."""
     lines = [*first, "tm = t + half", *(f.format(T="tm", Y="ym") for f in fetch),
              "te = t + dt", *(f.format(T="te", Y="ye") for f in fetch)]
     for j, T, Y, frac in ((2, "tm", "ym", "half"), (3, "tm", "ym", "half"),
@@ -375,10 +375,9 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     nom_d map t to the derivative stacks of the tracked and the safety
     filter's nominal reference (``model.bound_stack``; the same callable
     when they are one reference, whose stack node 1 then fetches once),
-    and append takes one
-    sample row.  make returns advance (``_source``), whose steps each
-    record the sample at their start; advance(pos, nsteps + 1, True) only
-    records the last sample, with the same code.
+    and append takes one sample row.  make returns advance (``_source``),
+    whose steps each record the sample at their start; advance(pos,
+    nsteps + 1, True) only records the last sample, with the same code.
 
     Every node evaluates the gain once and checks the gain floor on it
     (the last sample, which is no node of a step taken, is not checked),
@@ -387,87 +386,82 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     ``comparator_input`` over z, traced here over the coordinates, g, the
     dither pair cw, sw and the gains) and of the drifts, then the plant
     rate.  ``synth.render`` writes one node's tapes as one basic block,
-    each distinct float operation once; the safety filter's two laws are
-    branches on its mode, which is frozen over the step.  The dither pair
-    is computed once per node time (the midpoint's serves nodes 2 and 3),
-    by the filter in override mode only.
+    each distinct float operation once.  The dither pair is computed once
+    per node time (the midpoint's serves nodes 2 and 3).
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
     error it raises.  Node 1, which also records the sample, is written
-    into the loop; nodes 2 to 4 call one straight-line node function, so
-    the loop compiles two copies of the tapes, not four (compiling four
-    copies of the coupled tape at n = 4 peaks at about 2 MB).
+    into the loop; nodes 2 to 4 call the law's straight-line node function
+    node_<law>, so the loop compiles two copies of the tapes, not four
+    (compiling four copies of the coupled tape at n = 4 peaks at about
+    2 MB).  After node 1's gain check and tracked stack, the safety
+    filter's step is the nominal law's own on nom_d if the margin ya0 - s0
+    is nonnegative (mode 0), else the seeking law's own on ref_d (mode 1).
     """
     n = sys.n
     m = n + (controller == "nussbaum")
     tapes = sys._tapes
-    filt = controller == "safety-filter"
+    S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
+    vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
 
     def unpack(Y):
         return f"{_seq(f'{Y}{i}' for i in range(n + 1))}= {Y}"
 
-    vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
-
-    def node(S, Y, k, pre, record=False):
-        """Gain and floor check, the lines pre, the law, then the plant's
-        rates <k>0.. at one node.  Node 1 (record) also records the sample:
-        it starts with the recorded h, which es reads as well."""
-        h, d = (tapes["h"], "e", S, Y), (tapes["drift"], "f", S, "")
-        # at node 1 the filter's nominal law reads its own reference's stack
-        z = (tapes["z"], "z", S, "yl" if record and filt else Y)
-        coords = {"h": [h] * (not record), "z": [z]}
-        known = (control.known_gain_input, "z", f"c{n - 1}", "g")
-        seek = (control.seeking_input, "h", "cw", "sw", "sq", "beta", "lam", vc)
-        compare = (control.comparator_input, "z", f"c{n - 1}", S[-1])     # theta: the last state
-        alts = [coords[c] + [(trace(fn, [tapes[c]], *args), "u" + c, tapes[c], "")]
-                for fn, c, *args in {"es": [seek], "nominal": [known], "nussbaum": [compare],
-                                     "safety-filter": [known, seek]}[controller]]
-        *parts, (d_lines, dv) = render([h] * record + ([alts] if filt else alts[0]) + [d])
-        lines = []
-        if record:
-            (lines, hv), *parts = parts
-        for mode, alt in enumerate(parts[0] if filt else [parts]):    # the filter's by mode
-            body = [v for seg_lines, _ in alt for v in seg_lines]
-            body += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), alt[-1][1])]
-            if filt:
-                body = [("if mode == 0:", "else:")[mode], *(f"    {v}" for v in body)]
-            lines += body
-        if record:
-            lines += [f"append((t, xs, ({_seq(hv)}), u, ya0, {'mode' if filt else -1}))",
-                      "if last: return"]
+    def check(S, last=""):
+        """The gain at the state S and its floor check."""
         return [f"xs = ({_seq(S[:n])})", "g = gain(xs)",
-                f"if g * g < floor{' and not last' * record}: raise violation(g, xs)",
-                *pre, *lines, *d_lines,
-                *(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
-                f"{k}{n - 1} = g * u + {dv[n - 1]}"]
+                f"if g * g < floor{last}: raise violation(g, xs)"]
 
-    S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
-    pre = ["ya = ref_d(t)", unpack("ya")]
+    def node(law, S, Y, k, mode=None):
+        """The law over the stack Y, then the plant's rates <k>0.. at one
+        node whose gain g is known (the comparator's theta is the last
+        state).  Node 1 (given the mode it records) also records the
+        sample: it starts with h over the tracked stack ya, which es reads."""
+        h = (tapes["h"], "e", S, Y)
+        fn, c, *args = {"es": (control.seeking_input, "h", "cw", "sw", "sq", "beta", "lam", vc),
+                        "nominal": (control.known_gain_input, "z", f"c{n - 1}", "g"),
+                        "nussbaum": (control.comparator_input, "z", f"c{n - 1}", S[-1])}[law]
+        coords = {"h": [h] * (mode is None), "z": [(tapes["z"], "z", S, Y)]}[c]
+        *parts, (law_lines, uv), (d_lines, dv) = render(
+            [(tapes["h"], "e", S, "ya")] * (mode is not None) + coords
+            + [(trace(fn, [tapes[c]], *args), "u" + c, tapes[c], ""), (tapes["drift"], "f", S, Y)])
+        lines = [v for seg_lines, _ in parts for v in seg_lines] + law_lines
+        lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
+        if mode is not None:
+            lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, ya0, {mode}))", "if last: return"]
+        return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
+                                  f"{k}{n - 1} = g * u + {dv[n - 1]}"]
+
+    def step(law, stack, Y, pre, mode):
+        """The lines of law's step from node 1's stack fetch on: the lines
+        pre, node 1 over Y, then nodes 2 to 4, which call law's node
+        function, added to setup here, on the stacks at their times."""
+        fetch, params, args = ["{Y} = " + stack + "({T})"], "", ""
+        if law == "es":
+            pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
+            fetch.append("c{T}, s{T} = cos(om * {T}), sin(om * {T})")
+            params, args = "cw, sw, ", "c{T}, s{T}, "
+        setup.extend([f"def node_{law}({params}{_seq(P)}Y):",
+                      *(f"    {v}" for v in check(P) + [unpack("Y")] + node(law, P, "Y", "k_")),
+                      f"    return ({_seq(f'k_{i}' for i in range(m))})"])
+        return _rk4(m, pre + node(law, S, Y, "k1_", mode), f"node_{law}({args}{{S}}{{Y}})", fetch)
+
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
-    fetch, params, args = ["{Y} = stack({T})"], "", ""
-    if filt:
-        pre += ["mode = 0 if ya0 - s0 >= 0.0 else 1", "stack = nom_d if mode == 0 else ref_d",
-                "yl = ya if stack is ref_d else stack(t)", unpack("yl")]
-    else:
-        setup.append("stack = ref_d")
     if controller in DITHERED:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
-        pair = "cos(om * {T}), sin(om * {T})"
-        pair = f"({pair}) if mode else (0.0, 0.0)" if filt else pair
-        pre.append("cw, sw = " + pair.format(T="t"))
-        fetch.append("c{T}, s{T} = " + pair)
-        params, args = "cw, sw, ", "c{T}, s{T}, "
-    first = node(S, "ya", "k1_", pre, record=True)
-    mode = ", mode" if filt else ""
-    setup += [f"def node({params}{_seq(P)}Y{mode}):",
-              *(f"    {v}" for v in node(P, "Y", "k_", [unpack("Y")])),
-              f"    return ({_seq(f'k_{i}' for i in range(m))})"]
-    call = "node(" + args + "{S}{Y}" + mode + ")"
-    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup, m, n,
-                   _rk4(m, first, call, fetch), "state left the finite range")
+    lines = check(S, " and not last") + ["ya = ref_d(t)", unpack("ya")]
+    if controller == "safety-filter":
+        nominal = step("nominal", "nom_d", "yl",
+                       ["yl = ya if nom_d is ref_d else nom_d(t)", unpack("yl")], 0)
+        lines += ["if ya0 - s0 >= 0.0:", *(f"    {v}" for v in nominal),
+                  "else:", *(f"    {v}" for v in step("es", "ref_d", "ya", [], 1))]
+    else:
+        lines += step(controller, "ref_d", "ya", [], -1)
+    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup, m, n, lines,
+                   "state left the finite range")
 
 
 def _default_id(sys, controller, scenario):

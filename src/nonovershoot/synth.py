@@ -26,14 +26,15 @@ For a fixed plant the pass runs the same float operations in the same
 order at every input, and so does each control law's kernel.  So
 ``trace`` runs them on recording scalars (``dualnum.Rec``) and keeps
 each trace as straight-line operations (``Tape``): ``plant_tapes`` the
-pass, the inverse map and the drifts when a ``SystemModel`` is built,
-the run loops each law when they are built.  The loops write the tapes
-into their RK4 nodes through one renderer, ``render``, which
-value-numbers all the tapes that one node writes out, so a node does
-each distinct float operation once and a run gets the library's results
-bit for bit without running it.  Where a drift cannot be traced, the
-tape is one call of the pass or of the drifts, then its result's items,
-entries that the renderer never merges, so the loops have one path.
+pass, the inverse map and the drifts (``PLANT_PASSES``) when a
+``SystemModel`` is built, the run loops each law when they are built.
+The loops write the tapes into their RK4 nodes through one renderer,
+``render``, which value-numbers all the tapes that one node writes out,
+so a node does each distinct float operation once and a run gets the
+library's results bit for bit without running it.  Where a drift
+cannot be traced, the tape is one call of its pass from that table,
+then its result's items, entries that the renderer never merges, so the
+loops have one path.
 
 Drifts are evaluated on jets as well as on floats, which limits what
 they may be built from (``model.SystemModel``).
@@ -43,6 +44,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -245,11 +247,8 @@ def render(segments) -> list:
     A segment is (tape, prefix, xs, ys): the tape with x_i written as
     xs[i], y_i as ys + i and vK as prefix + K; other operands (c_i, a law's
     input names, constants) stand as they are.  xs may also be the tape of
-    an earlier segment, whose outs then stand for x0...  An item that is a
-    list is a branch: a list of alternatives, each a list of items.  An
-    alternative may reuse what was computed before the branch; nothing
-    after the branch reuses what was computed in it.  Returns the items in
-    the same shape, a segment as [lines, outs].
+    an earlier segment, whose outs then stand for x0...  Returns one
+    [lines, outs] per segment.
 
     Each entry is its form over its renamed operands.  An operation whose
     text, operands written by their first names, was computed before is
@@ -264,41 +263,30 @@ def render(segments) -> list:
     every operation as written (no reassociation, no fused operations), so
     the results are the traced pass's bit for bit.
     """
-    outs_of, flat = {}, []          # flat: the segments in the order they run
+    outs_of, seen, rendered = {}, {}, []
+    for tape, prefix, xs, ys in segments:
+        if isinstance(xs, Tape):
+            xs = outs_of[id(xs)]
+        names = {f"x{i}": v for i, v in enumerate(xs)}      # and vK, once written
 
-    def number(items, seen):
-        out = []
-        for item in items:
-            if isinstance(item, list):
-                out.append([number(alt, dict(seen)) for alt in item])
+        def source(v):
+            return names.get(v) or (ys + v[1:] if v[0] == "y" and v[1:].isdigit() else v)
+
+        entries = []
+        for v, form, operands, may_raise in tape.entries:
+            ops = [source(o) for o in operands]
+            key = form.format(*sorted(ops) if form in _COMMUTATIVE else ops)
+            if key in seen and not tape.calls:
+                names[v] = seen[key]
                 continue
-            tape, prefix, xs, ys = item
-            if isinstance(xs, Tape):
-                xs = outs_of[id(xs)]
-            names = {f"x{i}": v for i, v in enumerate(xs)}      # and vK, once written
-
-            def source(v):
-                return names.get(v) or (ys + v[1:] if v[0] == "y" and v[1:].isdigit() else v)
-
-            entries = []
-            for v, form, operands, may_raise in tape.entries:
-                ops = [source(o) for o in operands]
-                key = form.format(*sorted(ops) if form in _COMMUTATIVE else ops)
-                if key in seen and not tape.calls:
-                    names[v] = seen[key]
-                    continue
-                names[v] = seen[key] = prefix + v[1:]
-                entries.append((names[v], form, ops, may_raise))
-            outs_of[id(tape)] = outs = [source(o) for o in tape.outs]
-            flat.append([entries, outs])
-            out.append(flat[-1])
-        return out
-
-    rendered = number(segments, {})
-    uses = Counter(d for entries, _ in flat for e in entries for d in e[2])
-    named = {o for _, outs in flat for o in outs}
+            names[v] = seen[key] = prefix + v[1:]
+            entries.append((names[v], form, ops, may_raise))
+        outs_of[id(tape)] = outs = [source(o) for o in tape.outs]
+        rendered.append([entries, outs])
+    uses = Counter(d for entries, _ in rendered for e in entries for d in e[2])
+    named = {o for _, outs in rendered for o in outs}
     nested, depth = {}, {}
-    for segment in flat:
+    for segment in rendered:
         lines = []
         for v, form, ops, may_raise in segment[0]:
             expr = form.format(*(f"({nested[o]})" if o in nested else o for o in ops))
@@ -312,15 +300,9 @@ def render(segments) -> list:
 
 
 def plant_tapes(sys: SystemModel) -> dict:
-    """The tapes the generated run loops write out, by name; where the
-    plant's drifts cannot be traced, a tape is one call (``_call_tape``).
-
-    * ``h``: ``error_values``, uncoupled: the error coordinates h;
-    * ``z``: ``coords_and_drift``, coupled: z, then the residual drift;
-    * ``residual``: the uncoupled residual drift of h_n alone;
-    * ``state``: ``state_from_errors``, the inverse map, whose inputs
-      x0.. stand for h_1..;
-    * ``drift``: the drifts, drift_1..drift_n.
+    """The tapes the generated run loops write out, by name: the trace of
+    ``PLANT_PASSES[name]``, or where the plant's drifts cannot be traced,
+    the tape of one call of it (``_call_tape``).
 
     ``SystemModel`` traces them when it is built, so that no run calls
     the drifts on recording scalars.  Whatever the drifts cannot take on
@@ -328,45 +310,25 @@ def plant_tapes(sys: SystemModel) -> dict:
     and the call raises that error where it matters.
     """
     n = sys.n
-    passes = {
-        "h": lambda c, xs, ys: error_values(sys, c, xs, ys),
-        "z": lambda c, xs, ys: coords_and_drift(sys, c, xs, ys, True),
-        "residual": lambda c, xs, ys: [coords_and_drift(sys, c, xs, ys)[1]],
-        "state": lambda c, hs, ys: _state_values(sys, c, hs, ys),
-        "drift": lambda c, xs, ys: [sys.drift[i](xs[:i + 1]) for i in range(n)],
-    }
     c, xs, ys = ([f"{p}{i}" for i in range(k)] for p, k in (("c", n), ("x", n), ("y", n + 1)))
     tapes = {}
-    for name, fn in passes.items():
+    for name, fn in PLANT_PASSES.items():
         try:
-            tapes[name] = trace(fn, c, xs, ys)
+            tapes[name] = trace(partial(fn, sys), c, xs, ys)
         except Exception:
-            tapes[name] = _call_tape(name, n)
+            tapes[name] = _call_tape(name, c, xs, ys)
     return tapes
 
 
-def _call_tape(name: str, n: int) -> Tape:
-    """The tape of one call of what ``plant_tapes`` traces as name, over
-    the same inputs, and of one entry per item of its result; the loops
-    that write it out bind ``plant``."""
-    def tup(k):
-        return "(" + "{}, " * k + ")"
-
-    c, x, y = ([f"{p}{i}" for i in range(k)] for p, k in (("c", n), ("x", n), ("y", n + 1)))
-    if name == "drift":
-        return Tape(entries=tuple((f"v{i}", f"plant.drift[{i}]({tup(i + 1)})", x[:i + 1], True)
-                                  for i in range(n)),
-                    outs=tuple(f"v{i}" for i in range(n)), calls=True)
-    args = f"plant, {tup(n)}, {tup(n)}, {tup(n + 1)}"
-    coords = [f"{{}}[{i}]" for i in range(n)]
-    form, items = {"h": (f"error_values({args})", coords),
-                   "z": (f"coords_and_drift({args}, True)",
-                         [f"{{}}[0][{i}]" for i in range(n)] + ["{}[1]"]),
-                   "residual": (f"coords_and_drift({args})[1]", []),
-                   "state": (f"_state_values({args})", coords)}[name]
-    entries = (("v0", form, (*c, *x, *y), True),) \
-        + tuple((f"v{k}", item, ("v0",), False) for k, item in enumerate(items, 1))
-    return Tape(entries=entries, outs=tuple(e[0] for e in entries[bool(items):]), calls=True)
+def _call_tape(name: str, c, xs, ys) -> Tape:
+    """The tape of one call of ``PLANT_PASSES[name]`` over the input names
+    c, xs, ys, then of one entry per item of its result; the loops that
+    write it out bind ``plant``."""
+    tup = ["(" + "{}, " * len(v) + ")" for v in (c, xs, ys)]
+    items = {"z": len(xs) + 1, "residual": 1}.get(name, len(xs))
+    entries = (("v0", f"passes[{name!r}](plant, {', '.join(tup)})", (*c, *xs, *ys), True),) \
+        + tuple((f"v{i + 1}", f"{{}}[{i}]", ("v0",), False) for i in range(items))
+    return Tape(entries=entries, outs=tuple(e[0] for e in entries[1:]), calls=True)
 
 
 def trace(fn, *args) -> Tape:
@@ -490,11 +452,26 @@ def _state_values(sys: SystemModel, c, hs, ys):
     return xs
 
 
-# the names a tape's source reads; a call tape reads the pass's functions
+def coupled_values(sys: SystemModel, c, x, yr_stack) -> list:
+    """z, then the coupled residual drift of z_n, from one Taylor pass: the
+    input zd of the known-gain and comparator kernels (``control``)."""
+    values, drift = coords_and_drift(sys, c, x, yr_stack, True)
+    return values + [drift]
+
+
+# what each plant tape computes (``plant_tapes``): fn(plant, c, xs, ys), a flat list
+PLANT_PASSES = {
+    "h": error_values,                              # the error coordinates h
+    "z": coupled_values,                           # z, then the residual drift
+    "residual": lambda sys, c, xs, ys: [coords_and_drift(sys, c, xs, ys)[1]],   # of h_n
+    "state": _state_values,         # the inverse map; the inputs x0.. stand for h_1..
+    "drift": lambda sys, c, xs, ys: [f(xs[:i + 1]) for i, f in enumerate(sys.drift)],
+}
+
+# the names a tape's source reads; a call tape reads the passes
 TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
               "fsum": math.fsum, "inf": math.inf, "nan": math.nan,
-              "singular_gain": singular_gain, "error_values": error_values,
-              "coords_and_drift": coords_and_drift, "_state_values": _state_values}
+              "singular_gain": singular_gain, "passes": PLANT_PASSES}
 
 
 def state_from_errors(sys: SystemModel, h, yr_stack, gains: GainConfig) -> np.ndarray:

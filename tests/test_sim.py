@@ -15,7 +15,7 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
                           get_reference, nominal_backstepping, nussbaum_control, refine_dt,
                           rk4_step, run_scenario, simulate_averaged, state_from_errors,
                           sweep)
-from nonovershoot import control, model, sim
+from nonovershoot import control, model, sim, synth
 from nonovershoot.synth import coords_and_drift
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
@@ -390,13 +390,14 @@ def test_four_controller_evaluations_per_step(monkeypatch):
     run_scenario(sys, "nominal", chain_gains(), sc)
     assert len(calls) == 10 * 4 + 1
     # the law itself runs at every node too: where the drifts cannot be
-    # traced, each law evaluation calls the Taylor pass once (coupled for
-    # the nominal law, uncoupled for es), so sample-and-hold would show;
-    # each sample's recorded h is one more uncoupled pass for nominal
+    # traced, each law evaluation calls the Taylor pass once (z, coupled,
+    # for the nominal law, h for es), so sample-and-hold would show; each
+    # sample's recorded h is one more h pass for nominal, and each node's
+    # plant rate one call of the drift pass, which calls each drift once
     passes = []
-    for name in ("coords_and_drift", "error_values"):
-        monkeypatch.setitem(sim._STEP_SCOPE, name,
-                            lambda *a, name=name, fn=sim._STEP_SCOPE[name]:
+    for name in ("z", "h", "drift"):
+        monkeypatch.setitem(synth.PLANT_PASSES, name,
+                            lambda *a, name=name, fn=synth.PLANT_PASSES[name]:
                             passes.append(name) or fn(*a))
     sys = _untraced_poly_system(2, 3)       # a fresh plant: its steps compile here
     gains = random_gains(2, 3, descending=True)
@@ -405,9 +406,8 @@ def test_four_controller_evaluations_per_step(monkeypatch):
     sc = Scenario(x0=tuple(x0), t_end=0.01, dt=1e-3, reference=ref)
     spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1),
                         gains.c[-1], gains.kappa)
-    for controller, counts in (("nominal", {"coords_and_drift": 10 * 4 + 1,
-                                            "error_values": 10 + 1}),
-                               ("es", {"error_values": 10 * 4 + 1})):
+    for controller, counts in (("nominal", {"z": 10 * 4 + 1, "h": 10 + 1, "drift": 10 * 4}),
+                               ("es", {"h": 10 * 4 + 1, "drift": 10 * 4})):
         passes.clear()
         run_scenario(sys, controller, gains, sc, lyap_spec=spec)
         assert {k: passes.count(k) for k in set(passes)} == counts
@@ -476,7 +476,8 @@ def test_generated_loop_calls_the_drifts_only_where_they_cannot_be_traced(contro
     ncoef = 3 if controller in sim.DITHERED else None
     for plant, traced in ((random_poly_system(3, 4), True), (_untraced_poly_system(3, 4), False)):
         source = sim._step_source(plant, controller, ncoef)
-        assert ("plant.drift[" in source) is not traced
+        assert ("passes['drift'](plant, " in source) is not traced
+        assert "plant.drift[" not in source
 
 
 @pytest.mark.parametrize("controller", sim.DITHERED)
@@ -487,6 +488,33 @@ def test_an_untraced_loop_reads_each_call_result_item_from_one_name(controller):
     subscripts = re.findall(r"\b[a-z]\d+(?:\[\d+\])+", source)
     unpacked = re.findall(r"^ *\w+ = ([a-z]\d+(?:\[\d+\])+)$", source, re.M)
     assert subscripts and sorted(subscripts) == sorted(unpacked)
+
+
+def _node_function(source, law):
+    """The text of the node function node_<law> in a loop's source."""
+    found = re.search(rf"^    def node_{law}\(.*?\n(?=    \S)", source, re.M | re.S)
+    assert found, f"no node_{law} in the loop"
+    return found.group(0)
+
+
+@pytest.mark.parametrize("plant", [example_system,
+                                   *(lambda n=n: random_poly_system(n, 5) for n in range(1, 5)),
+                                   lambda: _untraced_poly_system(2, 3)],
+                         ids=["demo", "poly1", "poly2", "poly3", "poly4", "untraced"])
+def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
+    # the filter's steps are the nominal and seeking laws' own: their node
+    # functions, verbatim, and the seeking law's node 1 and RK4 body in the
+    # override branch, which records mode 1 where es records -1; no node
+    # function takes the mode
+    plant = plant()
+    filt = sim._step_source(plant, "safety-filter", 3)
+    for law, ncoef in (("nominal", None), ("es", 3)):
+        assert _node_function(sim._step_source(plant, law, ncoef), law) in filt
+    es = sim._step_source(plant, "es", 3)
+    body = es[es.index("\n                cw, sw = "):es.index("\n                if not (")]
+    body = body.replace("\n", "\n    ").replace(", ya0, -1))", ", ya0, 1))")
+    assert body + "\n                if not (" in filt
+    assert "mode" not in filt
 
 
 @pytest.mark.parametrize("delta_est", [-5.0, -1e-9, math.nan, math.inf])
@@ -539,6 +567,28 @@ def test_safety_filter_tracking_one_reference_fetches_one_stack_per_node(demo, g
     traj, _ = run_scenario(demo, "safety-filter", gains, sc, nominal_reference=ref)
     assert np.all(traj.mode == 0)
     assert len(calls) == 3 * 10 + 1
+
+
+@pytest.mark.parametrize("x0, mode, reads", [((-0.5, 0.0), 0, (11, 31)),
+                                               ((0.2, 0.0), 1, (31, 0))])
+def test_safety_filter_reads_the_nominal_stack_only_in_nominal_mode(demo, gains, x0, mode,
+                                                                     reads):
+    # node 1 reads the tracked stack, for the margin and the recorded h; the
+    # nominal law reads the nominal one at every node, the seeking law the
+    # tracked one
+    calls = {}
+
+    class CountedSine(SineReference):      # each stack reads order 0 once
+        def derivative(self, t, k):
+            if k == 0:
+                calls[self.amplitude] = calls.get(self.amplitude, 0) + 1
+            return super().derivative(t, k)
+
+    tracked, nominal = CountedSine(amplitude=1.0), CountedSine(amplitude=0.5)
+    sc = Scenario(x0=x0, t_end=0.01, dt=1e-3, reference=tracked)
+    traj, _ = run_scenario(demo, "safety-filter", gains, sc, nominal_reference=nominal)
+    assert np.all(traj.mode == mode)
+    assert (calls.get(1.0, 0), calls.get(0.5, 0)) == reads
 
 
 def _exp_plant():
@@ -667,6 +717,28 @@ def test_non_finite_reference_is_named_as_in_the_averaged_system(demo, gains, co
     assert not partial.complete
     assert np.array_equal(partial.t, np.arange(5) * 1e-3)     # samples up to t = 0.004
     assert np.all(np.isfinite(partial.x))
+
+
+@pytest.mark.parametrize("reader", [*sim.CONTROLLERS, "averaged", "stack"])
+@pytest.mark.parametrize("ref", [SineReference(amplitude=1e308, rate=10.0),
+                                 SineReference(rate=1e200)], ids=["amplitude", "rate"])
+def test_a_sine_reference_past_the_float_range_is_a_non_finite_reference(demo, gains,
+                                                                         reader, ref):
+    # amplitude * rate**k leaves the float range in the product, or for
+    # rate 1e200 already in rate**k: the stack is not finite from t = 0 on
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=ref)
+    spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
+    with pytest.raises(BlowupError, match="^non-finite reference value$") as info:
+        if reader == "averaged":
+            simulate_averaged(demo, spec, gains, sc)
+        elif reader == "stack":
+            ref.stack(0.0, 2)
+        else:
+            run_scenario(demo, reader, gains, sc, lyap_spec=spec, nominal_reference=ref)
+    assert info.value.t == 0.0
+    if reader in sim.CONTROLLERS:       # the sample at t = 0, read before the step failed
+        partial = info.value.partial_trajectory
+        assert not partial.complete and list(partial.t) == [0.0]
 
 
 class _SqrtReference(Reference):

@@ -459,20 +459,20 @@ def test_every_traceable_plant_gets_its_tapes(demo):
         assert not any(tape.calls for tape in sys._tapes.values())
 
 
-# where a drift cannot be traced, each tape is one call of the Taylor pass
-# (or of the drifts) over the tape's input names, then one entry per item
+# where a drift cannot be traced, each tape is one call of its pass
+# (synth.PLANT_PASSES) over the tape's input names, then one entry per item
 # of the call's result; written out over those names, its lines and outs
 CALL_TAPES_N2 = {
-    "h": (["v0 = error_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+    "h": (["v0 = passes['h'](plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
            "v1 = v0[0]", "v2 = v0[1]"], ["v1", "v2"]),
-    "z": (["v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ), True)",
-           "v1 = v0[0][0]", "v2 = v0[0][1]", "v3 = v0[1]"], ["v1", "v2", "v3"]),
-    "residual": (["v0 = coords_and_drift(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))[1]"],
-                 ["v0"]),
-    "state": (["v0 = _state_values(plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+    "z": (["v0 = passes['z'](plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+           "v1 = v0[0]", "v2 = v0[1]", "v3 = v0[2]"], ["v1", "v2", "v3"]),
+    "residual": (["v0 = passes['residual'](plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+                  "v1 = v0[0]"], ["v1"]),
+    "state": (["v0 = passes['state'](plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
                "v1 = v0[0]", "v2 = v0[1]"], ["v1", "v2"]),
-    "drift": (["v0 = plant.drift[0]((x0, ))", "v1 = plant.drift[1]((x0, x1, ))"],
-              ["v0", "v1"]),
+    "drift": (["v0 = passes['drift'](plant, (c0, c1, ), (x0, x1, ), (y0, y1, y2, ))",
+               "v1 = v0[0]", "v2 = v0[1]"], ["v1", "v2"]),
 }
 
 
@@ -497,7 +497,7 @@ def test_untraceable_drift_keeps_the_taylor_pass():
         for name, written in CALL_TAPES_N2.items():
             assert _written(tapes[name], 2) == written
         # an item of the call's result is an entry over the call's name
-        assert tapes["z"].entries[2] == ("v2", "{}[0][1]", ("v0",), False)
+        assert tapes["z"].entries[2] == ("v2", "{}[1]", ("v0",), False)
     lin = SystemModel(n=2, drift=(lambda xs: 0.5 * xs[0], lambda xs: 0.0),
                       gain=lambda xs: 1.0, xi1=1.0)
     x, ys, g = [0.1, 0.2], ref0(2), demo_gains()
@@ -510,7 +510,8 @@ def test_a_drift_result_that_is_no_float_keeps_the_drift_call(value):
     # one; anything else leaves the plant untraced, and it is still built
     # with a drift tape that calls the drift
     sys = SystemModel(n=1, drift=(lambda xs: value,), gain=lambda xs: 1.0, xi1=1.0)
-    assert _written(sys._tapes["drift"], 1) == (["v0 = plant.drift[0]((x0, ))"], ["v0"])
+    assert _written(sys._tapes["drift"], 1) == (
+        ["v0 = passes['drift'](plant, (c0, ), (x0, ), (y0, y1, ))", "v1 = v0[0]"], ["v1"])
 
 
 def test_tapes_are_not_a_field(demo):
@@ -573,18 +574,6 @@ def test_a_call_line_in_two_segments_is_kept_twice():
     traced = _traced(("v0", "plant.drift[0](({}, ))", ("x0",)), outs=("v0",))
     assert render([(traced, "f", ["s0"], ""), (traced, "g", ["s0"], "")]) == [
         [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [[], ["f0"]]]
-
-
-def test_a_value_computed_in_a_branch_is_not_reused_after_it():
-    # an alternative reuses what came before the branch, but neither the
-    # other alternative nor what follows the branch reuses what it computed
-    sq = _traced(("v0", "{} * {}", ("x0", "x0")), outs=("v0",))
-    assert render([(sq, "a", ["s0"], ""),
-                   [[(sq, "b", ["s0"], ""), (sq, "c", ["s1"], "")], [(sq, "d", ["s1"], "")]],
-                   (sq, "e", ["s1"], "")]) == [
-        [["a0 = s0 * s0"], ["a0"]],
-        [[[[], ["a0"]], [["c0 = s1 * s1"], ["c0"]]], [[["d0 = s1 * s1"], ["d0"]]]],
-        [["e0 = s1 * s1"], ["e0"]]]
 
 
 def test_an_operation_that_can_raise_is_written_even_when_unread():
