@@ -80,11 +80,12 @@ def main():
     text = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
     print(f"  averaged samples: sha256 {sha256(text)}")
 
-    print("generated loop sources of the demo plant")
-    for controller in sim.CONTROLLERS:
+    print("generated loop sources of the demo plant, as the runs above build them")
+    for controller in sim.CONTROLLERS:     # on sine04, the filter's nominal on constant:0
         ncoef = len(spec._value_coeffs) if controller in sim.DITHERED else None
-        print(f"  {controller}: sha256 {sha256(sim._step_source(system, controller, ncoef))}")
-    source = averaging._averaged_source(system, len(spec._weight_coeffs))
+        source = sim._step_source(system, controller, ncoef, "sine", "constant")
+        print(f"  {controller}: sha256 {sha256(source)}")
+    source = averaging._averaged_source(system, len(spec._weight_coeffs), "sine")
     print(f"  averaged: sha256 {sha256(source)}")
 
 

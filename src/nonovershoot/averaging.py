@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import LyapunovSpec, _norm, lyapunov_weight
-from .model import BlowupError, Scenario, SystemModel, bound_stack, get_reference
-from .sim import _Recorder, _drive, _factory, _rk4, _seq, _source, fmt, refine_dt, run_scenario
-from .synth import (GainConfig, _positive, check_gain_count, error_coords, error_drift,
+from .model import BlowupError, Scenario, SystemModel, get_reference, stack_binding
+from .sim import (_Recorder, _drive, _factory, _node_stack, _rk4, _seq, _source,
+                  _stack_fetch, fmt, refine_dt, run_scenario)
+from .synth import (Bound, GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, state_from_errors, trace)
 
 
@@ -88,49 +89,55 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
         h0 = error_coords(sys, scenario.x0, ref.stack(0.0, n), gains)
     elif np.shape(h0) != (n,) or not np.all(np.isfinite(h0)):
         raise ValueError(f"h0 must be {n} finite numbers, got {h0!r}")
-    nsteps, dt, ref_d = scenario.nsteps, scenario.dt, bound_stack(ref, n)
+    nsteps, dt = scenario.nsteps, scenario.dt
     out = np.empty((nsteps + 1, n))
     rec = _Recorder(tuple(out.T))       # the columns of out
     nw = len(spec._weight_coeffs)
-    advance = _factory(sys, ("averaged", nw), lambda: _averaged_source(sys, nw))(
-        sys, gains, spec, _coef(gains, halved), ref_d, dt, rec.rows.append)
+    kind, ref_b = stack_binding(ref, n)
+    advance = _factory(sys, ("averaged", nw, kind), lambda: _averaged_source(sys, nw, kind))(
+        sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append)
     _drive(advance, rec, tuple(np.asarray(h0, dtype=float).tolist()), nsteps, dt, n,
-           ref_d, None)
+           ref, None)
     return out
 
 
-def _averaged_source(sys: SystemModel, nw) -> str:
+def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     """Source of the averaged system's run loop on one plant.
 
-    make(plant, gains, spec, coef, ref_d, dt, append) binds one run: coef
-    is the damping coefficient (``_coef``), ref_d maps t to the reference's
-    derivative stack (``model.bound_stack``) and append takes each step's
-    start hbar; nw is the number of the Lyapunov weight's coefficients.
-    make returns advance (``sim._source``), as the closed loop's does.
-    Every RK4 node fetches the stack and calls one node function:
-    ``averaged_rhs`` written out from the plant's ``state`` and
-    ``residual`` tapes and its kernel's, traced here with its |hbar|,
-    rendered together (``synth.render``).  Compiled on the plant's first
-    averaged run."""
+    make(plant, gains, spec, coef, ref, dt, append) binds one run: coef
+    is the damping coefficient (``_coef``), ref binds the reference's
+    stack, of the given kind (``model.stack_binding``, as in
+    ``sim._step_source``), and append takes each step's start hbar; nw is
+    the number of the Lyapunov weight's coefficients.  make returns
+    advance (``sim._source``), as the closed loop's does.  Every RK4 node
+    time sets the stack once and every node calls one node function:
+    ``averaged_rhs`` written out from the plant's ``state``, ``gain`` (a
+    call where it is untraceable) and ``residual`` tapes and its
+    kernel's, traced here with its |hbar|, rendered together
+    (``synth.render``).  Compiled on the plant's first averaged run."""
     n = sys.n
-    P, Y = [f"p{i}" for i in range(n)], [f"y{i}" for i in range(n + 1)]
+    P = [f"p{i}" for i in range(n)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
-    state, residual = sys._tapes["state"], sys._tapes["residual"]
-    rates = trace(averaged_error_rates, [*P, residual], c, "coef", "g", wc)
-    (x_lines, X), (d_lines, _), (r_lines, R) = render([(state, "w", P, "y"),
-                                                      (residual, "v", state, "y"),
-                                                      (rates, "u", residual, "")])
-    body = [f"{_seq(Y)}= Y", *x_lines, f"xs = ({_seq(X)})", "g = gain(xs)",
-            *d_lines, *r_lines, f"return ({_seq(R)})"]
-    setup = ["gain = plant.gain", f"{_seq(c)}= gains.c",
-             f"{_seq(wc)}= spec._weight_coeffs",
-             f"def node({_seq(P)}Y):", *(f"    {line}" for line in body)]
+    tapes = sys._tapes
+    state, residual = tapes["state"], tapes["residual"]
+    bound = Bound([*c, *wc, "coef"])
+    setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
+    fetch = _stack_fetch(n, bound, setup)
+    Y, params, at = _node_stack(fetch, bound, "ref", kind)
+    gain = None if tapes["gain"].calls else tapes["gain"]
+    rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain or "g", wc)
+    (x_lines, X), *parts, (d_lines, _), (r_lines, R) = render(
+        [(state, "w", P, Y), *[(gain, "g", state, ())] * bool(gain), (residual, "v", state, Y),
+         (rates, "u", [residual, gain or "g"], "")], bound)
+    g_lines = parts[0][0] if gain else [f"g = gain(({_seq(X)}))"]
+    body = [*x_lines, *g_lines, *d_lines, *r_lines, f"return ({_seq(R)})"]
+    defs = [f"def node({_seq(P)}{_seq(params)}):", *(f"    {line}" for line in body)]
     S = _seq(f"s{i}" for i in range(n))
-    first = [f"append(({S}))", "if last: return", "ya = ref_d(t)",
-             f"{_seq(f'k1_{i}' for i in range(n))}= node({S}ya)"]
-    return _source("plant, gains, spec, coef, ref_d, dt, append", setup, n, n,
-                   _rk4(n, first, "node({S}{Y})", ["{Y} = ref_d({T})"]),
-                   "averaged system diverged")
+    ya_lines, ya = at("t", "ya")
+    first = [f"append(({S}))", "if last: return", *ya_lines,
+             f"{_seq(f'k1_{i}' for i in range(n))}= node({S}{ya})"]
+    return _source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines + defs,
+                   n, n, _rk4(n, first, "node({S}{Y})", at), "averaged system diverged")
 
 
 # --- generic dither coupling ---------------------------------------------------

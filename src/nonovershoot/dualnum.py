@@ -322,10 +322,21 @@ def sqrt(x):
 
 
 def fsum(values):
-    """math.fsum of the sequence values; one recorded fsum if one is a Rec."""
-    if Rec in map(type, values):
-        return _record("fsum((" + "{}, " * len(values) + "))", *values, may_raise=True)
-    return math.fsum(values)
+    """math.fsum of the sequence values; one recorded fsum if one is a Rec.
+    Two values are recorded as (0.0 + a) + b, which is their fsum bit for
+    bit wherever that is finite (the exact sum rounded once; the leading
+    0.0 maps -0.0 + -0.0 to fsum's +0.0), then the guard statement
+    ``if not abs(s) < inf: fsum((a, b, ))``, which calls fsum only where
+    the sum is not finite, so that it raises exactly where fsum does (an
+    overflow, inf - inf); where fsum gives inf or nan, so does s."""
+    if Rec not in map(type, values):
+        return math.fsum(values)
+    if len(values) == 2:
+        a, b = values
+        s = (0.0 + a) + b
+        _record("if not abs({}) < inf: fsum(({}, {}, ))", s, a, b, may_raise=True)
+        return s
+    return _record("fsum((" + "{}, " * len(values) + "))", *values, may_raise=True)
 
 
 def guard(x, bound: float, error):

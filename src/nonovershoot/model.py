@@ -13,9 +13,11 @@ floor ``xi1`` with gain(x)^2 >= xi1.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from . import dualnum
 
 
 DITHER_SAMPLES = 40     # steps per dither period a seeking run needs
@@ -113,17 +115,21 @@ class SystemModel:
     numeric coefficients (numpy scalars included) and the
     :mod:`nonovershoot.dualnum` helpers ``sin``, ``cos`` and ``exp``;
     anything else (``math.sin``, comparisons, ``abs``) raises
-    ``TypeError``.  The gain is only ever called on floats.
+    ``TypeError``.
 
-    Building a plant traces its synthesis pass, its inverse map and its
-    drifts into tapes (``synth.plant_tapes``), which the simulator's
-    generated loops write out (a tape is a call of its pass,
-    ``synth.PLANT_PASSES``, where a drift cannot be traced).  A traced tape reads the drifts'
-    constants once, so a drift must be a pure function of its arguments.
-    So must the gain: the simulator evaluates it once per RK4 node and
-    uses that one value for the gain-floor check, the known-gain law and
-    the plant rate.  xi1 must be positive and finite; the name, a CSV
-    cell in run ids, holds no comma or line break.
+    Building a plant traces its synthesis pass, its inverse map, its
+    drifts and its gain into tapes (``synth.plant_tapes``), which the
+    simulator's generated loops write out (a tape is a call of its pass,
+    ``synth.PLANT_PASSES``, where a drift cannot be traced).  The gain is
+    traced too, once, on recording scalars: built from what a drift may
+    use, it is written into every RK4 node and never called by a run;
+    any other gain (``math.sin``, a comparison) is called on floats, once
+    per node.  A traced tape reads the drifts' and the gain's constants
+    once, so they must be pure functions of their arguments: the
+    simulator evaluates the gain once per RK4 node and uses that one
+    value for the gain-floor check, the known-gain law and the plant
+    rate.  xi1 must be positive and finite; the name, a CSV cell in run
+    ids, holds no comma or line break.
     """
 
     n: int
@@ -177,10 +183,12 @@ def example_system() -> SystemModel:
     """The two-dimensional demo plant.
 
     drift_1 = 0, drift_2 = x1^2, gain = 0.2*sin(x2) + 1.2.  The gain
-    floor is exact: min over x2 of (0.2*sin(x2) + 1.2)^2 = 1.0.
+    floor is exact: min over x2 of (0.2*sin(x2) + 1.2)^2 = 1.0.  The sine
+    is ``dualnum.sin``, which is ``math.sin`` on a float, so the gain is
+    traced into the run loops.
     """
     def _gain(xs):
-        return 0.2 * math.sin(xs[1]) + 1.2
+        return 0.2 * dualnum.sin(xs[1]) + 1.2
 
     return SystemModel(
         n=2,
@@ -226,46 +234,15 @@ class Reference:
         return out
 
 
-_SINE_STACKS: dict = {}     # n -> make(rate, a_0, ..., a_n) -> stack(t)
-
-
-def _sine_stack(amplitude: float, rate: float, n: int):
-    """stack(t) = (y(t), .., y^(n)(t)) of y = amplitude * sin(rate * t), as
-    straight-line code.  The source depends on n alone and is compiled
-    once per n; each scale a_k = amplitude * rate**k is computed here,
-    once.  Since ``derivative`` evaluates amplitude * rate**k * base as
-    (amplitude * rate**k) * base, the stack repeats its float operations
-    and operands and matches it bit for bit.  Where ``derivative`` raises
-    on rate**k overflowing, the scales are inf: no t has a finite stack."""
-    make = _SINE_STACKS.get(n)
-    if make is None:
-        cyc = ("s", "c", "-s", "-c")
-        scales = "".join(f"a{k}, " for k in range(n + 1))
-        items = "".join(f"a{k} * {cyc[k % 4]}, " for k in range(n + 1))
-        source = (f"def make(rate, {scales}):\n"
-                  "    def stack(t):\n"
-                  "        phase = rate * t\n"
-                  "        s, c = sin(phase), cos(phase)\n"
-                  f"        return ({items})\n"
-                  "    return stack")
-        scope = {"sin": math.sin, "cos": math.cos}
-        exec(compile(source, f"<sine stack of order {n}>", "exec"), scope)
-        make = _SINE_STACKS[n] = scope["make"]
-    try:
-        scales = [amplitude * rate**k for k in range(n + 1)]
-    except OverflowError:       # rate**k past the float range
-        scales = [math.inf] * (n + 1)
-    return make(rate, *scales)
-
-
 @dataclass(frozen=True)
 class SineReference(Reference):
     """y(t) = amplitude * sin(rate * t); amplitude and rate must be finite.
 
     A run's stack is straight-line code, one sine, one cosine and n+1
-    products (``_sine_stack``), bound once (``bound_stack``); a subclass
-    that redefines ``derivative`` gets a stack of its own values instead.
-    The instance holds nothing but its fields.
+    products (``STACK_FORMS``), written into the run loops and bound once
+    by ``bound_stack``; a subclass that redefines ``derivative`` gets a
+    stack of its own values instead.  The instance holds nothing but its
+    fields.
     """
 
     amplitude: float = -1.0
@@ -310,20 +287,103 @@ def get_reference(name) -> Reference:
     raise KeyError(f"unknown reference id {name!r}")
 
 
+def _sine_params(ref: SineReference, n: int) -> tuple:
+    """The rate, then the scales a_k = amplitude * rate**k, k = 0..n.
+    Where ``derivative`` raises on rate**k overflowing, the scales are
+    inf: no t has a finite stack."""
+    try:
+        scales = [ref.amplitude * ref.rate**k for k in range(n + 1)]
+    except OverflowError:       # rate**k past the float range
+        scales = [math.inf] * (n + 1)
+    return (ref.rate, *scales)
+
+
+def _sine_values(n: int, t, params) -> list:
+    """The stack of amplitude * sin(rate * t) from _sine_params: since
+    ``derivative`` evaluates amplitude * rate**k * base as
+    (amplitude * rate**k) * base, this repeats its float operations and
+    operands and matches it bit for bit."""
+    rate, *scales = params
+    phase = rate * t
+    s, c = dualnum.sin(phase), dualnum.cos(phase)
+    cyc = (s, c, -s, -c)
+    return [a * cyc[k % 4] for k, a in enumerate(scales)]
+
+
+class StackForm(NamedTuple):
+    """A built-in reference's stack as straight-line code: values(n, t,
+    params) is traced over the time and the size(n) floats params(ref, n)
+    that a run binds once (``synth.stack_tape``)."""
+
+    derivative: Callable    # the class's derivative, which picks this form
+    size: Callable
+    params: Callable
+    values: Callable
+
+
+# the stack forms of the built-in references, by kind; a generated run
+# loop writes a form out at every node time, and bound_stack compiles it
+STACK_FORMS = {
+    "sine": StackForm(SineReference.derivative, lambda n: n + 2, _sine_params, _sine_values),
+    "constant": StackForm(ConstantReference.derivative, lambda n: 1,
+                          lambda ref, n: (ref.level,),
+                          lambda n, t, params: [params[0]] + [0.0] * n),
+}
+
+_STACKS: dict = {}      # (kind, n) -> make(*params) -> stack(t)
+
+
+def stack_kind(ref: Reference) -> str:
+    """The key of ref's stack form in STACK_FORMS, picked by its class's
+    ``derivative``; "call" for any other reference."""
+    derivative = type(ref).derivative
+    return next((kind for kind, form in STACK_FORMS.items()
+                 if form.derivative is derivative), "call")
+
+
+def stack_binding(ref: Reference, n: int):
+    """(kind, what a run binds of ref's stack): a built-in form's
+    parameters, or the stack bound_stack(ref, n) for "call"."""
+    kind = stack_kind(ref)
+    if kind == "call":
+        return kind, bound_stack(ref, n)
+    return kind, STACK_FORMS[kind].params(ref, n)
+
+
 def bound_stack(ref: Reference, n: int):
     """t -> (y(t), y'(t), ..., y^(n)(t)) of ref as n+1 floats, bound once per
     run; the one place that decides how a stack is made, by the class's
-    ``derivative``.  SineReference's gets the compiled stack itself
-    (``_sine_stack``), ConstantReference's one fixed tuple, any other a
-    tuple of ``derivative(t, k)`` for k = 0..n.  Each form equals
-    ``derivative`` bit for bit."""
-    derivative = type(ref).derivative
-    if derivative is SineReference.derivative:
-        return _sine_stack(ref.amplitude, ref.rate, n)
-    if derivative is ConstantReference.derivative:
-        stack = (ref.level,) + (0.0,) * n
-        return lambda t: stack
-    return lambda t: tuple(ref.derivative(t, k) for k in range(n + 1))
+    ``derivative`` (``stack_kind``).  A built-in reference's is its form
+    in STACK_FORMS compiled (once per kind and n) and bound to its
+    parameters, any other a tuple of ``derivative(t, k)`` for k = 0..n.
+    Each form equals ``derivative`` bit for bit.  Where a derivative
+    overflows (``OverflowError``), no item of the stack has a known value
+    or sign, and it is NaN: not finite, as a built-in sine's is where its
+    rate**k overflows, so that every reader ends on it the same way."""
+    kind = stack_kind(ref)
+    if kind == "call":
+        derivative = ref.derivative
+
+        def stack(t):
+            try:
+                return tuple([derivative(t, k) for k in range(n + 1)])
+            except OverflowError:       # an order past the float range
+                return (math.nan,) * (n + 1)
+        return stack
+    form = STACK_FORMS[kind]
+    make = _STACKS.get((kind, n))
+    if make is None:
+        from . import synth         # synth imports this module
+        params = [f"p{i}" for i in range(form.size(n))]
+        [(lines, outs)] = synth.render([(synth.stack_tape(kind, n), "v", ["t"], params)])
+        source = "\n".join([f"def make({', '.join(params)}):", "    def stack(t):",
+                            *(f"        {line}" for line in lines),
+                            f"        return ({''.join(f'{v}, ' for v in outs)})",
+                            "    return stack"])
+        scope = dict(synth.TAPE_SCOPE)
+        exec(compile(source, f"<{kind} stack of order {n}>", "exec"), scope)
+        make = _STACKS[kind, n] = scope["make"]
+    return make(*form.params(ref, n))
 
 
 def reference_stack(name, t: float, n: int) -> np.ndarray:

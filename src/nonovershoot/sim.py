@@ -9,12 +9,15 @@ the dither; sample-and-hold would inject averaging error at the
 square-root-of-frequency scale.
 
 That makes the simulator's cost its per-step overhead, so the run loop
-itself is code generated for the plant and controller (``_step_source``),
-compiled on the controller's first run on that plant and cached on it.
-It writes out the plant's tapes and the control law's, traced from the
-library's own functions (``synth.trace``), and holds only the
-integrator, so a run's results are those of the library laws and of
-``rk4_step`` bit for bit.  Gains, Lyapunov coefficients and references
+itself is code generated for the plant, controller and kind of reference
+stack (``_step_source``), compiled on the first such run on that plant
+and cached on it.  It writes out the plant's tapes (its gain's too, where
+that traces) and the control law's, traced from the library's own
+functions (``synth.trace``), and a built-in reference's stack
+(``model.STACK_FORMS``), and holds only the integrator, so a run's
+results are those of the library laws and of ``rk4_step`` bit for bit;
+on the demo plant a node calls only ``sin``, ``cos``, ``sqrt`` and
+``abs``.  Gains, Lyapunov coefficients and the references' parameters
 are inputs, so a sweep compiles one loop.  The averaged system's loop
 comes from the same emitter and runs on the same driver (``_drive``).
 """
@@ -27,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from . import control
-from .model import (GAIN_FLOOR_TOL, BlowupError, Scenario, SystemModel, bound_stack,
-                    get_reference, is_divergence, max_dither_dt)
-from .synth import (TAPE_SCOPE, GainConfig, bound_report, check_gain_count, check_gains,
-                    render, trace)
+from .model import (GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario, SystemModel,
+                    bound_stack, get_reference, is_divergence, max_dither_dt, stack_binding)
+from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
+                    check_gains, render, stack_tape, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -214,7 +217,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     if needs_dither and lyap_spec is None:
         lyap_spec = control.example_lyapunov_spec(sys, gains, scale=psi_scale)
     ref = get_reference(scenario.reference)
-    nominal_ref = get_reference(nominal_reference)
+    # only the filter reads a nominal reference
+    nominal_ref = get_reference(nominal_reference) if controller == "safety-filter" else None
     if delta_est is None:
         delta_est = DEFAULT_DELTA_EST
     if not 0 <= delta_est < math.inf:     # a negative allowance would shrink the envelope
@@ -226,16 +230,17 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     size = nsteps + 1
     rec = _Recorder((np.empty(size), np.empty((size, n)), np.empty((size, n)),
                      np.empty(size), np.empty(size), np.empty(size, dtype=np.int8)))
-    ref_d = bound_stack(ref, n)
-    nom_d = ref_d if nominal_ref is ref else bound_stack(nominal_ref, n)
+    ref_kind, ref_b = stack_binding(ref, n)
+    nom_kind, nom_b = (None, None) if nominal_ref is None else \
+        ("tracked", None) if nominal_ref is ref else stack_binding(nominal_ref, n)
     # of the Lyapunov shape only the number of its coefficients is compiled in
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
-    advance = _factory(sys, (controller, ncoef), lambda: _step_source(sys, controller, ncoef))(
-        sys, gains, lyap_spec, ref_d, nom_d, dt, rec.rows.append)
+    advance = _factory(sys, (controller, ncoef, ref_kind, nom_kind),
+                       lambda: _step_source(sys, controller, ncoef, ref_kind, nom_kind))(
+        sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append)
     start = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     try:
-        _drive(advance, rec, start, nsteps, dt, n, ref_d,
-               nom_d if controller == "safety-filter" else None)
+        _drive(advance, rec, start, nsteps, dt, n, ref, nominal_ref)
     except BlowupError as exc:
         exc.partial_trajectory = rec.trajectory(complete=False)
         raise
@@ -248,15 +253,17 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     return traj, report
 
 
-def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref_d, nom_d):
+def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref, nom):
     """Run advance (``_source``) from the state start: the steps 0..nsteps-1
     a block of _FLUSH_ROWS at a time, flushing rec after each, then the last
     sample.  The one divergence diagnosis of the generated loops: besides
     the loop's range check, an ``OverflowError`` or math-domain
     ``ValueError`` (``model.is_divergence``) in step k is BlowupError
     "arithmetic divergence: <cause>" at k * dt, and once a step has failed,
-    a non-finite stack that it read (``_reference_fault``) is the cause
-    instead.  Other exceptions propagate; rec keeps what was recorded."""
+    a non-finite stack that it read (``_reference_fault``, on the stacks of
+    the tracked reference ref and the safety filter's nominal reference
+    nom, None for the other loops, bound then) is the cause instead.  Other
+    exceptions propagate; rec keeps what was recorded."""
     pos = [0, start]        # (step, its start state) where the loop stopped
     try:
         try:
@@ -273,6 +280,8 @@ def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref_d
                               state=np.array(state[:n])) from None
     except BlowupError:
         k, state = pos
+        ref_d = bound_stack(ref, n)
+        nom_d = None if nom is None else ref_d if nom is ref else bound_stack(nom, n)
         node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
         if node is None:
             raise
@@ -324,21 +333,68 @@ def _seq(names) -> str:
     return "".join(f"{v}, " for v in names)
 
 
-def _rk4(m: int, first: list, call: str, fetch: list) -> list:
+def _rk4(m: int, first: list, call: str, fetch) -> list:
     """Lines of one RK4 step of the m floats s0.. from time t, in the float
     operations of ``rk4_step``; they leave the new state in n0...
     ``first`` are the lines of node 1, which set the rates k1_0..;
     call.format(T=, S=, Y=) is the rates at a later node, at time T, state
-    items S and stack Y; the lines fetch, formatted with T= and Y=, set Y
-    to the stack at T, and run once k1 is known."""
-    lines = [*first, "tm = t + half", *(f.format(T="tm", Y="ym") for f in fetch),
-             "te = t + dt", *(f.format(T="te", Y="ye") for f in fetch)]
-    for j, T, Y, frac in ((2, "tm", "ym", "half"), (3, "tm", "ym", "half"),
-                          (4, "te", "ye", "dt")):
+    items S and arguments Y; fetch(T, P) gives the lines that set what the
+    nodes at T read besides the state, named with the prefix P, and the
+    text of those arguments Y.  The fetches run once k1 is known, once per
+    node time."""
+    (fm, Ym), (fe, Ye) = fetch("tm", "ym"), fetch("te", "ye")
+    lines = [*first, "tm = t + half", *fm, "te = t + dt", *fe]
+    for j, T, Y, frac in ((2, "tm", Ym, "half"), (3, "tm", Ym, "half"),
+                          (4, "te", Ye, "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
         lines.append(f"{_seq(f'k{j}_{i}' for i in range(m))}= {call.format(T=T, S=S, Y=Y)}")
     return lines + [f"n{i} = s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})"
                     for i in range(m)]
+
+
+def _stack_fetch(n: int, bound: Bound, setup: list):
+    """fetch(name, kind, T, prefix) -> (lines, items): the lines that set
+    the stack at time T of the reference whose stack ``make`` binds as
+    name (``model.stack_binding``: kind and binding), and its n+1 items,
+    named with prefix.  A built-in form is written out
+    (``synth.stack_tape``) over its parameters, which the first fetch
+    unpacks in setup and adds to bound; any other stack is one call
+    <name>_d(T)."""
+    params = {}
+
+    def fetch(name, kind, T, prefix):
+        if name not in params:
+            if kind == "call":
+                params[name] = None
+                setup.append(f"{name}_d = {name}")
+            else:
+                letter = {"ref": "r", "nom": "q"}[name]
+                params[name] = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
+                setup.append(f"{_seq(params[name])}= {name}")
+                bound.names.update(params[name])
+        if kind == "call":
+            Y = [f"{prefix}{i}" for i in range(n + 1)]
+            return [f"{_seq(Y)}= {name}_d({T})"], Y
+        [(lines, Y)] = render([(stack_tape(kind, n), prefix, [T], params[name])], bound)
+        return lines, Y
+    return fetch
+
+
+def _node_stack(fetch, bound: Bound, name: str, kind: str):
+    """(Y, params, at): how a node function reads the stack of fetch's
+    reference name (``_stack_fetch``).  Y are its items in the function,
+    params the names of those it takes as parameters: the items that vary
+    with time; the others, a constant reference's, it reads where make
+    binds them.  at(T, prefix) -> (lines, args) gives the lines that set
+    the stack at T and the text of those arguments."""
+    sample = fetch(name, kind, "T", "Y")[1]
+    takes = [v.isidentifier() and v not in bound.names for v in sample]
+    Y = [f"Y{k}" if take else v for k, (v, take) in enumerate(zip(sample, takes))]
+
+    def at(T, prefix):
+        lines, Yt = fetch(name, kind, T, prefix)
+        return lines, _seq(v for v, take in zip(Yt, takes) if take)
+    return Y, [v for v, take in zip(Y, takes) if take], at
 
 
 def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) -> str:
@@ -367,17 +423,21 @@ def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) ->
                       f"            pos[:] = k, ({S})", "    return advance"])
 
 
-def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
+def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
+                 nom_kind: Optional[str] = None) -> str:
     """Source of the closed-loop run loop of one plant and controller.
 
-    make(plant, gains, spec, ref_d, nom_d, dt, append) binds one run's
-    inputs, so one compiled loop serves every point of a sweep.  ref_d and
-    nom_d map t to the derivative stacks of the tracked and the safety
-    filter's nominal reference (``model.bound_stack``; the same callable
-    when they are one reference, whose stack node 1 then fetches once),
-    and append takes one sample row.  make returns advance (``_source``),
-    whose steps each record the sample at their start; advance(pos,
-    nsteps + 1, True) only records the last sample, with the same code.
+    make(plant, gains, spec, ref, nom, dt, append) binds one run's inputs,
+    so one compiled loop serves every point of a sweep.  ref and nom bind
+    the stacks of the tracked and the safety filter's nominal reference
+    (``model.stack_binding``), whose kinds ref_kind and nom_kind the loop
+    is built for: a built-in form's parameters, which the nodes write the
+    stack out from, or "call", a stack to call; nom_kind "tracked" makes
+    the nominal reference the tracked one, whose stack node 1 then holds
+    already.  append takes one sample row.  make returns advance
+    (``_source``), whose steps each record the sample at their start;
+    advance(pos, nsteps + 1, True) only records the last sample, with the
+    same code.
 
     Every node evaluates the gain once and checks the gain floor on it
     (the last sample, which is no node of a step taken, is not checked),
@@ -385,9 +445,12 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     kernel (``control.seeking_input`` over h, ``known_gain_input`` or
     ``comparator_input`` over z, traced here over the coordinates, g, the
     dither pair cw, sw and the gains) and of the drifts, then the plant
-    rate.  ``synth.render`` writes one node's tapes as one basic block,
-    each distinct float operation once.  The dither pair is computed once
-    per node time (the midpoint's serves nodes 2 and 3).
+    rate.  A traced gain is written out with them; an untraceable one is
+    called.  ``synth.render`` writes one node's tapes as one basic block,
+    each distinct float operation once, and the operations over the run
+    constants alone once per run, in make (``synth.Bound``).  The
+    reference stack and the dither pair are computed once per node time
+    (the midpoint's serve nodes 2 and 3).
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
@@ -396,72 +459,109 @@ def _step_source(sys: SystemModel, controller: str, ncoef) -> str:
     node_<law>, so the loop compiles two copies of the tapes, not four
     (compiling four copies of the coupled tape at n = 4 peaks at about
     2 MB).  After node 1's gain check and tracked stack, the safety
-    filter's step is the nominal law's own on nom_d if the margin ya0 - s0
-    is nonnegative (mode 0), else the seeking law's own on ref_d (mode 1).
+    filter's step is the nominal law's own on the nominal stack if the
+    margin y - s0 is nonnegative (mode 0), else the seeking law's own on
+    the tracked one (mode 1); its node 1 renders the gain on its own.
     """
     n = sys.n
     m = n + (controller == "nussbaum")
     tapes = sys._tapes
     S, P = [f"s{i}" for i in range(m)], [f"p{i}" for i in range(m)]
     vc = [f"vc{k}" for k in range(ncoef or 0)]     # V's coefficients, dithered laws only
-
-    def unpack(Y):
-        return f"{_seq(f'{Y}{i}' for i in range(n + 1))}= {Y}"
-
-    def check(S, last=""):
-        """The gain at the state S and its floor check."""
-        return [f"xs = ({_seq(S[:n])})", "g = gain(xs)",
-                f"if g * g < floor{last}: raise violation(g, xs)"]
-
-    def node(law, S, Y, k, mode=None):
-        """The law over the stack Y, then the plant's rates <k>0.. at one
-        node whose gain g is known (the comparator's theta is the last
-        state).  Node 1 (given the mode it records) also records the
-        sample: it starts with h over the tracked stack ya, which es reads."""
-        h = (tapes["h"], "e", S, Y)
-        fn, c, *args = {"es": (control.seeking_input, "h", "cw", "sw", "sq", "beta", "lam", vc),
-                        "nominal": (control.known_gain_input, "z", f"c{n - 1}", "g"),
-                        "nussbaum": (control.comparator_input, "z", f"c{n - 1}", S[-1])}[law]
-        coords = {"h": [h] * (mode is None), "z": [(tapes["z"], "z", S, Y)]}[c]
-        *parts, (law_lines, uv), (d_lines, dv) = render(
-            [(tapes["h"], "e", S, "ya")] * (mode is not None) + coords
-            + [(trace(fn, [tapes[c]], *args), "u" + c, tapes[c], ""), (tapes["drift"], "f", S, Y)])
-        lines = [v for seg_lines, _ in parts for v in seg_lines] + law_lines
-        lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
-        if mode is not None:
-            lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, ya0, {mode}))", "if last: return"]
-        return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
-                                  f"{k}{n - 1} = g * u + {dv[n - 1]}"]
-
-    def step(law, stack, Y, pre, mode):
-        """The lines of law's step from node 1's stack fetch on: the lines
-        pre, node 1 over Y, then nodes 2 to 4, which call law's node
-        function, added to setup here, on the stacks at their times."""
-        fetch, params, args = ["{Y} = " + stack + "({T})"], "", ""
-        if law == "es":
-            pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
-            fetch.append("c{T}, s{T} = cos(om * {T}), sin(om * {T})")
-            params, args = "cw, sw, ", "c{T}, s{T}, "
-        setup.extend([f"def node_{law}({params}{_seq(P)}Y):",
-                      *(f"    {v}" for v in check(P) + [unpack("Y")] + node(law, P, "Y", "k_")),
-                      f"    return ({_seq(f'k_{i}' for i in range(m))})"])
-        return _rk4(m, pre + node(law, S, Y, "k1_", mode), f"node_{law}({args}{{S}}{{Y}})", fetch)
-
+    dithered = controller in DITHERED
+    bound = Bound([f"c{i}" for i in range(n)] + (["om", "lam", "beta", "sq", *vc] * dithered))
     setup = ["gain, violation = plant.gain, plant.floor_violation",
              "floor = plant.xi1 - GAIN_FLOOR_TOL", f"{_seq(f'c{i}' for i in range(n))}= gains.c"]
-    if controller in DITHERED:
+    if dithered:
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
-    lines = check(S, " and not last") + ["ya = ref_d(t)", unpack("ya")]
+    defs = []       # the node functions
+    fetch = _stack_fetch(n, bound, setup)
+    gain = None if tapes["gain"].calls else tapes["gain"]
+    law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
+              "nussbaum": (control.comparator_input, "z")}
+
+    def checked(X, cond, rendered=None):
+        """The lines of the gain at the state tuple X, written out from the
+        gain tape's rendering, or one call of it where it is untraceable
+        (rendered None), and of its floor check (cond appended to its
+        condition); and the gain's name."""
+        if rendered is None:
+            return [f"g = gain({X})", f"if g * g < floor{cond}: raise violation(g, {X})"], "g"
+        g_lines, [g] = rendered
+        return [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})"], g
+
+    def node(law, S, Y, k, g=None, cond="", pre=(), mode=None):
+        """The lines of one node of law whose stack items are Y, setting
+        the plant's rates <k>0.. (the comparator's theta is the last
+        state): unless the gain's name g is given, the gain and its floor
+        check first, then the lines pre, then the law and the rates.  A
+        traced gain is rendered with the node's other tapes.  Node 1 (given
+        the mode it records) also records the sample, with h over the
+        tracked stack ya, which es reads, and the state tuple xs."""
+        X = "xs" if mode is not None else f"({_seq(S[:n])})"
+        fn, c = law_of[law]
+        traced = g is None and gain is not None     # the gain is rendered here
+        G = gain if traced else g or "g"            # what the law reads as the gain
+        args = {"es": ("cw", "sw", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", G),
+                "nussbaum": (f"c{n - 1}", S[-1])}[law]
+        coords = {"h": [(tapes["h"], "e", S, Y)] * (mode is None),
+                  "z": [(tapes["z"], "z", S, Y)]}[c]
+        parts = render([(gain, "g", S, ())] * traced
+                       + [(tapes["h"], "e", S, ya)] * (mode is not None) + coords
+                       + [(trace(fn, [tapes[c]], *args), "u" + c, [tapes[c], G], ""),
+                          (tapes["drift"], "f", S, Y)], bound)
+        lines = []
+        if g is None:
+            lines, g = checked(X, cond, parts.pop(0) if traced else None)
+        *parts, (law_lines, uv), (d_lines, dv) = parts
+        lines += [*pre, *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
+        lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
+        if mode is not None:
+            lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, {ya[0]}, {mode}))",
+                      "if last: return"]
+        return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
+                                  f"{k}{n - 1} = {g} * u + {dv[n - 1]}"]
+
+    def step(law, name, kind, Y, pre, mode, g=None):
+        """The lines of law's step on the stacks of the reference bound as
+        name, of the given kind, from node 1 on: node 1 over the stack
+        items Y (the lines pre after its floor check; g as in node), then
+        nodes 2 to 4, which call law's node function, added to defs here,
+        on the stacks at their times."""
+        Yn, params, at = _node_stack(fetch, bound, name, kind)
+        if law == "es":
+            pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
+            params = ["cw", "sw", *params]
+
+            def at(T, prefix, at=at):
+                lines, args = at(T, prefix)
+                return [*lines, f"c{T}, s{T} = cos(om * {T}), sin(om * {T})"], \
+                    f"c{T}, s{T}, {args}"
+        defs.extend([f"def node_{law}({_seq(P)}{_seq(params)}):",
+                     *(f"    {v}" for v in node(law, P, Yn, "k_")),
+                     f"    return ({_seq(f'k_{i}' for i in range(m))})"])
+        return _rk4(m, node(law, S, Y, "k1_", g, " and not last", pre, mode),
+                    f"node_{law}({{S}}{{Y}})", at)
+
+    lines = [f"xs = ({_seq(S[:n])})"]
     if controller == "safety-filter":
-        nominal = step("nominal", "nom_d", "yl",
-                       ["yl = ya if nom_d is ref_d else nom_d(t)", unpack("yl")], 0)
-        lines += ["if ya0 - s0 >= 0.0:", *(f"    {v}" for v in nominal),
-                  "else:", *(f"    {v}" for v in step("es", "ref_d", "ya", [], 1))]
+        head, g = checked("xs", " and not last",
+                          render([(gain, "g", S, ())], bound)[0] if gain else None)
+        ya_lines, ya = fetch("ref", ref_kind, "t", "ya")
+        lines += head + ya_lines
+        if nom_kind == "tracked":
+            nominal = step("nominal", "ref", ref_kind, ya, [], 0, g)
+        else:
+            yl_lines, yl = fetch("nom", nom_kind, "t", "yl")
+            nominal = step("nominal", "nom", nom_kind, yl, yl_lines, 0, g)
+        lines += [f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
+                  "else:", *(f"    {v}" for v in step("es", "ref", ref_kind, ya, [], 1, g))]
     else:
-        lines += step(controller, "ref_d", "ya", [], -1)
-    return _source("plant, gains, spec, ref_d, nom_d, dt, append", setup, m, n, lines,
-                   "state left the finite range")
+        ya_lines, ya = fetch("ref", ref_kind, "t", "ya")
+        lines += step(controller, "ref", ref_kind, ya, ya_lines, -1)
+    return _source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines + defs,
+                   m, n, lines, "state left the finite range")
 
 
 def _default_id(sys, controller, scenario):

@@ -40,17 +40,17 @@ Drifts are evaluated on jets as well as on floats, which limits what
 they may be built from (``model.SystemModel``).
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import dualnum
-from .model import SystemModel, singular_gain
+from .model import STACK_FORMS, SystemModel, singular_gain
 
 
 @dataclass(frozen=True)
@@ -239,35 +239,84 @@ class Tape:
     calls: bool = False
 
 
-def render(segments) -> list:
+class Bound:
+    """The run constants of one generated loop: the names its ``make``
+    binds once per run (rate gains, Lyapunov coefficients, a reference's
+    parameters), and the operations over them and constants alone that
+    ``render`` takes out of the nodes, each written once as a line b<K>
+    of ``lines``, which ``make`` runs after binding the names."""
+
+    def __init__(self, names):
+        self.names = set(names)
+        self.lines = []
+        self._of = {}           # an operation's key -> its name
+
+    def name(self, key: str, expr: str) -> str:
+        name = self._of.get(key)
+        if name is None:
+            name = self._of[key] = f"b{len(self.lines)}"
+            self.lines.append(f"{name} = {expr}")
+            self.names.add(name)
+        return name
+
+
+def _constant(text: str):
+    """The value of an operand written as a constant (``1``, ``(-0.5)``),
+    None for a name."""
+    return None if text.isidentifier() else float(text.strip("()"))
+
+
+def _identity(form: str, ops):
+    """The operand that form over ops equals for every value, or None:
+    x * 1, 1 * x, x / 1 and x - 0.0 (x - (+0.0) is x, signed zeros
+    included).  Not x + 0.0 or 0.0 + x, which map -0.0 to +0.0."""
+    if form == "{} * {}":
+        a, b = ops
+        return a if _constant(b) == 1 else b if _constant(a) == 1 else None
+    if form == "{} / {}" and _constant(ops[1]) == 1:
+        return ops[0]
+    if form == "{} - {}" and _constant(ops[1]) == 0 and math.copysign(1, _constant(ops[1])) > 0:
+        return ops[0]
+    return None
+
+
+def render(segments, bound: Optional[Bound] = None) -> list:
     """The source of the tapes that one generated node writes out, each
     distinct float operation once (local value numbering over one basic
     block).
 
     A segment is (tape, prefix, xs, ys): the tape with x_i written as
-    xs[i], y_i as ys + i and vK as prefix + K; other operands (c_i, a law's
-    input names, constants) stand as they are.  xs may also be the tape of
-    an earlier segment, whose outs then stand for x0...  Returns one
-    [lines, outs] per segment.
+    xs[i], y_i as ys[i] (or ys + i where ys is a text) and vK as
+    prefix + K; other operands (c_i, a law's input names, constants)
+    stand as they are.  In xs and ys, the tape of an earlier segment (the
+    latest of that tape), given as is or as an item of the list, stands
+    for its outs, as in ``trace``.  Returns one [lines, outs] per segment.
 
-    Each entry is its form over its renamed operands.  An operation whose
-    text, operands written by their first names, was computed before is
-    not written again: it reads the first result, which stays where it
-    was.  So nothing runs earlier, and a repeat that could raise would
-    have raised at the first.  The operands of + and * are keyed in sorted
-    order, since IEEE addition and multiplication commute exactly (only a
-    NaN's payload may differ, which nothing reads).  A call tape's entries
-    are never merged.  Then an operation that cannot raise and whose
-    result is read once is written into its reader's form, in parentheses,
-    instead of a temporary, at most _MAX_NESTING deep.  Python evaluates
-    every operation as written (no reassociation, no fused operations), so
-    the results are the traced pass's bit for bit.
+    Each entry is its form over its renamed operands.  One that equals an
+    operand for every value (``_identity``: x * 1, x / 1, x - 0.0) is that
+    operand.  An operation whose text, operands written by their first
+    names, was computed before is not written again: it reads the first
+    result, which stays where it was.  So nothing runs earlier, and a
+    repeat that could raise would have raised at the first.  The operands
+    of + and * are keyed in sorted order, since IEEE addition and
+    multiplication commute exactly (only a NaN's payload may differ, which
+    nothing reads).  With bound, an operation over bound's names and
+    constants alone that cannot raise is written once per run instead,
+    into bound's lines.  A call tape's entries are never merged.  Then an
+    operation that cannot raise and whose result is read once is written
+    into its reader's form, in parentheses, instead of a temporary, at
+    most _MAX_NESTING deep.  Python evaluates every operation as written
+    (no reassociation, no fused operations), so the results are the
+    traced pass's bit for bit.
     """
     outs_of, seen, rendered = {}, {}, []
     for tape, prefix, xs, ys in segments:
-        if isinstance(xs, Tape):
-            xs = outs_of[id(xs)]
+        xs, ys = (outs_of[id(v)] if isinstance(v, Tape) else v if isinstance(v, str)
+                  else [o for item in v for o in (outs_of[id(item)] if isinstance(item, Tape)
+                                                  else [item])] for v in (xs, ys))
         names = {f"x{i}": v for i, v in enumerate(xs)}      # and vK, once written
+        if not isinstance(ys, str):
+            names.update((f"y{i}", v) for i, v in enumerate(ys))
 
         def source(v):
             return names.get(v) or (ys + v[1:] if v[0] == "y" and v[1:].isdigit() else v)
@@ -275,9 +324,17 @@ def render(segments) -> list:
         entries = []
         for v, form, operands, may_raise in tape.entries:
             ops = [source(o) for o in operands]
+            same = None if tape.calls else _identity(form, ops)
+            if same is not None:
+                names[v] = same
+                continue
             key = form.format(*sorted(ops) if form in _COMMUTATIVE else ops)
             if key in seen and not tape.calls:
                 names[v] = seen[key]
+                continue
+            if bound is not None and not may_raise and not tape.calls and all(
+                    o in bound.names or _constant(o) is not None for o in ops):
+                names[v] = seen[key] = bound.name(key, form.format(*ops))
                 continue
             names[v] = seen[key] = prefix + v[1:]
             entries.append((names[v], form, ops, may_raise))
@@ -314,7 +371,7 @@ def plant_tapes(sys: SystemModel) -> dict:
     tapes = {}
     for name, fn in PLANT_PASSES.items():
         try:
-            tapes[name] = trace(partial(fn, sys), c, xs, ys)
+            tapes[name] = trace(functools.partial(fn, sys), c, xs, ys)
         except Exception:
             tapes[name] = _call_tape(name, c, xs, ys)
     return tapes
@@ -325,7 +382,7 @@ def _call_tape(name: str, c, xs, ys) -> Tape:
     c, xs, ys, then of one entry per item of its result; the loops that
     write it out bind ``plant``."""
     tup = ["(" + "{}, " * len(v) + ")" for v in (c, xs, ys)]
-    items = {"z": len(xs) + 1, "residual": 1}.get(name, len(xs))
+    items = {"z": len(xs) + 1, "residual": 1, "gain": 1}.get(name, len(xs))
     entries = (("v0", f"passes[{name!r}](plant, {', '.join(tup)})", (*c, *xs, *ys), True),) \
         + tuple((f"v{i + 1}", f"{{}}[{i}]", ("v0",), False) for i in range(items))
     return Tape(entries=entries, outs=tuple(e[0] for e in entries[1:]), calls=True)
@@ -334,9 +391,10 @@ def _call_tape(name: str, c, xs, ys) -> Tape:
 def trace(fn, *args) -> Tape:
     """The tape of fn(*args) on recording scalars.  A text argument is one
     scalar of that name; a list argument is a tuple of such scalars and of
-    a tape's outs, named x0, x1, .. (a segment with that tape as xs renders
-    them).  fn returns a result, or a list or tuple of results and lists of
-    them.  The tape keeps the entries of fn's float operations as
+    a tape's outs, named x0, x1, .. in the order of the arguments, and a
+    tape argument its one out, named the same way (a segment whose xs
+    lists those tapes renders them).  fn returns a result, or a list or
+    tuple of results and lists of them.  The tape keeps the entries of fn's float operations as
     ``dualnum.Rec`` records them, less those whose result no result reads,
     but every one that can raise, so code built from it raises where fn
     does."""
@@ -348,7 +406,8 @@ def trace(fn, *args) -> Tape:
         return [dualnum.Rec(tape, item)]
 
     out = fn(*(tuple(v for item in arg for v in recs(item)) if isinstance(arg, list)
-               else dualnum.Rec(tape, arg) for arg in args))
+               else recs(arg)[0] if isinstance(arg, Tape) else dualnum.Rec(tape, arg)
+               for arg in args))
     results = [v for r in (out if isinstance(out, (list, tuple)) else [out])
                for v in (r if isinstance(r, list) else [r])]
     outs = tuple(map(_source, results))
@@ -466,7 +525,17 @@ PLANT_PASSES = {
     "residual": lambda sys, c, xs, ys: [coords_and_drift(sys, c, xs, ys)[1]],   # of h_n
     "state": _state_values,         # the inverse map; the inputs x0.. stand for h_1..
     "drift": lambda sys, c, xs, ys: [f(xs[:i + 1]) for i, f in enumerate(sys.drift)],
+    "gain": lambda sys, c, xs, ys: [sys.gain(xs)],  # a loop calls an untraceable gain itself
 }
+
+
+@functools.cache
+def stack_tape(kind: str, n: int) -> Tape:
+    """The tape of the stack form ``model.STACK_FORMS[kind]`` at order n:
+    the time is x0, the form's parameters y0..; traced once per kind and n."""
+    form = STACK_FORMS[kind]
+    return trace(functools.partial(form.values, n), "x0", [f"y{i}" for i in range(form.size(n))])
+
 
 # the names a tape's source reads; a call tape reads the passes
 TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
@@ -589,9 +658,18 @@ def gain_floors(sys: SystemModel, x0, yr_stack, gains: GainConfig) -> np.ndarray
 
 @dataclass(frozen=True)
 class GainVerdict:
+    """The verdict of ``check_gains``.  checks are (describe, satisfied)
+    pairs, describe() the condition's text, which is only rendered when
+    asked for (``conditions``): a run reads ``ok`` alone."""
+
     ok: bool
     mode: str
-    conditions: tuple  # (description, satisfied) pairs
+    checks: tuple
+
+    @property
+    def conditions(self):
+        """(description, satisfied) pairs."""
+        return tuple((describe(), good) for describe, good in self.checks)
 
     @property
     def failures(self):
@@ -615,26 +693,23 @@ def check_gains(sys: SystemModel, gains: GainConfig, mode: str,
     """
     if mode not in ("uniform", "floors", "descending"):
         raise ValueError(f"unknown mode {mode!r}")
-    conds = []
+    c = gains.c
     lb, floor = gains.lam * gains.beta, 1.0 / sys.xi1
-    conds.append((f"lam*beta = {lb:.6g} >= 1/xi1 = {floor:.6g}", lb >= floor))
+    conds = [(lambda: f"lam*beta = {lb:.6g} >= 1/xi1 = {floor:.6g}", lb >= floor)]
     if mode == "descending":
-        chain = " > ".join(f"{ci:g}" for ci in gains.c) + " > 1"
-        strict = all(gains.c[i] > gains.c[i + 1] for i in range(gains.n - 1))
-        conds.append((f"strict descending chain {chain}",
-                      strict and gains.c[-1] > 1.0))
+        strict = all(c[i] > c[i + 1] for i in range(gains.n - 1))
+        conds.append((lambda: "strict descending chain "
+                      + " > ".join(f"{ci:g}" for ci in c) + " > 1", strict and c[-1] > 1.0))
     else:
-        for i, ci in enumerate(gains.c, start=1):
-            conds.append((f"c_{i} = {ci:g} > 1", ci > 1.0))
+        conds += [(lambda i=i, ci=ci: f"c_{i} = {ci:g} > 1", ci > 1.0)
+                  for i, ci in enumerate(c, start=1)]
     if mode == "floors":
         if x0 is None or yr_stack is None:
             raise ValueError("floors mode needs x0 and the reference stack at t=0")
         floors = gain_floors(sys, x0, yr_stack, gains)
-        for i, (ci, fl) in enumerate(zip(gains.c, floors), start=1):
-            conds.append((f"c_{i} = {ci:g} > max(floor {fl:.6g}, 1)",
-                          ci > max(fl, 1.0)))
-    ok = all(good for _, good in conds)
-    return GainVerdict(ok=ok, mode=mode, conditions=tuple(conds))
+        conds += [(lambda i=i, ci=ci, fl=fl: f"c_{i} = {ci:g} > max(floor {fl:.6g}, 1)",
+                   ci > max(fl, 1.0)) for i, (ci, fl) in enumerate(zip(c, floors), start=1)]
+    return GainVerdict(ok=all(good for _, good in conds), mode=mode, checks=tuple(conds))
 
 
 @dataclass(frozen=True)
@@ -653,9 +728,14 @@ class BoundReport:
         if self.envelope_weights is None:
             raise ValueError("envelope weights need the descending-gain mode")
         t = np.asarray(t, dtype=float)
+        terms = list(zip(self.envelope_weights, h0_abs, c))
+        # each term's float operations as wi * |h0i| * exp(-ci * t) does them,
+        # in three array operations for all i; then summed in order
+        rates = np.multiply.outer([-ci for _, _, ci in terms], t)
+        scales = np.reshape([wi * abs(h0i) for wi, h0i, _ in terms], (-1,) + (1,) * t.ndim)
         out = np.full_like(t, self.overshoot_core + delta_est)
-        for wi, h0i, ci in zip(self.envelope_weights, h0_abs, c):
-            out = out + wi * abs(h0i) * np.exp(-ci * t)
+        for term in scales * np.exp(rates):
+            out = out + term
         return out
 
 

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nonovershoot import dualnum
+from nonovershoot import dualnum, synth
 from nonovershoot.dualnum import Dual, Jet, Rec
 
 
@@ -174,3 +177,51 @@ def test_rec_refuses_anything_that_needs_its_value():
                         lambda v: v == 0.0, lambda v: np.asarray([v])):
         with pytest.raises(TypeError):
             needs_value(x)
+
+
+# --- the two-term fsum ---------------------------------------------------------------
+
+def _two_term_fsum():
+    """dualnum.fsum of two recorded values, as a generated loop writes it."""
+    tape = synth.trace(lambda a, b: dualnum.fsum([a, b]), "a", "b")
+    [(lines, [out])] = synth.render([(tape, "v", [], "")])
+    scope = dict(synth.TAPE_SCOPE)
+    exec("def two(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return {out}\n", scope)
+    return scope["two"], lines
+
+
+_TWO, _TWO_LINES = _two_term_fsum()
+
+
+def _outcome(fn, a, b):
+    """The result's bits (any NaN alike), or the error raised and its text."""
+    try:
+        v = fn(a, b)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "nan" if math.isnan(v) else v.hex()
+
+
+def test_two_recorded_terms_are_a_sum_and_a_guard_not_a_call():
+    assert _TWO_LINES == ["v1 = (0.0 + a) + b", "if not abs(v1) < inf: fsum((a, b, ))"]
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.1,
+            1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan)
+
+
+def test_two_term_fsum_equals_math_fsum_on_every_special_pair():
+    # signed zeros (-0.0 + -0.0 is -0.0, fsum's +0.0), subnormals, an
+    # overflow (fsum raises) and inf - inf (fsum raises), infinities, NaNs
+    for a, b in itertools.product(_SPECIAL, repeat=2):
+        want = _outcome(lambda u, v: math.fsum((u, v)), a, b)
+        assert _outcome(_TWO, a, b) == want, (a, b)
+    assert _outcome(_TWO, -0.0, -0.0) == "0x0.0p+0" != (-0.0 + -0.0).hex()
+    assert _outcome(_TWO, 1e308, 1e308) == ("OverflowError", "intermediate overflow in fsum")
+
+
+@given(st.floats(), st.floats())
+def test_two_term_fsum_equals_math_fsum_bit_for_bit(a, b):
+    assert _outcome(_TWO, a, b) == _outcome(lambda u, v: math.fsum((u, v)), a, b)
+    assert _outcome(_TWO, a, b) == _outcome(lambda u, v: dualnum.fsum([u, v]), a, b)

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import re
@@ -15,7 +16,7 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
                           get_reference, nominal_backstepping, nussbaum_control, refine_dt,
                           rk4_step, run_scenario, simulate_averaged, state_from_errors,
                           sweep)
-from nonovershoot import control, model, sim, synth
+from nonovershoot import averaging, control, model, sim, synth
 from nonovershoot.synth import coords_and_drift
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
@@ -381,11 +382,13 @@ def test_unsupported_drift_operation_is_not_divergence():
 
 def test_four_controller_evaluations_per_step(monkeypatch):
     # nominal law on a chain: each RK4 node reads the gain once, for the
-    # floor check, the law and the plant rate alike; the last sample once
+    # floor check, the law and the plant rate alike; the last sample once.
+    # float() of a recording scalar raises before the count, so the gain is
+    # not traced and the loop calls it (a traced gain is never called)
     calls = []
     base = chain_integrator(2)
     sys = SystemModel(n=2, drift=base.drift, xi1=1.0,
-                      gain=lambda xs: calls.append(1) or 1.0)
+                      gain=lambda xs: calls.append(float(xs[0])) or 1.0)
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
     run_scenario(sys, "nominal", chain_gains(), sc)
     assert len(calls) == 10 * 4 + 1
@@ -475,7 +478,7 @@ def test_runs_on_a_fresh_untraced_plant_make_equal_drift_calls():
 def test_generated_loop_calls_the_drifts_only_where_they_cannot_be_traced(controller):
     ncoef = 3 if controller in sim.DITHERED else None
     for plant, traced in ((random_poly_system(3, 4), True), (_untraced_poly_system(3, 4), False)):
-        source = sim._step_source(plant, controller, ncoef)
+        source = sim._step_source(plant, controller, ncoef, "sine", "constant")
         assert ("passes['drift'](plant, " in source) is not traced
         assert "plant.drift[" not in source
 
@@ -484,7 +487,7 @@ def test_generated_loop_calls_the_drifts_only_where_they_cannot_be_traced(contro
 def test_an_untraced_loop_reads_each_call_result_item_from_one_name(controller):
     # a call tape's outs are names: each item of a call's result is unpacked
     # into one name (e1 = e0[0]), which the law and the record then read
-    source = sim._step_source(_untraced_poly_system(2, 3), controller, 3)
+    source = sim._step_source(_untraced_poly_system(2, 3), controller, 3, "sine", "constant")
     subscripts = re.findall(r"\b[a-z]\d+(?:\[\d+\])+", source)
     unpacked = re.findall(r"^ *\w+ = ([a-z]\d+(?:\[\d+\])+)$", source, re.M)
     assert subscripts and sorted(subscripts) == sorted(unpacked)
@@ -507,12 +510,12 @@ def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     # override branch, which records mode 1 where es records -1; no node
     # function takes the mode
     plant = plant()
-    filt = sim._step_source(plant, "safety-filter", 3)
+    filt = sim._step_source(plant, "safety-filter", 3, "sine", "tracked")
     for law, ncoef in (("nominal", None), ("es", 3)):
-        assert _node_function(sim._step_source(plant, law, ncoef), law) in filt
-    es = sim._step_source(plant, "es", 3)
+        assert _node_function(sim._step_source(plant, law, ncoef, "sine"), law) in filt
+    es = sim._step_source(plant, "es", 3, "sine")
     body = es[es.index("\n                cw, sw = "):es.index("\n                if not (")]
-    body = body.replace("\n", "\n    ").replace(", ya0, -1))", ", ya0, 1))")
+    body = body.replace("\n", "\n    ").replace(", -1))\n", ", 1))\n")
     assert body + "\n                if not (" in filt
     assert "mode" not in filt
 
@@ -719,13 +722,23 @@ def test_non_finite_reference_is_named_as_in_the_averaged_system(demo, gains, co
     assert np.all(np.isfinite(partial.x))
 
 
+class _DelegatingSine(SineReference):
+    """A SineReference whose derivative is its own, delegating to the
+    built-in one: its stack is the generic form, which calls it."""
+
+    def derivative(self, t, k):
+        return super().derivative(t, k)
+
+
 @pytest.mark.parametrize("reader", [*sim.CONTROLLERS, "averaged", "stack"])
 @pytest.mark.parametrize("ref", [SineReference(amplitude=1e308, rate=10.0),
-                                 SineReference(rate=1e200)], ids=["amplitude", "rate"])
+                                 SineReference(rate=1e200), _DelegatingSine(rate=1e200)],
+                         ids=["amplitude", "rate", "own-derivative-rate"])
 def test_a_sine_reference_past_the_float_range_is_a_non_finite_reference(demo, gains,
                                                                          reader, ref):
     # amplitude * rate**k leaves the float range in the product, or for
-    # rate 1e200 already in rate**k: the stack is not finite from t = 0 on
+    # rate 1e200 already in rate**k: the stack is not finite from t = 0 on;
+    # a reference whose own derivative overflows ends the same way
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=ref)
     spec = example_lyapunov_spec(demo, gains, scale=DEFAULT_PSI_SCALE)
     with pytest.raises(BlowupError, match="^non-finite reference value$") as info:
@@ -882,8 +895,8 @@ def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
     built = []
     source = sim._step_source
     monkeypatch.setattr(sim, "_step_source",
-                        lambda s, controller, ncoef: built.append(controller)
-                        or source(s, controller, ncoef))
+                        lambda s, controller, *args: built.append(controller)
+                        or source(s, controller, *args))
     plant = example_system()
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
     result = sweep(plant, "es", gains, sc, {"kappa_n": [1.1, 3.0], "lambda": [4.0, 5.0]})
@@ -896,13 +909,109 @@ def test_a_sweep_compiles_one_step_and_later_runs_none(gains, monkeypatch):
 
 
 def test_a_sweep_on_the_sine_id_binds_its_stack_once_per_run(gains, monkeypatch):
-    # a run binds the compiled stack once (model.bound_stack) and its nodes
-    # call it, so the sweep's three runs bind three stacks and nothing else
+    # a run binds the sine's parameters once (model.stack_binding) and its
+    # nodes write the stack out, so the sweep's three runs bind three
+    # stacks and nothing else
     built = []
-    bind = model._sine_stack
-    monkeypatch.setattr(model, "_sine_stack",
-                        lambda a, r, n: built.append(n) or bind(a, r, n))
+    form = model.STACK_FORMS["sine"]
+    monkeypatch.setitem(model.STACK_FORMS, "sine", form._replace(
+        params=lambda ref, n: built.append(n) or form.params(ref, n)))
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="sine04")
     result = sweep(example_system(), "es", gains, sc, {"kappa_n": [1.1, 2.0, 3.0]})
     assert [v for _, v, _ in result.rows] == ["valid"] * 3
     assert built == [2] * 3
+
+
+# --- the gain and the reference stack written into the loop --------------------------
+
+def _demo_with_sine(sin):
+    """The demo plant with its gain's sine taken from sin."""
+    base = example_system()
+    return SystemModel(n=2, drift=base.drift, gain=lambda xs: 0.2 * sin(xs[1]) + 1.2,
+                       xi1=base.xi1, name=base.name)
+
+
+def _runs(plant, gains, ref):
+    """Every controller's run from a safe and an unsafe start, and the
+    averaged system's samples, as bit strings."""
+    spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
+    out = []
+    for controller, x0 in itertools.product(sim.CONTROLLERS, [(-0.5, 0.0), (0.2, 0.0)]):
+        sc = Scenario(x0=x0, t_end=0.3, dt=1e-3, reference=ref)
+        traj, rep = run_scenario(plant, controller, gains, sc, theta0=0.1)
+        out.append((traj.to_csv(), _hex(traj.x.ravel()), rep.csv_row(), _hex([rep.max_abs_u])))
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.3, dt=1e-3, reference=ref)
+    out.append(_hex(simulate_averaged(plant, spec, gains, sc).ravel()))
+    return out
+
+
+def test_a_traced_gain_runs_as_the_called_one_bit_for_bit(gains):
+    # dualnum.sin traces (the demo's gain is written into every node);
+    # math.sin does not (each node calls the gain): the same float operations
+    traced, called = _demo_with_sine(dualnum.sin), _demo_with_sine(math.sin)
+    assert not traced._tapes["gain"].calls and called._tapes["gain"].calls
+    assert _runs(traced, gains, "sine04") == _runs(called, gains, "sine04")
+
+
+def test_a_sine_subclass_with_its_own_derivative_runs_as_the_built_in_sine(demo, gains):
+    # the subclass's stack is the generic form, one call per node time,
+    # the built-in's is written out: the same values bit for bit
+    assert _runs(demo, gains, _DelegatingSine(amplitude=-0.8, rate=0.6)) == \
+        _runs(demo, gains, SineReference(amplitude=-0.8, rate=0.6))
+
+
+def test_a_traced_gain_is_called_by_no_run(gains):
+    calls = []
+
+    def gain(xs):
+        calls.append(xs)
+        return 0.2 * dualnum.sin(xs[1]) + 1.2
+
+    base = example_system()
+    plant = SystemModel(n=2, drift=base.drift, gain=gain, xi1=1.0, name="example")
+    assert len(calls) == 1 and not plant._tapes["gain"].calls      # the trace, on building
+    calls.clear()
+    spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
+    for controller in sim.CONTROLLERS:
+        run_scenario(plant, controller, gains, sc)
+    simulate_averaged(plant, spec, gains, sc)
+    assert calls == []
+
+
+def _calls(node, allowed):
+    """The names called in node's code outside raise statements and the
+    two-term fsum's guard, less allowed."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise) or isinstance(sub, ast.If) and \
+                ast.unparse(sub.test).startswith("not abs("):
+            for inner in ast.walk(sub):
+                inner.error_path = True
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and not getattr(sub, "error_path", False):
+            name = ast.unparse(sub.func)
+            if name not in allowed:
+                found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("loop", [*sim.CONTROLLERS, "averaged"])
+def test_the_demo_loops_call_nothing_per_node_but_math(loop, gains):
+    # the demo's gain, its reference stacks and the two-term fsum of |h| are
+    # written into the nodes: a node calls sin, cos, sqrt and abs (in the
+    # guards) alone, and the loop its node functions, the recorder once per
+    # step, and range
+    plant = example_system()
+    spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
+    if loop == "averaged":
+        source = averaging._averaged_source(plant, len(spec._weight_coeffs), "sine")
+    else:
+        ncoef = len(spec._value_coeffs) if loop in sim.DITHERED else None
+        source = sim._step_source(plant, loop, ncoef, "sine", "constant")
+    math_calls = {"sin", "cos", "sqrt", "abs"}
+    make = ast.parse(source).body[0]
+    nodes = [f for f in make.body if isinstance(f, ast.FunctionDef) and f.name != "advance"]
+    assert nodes and all(_calls(f, math_calls) == [] for f in nodes)
+    [advance] = [f for f in make.body if isinstance(f, ast.FunctionDef) and f.name == "advance"]
+    assert _calls(advance, math_calls | {f.name for f in nodes} | {"append", "range"}) == []

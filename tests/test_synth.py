@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           error_coords, error_drift, eval_dynamics, gain_floors,
                           get_reference, demo_gains, nominal_backstepping, run_scenario,
                           scale_drift_bound, state_from_errors, virtual_controllers)
+from nonovershoot import sim
 from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
 from nonovershoot.model import singular_gain
-from nonovershoot.synth import Tape, _alpha, _alpha_rate, render, trace
+from nonovershoot.synth import Bound, Tape, _alpha, _alpha_rate, render, trace
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -449,14 +451,16 @@ def test_unsupported_drift_operation_is_a_type_error():
 # state by test_averaging.py's
 # test_generated_averaged_step_equals_rk4_over_averaged_rhs.
 
-TAPE_NAMES = {"h", "z", "residual", "state", "drift"}
+TAPE_NAMES = {"h", "z", "residual", "state", "drift", "gain"}
 
 
 def test_every_traceable_plant_gets_its_tapes(demo):
     for sys in (demo, random_poly_system(4, 1), trig_exp_system(3, 2), chain_integrator(1)):
         assert set(sys._tapes) == TAPE_NAMES
-        # traced, not the call tapes of an untraceable plant (below)
-        assert not any(tape.calls for tape in sys._tapes.values())
+        # traced, not the call tapes of an untraceable plant (below); the
+        # random plants' gains use math.sin, which the loops call
+        assert not any(tape.calls for name, tape in sys._tapes.items() if name != "gain")
+        assert sys._tapes["gain"].calls is (sys.name.startswith(("poly", "trig")))
 
 
 # where a drift cannot be traced, each tape is one call of its pass
@@ -576,6 +580,34 @@ def test_a_call_line_in_two_segments_is_kept_twice():
         [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [[], ["f0"]]]
 
 
+def test_exact_identities_are_not_written_and_run_constants_are_bound_once():
+    # x / 1, 1 * x and x - 0.0 are x for every x; x + 0.0 and x - (-0.0) map
+    # -0.0 to +0.0 and stay.  An operation over run constants alone that
+    # cannot raise is written once per run, in the bound lines, and its
+    # repeat in a later segment (or render) reads that name
+    tape = _traced(("v0", "{} / {}", ("x0", "1")), ("v1", "{} * {}", ("1", "v0")),
+                   ("v2", "{} - {}", ("v1", "0.0")), ("v3", "{} + {}", ("v2", "0.0")),
+                   ("v4", "-{}", ("c0",)), ("v5", "{} * {}", ("v4", "v3")),
+                   ("v6", "{} - {}", ("v5", "(-0.0)")), ("v7", "{} * {}", ("y0", "y1")),
+                   outs=("v6", "v7"))
+    bound = Bound(["c0"])
+    assert render([(tape, "v", ["s0"], ["(0.5)", "r0"])], bound) == [
+        [["v6 = (b0 * (s0 + 0.0)) - (-0.0)", "v7 = (0.5) * r0"], ["v6", "v7"]]]
+    assert bound.lines == ["b0 = -c0"]
+    bound.names.add("r0")
+    assert render([(tape, "w", ["p0"], ["(0.5)", "r0"])], bound) == [
+        [["w6 = (b0 * (p0 + 0.0)) - (-0.0)"], ["w6", "b1"]]]
+    assert bound.lines == ["b0 = -c0", "b1 = (0.5) * r0"]
+
+
+def test_the_n4_nominal_loop_negates_no_gain_and_divides_by_no_one():
+    source = sim._step_source(random_poly_system(4, 0), "nominal", None, "call")
+    assert re.findall(r"^ *(b\d+) = -c(\d)$", source, re.M) == [
+        ("b0", "0"), ("b1", "1"), ("b2", "2"), ("b3", "3")]
+    assert len(re.findall(r"-c\d", source)) == 4
+    assert not re.search(r"/ 1\b|\b1 \*|\* 1\b| - 0\.0\b", source)
+
+
 def test_an_operation_that_can_raise_is_written_even_when_unread():
     div = Tape(entries=(("v0", "{} / {}", ("x0", "x1"), True),
                         ("v1", "{} * {}", ("x0", "x1"), False),
@@ -601,7 +633,7 @@ def test_long_single_use_chains_are_split_and_stay_bit_identical():
     for tape in sys._tapes.values():
         assert not tape.calls
         [(lines, _)] = render([(tape, "v", ["x0", "x1"], "y")])
-        assert max(line.count("(") for line in lines) < 100
+        assert max((line.count("(") for line in lines), default=0) < 100
     gains = GainConfig(c=(1.5, 1.2), kappa=1.0, lam=4.0, beta=0.8, omega=60.0)
     ref = get_reference("sine04")
     traj, _ = run_scenario(sys, "nominal", gains,
