@@ -122,8 +122,7 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     state, residual = tapes["state"], tapes["residual"]
     bound = Bound([*c, *wc, "coef"])
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
-    fetch = _stack_fetch(n, bound, setup)
-    Y, params, at = _node_stack(fetch, bound, "ref", kind)
+    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup), bound)
     gain = None if tapes["gain"].calls else tapes["gain"]
     rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain or "g", wc)
     (x_lines, X), *parts, (d_lines, _), (r_lines, R) = render(

@@ -352,47 +352,40 @@ def _rk4(m: int, first: list, call: str, fetch) -> list:
                     for i in range(m)]
 
 
-def _stack_fetch(n: int, bound: Bound, setup: list):
-    """fetch(name, kind, T, prefix) -> (lines, items): the lines that set
-    the stack at time T of the reference whose stack ``make`` binds as
-    name (``model.stack_binding``: kind and binding), and its n+1 items,
-    named with prefix.  A built-in form is written out
-    (``synth.stack_tape``) over its parameters, which the first fetch
-    unpacks in setup and adds to bound; any other stack is one call
-    <name>_d(T)."""
-    params = {}
+def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list):
+    """fetch(T, prefix) -> (lines, items): the lines that set the stack at
+    time T of the reference whose stack ``make`` binds as name
+    (``model.stack_binding``: kind and binding), and its n+1 items, named
+    with prefix.  A built-in form is written out (``synth.stack_tape``)
+    over its parameters, which setup unpacks here and bound holds; any
+    other stack is one call <name>_d(T)."""
+    if kind == "call":
+        setup.append(f"{name}_d = {name}")
 
-    def fetch(name, kind, T, prefix):
-        if name not in params:
-            if kind == "call":
-                params[name] = None
-                setup.append(f"{name}_d = {name}")
-            else:
-                letter = {"ref": "r", "nom": "q"}[name]
-                params[name] = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
-                setup.append(f"{_seq(params[name])}= {name}")
-                bound.names.update(params[name])
-        if kind == "call":
+        def fetch(T, prefix):
             Y = [f"{prefix}{i}" for i in range(n + 1)]
             return [f"{_seq(Y)}= {name}_d({T})"], Y
-        [(lines, Y)] = render([(stack_tape(kind, n), prefix, [T], params[name])], bound)
-        return lines, Y
-    return fetch
+        return fetch
+    letter = {"ref": "r", "nom": "q"}[name]         # n0.. is the new state
+    params = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
+    setup.append(f"{_seq(params)}= {name}")
+    bound.names.update(params)
+    return lambda T, prefix: render([(stack_tape(kind, n), prefix, [T], params)], bound)[0]
 
 
-def _node_stack(fetch, bound: Bound, name: str, kind: str):
-    """(Y, params, at): how a node function reads the stack of fetch's
-    reference name (``_stack_fetch``).  Y are its items in the function,
-    params the names of those it takes as parameters: the items that vary
-    with time; the others, a constant reference's, it reads where make
-    binds them.  at(T, prefix) -> (lines, args) gives the lines that set
-    the stack at T and the text of those arguments."""
-    sample = fetch(name, kind, "T", "Y")[1]
+def _node_stack(fetch, bound: Bound):
+    """(Y, params, at): how a node function reads fetch's stack
+    (``_stack_fetch``).  Y are its items in the function, params the names
+    of those it takes as parameters: the items that vary with time; the
+    others, a constant reference's, it reads where make binds them.
+    at(T, prefix) -> (lines, args) gives the lines that set the stack at T
+    and the text of those arguments."""
+    sample = fetch("T", "Y")[1]
     takes = [v.isidentifier() and v not in bound.names for v in sample]
     Y = [f"Y{k}" if take else v for k, (v, take) in enumerate(zip(sample, takes))]
 
     def at(T, prefix):
-        lines, Yt = fetch(name, kind, T, prefix)
+        lines, Yt = fetch(T, prefix)
         return lines, _seq(v for v, take in zip(Yt, takes) if take)
     return Y, [v for v, take in zip(Y, takes) if take], at
 
@@ -476,7 +469,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
     defs = []       # the node functions
-    fetch = _stack_fetch(n, bound, setup)
+    ref = _stack_fetch("ref", ref_kind, n, bound, setup)
     gain = None if tapes["gain"].calls else tapes["gain"]
     law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
               "nussbaum": (control.comparator_input, "z")}
@@ -523,13 +516,13 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
                                   f"{k}{n - 1} = {g} * u + {dv[n - 1]}"]
 
-    def step(law, name, kind, Y, pre, mode, g=None):
-        """The lines of law's step on the stacks of the reference bound as
-        name, of the given kind, from node 1 on: node 1 over the stack
-        items Y (the lines pre after its floor check; g as in node), then
-        nodes 2 to 4, which call law's node function, added to defs here,
-        on the stacks at their times."""
-        Yn, params, at = _node_stack(fetch, bound, name, kind)
+    def step(law, fetch, Y, pre, mode, g=None):
+        """The lines of law's step on the stacks that fetch sets
+        (``_stack_fetch``), from node 1 on: node 1 over the stack items Y
+        (the lines pre after its floor check; g as in node), then nodes 2
+        to 4, which call law's node function, added to defs here, on the
+        stacks at their times."""
+        Yn, params, at = _node_stack(fetch, bound)
         if law == "es":
             pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
             params = ["cw", "sw", *params]
@@ -548,18 +541,19 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     if controller == "safety-filter":
         head, g = checked("xs", " and not last",
                           render([(gain, "g", S, ())], bound)[0] if gain else None)
-        ya_lines, ya = fetch("ref", ref_kind, "t", "ya")
+        ya_lines, ya = ref("t", "ya")
         lines += head + ya_lines
         if nom_kind == "tracked":
-            nominal = step("nominal", "ref", ref_kind, ya, [], 0, g)
+            nominal = step("nominal", ref, ya, [], 0, g)
         else:
-            yl_lines, yl = fetch("nom", nom_kind, "t", "yl")
-            nominal = step("nominal", "nom", nom_kind, yl, yl_lines, 0, g)
+            nom = _stack_fetch("nom", nom_kind, n, bound, setup)
+            yl_lines, yl = nom("t", "yl")
+            nominal = step("nominal", nom, yl, yl_lines, 0, g)
         lines += [f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
-                  "else:", *(f"    {v}" for v in step("es", "ref", ref_kind, ya, [], 1, g))]
+                  "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1, g))]
     else:
-        ya_lines, ya = fetch("ref", ref_kind, "t", "ya")
-        lines += step(controller, "ref", ref_kind, ya, ya_lines, -1)
+        ya_lines, ya = ref("t", "ya")
+        lines += step(controller, ref, ya, ya_lines, -1)
     return _source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines + defs,
                    m, n, lines, "state left the finite range")
 

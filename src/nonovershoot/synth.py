@@ -26,15 +26,16 @@ For a fixed plant the pass runs the same float operations in the same
 order at every input, and so does each control law's kernel.  So
 ``trace`` runs them on recording scalars (``dualnum.Rec``) and keeps
 each trace as straight-line operations (``Tape``): ``plant_tapes`` the
-pass, the inverse map and the drifts (``PLANT_PASSES``) when a
-``SystemModel`` is built, the run loops each law when they are built.
+pass, the inverse map, the drifts and the gain (``PLANT_PASSES``) when a
+``SystemModel`` is built, ``stack_tape`` a built-in reference's stack
+once per order, the run loops each law when they are built.
 The loops write the tapes into their RK4 nodes through one renderer,
 ``render``, which value-numbers all the tapes that one node writes out,
 so a node does each distinct float operation once and a run gets the
 library's results bit for bit without running it.  Where a drift
 cannot be traced, the tape is one call of its pass from that table,
 then its result's items, entries that the renderer never merges, so the
-loops have one path.
+loops have one path; an untraceable gain they call directly.
 
 Drifts are evaluated on jets as well as on floats, which limits what
 they may be built from (``model.SystemModel``).
