@@ -16,11 +16,13 @@ command.
 
 import argparse
 import hashlib
+import math
 import time
 from pathlib import Path
 
-from nonovershoot import (Scenario, averaging, deviation_study, example_lyapunov_spec,
-                          example_system, demo_gains, run_scenario, sim, simulate_averaged)
+from nonovershoot import (Scenario, SystemModel, averaging, deviation_study,
+                          example_lyapunov_spec, example_system, demo_gains, run_scenario, sim,
+                          simulate_averaged)
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt
 
 
@@ -80,13 +82,19 @@ def main():
     text = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
     print(f"  averaged samples: sha256 {sha256(text)}")
 
-    print("generated loop sources of the demo plant, as the runs above build them")
-    for controller in sim.CONTROLLERS:     # on sine04, the filter's nominal on constant:0
-        ncoef = len(spec._value_coeffs) if controller in sim.DITHERED else None
-        source = sim._step_source(system, controller, ncoef, "sine", "constant")
-        print(f"  {controller}: sha256 {sha256(source)}")
-    source = averaging._averaged_source(system, len(spec._weight_coeffs), "sine")
-    print(f"  averaged: sha256 {sha256(source)}")
+    # the same plant with math.sin in its gain, which does not trace: its
+    # loops call the gain at every node instead of writing it out
+    called = SystemModel(n=2, drift=system.drift, xi1=system.xi1, name=system.name,
+                         gain=lambda xs: 0.2 * math.sin(xs[1]) + 1.2)
+    for plant, what in ((system, "the demo plant, as the runs above build them"),
+                        (called, "the demo plant with a called (math.sin) gain")):
+        print(f"generated loop sources of {what}")
+        for controller in sim.CONTROLLERS:     # on sine04, the filter's nominal on constant:0
+            ncoef = len(spec._value_coeffs) if controller in sim.DITHERED else None
+            source = sim._step_source(plant, controller, ncoef, "sine", "constant")
+            print(f"  {controller}: sha256 {sha256(source)}")
+        source = averaging._averaged_source(plant, len(spec._weight_coeffs), "sine")
+        print(f"  averaged: sha256 {sha256(source)}")
 
 
 if __name__ == "__main__":

@@ -111,24 +111,22 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     the number of the Lyapunov weight's coefficients.  make returns
     advance (``sim._source``), as the closed loop's does.  Every RK4 node
     time sets the stack once and every node calls one node function:
-    ``averaged_rhs`` written out from the plant's ``state``, ``gain`` (a
-    call where it is untraceable) and ``residual`` tapes and its
-    kernel's, traced here with its |hbar|, rendered together
-    (``synth.render``).  Compiled on the plant's first averaged run."""
+    ``averaged_rhs`` written out from the plant's ``state``, ``gain`` and
+    ``residual`` tapes and its kernel's, traced here with its |hbar|,
+    rendered together (``synth.render``).  Compiled on the plant's first
+    averaged run."""
     n = sys.n
     P = [f"p{i}" for i in range(n)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
     tapes = sys._tapes
-    state, residual = tapes["state"], tapes["residual"]
+    state, gain, residual = tapes["state"], tapes["gain"], tapes["residual"]
     bound = Bound([*c, *wc, "coef"])
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
     Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup), bound)
-    gain = None if tapes["gain"].calls else tapes["gain"]
-    rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain or "g", wc)
-    (x_lines, X), *parts, (d_lines, _), (r_lines, R) = render(
-        [(state, "w", P, Y), *[(gain, "g", state, ())] * bool(gain), (residual, "v", state, Y),
-         (rates, "u", [residual, gain or "g"], "")], bound)
-    g_lines = parts[0][0] if gain else [f"g = gain(({_seq(X)}))"]
+    rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain, wc)
+    (x_lines, _), (g_lines, _), (d_lines, _), (r_lines, R) = render(
+        [(state, "w", P, Y), (gain, "g", state, ()), (residual, "v", state, Y),
+         (rates, "u", [residual, gain], "")], bound)
     body = [*x_lines, *g_lines, *d_lines, *r_lines, f"return ({_seq(R)})"]
     defs = [f"def node({_seq(P)}{_seq(params)}):", *(f"    {line}" for line in body)]
     S = _seq(f"s{i}" for i in range(n))

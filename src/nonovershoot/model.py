@@ -322,15 +322,13 @@ class StackForm(NamedTuple):
 
 
 # the stack forms of the built-in references, by kind; a generated run
-# loop writes a form out at every node time, and bound_stack compiles it
+# loop writes a form out at every node time, and bound_stack runs it
 STACK_FORMS = {
     "sine": StackForm(SineReference.derivative, lambda n: n + 2, _sine_params, _sine_values),
     "constant": StackForm(ConstantReference.derivative, lambda n: 1,
                           lambda ref, n: (ref.level,),
                           lambda n, t, params: [params[0]] + [0.0] * n),
 }
-
-_STACKS: dict = {}      # (kind, n) -> make(*params) -> stack(t)
 
 
 def stack_kind(ref: Reference) -> str:
@@ -354,12 +352,12 @@ def bound_stack(ref: Reference, n: int):
     """t -> (y(t), y'(t), ..., y^(n)(t)) of ref as n+1 floats, bound once per
     run; the one place that decides how a stack is made, by the class's
     ``derivative`` (``stack_kind``).  A built-in reference's is its form
-    in STACK_FORMS compiled (once per kind and n) and bound to its
-    parameters, any other a tuple of ``derivative(t, k)`` for k = 0..n.
-    Each form equals ``derivative`` bit for bit.  Where a derivative
-    overflows (``OverflowError``), no item of the stack has a known value
-    or sign, and it is NaN: not finite, as a built-in sine's is where its
-    rate**k overflows, so that every reader ends on it the same way."""
+    in STACK_FORMS run on floats over its parameters, bound here, any
+    other a tuple of ``derivative(t, k)`` for k = 0..n.  Each form equals
+    ``derivative`` bit for bit.  Where a derivative overflows
+    (``OverflowError``), no item of the stack has a known value or sign,
+    and it is NaN: not finite, as a built-in sine's is where its rate**k
+    overflows, so that every reader ends on it the same way."""
     kind = stack_kind(ref)
     if kind == "call":
         derivative = ref.derivative
@@ -371,19 +369,8 @@ def bound_stack(ref: Reference, n: int):
                 return (math.nan,) * (n + 1)
         return stack
     form = STACK_FORMS[kind]
-    make = _STACKS.get((kind, n))
-    if make is None:
-        from . import synth         # synth imports this module
-        params = [f"p{i}" for i in range(form.size(n))]
-        [(lines, outs)] = synth.render([(synth.stack_tape(kind, n), "v", ["t"], params)])
-        source = "\n".join([f"def make({', '.join(params)}):", "    def stack(t):",
-                            *(f"        {line}" for line in lines),
-                            f"        return ({''.join(f'{v}, ' for v in outs)})",
-                            "    return stack"])
-        scope = dict(synth.TAPE_SCOPE)
-        exec(compile(source, f"<{kind} stack of order {n}>", "exec"), scope)
-        make = _STACKS[kind, n] = scope["make"]
-    return make(*form.params(ref, n))
+    params = form.params(ref, n)
+    return lambda t: tuple(form.values(n, t, params))
 
 
 def reference_stack(name, t: float, n: int) -> np.ndarray:

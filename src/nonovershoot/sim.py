@@ -11,9 +11,10 @@ square-root-of-frequency scale.
 That makes the simulator's cost its per-step overhead, so the run loop
 itself is code generated for the plant, controller and kind of reference
 stack (``_step_source``), compiled on the first such run on that plant
-and cached on it.  It writes out the plant's tapes (its gain's too, where
-that traces) and the control law's, traced from the library's own
-functions (``synth.trace``), and a built-in reference's stack
+and cached on it.  It writes out the plant's tapes (the gain's among
+them, which is one call of the gain where that does not trace) and the
+control law's, traced from the library's own functions
+(``synth.trace``), and a built-in reference's stack
 (``model.STACK_FORMS``), and holds only the integrator, so a run's
 results are those of the library laws and of ``rk4_step`` bit for bit;
 on the demo plant a node calls only ``sin``, ``cos``, ``sqrt`` and
@@ -341,9 +342,9 @@ def _rk4(m: int, first: list, call: str, fetch) -> list:
     items S and arguments Y; fetch(T, P) gives the lines that set what the
     nodes at T read besides the state, named with the prefix P, and the
     text of those arguments Y.  The fetches run once k1 is known, once per
-    node time."""
+    node time, which is written only where a fetch has lines to read it."""
     (fm, Ym), (fe, Ye) = fetch("tm", "ym"), fetch("te", "ye")
-    lines = [*first, "tm = t + half", *fm, "te = t + dt", *fe]
+    lines = [*first, *["tm = t + half", *fm] * bool(fm), *["te = t + dt", *fe] * bool(fe)]
     for j, T, Y, frac in ((2, "tm", Ym, "half"), (3, "tm", Ym, "half"),
                           (4, "te", Ye, "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
@@ -358,13 +359,11 @@ def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list):
     (``model.stack_binding``: kind and binding), and its n+1 items, named
     with prefix.  A built-in form is written out (``synth.stack_tape``)
     over its parameters, which setup unpacks here and bound holds; any
-    other stack is one call <name>_d(T)."""
+    other stack is one call <name>(T)."""
     if kind == "call":
-        setup.append(f"{name}_d = {name}")
-
         def fetch(T, prefix):
             Y = [f"{prefix}{i}" for i in range(n + 1)]
-            return [f"{_seq(Y)}= {name}_d({T})"], Y
+            return [f"{_seq(Y)}= {name}({T})"], Y
         return fetch
     letter = {"ref": "r", "nom": "q"}[name]         # n0.. is the new state
     params = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
@@ -438,12 +437,13 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     kernel (``control.seeking_input`` over h, ``known_gain_input`` or
     ``comparator_input`` over z, traced here over the coordinates, g, the
     dither pair cw, sw and the gains) and of the drifts, then the plant
-    rate.  A traced gain is written out with them; an untraceable one is
-    called.  ``synth.render`` writes one node's tapes as one basic block,
-    each distinct float operation once, and the operations over the run
-    constants alone once per run, in make (``synth.Bound``).  The
-    reference stack and the dither pair are computed once per node time
-    (the midpoint's serve nodes 2 and 3).
+    rate.  The gain's tape, traced or one call of the gain
+    (``synth.plant_tapes``), is written out with them.  ``synth.render``
+    writes one node's tapes as one basic block, each distinct float
+    operation once, and the operations over the run constants alone once
+    per run, in make (``synth.Bound``).  The reference stack and the
+    dither pair are computed once per node time (the midpoint's serve
+    nodes 2 and 3).
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
@@ -451,10 +451,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     into the loop; nodes 2 to 4 call the law's straight-line node function
     node_<law>, so the loop compiles two copies of the tapes, not four
     (compiling four copies of the coupled tape at n = 4 peaks at about
-    2 MB).  After node 1's gain check and tracked stack, the safety
-    filter's step is the nominal law's own on the nominal stack if the
-    margin y - s0 is nonnegative (mode 0), else the seeking law's own on
-    the tracked one (mode 1); its node 1 renders the gain on its own.
+    2 MB).  After the tracked stack at t, the safety filter's step is the
+    nominal law's own on the nominal stack if the margin y - s0 is
+    nonnegative (mode 0), else the seeking law's own on the tracked one
+    (mode 1), node 1 and its gain check included.
     """
     n = sys.n
     m = n + (controller == "nussbaum")
@@ -470,45 +470,30 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                   f"{_seq(vc)}= spec._value_coeffs"]
     defs = []       # the node functions
     ref = _stack_fetch("ref", ref_kind, n, bound, setup)
-    gain = None if tapes["gain"].calls else tapes["gain"]
+    gain = tapes["gain"]
     law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
               "nussbaum": (control.comparator_input, "z")}
 
-    def checked(X, cond, rendered=None):
-        """The lines of the gain at the state tuple X, written out from the
-        gain tape's rendering, or one call of it where it is untraceable
-        (rendered None), and of its floor check (cond appended to its
-        condition); and the gain's name."""
-        if rendered is None:
-            return [f"g = gain({X})", f"if g * g < floor{cond}: raise violation(g, {X})"], "g"
-        g_lines, [g] = rendered
-        return [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})"], g
-
-    def node(law, S, Y, k, g=None, cond="", pre=(), mode=None):
+    def node(law, S, Y, k, cond="", pre=(), mode=None):
         """The lines of one node of law whose stack items are Y, setting
         the plant's rates <k>0.. (the comparator's theta is the last
-        state): unless the gain's name g is given, the gain and its floor
-        check first, then the lines pre, then the law and the rates.  A
-        traced gain is rendered with the node's other tapes.  Node 1 (given
-        the mode it records) also records the sample, with h over the
-        tracked stack ya, which es reads, and the state tuple xs."""
+        state): the gain and its floor check (cond appended to its
+        condition) first, then the lines pre, then the law and the rates,
+        the gain rendered with the node's other tapes.  Node 1 (given the
+        mode it records) also records the sample, with h over the tracked
+        stack ya, which es reads, and the state tuple xs."""
         X = "xs" if mode is not None else f"({_seq(S[:n])})"
         fn, c = law_of[law]
-        traced = g is None and gain is not None     # the gain is rendered here
-        G = gain if traced else g or "g"            # what the law reads as the gain
-        args = {"es": ("cw", "sw", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", G),
+        args = {"es": ("cw", "sw", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
                 "nussbaum": (f"c{n - 1}", S[-1])}[law]
         coords = {"h": [(tapes["h"], "e", S, Y)] * (mode is None),
                   "z": [(tapes["z"], "z", S, Y)]}[c]
-        parts = render([(gain, "g", S, ())] * traced
-                       + [(tapes["h"], "e", S, ya)] * (mode is not None) + coords
-                       + [(trace(fn, [tapes[c]], *args), "u" + c, [tapes[c], G], ""),
-                          (tapes["drift"], "f", S, Y)], bound)
-        lines = []
-        if g is None:
-            lines, g = checked(X, cond, parts.pop(0) if traced else None)
-        *parts, (law_lines, uv), (d_lines, dv) = parts
-        lines += [*pre, *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
+        (g_lines, [g]), *parts, (law_lines, uv), (d_lines, dv) = render(
+            [(gain, "g", S, ()), *[(tapes["h"], "e", S, ya)] * (mode is not None), *coords,
+             (trace(fn, [tapes[c]], *args), "u" + c, [tapes[c], gain], ""),
+             (tapes["drift"], "f", S, Y)], bound)
+        lines = [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})", *pre,
+                 *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
         lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
         if mode is not None:
             lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, {ya[0]}, {mode}))",
@@ -516,12 +501,12 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
                                   f"{k}{n - 1} = {g} * u + {dv[n - 1]}"]
 
-    def step(law, fetch, Y, pre, mode, g=None):
+    def step(law, fetch, Y, pre, mode):
         """The lines of law's step on the stacks that fetch sets
         (``_stack_fetch``), from node 1 on: node 1 over the stack items Y
-        (the lines pre after its floor check; g as in node), then nodes 2
-        to 4, which call law's node function, added to defs here, on the
-        stacks at their times."""
+        (the lines pre after its floor check), then nodes 2 to 4, which
+        call law's node function, added to defs here, on the stacks at
+        their times."""
         Yn, params, at = _node_stack(fetch, bound)
         if law == "es":
             pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
@@ -534,25 +519,21 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         defs.extend([f"def node_{law}({_seq(P)}{_seq(params)}):",
                      *(f"    {v}" for v in node(law, P, Yn, "k_")),
                      f"    return ({_seq(f'k_{i}' for i in range(m))})"])
-        return _rk4(m, node(law, S, Y, "k1_", g, " and not last", pre, mode),
+        return _rk4(m, node(law, S, Y, "k1_", " and not last", pre, mode),
                     f"node_{law}({{S}}{{Y}})", at)
 
+    ya_lines, ya = ref("t", "ya")
     lines = [f"xs = ({_seq(S[:n])})"]
     if controller == "safety-filter":
-        head, g = checked("xs", " and not last",
-                          render([(gain, "g", S, ())], bound)[0] if gain else None)
-        ya_lines, ya = ref("t", "ya")
-        lines += head + ya_lines
         if nom_kind == "tracked":
-            nominal = step("nominal", ref, ya, [], 0, g)
+            nominal = step("nominal", ref, ya, [], 0)
         else:
             nom = _stack_fetch("nom", nom_kind, n, bound, setup)
             yl_lines, yl = nom("t", "yl")
-            nominal = step("nominal", nom, yl, yl_lines, 0, g)
-        lines += [f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
-                  "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1, g))]
+            nominal = step("nominal", nom, yl, yl_lines, 0)
+        lines += [*ya_lines, f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
+                  "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1))]
     else:
-        ya_lines, ya = ref("t", "ya")
         lines += step(controller, ref, ya, ya_lines, -1)
     return _source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines + defs,
                    m, n, lines, "state left the finite range")

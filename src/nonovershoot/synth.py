@@ -34,8 +34,9 @@ The loops write the tapes into their RK4 nodes through one renderer,
 so a node does each distinct float operation once and a run gets the
 library's results bit for bit without running it.  Where a drift
 cannot be traced, the tape is one call of its pass from that table,
-then its result's items, entries that the renderer never merges, so the
-loops have one path; an untraceable gain they call directly.
+then its result's items (an untraceable gain's, one call of the plant's
+gain), entries that the renderer never merges, so the loops have one
+path for every tape.
 
 Drifts are evaluated on jets as well as on floats, which limits what
 they may be built from (``model.SystemModel``).
@@ -381,9 +382,13 @@ def plant_tapes(sys: SystemModel) -> dict:
 def _call_tape(name: str, c, xs, ys) -> Tape:
     """The tape of one call of ``PLANT_PASSES[name]`` over the input names
     c, xs, ys, then of one entry per item of its result; the loops that
-    write it out bind ``plant``."""
+    write it out bind ``plant``.  The gain's is one call gain((x0, .., )) of
+    the plant's gain, which those loops bind as ``gain``."""
     tup = ["(" + "{}, " * len(v) + ")" for v in (c, xs, ys)]
-    items = {"z": len(xs) + 1, "residual": 1, "gain": 1}.get(name, len(xs))
+    if name == "gain":
+        return Tape(entries=(("v0", f"gain({tup[1]})", tuple(xs), True),), outs=("v0",),
+                    calls=True)
+    items = {"z": len(xs) + 1, "residual": 1}.get(name, len(xs))
     entries = (("v0", f"passes[{name!r}](plant, {', '.join(tup)})", (*c, *xs, *ys), True),) \
         + tuple((f"v{i + 1}", f"{{}}[{i}]", ("v0",), False) for i in range(items))
     return Tape(entries=entries, outs=tuple(e[0] for e in entries[1:]), calls=True)
@@ -526,7 +531,7 @@ PLANT_PASSES = {
     "residual": lambda sys, c, xs, ys: [coords_and_drift(sys, c, xs, ys)[1]],   # of h_n
     "state": _state_values,         # the inverse map; the inputs x0.. stand for h_1..
     "drift": lambda sys, c, xs, ys: [f(xs[:i + 1]) for i, f in enumerate(sys.drift)],
-    "gain": lambda sys, c, xs, ys: [sys.gain(xs)],  # a loop calls an untraceable gain itself
+    "gain": lambda sys, c, xs, ys: [sys.gain(xs)],  # untraceable: a call of plant.gain itself
 }
 
 

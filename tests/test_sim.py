@@ -381,17 +381,21 @@ def test_unsupported_drift_operation_is_not_divergence():
 
 
 def test_four_controller_evaluations_per_step(monkeypatch):
-    # nominal law on a chain: each RK4 node reads the gain once, for the
-    # floor check, the law and the plant rate alike; the last sample once.
+    # each law on a chain: each RK4 node reads the gain once, for the floor
+    # check, the known-gain law and the plant rate alike; the last sample once.
     # float() of a recording scalar raises before the count, so the gain is
     # not traced and the loop calls it (a traced gain is never called)
     calls = []
     base = chain_integrator(2)
     sys = SystemModel(n=2, drift=base.drift, xi1=1.0,
                       gain=lambda xs: calls.append(float(xs[0])) or 1.0)
-    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
-    run_scenario(sys, "nominal", chain_gains(), sc)
-    assert len(calls) == 10 * 4 + 1
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1), 1.5, 1.1)
+    # every controller; the filter from a safe and from an unsafe start
+    for controller, x1 in [*((c, -0.5) for c in sim.CONTROLLERS), ("safety-filter", 0.5)]:
+        calls.clear()
+        sc = Scenario(x0=(x1, 0.0), t_end=0.01, dt=1e-3, reference="constant:0")
+        run_scenario(sys, controller, chain_gains(), sc, lyap_spec=spec)
+        assert len(calls) == 10 * 4 + 1, (controller, x1)
     # the law itself runs at every node too: where the drifts cannot be
     # traced, each law evaluation calls the Taylor pass once (z, coupled,
     # for the nominal law, h for es), so sample-and-hold would show; each
@@ -416,29 +420,42 @@ def test_four_controller_evaluations_per_step(monkeypatch):
         assert {k: passes.count(k) for k in set(passes)} == counts
 
 
-def test_gain_floor_is_checked_at_every_rk4_node():
-    # the floor is broken only near x = 0.1, which the first step's second
-    # node visits (0 + dt/2 * 2) and no grid sample does
-    sys = SystemModel(n=1, drift=(lambda xs: 1.0,), xi1=1.0,
-                      gain=lambda xs: 0.5 if abs(xs[0] - 0.1) < 1e-3 else 1.0)
+# every controller from x = 0.5 below the constant reference 1, and the safety
+# filter also from 1.5 above it, where it runs the seeking law
+_FLOOR_STARTS = [*(pytest.param(c, 0.5, id=c) for c in ("es", "nominal", "nussbaum")),
+                 pytest.param("safety-filter", 0.5, id="safety-filter-safe"),
+                 pytest.param("safety-filter", 1.5, id="safety-filter-unsafe")]
+
+
+def _floor_run(controller, x0, gain):
+    """Ten steps of controller on dx/dt = gain(x) * u + 1 from x0."""
+    sys = SystemModel(n=1, drift=(lambda xs: 1.0,), xi1=1.0, gain=gain)
     g = GainConfig(c=(2.0,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
-    sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
-    with pytest.raises(GainFloorViolation, match=r"at x = \[0\.1"):
-        run_scenario(sys, "nominal", g, sc)
+    spec = LyapunovSpec(DriftBound(growth_coeffs=(0.0, 1.0), offset=0.1), 2.0, 1.1)
+    sc = Scenario(x0=(x0,), t_end=0.01, dt=1e-3, reference="constant:1")
+    return run_scenario(sys, controller, g, sc, lyap_spec=spec, theta0=0.5)
 
 
-def test_gain_floor_is_not_checked_at_the_last_sample():
+@pytest.mark.parametrize("node", [1, 2, 3, 4])
+@pytest.mark.parametrize("controller, x0", _FLOOR_STARTS)
+def test_gain_floor_is_checked_at_every_rk4_node(controller, x0, node):
+    # the floor is broken only at the state of the first step's given node
+    # (node 1's is the first sample, nodes 2 to 4 are no grid sample); the
+    # float() keeps the gain from tracing, so each node calls it
+    visited = []
+    _floor_run(controller, x0, lambda xs: visited.append(float(xs[0])) or 1.0)
+    at = visited[node - 1]
+    with pytest.raises(GainFloorViolation, match=re.escape(f"at x = [{at!r}]")):
+        _floor_run(controller, x0, lambda xs: 0.5 if float(xs[0]) == at else 1.0)
+
+
+@pytest.mark.parametrize("controller, x0", _FLOOR_STARTS)
+def test_gain_floor_is_not_checked_at_the_last_sample(controller, x0):
     # the last sample is no node of a step taken: a floor broken only at
     # the final grid state leaves the run complete
-    def plant(gain):
-        return SystemModel(n=1, drift=(lambda xs: 1.0,), xi1=1.0, gain=gain)
-
-    g = GainConfig(c=(2.0,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
-    sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
-    full, _ = run_scenario(plant(lambda xs: 1.0), "nominal", g, sc)
+    full, _ = _floor_run(controller, x0, lambda xs: 1.0)
     x_end = full.x[-1, 0]
-    traj, _ = run_scenario(plant(lambda xs: 0.5 if abs(xs[0] - x_end) < 1e-9 else 1.0),
-                           "nominal", g, sc)
+    traj, _ = _floor_run(controller, x0, lambda xs: 0.5 if float(xs[0]) == x_end else 1.0)
     assert traj.complete
     assert np.array_equal(traj.x, full.x) and np.array_equal(traj.h, full.h)
 
@@ -933,24 +950,34 @@ def _demo_with_sine(sin):
 
 def _runs(plant, gains, ref):
     """Every controller's run from a safe and an unsafe start, and the
-    averaged system's samples, as bit strings."""
+    averaged system's samples, as bit strings; a run that leaves the float
+    range (the seeking law from the far start on constant:0.3) as its
+    partial record, cause and time."""
     spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
     out = []
     for controller, x0 in itertools.product(sim.CONTROLLERS, [(-0.5, 0.0), (0.2, 0.0)]):
         sc = Scenario(x0=x0, t_end=0.3, dt=1e-3, reference=ref)
-        traj, rep = run_scenario(plant, controller, gains, sc, theta0=0.1)
+        try:
+            traj, rep = run_scenario(plant, controller, gains, sc, theta0=0.1)
+        except BlowupError as exc:
+            out.append((exc.partial_trajectory.to_csv(), str(exc), exc.t))
+            continue
         out.append((traj.to_csv(), _hex(traj.x.ravel()), rep.csv_row(), _hex([rep.max_abs_u])))
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.3, dt=1e-3, reference=ref)
     out.append(_hex(simulate_averaged(plant, spec, gains, sc).ravel()))
     return out
 
 
-def test_a_traced_gain_runs_as_the_called_one_bit_for_bit(gains):
+@pytest.mark.parametrize("ref", ["sine04", "constant:0.3",
+                                 _DelegatingSine(amplitude=-0.8, rate=0.6)],
+                         ids=["sine", "constant", "call"])
+def test_a_traced_gain_runs_as_the_called_one_bit_for_bit(gains, ref):
     # dualnum.sin traces (the demo's gain is written into every node);
-    # math.sin does not (each node calls the gain): the same float operations
+    # math.sin does not (each node calls the gain): the same float operations,
+    # on each kind of reference stack
     traced, called = _demo_with_sine(dualnum.sin), _demo_with_sine(math.sin)
     assert not traced._tapes["gain"].calls and called._tapes["gain"].calls
-    assert _runs(traced, gains, "sine04") == _runs(called, gains, "sine04")
+    assert _runs(traced, gains, ref) == _runs(called, gains, ref)
 
 
 def test_a_sine_subclass_with_its_own_derivative_runs_as_the_built_in_sine(demo, gains):
@@ -1001,17 +1028,27 @@ def test_the_demo_loops_call_nothing_per_node_but_math(loop, gains):
     # the demo's gain, its reference stacks and the two-term fsum of |h| are
     # written into the nodes: a node calls sin, cos, sqrt and abs (in the
     # guards) alone, and the loop its node functions, the recorder once per
-    # step, and range
-    plant = example_system()
-    spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
-    if loop == "averaged":
-        source = averaging._averaged_source(plant, len(spec._weight_coeffs), "sine")
-    else:
-        ncoef = len(spec._value_coeffs) if loop in sim.DITHERED else None
-        source = sim._step_source(plant, loop, ncoef, "sine", "constant")
+    # step, and range.  With math.sin the gain does not trace, and each
+    # node, node 1 in each of the filter's branches too, calls the plant's
+    # gain once and nothing else but math
     math_calls = {"sin", "cos", "sqrt", "abs"}
-    make = ast.parse(source).body[0]
-    nodes = [f for f in make.body if isinstance(f, ast.FunctionDef) and f.name != "advance"]
-    assert nodes and all(_calls(f, math_calls) == [] for f in nodes)
-    [advance] = [f for f in make.body if isinstance(f, ast.FunctionDef) and f.name == "advance"]
-    assert _calls(advance, math_calls | {f.name for f in nodes} | {"append", "range"}) == []
+    for plant, per_node in ((example_system(), []), (_demo_with_sine(math.sin), ["gain"])):
+        spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
+        if loop == "averaged":
+            source = averaging._averaged_source(plant, len(spec._weight_coeffs), "sine")
+        else:
+            ncoef = len(spec._value_coeffs) if loop in sim.DITHERED else None
+            source = sim._step_source(plant, loop, ncoef, "sine", "constant")
+        make = ast.parse(source).body[0]
+        nodes = [f for f in make.body if isinstance(f, ast.FunctionDef) and f.name != "advance"]
+        assert nodes and all(_calls(f, math_calls) == per_node for f in nodes)
+        [advance] = [f for f in make.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "advance"]
+        allowed = math_calls | {f.name for f in nodes} | {"append", "range"}
+        if loop == "safety-filter":
+            [branch] = [s for s in ast.walk(advance) if isinstance(s, ast.If) and s.orelse]
+            for body in (branch.body, branch.orelse):
+                assert [name for s in body for name in _calls(s, allowed)] == per_node
+            assert _calls(advance, allowed) == per_node * 2
+        else:
+            assert _calls(advance, allowed) == per_node * (loop != "averaged")

@@ -461,6 +461,9 @@ def test_every_traceable_plant_gets_its_tapes(demo):
         # random plants' gains use math.sin, which the loops call
         assert not any(tape.calls for name, tape in sys._tapes.items() if name != "gain")
         assert sys._tapes["gain"].calls is (sys.name.startswith(("poly", "trig")))
+        if sys._tapes["gain"].calls:        # one call of the gain that the loops bind
+            xs = "".join(f"x{i}, " for i in range(sys.n))
+            assert _written(sys._tapes["gain"], sys.n) == ([f"v0 = gain(({xs}))"], ["v0"])
 
 
 # where a drift cannot be traced, each tape is one call of its pass
