@@ -24,7 +24,7 @@ from .model import BlowupError, Scenario, SystemModel, get_reference, stack_bind
 from .sim import (_Recorder, _drive, _factory, _node_stack, _rk4, _seq, _source,
                   _stack_fetch, fmt, refine_dt, run_scenario)
 from .synth import (Bound, GainConfig, _positive, check_gain_count, error_coords, error_drift,
-                    horner, render, state_from_errors, trace)
+                    horner, render, stack_order, state_from_errors, trace)
 
 
 def _damping(coef, g, w):      # of the last averaged coordinate, w the weight at |hbar|
@@ -118,11 +118,11 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     n = sys.n
     P = [f"p{i}" for i in range(n)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
-    tapes = sys._tapes
-    state, gain, residual = tapes["state"], tapes["gain"], tapes["residual"]
+    state, gain, residual = (sys._tapes[k] for k in ("state", "gain", "residual"))
     bound = Bound([*c, *wc, "coef"])
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
-    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup), bound)
+    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup), bound,
+                                stack_order(state, residual))
     rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain, wc)
     (x_lines, _), (g_lines, _), (d_lines, _), (r_lines, R) = render(
         [(state, "w", P, Y), (gain, "g", state, ()), (residual, "v", state, Y),
@@ -131,7 +131,7 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     defs = [f"def node({_seq(P)}{_seq(params)}):", *(f"    {line}" for line in body)]
     S = _seq(f"s{i}" for i in range(n))
     ya_lines, ya = at("t", "ya")
-    first = [f"append(({S}))", "if last: return", *ya_lines,
+    first = [*["t = k * dt"] * bool(ya_lines), f"append(({S}))", "if last: return", *ya_lines,
              f"{_seq(f'k1_{i}' for i in range(n))}= node({S}{ya})"]
     return _source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines + defs,
                    n, n, _rk4(n, first, "node({S}{Y})", at), "averaged system diverged")
@@ -142,29 +142,36 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
 _COUPLING_PANELS = 8192
 
 
+def _simpson(f, h: float) -> float:
+    """Composite Simpson rule over samples f at spacing h, evenly many panels."""
+    return h / 3 * (f[0] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum() + f[-1])
+
+
 def dither_coupling(inner, outer, period: float) -> float:
     """Averaging coupling coefficient of a zero-mean periodic dither pair:
 
         (1/T) * integral_0^T outer(s) * [integral_0^s inner(r) dr] ds
 
-    computed by composite quadrature on a fixed fine grid (absolute error
-    well under 1e-9 for smooth dithers).  Rejects a period that is not
-    positive and finite, and dithers whose mean over one period exceeds
-    1e-9.  This probe is the package's only scipy user; it imports scipy
-    when called, so no other path loads it.
+    computed by the composite Simpson rule on a fixed fine grid (absolute
+    error well under 1e-9 for smooth dithers), the inner integral at odd
+    points by the quadratic through them and their two neighbours.
+    Rejects a period that is not positive and finite, and dithers whose
+    mean over one period exceeds 1e-9.
     """
-    from scipy.integrate import cumulative_simpson, simpson
-
     _positive("period", period)
     grid = np.linspace(0.0, period, _COUPLING_PANELS + 1)
+    h = period / _COUPLING_PANELS
     fi = np.array([inner(s) for s in grid])
     fo = np.array([outer(s) for s in grid])
     for name, vals in (("inner", fi), ("outer", fo)):
-        mean = simpson(vals, x=grid) / period
+        mean = _simpson(vals, h) / period
         if abs(mean) > 1e-9:
             raise ValueError(f"{name} dither has nonzero mean {mean:.3g}")
-    inner_cum = cumulative_simpson(fi, x=grid, initial=0.0)
-    return float(simpson(fo * inner_cum, x=grid) / period)
+    f0, f1, f2 = fi[:-2:2], fi[1:-1:2], fi[2::2]
+    inner_cum = np.empty_like(fi)
+    inner_cum[::2] = np.concatenate(([0.0], np.cumsum(h / 3 * (f0 + 4 * f1 + f2))))
+    inner_cum[1::2] = inner_cum[:-2:2] + h / 12 * (5 * f0 + 8 * f1 - f2)
+    return float(_simpson(fo * inner_cum, h) / period)
 
 
 # --- full-vs-averaged deviation study ------------------------------------------

@@ -17,18 +17,17 @@ traces it into its loops (``synth.trace``), so it must record.
 
 The Lyapunov function has one shape: its weight is a polynomial in |h|
 built from a polynomial drift envelope, so V is a polynomial too and is
-evaluated in closed form.  Nothing here imports scipy.
+evaluated in closed form.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dualnum import cos, fsum, guard, sqrt
+from .dualnum import cos, fsum, guard, sin, sqrt
 from .model import SINGULAR_GAIN, SingularGainError, SystemModel, singular_gain
-from .synth import DriftBound, GainConfig, _positive, coupled_values, error_values, horner
+from .synth import DriftBound, GainConfig, _positive, coupled_values, horner
 
 
 @dataclass(frozen=True)
@@ -109,24 +108,20 @@ def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:
     return lyapunov_weight(spec, _norm(h)) * h[-1]
 
 
-def seeking_input(h, cw, sw, sq, beta, lam, vc):
-    """``es_control`` at cw, sw = cos(wt), sin(wt), sq = sqrt(w), vc V's coefficients."""
-    return sq * (beta * cw - lam * sw * _value(vc, _norm(h)))
+def seeking_input(h, t, om, sq, beta, lam, vc):
+    """``es_control`` at time t, om the dither frequency, sq = sqrt(om), vc V's
+    coefficients; the dither pair is part of the law."""
+    wt = om * t
+    return sq * (beta * cos(wt) - lam * sin(wt) * _value(vc, _norm(h)))
 
 
 def es_control(spec: LyapunovSpec, gains: GainConfig, t: float, h) -> float:
     """Dithered seeking input sqrt(w)*[beta cos(wt) - lam sin(wt) V(h)]."""
-    wt = gains.omega * t
-    return seeking_input(h, math.cos(wt), math.sin(wt), math.sqrt(gains.omega), gains.beta,
-                         gains.lam, spec._value_coeffs)
+    return seeking_input(h, t, gains.omega, sqrt(gains.omega), gains.beta, gains.lam,
+                         spec._value_coeffs)
 
 
 # --- textbook laws (known gain / oscillatory gain) ----------------------------
-
-def standard_error_coords(sys: SystemModel, x, yr_stack, gains: GainConfig) -> np.ndarray:
-    """Error coordinates of the coupled (textbook) recursion."""
-    return np.array(error_values(sys, gains.c, x, yr_stack, couple=True))
-
 
 def ideal_input(zd, c_n):
     """-c_n z_n - z_{n-1} - drift, zd = (z_1, .., z_n, drift) the coupled pass's."""
@@ -135,12 +130,6 @@ def ideal_input(zd, c_n):
     if len(z) >= 2:
         out = out - z[-2]
     return out
-
-
-def ideal_backstepping_input(sys: SystemModel, x, yr_stack, gains: GainConfig) -> float:
-    """What the textbook law would apply if the gain were exactly one:
-    -c_n z_n - z_{n-1} minus the residual drift of the coupled recursion."""
-    return ideal_input(coupled_values(sys, gains.c, x, yr_stack), gains.c[-1])
 
 
 def known_gain_input(zd, c_n, g):

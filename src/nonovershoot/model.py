@@ -305,7 +305,7 @@ def _sine_values(n: int, t, params) -> list:
     operands and matches it bit for bit."""
     rate, *scales = params
     phase = rate * t
-    s, c = dualnum.sin(phase), dualnum.cos(phase)
+    s, c = dualnum.sin(phase), dualnum.cos(phase) if n else 0.0    # a tape keeps an unread cos
     cyc = (s, c, -s, -c)
     return [a * cyc[k % 4] for k, a in enumerate(scales)]
 

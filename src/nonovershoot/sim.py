@@ -14,8 +14,8 @@ stack (``_step_source``), compiled on the first such run on that plant
 and cached on it.  It writes out the plant's tapes (the gain's among
 them, which is one call of the gain where that does not trace) and the
 control law's, traced from the library's own functions
-(``synth.trace``), and a built-in reference's stack
-(``model.STACK_FORMS``), and holds only the integrator, so a run's
+(``synth.trace``, the dither included), and a built-in reference's
+stack (``model.STACK_FORMS``), and holds only the integrator, so a run's
 results are those of the library laws and of ``rk4_step`` bit for bit;
 on the demo plant a node calls only ``sin``, ``cos``, ``sqrt`` and
 ``abs``.  Gains, Lyapunov coefficients and the references' parameters
@@ -34,7 +34,7 @@ from . import control
 from .model import (GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario, SystemModel,
                     bound_stack, get_reference, is_divergence, max_dither_dt, stack_binding)
 from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
-                    check_gains, render, stack_tape, trace)
+                    check_gains, render, stack_order, stack_tape, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -342,9 +342,10 @@ def _rk4(m: int, first: list, call: str, fetch) -> list:
     items S and arguments Y; fetch(T, P) gives the lines that set what the
     nodes at T read besides the state, named with the prefix P, and the
     text of those arguments Y.  The fetches run once k1 is known, once per
-    node time, which is written only where a fetch has lines to read it."""
+    node time, which is written only where a fetch or the call reads it."""
     (fm, Ym), (fe, Ye) = fetch("tm", "ym"), fetch("te", "ye")
-    lines = [*first, *["tm = t + half", *fm] * bool(fm), *["te = t + dt", *fe] * bool(fe)]
+    lines = [*first, *["tm = t + half", *fm] * bool(fm or "{T}" in call),
+             *["te = t + dt", *fe] * bool(fe or "{T}" in call)]
     for j, T, Y, frac in ((2, "tm", Ym, "half"), (3, "tm", Ym, "half"),
                           (4, "te", Ye, "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
@@ -354,37 +355,37 @@ def _rk4(m: int, first: list, call: str, fetch) -> list:
 
 
 def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list):
-    """fetch(T, prefix) -> (lines, items): the lines that set the stack at
-    time T of the reference whose stack ``make`` binds as name
-    (``model.stack_binding``: kind and binding), and its n+1 items, named
-    with prefix.  A built-in form is written out (``synth.stack_tape``)
-    over its parameters, which setup unpacks here and bound holds; any
-    other stack is one call <name>(T)."""
+    """fetch(T, prefix, order) -> (lines, items): the lines that set the
+    stack at time T of the reference whose stack ``make`` binds as name
+    (``model.stack_binding``: kind and binding), and its items 0..order,
+    named with prefix.  A built-in form is written out to that order
+    (``synth.stack_tape``) over its parameters, which setup unpacks here
+    and bound holds; any other stack is one call <name>(T), the rest _."""
     if kind == "call":
-        def fetch(T, prefix):
-            Y = [f"{prefix}{i}" for i in range(n + 1)]
-            return [f"{_seq(Y)}= {name}({T})"], Y
+        def fetch(T, prefix, order):
+            Y = [f"{prefix}{i}" for i in range(order + 1)]
+            return [f"{_seq(Y + ['_'] * (n - order))}= {name}({T})"], Y
         return fetch
     letter = {"ref": "r", "nom": "q"}[name]         # n0.. is the new state
     params = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
     setup.append(f"{_seq(params)}= {name}")
     bound.names.update(params)
-    return lambda T, prefix: render([(stack_tape(kind, n), prefix, [T], params)], bound)[0]
+    return lambda T, prefix, q: render([(stack_tape(kind, q), prefix, [T], params)], bound)[0]
 
 
-def _node_stack(fetch, bound: Bound):
+def _node_stack(fetch, bound: Bound, order: int):
     """(Y, params, at): how a node function reads fetch's stack
-    (``_stack_fetch``).  Y are its items in the function, params the names
-    of those it takes as parameters: the items that vary with time; the
-    others, a constant reference's, it reads where make binds them.
-    at(T, prefix) -> (lines, args) gives the lines that set the stack at T
-    and the text of those arguments."""
-    sample = fetch("T", "Y")[1]
+    (``_stack_fetch``) to order.  Y are its items in the function, params
+    the names of those it takes as parameters: the items that vary with
+    time; the others, a constant reference's, it reads where make binds
+    them.  at(T, prefix) -> (lines, args) gives the lines that set the
+    stack at T and the text of those arguments."""
+    sample = fetch("T", "Y", order)[1]
     takes = [v.isidentifier() and v not in bound.names for v in sample]
     Y = [f"Y{k}" if take else v for k, (v, take) in enumerate(zip(sample, takes))]
 
     def at(T, prefix):
-        lines, Yt = fetch(T, prefix)
+        lines, Yt = fetch(T, prefix, order)
         return lines, _seq(v for v, take in zip(Yt, takes) if take)
     return Y, [v for v, take in zip(Y, takes) if take], at
 
@@ -392,9 +393,9 @@ def _node_stack(fetch, bound: Bound):
 def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) -> str:
     """``def make(<params>)``: the setup lines, then the run loop advance,
     which make returns.  advance(pos, stop, last=False) runs the steps
-    pos[0]..stop-1 from the m floats pos[1]: each sets t = k * dt and runs
-    the lines step, which record the start sample (and return if last) and
-    leave the new state in n0.., then checks it.  The check is the
+    pos[0]..stop-1 from the m floats pos[1]: each runs the lines step,
+    which set t = k * dt where they read it, record the start sample (and
+    return if last) and leave the new state in n0.., then checks it by the
     divergence rule of every generated loop: a new item beyond
     +-_STATE_LIMIT, or NaN, raises BlowupError(cause) at (k + 1) * dt with
     the new state's first n items.  Whether advance returns or raises, pos
@@ -402,7 +403,7 @@ def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) ->
     and the state reached, or the step that failed."""
     S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
     in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
-    loop = ["t = k * dt", *step, f"if not ({in_range}):",
+    loop = [*step, f"if not ({in_range}):",
             f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
             f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
     return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup),
@@ -436,22 +437,24 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     then writes out the tapes of the error coordinates, of the law's
     kernel (``control.seeking_input`` over h, ``known_gain_input`` or
     ``comparator_input`` over z, traced here over the coordinates, g, the
-    dither pair cw, sw and the gains) and of the drifts, then the plant
-    rate.  The gain's tape, traced or one call of the gain
+    time t and the gains) and of the drifts, then the plant rate.  The
+    gain's tape, traced or one call of the gain
     (``synth.plant_tapes``), is written out with them.  ``synth.render``
     writes one node's tapes as one basic block, each distinct float
     operation once, and the operations over the run constants alone once
-    per run, in make (``synth.Bound``).  The reference stack and the
-    dither pair are computed once per node time (the midpoint's serve
-    nodes 2 and 3).
+    per run, in make (``synth.Bound``).  The reference stack is computed
+    once per node time (the midpoint's serves nodes 2 and 3), to the
+    order the tapes that read it need (``synth.stack_order``; the h that
+    node 1 records needs no more than either law's coordinates).
     The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
     node and is the only copy of that rule (a call per node made a demo
     step about a tenth slower); ``SystemModel.floor_violation`` builds the
     error it raises.  Node 1, which also records the sample, is written
     into the loop; nodes 2 to 4 call the law's straight-line node function
-    node_<law>, so the loop compiles two copies of the tapes, not four
-    (compiling four copies of the coupled tape at n = 4 peaks at about
-    2 MB).  After the tracked stack at t, the safety filter's step is the
+    node_<law>, which takes the time only where its kernel's tape reads t,
+    so the loop compiles two copies of the tapes, not four (compiling four
+    copies of the coupled tape at n = 4 peaks at about 2 MB).  After the
+    tracked stack at t, the safety filter's step is the
     nominal law's own on the nominal stack if the margin y - s0 is
     nonnegative (mode 0), else the seeking law's own on the tracked one
     (mode 1), node 1 and its gain check included.
@@ -473,25 +476,26 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     gain = tapes["gain"]
     law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
               "nussbaum": (control.comparator_input, "z")}
+    order = {law: stack_order(tapes[c], tapes["drift"]) for law, (_, c) in law_of.items()}
 
     def node(law, S, Y, k, cond="", pre=(), mode=None):
-        """The lines of one node of law whose stack items are Y, setting
-        the plant's rates <k>0.. (the comparator's theta is the last
-        state): the gain and its floor check (cond appended to its
-        condition) first, then the lines pre, then the law and the rates,
+        """(lines, the law's tape): the lines of one node of law whose stack
+        items are Y, setting the plant's rates <k>0.. (the comparator's
+        theta is the last state): the gain and its floor check (cond
+        appended to its condition), the lines pre, the law and the rates,
         the gain rendered with the node's other tapes.  Node 1 (given the
         mode it records) also records the sample, with h over the tracked
         stack ya, which es reads, and the state tuple xs."""
         X = "xs" if mode is not None else f"({_seq(S[:n])})"
         fn, c = law_of[law]
-        args = {"es": ("cw", "sw", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
+        args = {"es": ("t", "om", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
                 "nussbaum": (f"c{n - 1}", S[-1])}[law]
         coords = {"h": [(tapes["h"], "e", S, Y)] * (mode is None),
                   "z": [(tapes["z"], "z", S, Y)]}[c]
+        kernel = trace(fn, [tapes[c]], *args)
         (g_lines, [g]), *parts, (law_lines, uv), (d_lines, dv) = render(
             [(gain, "g", S, ()), *[(tapes["h"], "e", S, ya)] * (mode is not None), *coords,
-             (trace(fn, [tapes[c]], *args), "u" + c, [tapes[c], gain], ""),
-             (tapes["drift"], "f", S, Y)], bound)
+             (kernel, "u" + c, [tapes[c], gain], ""), (tapes["drift"], "f", S, Y)], bound)
         lines = [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})", *pre,
                  *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
         lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
@@ -499,38 +503,29 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
             lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, {ya[0]}, {mode}))",
                       "if last: return"]
         return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
-                                  f"{k}{n - 1} = {g} * u + {dv[n - 1]}"]
+                                  f"{k}{n - 1} = {g} * u + {dv[n - 1]}"], kernel
 
     def step(law, fetch, Y, pre, mode):
         """The lines of law's step on the stacks that fetch sets
         (``_stack_fetch``), from node 1 on: node 1 over the stack items Y
         (the lines pre after its floor check), then nodes 2 to 4, which
         call law's node function, added to defs here, on the stacks at
-        their times."""
-        Yn, params, at = _node_stack(fetch, bound)
-        if law == "es":
-            pre = [*pre, "cw, sw = cos(om * t), sin(om * t)"]
-            params = ["cw", "sw", *params]
-
-            def at(T, prefix, at=at):
-                lines, args = at(T, prefix)
-                return [*lines, f"c{T}, s{T} = cos(om * {T}), sin(om * {T})"], \
-                    f"c{T}, s{T}, {args}"
-        defs.extend([f"def node_{law}({_seq(P)}{_seq(params)}):",
-                     *(f"    {v}" for v in node(law, P, Yn, "k_")),
+        their times (and the times, where its kernel reads t)."""
+        Yn, params, at = _node_stack(fetch, bound, order[law])
+        body, kernel = node(law, P, Yn, "k_")
+        T = ["t"] * any("t" in entry[2] for entry in kernel.entries)
+        defs.extend([f"def node_{law}({_seq(P + T + params)}):", *(f"    {v}" for v in body),
                      f"    return ({_seq(f'k_{i}' for i in range(m))})"])
-        return _rk4(m, node(law, S, Y, "k1_", " and not last", pre, mode),
-                    f"node_{law}({{S}}{{Y}})", at)
+        return _rk4(m, node(law, S, Y, "k1_", " and not last", pre, mode)[0],
+                    f"node_{law}({{S}}{_seq(['{T}'] * len(T))}{{Y}})", at)
 
-    ya_lines, ya = ref("t", "ya")
-    lines = [f"xs = ({_seq(S[:n])})"]
+    on_ya = controller if controller in order else "nominal" if nom_kind == "tracked" else "es"
+    ya_lines, ya = ref("t", "ya", order[on_ya])
+    lines = ["t = k * dt", f"xs = ({_seq(S[:n])})"]
     if controller == "safety-filter":
-        if nom_kind == "tracked":
-            nominal = step("nominal", ref, ya, [], 0)
-        else:
-            nom = _stack_fetch("nom", nom_kind, n, bound, setup)
-            yl_lines, yl = nom("t", "yl")
-            nominal = step("nominal", nom, yl, yl_lines, 0)
+        nom = ref if nom_kind == "tracked" else _stack_fetch("nom", nom_kind, n, bound, setup)
+        yl_lines, yl = ([], ya) if nom is ref else nom("t", "yl", order["nominal"])
+        nominal = step("nominal", nom, yl, yl_lines, 0)
         lines += [*ya_lines, f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
                   "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1))]
     else:

@@ -537,10 +537,17 @@ PLANT_PASSES = {
 
 @functools.cache
 def stack_tape(kind: str, n: int) -> Tape:
-    """The tape of the stack form ``model.STACK_FORMS[kind]`` at order n:
-    the time is x0, the form's parameters y0..; traced once per kind and n."""
+    """The tape of the stack form ``model.STACK_FORMS[kind]`` to order n: the
+    time is x0, its first size(n) parameters y0..; traced once per kind and n."""
     form = STACK_FORMS[kind]
     return trace(functools.partial(form.values, n), "x0", [f"y{i}" for i in range(form.size(n))])
+
+
+def stack_order(*tapes) -> int:
+    """The highest k whose stack item y<k> an entry of tapes reads (0 if
+    none): the order of the stack they need; a call tape reads all of it."""
+    return max((int(v[1:]) for tape in tapes for entry in tape.entries for v in entry[2]
+                if v[0] == "y" and v[1:].isdigit()), default=0)
 
 
 # the names a tape's source reads; a call tape reads the passes

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -110,6 +111,17 @@ def test_coupling_antisymmetry_identity():
     v12 = dither_coupling(math.cos, math.sin, 2 * math.pi)
     v21 = dither_coupling(math.sin, math.cos, 2 * math.pi)
     assert v12 - v21 == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("inner, outer", list(itertools.product((math.cos, math.sin), repeat=2)))
+def test_coupling_matches_scipys_simpson_rules(inner, outer):
+    # the numpy rules reproduce scipy's simpson over scipy's cumulative_simpson
+    from scipy.integrate import cumulative_simpson, simpson
+
+    grid = np.linspace(0.0, 2 * math.pi, 8193)
+    fi, fo = np.array([inner(s) for s in grid]), np.array([outer(s) for s in grid])
+    want = simpson(fo * cumulative_simpson(fi, x=grid, initial=0.0), x=grid) / (2 * math.pi)
+    assert dither_coupling(inner, outer, 2 * math.pi) == pytest.approx(want, abs=1e-11)
 
 
 def test_coupling_rejects_nonzero_mean():

@@ -1,7 +1,7 @@
-"""Importing the package and running the simulation paths loads no scipy:
-the only scipy import is in the dither-coupling probe
-(``averaging.dither_coupling``)."""
+"""Importing the package and running its paths loads no scipy, which is
+a test dependency only: no module under ``src/`` imports it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,9 +10,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROGRAM = """
-import sys
+import math, sys
 import nonovershoot, nonovershoot.cli
-from nonovershoot import (Scenario, averaged_rhs, deviation_study, demo_gains,
+from nonovershoot import (Scenario, averaged_rhs, deviation_study, demo_gains, dither_coupling,
                           example_lyapunov_spec, example_system, lyapunov_value,
                           run_scenario, sweep)
 from nonovershoot.sim import CONTROLLERS, DEFAULT_PSI_SCALE
@@ -25,6 +25,7 @@ spec = example_lyapunov_spec(plant, gains, scale=DEFAULT_PSI_SCALE)
 lyapunov_value(spec, [0.3, -0.7])
 averaged_rhs(plant, spec, gains, "sine04", 0.0, [-0.5, 0.4])
 deviation_study(plant, spec, gains, sc, [60.0, 240.0])
+dither_coupling(math.cos, math.sin, 2 * math.pi)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -34,3 +35,15 @@ def test_package_and_simulation_load_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_under_src_imports_scipy():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [v for v in names if v.split(".")[0] == "scipy"], path

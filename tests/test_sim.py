@@ -523,18 +523,23 @@ def _node_function(source, law):
                          ids=["demo", "poly1", "poly2", "poly3", "poly4", "untraced"])
 def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     # the filter's steps are the nominal and seeking laws' own: their node
-    # functions, verbatim, and the seeking law's node 1 and RK4 body in the
-    # override branch, which records mode 1 where es records -1; no node
-    # function takes the mode
+    # functions, verbatim, and the seeking law's node 1 from its error
+    # coordinates (the first line after the es loop's stack lines) and RK4
+    # body in the override branch, which records mode 1 where es records
+    # -1; no node function takes the mode.  A tracked nominal stack is
+    # written to the nominal law's order, which at n = 1 names the seeking
+    # law's items apart from the es loop's (order 0), so there the body is
+    # compared on a nominal stack of its own only
     plant = plant()
-    filt = sim._step_source(plant, "safety-filter", 3, "sine", "tracked")
-    for law, ncoef in (("nominal", None), ("es", 3)):
+    filters = [sim._step_source(plant, "safety-filter", 3, "sine", nom)
+               for nom in ("tracked", "sine")]
+    for filt, (law, ncoef) in itertools.product(filters, (("nominal", None), ("es", 3))):
         assert _node_function(sim._step_source(plant, law, ncoef, "sine"), law) in filt
     es = sim._step_source(plant, "es", 3, "sine")
-    body = es[es.index("\n                cw, sw = "):es.index("\n                if not (")]
+    body = es[es.index("\n                e"):es.index("\n                if not (")]
     body = body.replace("\n", "\n    ").replace(", -1))\n", ", 1))\n")
-    assert body + "\n                if not (" in filt
-    assert "mode" not in filt
+    assert all(body + "\n                if not (" in filt for filt in filters[plant.n == 1:])
+    assert all("mode" not in filt for filt in filters)
 
 
 @pytest.mark.parametrize("delta_est", [-5.0, -1e-9, math.nan, math.inf])
@@ -895,9 +900,8 @@ def test_the_run_loop_writes_the_library_law_kernels(gains, monkeypatch):
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.05, dt=1e-3)
     es, _ = run_scenario(plant, "es", gains, sc, lyap_spec=spec)
     for t, h, u in zip(es.t, es.h, es.u):
-        wt = gains.omega * t
         assert u == es_control(spec, gains, t, h) == 0.5 * seeking(
-            h, math.cos(wt), math.sin(wt), math.sqrt(gains.omega), gains.beta, gains.lam,
+            h, t, gains.omega, math.sqrt(gains.omega), gains.beta, gains.lam,
             spec._value_coeffs)
     nominal, _ = run_scenario(plant, "nominal", gains, sc)
     ref = get_reference(sc.reference)
@@ -1052,3 +1056,37 @@ def test_the_demo_loops_call_nothing_per_node_but_math(loop, gains):
             assert _calls(advance, allowed) == per_node * 2
         else:
             assert _calls(advance, allowed) == per_node * (loop != "averaged")
+
+
+def _unread(function):
+    """The parameters of function and the names it assigns that it never
+    reads, _ aside."""
+    stored = {a.arg for a in function.args.args}
+    loaded = set()
+    for sub in ast.walk(function):
+        if isinstance(sub, ast.Name):
+            (loaded if isinstance(sub.ctx, ast.Load) else stored).add(sub.id)
+    return sorted(stored - loaded - {"_"})
+
+
+@pytest.mark.parametrize("kind", ["sine", "constant", "call"])
+@pytest.mark.parametrize("plant", [example_system,
+                                   *(lambda n=n: random_poly_system(n, 5) for n in range(1, 5)),
+                                   lambda: _untraced_poly_system(2, 3)],
+                         ids=["demo", "poly1", "poly2", "poly3", "poly4", "untraced"])
+def test_a_loop_computes_and_passes_only_what_it_reads(plant, kind):
+    # advance and every node function read each name they assign and each
+    # parameter they take: no stack item above the order the nodes' tapes
+    # read (the seeking law's y^(n) on a traced plant), no dither pair the
+    # kernel does not form itself, no unused time; make's once-per-run
+    # bindings aside
+    plant = plant()
+    sources = {controller: sim._step_source(plant, controller, 3 if controller in sim.DITHERED
+                                            else None, kind, kind)
+               for controller in sim.CONTROLLERS}
+    sources["tracked filter"] = sim._step_source(plant, "safety-filter", 3, kind, "tracked")
+    sources["averaged"] = averaging._averaged_source(plant, 3, kind)
+    for loop, source in sources.items():
+        for function in ast.parse(source).body[0].body:
+            if isinstance(function, ast.FunctionDef):
+                assert _unread(function) == [], (loop, function.name)

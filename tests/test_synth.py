@@ -11,10 +11,9 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           get_reference, demo_gains, nominal_backstepping, run_scenario,
                           scale_drift_bound, state_from_errors, virtual_controllers)
 from nonovershoot import sim
-from nonovershoot.control import standard_error_coords
 from nonovershoot.sim import rk4_step
 from nonovershoot.model import singular_gain
-from nonovershoot.synth import Bound, Tape, _alpha, _alpha_rate, render, trace
+from nonovershoot.synth import Bound, Tape, _alpha, _alpha_rate, error_values, render, trace
 
 from conftest import chain_integrator, random_gains, random_poly_system
 
@@ -421,7 +420,7 @@ def test_taylor_pass_matches_nested_duals(seed, n, trig):
     h, z, drifts, h_rates = _oracle(sys, x, ys, gains)
 
     assert _close(error_coords(sys, x, ys, gains), h)
-    assert _close(standard_error_coords(sys, x, ys, gains), z)
+    assert _close(error_values(sys, gains.c, x, ys, couple=True), z)
     assert _close(error_drift(sys, x, ys, gains), drifts[0])
     assert _close(error_drift(sys, x, ys, gains, couple=True), drifts[1])
     if np.all(h[:-1] != 0.0):
