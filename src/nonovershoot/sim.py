@@ -34,7 +34,7 @@ from . import control
 from .model import (GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario, SystemModel,
                     bound_stack, get_reference, is_divergence, max_dither_dt, stack_binding)
 from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
-                    check_gains, render, stack_order, stack_tape, trace)
+                    check_gains, items_read, render, stack_order, stack_tape, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -432,32 +432,30 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     advance(pos, nsteps + 1, True) only records the last sample, with the
     same code.
 
-    Every node evaluates the gain once and checks the gain floor on it
-    (the last sample, which is no node of a step taken, is not checked),
-    then writes out the tapes of the error coordinates, of the law's
-    kernel (``control.seeking_input`` over h, ``known_gain_input`` or
+    Every node evaluates the gain (its tape, traced or one call of the
+    gain: ``synth.plant_tapes``) and checks the gain floor on it (not at
+    the last sample, which is no node of a step taken), then writes out
+    the tapes of the error coordinates (of a call's, the items the kernel
+    reads: ``synth.items_read``), of the law's kernel
+    (``control.seeking_input`` over h, ``known_gain_input`` or
     ``comparator_input`` over z, traced here over the coordinates, g, the
-    time t and the gains) and of the drifts, then the plant rate.  The
-    gain's tape, traced or one call of the gain
-    (``synth.plant_tapes``), is written out with them.  ``synth.render``
-    writes one node's tapes as one basic block, each distinct float
-    operation once, and the operations over the run constants alone once
-    per run, in make (``synth.Bound``).  The reference stack is computed
-    once per node time (the midpoint's serves nodes 2 and 3), to the
-    order the tapes that read it need (``synth.stack_order``; the h that
-    node 1 records needs no more than either law's coordinates).
-    The floor test, g * g < xi1 - GAIN_FLOOR_TOL, is written out at every
-    node and is the only copy of that rule (a call per node made a demo
-    step about a tenth slower); ``SystemModel.floor_violation`` builds the
-    error it raises.  Node 1, which also records the sample, is written
-    into the loop; nodes 2 to 4 call the law's straight-line node function
-    node_<law>, which takes the time only where its kernel's tape reads t,
-    so the loop compiles two copies of the tapes, not four (compiling four
-    copies of the coupled tape at n = 4 peaks at about 2 MB).  After the
-    tracked stack at t, the safety filter's step is the
-    nominal law's own on the nominal stack if the margin y - s0 is
-    nonnegative (mode 0), else the seeking law's own on the tracked one
-    (mode 1), node 1 and its gain check included.
+    time t and the gains) and of the drifts, then the plant rate, as one
+    basic block (``synth.render``): each distinct float operation once,
+    those over the run constants alone once per run, in make
+    (``synth.Bound``).  The reference stack is computed once per node time
+    (the midpoint's serves nodes 2 and 3), to the highest order that the
+    tapes reading it need (``synth.stack_order``).  The floor test,
+    g * g < xi1 - GAIN_FLOOR_TOL, is written out at every node, the only
+    copy of that rule (a call per node made a demo step about a tenth
+    slower); ``SystemModel.floor_violation`` builds its error.  Node 1,
+    which also records the sample, is written into the loop; nodes 2 to 4
+    call the law's straight-line node function node_<law>, which takes the
+    time only where its kernel's tape reads t, so the loop compiles two
+    copies of the tapes, not four (compiling four copies of the coupled
+    tape at n = 4 peaks at about 2 MB).  After the tracked stack at t, the
+    safety filter's step is the nominal law's own on the nominal stack if
+    the margin y - s0 is nonnegative (mode 0), else the seeking law's own
+    on the tracked one (mode 1), node 1 and its gain check included.
     """
     n = sys.n
     m = n + (controller == "nussbaum")
@@ -490,12 +488,12 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         fn, c = law_of[law]
         args = {"es": ("t", "om", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
                 "nussbaum": (f"c{n - 1}", S[-1])}[law]
-        coords = {"h": [(tapes["h"], "e", S, Y)] * (mode is None),
-                  "z": [(tapes["z"], "z", S, Y)]}[c]
-        kernel = trace(fn, [tapes[c]], *args)
+        kernel = trace(fn, [tapes[c]], *args)      # node 1 records h, which es reads whole
+        coords = [*[(tapes["h"], "e", S, ya)] * (mode is not None and c == "z"),
+                  (items_read(tapes[c], kernel), "e" if c == "h" else "z", S, Y)]
         (g_lines, [g]), *parts, (law_lines, uv), (d_lines, dv) = render(
-            [(gain, "g", S, ()), *[(tapes["h"], "e", S, ya)] * (mode is not None), *coords,
-             (kernel, "u" + c, [tapes[c], gain], ""), (tapes["drift"], "f", S, Y)], bound)
+            [(gain, "g", S, ()), *coords, (kernel, "u" + c, [coords[-1][0], gain], ""),
+             (tapes["drift"], "f", S, Y)], bound)
         lines = [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})", *pre,
                  *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
         lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
@@ -519,11 +517,13 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         return _rk4(m, node(law, S, Y, "k1_", " and not last", pre, mode)[0],
                     f"node_{law}({{S}}{_seq(['{T}'] * len(T))}{{Y}})", at)
 
-    on_ya = controller if controller in order else "nominal" if nom_kind == "tracked" else "es"
-    ya_lines, ya = ref("t", "ya", order[on_ya])
+    filtered = controller == "safety-filter"
+    nom = _stack_fetch("nom", nom_kind, n, bound, setup) if filtered and nom_kind != "tracked" \
+        else ref
+    on_ref = ["es", "nominal"][:1 + (nom is ref)] if filtered else [controller]
+    ya_lines, ya = ref("t", "ya", max(order[law] for law in on_ref))   # what its laws read
     lines = ["t = k * dt", f"xs = ({_seq(S[:n])})"]
-    if controller == "safety-filter":
-        nom = ref if nom_kind == "tracked" else _stack_fetch("nom", nom_kind, n, bound, setup)
+    if filtered:
         yl_lines, yl = ([], ya) if nom is ref else nom("t", "yl", order["nominal"])
         nominal = step("nominal", nom, yl, yl_lines, 0)
         lines += [*ya_lines, f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),

@@ -550,6 +550,14 @@ def stack_order(*tapes) -> int:
                 if v[0] == "y" and v[1:].isdigit()), default=0)
 
 
+def items_read(tape: Tape, reader: Tape) -> Tape:
+    """tape less the items of its call (``_call_tape``) that reader, traced over
+    its outs as x0.., does not read (their outs stay unwritten); a traced tape."""
+    read = {v for entry in reader.entries for v in entry[2]} | set(reader.outs)
+    unread = {o for i, o in enumerate(tape.outs) if f"x{i}" not in read} if tape.calls else ()
+    return Tape(tuple(e for e in tape.entries if e[0] not in unread), tape.outs, tape.calls)
+
+
 # the names a tape's source reads; a call tape reads the passes
 TAPE_SCOPE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
               "fsum": math.fsum, "inf": math.inf, "nan": math.nan,

@@ -526,10 +526,10 @@ def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     # functions, verbatim, and the seeking law's node 1 from its error
     # coordinates (the first line after the es loop's stack lines) and RK4
     # body in the override branch, which records mode 1 where es records
-    # -1; no node function takes the mode.  A tracked nominal stack is
-    # written to the nominal law's order, which at n = 1 names the seeking
-    # law's items apart from the es loop's (order 0), so there the body is
-    # compared on a nominal stack of its own only
+    # -1; no node function takes the mode.  The filter writes the tracked
+    # stack at t to the order of the laws on it (es, and nominal where it
+    # tracks), which can name its items apart from the es loop's (at
+    # n = 1, order 1 against 0): the body reads them by those names
     plant = plant()
     filters = [sim._step_source(plant, "safety-filter", 3, "sine", nom)
                for nom in ("tracked", "sine")]
@@ -538,7 +538,16 @@ def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     es = sim._step_source(plant, "es", 3, "sine")
     body = es[es.index("\n                e"):es.index("\n                if not (")]
     body = body.replace("\n", "\n    ").replace(", -1))\n", ", 1))\n")
-    assert all(body + "\n                if not (" in filt for filt in filters[plant.n == 1:])
+    tapes = plant._tapes
+    es_order, z_order = (synth.stack_order(tapes[c], tapes["drift"]) for c in "hz")
+
+    def items(order):
+        fetch = sim._stack_fetch("ref", "sine", plant.n, synth.Bound([]), [])
+        return fetch("t", "ya", order)[1]
+    for filt, order in zip(filters, (max(es_order, z_order), es_order)):
+        names = dict(zip(items(es_order), items(order)))
+        filt_body = re.sub(r"\bya\d+\b", lambda v: names.get(v[0], v[0]), body)
+        assert filt_body + "\n                if not (" in filt
     assert all("mode" not in filt for filt in filters)
 
 
@@ -1072,13 +1081,15 @@ def _unread(function):
 @pytest.mark.parametrize("kind", ["sine", "constant", "call"])
 @pytest.mark.parametrize("plant", [example_system,
                                    *(lambda n=n: random_poly_system(n, 5) for n in range(1, 5)),
-                                   lambda: _untraced_poly_system(2, 3)],
-                         ids=["demo", "poly1", "poly2", "poly3", "poly4", "untraced"])
+                                   *(lambda n=n: _untraced_poly_system(n, 3) for n in range(2, 5))],
+                         ids=["demo", "poly1", "poly2", "poly3", "poly4",
+                              "untraced2", "untraced3", "untraced4"])
 def test_a_loop_computes_and_passes_only_what_it_reads(plant, kind):
     # advance and every node function read each name they assign and each
     # parameter they take: no stack item above the order the nodes' tapes
-    # read (the seeking law's y^(n) on a traced plant), no dither pair the
-    # kernel does not form itself, no unused time; make's once-per-run
+    # read (the seeking law's y^(n) on a traced plant), no item of a call
+    # that no tape reads (an untraced plant's z_1..z_{n-2}), no dither pair
+    # the kernel does not form itself, no unused time; make's once-per-run
     # bindings aside
     plant = plant()
     sources = {controller: sim._step_source(plant, controller, 3 if controller in sim.DITHERED

@@ -10,7 +10,7 @@ from nonovershoot import (DriftBound, GainConfig, InitSignError, Scenario, Syste
                           error_coords, error_drift, eval_dynamics, gain_floors,
                           get_reference, demo_gains, nominal_backstepping, run_scenario,
                           scale_drift_bound, state_from_errors, virtual_controllers)
-from nonovershoot import sim
+from nonovershoot import sim, synth
 from nonovershoot.sim import rk4_step
 from nonovershoot.model import singular_gain
 from nonovershoot.synth import Bound, Tape, _alpha, _alpha_rate, error_values, render, trace
@@ -580,6 +580,23 @@ def test_a_call_line_in_two_segments_is_kept_twice():
     traced = _traced(("v0", "plant.drift[0](({}, ))", ("x0",)), outs=("v0",))
     assert render([(traced, "f", ["s0"], ""), (traced, "g", ["s0"], "")]) == [
         [["f0 = plant.drift[0]((s0, ))"], ["f0"]], [[], ["f0"]]]
+
+
+def test_a_call_tape_keeps_only_the_items_its_reader_reads():
+    # a kernel over a coordinate call that reads its last two items: the
+    # call and those items are written, the first item is not, and its out
+    # stays in place so that x1, x2 still name the items read; a traced
+    # tape is left as it is
+    call = synth._call_tape("z", ["c0"], ["x0", "x1"], ["y0", "y1", "y2"])
+    law = trace(lambda zd: zd[1] - zd[2], [call])
+    read = synth.items_read(call, law)
+    assert read.outs == call.outs and read.entries == call.entries[:1] + call.entries[2:]
+    assert [lines for lines, _ in render([(read, "z", ["s0", "s1"], "ya"),
+                                          (law, "u", read, "")])] == [
+        ["z0 = passes['z'](plant, (c0, ), (s0, s1, ), (ya0, ya1, ya2, ))", "z2 = z0[1]",
+         "z3 = z0[2]"], ["u0 = z2 - z3"]]
+    traced = _traced(("v0", "{} - {}", ("x0", "y0")), outs=("v0",))
+    assert synth.items_read(traced, law) == traced
 
 
 def test_exact_identities_are_not_written_and_run_constants_are_bound_once():
