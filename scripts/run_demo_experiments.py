@@ -6,8 +6,9 @@
 3. Safety-filtered regulation from a safe and an unsafe start.
 4. Full-vs-averaged deviation study over three dither frequencies.
 
-Each CSV's SHA-256 digest is printed after its path.  The digest of the
-averaged system's samples over the study's 10 s follows, then those of
+Each CSV's SHA-256 digest is printed after its path, with the time its
+one ``to_csv`` call took.  The digest of the averaged system's samples
+over the study's 10 s follows, then those of
 the demo plant's generated run loop sources (the four controllers and
 the averaged system), so that two versions of the simulator can be
 compared for byte-identical output and byte-identical loops with one
@@ -42,32 +43,35 @@ def main():
     gains = demo_gains()
     tracking = Scenario(x0=(-0.5, 0.0), t_end=args.t_end, dt=args.dt)
 
-    def save(name, text):
+    def save(name, to_csv):
+        t0 = time.perf_counter()
+        text = to_csv()
+        render_s = time.perf_counter() - t0
         path = args.outdir / name
         path.write_text(text)
         print(f"  -> {path}")
-        print(f"     sha256 {sha256(text)}")
+        print(f"     sha256 {sha256(text)}  rendered in {render_s * 1e3:.1f} ms")
 
     print("[1/4] tracking from below (seeking controller)")
     t0 = time.perf_counter()
     traj, rep = run_scenario(system, "es", gains, tracking)
     print(f"  max(x1-yr) = {rep.max_h1:.4f}, tail |h1| = {rep.tail_abs_h1:.4f}, "
           f"max|u| = {rep.max_abs_u:.1f}  ({time.perf_counter() - t0:.1f}s)")
-    save("tracking_es.csv", traj.to_csv())
+    save("tracking_es.csv", traj.to_csv)
 
     print("[2/4] oscillatory-gain comparator on the same scenario")
     trajn, repn = run_scenario(system, "nussbaum", gains, tracking, theta0=0.0)
     for tag, r in (("comparator", repn), ("seeking law", rep)):
         print(f"  {tag}: max(x1-yr) = {r.max_h1:.4f} at t = {r.t_at_max:.3f}s, "
               f"ceiling violation = {r.envelope_violation:.4f}")
-    save("tracking_comparator.csv", trajn.to_csv())
+    save("tracking_comparator.csv", trajn.to_csv)
 
     print("[3/4] safety-filtered regulation (safe and unsafe starts)")
     for tag, x0 in (("safe", (-0.45, 0.0)), ("unsafe", (0.2, 0.0))):
         sc = Scenario(x0=x0, t_end=args.t_end, dt=args.dt)
         trajs, reps = run_scenario(system, "safety-filter", gains, sc)
         print(f"  {tag} start {x0}: min margin = {reps.min_margin:.4f}")
-        save(f"safety_{tag}.csv", trajs.to_csv())
+        save(f"safety_{tag}.csv", trajs.to_csv)
 
     print("[4/4] full-vs-averaged deviation study")
     spec = example_lyapunov_spec(system, gains, scale=DEFAULT_PSI_SCALE)
@@ -75,7 +79,7 @@ def main():
     study = deviation_study(system, spec, gains, sc, [60.0, 240.0, 960.0])
     for om, dev in zip(study.omegas, study.deviations):
         print(f"  omega={om:g}: max |h - h_avg| = {dev:.4f}")
-    save("deviation_study.csv", study.to_csv())
+    save("deviation_study.csv", study.to_csv)
     # the study keeps one maximum per frequency; the averaged samples
     # themselves, in the rows of tests/test_demo_digests.py
     rows = simulate_averaged(system, spec, gains, sc).tolist()

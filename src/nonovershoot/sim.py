@@ -55,6 +55,167 @@ def fmt(v) -> str:
     return f"{v:.17g}"
 
 
+# Trajectory.to_csv renders its floats with one numpy kernel, ``_csv_lines``,
+# whose text is ``fmt``'s byte for byte.  For a finite x with decimal
+# exponent k in [_K_MIN, _K_MAX] (1e-11 < |x| < 1e17), '%.17g' writes the
+# 17-digit integer D = round-half-even(|x| * 10**j), j = 16 - k, with its
+# trailing zeros dropped.  With |x| = M * 2**(e - 1075), M the 53-bit
+# significand and e the biased exponent, D = round(M * F_j / 2**r) exactly,
+# where F_j = 5**j * 2**s_j is 5**j (< 2**63 up to j = 27) shifted into
+# [2**62, 2**63) and r = s_j - j + 1075 - e falls in [57, 63]: the 117-bit
+# product is formed from 32-bit limbs in uint64.  k itself is read off the
+# binary exponent, since a binade holds at most one decimal edge.  Every
+# other value (NaN, infinities, subnormals, huge or tiny magnitudes) is
+# rendered by fmt, one at a time; ±0 has a slot form of its own.
+#
+# The text of a value is laid out in a slot of _SLOT columns and the kept
+# ones are compacted with one boolean index: column 0 the sign, 1-5
+# "0.000" (the 0.000ddd form, -4 <= k < 0), 6-23 the digits with the dot
+# spliced in after the integer ones, 24-27 "e-XX" (k < -4) and 28 the
+# separator.  What a slot keeps depends only on k and on the number of
+# significant digits nd, so it is a row of a table (_SLOT_CHARS,
+# _SLOT_KEEP, _SLOT_DOT) keyed by (k - _K_MIN) * 17 + nd - 1; the rows
+# past those hold ±0, the fmt fallback and the mode labels that end a line.
+
+_K_MIN, _K_MAX = -11, 16
+_SLOT = 29
+_DIGIT_COL = 6          # first digit column of a slot
+_NO_DOT = 17            # dot position of a slot whose digits take no dot
+_KEY_ZERO = (_K_MAX - _K_MIN + 1) * 17
+_KEY_FALLBACK = _KEY_ZERO + 1
+_KEY_LABEL = _KEY_ZERO + 3      # + mode
+
+
+def _csv_tables():
+    u64 = np.uint64
+    # edges[k - _K_MIN]: the least double whose 17 digits have exponent >= k
+    edges = np.array([v if int(f"{v:.16e}"[-3:]) >= k else math.nextafter(v, math.inf)
+                      for k in range(_K_MIN, _K_MAX + 2) for v in (float(f"1e{k}"),)])
+    # per biased exponent: k - _K_MIN of the binade's least double, and the
+    # binade's decimal edge (inf where it has none)
+    low = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
+    binade_k = np.clip(np.searchsorted(edges, low, side="right") - 1, 0, len(edges) - 2)
+    up = edges[binade_k + 1]
+    binade_edge = np.where(up / 2 < low, up, np.inf)
+    j = [16 - k for k in range(_K_MIN, _K_MAX + 1)]
+    s = [63 - (5 ** i).bit_length() for i in j]
+    scale = np.array([5 ** i << si for i, si in zip(j, s)], dtype=u64)
+    shift = np.array([si - i + 1075 for i, si in zip(j, s)], dtype=u64)
+
+    # the four digit characters of 0..9999 as one uint32, and their trailing zeros
+    chars10 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):
+        digits4[..., i] = chars10[(...,) + (None,) * (3 - i)]
+    digits4 = digits4.view(np.uint32).ravel()
+    zeros4 = np.zeros((10, 10, 10, 10), np.intp)
+    for i in range(4):
+        zeros4[(...,) + (0,) * (i + 1)] += 1
+    zeros4 = zeros4.ravel()
+
+    # the slot tables: first the rows of each (k, nd), then those of the keys past them
+    k = np.arange(_K_MIN, _K_MAX + 1)[:, None, None]
+    nd = np.arange(1, 18)[:, None]
+    small, sci = (k < 0) & (k >= -4), k < -4
+    dot = np.where(k >= 0, k + 1, np.where(sci, 1, _NO_DOT))
+    ndig = np.where(small, nd, np.where(nd > dot, nd + 1, dot))     # digit and dot columns kept
+    col = np.arange(_SLOT)
+    keep = (((col >= 1) & (col < 6) & (col - 1 < np.where(small, 1 - k, 0)))     # "0." and zeros
+            | ((col >= 6) & (col < 24) & (col - 6 < ndig))
+            | ((col >= 24) & (col < 28) & sci)
+            | (col == 28))
+    template = np.frombuffer(b"-0.000" + b"0" * 18 + b"e-00,", np.uint8)
+    chars = np.empty(keep.shape, np.uint8)
+    chars[:] = template
+    chars[..., 26:28] = ord("0") + np.concatenate([-k // 10, -k % 10], axis=2)
+    more_chars = np.repeat(template[None], _KEY_LABEL + 2 - _KEY_ZERO, axis=0)
+    more = np.zeros(more_chars.shape, bool)       # zero, fallback, then the labels
+    more[:, 28] = True
+    more[0, 1] = True
+    for mode, label in MODE_LABELS.items():
+        text, row = np.frombuffer(label.encode(), np.uint8), _KEY_LABEL - _KEY_ZERO + mode
+        more_chars[row, 6:6 + len(text)] = text
+        more[row, 6:6 + len(text)] = True
+        more_chars[row, 28] = ord("\n")
+    chars = np.concatenate([chars.reshape(-1, _SLOT), more_chars])
+    keep = np.concatenate([keep.reshape(-1, _SLOT), more])
+    slot_dot = np.concatenate([np.broadcast_to(dot[..., 0], (len(j), 17)).ravel(),
+                               np.full(len(more), _NO_DOT)])
+    return (float(edges[0]), float(edges[-1]), binade_k, binade_edge, scale >> u64(32),
+            scale & u64(0xFFFFFFFF), shift, digits4, zeros4, chars, keep, slot_dot)
+
+
+(_CSV_LO, _CSV_HI, _BINADE_K, _BINADE_EDGE, _SCALE_HI, _SCALE_LO, _SHIFT, _DIGITS4,
+ _ZEROS4, _SLOT_CHARS, _SLOT_KEEP, _SLOT_DOT) = _csv_tables()
+
+_U1, _U32, _U52, _U64 = (np.uint64(i) for i in (1, 32, 52, 64))
+_MAN, _HIDDEN, _LOW32 = np.uint64((1 << 52) - 1), np.uint64(1 << 52), np.uint64(0xFFFFFFFF)
+
+
+def _csv_lines(vals, mode) -> str:
+    """The CSV lines of one block of rows: the float cells vals (rows, m),
+    each written as ``fmt`` writes it, then the mode label."""
+    rows, m = vals.shape
+    v = vals.ravel()
+    ax = np.abs(v)
+    inside = (ax >= _CSV_LO) & (ax < _CSV_HI)
+    outside = ~inside
+    ax[outside] = 1.0                   # stands in; the slot is rewritten below
+    bits = ax.view(np.uint64)
+    e = (bits >> _U52).view(np.int64)
+    kk = np.take(_BINADE_K, e) + (ax >= np.take(_BINADE_EDGE, e))      # k - _K_MIN
+
+    # D = round-half-even(M * F_j / 2**r), 2 * 64 bits wide before the shift
+    man = (bits & _MAN) | _HIDDEN
+    r = np.take(_SHIFT, kk) - e.view(np.uint64)
+    m1, m0 = man >> _U32, man & _LOW32
+    f1, f0 = np.take(_SCALE_HI, kk), np.take(_SCALE_LO, kk)
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = low + (mid << _U32)
+    hi = m1 * f1 + (mid >> _U32) + (lo < low)
+    big = (hi << (_U64 - r)) | (lo >> r)
+    rest = lo & ((_U1 << r) - _U1)
+    big += rest + (big & _U1) > _U1 << (r - _U1)
+    big = big.view(np.int64)
+
+    lead, tail = np.divmod(big, 10 ** 16)
+    halves = np.empty((len(v), 2), np.intp)
+    np.divmod(tail, 10 ** 8, out=(halves[:, 0], halves[:, 1]))
+    groups = np.empty((len(v), 4), np.intp)             # the 16 digits after the lead
+    np.divmod(halves, 10000, out=(groups[:, 0::2], groups[:, 1::2]))
+    tz = np.take(_ZEROS4, groups)
+    z = groups == 0
+    trailing = tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0]))
+    key = kk * 17 + 16 - trailing                       # nd = 17 - D's trailing zeros
+    key[outside] = _KEY_FALLBACK
+    key[v == 0] = _KEY_ZERO
+    keys = np.empty((rows, m + 1), np.intp)
+    keys[:, :m] = key.reshape(rows, m)
+    keys[:, m] = mode
+    keys[:, m] += _KEY_LABEL
+
+    chars = np.take(_SLOT_CHARS, keys, axis=0)
+    keep = np.take(_SLOT_KEEP, keys, axis=0)
+    keep[:, :m, 0] = np.signbit(vals)
+    digits = chars[:, :m, _DIGIT_COL:_DIGIT_COL + 17]
+    digits[..., 0] = (lead + ord("0")).reshape(rows, m)
+    digits[..., 1:] = np.take(_DIGITS4, groups).view(np.uint8).reshape(rows, m, 16)
+    slots = chars.reshape(-1, _SLOT)
+    dot = np.take(_SLOT_DOT, keys).ravel()
+    for p in np.flatnonzero(np.bincount(dot, minlength=_NO_DOT + 1)[:_NO_DOT]):
+        at = np.flatnonzero(dot == p)
+        c = _DIGIT_COL + p
+        slots[at, c + 1:_DIGIT_COL + 18] = slots[at, c:_DIGIT_COL + 17]
+        slots[at, c] = ord(".")
+    for i in np.flatnonzero(key == _KEY_FALLBACK):
+        text = np.frombuffer(fmt(v[i]).encode(), np.uint8)
+        row, col = divmod(i, m)
+        chars[row, col, :len(text)] = text
+        keep[row, col, :len(text)] = True
+    return chars[keep].tobytes().decode("ascii")
+
+
 def rk4_step(rhs, t: float, x, dt: float):
     """Classical fourth-order Runge-Kutta update, local error O(dt^5).
 
@@ -107,15 +268,13 @@ class Trajectory:
         header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
             + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
         cols = (self.t, *self.x.T, *self.h.T, self.u, self.yr, self.margin)
-        row = ",".join(["%.17g"] * len(cols)) + ",%s"     # '%.17g' % v == fmt(v)
-        parts = [",".join(header)]
+        if self.mode.size and (self.mode.min() < -1 or self.mode.max() > 1):
+            raise ValueError("mode column holds values other than -1, 0 and 1")
+        parts = [",".join(header) + "\n"]
         for a in range(0, len(self.t), _CSV_ROWS):
-            block = [col[a:a + _CSV_ROWS].tolist() for col in cols]
-            block.append([MODE_LABELS[m] for m in self.mode[a:a + _CSV_ROWS].tolist()])
-            # one exact-size string per block: a %-formatted row keeps its
-            # over-allocated buffer, a joined string does not
-            parts.append("\n".join(row % vals for vals in zip(*block)))
-        return "\n".join(parts) + "\n"
+            vals = np.column_stack([col[a:a + _CSV_ROWS] for col in cols])
+            parts.append(_csv_lines(vals.astype(float, copy=False), self.mode[a:a + _CSV_ROWS]))
+        return "".join(parts)
 
 
 @dataclass

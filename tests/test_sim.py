@@ -2,6 +2,9 @@ import ast
 import itertools
 import math
 import re
+import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +179,130 @@ def test_csv_format(demo, gains):
 def test_csv_seventeen_digits():
     assert fmt(1 / 3) == "0.33333333333333331"
     assert fmt(0.1) == "0.10000000000000001"
+
+
+def _row_loop_csv(traj):
+    """The trajectory CSV rendered row by row with '%.17g' % row, as the
+    renderer did before its vectorised kernel: the oracle of to_csv."""
+    n = traj.n
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
+        + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
+    cols = (traj.t, *traj.x.T, *traj.h.T, traj.u, traj.yr, traj.margin)
+    row = ",".join(["%.17g"] * len(cols)) + ",%s"
+    lines = [row % (*vals, sim.MODE_LABELS[m])
+             for *vals, m in zip(*(col.tolist() for col in cols), traj.mode.tolist())]
+    return "\n".join([",".join(header)] + lines) + "\n"
+
+
+def _trajectory_of(values, n=1, mode=None):
+    """A Trajectory whose 2n + 4 float columns are the given (rows, 2n + 4)
+    values, mode -1 unless given."""
+    values = np.asarray(values, dtype=float)
+    rows = len(values)
+    return sim.Trajectory(t=values[:, 0], x=values[:, 1:1 + n], h=values[:, 1 + n:1 + 2 * n],
+                          u=values[:, 1 + 2 * n], yr=values[:, 2 + 2 * n],
+                          margin=values[:, 3 + 2 * n],
+                          mode=np.full(rows, -1, np.int8) if mode is None else mode)
+
+
+def _csv_cells(values):
+    """to_csv's text of each value, from a one-column-per-row trajectory
+    whose every float cell holds it."""
+    values = np.asarray(values, dtype=float)
+    lines = _trajectory_of(np.repeat(values[:, None], 6, axis=1)).to_csv().split("\n")
+    cells = [line.split(",") for line in lines[1:-1]]
+    assert all(len(set(row[:-1])) == 1 for row in cells)
+    return [row[0] for row in cells]
+
+
+_float_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
+@given(st.lists(st.one_of(_float_bits, st.floats()), min_size=1, max_size=40))
+def test_csv_kernel_writes_every_float_as_fmt_does(values):
+    assert _csv_cells(values) == [fmt(v) for v in values]
+
+
+def test_csv_kernel_matches_fmt_across_its_window():
+    # log-uniform magnitudes over [1e-13, 1e19], either sign, and values
+    # with few significant digits (trailing zeros dropped)
+    rng = np.random.default_rng(24)
+    wide = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-13, 19, 20000)
+    short = np.round(rng.uniform(-1e4, 1e4, 5000)) / 10.0 ** rng.integers(0, 16, 5000)
+    values = np.concatenate([wide, short])
+    assert _csv_cells(values) == [fmt(v) for v in values]
+
+
+def test_csv_kernel_edge_values():
+    # 17-digit ties round to even
+    assert _csv_cells([1250000000000000.25, 1250000000000000.75]) == \
+        ["1250000000000000.2", "1250000000000000.8"]
+    # double(1e-11) has exponent -12, below the window; 1e-4's predecessor
+    # is the first value in the e form
+    assert _csv_cells([1e-11, 9.9999999999999991e-05, 1e-4]) == \
+        ["9.9999999999999994e-12", "9.9999999999999991e-05", "0.0001"]
+    values = [1e-5, 9.9999999999999991e-05, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1e16, 1e17, sim._CSV_LO, sim._CSV_HI,
+              -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
+    for k in range(-13, 19):
+        x = float(f"1e{k}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    values += [math.nextafter(sim._CSV_LO, 0.0), math.nextafter(sim._CSV_HI, 0.0)]
+    values += [-v for v in values]
+    assert _csv_cells(values) == [fmt(v) for v in values]
+
+
+@pytest.mark.parametrize("rows", [0, 1, sim._CSV_ROWS - 1, sim._CSV_ROWS, sim._CSV_ROWS + 1,
+                                  1001])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_csv_equals_the_row_loop(n, rows):
+    # row counts about the _CSV_ROWS block edges, every mode label, and
+    # cells outside the kernel's window (zeros, non-finite, subnormal and
+    # huge values)
+    rng = np.random.default_rng([n, rows])
+    shape = (rows, 2 * n + 4)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 20, shape)
+    special = rng.random(values.shape) < 0.02
+    values[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300],
+                                 int(special.sum()))
+    traj = _trajectory_of(values, n, mode=rng.integers(-1, 2, rows).astype(np.int8))
+    assert traj.to_csv() == _row_loop_csv(traj)
+
+
+def test_csv_of_a_diverging_run_equals_the_row_loop(demo, gains):
+    # the certified law (psi = 1) escapes within 0.7 ms; its last samples
+    # are the largest a trajectory records
+    cert = example_lyapunov_spec(demo, gains, scale=1.0)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=1.0, dt=1e-3)
+    with pytest.raises(BlowupError) as exc_info:
+        run_scenario(demo, "es", gains, sc, lyap_spec=cert)
+    partial = exc_info.value.partial_trajectory
+    assert partial.to_csv() == _row_loop_csv(partial)
+
+
+def test_csv_rejects_an_unknown_mode():
+    traj = _trajectory_of(np.ones((3, 6)), mode=np.array([0, 2, 1], np.int8))
+    with pytest.raises(ValueError, match="mode"):
+        traj.to_csv()
+
+
+def test_csv_rendering_stays_block_wise():
+    # the kernel renders _CSV_ROWS rows at a time: a 50 s demo-sized
+    # trajectory peaks at the returned string, the blocks' strings it is
+    # joined from and one block's arrays
+    rows = 50001
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((rows, 8))
+    values[:, 0] = np.arange(rows) * 1e-3
+    traj = _trajectory_of(values, 2, mode=np.zeros(rows, np.int8))
+    tracemalloc.start()
+    try:
+        text = traj.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sys.getsizeof(text)
 
 
 def test_determinism_bitwise(demo, gains):
