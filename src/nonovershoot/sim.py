@@ -23,6 +23,7 @@ are inputs, so a sweep compiles one loop.  The averaged system's loop
 comes from the same emitter and runs on the same driver (``_drive``).
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -79,7 +80,6 @@ def fmt(v) -> str:
 
 _K_MIN, _K_MAX = -11, 16
 _SLOT = 29
-_DIGIT_COL = 6          # first digit column of a slot
 _NO_DOT = 17            # dot position of a slot whose digits take no dot
 _KEY_ZERO = (_K_MAX - _K_MIN + 1) * 17
 _KEY_FALLBACK = _KEY_ZERO + 1
@@ -87,62 +87,66 @@ _KEY_LABEL = _KEY_ZERO + 3      # + mode
 
 
 def _csv_tables():
-    u64 = np.uint64
+    # Python loops and slice fills, not numpy arithmetic: each numpy loop
+    # run for the first time maps more of numpy's library into memory than
+    # these tables take (built by broadcasting, they cost 0.9 MB resident).
     # edges[k - _K_MIN]: the least double whose 17 digits have exponent >= k
-    edges = np.array([v if int(f"{v:.16e}"[-3:]) >= k else math.nextafter(v, math.inf)
-                      for k in range(_K_MIN, _K_MAX + 2) for v in (float(f"1e{k}"),)])
-    # per biased exponent: k - _K_MIN of the binade's least double, and the
-    # binade's decimal edge (inf where it has none)
-    low = np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -1022, 1023))
-    binade_k = np.clip(np.searchsorted(edges, low, side="right") - 1, 0, len(edges) - 2)
-    up = edges[binade_k + 1]
-    binade_edge = np.where(up / 2 < low, up, np.inf)
-    j = [16 - k for k in range(_K_MIN, _K_MAX + 1)]
-    s = [63 - (5 ** i).bit_length() for i in j]
-    scale = np.array([5 ** i << si for i, si in zip(j, s)], dtype=u64)
-    shift = np.array([si - i + 1075 for i, si in zip(j, s)], dtype=u64)
+    edges = [v if int(f"{v:.16e}"[-3:]) >= k else math.nextafter(v, math.inf)
+             for k in range(_K_MIN, _K_MAX + 2) for v in (float(f"1e{k}"),)]
+    # per biased exponent e in the window: k - _K_MIN of the binade's least
+    # double, and the binade's decimal edge (inf where it has none)
+    binade_k, binade_edge = [0] * 2048, [math.inf] * 2048
+    for e in range(math.frexp(edges[0])[1] + 1022, math.frexp(edges[-1])[1] + 1023):
+        low = math.ldexp(1.0, e - 1023)
+        binade_k[e] = kk = bisect.bisect_right(edges, low) - 1
+        if edges[kk + 1] < 2 * low:
+            binade_edge[e] = edges[kk + 1]
+    scale, shift = [], []
+    for j in range(16 - _K_MIN, 16 - _K_MAX - 1, -1):
+        s = 63 - (5 ** j).bit_length()
+        scale.append(5 ** j << s)
+        shift.append(s - j + 1075)
+    scale = np.array(scale, dtype=np.uint64)
 
     # the four digit characters of 0..9999 as one uint32, and their trailing zeros
-    chars10 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits4 = np.empty((10, 10, 10, 10, 4), np.uint8)
     for i in range(4):
-        digits4[..., i] = chars10[(...,) + (None,) * (3 - i)]
-    digits4 = digits4.view(np.uint32).ravel()
-    zeros4 = np.zeros((10, 10, 10, 10), np.intp)
+        digits4[..., i] = np.frombuffer(b"0123456789", np.uint8)[(...,) + (None,) * (3 - i)]
+    zeros4 = np.zeros(10000, np.int8)
     for i in range(4):
-        zeros4[(...,) + (0,) * (i + 1)] += 1
-    zeros4 = zeros4.ravel()
+        zeros4[::10 ** (i + 1)] = i + 1
 
-    # the slot tables: first the rows of each (k, nd), then those of the keys past them
-    k = np.arange(_K_MIN, _K_MAX + 1)[:, None, None]
-    nd = np.arange(1, 18)[:, None]
-    small, sci = (k < 0) & (k >= -4), k < -4
-    dot = np.where(k >= 0, k + 1, np.where(sci, 1, _NO_DOT))
-    ndig = np.where(small, nd, np.where(nd > dot, nd + 1, dot))     # digit and dot columns kept
-    col = np.arange(_SLOT)
-    keep = (((col >= 1) & (col < 6) & (col - 1 < np.where(small, 1 - k, 0)))     # "0." and zeros
-            | ((col >= 6) & (col < 24) & (col - 6 < ndig))
-            | ((col >= 24) & (col < 28) & sci)
-            | (col == 28))
-    template = np.frombuffer(b"-0.000" + b"0" * 18 + b"e-00,", np.uint8)
-    chars = np.empty(keep.shape, np.uint8)
-    chars[:] = template
-    chars[..., 26:28] = ord("0") + np.concatenate([-k // 10, -k % 10], axis=2)
-    more_chars = np.repeat(template[None], _KEY_LABEL + 2 - _KEY_ZERO, axis=0)
-    more = np.zeros(more_chars.shape, bool)       # zero, fallback, then the labels
-    more[:, 28] = True
-    more[0, 1] = True
+    # the slot tables: the rows of each (k, nd), then zero, fallback and the labels
+    chars = np.empty((_KEY_LABEL + 2, _SLOT), np.uint8)
+    chars[:] = np.frombuffer(b"-0.000" + b"0" * 18 + b"e-00,", np.uint8)
+    keep = np.zeros(chars.shape, bool)
+    keep[:, 28] = True
+    dot = [_NO_DOT] * len(chars)
+    first = np.zeros((19, 18), bool)            # first[n]: the first n of 18 columns
+    for n in range(19):
+        first[n, :n] = True
+    for k in range(_K_MIN, _K_MAX + 1):
+        rows = slice((k - _K_MIN) * 17, (k - _K_MIN + 1) * 17)
+        p = k + 1 if k >= 0 else 1 if k < -4 else _NO_DOT
+        dot[rows] = [p] * 17
+        if -4 <= k < 0:
+            keep[rows, 1:2 - k] = True          # "0." and -k - 1 zeros
+        if k < -4:
+            chars[rows, 26:28] = [ord("0") + d for d in divmod(-k, 10)]
+            keep[rows, 24:28] = True
+        # the digit and dot columns kept at each nd
+        keep[rows, 6:24] = first[[nd if -4 <= k < 0 else nd + 1 if nd > p else p
+                                  for nd in range(1, 18)]]
+    keep[_KEY_ZERO, 1] = True
     for mode, label in MODE_LABELS.items():
-        text, row = np.frombuffer(label.encode(), np.uint8), _KEY_LABEL - _KEY_ZERO + mode
-        more_chars[row, 6:6 + len(text)] = text
-        more[row, 6:6 + len(text)] = True
-        more_chars[row, 28] = ord("\n")
-    chars = np.concatenate([chars.reshape(-1, _SLOT), more_chars])
-    keep = np.concatenate([keep.reshape(-1, _SLOT), more])
-    slot_dot = np.concatenate([np.broadcast_to(dot[..., 0], (len(j), 17)).ravel(),
-                               np.full(len(more), _NO_DOT)])
-    return (float(edges[0]), float(edges[-1]), binade_k, binade_edge, scale >> u64(32),
-            scale & u64(0xFFFFFFFF), shift, digits4, zeros4, chars, keep, slot_dot)
+        row = _KEY_LABEL + mode
+        chars[row, 6:6 + len(label)] = np.frombuffer(label.encode(), np.uint8)
+        keep[row, 6:6 + len(label)] = True
+        chars[row, 28] = ord("\n")
+    return (edges[0], edges[-1], np.array(binade_k), np.array(binade_edge),
+            scale >> np.uint64(32), scale & np.uint64(0xFFFFFFFF),
+            np.array(shift, dtype=np.uint64), digits4.view(np.uint32).ravel(), zeros4,
+            chars, keep, np.array(dot))
 
 
 (_CSV_LO, _CSV_HI, _BINADE_K, _BINADE_EDGE, _SCALE_HI, _SCALE_LO, _SHIFT, _DIGITS4,
@@ -152,19 +156,12 @@ _U1, _U32, _U52, _U64 = (np.uint64(i) for i in (1, 32, 52, 64))
 _MAN, _HIDDEN, _LOW32 = np.uint64((1 << 52) - 1), np.uint64(1 << 52), np.uint64(0xFFFFFFFF)
 
 
-def _csv_lines(vals, mode) -> str:
-    """The CSV lines of one block of rows: the float cells vals (rows, m),
-    each written as ``fmt`` writes it, then the mode label."""
-    rows, m = vals.shape
-    v = vals.ravel()
-    ax = np.abs(v)
-    inside = (ax >= _CSV_LO) & (ax < _CSV_HI)
-    outside = ~inside
-    ax[outside] = 1.0                   # stands in; the slot is rewritten below
+def _decimal_digits(ax):
+    """k - _K_MIN, and the 17 significant digits as the lead digit and four
+    groups of four, of each magnitude in ax, all inside the kernel's window."""
     bits = ax.view(np.uint64)
     e = (bits >> _U52).view(np.int64)
-    kk = np.take(_BINADE_K, e) + (ax >= np.take(_BINADE_EDGE, e))      # k - _K_MIN
-
+    kk = np.take(_BINADE_K, e) + (ax >= np.take(_BINADE_EDGE, e))
     # D = round-half-even(M * F_j / 2**r), 2 * 64 bits wide before the shift
     man = (bits & _MAN) | _HIDDEN
     r = np.take(_SHIFT, kk) - e.view(np.uint64)
@@ -177,13 +174,24 @@ def _csv_lines(vals, mode) -> str:
     big = (hi << (_U64 - r)) | (lo >> r)
     rest = lo & ((_U1 << r) - _U1)
     big += rest + (big & _U1) > _U1 << (r - _U1)
-    big = big.view(np.int64)
 
-    lead, tail = np.divmod(big, 10 ** 16)
-    halves = np.empty((len(v), 2), np.intp)
+    lead, tail = np.divmod(big.view(np.int64), 10 ** 16)
+    halves = np.empty((len(ax), 2), np.intp)
     np.divmod(tail, 10 ** 8, out=(halves[:, 0], halves[:, 1]))
-    groups = np.empty((len(v), 4), np.intp)             # the 16 digits after the lead
+    groups = np.empty((len(ax), 4), np.intp)
     np.divmod(halves, 10000, out=(groups[:, 0::2], groups[:, 1::2]))
+    return kk, lead, groups
+
+
+def _csv_lines(vals, mode) -> str:
+    """The CSV lines of one block of rows: the float cells vals (rows, m),
+    each written as ``fmt`` writes it, then the mode label."""
+    rows, m = vals.shape
+    v = vals.ravel()
+    ax = np.abs(v)
+    outside = ~((ax >= _CSV_LO) & (ax < _CSV_HI))
+    ax[outside] = 1.0                   # stands in; the slot is rewritten below
+    kk, lead, groups = _decimal_digits(ax)
     tz = np.take(_ZEROS4, groups)
     z = groups == 0
     trailing = tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0]))
@@ -198,17 +206,18 @@ def _csv_lines(vals, mode) -> str:
     chars = np.take(_SLOT_CHARS, keys, axis=0)
     keep = np.take(_SLOT_KEEP, keys, axis=0)
     keep[:, :m, 0] = np.signbit(vals)
-    digits = chars[:, :m, _DIGIT_COL:_DIGIT_COL + 17]
+    digits = chars[:, :m, 6:23]
     digits[..., 0] = (lead + ord("0")).reshape(rows, m)
     digits[..., 1:] = np.take(_DIGITS4, groups).view(np.uint8).reshape(rows, m, 16)
     slots = chars.reshape(-1, _SLOT)
     dot = np.take(_SLOT_DOT, keys).ravel()
+    # the dot goes after the integer digits, the rest one column right:
+    # one splice per dot position present in the block
     for p in np.flatnonzero(np.bincount(dot, minlength=_NO_DOT + 1)[:_NO_DOT]):
         at = np.flatnonzero(dot == p)
-        c = _DIGIT_COL + p
-        slots[at, c + 1:_DIGIT_COL + 18] = slots[at, c:_DIGIT_COL + 17]
-        slots[at, c] = ord(".")
-    for i in np.flatnonzero(key == _KEY_FALLBACK):
+        slots[at, 7 + p:24] = slots[at, 6 + p:23]
+        slots[at, 6 + p] = ord(".")
+    for i in np.flatnonzero(key == _KEY_FALLBACK):         # rare: one fmt call each
         text = np.frombuffer(fmt(v[i]).encode(), np.uint8)
         row, col = divmod(i, m)
         chars[row, col, :len(text)] = text
