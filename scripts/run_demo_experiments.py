@@ -9,10 +9,10 @@
 Each CSV's SHA-256 digest is printed after its path, with the time its
 one ``to_csv`` call took.  The digest of the averaged system's samples
 over the study's 10 s follows, then those of
-the demo plant's generated run loop sources (the four controllers and
-the averaged system), so that two versions of the simulator can be
-compared for byte-identical output and byte-identical loops with one
-command.
+the demo plant's generated run loop sources (the four controllers, the
+safety filter's once more with a sine nominal reference, and the
+averaged system), so that two versions of the simulator can be compared
+for byte-identical output and byte-identical loops with one command.
 """
 
 import argparse
@@ -97,6 +97,8 @@ def main():
             ncoef = len(spec._value_coeffs) if controller in sim.DITHERED else None
             source = sim._step_source(plant, controller, ncoef, "sine", "constant")
             print(f"  {controller}: sha256 {sha256(source)}")
+        source = sim._step_source(plant, "safety-filter", len(spec._value_coeffs), "sine", "sine")
+        print(f"  safety-filter, sine nominal: sha256 {sha256(source)}")
         source = averaging._averaged_source(plant, len(spec._weight_coeffs), "sine")
         print(f"  averaged: sha256 {sha256(source)}")
 

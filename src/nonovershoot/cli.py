@@ -105,6 +105,11 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
+def _write_reports(path, reports):
+    """The report CSV: the header, then one row per report."""
+    _write(path, "\n".join([",".join(sim.REPORT_COLUMNS), *(r.csv_row() for r in reports)]) + "\n")
+
+
 def _print_report(rep):
     print(f"{rep.scenario}: max_h1={rep.max_h1:.6g} at t={rep.t_at_max:.6g}, "
           f"tail|h1|={rep.tail_abs_h1:.6g}, envelope_violation={rep.envelope_violation:.6g}, "
@@ -122,17 +127,15 @@ def _diverged(exc, out=None):
 
 
 def _run_one(system, controller, gains, scenario, opts, out, report_path):
-    kwargs = dict(psi_scale=opts["psi_scale"], delta_est=opts["delta_est"],
-                  theta0=opts["theta0"])
     try:
-        traj, rep = sim.run_scenario(system, controller, gains, scenario, **kwargs)
+        traj, rep = sim.run_scenario(system, controller, gains, scenario, **opts)
     except BlowupError as exc:
         return _diverged(exc, out)
     _print_report(rep)
     if out:
         _write(out, traj.to_csv())
     if report_path:
-        _write(report_path, ",".join(sim.REPORT_COLUMNS) + "\n" + rep.csv_row() + "\n")
+        _write_reports(report_path, [rep])
     return 0
 
 
@@ -177,10 +180,7 @@ def main(argv=None) -> int:
         rows = []
         for controller in ("es", "nussbaum"):
             try:
-                _, rep = sim.run_scenario(system, controller, gains, scenario,
-                                          psi_scale=opts["psi_scale"],
-                                          delta_est=opts["delta_est"],
-                                          theta0=opts["theta0"])
+                _, rep = sim.run_scenario(system, controller, gains, scenario, **opts)
             except BlowupError as exc:
                 return _diverged(exc)
             _print_report(rep)
@@ -189,9 +189,7 @@ def main(argv=None) -> int:
             print(f"{tag}: max(x1-yr) = {rep.max_h1:.6g} at t = {rep.t_at_max:.6g}, "
                   f"ceiling violation = {rep.envelope_violation:.6g}")
         if args.out:
-            text = ",".join(sim.REPORT_COLUMNS) + "\n" \
-                + "\n".join(r.csv_row() for r in rows) + "\n"
-            _write(args.out, text)
+            _write_reports(args.out, rows)
         return 0
 
     if args.command == "average":

@@ -12,8 +12,9 @@
   overrides it with the seeking law outside.
 
 Each law's formula is one kernel (``*_input``) over the floats a run
-loop's node holds; the law computes them and calls it, and the simulator
-traces it into its loops (``synth.trace``), so it must record.
+loop's node holds, and the filter's mode rule one (``nominal_mode``);
+the law computes them and calls it, and the simulator traces it into its
+loops (``synth.trace``), so it must record.
 
 The Lyapunov function has one shape: its weight is a polynomial in |h|
 built from a polynomial drift envelope, so V is a polynomial too and is
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dualnum import cos, fsum, guard, sin, sqrt
+from .dualnum import cos, fsum, guard, nonnegative, sin, sqrt
 from .model import SINGULAR_GAIN, SingularGainError, SystemModel, singular_gain
 from .synth import DriftBound, GainConfig, _positive, coupled_values, horner
 
@@ -89,15 +90,9 @@ def _value(vc, r):      # V at |h| = r from its coefficients vc
     return horner(vc, r) * r * r
 
 
-def lyapunov_value_from_norm(spec: LyapunovSpec, s: float) -> float:
-    if s < 0:
-        raise ValueError("norm must be nonnegative")
-    return _value(spec._value_coeffs, s)
-
-
 def lyapunov_value(spec: LyapunovSpec, h) -> float:
     """V(h); depends on h only through its Euclidean norm, V(0) = 0."""
-    return lyapunov_value_from_norm(spec, _norm(h))
+    return _value(spec._value_coeffs, _norm(h))
 
 
 def lyapunov_grad_last(spec: LyapunovSpec, h) -> float:
@@ -172,21 +167,30 @@ def nussbaum_control(sys: SystemModel, x, yr_stack, gains: GainConfig,
 
 # --- safety filter -------------------------------------------------------------
 
+MODE_LABELS = {-1: "-", 0: "nominal", 1: "override"}
+
+
+def nominal_mode(y, x1):
+    """The filter's rule: the nominal law runs (mode 0) while the margin
+    y - x1 is nonnegative, the boundary included and NaN not; else the
+    seeking law overrides it (mode 1)."""
+    return nonnegative(y - x1)
+
+
 @dataclass
 class SafetySwitch:
-    """Latched supervisor mode; nominal iff the margin was nonnegative at
-    the most recent evaluation."""
+    """Latched supervisor mode (``MODE_LABELS``) at the most recent evaluation."""
 
-    mode: str = "nominal"
+    mode: str = MODE_LABELS[0]
     last_switch_time: Optional[float] = None
 
 
 def safety_filter(t: float, x1: float, margin: float, u_nominal: float,
                   u_override: float, switch: SafetySwitch) -> float:
-    """Select the applied input from the safety margin (boundary included
-    in the safe set: margin == 0 keeps the nominal input)."""
-    mode = "nominal" if margin >= 0.0 else "override"
+    """Select the applied input by ``nominal_mode`` on the safety margin."""
+    nominal = nominal_mode(margin, 0.0)
+    mode = MODE_LABELS[0 if nominal else 1]
     if mode != switch.mode:
         switch.mode = mode
         switch.last_switch_time = t
-    return u_nominal if mode == "nominal" else u_override
+    return u_nominal if nominal else u_override

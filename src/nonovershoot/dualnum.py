@@ -154,14 +154,14 @@ class Rec:
 
     Each ``+ - * /``, unary minus, ``**``, ``sin``/``cos``/``exp``/``sqrt``
     and ``fsum`` on a Rec appends one entry ``(name, form, operands,
-    may_raise)`` to the shared ``tape`` and returns the Rec of its result,
-    and ``guard`` its guard statement, so the tape lists the operations in
-    the order they ran.  form is the source with ``{}`` for each operand
-    (``"{} * {}"``), operands their texts: recorded names, and constants,
-    which must be Python ints or floats (numpy float64 included).  Anything
-    that needs the value (``float``, ``bool``, a comparison, numpy arrays)
-    raises ``TypeError``: a completed trace has no branch on the inputs
-    and holds for all of them.
+    may_raise)`` to the shared ``tape`` and returns the Rec of its result
+    (``nonnegative`` its ``>= 0.0``), and ``guard`` its guard statement, so
+    the tape lists the operations in the order they ran.  form is the
+    source with ``{}`` for each operand (``"{} * {}"``), operands their
+    texts: recorded names, and constants, which must be Python ints or
+    floats (numpy float64 included).  Anything that needs the value
+    (``float``, ``bool``, a comparison, numpy arrays) raises ``TypeError``:
+    a completed trace has no branch on the inputs and holds for all of them.
     """
 
     __slots__ = ("tape", "name")
@@ -347,6 +347,12 @@ def guard(x, bound: float, error):
     elif abs(x) < bound:
         raise error(x)
     return x
+
+
+def nonnegative(x):
+    """x >= 0.0 (NaN is not).  On a Rec, records ``{} >= 0.0``, a condition
+    that the code writing the tape out tests."""
+    return _record("{} >= 0.0", x) if isinstance(x, Rec) else x >= 0.0
 
 
 def value(x):

@@ -45,8 +45,6 @@ _STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``
 CONTROLLERS = ("es", "nominal", "nussbaum", "safety-filter")
 DITHERED = ("es", "safety-filter")      # the controllers whose input carries the dither
 
-MODE_LABELS = {-1: "-", 0: "nominal", 1: "override"}
-
 REPORT_COLUMNS = ("scenario", "gains", "max_h1", "t_at_max", "tail_abs_h1",
                   "envelope_violation", "min_H")
 
@@ -138,7 +136,7 @@ def _csv_tables():
         keep[rows, 6:24] = first[[nd if -4 <= k < 0 else nd + 1 if nd > p else p
                                   for nd in range(1, 18)]]
     keep[_KEY_ZERO, 1] = True
-    for mode, label in MODE_LABELS.items():
+    for mode, label in control.MODE_LABELS.items():
         row = _KEY_LABEL + mode
         chars[row, 6:6 + len(label)] = np.frombuffer(label.encode(), np.uint8)
         keep[row, 6:6 + len(label)] = True
@@ -353,7 +351,7 @@ class _Recorder:
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
                  scenario: Scenario, *, lyap_spec: Optional[control.LyapunovSpec] = None,
                  psi_scale: float = DEFAULT_PSI_SCALE, theta0: float = 0.0,
-                 delta_est: Optional[float] = None,
+                 delta_est: float = DEFAULT_DELTA_EST,
                  nominal_reference="constant:0"):
     """Integrate one closed loop and report overshoot metrics.
 
@@ -388,8 +386,6 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     ref = get_reference(scenario.reference)
     # only the filter reads a nominal reference
     nominal_ref = get_reference(nominal_reference) if controller == "safety-filter" else None
-    if delta_est is None:
-        delta_est = DEFAULT_DELTA_EST
     if not 0 <= delta_est < math.inf:     # a negative allowance would shrink the envelope
         raise ValueError(f"delta_est must be nonnegative and finite, got {delta_est!r}")
     if not math.isfinite(theta0):
@@ -400,8 +396,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     rec = _Recorder((np.empty(size), np.empty((size, n)), np.empty((size, n)),
                      np.empty(size), np.empty(size), np.empty(size, dtype=np.int8)))
     ref_kind, ref_b = stack_binding(ref, n)
-    nom_kind, nom_b = (None, None) if nominal_ref is None else \
-        ("tracked", None) if nominal_ref is ref else stack_binding(nominal_ref, n)
+    nom_kind, nom_b = (None, None) if nominal_ref is None else stack_binding(nominal_ref, n)
     # of the Lyapunov shape only the number of its coefficients is compiled in
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
     advance = _factory(sys, (controller, ncoef, ref_kind, nom_kind),
@@ -450,7 +445,7 @@ def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref, 
     except BlowupError:
         k, state = pos
         ref_d = bound_stack(ref, n)
-        nom_d = None if nom is None else ref_d if nom is ref else bound_stack(nom, n)
+        nom_d = None if nom is None else bound_stack(nom, n)
         node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
         if node is None:
             raise
@@ -471,7 +466,7 @@ def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
         if not all(map(math.isfinite, ya)):
             return t
         # the filter's mode, frozen at the step's start, picks the law's stack
-        stack = nom_d if nom_d is not None and ya[0] - x1 >= 0.0 else ref_d
+        stack = nom_d if nom_d is not None and control.nominal_mode(ya[0], x1) else ref_d
         for node in (t,) if last else (t, t + dt / 2, t + dt):
             if not all(map(math.isfinite, stack(node))):
                 return node
@@ -593,12 +588,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     the stacks of the tracked and the safety filter's nominal reference
     (``model.stack_binding``), whose kinds ref_kind and nom_kind the loop
     is built for: a built-in form's parameters, which the nodes write the
-    stack out from, or "call", a stack to call; nom_kind "tracked" makes
-    the nominal reference the tracked one, whose stack node 1 then holds
-    already.  append takes one sample row.  make returns advance
-    (``_source``), whose steps each record the sample at their start;
-    advance(pos, nsteps + 1, True) only records the last sample, with the
-    same code.
+    stack out from, or "call", a stack to call.  append takes one sample
+    row.  make returns advance (``_source``), whose steps each record the
+    sample at their start; advance(pos, nsteps + 1, True) only records the
+    last sample, with the same code.
 
     Every node evaluates the gain (its tape, traced or one call of the
     gain: ``synth.plant_tapes``) and checks the gain floor on it (not at
@@ -621,9 +614,10 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     time only where its kernel's tape reads t, so the loop compiles two
     copies of the tapes, not four (compiling four copies of the coupled
     tape at n = 4 peaks at about 2 MB).  After the tracked stack at t, the
-    safety filter's step is the nominal law's own on the nominal stack if
-    the margin y - s0 is nonnegative (mode 0), else the seeking law's own
-    on the tracked one (mode 1), node 1 and its gain check included.
+    safety filter's step is the nominal law's own on the nominal stack
+    where ``control.nominal_mode``, traced over y and s0, holds (mode 0),
+    else the seeking law's own on the tracked one (mode 1), node 1 and its
+    gain check included.
     """
     n = sys.n
     m = n + (controller == "nussbaum")
@@ -686,15 +680,15 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                     f"node_{law}({{S}}{_seq(['{T}'] * len(T))}{{Y}})", at)
 
     filtered = controller == "safety-filter"
-    nom = _stack_fetch("nom", nom_kind, n, bound, setup) if filtered and nom_kind != "tracked" \
-        else ref
-    on_ref = ["es", "nominal"][:1 + (nom is ref)] if filtered else [controller]
-    ya_lines, ya = ref("t", "ya", max(order[law] for law in on_ref))   # what its laws read
+    ya_lines, ya = ref("t", "ya", order["es" if filtered else controller])
     lines = ["t = k * dt", f"xs = ({_seq(S[:n])})"]
     if filtered:
-        yl_lines, yl = ([], ya) if nom is ref else nom("t", "yl", order["nominal"])
-        nominal = step("nominal", nom, yl, yl_lines, 0)
-        lines += [*ya_lines, f"if {ya[0]} - s0 >= 0.0:", *(f"    {v}" for v in nominal),
+        nom = _stack_fetch("nom", nom_kind, n, bound, setup)
+        yl_lines, yl = nom("t", "yl", order["nominal"])
+        [(mode_lines, [nominal])] = render(
+            [(trace(control.nominal_mode, ya[0], "s0"), "m", (), ())], bound)
+        lines += [*ya_lines, *mode_lines, f"if {nominal}:",
+                  *(f"    {v}" for v in step("nominal", nom, yl, yl_lines, 0)),
                   "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1))]
     else:
         lines += step(controller, ref, ya, ya_lines, -1)

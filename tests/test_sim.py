@@ -167,6 +167,40 @@ def test_safety_filter_mode_column(demo, gains):
     assert rep.min_margin < 0  # starts unsafe
 
 
+def _nan_stack(t):
+    return (math.nan,) * 3
+
+
+def test_the_filters_mode_rule_is_one_kernel(gains, monkeypatch):
+    # shifted to margin >= 0.05, the rule moves the loop's mode column (on
+    # a fresh plant, whose loops are traced anew), safety_filter's choice
+    # and the stack the fault diagnosis reads
+    monkeypatch.setattr(control, "nominal_mode",
+                        lambda y, x1: dualnum.nonnegative(y - x1 - 0.05))
+    sc = Scenario(x0=(-0.02, 0.0), t_end=1.0, dt=1e-3)     # margin 0.02 at t = 0
+    traj, _ = run_scenario(example_system(), "safety-filter", gains, sc)
+    assert np.any((traj.margin >= 0) & (traj.margin < 0.05))
+    assert np.array_equal(traj.mode == 0, traj.margin - 0.05 >= 0)
+    for margin, u in ((0.02, -3.0), (0.06, 7.0)):
+        assert control.safety_filter(0.0, 0.0, margin, 7.0, -3.0, control.SafetySwitch()) == u
+    # y(0) = -0.0, so x1 = -0.02 is the margin 0.02: the seeking law's stack
+    ref_d = model.bound_stack(SineReference(), 2)
+    assert sim._reference_fault(ref_d, _nan_stack, 0.0, -0.02, 1e-3, False) is None
+    assert sim._reference_fault(ref_d, _nan_stack, 0.0, -0.06, 1e-3, False) == 0.0
+
+
+def test_a_negative_zero_margin_keeps_the_filter_nominal(demo, gains):
+    # sine04's y(0) is -0.0, so from x1 = 0.0 the margin is -0.0, which is
+    # on the boundary, in the safe set
+    sc = Scenario(x0=(0.0, 0.0), t_end=0.01, dt=1e-3)
+    traj, _ = run_scenario(demo, "safety-filter", gains, sc)
+    assert traj.margin[0] == 0.0 and math.copysign(1.0, traj.margin[0]) < 0
+    assert traj.mode[0] == 0
+    assert control.safety_filter(0.0, 0.0, -0.0, 7.0, -3.0, control.SafetySwitch()) == 7.0
+    ref_d = model.bound_stack(SineReference(), 2)
+    assert sim._reference_fault(ref_d, _nan_stack, 0.0, 0.0, 1e-3, False) == 0.0
+
+
 def test_csv_format(demo, gains):
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3)
     traj, _ = run_scenario(demo, "es", gains, sc)
@@ -191,7 +225,7 @@ def _row_loop_csv(traj):
         + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
     cols = (traj.t, *traj.x.T, *traj.h.T, traj.u, traj.yr, traj.margin)
     row = ",".join(["%.17g"] * len(cols)) + ",%s"
-    lines = [row % (*vals, sim.MODE_LABELS[m])
+    lines = [row % (*vals, control.MODE_LABELS[m])
              for *vals, m in zip(*(col.tolist() for col in cols), traj.mode.tolist())]
     return "\n".join([",".join(header)] + lines) + "\n"
 
@@ -641,32 +675,21 @@ def _node_function(source, law):
                          ids=["demo", "poly1", "poly2", "poly3", "poly4", "untraced"])
 def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     # the filter's steps are the nominal and seeking laws' own: their node
-    # functions, verbatim, and the seeking law's node 1 from its error
+    # functions, verbatim (the nominal law's on a stack of the nominal
+    # reference's kind), and the seeking law's node 1 from its error
     # coordinates (the first line after the es loop's stack lines) and RK4
     # body in the override branch, which records mode 1 where es records
-    # -1; no node function takes the mode.  The filter writes the tracked
-    # stack at t to the order of the laws on it (es, and nominal where it
-    # tracks), which can name its items apart from the es loop's (at
-    # n = 1, order 1 against 0): the body reads them by those names
+    # -1; no node function takes the mode
     plant = plant()
-    filters = [sim._step_source(plant, "safety-filter", 3, "sine", nom)
-               for nom in ("tracked", "sine")]
-    for filt, (law, ncoef) in itertools.product(filters, (("nominal", None), ("es", 3))):
-        assert _node_function(sim._step_source(plant, law, ncoef, "sine"), law) in filt
     es = sim._step_source(plant, "es", 3, "sine")
     body = es[es.index("\n                e"):es.index("\n                if not (")]
     body = body.replace("\n", "\n    ").replace(", -1))\n", ", 1))\n")
-    tapes = plant._tapes
-    es_order, z_order = (synth.stack_order(tapes[c], tapes["drift"]) for c in "hz")
-
-    def items(order):
-        fetch = sim._stack_fetch("ref", "sine", plant.n, synth.Bound([]), [])
-        return fetch("t", "ya", order)[1]
-    for filt, order in zip(filters, (max(es_order, z_order), es_order)):
-        names = dict(zip(items(es_order), items(order)))
-        filt_body = re.sub(r"\bya\d+\b", lambda v: names.get(v[0], v[0]), body)
-        assert filt_body + "\n                if not (" in filt
-    assert all("mode" not in filt for filt in filters)
+    for nom in ("sine", "call"):
+        filt = sim._step_source(plant, "safety-filter", 3, "sine", nom)
+        assert _node_function(sim._step_source(plant, "nominal", None, nom), "nominal") in filt
+        assert _node_function(es, "es") in filt
+        assert body + "\n                if not (" in filt
+        assert "mode" not in filt
 
 
 @pytest.mark.parametrize("delta_est", [-5.0, -1e-9, math.nan, math.inf])
@@ -705,7 +728,9 @@ def test_one_reference_stack_per_rk4_node(demo, gains):
     assert len(calls) == 3 * 10 + 1
 
 
-def test_safety_filter_tracking_one_reference_fetches_one_stack_per_node(demo, gains):
+def test_safety_filter_tracking_its_nominal_reference_fetches_both_stacks(demo, gains):
+    # one object as both references is bound twice: at every node time the
+    # nominal law reads the nominal stack, and node 1 the tracked one too
     calls = []
 
     class CountedSine(SineReference):      # each stack reads order 0 once
@@ -718,7 +743,7 @@ def test_safety_filter_tracking_one_reference_fetches_one_stack_per_node(demo, g
     sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3, reference=ref)
     traj, _ = run_scenario(demo, "safety-filter", gains, sc, nominal_reference=ref)
     assert np.all(traj.mode == 0)
-    assert len(calls) == 3 * 10 + 1
+    assert len(calls) == 4 * 10 + 2
 
 
 @pytest.mark.parametrize("x0, mode, reads", [((-0.5, 0.0), 0, (11, 31)),
@@ -1213,7 +1238,6 @@ def test_a_loop_computes_and_passes_only_what_it_reads(plant, kind):
     sources = {controller: sim._step_source(plant, controller, 3 if controller in sim.DITHERED
                                             else None, kind, kind)
                for controller in sim.CONTROLLERS}
-    sources["tracked filter"] = sim._step_source(plant, "safety-filter", 3, kind, "tracked")
     sources["averaged"] = averaging._averaged_source(plant, 3, kind)
     for loop, source in sources.items():
         for function in ast.parse(source).body[0].body:
