@@ -12,17 +12,19 @@ Applying the generic coupling integral to the cos/sin dither pair
 instead yields lam*beta/2; both variants are exposed (``halved``) and the
 coupling integral itself is available as an independent probe.
 The averaged system runs on the closed loop's generated-loop emitter and
-driver (``sim._source``, ``sim._drive``).
+driver (``sim.Python.source``, ``sim._drive``), in C where it is built
+(``native.run``).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import native
 from .control import LyapunovSpec, _norm, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, stack_binding
-from .sim import (_Recorder, _drive, _factory, _node_stack, _rk4, _seq, _source,
-                  _stack_fetch, fmt, refine_dt, run_scenario)
+from .sim import (Python, _Recorder, _drive, _factory, _node_stack, _rk4, _seq, _stack_fetch,
+                  fmt, refine_dt, run_scenario)
 from .synth import (Bound, GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, stack_order, state_from_errors, trace)
 
@@ -94,22 +96,26 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     rec = _Recorder(tuple(out.T))       # the columns of out
     nw = len(spec._weight_coeffs)
     kind, ref_b = stack_binding(ref, n)
-    advance = _factory(sys, ("averaged", nw, kind), lambda: _averaged_source(sys, nw, kind))(
-        sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append)
-    _drive(advance, rec, tuple(np.asarray(h0, dtype=float).tolist()), nsteps, dt, n,
-           ref, None)
+    def emit(lang):
+        return _averaged_source(sys, nw, kind, lang)
+    loop = _factory(sys, ("averaged", nw, kind), emit)
+    args = (sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append)
+    pos = native.run(loop, emit, rec, tuple(np.asarray(h0, dtype=float).tolist()), nsteps,
+                     args)
+    _drive(loop.make(*args), rec, pos, nsteps, dt, n, ref, None)
     return out
 
 
-def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
-    """Source of the averaged system's run loop on one plant.
+def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
+    """Source of the averaged system's run loop on one plant, in the
+    dialect lang (as ``sim._step_source``).
 
     make(plant, gains, spec, coef, ref, dt, append) binds one run: coef
     is the damping coefficient (``_coef``), ref binds the reference's
     stack, of the given kind (``model.stack_binding``, as in
     ``sim._step_source``), and append takes each step's start hbar; nw is
     the number of the Lyapunov weight's coefficients.  make returns
-    advance (``sim._source``), as the closed loop's does.  Every RK4 node
+    advance (``sim.Python.source``), as the closed loop's does.  Every RK4 node
     time sets the stack once and every node calls one node function:
     ``averaged_rhs`` written out from the plant's ``state``, ``gain`` and
     ``residual`` tapes and its kernel's, traced here with its |hbar|,
@@ -121,20 +127,21 @@ def _averaged_source(sys: SystemModel, nw, kind: str) -> str:
     state, gain, residual = (sys._tapes[k] for k in ("state", "gain", "residual"))
     bound = Bound([*c, *wc, "coef"])
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
-    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup), bound,
+    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup, lang), bound,
                                 stack_order(state, residual))
     rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain, wc)
     (x_lines, _), (g_lines, _), (d_lines, _), (r_lines, R) = render(
         [(state, "w", P, Y), (gain, "g", state, ()), (residual, "v", state, Y),
-         (rates, "u", [residual, gain], "")], bound)
-    body = [*x_lines, *g_lines, *d_lines, *r_lines, f"return ({_seq(R)})"]
-    defs = [f"def node({_seq(P)}{_seq(params)}):", *(f"    {line}" for line in body)]
-    S = _seq(f"s{i}" for i in range(n))
+         (rates, "u", [residual, gain], "")], bound, lang)
+    defs = lang.node("node", P + params, [*x_lines, *g_lines, *d_lines, *r_lines], R)
+    S = [f"s{i}" for i in range(n)]
     ya_lines, ya = at("t", "ya")
-    first = [*["t = k * dt"] * bool(ya_lines), f"append(({S}))", "if last: return", *ya_lines,
-             f"{_seq(f'k1_{i}' for i in range(n))}= node({S}{ya})"]
-    return _source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines + defs,
-                   n, n, _rk4(n, first, "node({S}{Y})", at), "averaged system diverged")
+    first = [*[lang.let("t", "k * dt")] * bool(ya_lines),
+             *lang.record(f"({_seq(S)})", [("double", [v]) for v in S]), *ya_lines,
+             lang.unpack([f"k1_{i}" for i in range(n)], lang.call("node", f"{_seq(S)}{ya}"))]
+    return lang.source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines, defs,
+                       n, n, _rk4(n, first, lang.call("node", "{S}{Y}"), at, lang),
+                       "averaged system diverged")
 
 
 # --- generic dither coupling ---------------------------------------------------

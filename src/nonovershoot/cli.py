@@ -163,8 +163,7 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         result = sim.sweep(system, args.controller, gains, scenario, grid,
-                           mode=args.mode, psi_scale=opts["psi_scale"],
-                           delta_est=opts["delta_est"])
+                           mode=args.mode, **opts)
         text = result.to_csv()
         if args.out:
             _write(args.out, text)

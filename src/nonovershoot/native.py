@@ -1,0 +1,547 @@
+"""Compiled run loops: each generated loop written in C as well, built once
+with gcc, cached on disk and run through ctypes, with the Python loop as
+the exact fallback.
+
+A loop's emitter (``sim._step_source``, ``averaging._averaged_source``)
+builds one description of the loop and writes it through a dialect:
+``sim.Python`` or ``C`` here.  Both write every tape through
+``synth.render``, so the C loop does the Python loop's float operations
+in the same order, with the same operands; CPython's ``math`` calls the
+C library's ``sin``, ``cos``, ``exp`` and ``pow`` (and float ``**`` its
+``pow``), as the C loop does, so on one host the two agree bit for bit.
+gcc builds the C with
+
+* ``-O2``, never ``-ffast-math``, which would reassociate and drop the
+  IEEE special cases;
+* ``-ffp-contract=off``: no ``a * b + c`` fused into one rounding (an FMA,
+  which gcc forms by default wherever the target has one);
+* ``-fno-builtin-sin``, ``-cos``, ``-exp``, ``-pow``: every such call is
+  the library's own, not a constant folded at build time or a ``sincos``
+  merged from a ``sin`` and a ``cos`` of one argument, nor one removed
+  where its result is unread.
+
+The C loop raises nothing.  Where the Python loop raises (a gain-floor,
+singular-gain or two-term-fsum guard; division by zero; a ``math``
+domain or range error, by CPython's own rules; the range check) or where
+an invalid, divide-by-zero or overflow flag is set during a step, it
+stops before that step commits and returns its index; the run goes on in
+the Python loop from there (``run``), so every exception, message, t and
+partial record is the Python loop's own.  A loop stays in Python where
+its description has what the C dialect does not write (a call tape, such
+as an untraceable gain's; a ``call`` stack; an fsum of more than
+_FSUM_TERMS terms), where gcc is missing or fails, and where the cache
+cannot be written.
+
+A loop is built once the steps that its runs (this one included) have
+taken in the process reach _COMPILE_STEPS, about what gcc's one-time cost
+would take in Python.  The shared object is cached in _CACHE, a private
+directory, under the sha256 of its C text, flags and machine, with the
+sha256 of its own bytes appended, so that a truncated or otherwise
+corrupt entry is rebuilt, not loaded; entries are written to a
+temporary name and renamed into place, so that processes can build at
+once.  ``ctypes`` and ``subprocess`` are imported on the first build.
+What a process has built, and the steps its loops have run, are kept
+for the process (``_built``, ``_steps_run``): the rule counts every run
+of a loop, whichever plant object or caller it came from.
+"""
+
+import array
+import collections
+import contextlib
+import hashlib
+import math
+import os
+import re
+from pathlib import Path
+
+from . import sim
+from .model import SINGULAR_GAIN
+from .synth import _constant
+
+_COMPILE_STEPS = 20_000      # steps a loop's runs take in one process before it is built
+_BLOCK_STEPS = 1 << 20       # steps of one call of a C loop (a fraction of a second)
+_CACHE = Path.home() / ".cache" / "nonovershoot"
+_CC = "gcc"
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
+          "-fno-builtin-exp", "-fno-builtin-pow", "-shared", "-fPIC")
+
+PATHS = collections.deque(maxlen=64)    # (loop, path) of the latest runs: "compiled", "python"
+
+
+class Untranslatable(Exception):
+    """The description holds what the C dialect does not write."""
+
+
+# the Python forms (``dualnum.Rec``) that C writes, and how
+_C_FORMS = {
+    "{} + {}": "{} + {}", "{} - {}": "{} - {}", "{} * {}": "{} * {}", "-{}": "-{}",
+    "{} / {}": "div_({}, {}, bad_)", "{} ** {}": "pow_({}, {}, bad_)",
+    "sin({})": "sin_({}, bad_)", "cos({})": "cos_({}, bad_)", "exp({})": "exp_({}, bad_)",
+    "sqrt({})": "sqrt_({}, bad_)", "{} >= 0.0": "{} >= 0.0",
+    "if not abs({}) < inf: fsum(({}, {}, ))": "if (!(fabs({}) < INFINITY)) *bad_ = 1;",
+    f"if abs({{0}}) < {SINGULAR_GAIN!r}: raise singular_gain({{0}})":
+        f"if (fabs({{0}}) < {SINGULAR_GAIN!r}) *bad_ = 1;",
+}
+
+_FSUM_TERMS = 64     # terms of the longest fsum the C writes (its partials' room)
+
+# CPython's rules for where float arithmetic and math raise, on which the
+# helpers set *bad_: math_1 (Modules/mathmodule.c) for sin, cos, exp and
+# sqrt, float_pow (Objects/floatobject.c) for **; and math_fsum's exact
+# sum (Shewchuk's partials, then its half-even correction), of which a
+# non-finite partial sets *bad_
+_PRELUDE = r"""#include <errno.h>
+#include <fenv.h>
+#include <math.h>
+
+#define FLAGS_ (FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW)
+
+static double math1_(double r, double x, int *bad_)
+{
+    if (isnan(r) ? !isnan(x) : isinf(r) && !isinf(x))
+        *bad_ = 1;
+    return r;
+}
+
+static double sin_(double x, int *bad_) { return math1_(sin(x), x, bad_); }
+static double cos_(double x, int *bad_) { return math1_(cos(x), x, bad_); }
+static double exp_(double x, int *bad_) { return math1_(exp(x), x, bad_); }
+static double sqrt_(double x, int *bad_) { return math1_(sqrt(x), x, bad_); }
+
+static double div_(double a, double b, int *bad_)
+{
+    if (b == 0.0)
+        *bad_ = 1;
+    return a / b;
+}
+
+static int odd_(double w) { return fmod(fabs(w), 2.0) == 1.0; }
+
+static double pow_(double v, double w, int *bad_)
+{
+    int negate = 0;
+    double r;
+    if (w == 0.0)
+        return 1.0;
+    if (isnan(v))
+        return v;
+    if (isnan(w))
+        return v == 1.0 ? 1.0 : w;
+    if (isinf(w)) {
+        v = fabs(v);
+        if (v == 1.0)
+            return 1.0;
+        return (w > 0.0) == (v > 1.0) ? fabs(w) : 0.0;
+    }
+    if (isinf(v))
+        return w > 0.0 ? (odd_(w) ? v : fabs(v)) : (odd_(w) ? copysign(0.0, v) : 0.0);
+    if (v == 0.0) {
+        if (w < 0.0)
+            *bad_ = 1;
+        return odd_(w) ? v : 0.0;
+    }
+    if (v < 0.0) {
+        if (w != floor(w)) {
+            *bad_ = 1;
+            return NAN;
+        }
+        v = -v;
+        negate = odd_(w);
+    }
+    if (v == 1.0)
+        return negate ? -1.0 : 1.0;
+    errno = 0;
+    r = pow(v, w);
+    if (errno == 0 ? isinf(r) : !(errno == ERANGE && r == 0.0))
+        *bad_ = 1;
+    return negate ? -r : r;
+}
+
+static double fsum_(const double *xs, int count, int *bad_)
+{
+    double p[64], x, y, t, hi, yr, lo = 0.0;
+    int i, j, k, n = 0;
+    for (k = 0; k < count; k++) {
+        x = xs[k];
+        for (i = j = 0; j < n; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i;
+        if (x != 0.0) {
+            if (!isfinite(x)) {
+                *bad_ = 1;
+                return x;
+            }
+            p[n++] = x;
+        }
+    }
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
+}
+"""
+
+
+class _Function:
+    """A C function of the loop, less the declarations that ``C.source``
+    adds once it knows every run constant's slot."""
+
+    def __init__(self, head: str, params, body, tail):
+        self.head, self.params, self.body, self.tail = head, set(params), body, tail
+
+
+class C:
+    """The generated loops' constructs in C (``sim.Python``): the step is
+    the body of a loop over k in advance(k, stop, st_, B_, cols_, rs_),
+    which runs the steps k..stop-1 from the state st_, the run constants
+    in B_, writing each sample into the record's columns cols_ (row
+    strides rs_), and returns the step where it stopped, st_ then its
+    start state.  It never records the last sample alone: the Python loop
+    does that."""
+
+    @staticmethod
+    def form(form: str) -> str:
+        terms = form.count("{}")
+        if form == "fsum((" + "{}, " * terms + "))" and terms <= _FSUM_TERMS:
+            return f"fsum_((const double[]){{{{{', '.join(['{}'] * terms)}}}}}, {terms}, bad_)"
+        try:
+            return _C_FORMS[form]
+        except KeyError:
+            raise Untranslatable(form) from None
+
+    @staticmethod
+    def operand(text: str) -> str:
+        """A name as it is; a constant as the double that Python computes
+        with (an int converted as float() does, exactly or OverflowError)."""
+        if text.isidentifier():
+            return text
+        inner = text.strip("()")
+        try:
+            value = float(int(inner))
+        except ValueError:
+            value = _constant(text)
+        except OverflowError:
+            raise Untranslatable(text) from None
+        if math.isnan(value):
+            return "NAN"
+        if math.isinf(value):
+            return "INFINITY" if value > 0 else "(-INFINITY)"
+        return f"({value!r})" if value < 0 or math.copysign(1, value) < 0 else repr(value)
+
+    @staticmethod
+    def let(v: str, expr: str) -> str:
+        return f"{v} = {expr};"
+
+    @staticmethod
+    def floor_check(g: str, state: str, first: bool) -> str:
+        return f"if ({g} * {g} < floor) *bad_ = 1;"
+
+    @staticmethod
+    def state(S) -> list:
+        return []
+
+    @staticmethod
+    def record(text: str, row) -> list:
+        return [f"(({ctype} *)cols_[{j}])[k * rs_[{j}]{f' + {i}' * (len(items) > 1)}] = {v};"
+                for j, (ctype, items) in enumerate(row) for i, v in enumerate(items)]
+
+    @staticmethod
+    def node(name: str, params, body, outs) -> list:
+        args = "".join(f"double {p}, " for p in params)
+        return [_Function(f"static void {name}(const double *B_, int *bad_, {args}double *out_)",
+                          params, body, [f"out_[{i}] = {o};" for i, o in enumerate(outs)])]
+
+    @staticmethod
+    def call(name: str, args: str) -> str:
+        return f"{name}(B_, bad_, {args}kk_)"
+
+    @staticmethod
+    def unpack(targets, call: str) -> str:
+        return " ".join([f"{call};", *(f"{v} = kk_[{i}];" for i, v in enumerate(targets))])
+
+    @staticmethod
+    def stack_call(targets, name: str, T: str) -> str:
+        raise Untranslatable(f"a call of the stack {name}")
+
+    @staticmethod
+    def branch(cond: str, then, other) -> list:
+        return [f"if ({cond}) {{", *(f"    {v}" for v in then), "} else {",
+                *(f"    {v}" for v in other), "}"]
+
+    @staticmethod
+    def source(params: str, setup: list, defs: list, m: int, n: int, step: list,
+               cause: str):
+        """(the C text, the binder's Python text).  The binder pack(<params>)
+        runs make's setup lines and returns the run constants that the C
+        reads, in the order of their slots in B_."""
+        state = [f"s{i}" for i in range(m)]
+        in_range = " && ".join(f"fabs(n{i}) <= {C.operand(repr(sim._STATE_LIMIT))}"
+                               for i in range(m))
+        loop = _Function(
+            "long advance(long k, long stop, double *st_, const double *B_, void **cols_, "
+            "const long *rs_)", ["k"],
+            [f"double {', '.join(f'{s} = st_[{i}]' for i, s in enumerate(state))};",
+             f"double kk_[{m}];", "int failed_ = 0, *bad_ = &failed_;", "fexcept_t saved_;",
+             "fegetexceptflag(&saved_, FLAGS_);", "feclearexcept(FLAGS_);",
+             "for (; k < stop; k++) {", *(f"    {v}" for v in step),
+             f"    if (!({in_range}) || *bad_ || fetestexcept(FLAGS_))", "        break;",
+             *(f"    s{i} = n{i};" for i in range(m)), "}"],
+            [*(f"st_[{i}] = s{i};" for i in range(m)), "fesetexceptflag(&saved_, FLAGS_);",
+             "return k;"])
+        functions = [*defs, loop]
+        known = {v.strip() for line in [f"{params} = ", *setup]
+                 for v in line.split(" = ", 1)[0].split(",") if v.strip()} | {"half", "sixth"}
+        read = sorted(known & {w for f in functions for line in f.body
+                               for w in re.findall(r"[A-Za-z_]\w*", line)})
+        slot = {v: i for i, v in enumerate(read)}
+        text = [_PRELUDE]
+        for f in functions:
+            words = {w for line in f.body for w in re.findall(r"[A-Za-z_]\w*", line)}
+            assigned = sorted({v for line in f.body
+                               for v in re.findall(r"(?:^|;\s)\s*([A-Za-z_]\w*) = ", line)}
+                              - f.params - set(state))
+            consts = [f"{v} = B_[{slot[v]}]" for v in read if v in words]
+            text += [f.head, "{", *[f"    const double {', '.join(consts)};"] * bool(consts),
+                     *[f"    double {', '.join(assigned)};"] * bool(assigned),
+                     *(f"    {v}" for v in f.body), *(f"    {v}" for v in f.tail), "}", ""]
+        pack = "\n".join([f"def pack({params}):", *(f"    {line}" for line in setup),
+                          "    half = dt / 2", "    sixth = dt / 6",
+                          f"    return ({''.join(f'{v}, ' for v in read)})"])
+        return "\n".join(text), pack
+
+
+# --- building and running -----------------------------------------------------------
+
+_steps_run = {}      # Python loop digest -> steps its runs took in this process
+_built = {}          # Python loop digest -> _Compiled, or None where it stays in Python
+_forced = None       # "compiled" or "python": the path every run takes (``forced``)
+
+
+@contextlib.contextmanager
+def forced(path: str):
+    """Every run in the block takes path: "python", or "compiled" wherever
+    the loop can be built, however few its steps.  For tests."""
+    global _forced
+    saved, _forced = _forced, path
+    try:
+        yield
+    finally:
+        _forced = saved
+
+
+# a record write of C.record: its C type, column and item
+_WRITE = re.compile(r"\(\((double|signed char) \*\)cols_\[(\d+)\]\)"
+                    r"\[k \* rs_\[\d+\](?: \+ (\d+))?\]")
+_DTYPES = {"double": "float64", "signed char": "int8"}
+
+
+class _Compiled:
+    """A built loop: the C function advance, its binder pack, and the
+    layout of the record that it writes: per column, its dtype and items
+    per row, read off the C's record writes (``C.record``)."""
+
+    def __init__(self, fn, pack, m: int, text: str):
+        self.fn, self.pack, self.m = fn, pack, m
+        layout = {}
+        for ctype, j, i in _WRITE.findall(text):
+            width = layout.get(int(j), (None, 0))[1]
+            layout[int(j)] = (_DTYPES[ctype], max(width, int(i or 0) + 1))
+        self.layout = [layout[j] for j in range(len(layout))]
+
+    def _fits(self, cols, nsteps: int) -> bool:
+        """Whether the arrays cols hold nsteps rows of the record's layout,
+        each row's items adjacent."""
+        return len(cols) == len(self.layout) and all(
+            a.dtype == dtype and len(a) >= nsteps and (
+                a.ndim == 1 and width == 1 or a.ndim == 2 and a.shape[1] == width
+                and (width == 1 or a.strides[1] == a.itemsize))
+            for a, (dtype, width) in zip(cols, self.layout))
+
+    def run(self, rec, start, nsteps: int, args):
+        """Steps 0..nsteps-1 from start into rec's arrays, each as the
+        Python loop takes it: [k, state] where it stopped, k = nsteps
+        unless step k is for the Python loop to take.  [0, start] where
+        rec's arrays do not fit the layout or a run constant is past the
+        float range."""
+        import ctypes
+        cols = rec.cols
+        try:
+            vals = [float(v) for v in self.pack(*args)]
+        except OverflowError:
+            return [0, start]
+        if not self._fits(cols, nsteps):
+            return [0, start]
+        st = (ctypes.c_double * self.m)(*start)
+        ptrs = ((ctypes.c_double * len(vals))(*vals),
+                (ctypes.c_void_p * len(cols))(*(a.ctypes.data for a in cols)),
+                (ctypes.c_long * len(cols))(*(a.strides[0] // a.itemsize for a in cols)))
+        k = stop = 0
+        while k == stop < nsteps:       # in blocks, so that a signal is seen between them
+            stop = min(stop + _BLOCK_STEPS, nsteps)
+            k = self.fn(k, stop, st, *ptrs)
+        rec.count = k
+        return [k, tuple(st)] if k else [0, start]
+
+
+def run(loop, emit, rec, start, nsteps: int, args):
+    """Run steps 0..nsteps-1 of loop (``sim._Loop``) in C where it is built
+    or, once its steps reach _COMPILE_STEPS, can be built from emit(C), the
+    C dialect's (C text, binder) of its description; record the path taken
+    in PATHS.  Returns [k, state], the step from which the Python loop
+    takes over and that step's start state, [0, start] if C ran none."""
+    digest = loop.digest
+    total = _steps_run[digest] = _steps_run.get(digest, 0) + nsteps
+    compiled = None
+    if _forced != "python":
+        if digest not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
+            _built[digest] = _build(emit, len(start))
+        compiled = _built.get(digest)
+    pos = [0, start] if compiled is None else compiled.run(rec, start, nsteps, args)
+    k = pos[0]
+    PATHS.append((loop.label, "python" if compiled is None else "compiled" if k == nsteps
+                  else f"compiled to step {k}, then python"))
+    return pos
+
+
+def c_source(emit):
+    """The C text of emit's description, None where it stays in Python."""
+    try:
+        return emit(C)[0]
+    except Untranslatable:
+        return None
+
+
+def libm_fingerprint() -> str:
+    """The sha256 of math.sin, math.cos and math.exp over a fixed argument
+    set, each result's 8 bytes in turn: sin and cos of the 50 s demo's
+    reference and dither phases (0.4 t, and 60 t, 240 t and 960 t, at
+    every RK4 node time t, t + dt/2 and t + dt of its 1 ms grid), exp of
+    -2 t and -1.5 t there and of 20 001 points across [-700, 700].  Two
+    hosts whose C libraries differ in a last bit of any of these print
+    different fingerprints, and their runs may differ as much."""
+    dt = 1e-3
+    times = [v for k in range(50_000) for t in (k * dt,) for v in (t, t + dt / 2, t + dt)]
+    phases = [rate * t for rate in (0.4, 60.0, 240.0, 960.0) for t in times]
+    exponents = [-c * t for c in (2.0, 1.5) for t in times] \
+        + [k / 100 - 700 for k in range(0, 140_001, 7)]
+    out = hashlib.sha256()
+    for fn, args in ((math.sin, phases), (math.cos, phases), (math.exp, exponents)):
+        out.update(array.array("d", map(fn, args)).tobytes())
+    return out.hexdigest()
+
+
+def _build(emit, m: int):
+    """The _Compiled of emit's description, from the cache or built into
+    it; None where it stays in Python."""
+    try:
+        text, pack_text = emit(C)
+    except Untranslatable:
+        return None
+    cache = _cache_dir()
+    if cache is None:
+        return None
+    path = cache / _entry_name(text)
+    if not _intact(path) and not _compile(text, path, cache):
+        return None
+    import ctypes
+    try:
+        fn = ctypes.CDLL(str(path)).advance
+    except OSError:
+        return None
+    fn.restype = ctypes.c_long
+    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
+                   ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p),
+                   ctypes.POINTER(ctypes.c_long))
+    scope = dict(sim._STEP_SCOPE)
+    exec(compile(pack_text, "<binder of a C loop>", "exec"), scope)
+    return _Compiled(fn, scope["pack"], m, text)
+
+
+def _entry_name(text: str) -> str:
+    """The cache entry of the C text: the sha256 of it, the flags and the
+    machine."""
+    return hashlib.sha256("\0".join([text, *_FLAGS, os.uname().machine]).encode()).hexdigest() \
+        + ".so"
+
+
+def _cache_dir():
+    """_CACHE, made if need be; None unless it is this user's alone and
+    writable."""
+    try:
+        _CACHE.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = _CACHE.stat()
+    except OSError:
+        return None
+    if info.st_uid != os.getuid() or info.st_mode & 0o022 or not os.access(_CACHE, os.W_OK):
+        return None
+    return _CACHE
+
+
+def _intact(path: Path) -> bool:
+    """Whether the cache entry path is there, its last 32 bytes the sha256
+    of the rest."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _compile(text: str, path: Path, cache: Path) -> bool:
+    """Build text into the cache entry path; False if it cannot be built
+    or written.  gcc works in a temporary directory in the cache, removed
+    afterwards, and the entry is renamed into place."""
+    import shutil
+    import subprocess
+    import tempfile
+    try:
+        work = tempfile.mkdtemp(prefix=".build-", dir=cache)
+    except OSError:
+        return False
+    try:
+        src, obj, entry = (os.path.join(work, name) for name in ("loop.c", "loop.so", "entry"))
+        with open(src, "w") as f:
+            f.write(text)
+        done = subprocess.run([_CC, *_FLAGS, "-o", obj, src], capture_output=True,
+                              env={**os.environ, "TMPDIR": work}, timeout=300)
+        if done.returncode != 0:
+            return False
+        with open(obj, "rb") as f:
+            data = f.read()
+        with open(entry, "wb") as f:
+            f.write(data + hashlib.sha256(data).digest())
+        os.replace(entry, path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        shutil.rmtree(work, ignore_errors=True)

@@ -21,9 +21,15 @@ on the demo plant a node calls only ``sin``, ``cos``, ``sqrt`` and
 ``abs``.  Gains, Lyapunov coefficients and the references' parameters
 are inputs, so a sweep compiles one loop.  The averaged system's loop
 comes from the same emitter and runs on the same driver (``_drive``).
+The emitters write each loop's one description in Python (``Python``)
+or in C (``native.C``); once a loop's runs have taken enough steps, they
+take its C form, built once (``native.run``), and the Python loop takes
+over from any step the C loop stops at, so either way a run's results,
+and its exceptions, are the Python loop's bit for bit.
 """
 
 import bisect
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -31,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import control
+from . import control, native, synth
 from .model import (GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario, SystemModel,
                     bound_stack, get_reference, is_divergence, max_dither_dt, stack_binding)
 from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
@@ -40,7 +46,7 @@ from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_coun
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
 
-_STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``_source``)
+_STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``Python.source``)
 
 CONTROLLERS = ("es", "nominal", "nussbaum", "safety-filter")
 DITHERED = ("es", "safety-filter")      # the controllers whose input carries the dither
@@ -363,7 +369,8 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     step so the switching signal is piecewise constant on the grid.
 
     The run is the loop generated for this plant and controller
-    (``_step_source``), run by ``_drive``.
+    (``_step_source``), run by ``_drive``, in C where it is built
+    (``native.run``).
 
     Raises BlowupError, with the samples recorded so far attached as
     ``partial_trajectory``, on divergence (``_drive``): the state leaving
@@ -399,12 +406,14 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     nom_kind, nom_b = (None, None) if nominal_ref is None else stack_binding(nominal_ref, n)
     # of the Lyapunov shape only the number of its coefficients is compiled in
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
-    advance = _factory(sys, (controller, ncoef, ref_kind, nom_kind),
-                       lambda: _step_source(sys, controller, ncoef, ref_kind, nom_kind))(
-        sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append)
+    def emit(lang):
+        return _step_source(sys, controller, ncoef, ref_kind, nom_kind, lang)
+    loop = _factory(sys, (controller, ncoef, ref_kind, nom_kind), emit)
+    args = (sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append)
     start = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     try:
-        _drive(advance, rec, start, nsteps, dt, n, ref, nominal_ref)
+        pos = native.run(loop, emit, rec, start, nsteps, args)
+        _drive(loop.make(*args), rec, pos, nsteps, dt, n, ref, nominal_ref)
     except BlowupError as exc:
         exc.partial_trajectory = rec.trajectory(complete=False)
         raise
@@ -417,9 +426,10 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     return traj, report
 
 
-def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref, nom):
-    """Run advance (``_source``) from the state start: the steps 0..nsteps-1
-    a block of _FLUSH_ROWS at a time, flushing rec after each, then the last
+def _drive(advance, rec: _Recorder, pos: list, nsteps: int, dt: float, n: int, ref, nom):
+    """Run advance (``Python.source``) from pos, [k, the start state of
+    step k] (rec holding the samples before it): the steps k..nsteps-1 a
+    block of _FLUSH_ROWS at a time, flushing rec after each, then the last
     sample.  The one divergence diagnosis of the generated loops: besides
     the loop's range check, an ``OverflowError`` or math-domain
     ``ValueError`` (``model.is_divergence``) in step k is BlowupError
@@ -427,8 +437,8 @@ def _drive(advance, rec: _Recorder, start, nsteps: int, dt: float, n: int, ref, 
     a non-finite stack that it read (``_reference_fault``, on the stacks of
     the tracked reference ref and the safety filter's nominal reference
     nom, None for the other loops, bound then) is the cause instead.  Other
-    exceptions propagate; rec keeps what was recorded."""
-    pos = [0, start]        # (step, its start state) where the loop stopped
+    exceptions propagate; rec keeps what was recorded.  pos then holds
+    the step where the loop stopped and its start state."""
     try:
         try:
             while pos[0] < nsteps:
@@ -476,20 +486,34 @@ def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
     return None
 
 
-# --- compiled closed-loop run loop ------------------------------------------------
+# --- generated closed-loop run loop -----------------------------------------------
 
 _STEP_SCOPE = dict(TAPE_SCOPE, array=np.array,
                    BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL)
 
 
-def _factory(sys: SystemModel, key, source):
-    """The factory compiled from ``source()``, cached on the plant under key."""
-    make = sys._steps.get(key)
-    if make is None:
+@dataclass(frozen=True)
+class _Loop:
+    """A generated run loop of one plant: make, compiled from its Python
+    source, whose sha256 digest keys the loop's C build (``native.run``),
+    and label, which names it."""
+
+    make: object
+    digest: str
+    label: str
+
+
+def _factory(sys: SystemModel, key, emit) -> _Loop:
+    """The loop compiled from its Python source ``emit(Python)``, cached on
+    the plant under key."""
+    loop = sys._steps.get(key)
+    if loop is None:
+        text, label = emit(Python), f"{key[0]} loop of {sys.name}"
         scope = dict(_STEP_SCOPE)
-        exec(compile(source(), f"<{key[0]} loop of {sys.name}>", "exec"), scope)
-        make = sys._steps[key] = scope["make"]
-    return make
+        exec(compile(text, f"<{label}>", "exec"), scope)
+        loop = sys._steps[key] = _Loop(scope["make"], hashlib.sha256(text.encode()).hexdigest(),
+                                       label)
+    return loop
 
 
 def _seq(names) -> str:
@@ -497,27 +521,108 @@ def _seq(names) -> str:
     return "".join(f"{v}, " for v in names)
 
 
-def _rk4(m: int, first: list, call: str, fetch) -> list:
+def _rk4(m: int, first: list, call: str, fetch, lang) -> list:
     """Lines of one RK4 step of the m floats s0.. from time t, in the float
     operations of ``rk4_step``; they leave the new state in n0...
     ``first`` are the lines of node 1, which set the rates k1_0..;
-    call.format(T=, S=, Y=) is the rates at a later node, at time T, state
-    items S and arguments Y; fetch(T, P) gives the lines that set what the
-    nodes at T read besides the state, named with the prefix P, and the
-    text of those arguments Y.  The fetches run once k1 is known, once per
-    node time, which is written only where a fetch or the call reads it."""
+    call.format(T=, S=, Y=) is the call (``lang.call``) of the rates at a
+    later node, at time T, state items S and arguments Y; fetch(T, P)
+    gives the lines that set what the nodes at T read besides the state,
+    named with the prefix P, and the text of those arguments Y.  The
+    fetches run once k1 is known, once per node time, which is written
+    only where a fetch or the call reads it."""
     (fm, Ym), (fe, Ye) = fetch("tm", "ym"), fetch("te", "ye")
-    lines = [*first, *["tm = t + half", *fm] * bool(fm or "{T}" in call),
-             *["te = t + dt", *fe] * bool(fe or "{T}" in call)]
+    lines = [*first, *[lang.let("tm", "t + half"), *fm] * bool(fm or "{T}" in call),
+             *[lang.let("te", "t + dt"), *fe] * bool(fe or "{T}" in call)]
     for j, T, Y, frac in ((2, "tm", Ym, "half"), (3, "tm", Ym, "half"),
                           (4, "te", Ye, "dt")):
         S = _seq(f"s{i} + {frac} * k{j - 1}_{i}" for i in range(m))
-        lines.append(f"{_seq(f'k{j}_{i}' for i in range(m))}= {call.format(T=T, S=S, Y=Y)}")
-    return lines + [f"n{i} = s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})"
+        lines.append(lang.unpack([f"k{j}_{i}" for i in range(m)], call.format(T=T, S=S, Y=Y)))
+    return lines + [lang.let(f"n{i}", f"s{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})")
                     for i in range(m)]
 
 
-def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list):
+class Python(synth.Python):
+    """The text of a generated loop's constructs in Python, the loop that
+    every run can take; ``native.C`` writes the same constructs in C.  An
+    emitter (``_step_source``, ``averaging._averaged_source``) builds one
+    description of the loop and writes it through one of the two."""
+
+    @staticmethod
+    def floor_check(g: str, state: str, first: bool) -> str:
+        """The gain-floor test of a node on its gain g, state the node's
+        state tuple; node 1 (first) skips it at the last sample."""
+        return f"if {g} * {g} < floor{' and not last' * first}: raise violation({g}, {state})"
+
+    @staticmethod
+    def state(S) -> list:
+        """The lines that name node 1's state tuple xs (S its items)."""
+        return [f"xs = ({_seq(S)})"]
+
+    @staticmethod
+    def record(text: str, row) -> list:
+        """The lines that record one sample, the tuple text, whose items
+        (``_Recorder``'s columns) are row: (C type, texts) each; the last
+        sample ends the run there."""
+        return [f"append({text})", "if last: return"]
+
+    @staticmethod
+    def node(name: str, params, body, outs) -> list:
+        """The node function name over params: the lines body, which set
+        the texts outs that it returns."""
+        return [f"def {name}({_seq(params)}):", *(f"    {v}" for v in body),
+                f"    return ({_seq(outs)})"]
+
+    @staticmethod
+    def call(name: str, args: str) -> str:
+        """A call of the node function name; args is "a, b, "."""
+        return f"{name}({args})"
+
+    @staticmethod
+    def unpack(targets, call: str) -> str:
+        return f"{_seq(targets)}= {call}"
+
+    @staticmethod
+    def stack_call(targets, name: str, T: str) -> str:
+        """The line that sets targets to the stack name(T), which ``make``
+        binds (``model.stack_binding``'s "call")."""
+        return f"{_seq(targets)}= {name}({T})"
+
+    @staticmethod
+    def branch(cond: str, then, other) -> list:
+        return [f"if {cond}:", *(f"    {v}" for v in then),
+                "else:", *(f"    {v}" for v in other)]
+
+    @staticmethod
+    def source(params: str, setup: list, defs: list, m: int, n: int, step: list,
+               cause: str) -> str:
+        """``def make(<params>)``: the setup lines, the node functions defs,
+        then the run loop advance, which make returns.  advance(pos, stop,
+        last=False) runs the steps pos[0]..stop-1 from the m floats pos[1]:
+        each runs the lines step, which set t = k * dt where they read it,
+        record the start sample (and return if last) and leave the new
+        state in n0.., then checks it by the divergence rule of every
+        generated loop: a new item beyond +-_STATE_LIMIT, or NaN, raises
+        BlowupError(cause) at (k + 1) * dt with the new state's first n
+        items.  Whether advance returns or raises, pos then holds the step
+        where it stopped and that step's start state: stop and the state
+        reached, or the step that failed."""
+        S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
+        in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
+        loop = [*step, f"if not ({in_range}):",
+                f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
+                f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
+        return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup + defs),
+                          "    half = dt / 2", "    sixth = dt / 6",
+                          "    def advance(pos, stop, last=False):",
+                          f"        k, ({S}) = pos", "        try:",
+                          "            for k in range(k, stop):",
+                          *(f"                {line}" for line in loop),
+                          "            k = stop", "        finally:",
+                          f"            pos[:] = k, ({S})", "    return advance"])
+
+
+def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list, lang):
     """fetch(T, prefix, order) -> (lines, items): the lines that set the
     stack at time T of the reference whose stack ``make`` binds as name
     (``model.stack_binding``: kind and binding), and its items 0..order,
@@ -527,13 +632,14 @@ def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list):
     if kind == "call":
         def fetch(T, prefix, order):
             Y = [f"{prefix}{i}" for i in range(order + 1)]
-            return [f"{_seq(Y + ['_'] * (n - order))}= {name}({T})"], Y
+            return [lang.stack_call(Y + ['_'] * (n - order), name, T)], Y
         return fetch
     letter = {"ref": "r", "nom": "q"}[name]         # n0.. is the new state
     params = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
     setup.append(f"{_seq(params)}= {name}")
     bound.names.update(params)
-    return lambda T, prefix, q: render([(stack_tape(kind, q), prefix, [T], params)], bound)[0]
+    return lambda T, prefix, q: render([(stack_tape(kind, q), prefix, [T], params)],
+                                       bound, lang)[0]
 
 
 def _node_stack(fetch, bound: Bound, order: int):
@@ -553,35 +659,11 @@ def _node_stack(fetch, bound: Bound, order: int):
     return Y, [v for v, take in zip(Y, takes) if take], at
 
 
-def _source(params: str, setup: list, m: int, n: int, step: list, cause: str) -> str:
-    """``def make(<params>)``: the setup lines, then the run loop advance,
-    which make returns.  advance(pos, stop, last=False) runs the steps
-    pos[0]..stop-1 from the m floats pos[1]: each runs the lines step,
-    which set t = k * dt where they read it, record the start sample (and
-    return if last) and leave the new state in n0.., then checks it by the
-    divergence rule of every generated loop: a new item beyond
-    +-_STATE_LIMIT, or NaN, raises BlowupError(cause) at (k + 1) * dt with
-    the new state's first n items.  Whether advance returns or raises, pos
-    then holds the step where it stopped and that step's start state: stop
-    and the state reached, or the step that failed."""
-    S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
-    in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
-    loop = [*step, f"if not ({in_range}):",
-            f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
-            f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
-    return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup),
-                      "    half = dt / 2", "    sixth = dt / 6",
-                      "    def advance(pos, stop, last=False):",
-                      f"        k, ({S}) = pos", "        try:",
-                      "            for k in range(k, stop):",
-                      *(f"                {line}" for line in loop),
-                      "            k = stop", "        finally:",
-                      f"            pos[:] = k, ({S})", "    return advance"])
-
-
 def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
-                 nom_kind: Optional[str] = None) -> str:
-    """Source of the closed-loop run loop of one plant and controller.
+                 nom_kind: Optional[str] = None, lang=Python):
+    """Source of the closed-loop run loop of one plant and controller, in
+    the dialect lang (``Python``, or ``native.C``, whose source is the C
+    loop and its binder).
 
     make(plant, gains, spec, ref, nom, dt, append) binds one run's inputs,
     so one compiled loop serves every point of a sweep.  ref and nom bind
@@ -589,7 +671,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     (``model.stack_binding``), whose kinds ref_kind and nom_kind the loop
     is built for: a built-in form's parameters, which the nodes write the
     stack out from, or "call", a stack to call.  append takes one sample
-    row.  make returns advance (``_source``), whose steps each record the
+    row.  make returns advance (``Python.source``), whose steps each record the
     sample at their start; advance(pos, nsteps + 1, True) only records the
     last sample, with the same code.
 
@@ -632,20 +714,20 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
     defs = []       # the node functions
-    ref = _stack_fetch("ref", ref_kind, n, bound, setup)
+    ref = _stack_fetch("ref", ref_kind, n, bound, setup, lang)
     gain = tapes["gain"]
     law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
               "nussbaum": (control.comparator_input, "z")}
     order = {law: stack_order(tapes[c], tapes["drift"]) for law, (_, c) in law_of.items()}
 
-    def node(law, S, Y, k, cond="", pre=(), mode=None):
+    def node(law, S, Y, k, pre=(), mode=None):
         """(lines, the law's tape): the lines of one node of law whose stack
         items are Y, setting the plant's rates <k>0.. (the comparator's
-        theta is the last state): the gain and its floor check (cond
-        appended to its condition), the lines pre, the law and the rates,
-        the gain rendered with the node's other tapes.  Node 1 (given the
-        mode it records) also records the sample, with h over the tracked
-        stack ya, which es reads, and the state tuple xs."""
+        theta is the last state): the gain and its floor check, the lines
+        pre, the law and the rates, the gain rendered with the node's other
+        tapes.  Node 1 (given the mode it records) also records the sample,
+        with h over the tracked stack ya, which es reads, and the state
+        tuple xs."""
         X = "xs" if mode is not None else f"({_seq(S[:n])})"
         fn, c = law_of[law]
         args = {"es": ("t", "om", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
@@ -655,15 +737,19 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                   (items_read(tapes[c], kernel), "e" if c == "h" else "z", S, Y)]
         (g_lines, [g]), *parts, (law_lines, uv), (d_lines, dv) = render(
             [(gain, "g", S, ()), *coords, (kernel, "u" + c, [coords[-1][0], gain], ""),
-             (tapes["drift"], "f", S, Y)], bound)
-        lines = [*g_lines, f"if {g} * {g} < floor{cond}: raise violation({g}, {X})", *pre,
+             (tapes["drift"], "f", S, Y)], bound, lang)
+        lines = [*g_lines, lang.floor_check(g, X, mode is not None), *pre,
                  *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
-        lines += [f"{v} = {o}" for v, o in zip(("u", f"{k}{n}"), uv)]
+        lines += [lang.let(v, o) for v, o in zip(("u", f"{k}{n}"), uv)]
         if mode is not None:
-            lines += [f"append((t, xs, ({_seq(parts[0][1])}), u, {ya[0]}, {mode}))",
-                      "if last: return"]
-        return lines + d_lines + [*(f"{k}{i} = {S[i + 1]} + {dv[i]}" for i in range(n - 1)),
-                                  f"{k}{n - 1} = {g} * u + {dv[n - 1]}"], kernel
+            h = parts[0][1]
+            lines += lang.record(f"(t, xs, ({_seq(h)}), u, {ya[0]}, {mode})",
+                                 [("double", ["t"]), ("double", S[:n]), ("double", h),
+                                  ("double", ["u"]), ("double", [ya[0]]),
+                                  ("signed char", [str(mode)])])
+        return lines + d_lines + [*(lang.let(f"{k}{i}", f"{S[i + 1]} + {dv[i]}")
+                                    for i in range(n - 1)),
+                                  lang.let(f"{k}{n - 1}", f"{g} * u + {dv[n - 1]}")], kernel
 
     def step(law, fetch, Y, pre, mode):
         """The lines of law's step on the stacks that fetch sets
@@ -674,26 +760,25 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         Yn, params, at = _node_stack(fetch, bound, order[law])
         body, kernel = node(law, P, Yn, "k_")
         T = ["t"] * any("t" in entry[2] for entry in kernel.entries)
-        defs.extend([f"def node_{law}({_seq(P + T + params)}):", *(f"    {v}" for v in body),
-                     f"    return ({_seq(f'k_{i}' for i in range(m))})"])
-        return _rk4(m, node(law, S, Y, "k1_", " and not last", pre, mode)[0],
-                    f"node_{law}({{S}}{_seq(['{T}'] * len(T))}{{Y}})", at)
+        defs.extend(lang.node(f"node_{law}", P + T + params, body, [f"k_{i}" for i in range(m)]))
+        return _rk4(m, node(law, S, Y, "k1_", pre, mode)[0],
+                    lang.call(f"node_{law}", f"{{S}}{_seq(['{T}'] * len(T))}{{Y}}"), at, lang)
 
     filtered = controller == "safety-filter"
     ya_lines, ya = ref("t", "ya", order["es" if filtered else controller])
-    lines = ["t = k * dt", f"xs = ({_seq(S[:n])})"]
+    lines = [lang.let("t", "k * dt"), *lang.state(S[:n])]
     if filtered:
-        nom = _stack_fetch("nom", nom_kind, n, bound, setup)
+        nom = _stack_fetch("nom", nom_kind, n, bound, setup, lang)
         yl_lines, yl = nom("t", "yl", order["nominal"])
         [(mode_lines, [nominal])] = render(
-            [(trace(control.nominal_mode, ya[0], "s0"), "m", (), ())], bound)
-        lines += [*ya_lines, *mode_lines, f"if {nominal}:",
-                  *(f"    {v}" for v in step("nominal", nom, yl, yl_lines, 0)),
-                  "else:", *(f"    {v}" for v in step("es", ref, ya, [], 1))]
+            [(trace(control.nominal_mode, ya[0], "s0"), "m", (), ())], bound, lang)
+        lines += [*ya_lines, *mode_lines,
+                  *lang.branch(nominal, step("nominal", nom, yl, yl_lines, 0),
+                               step("es", ref, ya, [], 1))]
     else:
         lines += step(controller, ref, ya, ya_lines, -1)
-    return _source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines + defs,
-                   m, n, lines, "state left the finite range")
+    return lang.source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines, defs,
+                       m, n, lines, "state left the finite range")
 
 
 def _default_id(sys, controller, scenario):

@@ -282,10 +282,32 @@ def _identity(form: str, ops):
     return None
 
 
-def render(segments, bound: Optional[Bound] = None) -> list:
+class Python:
+    """How ``render`` writes an entry: in Python, each form and operand as
+    the tape has it.  The generated loops' dialects extend this one
+    (``sim.Python``, ``native.C``)."""
+
+    @staticmethod
+    def form(form: str) -> str:
+        return form
+
+    @staticmethod
+    def operand(text: str) -> str:
+        return text
+
+    @staticmethod
+    def let(v: str, expr: str) -> str:
+        return f"{v} = {expr}"
+
+
+def render(segments, bound: Optional[Bound] = None, lang=Python) -> list:
     """The source of the tapes that one generated node writes out, each
     distinct float operation once (local value numbering over one basic
-    block).
+    block), in the dialect lang: each entry is lang.form(its form) over
+    its operands, constants written by lang.operand, and each result
+    given a name by lang.let; a form that starts with ``if `` is a
+    statement.  Which operations are written where does not depend on
+    lang.
 
     A segment is (tape, prefix, xs, ys): the tape with x_i written as
     xs[i], y_i as ys[i] (or ys + i where ys is a text) and vK as
@@ -348,13 +370,14 @@ def render(segments, bound: Optional[Bound] = None) -> list:
     for segment in rendered:
         lines = []
         for v, form, ops, may_raise in segment[0]:
-            expr = form.format(*(f"({nested[o]})" if o in nested else o for o in ops))
+            expr = lang.form(form).format(*(f"({nested[o]})" if o in nested
+                                            else lang.operand(o) for o in ops))
             d = 1 + max(depth.get(o, 0) for o in ops)
             if may_raise or uses[v] != 1 or v in named or d > _MAX_NESTING:
-                lines.append(expr if expr.startswith("if ") else f"{v} = {expr}")
+                lines.append(expr if expr.startswith("if ") else lang.let(v, expr))
             else:
                 nested[v], depth[v] = expr, d
-        segment[0] = lines
+        segment[:] = lines, [lang.operand(o) for o in segment[1]]
     return rendered
 
 

@@ -273,3 +273,41 @@ def test_cli_help():
     with pytest.raises(SystemExit) as exc_info:
         run_cli(["--help"])
     assert exc_info.value.code == 0
+
+
+# every subcommand runs what the library call runs under the same config;
+# theta0 reaches only the comparator, which sweep dropped once
+THETA_CONFIG = "theta0 = 3.0\nx0 = -0.4, 0.1\n"
+
+
+@pytest.mark.parametrize("command, controller", [
+    ("run", "es"), ("run", "nussbaum"), ("safety", None), ("compare", None),
+    ("sweep", "es"), ("sweep", "nussbaum")])
+def test_each_subcommand_reports_what_the_library_call_does(tmp_path, capsys, command,
+                                                            controller):
+    from nonovershoot import Scenario, demo_gains, example_system, run_scenario, sim
+
+    config = tmp_path / "theta.cfg"
+    config.write_text(THETA_CONFIG)
+    out = tmp_path / "report.csv"
+    args = [command, "--config", str(config), "--t-end", "0.5", "--dt", "1e-3"]
+    args += ["--controller", controller] * (controller is not None)
+    args += ["--grid", "kappa_n=1.1,3"] * (command == "sweep")
+    args += ["--report" if command in ("run", "safety") else "--out", str(out)]
+    if command in ("run", "safety"):
+        args += ["--out", str(tmp_path / "traj.csv")]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+
+    plant, gains = example_system(), demo_gains()
+    sc = Scenario(x0=(-0.4, 0.1), t_end=0.5, dt=1e-3)
+    opts = {"theta0": 3.0, "psi_scale": 0.0025, "delta_est": 0.1}
+    if command == "sweep":
+        expected = sim.sweep(plant, controller, gains, sc, {"kappa_n": [1.1, 3.0]},
+                             **opts).to_csv()
+    else:
+        controllers = {"run": [controller], "safety": ["safety-filter"],
+                       "compare": ["es", "nussbaum"]}[command]
+        rows = [run_scenario(plant, c, gains, sc, **opts)[1].csv_row() for c in controllers]
+        expected = "\n".join([",".join(sim.REPORT_COLUMNS), *rows]) + "\n"
+    assert out.read_text() == expected

@@ -1,5 +1,8 @@
 """Importing the package and running its paths loads no scipy, which is
-a test dependency only: no module under ``src/`` imports it."""
+a test dependency only: no module under ``src/`` imports it.  Importing
+the package and building a run's inputs starts no child process and
+loads no library: ``subprocess`` and ``ctypes`` are imported where a
+compiled loop is first built (``native``), not at a module's top."""
 
 import ast
 import os
@@ -47,3 +50,39 @@ def test_no_module_under_src_imports_scipy():
             else:
                 continue
             assert not [v for v in names if v.split(".")[0] == "scipy"], path
+
+
+SETUP = """
+import sys
+import numpy                # which imports ctypes itself
+events = []
+sys.addaudithook(lambda event, args: events.append(event) if event in (
+    "subprocess.Popen", "os.posix_spawn", "os.fork", "os.forkpty", "os.exec", "os.system",
+    "ctypes.dlopen", "ctypes.dlsym") else None)
+import nonovershoot
+from nonovershoot import (Scenario, demo_gains, example_lyapunov_spec, example_system,
+                          SineReference)
+plant, gains = example_system(), demo_gains()
+spec = example_lyapunov_spec(plant, gains, scale=0.0025)
+sc = Scenario(x0=(-0.5, 0.0), t_end=50.0, dt=1e-3, reference=SineReference())
+print(sorted(set(events)), "subprocess" in sys.modules)
+"""
+
+
+def test_setting_up_a_run_starts_no_process_and_loads_no_library():
+    done = subprocess.run([sys.executable, "-c", SETUP], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] False"
+
+
+def test_no_module_under_src_imports_ctypes_or_subprocess_at_its_top():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [v for v in names if v.split(".")[0] in ("ctypes", "subprocess")], path

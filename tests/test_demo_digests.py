@@ -6,9 +6,16 @@ of 10 s), so a change to the simulator that moves any recorded float by
 one bit fails here, not only in the 50 s script's digests.  The averaged
 system's samples, which the study reduces to one maximum per frequency,
 are pinned as well.  The digests hold for IEEE doubles with the libm
-``sin``/``cos`` of an x86-64 Linux build; another math library may change
-last bits and then these digests.  No pinned digest depends on a BLAS
-routine: every |h| is ``math.fsum`` of squares (``control._norm``).
+whose fingerprint (``native.libm_fingerprint()``, which
+``scripts/run_demo_experiments.py`` prints first) is
+
+    e886b419314d6bfe5b2d005f7adfb6892a09926b34d63bdf4fdc6b7fc688fa12
+
+(glibc 2.36 on x86-64 with FMA); a libm with another fingerprint may
+change last bits and then these digests.  The compiled and the Python
+loop give the same bytes on one host, so the pins hold whichever path a
+run takes.  No pinned digest depends on a BLAS routine: every |h| is
+``math.fsum`` of squares (``control._norm``).
 """
 
 import hashlib

@@ -1,0 +1,315 @@
+"""The compiled run loops (``native``): the C loop against the Python loop,
+bit for bit, and the ways a run falls back to the Python loop."""
+
+import ctypes
+import math
+import os
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import NO_SHRINK, random_gains, random_poly_system
+from nonovershoot import (ConstantReference, DriftBound, LyapunovSpec, Scenario, SineReference,
+                          SystemModel, demo_gains, dualnum, example_lyapunov_spec,
+                          example_system, native, run_scenario, sim, simulate_averaged,
+                          state_from_errors)
+
+LOOPS = (*sim.CONTROLLERS, "averaged")
+
+
+def traced_poly_system(n: int, seed: int, variant: str = "plain") -> SystemModel:
+    """random_poly_system(n, seed) with its gain over ``dualnum.sin``, which
+    traces, so that every tape of the plant is written out.  variant
+    "division" adds to drift_1 a term with an unused division by zero (the
+    Python loop raises ZeroDivisionError at it), "overflow" one whose
+    product overflows to inf before exp takes it to 0.0 (the Python loop
+    runs on; the C loop's overflow flag hands the run over to it)."""
+    base = random_poly_system(n, seed)
+    rng = np.random.default_rng(seed)       # the draws of random_poly_system's a and b
+    a, b = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)
+    drift = list(base.drift)
+    if variant == "division":
+        drift[0] = lambda xs, d=drift[0]: (d(xs), 1.0 / (xs[0] - xs[0]))[0]
+    elif variant == "overflow":
+        drift[0] = lambda xs, d=drift[0]: d(xs) + dualnum.exp(-(xs[0] * xs[0] + 1.0) * 1e308 * 10.0)
+    plant = SystemModel(n=n, drift=tuple(drift), gain=lambda xs: a * dualnum.sin(xs[-1]) + b,
+                        xi1=base.xi1, name=f"traced{n}s{seed}{variant}")
+    x = tuple(np.linspace(-0.3, 0.4, n))
+    assert plant.gain(x) == base.gain(x) and not plant._tapes["gain"].calls
+    return plant
+
+
+def _outcome(run):
+    """What a run gives: its arrays' bytes, or the exception's type,
+    message, t, state and partial record."""
+    try:
+        out = run()
+    except Exception as exc:        # the Python loop's own exceptions, compared below
+        partial = getattr(exc, "partial_trajectory", None)
+        return (type(exc), str(exc), getattr(exc, "t", None),
+                None if getattr(exc, "state", None) is None else exc.state.tobytes(),
+                None if partial is None else _arrays(partial))
+    return _arrays(out[0]) + (out[1].csv_row(),) if isinstance(out, tuple) else out.tobytes()
+
+
+def _arrays(traj):
+    return (traj.complete, *(a.tobytes() for a in (traj.t, traj.x, traj.h, traj.u, traj.yr,
+                                                   traj.margin, traj.mode)))
+
+
+def _both_paths(run):
+    """(the Python loop's outcome, the compiled loop's, the path it took)."""
+    with native.forced("python"):
+        python = _outcome(run)
+    with native.forced("compiled"):
+        compiled = _outcome(run)
+    return python, compiled, native.PATHS[-1][1]
+
+
+@settings(max_examples=30, phases=NO_SHRINK)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2), loop=st.sampled_from(LOOPS),
+       kind=st.sampled_from(["sine", "constant"]),
+       variant=st.sampled_from(["plain", "plain", "division", "overflow"]),
+       scale=st.sampled_from([0.0, 1.0, 1.0, 30.0]), psi=st.sampled_from([0.05, 1.0]))
+def test_the_compiled_loop_is_the_python_loop_bit_for_bit(n, seed, loop, kind, variant, scale,
+                                                           psi):
+    # record, exception type and message, t, state and partial record, on
+    # starts that track, escape or raise; scale 30 starts far out, scale 0
+    # on the reference (h = 0, whose zeros' signs the record keeps)
+    plant = traced_poly_system(n, seed, variant)
+    gains = random_gains(n, seed, descending=True)
+    spec = LyapunovSpec(drift_bound=DriftBound((0.0, psi, psi), psi), c_n=gains.c[-1],
+                        kappa=gains.kappa)
+    ref = SineReference() if kind == "sine" else ConstantReference(0.3)
+    h0 = np.r_[-0.1 * scale, np.full(n - 1, 0.05 * scale)]
+    # from the plant without the variant's term, which the Taylor pass
+    # would raise at on floats
+    x0 = tuple(state_from_errors(random_poly_system(n, seed), h0, ref.stack(0.0, n), gains))
+    sc = Scenario(x0=x0, t_end=0.3, dt=1e-3, reference=ref)
+    if loop == "averaged":
+        def run():
+            return simulate_averaged(plant, spec, gains, sc, h0=h0)
+    else:
+        def run():
+            return run_scenario(plant, loop, gains, sc, lyap_spec=spec, theta0=0.5 * scale,
+                                nominal_reference=ConstantReference(-0.2) if kind == "constant"
+                                else "sine04")
+    python, compiled, path = _both_paths(run)
+    assert path.startswith("compiled")
+    assert compiled == python
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_the_demo_runs_take_the_compiled_loop_once_it_pays(loop, monkeypatch):
+    # below _COMPILE_STEPS a loop stays in Python; the run that reaches it
+    # builds the C loop, and it and the runs after it take it
+    monkeypatch.setattr(native, "_steps_run", {})
+    monkeypatch.setattr(native, "_built", {})
+    plant, gains = example_system(), demo_gains()
+    spec = example_lyapunov_spec(plant, gains, scale=sim.DEFAULT_PSI_SCALE)
+    short = Scenario(x0=(-0.5, 0.0), t_end=native._COMPILE_STEPS * 1e-3 / 2, dt=1e-3)
+    paths = []
+    for sc in (short, replace(short, t_end=short.t_end * 0.99), short):
+        if loop == "averaged":
+            simulate_averaged(plant, spec, gains, sc)
+        else:
+            run_scenario(plant, loop, gains, sc)
+        paths.append(native.PATHS[-1][1])
+    assert paths == ["python", "python", "compiled"]
+
+
+def test_a_compiled_run_in_blocks_is_one_run(monkeypatch):
+    # the C loop runs _BLOCK_STEPS steps per call; where a block ends does not show
+    plant, gains = example_system(), demo_gains()
+    sc = Scenario(x0=(0.2, 0.0), t_end=0.3, dt=1e-3)
+    with native.forced("python"):
+        expected = run_scenario(plant, "safety-filter", gains, sc)[0].to_csv()
+    monkeypatch.setattr(native, "_BLOCK_STEPS", 7)
+    with native.forced("compiled"):
+        assert run_scenario(plant, "safety-filter", gains, sc)[0].to_csv() == expected
+    assert native.PATHS[-1][1] == "compiled"
+
+
+class _CalledSine(SineReference):
+    """The sine reference through a derivative of its own: a "call" stack."""
+
+    def derivative(self, t, k):
+        return SineReference.derivative(self, t, k)
+
+
+@pytest.mark.parametrize("what", ["gain", "reference"])
+def test_a_called_gain_or_reference_stays_in_python_without_gcc(what, monkeypatch):
+    # the C dialect writes no call, so the loop has no C form and gcc never runs
+    monkeypatch.setattr(native, "_compile", lambda *args: pytest.fail("gcc ran"))
+    plant = example_system()
+    if what == "gain":
+        plant = SystemModel(n=2, drift=plant.drift, xi1=plant.xi1, name="called",
+                            gain=lambda xs: 0.2 * math.sin(xs[1]) + 1.2)
+    sc = Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3,
+                  reference=_CalledSine() if what == "reference" else "sine04")
+    with native.forced("compiled"):
+        run_scenario(plant, "nominal", demo_gains(), sc)
+    assert native.PATHS[-1] == (f"nominal loop of {plant.name}", "python")
+
+
+def test_a_record_off_the_c_layout_is_left_to_python():
+    plant = example_system()
+    with native.forced("compiled"):
+        run_scenario(plant, "es", demo_gains(), Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3))
+    [loop] = plant._steps.values()
+    compiled, size = native._built[loop.digest], 11
+    good = (np.empty(size), np.empty((size, 2)), np.empty((size, 2)), np.empty(size),
+            np.empty(size), np.empty(size, np.int8))
+    assert compiled._fits(good, size - 1)
+    for cols in (good[:5], (*good[:5], np.empty(size)), (good[0], np.empty((2, size)).T,
+                                                          *good[2:]), good[:1] + good[2:]):
+        assert not compiled._fits(cols, size - 1)
+    assert not compiled._fits(good, size + 1)
+
+
+# --- the fsum port -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def c_fsum(tmp_path_factory):
+    """native's fsum_, built alone: (values) -> (sum, failed)."""
+    cache = tmp_path_factory.mktemp("fsum")
+    path = cache / "fsum.so"
+    text = native._PRELUDE + ("double f(const double *xs, int n, int *bad) "
+                              "{ return fsum_(xs, n, bad); }\n")
+    if not native._compile(text, path, cache):
+        pytest.fail("gcc could not build the fsum harness")
+    fn = ctypes.CDLL(str(path)).f
+    fn.restype = ctypes.c_double
+    fn.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int, ctypes.POINTER(ctypes.c_int))
+
+    def fsum(values):
+        bad = ctypes.c_int(0)
+        out = fn((ctypes.c_double * len(values))(*values), len(values), ctypes.byref(bad))
+        return out, bad.value
+    return fsum
+
+
+_SPREAD = st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1, 1), st.integers(-80, 80))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_SPREAD, st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 1.0, 1e-16, 1e16, 2.0 ** 53])),
+                min_size=0, max_size=native._FSUM_TERMS))
+def test_the_c_fsum_is_math_fsum(c_fsum, values):
+    out, bad = c_fsum(values)
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        assert bad
+        return
+    assert not bad and math.copysign(1, out) == math.copysign(1, expected) and out == expected
+
+
+def test_the_c_fsum_rounds_half_even_across_partials(c_fsum):
+    for values in ([1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100], [-0.0, -0.0], [1e308, 1e308]):
+        out, bad = c_fsum(values)
+        if bad:
+            with pytest.raises(OverflowError):
+                math.fsum(values)
+        else:
+            assert out == math.fsum(values) and str(out) == str(math.fsum(values))
+
+
+# --- falling back to the Python loop ---------------------------------------------------
+
+DEMO = Scenario(x0=(-0.5, 0.0), t_end=0.2, dt=1e-3)
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh, empty cache and no loop built in this process yet."""
+    path = tmp_path / "cache"
+    monkeypatch.setattr(native, "_CACHE", path)
+    monkeypatch.setattr(native, "_built", {})
+    return path
+
+
+def _demo_csv(path="compiled"):
+    with native.forced(path):
+        return run_scenario(example_system(), "es", demo_gains(), DEMO)[0].to_csv()
+
+
+def _leftovers(cache):
+    """What the cache holds besides intact entries."""
+    return sorted(p.name for p in cache.iterdir() if not (
+        p.suffix == ".so" and native._intact(p))) if cache.exists() else []
+
+
+@pytest.mark.parametrize("compiler", ["no-such-compiler-on-this-path", "false"])
+def test_a_missing_or_failing_compiler_leaves_the_python_loop(cache, monkeypatch, compiler):
+    monkeypatch.setattr(native, "_CC", compiler)
+    expected = _demo_csv("python")
+    assert _demo_csv() == expected
+    assert native.PATHS[-1][1] == "python"
+    assert _leftovers(cache) == [] and list(cache.iterdir()) == []
+
+
+def _truncated_entry(cache):
+    """The cache entry of the demo's es loop, built and then cut short (as a
+    write that stopped would leave it), not loaded in this process."""
+    text = sim._step_source(example_system(), "es", 5, "sine", "constant", native.C)[0]
+    entry = cache / native._entry_name(text)
+    cache.mkdir(mode=0o700)
+    assert native._compile(text, entry, cache)
+    whole = entry.read_bytes()
+    (cache / "cut").write_bytes(whole[:len(whole) // 2])
+    os.replace(cache / "cut", entry)
+    return entry, whole
+
+
+def test_a_truncated_cache_entry_is_rebuilt_not_loaded(cache, monkeypatch):
+    entry, whole = _truncated_entry(cache)
+    loaded = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda path, cdll=ctypes.CDLL: loaded.append(
+        native._intact(native.Path(path))) or cdll(path))
+    expected = _demo_csv("python")
+    assert _demo_csv() == expected and native.PATHS[-1][1] == "compiled"
+    assert loaded == [True] and entry.read_bytes() == whole
+    assert _leftovers(cache) == []
+
+
+def test_a_truncated_entry_with_no_compiler_leaves_the_python_loop(cache, monkeypatch):
+    entry, whole = _truncated_entry(cache)
+    monkeypatch.setattr(native, "_CC", "false")
+    expected = _demo_csv("python")
+    assert _demo_csv() == expected and native.PATHS[-1][1] == "python"
+    assert entry.read_bytes() == whole[:len(whole) // 2]
+
+
+@pytest.mark.parametrize("how", ["under a file", "writable by others"])
+def test_an_unwritable_or_shared_cache_leaves_the_python_loop(tmp_path, monkeypatch, how):
+    if how == "under a file":
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "cache"
+    else:
+        path = tmp_path / "shared"
+        path.mkdir()
+        path.chmod(0o777)
+    monkeypatch.setattr(native, "_CACHE", path)
+    monkeypatch.setattr(native, "_built", {})
+    expected = _demo_csv("python")
+    assert _demo_csv() == expected and native.PATHS[-1][1] == "python"
+    assert not path.exists() or list(path.iterdir()) == []
+
+
+def test_two_builds_of_one_entry_at_once_leave_one_intact_entry(cache):
+    cache.mkdir(mode=0o700)
+    text = sim._step_source(example_system(), "nominal", None, "sine", None, native.C)[0]
+    done = []
+    threads = [threading.Thread(target=lambda: done.append(
+        native._compile(text, cache / "entry.so", cache))) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert done == [True, True] and os.listdir(cache) == ["entry.so"]
+    assert native._intact(cache / "entry.so")
