@@ -106,9 +106,9 @@ def main():
                          gain=lambda xs: 0.2 * math.sin(xs[1]) + 1.2)
     def digests(emit):
         """The digest of emit(sim.Python), the Python text, and of the C text."""
-        c_text = native.c_source(emit)
+        c_loop = native.c_source(emit)
         return (f"sha256 {sha256(emit(sim.Python))}, C "
-                + (f"sha256 {sha256(c_text)}" if c_text else "python only"))
+                + (f"sha256 {sha256(c_loop[0])}" if c_loop else "python only"))
 
     for plant, what in ((system, "the demo plant, as the runs above build them"),
                         (called, "the demo plant with a called (math.sin) gain")):

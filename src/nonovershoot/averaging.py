@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import native
 from .control import LyapunovSpec, _norm, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, stack_binding
-from .sim import (Python, _Recorder, _drive, _factory, _node_stack, _rk4, _seq, _stack_fetch,
-                  fmt, refine_dt, run_scenario)
+from .sim import (Python, _Recorder, _drive, _node_stack, _rk4, _seq, _stack_fetch, fmt,
+                  refine_dt, run_scenario)
 from .synth import (Bound, GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, stack_order, state_from_errors, trace)
 
@@ -98,11 +97,9 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     kind, ref_b = stack_binding(ref, n)
     def emit(lang):
         return _averaged_source(sys, nw, kind, lang)
-    loop = _factory(sys, ("averaged", nw, kind), emit)
-    args = (sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append)
-    pos = native.run(loop, emit, rec, tuple(np.asarray(h0, dtype=float).tolist()), nsteps,
-                     args)
-    _drive(loop.make(*args), rec, pos, nsteps, dt, n, ref, None)
+    _drive(sys, ("averaged", nw, kind), emit,
+           (sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append), rec,
+           tuple(np.asarray(h0, dtype=float).tolist()), nsteps, dt, ref, None)
     return out
 
 
@@ -115,20 +112,20 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     stack, of the given kind (``model.stack_binding``, as in
     ``sim._step_source``), and append takes each step's start hbar; nw is
     the number of the Lyapunov weight's coefficients.  make returns
-    advance (``sim.Python.source``), as the closed loop's does.  Every RK4 node
-    time sets the stack once and every node calls one node function:
-    ``averaged_rhs`` written out from the plant's ``state``, ``gain`` and
-    ``residual`` tapes and its kernel's, traced here with its |hbar|,
-    rendered together (``synth.render``).  Compiled on the plant's first
-    averaged run."""
+    advance and the run constants (``sim.Python.source``), as the closed
+    loop's does.  Every RK4 node time sets the stack once and every node
+    calls one node function: ``averaged_rhs`` written out from the
+    plant's ``state``, ``gain`` and ``residual`` tapes and its kernel's,
+    traced here with its |hbar|, rendered together (``synth.render``).
+    Compiled on the plant's first averaged run."""
     n = sys.n
     P = [f"p{i}" for i in range(n)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
     state, gain, residual = (sys._tapes[k] for k in ("state", "gain", "residual"))
     bound = Bound([*c, *wc, "coef"])
     setup = ["gain = plant.gain", f"{_seq(c)}= gains.c", f"{_seq(wc)}= spec._weight_coeffs"]
-    Y, params, at = _node_stack(_stack_fetch("ref", kind, n, bound, setup, lang), bound,
-                                stack_order(state, residual))
+    fetch = _stack_fetch("ref", kind, n, bound, setup, lang)
+    Y, params, at = _node_stack(fetch, bound, fetch("t", "ya", stack_order(state, residual))[1])
     rates = trace(averaged_error_rates, [*P, residual], c, "coef", gain, wc)
     (x_lines, _), (g_lines, _), (d_lines, _), (r_lines, R) = render(
         [(state, "w", P, Y), (gain, "g", state, ()), (residual, "v", state, Y),
@@ -139,8 +136,9 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     first = [*[lang.let("t", "k * dt")] * bool(ya_lines),
              *lang.record(f"({_seq(S)})", [("double", [v]) for v in S]), *ya_lines,
              lang.unpack([f"k1_{i}" for i in range(n)], lang.call("node", f"{_seq(S)}{ya}"))]
-    return lang.source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines, defs,
-                       n, n, _rk4(n, first, lang.call("node", "{S}{Y}"), at, lang),
+    return lang.source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines,
+                       ["dt", *sorted(bound.names), "half", "sixth"], defs, n, n,
+                       _rk4(n, first, lang.call("node", "{S}{Y}"), at, lang),
                        "averaged system diverged")
 
 

@@ -9,7 +9,10 @@ builds one description of the loop and writes it through a dialect:
 in the same order, with the same operands; CPython's ``math`` calls the
 C library's ``sin``, ``cos``, ``exp`` and ``pow`` (and float ``**`` its
 ``pow``), as the C loop does, so on one host the two agree bit for bit.
-gcc builds the C with
+One binder serves both loops: the Python loop's make returns advance and
+the values of the run constants, which the C loop reads in the order
+that the description gives both dialects; its declarations and record
+layout come from the description too.  gcc builds the C with
 
 * ``-O2``, never ``-ffast-math``, which would reassociate and drop the
   IEEE special cases;
@@ -51,7 +54,6 @@ import contextlib
 import hashlib
 import math
 import os
-import re
 from pathlib import Path
 
 from . import sim
@@ -211,14 +213,6 @@ static double fsum_(const double *xs, int count, int *bad_)
 """
 
 
-class _Function:
-    """A C function of the loop, less the declarations that ``C.source``
-    adds once it knows every run constant's slot."""
-
-    def __init__(self, head: str, params, body, tail):
-        self.head, self.params, self.body, self.tail = head, set(params), body, tail
-
-
 class C:
     """The generated loops' constructs in C (``sim.Python``): the step is
     the body of a loop over k in advance(k, stop, st_, B_, cols_, rs_),
@@ -226,7 +220,12 @@ class C:
     in B_, writing each sample into the record's columns cols_ (row
     strides rs_), and returns the step where it stopped, st_ then its
     start state.  It never records the last sample alone: the Python loop
-    does that."""
+    does that.  An instance writes one loop and keeps the names that its
+    lets and unpacks assign, which each function declares, and the
+    record's row, (C type, items) per column: the layout that it writes."""
+
+    def __init__(self):
+        self.assigned, self.row = set(), None
 
     @staticmethod
     def form(form: str) -> str:
@@ -257,8 +256,8 @@ class C:
             return "INFINITY" if value > 0 else "(-INFINITY)"
         return f"({value!r})" if value < 0 or math.copysign(1, value) < 0 else repr(value)
 
-    @staticmethod
-    def let(v: str, expr: str) -> str:
+    def let(self, v: str, expr: str) -> str:
+        self.assigned.add(v)
         return f"{v} = {expr};"
 
     @staticmethod
@@ -269,23 +268,30 @@ class C:
     def state(S) -> list:
         return []
 
-    @staticmethod
-    def record(text: str, row) -> list:
+    def record(self, text: str, row) -> list:
+        self.row = row
         return [f"(({ctype} *)cols_[{j}])[k * rs_[{j}]{f' + {i}' * (len(items) > 1)}] = {v};"
                 for j, (ctype, items) in enumerate(row) for i, v in enumerate(items)]
 
-    @staticmethod
-    def node(name: str, params, body, outs) -> list:
+    def node(self, name: str, params, body, outs) -> list:
         args = "".join(f"double {p}, " for p in params)
-        return [_Function(f"static void {name}(const double *B_, int *bad_, {args}double *out_)",
-                          params, body, [f"out_[{i}] = {o};" for i, o in enumerate(outs)])]
+        return self._function(
+            f"static void {name}(const double *B_, int *bad_, {args}double *out_)", params,
+            [*body, *(f"out_[{i}] = {o};" for i, o in enumerate(outs))])
+
+    def _function(self, head: str, params, body) -> list:
+        """The function head over params: the run constants, the names the
+        loop assigns (params aside), then body."""
+        local = sorted(self.assigned - set(params))
+        return [head, "{", "    RUN_CONSTANTS_", *[f"    double {', '.join(local)};"] * bool(local),
+                *(f"    {v}" for v in body), "}", ""]
 
     @staticmethod
     def call(name: str, args: str) -> str:
         return f"{name}(B_, bad_, {args}kk_)"
 
-    @staticmethod
-    def unpack(targets, call: str) -> str:
+    def unpack(self, targets, call: str) -> str:
+        self.assigned.update(targets)
         return " ".join([f"{call};", *(f"{v} = kk_[{i}];" for i, v in enumerate(targets))])
 
     @staticmethod
@@ -297,46 +303,25 @@ class C:
         return [f"if ({cond}) {{", *(f"    {v}" for v in then), "} else {",
                 *(f"    {v}" for v in other), "}"]
 
-    @staticmethod
-    def source(params: str, setup: list, defs: list, m: int, n: int, step: list,
-               cause: str):
-        """(the C text, the binder's Python text).  The binder pack(<params>)
-        runs make's setup lines and returns the run constants that the C
-        reads, in the order of their slots in B_."""
-        state = [f"s{i}" for i in range(m)]
-        in_range = " && ".join(f"fabs(n{i}) <= {C.operand(repr(sim._STATE_LIMIT))}"
-                               for i in range(m))
-        loop = _Function(
+    def source(self, params: str, setup: list, consts: list, defs: list, m: int, n: int,
+               step: list, cause: str):
+        """(the C text, the record's row).  B_ holds the run constants
+        consts, in order, as the Python make returns them."""
+        in_range = " && ".join(f"fabs(n{i}) <= {sim._STATE_LIMIT!r}" for i in range(m))
+        loop = self._function(
             "long advance(long k, long stop, double *st_, const double *B_, void **cols_, "
-            "const long *rs_)", ["k"],
-            [f"double {', '.join(f'{s} = st_[{i}]' for i, s in enumerate(state))};",
+            "const long *rs_)", (),
+            [f"double {', '.join(f's{i} = st_[{i}]' for i in range(m))};",
              f"double kk_[{m}];", "int failed_ = 0, *bad_ = &failed_;", "fexcept_t saved_;",
              "fegetexceptflag(&saved_, FLAGS_);", "feclearexcept(FLAGS_);",
              "for (; k < stop; k++) {", *(f"    {v}" for v in step),
              f"    if (!({in_range}) || *bad_ || fetestexcept(FLAGS_))", "        break;",
-             *(f"    s{i} = n{i};" for i in range(m)), "}"],
-            [*(f"st_[{i}] = s{i};" for i in range(m)), "fesetexceptflag(&saved_, FLAGS_);",
+             *(f"    s{i} = n{i};" for i in range(m)), "}",
+             *(f"st_[{i}] = s{i};" for i in range(m)), "fesetexceptflag(&saved_, FLAGS_);",
              "return k;"])
-        functions = [*defs, loop]
-        known = {v.strip() for line in [f"{params} = ", *setup]
-                 for v in line.split(" = ", 1)[0].split(",") if v.strip()} | {"half", "sixth"}
-        read = sorted(known & {w for f in functions for line in f.body
-                               for w in re.findall(r"[A-Za-z_]\w*", line)})
-        slot = {v: i for i, v in enumerate(read)}
-        text = [_PRELUDE]
-        for f in functions:
-            words = {w for line in f.body for w in re.findall(r"[A-Za-z_]\w*", line)}
-            assigned = sorted({v for line in f.body
-                               for v in re.findall(r"(?:^|;\s)\s*([A-Za-z_]\w*) = ", line)}
-                              - f.params - set(state))
-            consts = [f"{v} = B_[{slot[v]}]" for v in read if v in words]
-            text += [f.head, "{", *[f"    const double {', '.join(consts)};"] * bool(consts),
-                     *[f"    double {', '.join(assigned)};"] * bool(assigned),
-                     *(f"    {v}" for v in f.body), *(f"    {v}" for v in f.tail), "}", ""]
-        pack = "\n".join([f"def pack({params}):", *(f"    {line}" for line in setup),
-                          "    half = dt / 2", "    sixth = dt / 6",
-                          f"    return ({''.join(f'{v}, ' for v in read)})"])
-        return "\n".join(text), pack
+        slots = ", ".join(f"{v} = B_[{i}]" for i, v in enumerate(consts))
+        return "\n".join([_PRELUDE, f"#define RUN_CONSTANTS_ const double {slots};", "", *defs,
+                          *loop]), self.row
 
 
 # --- building and running -----------------------------------------------------------
@@ -358,24 +343,15 @@ def forced(path: str):
         _forced = saved
 
 
-# a record write of C.record: its C type, column and item
-_WRITE = re.compile(r"\(\((double|signed char) \*\)cols_\[(\d+)\]\)"
-                    r"\[k \* rs_\[\d+\](?: \+ (\d+))?\]")
 _DTYPES = {"double": "float64", "signed char": "int8"}
 
 
 class _Compiled:
-    """A built loop: the C function advance, its binder pack, and the
-    layout of the record that it writes: per column, its dtype and items
-    per row, read off the C's record writes (``C.record``)."""
+    """A built loop: the C function advance, and the layout of the record
+    that it writes, per column its dtype and items per row (``C.record``)."""
 
-    def __init__(self, fn, pack, m: int, text: str):
-        self.fn, self.pack, self.m = fn, pack, m
-        layout = {}
-        for ctype, j, i in _WRITE.findall(text):
-            width = layout.get(int(j), (None, 0))[1]
-            layout[int(j)] = (_DTYPES[ctype], max(width, int(i or 0) + 1))
-        self.layout = [layout[j] for j in range(len(layout))]
+    def __init__(self, fn, row):
+        self.fn, self.layout = fn, [(_DTYPES[ctype], len(items)) for ctype, items in row]
 
     def _fits(self, cols, nsteps: int) -> bool:
         """Whether the arrays cols hold nsteps rows of the record's layout,
@@ -386,23 +362,22 @@ class _Compiled:
                 and (width == 1 or a.strides[1] == a.itemsize))
             for a, (dtype, width) in zip(cols, self.layout))
 
-    def run(self, rec, start, nsteps: int, args):
+    def run(self, rec, start, nsteps: int, consts):
         """Steps 0..nsteps-1 from start into rec's arrays, each as the
         Python loop takes it: [k, state] where it stopped, k = nsteps
         unless step k is for the Python loop to take.  [0, start] where
-        rec's arrays do not fit the layout or a run constant is past the
-        float range."""
+        rec's arrays do not fit the layout or a run constant (of consts,
+        their values) is past the float range."""
         import ctypes
         cols = rec.cols
-        try:
-            vals = [float(v) for v in self.pack(*args)]
-        except OverflowError:
-            return [0, start]
         if not self._fits(cols, nsteps):
             return [0, start]
-        st = (ctypes.c_double * self.m)(*start)
-        ptrs = ((ctypes.c_double * len(vals))(*vals),
-                (ctypes.c_void_p * len(cols))(*(a.ctypes.data for a in cols)),
+        try:
+            vals = (ctypes.c_double * len(consts))(*consts)
+        except OverflowError:
+            return [0, start]
+        st = (ctypes.c_double * len(start))(*start)
+        ptrs = (vals, (ctypes.c_void_p * len(cols))(*(a.ctypes.data for a in cols)),
                 (ctypes.c_long * len(cols))(*(a.strides[0] // a.itemsize for a in cols)))
         k = stop = 0
         while k == stop < nsteps:       # in blocks, so that a signal is seen between them
@@ -412,30 +387,30 @@ class _Compiled:
         return [k, tuple(st)] if k else [0, start]
 
 
-def run(loop, emit, rec, start, nsteps: int, args):
-    """Run steps 0..nsteps-1 of loop (``sim._Loop``) in C where it is built
-    or, once its steps reach _COMPILE_STEPS, can be built from emit(C), the
-    C dialect's (C text, binder) of its description; record the path taken
-    in PATHS.  Returns [k, state], the step from which the Python loop
-    takes over and that step's start state, [0, start] if C ran none."""
+def run(loop, emit, rec, start, nsteps: int, consts):
+    """Run steps 0..nsteps-1 of loop (``sim._Loop``) on its run constants'
+    values consts in C where it is built or, once its steps reach
+    _COMPILE_STEPS, can be built from its description emit(C()); record the
+    path taken in PATHS.  Returns [k, state], the step from which the Python
+    loop takes over and that step's start state, [0, start] if C ran none."""
     digest = loop.digest
     total = _steps_run[digest] = _steps_run.get(digest, 0) + nsteps
     compiled = None
     if _forced != "python":
         if digest not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
-            _built[digest] = _build(emit, len(start))
+            _built[digest] = _build(emit)
         compiled = _built.get(digest)
-    pos = [0, start] if compiled is None else compiled.run(rec, start, nsteps, args)
-    k = pos[0]
-    PATHS.append((loop.label, "python" if compiled is None else "compiled" if k == nsteps
-                  else f"compiled to step {k}, then python"))
+    pos = [0, start] if compiled is None else compiled.run(rec, start, nsteps, consts)
+    PATHS.append((loop.label, "python" if compiled is None else "compiled" if pos[0] == nsteps
+                  else f"compiled to step {pos[0]}, then python"))
     return pos
 
 
 def c_source(emit):
-    """The C text of emit's description, None where it stays in Python."""
+    """(the C text, the record's row) of emit's description, None where it
+    stays in Python."""
     try:
-        return emit(C)[0]
+        return emit(C())
     except Untranslatable:
         return None
 
@@ -459,16 +434,14 @@ def libm_fingerprint() -> str:
     return out.hexdigest()
 
 
-def _build(emit, m: int):
+def _build(emit):
     """The _Compiled of emit's description, from the cache or built into
     it; None where it stays in Python."""
-    try:
-        text, pack_text = emit(C)
-    except Untranslatable:
-        return None
-    cache = _cache_dir()
+    described = c_source(emit)
+    cache = None if described is None else _cache_dir()
     if cache is None:
         return None
+    text, row = described
     path = cache / _entry_name(text)
     if not _intact(path) and not _compile(text, path, cache):
         return None
@@ -481,9 +454,7 @@ def _build(emit, m: int):
     fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
                    ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p),
                    ctypes.POINTER(ctypes.c_long))
-    scope = dict(sim._STEP_SCOPE)
-    exec(compile(pack_text, "<binder of a C loop>", "exec"), scope)
-    return _Compiled(fn, scope["pack"], m, text)
+    return _Compiled(fn, row)
 
 
 def _entry_name(text: str) -> str:

@@ -408,12 +408,11 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     ncoef = len(lyap_spec._value_coeffs) if needs_dither else None
     def emit(lang):
         return _step_source(sys, controller, ncoef, ref_kind, nom_kind, lang)
-    loop = _factory(sys, (controller, ncoef, ref_kind, nom_kind), emit)
-    args = (sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append)
     start = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     try:
-        pos = native.run(loop, emit, rec, start, nsteps, args)
-        _drive(loop.make(*args), rec, pos, nsteps, dt, n, ref, nominal_ref)
+        _drive(sys, (controller, ncoef, ref_kind, nom_kind), emit,
+               (sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append), rec, start, nsteps,
+               dt, ref, nominal_ref)
     except BlowupError as exc:
         exc.partial_trajectory = rec.trajectory(complete=False)
         raise
@@ -426,10 +425,13 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     return traj, report
 
 
-def _drive(advance, rec: _Recorder, pos: list, nsteps: int, dt: float, n: int, ref, nom):
-    """Run advance (``Python.source``) from pos, [k, the start state of
-    step k] (rec holding the samples before it): the steps k..nsteps-1 a
-    block of _FLUSH_ROWS at a time, flushing rec after each, then the last
+def _drive(sys: SystemModel, key, emit, args, rec: _Recorder, start, nsteps: int, dt: float,
+           ref, nom):
+    """One run of the loop of emit's description (``_factory``, cached on
+    sys under key) from the state start, on args, which its make binds,
+    into rec: the steps that C can take there (``native.run``), then from
+    the step where C stopped, advance (``Python.source``) to nsteps a block
+    of _FLUSH_ROWS at a time, flushing rec after each, then the last
     sample.  The one divergence diagnosis of the generated loops: besides
     the loop's range check, an ``OverflowError`` or math-domain
     ``ValueError`` (``model.is_divergence``) in step k is BlowupError
@@ -437,8 +439,10 @@ def _drive(advance, rec: _Recorder, pos: list, nsteps: int, dt: float, n: int, r
     a non-finite stack that it read (``_reference_fault``, on the stacks of
     the tracked reference ref and the safety filter's nominal reference
     nom, None for the other loops, bound then) is the cause instead.  Other
-    exceptions propagate; rec keeps what was recorded.  pos then holds
-    the step where the loop stopped and its start state."""
+    exceptions propagate; rec keeps what was recorded."""
+    loop = _factory(sys, key, emit)
+    advance, consts = loop.make(*args)
+    pos = native.run(loop, emit, rec, start, nsteps, consts)
     try:
         try:
             while pos[0] < nsteps:
@@ -451,16 +455,16 @@ def _drive(advance, rec: _Recorder, pos: list, nsteps: int, dt: float, n: int, r
                 raise
             k, state = pos
             raise BlowupError(f"arithmetic divergence: {exc}", t=k * dt,
-                              state=np.array(state[:n])) from None
+                              state=np.array(state[:sys.n])) from None
     except BlowupError:
         k, state = pos
-        ref_d = bound_stack(ref, n)
-        nom_d = None if nom is None else bound_stack(nom, n)
+        ref_d = bound_stack(ref, sys.n)
+        nom_d = None if nom is None else bound_stack(nom, sys.n)
         node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
         if node is None:
             raise
         raise BlowupError("non-finite reference value", t=node,
-                          state=np.array(state[:n])) from None
+                          state=np.array(state[:sys.n])) from None
 
 
 def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
@@ -594,10 +598,11 @@ class Python(synth.Python):
                 "else:", *(f"    {v}" for v in other)]
 
     @staticmethod
-    def source(params: str, setup: list, defs: list, m: int, n: int, step: list,
-               cause: str) -> str:
+    def source(params: str, setup: list, consts: list, defs: list, m: int, n: int,
+               step: list, cause: str) -> str:
         """``def make(<params>)``: the setup lines, the node functions defs,
-        then the run loop advance, which make returns.  advance(pos, stop,
+        then the run loop advance; make returns advance and the values of
+        the run constants consts, which the C loop reads.  advance(pos, stop,
         last=False) runs the steps pos[0]..stop-1 from the m floats pos[1]:
         each runs the lines step, which set t = k * dt where they read it,
         record the start sample (and return if last) and leave the new
@@ -619,7 +624,8 @@ class Python(synth.Python):
                           "            for k in range(k, stop):",
                           *(f"                {line}" for line in loop),
                           "            k = stop", "        finally:",
-                          f"            pos[:] = k, ({S})", "    return advance"])
+                          f"            pos[:] = k, ({S})",
+                          f"    return advance, ({_seq(consts)})"])
 
 
 def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list, lang):
@@ -628,7 +634,9 @@ def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list, lang):
     (``model.stack_binding``: kind and binding), and its items 0..order,
     named with prefix.  A built-in form is written out to that order
     (``synth.stack_tape``) over its parameters, which setup unpacks here
-    and bound holds; any other stack is one call <name>(T), the rest _."""
+    and bound holds; any other stack is one call <name>(T), the rest _.
+    The items are the Python dialect's, so that the renders that read them
+    bind the same lines (which make runs for both loops) whatever lang."""
     if kind == "call":
         def fetch(T, prefix, order):
             Y = [f"{prefix}{i}" for i in range(order + 1)]
@@ -638,23 +646,25 @@ def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list, lang):
     params = [f"{letter}{i}" for i in range(STACK_FORMS[kind].size(n))]
     setup.append(f"{_seq(params)}= {name}")
     bound.names.update(params)
-    return lambda T, prefix, q: render([(stack_tape(kind, q), prefix, [T], params)],
-                                       bound, lang)[0]
+
+    def fetch(T, prefix, q):
+        segment = [(stack_tape(kind, q), prefix, [T], params)]
+        return render(segment, bound, lang)[0][0], render(segment, bound, Python)[0][1]
+    return fetch
 
 
-def _node_stack(fetch, bound: Bound, order: int):
+def _node_stack(fetch, bound: Bound, items):
     """(Y, params, at): how a node function reads fetch's stack
-    (``_stack_fetch``) to order.  Y are its items in the function, params
-    the names of those it takes as parameters: the items that vary with
-    time; the others, a constant reference's, it reads where make binds
-    them.  at(T, prefix) -> (lines, args) gives the lines that set the
-    stack at T and the text of those arguments."""
-    sample = fetch("T", "Y", order)[1]
-    takes = [v.isidentifier() and v not in bound.names for v in sample]
-    Y = [f"Y{k}" if take else v for k, (v, take) in enumerate(zip(sample, takes))]
+    (``_stack_fetch``), given its items at some time.  Y are its items in
+    the function, params the names of those it takes as parameters: the
+    items that vary with time; the others, a constant reference's, it
+    reads where make binds them.  at(T, prefix) -> (lines, args) gives the
+    lines that set the stack at T and the text of those arguments."""
+    takes = [v.isidentifier() and v not in bound.names for v in items]
+    Y = [f"Y{k}" if take else v for k, (v, take) in enumerate(zip(items, takes))]
 
     def at(T, prefix):
-        lines, Yt = fetch(T, prefix, order)
+        lines, Yt = fetch(T, prefix, len(items) - 1)
         return lines, _seq(v for v, take in zip(Yt, takes) if take)
     return Y, [v for v, take in zip(Y, takes) if take], at
 
@@ -663,7 +673,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                  nom_kind: Optional[str] = None, lang=Python):
     """Source of the closed-loop run loop of one plant and controller, in
     the dialect lang (``Python``, or ``native.C``, whose source is the C
-    loop and its binder).
+    loop and the record's row).
 
     make(plant, gains, spec, ref, nom, dt, append) binds one run's inputs,
     so one compiled loop serves every point of a sweep.  ref and nom bind
@@ -671,9 +681,9 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     (``model.stack_binding``), whose kinds ref_kind and nom_kind the loop
     is built for: a built-in form's parameters, which the nodes write the
     stack out from, or "call", a stack to call.  append takes one sample
-    row.  make returns advance (``Python.source``), whose steps each record the
-    sample at their start; advance(pos, nsteps + 1, True) only records the
-    last sample, with the same code.
+    row.  make returns advance and the run constants (``Python.source``);
+    advance's steps each record the sample at their start, and
+    advance(pos, nsteps + 1, True) only the last sample, with the same code.
 
     Every node evaluates the gain (its tape, traced or one call of the
     gain: ``synth.plant_tapes``) and checks the gain floor on it (not at
@@ -757,7 +767,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         (the lines pre after its floor check), then nodes 2 to 4, which
         call law's node function, added to defs here, on the stacks at
         their times (and the times, where its kernel reads t)."""
-        Yn, params, at = _node_stack(fetch, bound, order[law])
+        Yn, params, at = _node_stack(fetch, bound, Y)
         body, kernel = node(law, P, Yn, "k_")
         T = ["t"] * any("t" in entry[2] for entry in kernel.entries)
         defs.extend(lang.node(f"node_{law}", P + T + params, body, [f"k_{i}" for i in range(m)]))
@@ -777,8 +787,9 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                                step("es", ref, ya, [], 1))]
     else:
         lines += step(controller, ref, ya, ya_lines, -1)
-    return lang.source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines, defs,
-                       m, n, lines, "state left the finite range")
+    return lang.source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines,
+                       ["dt", "floor", *sorted(bound.names), "half", "sixth"], defs, m, n, lines,
+                       "state left the finite range")
 
 
 def _default_id(sys, controller, scenario):

@@ -374,7 +374,7 @@ def render(segments, bound: Optional[Bound] = None, lang=Python) -> list:
                                             else lang.operand(o) for o in ops))
             d = 1 + max(depth.get(o, 0) for o in ops)
             if may_raise or uses[v] != 1 or v in named or d > _MAX_NESTING:
-                lines.append(expr if expr.startswith("if ") else lang.let(v, expr))
+                lines.append(expr if form.startswith("if ") else lang.let(v, expr))
             else:
                 nested[v], depth[v] = expr, d
         segment[:] = lines, [lang.operand(o) for o in segment[1]]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NO_SHRINK, random_gains, random_poly_system
 from nonovershoot import (ConstantReference, DriftBound, LyapunovSpec, Scenario, SineReference,
-                          SystemModel, demo_gains, dualnum, example_lyapunov_spec,
+                          SystemModel, averaging, demo_gains, dualnum, example_lyapunov_spec,
                           example_system, native, run_scenario, sim, simulate_averaged,
                           state_from_errors)
 
@@ -156,11 +156,18 @@ def test_a_called_gain_or_reference_stays_in_python_without_gcc(what, monkeypatc
 
 
 def test_a_record_off_the_c_layout_is_left_to_python():
+    # the layout is the row that the description records (``C.record``)
     plant = example_system()
     with native.forced("compiled"):
         run_scenario(plant, "es", demo_gains(), Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3))
     [loop] = plant._steps.values()
     compiled, size = native._built[loop.digest], 11
+    row = sim._step_source(plant, "es", 5, "sine", "constant", native.C())[1]
+    assert [(ctype, len(items)) for ctype, items in row] == [
+        ("double", 1), ("double", 2), ("double", 2), ("double", 1), ("double", 1),
+        ("signed char", 1)]
+    assert compiled.layout == [("float64", 1), ("float64", 2), ("float64", 2), ("float64", 1),
+                               ("float64", 1), ("int8", 1)]
     good = (np.empty(size), np.empty((size, 2)), np.empty((size, 2)), np.empty(size),
             np.empty(size), np.empty(size, np.int8))
     assert compiled._fits(good, size - 1)
@@ -168,6 +175,47 @@ def test_a_record_off_the_c_layout_is_left_to_python():
                                                           *good[2:]), good[:1] + good[2:]):
         assert not compiled._fits(cols, size - 1)
     assert not compiled._fits(good, size + 1)
+
+
+def _bindings(emit):
+    """What emit's description gives the Python and the C dialect of what
+    make binds: (its setup lines, the run constants) for each."""
+    given = []
+
+    class Python(sim.Python):
+        @staticmethod
+        def source(params, setup, consts, *rest):
+            given.append((setup, consts))
+            return ""
+
+    class C(native.C):
+        def source(self, params, setup, consts, *rest):
+            given.append((setup, consts))
+            return super().source(params, setup, consts, *rest)
+    emit(Python)
+    emit(C())
+    return given
+
+
+@pytest.mark.parametrize("kind", ["sine", "constant"])
+@pytest.mark.parametrize("plant", [example_system, *(lambda n=n: traced_poly_system(n, 1)
+                                                    for n in range(1, 5))],
+                         ids=["demo", "traced1", "traced2", "traced3", "traced4"])
+def test_both_dialects_bind_the_same_run_constants(plant, kind):
+    # the C loop reads its run constants in the order of consts from the
+    # values that the Python make returns, so the two descriptions must
+    # bind the same lines, whatever each dialect writes a constant as
+    plant = plant()
+    for loop in LOOPS:
+        if loop == "averaged":
+            def emit(lang):
+                return averaging._averaged_source(plant, 3, kind, lang)
+        else:
+            def emit(lang):
+                return sim._step_source(plant, loop, 5 if loop in sim.DITHERED else None, kind,
+                                        "constant" if kind == "sine" else "sine", lang)
+        python, c = _bindings(emit)
+        assert python == c and python[1][:1] == ["dt"] and python[1][-2:] == ["half", "sixth"]
 
 
 # --- the fsum port -------------------------------------------------------------------
@@ -256,7 +304,7 @@ def test_a_missing_or_failing_compiler_leaves_the_python_loop(cache, monkeypatch
 def _truncated_entry(cache):
     """The cache entry of the demo's es loop, built and then cut short (as a
     write that stopped would leave it), not loaded in this process."""
-    text = sim._step_source(example_system(), "es", 5, "sine", "constant", native.C)[0]
+    text = sim._step_source(example_system(), "es", 5, "sine", "constant", native.C())[0]
     entry = cache / native._entry_name(text)
     cache.mkdir(mode=0o700)
     assert native._compile(text, entry, cache)
@@ -303,7 +351,7 @@ def test_an_unwritable_or_shared_cache_leaves_the_python_loop(tmp_path, monkeypa
 
 def test_two_builds_of_one_entry_at_once_leave_one_intact_entry(cache):
     cache.mkdir(mode=0o700)
-    text = sim._step_source(example_system(), "nominal", None, "sine", None, native.C)[0]
+    text = sim._step_source(example_system(), "nominal", None, "sine", None, native.C())[0]
     done = []
     threads = [threading.Thread(target=lambda: done.append(
         native._compile(text, cache / "entry.so", cache))) for _ in range(2)]
