@@ -108,7 +108,7 @@ def main():
         """The digest of emit(sim.Python), the Python text, and of the C text."""
         c_loop = native.c_source(emit)
         return (f"sha256 {sha256(emit(sim.Python))}, C "
-                + (f"sha256 {sha256(c_loop[0])}" if c_loop else "python only"))
+                + (f"sha256 {sha256(c_loop)}" if c_loop else "python only"))
 
     for plant, what in ((system, "the demo plant, as the runs above build them"),
                         (called, "the demo plant with a called (math.sin) gain")):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .control import LyapunovSpec, _norm, lyapunov_weight
 from .model import BlowupError, Scenario, SystemModel, get_reference, stack_binding
-from .sim import (Python, _Recorder, _drive, _node_stack, _rk4, _seq, _stack_fetch, fmt,
-                  refine_dt, run_scenario)
+from .sim import (Python, _drive, _node_stack, _rk4, _seq, _stack_fetch, fmt, refine_dt,
+                  run_scenario)
 from .synth import (Bound, GainConfig, _positive, check_gain_count, error_coords, error_drift,
                     horner, render, stack_order, state_from_errors, trace)
 
@@ -90,16 +90,14 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
         h0 = error_coords(sys, scenario.x0, ref.stack(0.0, n), gains)
     elif np.shape(h0) != (n,) or not np.all(np.isfinite(h0)):
         raise ValueError(f"h0 must be {n} finite numbers, got {h0!r}")
-    nsteps, dt = scenario.nsteps, scenario.dt
-    out = np.empty((nsteps + 1, n))
-    rec = _Recorder(tuple(out.T))       # the columns of out
+    dt = scenario.dt
     nw = len(spec._weight_coeffs)
     kind, ref_b = stack_binding(ref, n)
     def emit(lang):
         return _averaged_source(sys, nw, kind, lang)
-    _drive(sys, ("averaged", nw, kind), emit,
-           (sys, gains, spec, _coef(gains, halved), ref_b, dt, rec.rows.append), rec,
-           tuple(np.asarray(h0, dtype=float).tolist()), nsteps, dt, ref, None)
+    [out] = _drive(sys, ("averaged", nw, kind), emit,
+                   (sys, gains, spec, _coef(gains, halved), ref_b, dt),
+                   tuple(np.asarray(h0, dtype=float).tolist()), scenario.nsteps, dt, ref, None)
     return out
 
 
@@ -107,17 +105,18 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     """Source of the averaged system's run loop on one plant, in the
     dialect lang (as ``sim._step_source``).
 
-    make(plant, gains, spec, coef, ref, dt, append) binds one run: coef
+    make(plant, gains, spec, coef, ref, dt, size) binds one run: coef
     is the damping coefficient (``_coef``), ref binds the reference's
     stack, of the given kind (``model.stack_binding``, as in
-    ``sim._step_source``), and append takes each step's start hbar; nw is
-    the number of the Lyapunov weight's coefficients.  make returns
-    advance and the run constants (``sim.Python.source``), as the closed
-    loop's does.  Every RK4 node time sets the stack once and every node
-    calls one node function: ``averaged_rhs`` written out from the
-    plant's ``state``, ``gain`` and ``residual`` tapes and its kernel's,
-    traced here with its |hbar|, rendered together (``synth.render``).
-    Compiled on the plant's first averaged run."""
+    ``sim._step_source``), and size is the number of samples; nw is the
+    number of the Lyapunov weight's coefficients.  make returns advance,
+    the run constants and the record, one (size, n) array of each step's
+    start hbar (``sim.Python.source``), as the closed loop's does.  Every
+    RK4 node time sets the stack once and every node calls one node
+    function: ``averaged_rhs`` written out from the plant's ``state``,
+    ``gain`` and ``residual`` tapes and its kernel's, traced here with its
+    |hbar|, rendered together (``synth.render``).  Compiled on the plant's
+    first averaged run."""
     n = sys.n
     P = [f"p{i}" for i in range(n)]
     c, wc = [f"c{i}" for i in range(n)], [f"wc{k}" for k in range(nw)]
@@ -133,13 +132,14 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     defs = lang.node("node", P + params, [*x_lines, *g_lines, *d_lines, *r_lines], R)
     S = [f"s{i}" for i in range(n)]
     ya_lines, ya = at("t", "ya")
+    row = [("d", S)]
     first = [*[lang.let("t", "k * dt")] * bool(ya_lines),
-             *lang.record(f"({_seq(S)})", [("double", [v]) for v in S]), *ya_lines,
+             *lang.record(row), *ya_lines,
              lang.unpack([f"k1_{i}" for i in range(n)], lang.call("node", f"{_seq(S)}{ya}"))]
-    return lang.source("plant, gains, spec, coef, ref, dt, append", setup + bound.lines,
+    return lang.source("plant, gains, spec, coef, ref, dt", setup + bound.lines,
                        ["dt", *sorted(bound.names), "half", "sixth"], defs, n, n,
                        _rk4(n, first, lang.call("node", "{S}{Y}"), at, lang),
-                       "averaged system diverged")
+                       "averaged system diverged", row)
 
 
 # --- generic dither coupling ---------------------------------------------------

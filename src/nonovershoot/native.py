@@ -9,10 +9,12 @@ builds one description of the loop and writes it through a dialect:
 in the same order, with the same operands; CPython's ``math`` calls the
 C library's ``sin``, ``cos``, ``exp`` and ``pow`` (and float ``**`` its
 ``pow``), as the C loop does, so on one host the two agree bit for bit.
-One binder serves both loops: the Python loop's make returns advance and
-the values of the run constants, which the C loop reads in the order
-that the description gives both dialects; its declarations and record
-layout come from the description too.  gcc builds the C with
+One binder serves both loops: the Python loop's make returns advance, the
+values of the run constants, which the C loop reads in the order that
+the description gives both dialects, and the record, the arrays that it
+allocates from the description's row, into which both loops write each
+sample at its step's index, each column's width compiled in.  gcc builds
+the C with
 
 * ``-O2``, never ``-ffast-math``, which would reassociate and drop the
   IEEE special cases;
@@ -42,16 +44,17 @@ directory, under the sha256 of its C text, flags and machine, with the
 sha256 of its own bytes appended, so that a truncated or otherwise
 corrupt entry is rebuilt, not loaded; entries are written to a
 temporary name and renamed into place, so that processes can build at
-once.  ``ctypes`` and ``subprocess`` are imported on the first build.
-What a process has built, and the steps its loops have run, are kept
-for the process (``_built``, ``_steps_run``): the rule counts every run
-of a loop, whichever plant object or caller it came from.
+once.  ``ctypes`` and ``subprocess`` are imported on the first build,
+``hashlib`` where an entry is named, checked or built.  What a process
+has built, and the steps its loops have run, are kept for the process
+under each loop's Python text (``_built``, ``_steps_run``): the rule
+counts every run of a loop, whichever plant object or caller it came
+from.
 """
 
 import array
 import collections
 import contextlib
-import hashlib
 import math
 import os
 from pathlib import Path
@@ -86,6 +89,8 @@ _C_FORMS = {
 }
 
 _FSUM_TERMS = 64     # terms of the longest fsum the C writes (its partials' room)
+
+_C_TYPES = {"d": "double", "b": "signed char"}      # of the record's struct codes
 
 # CPython's rules for where float arithmetic and math raise, on which the
 # helpers set *bad_: math_1 (Modules/mathmodule.c) for sin, cos, exp and
@@ -215,17 +220,16 @@ static double fsum_(const double *xs, int count, int *bad_)
 
 class C:
     """The generated loops' constructs in C (``sim.Python``): the step is
-    the body of a loop over k in advance(k, stop, st_, B_, cols_, rs_),
-    which runs the steps k..stop-1 from the state st_, the run constants
-    in B_, writing each sample into the record's columns cols_ (row
-    strides rs_), and returns the step where it stopped, st_ then its
-    start state.  It never records the last sample alone: the Python loop
-    does that.  An instance writes one loop and keeps the names that its
-    lets and unpacks assign, which each function declares, and the
-    record's row, (C type, items) per column: the layout that it writes."""
+    the body of a loop over k in advance(k, stop, st_, B_, cols_), which
+    runs the steps k..stop-1 from the state st_, the run constants in B_,
+    writing each sample into the record's arrays cols_, and returns the
+    step where it stopped, st_ then its start state.  It never records the
+    last sample alone: the Python loop does that.  An instance writes one
+    loop and keeps the names that its lets and unpacks assign, which each
+    function declares."""
 
     def __init__(self):
-        self.assigned, self.row = set(), None
+        self.assigned = set()
 
     @staticmethod
     def form(form: str) -> str:
@@ -265,13 +269,9 @@ class C:
         return f"if ({g} * {g} < floor) *bad_ = 1;"
 
     @staticmethod
-    def state(S) -> list:
-        return []
-
-    def record(self, text: str, row) -> list:
-        self.row = row
-        return [f"(({ctype} *)cols_[{j}])[k * rs_[{j}]{f' + {i}' * (len(items) > 1)}] = {v};"
-                for j, (ctype, items) in enumerate(row) for i, v in enumerate(items)]
+    def record(row) -> list:
+        return [f"(({_C_TYPES[row[j][0]]} *)cols_[{j}])[{index}] = {v};"
+                for j, index, v in sim._cells(row)]
 
     def node(self, name: str, params, body, outs) -> list:
         args = "".join(f"double {p}, " for p in params)
@@ -304,13 +304,13 @@ class C:
                 *(f"    {v}" for v in other), "}"]
 
     def source(self, params: str, setup: list, consts: list, defs: list, m: int, n: int,
-               step: list, cause: str):
-        """(the C text, the record's row).  B_ holds the run constants
-        consts, in order, as the Python make returns them."""
+               step: list, cause: str, row) -> str:
+        """The C text.  B_ holds the run constants consts, in order, and
+        cols_ the record's arrays, as the Python make returns them (whose
+        source allocates them from row)."""
         in_range = " && ".join(f"fabs(n{i}) <= {sim._STATE_LIMIT!r}" for i in range(m))
         loop = self._function(
-            "long advance(long k, long stop, double *st_, const double *B_, void **cols_, "
-            "const long *rs_)", (),
+            "long advance(long k, long stop, double *st_, const double *B_, void **cols_)", (),
             [f"double {', '.join(f's{i} = st_[{i}]' for i in range(m))};",
              f"double kk_[{m}];", "int failed_ = 0, *bad_ = &failed_;", "fexcept_t saved_;",
              "fegetexceptflag(&saved_, FLAGS_);", "feclearexcept(FLAGS_);",
@@ -321,13 +321,13 @@ class C:
              "return k;"])
         slots = ", ".join(f"{v} = B_[{i}]" for i, v in enumerate(consts))
         return "\n".join([_PRELUDE, f"#define RUN_CONSTANTS_ const double {slots};", "", *defs,
-                          *loop]), self.row
+                          *loop])
 
 
 # --- building and running -----------------------------------------------------------
 
-_steps_run = {}      # Python loop digest -> steps its runs took in this process
-_built = {}          # Python loop digest -> _Compiled, or None where it stays in Python
+_steps_run = {}      # Python loop text -> steps its runs took in this process
+_built = {}          # Python loop text -> its C advance, or None where it stays in Python
 _forced = None       # "compiled" or "python": the path every run takes (``forced``)
 
 
@@ -343,72 +343,49 @@ def forced(path: str):
         _forced = saved
 
 
-_DTYPES = {"double": "float64", "signed char": "int8"}
+def _run_c(fn, start, nsteps: int, consts, record):
+    """Steps 0..nsteps-1 of the C advance fn from start into the arrays
+    record, each as the Python loop takes it: [k, state, k] where it
+    stopped, k = nsteps unless step k is for the Python loop to take;
+    [0, start, 0] where a run constant (of consts, their values) is past
+    the float range."""
+    import ctypes
+    try:
+        vals = (ctypes.c_double * len(consts))(*consts)
+    except OverflowError:
+        return [0, start, 0]
+    st = (ctypes.c_double * len(start))(*start)
+    cols = (ctypes.c_void_p * len(record))(*(a.ctypes.data for a in record))
+    k = stop = 0
+    while k == stop < nsteps:       # in blocks, so that a signal is seen between them
+        stop = min(stop + _BLOCK_STEPS, nsteps)
+        k = fn(k, stop, st, vals, cols)
+    return [k, tuple(st), k] if k else [0, start, 0]
 
 
-class _Compiled:
-    """A built loop: the C function advance, and the layout of the record
-    that it writes, per column its dtype and items per row (``C.record``)."""
-
-    def __init__(self, fn, row):
-        self.fn, self.layout = fn, [(_DTYPES[ctype], len(items)) for ctype, items in row]
-
-    def _fits(self, cols, nsteps: int) -> bool:
-        """Whether the arrays cols hold nsteps rows of the record's layout,
-        each row's items adjacent."""
-        return len(cols) == len(self.layout) and all(
-            a.dtype == dtype and len(a) >= nsteps and (
-                a.ndim == 1 and width == 1 or a.ndim == 2 and a.shape[1] == width
-                and (width == 1 or a.strides[1] == a.itemsize))
-            for a, (dtype, width) in zip(cols, self.layout))
-
-    def run(self, rec, start, nsteps: int, consts):
-        """Steps 0..nsteps-1 from start into rec's arrays, each as the
-        Python loop takes it: [k, state] where it stopped, k = nsteps
-        unless step k is for the Python loop to take.  [0, start] where
-        rec's arrays do not fit the layout or a run constant (of consts,
-        their values) is past the float range."""
-        import ctypes
-        cols = rec.cols
-        if not self._fits(cols, nsteps):
-            return [0, start]
-        try:
-            vals = (ctypes.c_double * len(consts))(*consts)
-        except OverflowError:
-            return [0, start]
-        st = (ctypes.c_double * len(start))(*start)
-        ptrs = (vals, (ctypes.c_void_p * len(cols))(*(a.ctypes.data for a in cols)),
-                (ctypes.c_long * len(cols))(*(a.strides[0] // a.itemsize for a in cols)))
-        k = stop = 0
-        while k == stop < nsteps:       # in blocks, so that a signal is seen between them
-            stop = min(stop + _BLOCK_STEPS, nsteps)
-            k = self.fn(k, stop, st, *ptrs)
-        rec.count = k
-        return [k, tuple(st)] if k else [0, start]
-
-
-def run(loop, emit, rec, start, nsteps: int, consts):
+def run(loop, emit, start, nsteps: int, consts, record):
     """Run steps 0..nsteps-1 of loop (``sim._Loop``) on its run constants'
-    values consts in C where it is built or, once its steps reach
-    _COMPILE_STEPS, can be built from its description emit(C()); record the
-    path taken in PATHS.  Returns [k, state], the step from which the Python
-    loop takes over and that step's start state, [0, start] if C ran none."""
-    digest = loop.digest
-    total = _steps_run[digest] = _steps_run.get(digest, 0) + nsteps
-    compiled = None
+    values consts, into the arrays record that its make allocated, in C
+    where it is built or, once its steps reach _COMPILE_STEPS, can be
+    built from its description emit(C()); record the path taken in PATHS.
+    Returns [k, state, rows]: the step from which the Python loop takes
+    over, that step's start state and the rows written, k; [0, start, 0]
+    if C ran none."""
+    text = loop.text
+    total = _steps_run[text] = _steps_run.get(text, 0) + nsteps
+    fn = None
     if _forced != "python":
-        if digest not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
-            _built[digest] = _build(emit)
-        compiled = _built.get(digest)
-    pos = [0, start] if compiled is None else compiled.run(rec, start, nsteps, consts)
-    PATHS.append((loop.label, "python" if compiled is None else "compiled" if pos[0] == nsteps
+        if text not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
+            _built[text] = _build(emit)
+        fn = _built.get(text)
+    pos = [0, start, 0] if fn is None else _run_c(fn, start, nsteps, consts, record)
+    PATHS.append((loop.label, "python" if fn is None else "compiled" if pos[0] == nsteps
                   else f"compiled to step {pos[0]}, then python"))
     return pos
 
 
 def c_source(emit):
-    """(the C text, the record's row) of emit's description, None where it
-    stays in Python."""
+    """The C text of emit's description, None where it stays in Python."""
     try:
         return emit(C())
     except Untranslatable:
@@ -423,6 +400,7 @@ def libm_fingerprint() -> str:
     -2 t and -1.5 t there and of 20 001 points across [-700, 700].  Two
     hosts whose C libraries differ in a last bit of any of these print
     different fingerprints, and their runs may differ as much."""
+    import hashlib
     dt = 1e-3
     times = [v for k in range(50_000) for t in (k * dt,) for v in (t, t + dt / 2, t + dt)]
     phases = [rate * t for rate in (0.4, 60.0, 240.0, 960.0) for t in times]
@@ -435,13 +413,12 @@ def libm_fingerprint() -> str:
 
 
 def _build(emit):
-    """The _Compiled of emit's description, from the cache or built into
+    """The C advance of emit's description, from the cache or built into
     it; None where it stays in Python."""
-    described = c_source(emit)
-    cache = None if described is None else _cache_dir()
+    text = c_source(emit)
+    cache = None if text is None else _cache_dir()
     if cache is None:
         return None
-    text, row = described
     path = cache / _entry_name(text)
     if not _intact(path) and not _compile(text, path, cache):
         return None
@@ -452,14 +429,14 @@ def _build(emit):
         return None
     fn.restype = ctypes.c_long
     fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p),
-                   ctypes.POINTER(ctypes.c_long))
-    return _Compiled(fn, row)
+                   ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p))
+    return fn
 
 
 def _entry_name(text: str) -> str:
     """The cache entry of the C text: the sha256 of it, the flags and the
     machine."""
+    import hashlib
     return hashlib.sha256("\0".join([text, *_FLAGS, os.uname().machine]).encode()).hexdigest() \
         + ".so"
 
@@ -480,6 +457,7 @@ def _cache_dir():
 def _intact(path: Path) -> bool:
     """Whether the cache entry path is there, its last 32 bytes the sha256
     of the rest."""
+    import hashlib
     try:
         data = path.read_bytes()
     except OSError:
@@ -491,6 +469,7 @@ def _compile(text: str, path: Path, cache: Path) -> bool:
     """Build text into the cache entry path; False if it cannot be built
     or written.  gcc works in a temporary directory in the cache, removed
     afterwards, and the entry is renamed into place."""
+    import hashlib
     import shutil
     import subprocess
     import tempfile

@@ -29,7 +29,6 @@ and its exceptions, are the Python loop's bit for bit.
 """
 
 import bisect
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -321,37 +320,14 @@ def gains_text(gains: GainConfig) -> str:
     return ";".join(parts)
 
 
-_FLUSH_ROWS = 256   # samples buffered by _Recorder between flushes
 _CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
 
 
-class _Recorder:
-    """Samples, appended one tuple per sample to ``rows`` by a generated run
-    loop and flushed into the arrays ``cols``, one per tuple item, after
-    every block of _FLUSH_ROWS steps (``_drive``): an item write into a
-    numpy array costs about as much as a step's own bookkeeping, and an
-    unbounded list would hold every sample twice."""
-
-    def __init__(self, cols):
-        self.cols = cols
-        self.rows = []      # sample tuples since the last flush
-        self.count = 0      # rows already in the arrays
-
-    def flush(self):
-        if self.rows:
-            end = self.count + len(self.rows)
-            for arr, vals in zip(self.cols, zip(*self.rows)):
-                arr[self.count:end] = vals
-            self.count = end
-            self.rows.clear()
-
-    def trajectory(self, complete=True) -> Trajectory:
-        """The closed loop's rows, exactly; a partial record is copied out."""
-        self.flush()
-        t, x, h, u, yr, mode = (a if len(a) == self.count else a[:self.count].copy()
-                                for a in self.cols)
-        return Trajectory(t=t, x=x, h=h, u=u, yr=yr, margin=yr - x[:, 0], mode=mode,
-                          complete=complete)
+def _trajectory(record, complete=True) -> Trajectory:
+    """The closed loop's record (the arrays of ``_step_source``'s row)."""
+    t, x, h, u, yr, mode = record
+    return Trajectory(t=t, x=x, h=h, u=u, yr=yr, margin=yr - x[:, 0], mode=mode,
+                      complete=complete)
 
 
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
@@ -398,10 +374,7 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0!r}")
 
-    n, dt, nsteps = sys.n, scenario.dt, scenario.nsteps
-    size = nsteps + 1
-    rec = _Recorder((np.empty(size), np.empty((size, n)), np.empty((size, n)),
-                     np.empty(size), np.empty(size), np.empty(size, dtype=np.int8)))
+    n, dt = sys.n, scenario.dt
     ref_kind, ref_b = stack_binding(ref, n)
     nom_kind, nom_b = (None, None) if nominal_ref is None else stack_binding(nominal_ref, n)
     # of the Lyapunov shape only the number of its coefficients is compiled in
@@ -410,14 +383,13 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         return _step_source(sys, controller, ncoef, ref_kind, nom_kind, lang)
     start = tuple(scenario.x0) + ((theta0,) if controller == "nussbaum" else ())
     try:
-        _drive(sys, (controller, ncoef, ref_kind, nom_kind), emit,
-               (sys, gains, lyap_spec, ref_b, nom_b, dt, rec.rows.append), rec, start, nsteps,
-               dt, ref, nominal_ref)
+        traj = _trajectory(_drive(sys, (controller, ncoef, ref_kind, nom_kind), emit,
+                                  (sys, gains, lyap_spec, ref_b, nom_b, dt), start,
+                                  scenario.nsteps, dt, ref, nominal_ref))
     except BlowupError as exc:
-        exc.partial_trajectory = rec.trajectory(complete=False)
+        exc.partial_trajectory = _trajectory(exc.record, complete=False)
         raise
 
-    traj = rec.trajectory()
     descending = check_gains(sys, gains, "descending").ok   # else no envelope: NaN
     bounds = bound_report(gains, "descending") if descending else None
     report = overshoot_report(traj, gains, bounds, delta_est,
@@ -425,46 +397,44 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
     return traj, report
 
 
-def _drive(sys: SystemModel, key, emit, args, rec: _Recorder, start, nsteps: int, dt: float,
-           ref, nom):
+def _drive(sys: SystemModel, key, emit, args, start, nsteps: int, dt: float, ref, nom):
     """One run of the loop of emit's description (``_factory``, cached on
-    sys under key) from the state start, on args, which its make binds,
-    into rec: the steps that C can take there (``native.run``), then from
-    the step where C stopped, advance (``Python.source``) to nsteps a block
-    of _FLUSH_ROWS at a time, flushing rec after each, then the last
-    sample.  The one divergence diagnosis of the generated loops: besides
-    the loop's range check, an ``OverflowError`` or math-domain
+    sys under key) from the state start, on args and the record's size,
+    which its make binds: the steps that C can take there (``native.run``),
+    then from the step where C stopped, advance (``Python.source``) to
+    nsteps, then the last sample.  Returns the record, the arrays that make
+    allocates.  The one divergence diagnosis of the generated loops:
+    besides the loop's range check, an ``OverflowError`` or math-domain
     ``ValueError`` (``model.is_divergence``) in step k is BlowupError
     "arithmetic divergence: <cause>" at k * dt, and once a step has failed,
     a non-finite stack that it read (``_reference_fault``, on the stacks of
     the tracked reference ref and the safety filter's nominal reference
-    nom, None for the other loops, bound then) is the cause instead.  Other
-    exceptions propagate; rec keeps what was recorded."""
+    nom, None for the other loops, bound then) is the cause instead.  A
+    BlowupError carries the rows recorded before it, copied out, as
+    ``record``; other exceptions propagate."""
     loop = _factory(sys, key, emit)
-    advance, consts = loop.make(*args)
-    pos = native.run(loop, emit, rec, start, nsteps, consts)
+    advance, consts, record = loop.make(*args, nsteps + 1)
+    pos = native.run(loop, emit, start, nsteps, consts, record)
     try:
         try:
-            while pos[0] < nsteps:
-                advance(pos, min(pos[0] + _FLUSH_ROWS, nsteps))
-                rec.flush()
+            advance(pos, nsteps)
             advance(pos, nsteps + 1, True)      # the last sample only
-            rec.flush()
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise
-            k, state = pos
+            k, state, _ = pos
             raise BlowupError(f"arithmetic divergence: {exc}", t=k * dt,
                               state=np.array(state[:sys.n])) from None
-    except BlowupError:
-        k, state = pos
+    except BlowupError as exc:
+        k, state, rows = pos
         ref_d = bound_stack(ref, sys.n)
         nom_d = None if nom is None else bound_stack(nom, sys.n)
         node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
-        if node is None:
-            raise
-        raise BlowupError("non-finite reference value", t=node,
-                          state=np.array(state[:sys.n])) from None
+        if node is not None:
+            exc = BlowupError("non-finite reference value", t=node, state=np.array(state[:sys.n]))
+        exc.record = tuple(a[:rows].copy() for a in record)
+        raise exc from None
+    return record
 
 
 def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
@@ -492,18 +462,18 @@ def _reference_fault(ref_d, nom_d, t: float, x1: float, dt: float, last: bool):
 
 # --- generated closed-loop run loop -----------------------------------------------
 
-_STEP_SCOPE = dict(TAPE_SCOPE, array=np.array,
+_STEP_SCOPE = dict(TAPE_SCOPE, array=np.array, empty=np.empty,
                    BlowupError=BlowupError, GAIN_FLOOR_TOL=GAIN_FLOOR_TOL)
 
 
 @dataclass(frozen=True)
 class _Loop:
     """A generated run loop of one plant: make, compiled from its Python
-    source, whose sha256 digest keys the loop's C build (``native.run``),
-    and label, which names it."""
+    source text, which keys the loop's C build (``native.run``), and label,
+    which names it."""
 
     make: object
-    digest: str
+    text: str
     label: str
 
 
@@ -515,8 +485,7 @@ def _factory(sys: SystemModel, key, emit) -> _Loop:
         text, label = emit(Python), f"{key[0]} loop of {sys.name}"
         scope = dict(_STEP_SCOPE)
         exec(compile(text, f"<{label}>", "exec"), scope)
-        loop = sys._steps[key] = _Loop(scope["make"], hashlib.sha256(text.encode()).hexdigest(),
-                                       label)
+        loop = sys._steps[key] = _Loop(scope["make"], text, label)
     return loop
 
 
@@ -546,6 +515,20 @@ def _rk4(m: int, first: list, call: str, fetch, lang) -> list:
                     for i in range(m)]
 
 
+def _cells(row):
+    """(j, index, item) for each item of a sample in the record's row: per
+    column a struct code ("d" or "b") and its items, one text for a 1-D
+    column or a list of w texts for an (N, w) one; the item goes into
+    column j at the flat index (a text over the step k) of row k."""
+    for j, (_, items) in enumerate(row):
+        if isinstance(items, str):
+            yield j, "k", items
+        else:
+            w = len(items)
+            for i, v in enumerate(items):
+                yield j, "k" if w == 1 else f"k * {w}" + f" + {i}" * bool(i), v
+
+
 class Python(synth.Python):
     """The text of a generated loop's constructs in Python, the loop that
     every run can take; ``native.C`` writes the same constructs in C.  An
@@ -559,16 +542,13 @@ class Python(synth.Python):
         return f"if {g} * {g} < floor{' and not last' * first}: raise violation({g}, {state})"
 
     @staticmethod
-    def state(S) -> list:
-        """The lines that name node 1's state tuple xs (S its items)."""
-        return [f"xs = ({_seq(S)})"]
-
-    @staticmethod
-    def record(text: str, row) -> list:
-        """The lines that record one sample, the tuple text, whose items
-        (``_Recorder``'s columns) are row: (C type, texts) each; the last
-        sample ends the run there."""
-        return [f"append({text})", "if last: return"]
+    def record(row) -> list:
+        """The lines that write one sample, the items of row (``_cells``),
+        straight into the record's arrays at row k, through the flat view
+        r<j>_ of column j, and count k + 1 rows; the last sample ends the
+        run there."""
+        return [*(f"r{j}_[{index}] = {v}" for j, index, v in _cells(row)), "rows = k + 1",
+                "if last: return"]
 
     @staticmethod
     def node(name: str, params, body, outs) -> list:
@@ -599,10 +579,12 @@ class Python(synth.Python):
 
     @staticmethod
     def source(params: str, setup: list, consts: list, defs: list, m: int, n: int,
-               step: list, cause: str) -> str:
-        """``def make(<params>)``: the setup lines, the node functions defs,
-        then the run loop advance; make returns advance and the values of
-        the run constants consts, which the C loop reads.  advance(pos, stop,
+               step: list, cause: str, row) -> str:
+        """``def make(<params>, size)``: the setup lines, the node functions
+        defs, the record, then the run loop advance; make returns advance,
+        the values of the run constants consts, which the C loop reads, and
+        the record: per column of row (``_cells``) an array of size rows of
+        its struct code, (size, w) for a list of w items.  advance(pos, stop,
         last=False) runs the steps pos[0]..stop-1 from the m floats pos[1]:
         each runs the lines step, which set t = k * dt where they read it,
         record the start sample (and return if last) and leave the new
@@ -610,22 +592,28 @@ class Python(synth.Python):
         generated loop: a new item beyond +-_STATE_LIMIT, or NaN, raises
         BlowupError(cause) at (k + 1) * dt with the new state's first n
         items.  Whether advance returns or raises, pos then holds the step
-        where it stopped and that step's start state: stop and the state
-        reached, or the step that failed."""
+        where it stopped, that step's start state and the rows recorded:
+        stop, the state reached and stop rows, or the step k that failed and
+        k rows, k + 1 where it failed after its record."""
         S, N = (_seq(f"{p}{i}" for i in range(m)) for p in "sn")
         in_range = " and ".join(f"abs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
         loop = [*step, f"if not ({in_range}):",
                 f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
                 f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
-        return "\n".join([f"def make({params}):", *(f"    {line}" for line in setup + defs),
-                          "    half = dt / 2", "    sixth = dt / 6",
+        arrays = _seq(f"empty({'size' if isinstance(items, str) else f'(size, {len(items)})'}, "
+                      f"{code!r})" for code, items in row)
+        return "\n".join([f"def make({params}, size):",
+                          *(f"    {line}" for line in setup + defs),
+                          "    half = dt / 2", "    sixth = dt / 6", f"    record = ({arrays})",
+                          f"    {_seq(f'r{j}_' for j in range(len(row)))}= "
+                          "(memoryview(a.reshape(-1)) for a in record)",
                           "    def advance(pos, stop, last=False):",
-                          f"        k, ({S}) = pos", "        try:",
+                          f"        k, ({S}), rows = pos", "        try:",
                           "            for k in range(k, stop):",
                           *(f"                {line}" for line in loop),
                           "            k = stop", "        finally:",
-                          f"            pos[:] = k, ({S})",
-                          f"    return advance, ({_seq(consts)})"])
+                          f"            pos[:] = k, ({S}), rows",
+                          f"    return advance, ({_seq(consts)}), record"])
 
 
 def _stack_fetch(name: str, kind: str, n: int, bound: Bound, setup: list, lang):
@@ -672,18 +660,19 @@ def _node_stack(fetch, bound: Bound, items):
 def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                  nom_kind: Optional[str] = None, lang=Python):
     """Source of the closed-loop run loop of one plant and controller, in
-    the dialect lang (``Python``, or ``native.C``, whose source is the C
-    loop and the record's row).
+    the dialect lang (``Python``, or ``native.C``).
 
-    make(plant, gains, spec, ref, nom, dt, append) binds one run's inputs,
+    make(plant, gains, spec, ref, nom, dt, size) binds one run's inputs,
     so one compiled loop serves every point of a sweep.  ref and nom bind
     the stacks of the tracked and the safety filter's nominal reference
     (``model.stack_binding``), whose kinds ref_kind and nom_kind the loop
     is built for: a built-in form's parameters, which the nodes write the
-    stack out from, or "call", a stack to call.  append takes one sample
-    row.  make returns advance and the run constants (``Python.source``);
-    advance's steps each record the sample at their start, and
-    advance(pos, nsteps + 1, True) only the last sample, with the same code.
+    stack out from, or "call", a stack to call; size is the number of
+    samples.  make returns advance, the run constants and the record, the
+    arrays of the row t, x, h, u, yr and mode (``Python.source``, read by
+    ``_trajectory``); advance's steps each record the sample at their
+    start, and advance(pos, nsteps + 1, True) only the last sample, with
+    the same code.
 
     Every node evaluates the gain (its tape, traced or one call of the
     gain: ``synth.plant_tapes``) and checks the gain floor on it (not at
@@ -724,6 +713,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         setup += ["om, lam, beta = gains.omega, gains.lam, gains.beta", "sq = sqrt(om)",
                   f"{_seq(vc)}= spec._value_coeffs"]
     defs = []       # the node functions
+    recorded = []   # the record's row of each node 1 (the filter's two have one layout)
     ref = _stack_fetch("ref", ref_kind, n, bound, setup, lang)
     gain = tapes["gain"]
     law_of = {"es": (control.seeking_input, "h"), "nominal": (control.known_gain_input, "z"),
@@ -736,9 +726,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         theta is the last state): the gain and its floor check, the lines
         pre, the law and the rates, the gain rendered with the node's other
         tapes.  Node 1 (given the mode it records) also records the sample,
-        with h over the tracked stack ya, which es reads, and the state
-        tuple xs."""
-        X = "xs" if mode is not None else f"({_seq(S[:n])})"
+        with h over the tracked stack ya, which es reads."""
         fn, c = law_of[law]
         args = {"es": ("t", "om", "sq", "beta", "lam", vc), "nominal": (f"c{n - 1}", gain),
                 "nussbaum": (f"c{n - 1}", S[-1])}[law]
@@ -748,15 +736,13 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
         (g_lines, [g]), *parts, (law_lines, uv), (d_lines, dv) = render(
             [(gain, "g", S, ()), *coords, (kernel, "u" + c, [coords[-1][0], gain], ""),
              (tapes["drift"], "f", S, Y)], bound, lang)
-        lines = [*g_lines, lang.floor_check(g, X, mode is not None), *pre,
+        lines = [*g_lines, lang.floor_check(g, f"({_seq(S[:n])})", mode is not None), *pre,
                  *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
         lines += [lang.let(v, o) for v, o in zip(("u", f"{k}{n}"), uv)]
         if mode is not None:
-            h = parts[0][1]
-            lines += lang.record(f"(t, xs, ({_seq(h)}), u, {ya[0]}, {mode})",
-                                 [("double", ["t"]), ("double", S[:n]), ("double", h),
-                                  ("double", ["u"]), ("double", [ya[0]]),
-                                  ("signed char", [str(mode)])])
+            recorded.append([("d", "t"), ("d", S[:n]), ("d", parts[0][1]), ("d", "u"),
+                             ("d", ya[0]), ("b", str(mode))])
+            lines += lang.record(recorded[-1])
         return lines + d_lines + [*(lang.let(f"{k}{i}", f"{S[i + 1]} + {dv[i]}")
                                     for i in range(n - 1)),
                                   lang.let(f"{k}{n - 1}", f"{g} * u + {dv[n - 1]}")], kernel
@@ -776,7 +762,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
 
     filtered = controller == "safety-filter"
     ya_lines, ya = ref("t", "ya", order["es" if filtered else controller])
-    lines = [lang.let("t", "k * dt"), *lang.state(S[:n])]
+    lines = [lang.let("t", "k * dt")]
     if filtered:
         nom = _stack_fetch("nom", nom_kind, n, bound, setup, lang)
         yl_lines, yl = nom("t", "yl", order["nominal"])
@@ -787,9 +773,9 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                                step("es", ref, ya, [], 1))]
     else:
         lines += step(controller, ref, ya, ya_lines, -1)
-    return lang.source("plant, gains, spec, ref, nom, dt, append", setup + bound.lines,
+    return lang.source("plant, gains, spec, ref, nom, dt", setup + bound.lines,
                        ["dt", "floor", *sorted(bound.names), "half", "sixth"], defs, m, n, lines,
-                       "state left the finite range")
+                       "state left the finite range", recorded[0])
 
 
 def _default_id(sys, controller, scenario):

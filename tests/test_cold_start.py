@@ -2,7 +2,10 @@
 a test dependency only: no module under ``src/`` imports it.  Importing
 the package and building a run's inputs starts no child process and
 loads no library: ``subprocess`` and ``ctypes`` are imported where a
-compiled loop is first built (``native``), not at a module's top."""
+compiled loop is first built (``native``), not at a module's top, and
+``hashlib`` (with its OpenSSL module) where a cache entry is named,
+checked or built, so a run too short to build its loop loads neither
+``hashlib`` nor ``subprocess`` (numpy imports ``ctypes`` itself)."""
 
 import ast
 import os
@@ -86,3 +89,20 @@ def test_no_module_under_src_imports_ctypes_or_subprocess_at_its_top():
             else:
                 continue
             assert not [v for v in names if v.split(".")[0] in ("ctypes", "subprocess")], path
+
+
+SHORT_RUN = """
+import sys
+import nonovershoot
+from nonovershoot import Scenario, demo_gains, example_system, native, run_scenario
+run_scenario(example_system(), "es", demo_gains(), Scenario(x0=(-0.5, 0.0), t_end=1.0, dt=1e-3))
+print(native.PATHS[-1][1], sorted({"_hashlib", "hashlib", "subprocess"} & set(sys.modules)))
+"""
+
+
+def test_a_run_below_the_compile_threshold_loads_no_hashlib():
+    # a 1 s demo run, 1000 steps, stays in Python: nothing names a cache entry
+    done = subprocess.run([sys.executable, "-c", SHORT_RUN], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "python []"

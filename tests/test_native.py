@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NO_SHRINK, random_gains, random_poly_system
-from nonovershoot import (ConstantReference, DriftBound, LyapunovSpec, Scenario, SineReference,
-                          SystemModel, averaging, demo_gains, dualnum, example_lyapunov_spec,
-                          example_system, native, run_scenario, sim, simulate_averaged,
-                          state_from_errors)
+from nonovershoot import (ConstantReference, DriftBound, GainConfig, GainFloorViolation,
+                          LyapunovSpec, Scenario, SineReference, SystemModel, averaging,
+                          demo_gains, dualnum, example_lyapunov_spec, example_system, native,
+                          run_scenario, sim, simulate_averaged, state_from_errors)
 
 LOOPS = (*sim.CONTROLLERS, "averaged")
 
@@ -155,26 +155,41 @@ def test_a_called_gain_or_reference_stays_in_python_without_gcc(what, monkeypatc
     assert native.PATHS[-1] == (f"nominal loop of {plant.name}", "python")
 
 
-def test_a_record_off_the_c_layout_is_left_to_python():
-    # the layout is the row that the description records (``C.record``)
-    plant = example_system()
-    with native.forced("compiled"):
-        run_scenario(plant, "es", demo_gains(), Scenario(x0=(-0.5, 0.0), t_end=0.01, dt=1e-3))
-    [loop] = plant._steps.values()
-    compiled, size = native._built[loop.digest], 11
-    row = sim._step_source(plant, "es", 5, "sine", "constant", native.C())[1]
-    assert [(ctype, len(items)) for ctype, items in row] == [
-        ("double", 1), ("double", 2), ("double", 2), ("double", 1), ("double", 1),
-        ("signed char", 1)]
-    assert compiled.layout == [("float64", 1), ("float64", 2), ("float64", 2), ("float64", 1),
-                               ("float64", 1), ("int8", 1)]
-    good = (np.empty(size), np.empty((size, 2)), np.empty((size, 2)), np.empty(size),
-            np.empty(size), np.empty(size, np.int8))
-    assert compiled._fits(good, size - 1)
-    for cols in (good[:5], (*good[:5], np.empty(size)), (good[0], np.empty((2, size)).T,
-                                                          *good[2:]), good[:1] + good[2:]):
-        assert not compiled._fits(cols, size - 1)
-    assert not compiled._fits(good, size + 1)
+def _floor_run(a):
+    """Ten nominal steps of dt = 0.1 from x = 0 toward the constant
+    reference 1 on dx/dt = (a - x) * u, whose traced gain a - x breaks the
+    floor xi1 = 1e-10 only within 1e-5 of a."""
+    plant = SystemModel(n=1, drift=(lambda xs: 0.0,), gain=lambda xs: a - xs[0], xi1=1e-10)
+    gains = GainConfig(c=(2.0,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
+    sc = Scenario(x0=(0.0,), t_end=1.0, dt=0.1, reference="constant:1")
+    return run_scenario(plant, "nominal", gains, sc)
+
+
+@pytest.mark.parametrize("node", [1, 2])
+def test_a_floor_violation_keeps_the_rows_recorded_before_it(node, monkeypatch):
+    # the nominal law makes dx/dt = 2 (1 - x) whatever the gain, to an ulp,
+    # so a = the state at node 1 or node 2 of step k breaks the floor there
+    # first; node 1 checks the floor before it records row k, node 2 after
+    # it.  On both paths the loop has then written k or k + 1 rows, the
+    # same rows: the compiled one hands step k over to the Python loop
+    k = 4
+    probe, _ = _floor_run(10.0)
+    a = probe.x[k, 0] + (node == 2) * 0.05 * (10.0 - probe.x[k, 0]) * probe.u[k]
+    seen = []
+    run = native.run
+    monkeypatch.setattr(native, "run", lambda *args: seen.append((run(*args), args[-1]))
+                        or seen[-1][0])
+    records = []
+    for path in ("python", "compiled"):
+        with native.forced(path), pytest.raises(GainFloorViolation):
+            _floor_run(a)
+        assert native.PATHS[-1][1] == ("python" if path == "python"
+                                       else f"compiled to step {k}, then python")
+        (_, _, rows), record = seen[-1]
+        assert rows == k + (node == 2)
+        records.append([col[:rows].tobytes() for col in record])
+        assert np.array_equal(record[0][:rows], probe.t[:rows])
+    assert records[0] == records[1]
 
 
 def _bindings(emit):
@@ -304,7 +319,7 @@ def test_a_missing_or_failing_compiler_leaves_the_python_loop(cache, monkeypatch
 def _truncated_entry(cache):
     """The cache entry of the demo's es loop, built and then cut short (as a
     write that stopped would leave it), not loaded in this process."""
-    text = sim._step_source(example_system(), "es", 5, "sine", "constant", native.C())[0]
+    text = sim._step_source(example_system(), "es", 5, "sine", "constant", native.C())
     entry = cache / native._entry_name(text)
     cache.mkdir(mode=0o700)
     assert native._compile(text, entry, cache)
@@ -351,7 +366,7 @@ def test_an_unwritable_or_shared_cache_leaves_the_python_loop(tmp_path, monkeypa
 
 def test_two_builds_of_one_entry_at_once_leave_one_intact_entry(cache):
     cache.mkdir(mode=0o700)
-    text = sim._step_source(example_system(), "nominal", None, "sine", None, native.C())[0]
+    text = sim._step_source(example_system(), "nominal", None, "sine", None, native.C())
     done = []
     threads = [threading.Thread(target=lambda: done.append(
         native._compile(text, cache / "entry.so", cache))) for _ in range(2)]

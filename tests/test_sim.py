@@ -683,7 +683,7 @@ def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     plant = plant()
     es = sim._step_source(plant, "es", 3, "sine")
     body = es[es.index("\n                e"):es.index("\n                if not (")]
-    body = body.replace("\n", "\n    ").replace(", -1))\n", ", 1))\n")
+    body = body.replace("\n", "\n    ").replace("_[k] = -1\n", "_[k] = 1\n")
     for nom in ("sine", "call"):
         filt = sim._step_source(plant, "safety-filter", 3, "sine", nom)
         assert _node_function(sim._step_source(plant, "nominal", None, nom), "nominal") in filt
@@ -816,13 +816,14 @@ def _gainless_integrator():
 
 
 @pytest.mark.parametrize("controller", ["es", "nominal", "safety-filter", "nussbaum"])
-@pytest.mark.parametrize("k", [sim._FLUSH_ROWS - 1, sim._FLUSH_ROWS, sim._FLUSH_ROWS + 1])
+@pytest.mark.parametrize("k", [255, 256, 257])
 def test_range_failure_at_a_flush_block_edge(controller, k):
     # the reference jumps between node 1 and node 2 of step k, so step k is
     # the first to leave the finite range (the seeking law's V grows as
     # |h|^4, so a lower jump keeps its end state finite): rows 0..k are
     # kept, and the error carries the end of step k, its replay through the
-    # library laws
+    # library laws.  The steps straddle 256, where the loop once flushed a
+    # block of buffered rows; it now writes each row where it belongs
     dt = 1e-3
     plant = _gainless_integrator() if controller == "nussbaum" else chain_integrator(1)
     gains = GainConfig(c=(1.5,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
@@ -850,8 +851,10 @@ def test_range_failure_at_a_flush_block_edge(controller, k):
         assert list(info.value.state) == [0.0]
 
 
-@pytest.mark.parametrize("nsteps", [sim._FLUSH_ROWS - 1, sim._FLUSH_ROWS, sim._FLUSH_ROWS + 1])
+@pytest.mark.parametrize("nsteps", [255, 256, 257])
 def test_runs_ending_at_a_flush_block_edge_keep_every_sample(demo, gains, nsteps):
+    # a run of any length records every sample, the last one included
+    # (around 256 steps, where the loop once flushed a block of rows)
     sc = Scenario(x0=(-0.5, 0.0), t_end=300e-3, dt=1e-3)
     full, _ = run_scenario(demo, "es", gains, sc)
     short, _ = run_scenario(demo, "es", gains, Scenario(x0=sc.x0, t_end=nsteps * 1e-3,
@@ -1183,8 +1186,8 @@ def _calls(node, allowed):
 def test_the_demo_loops_call_nothing_per_node_but_math(loop, gains):
     # the demo's gain, its reference stacks and the two-term fsum of |h| are
     # written into the nodes: a node calls sin, cos, sqrt and abs (in the
-    # guards) alone, and the loop its node functions, the recorder once per
-    # step, and range.  With math.sin the gain does not trace, and each
+    # guards) alone, and the loop its node functions and range; its sample
+    # writes call nothing.  With math.sin the gain does not trace, and each
     # node, node 1 in each of the filter's branches too, calls the plant's
     # gain once and nothing else but math
     math_calls = {"sin", "cos", "sqrt", "abs"}
@@ -1200,7 +1203,7 @@ def test_the_demo_loops_call_nothing_per_node_but_math(loop, gains):
         assert nodes and all(_calls(f, math_calls) == per_node for f in nodes)
         [advance] = [f for f in make.body
                      if isinstance(f, ast.FunctionDef) and f.name == "advance"]
-        allowed = math_calls | {f.name for f in nodes} | {"append", "range"}
+        allowed = math_calls | {f.name for f in nodes} | {"range"}
         if loop == "safety-filter":
             [branch] = [s for s in ast.walk(advance) if isinstance(s, ast.If) and s.orelse]
             for body in (branch.body, branch.orelse):
