@@ -822,8 +822,8 @@ def test_range_failure_at_a_flush_block_edge(controller, k):
     # the first to leave the finite range (the seeking law's V grows as
     # |h|^4, so a lower jump keeps its end state finite): rows 0..k are
     # kept, and the error carries the end of step k, its replay through the
-    # library laws.  The steps straddle 256, where the loop once flushed a
-    # block of buffered rows; it now writes each row where it belongs
+    # library laws (the name keeps the 256-step edge at which the loop once
+    # flushed buffered rows; its steps straddle it)
     dt = 1e-3
     plant = _gainless_integrator() if controller == "nussbaum" else chain_integrator(1)
     gains = GainConfig(c=(1.5,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
@@ -853,8 +853,8 @@ def test_range_failure_at_a_flush_block_edge(controller, k):
 
 @pytest.mark.parametrize("nsteps", [255, 256, 257])
 def test_runs_ending_at_a_flush_block_edge_keep_every_sample(demo, gains, nsteps):
-    # a run of any length records every sample, the last one included
-    # (around 256 steps, where the loop once flushed a block of rows)
+    # every sample, the last one included (the name keeps the 256-step edge
+    # at which the loop once flushed buffered rows)
     sc = Scenario(x0=(-0.5, 0.0), t_end=300e-3, dt=1e-3)
     full, _ = run_scenario(demo, "es", gains, sc)
     short, _ = run_scenario(demo, "es", gains, Scenario(x0=sc.x0, t_end=nsteps * 1e-3,
