@@ -9,7 +9,8 @@
 The libm fingerprint (``native.libm_fingerprint``) comes first: the
 digests below hold on hosts that print the same one.  Each CSV's SHA-256
 digest is printed after its path, with the time its one ``to_csv`` call
-took, and each run's path (compiled, or Python) after its summary.  The
+took and, for a trajectory, the path that call took (``to_csv: compiled``
+or ``to_csv: python``), and each run's path after its summary.  The
 digest of the averaged system's samples over the study's 10 s follows,
 then those of the demo plant's generated run loop sources (the four
 controllers, the safety filter's once more with a sine nominal
@@ -54,13 +55,15 @@ def main():
     print(f"libm fingerprint: sha256 {native.libm_fingerprint()}")
 
     def save(name, to_csv):
+        logged = len(native.PATHS)
         t0 = time.perf_counter()
         text = to_csv()
         render_s = time.perf_counter() - t0
+        rendered = f" ({paths(logged)})" if len(native.PATHS) > logged else ""
         path = args.outdir / name
         path.write_text(text)
         print(f"  -> {path}")
-        print(f"     sha256 {sha256(text)}  rendered in {render_s * 1e3:.1f} ms")
+        print(f"     sha256 {sha256(text)}  rendered in {render_s * 1e3:.1f} ms{rendered}")
 
     print("[1/4] tracking from below (seeking controller)")
     t0 = time.perf_counter()

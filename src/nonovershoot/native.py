@@ -1,6 +1,7 @@
-"""Compiled run loops: each generated loop written in C as well, built once
-with gcc, cached on disk and run through ctypes, with the Python loop as
-the exact fallback.
+"""Compiled run loops and CSV kernel: each generated loop written in C as
+well, built once with gcc, cached on disk and run through ctypes, with the
+Python loop as the exact fallback; and trajectory CSVs rendered by one C
+kernel, with a '%.17g' row loop as the exact fallback.
 
 A loop's emitter (``sim._step_source``, ``averaging._averaged_source``)
 builds one description of the loop and writes it through a dialect:
@@ -50,6 +51,13 @@ has built, and the steps its loops have run, are kept for the process
 under each loop's Python text (``_built``, ``_steps_run``): the rule
 counts every run of a loop, whichever plant object or caller it came
 from.
+
+``Trajectory.to_csv`` renders its rows through ``csv_lines``: its C
+kernel ``lines`` is built, cached and loaded by the same rules, under the
+key "to_csv", its count the rows rendered in the process.  It writes
+'%.17g''s text in exact integer arithmetic (its window and its fallback
+to ``sim.fmt`` are set out above ``_K_MIN``); where it is not built, a
+'%.17g' row loop renders every row, about twenty times slower.
 """
 
 import array
@@ -59,7 +67,9 @@ import math
 import os
 from pathlib import Path
 
-from . import sim
+import numpy as np
+
+from . import control, sim
 from .model import SINGULAR_GAIN
 from .synth import _constant
 
@@ -326,8 +336,8 @@ class C:
 
 # --- building and running -----------------------------------------------------------
 
-_steps_run = {}      # Python loop text -> steps its runs took in this process
-_built = {}          # Python loop text -> its C advance, or None where it stays in Python
+_steps_run = {}      # Python loop text, or "to_csv" -> steps (rows) it took in this process
+_built = {}          # the same keys -> the C function, or None where it stays in Python
 _forced = None       # "compiled" or "python": the path every run takes (``forced``)
 
 
@@ -341,6 +351,19 @@ def forced(path: str):
         yield
     finally:
         _forced = saved
+
+
+def _compiled(key: str, count: int, build):
+    """The compiled form of key (a Python loop's text, or "to_csv"), built
+    by build() once the steps or rows that it has taken in the process,
+    count of them in this call, reach _COMPILE_STEPS, or where forced;
+    None where it stays in Python."""
+    total = _steps_run[key] = _steps_run.get(key, 0) + count
+    if _forced == "python":
+        return None
+    if key not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
+        _built[key] = build()
+    return _built.get(key)
 
 
 def _run_c(fn, start, nsteps: int, consts, record):
@@ -371,13 +394,7 @@ def run(loop, emit, start, nsteps: int, consts, record):
     Returns [k, state, rows]: the step from which the Python loop takes
     over, that step's start state and the rows written, k; [0, start, 0]
     if C ran none."""
-    text = loop.text
-    total = _steps_run[text] = _steps_run.get(text, 0) + nsteps
-    fn = None
-    if _forced != "python":
-        if text not in _built and (total >= _COMPILE_STEPS or _forced == "compiled"):
-            _built[text] = _build(emit)
-        fn = _built.get(text)
+    fn = _compiled(loop.text, nsteps, lambda: _build(emit))
     pos = [0, start, 0] if fn is None else _run_c(fn, start, nsteps, consts, record)
     PATHS.append((loop.label, "python" if fn is None else "compiled" if pos[0] == nsteps
                   else f"compiled to step {pos[0]}, then python"))
@@ -412,10 +429,237 @@ def libm_fingerprint() -> str:
     return out.hexdigest()
 
 
+# --- rendering trajectory CSVs --------------------------------------------------------
+#
+# The C kernel ``lines`` writes each float as '%.17g' does (``sim.fmt``).
+# For a finite x whose 17 digits have decimal exponent k in
+# [_K_MIN, _K_MAX] (_CSV_LO <= |x| < _CSV_HI, about 1e-39 to 1e17), that is
+# the 17-digit integer D = round-half-even(|x| * 10**j), j = 16 - k, with
+# its trailing zeros dropped.  With |x| = M * 2**(e - 1075), M the 53-bit
+# significand and e the biased exponent, D = round(M * F_j / 2**r) exactly,
+# where F_j = 5**j * 2**s_j is 5**j (< 2**128 up to j = 55) shifted into
+# [2**127, 2**128) and r = s_j - j + 1075 - e falls in [123, 127]: the
+# 181-bit product is formed in two unsigned __int128 halves.  k itself is
+# read off the binary exponent, since a binade holds at most one decimal
+# edge.  The text is then laid out as '%.17g' lays it out: the integer
+# digits and the dot (k >= 0), "0." and -k - 1 zeros (-4 <= k < 0), or one
+# digit, the dot and "e-XX" (k < -4).  ±0 has a text of its own; every
+# other value (NaN, infinities, subnormals, huge or tiny magnitudes) stops
+# the kernel, and fmt writes it.
+
+_K_MIN = 16 - max(j for j in range(128) if 5 ** j < 1 << 128)
+_K_MAX = 16
+_CELL = 40           # bytes the kernel may store from a cell's start (it keeps 24 at most)
+
+
+def _csv_edge(k: int) -> float:
+    """The least double whose 17 digits have decimal exponent k or more."""
+    v = float(f"1e{k}")
+    return v if int(f"{v:.16e}"[-3:]) >= k else math.nextafter(v, math.inf)
+
+
+_CSV_LO, _CSV_HI = _csv_edge(_K_MIN), _csv_edge(_K_MAX + 1)
+
+_CSV_KERNEL = r"""typedef unsigned __int128 u128_;
+
+static void eight_(char *o, unsigned v)
+{
+    unsigned a = v / 10000, b = v % 10000;
+    memcpy(o, D2_ + 2 * (a / 100), 2);
+    memcpy(o + 2, D2_ + 2 * (a % 100), 2);
+    memcpy(o + 4, D2_ + 2 * (b / 100), 2);
+    memcpy(o + 6, D2_ + 2 * (b % 100), 2);
+}
+
+/* Write the cells pos..stop-1 of the rows, m floats (column j at cols[j],
+   steps[j] bytes apart) and a mode label each, into out; return the bytes
+   written, *at the cell where it stopped: stop, or a float for fmt.  Each
+   cell stores at most 34 bytes from its start, and keeps at most 24. */
+long lines(const char *const *cols, const long *steps, long m, const signed char *mode,
+           long pos, long stop, char *out, long *at)
+{
+    char *o = out, dg[33];
+    long row = pos / (m + 1), c = pos % (m + 1);
+    for (; pos < stop; pos++) {
+        double x, ax;
+        unsigned long long bits, man, d, rest, half;
+        u128_ lo, hi;
+        int e, kk, k, r, nd;
+        if (c == m) {
+            memcpy(o, LABEL_[mode[row] + 1], sizeof LABEL_[0]);
+            o += LABEL_SIZE_[mode[row] + 1];
+            row++;
+            c = 0;
+            continue;
+        }
+        memcpy(&x, cols[c] + row * steps[c], sizeof x);
+        c++;
+        memcpy(&bits, &x, sizeof bits);
+        ax = fabs(x);
+        if (ax == 0.0) {
+            *o = '-';
+            o += bits >> 63;
+            memcpy(o, "0,", 2);
+            o += 2;
+            continue;
+        }
+        if (!(ax >= LO_ && ax < HI_)) {
+            *at = pos;
+            return o - out;
+        }
+        *o = '-';
+        o += bits >> 63;
+        e = (int)(bits >> 52 & 0x7ff);
+        kk = BINADE_K_[e - E0_] + (ax >= BINADE_EDGE_[e - E0_]);
+        man = (bits & 0xfffffffffffffULL) | 1ULL << 52;
+        lo = (u128_)man * F_[kk][1];
+        hi = (u128_)man * F_[kk][0] + (lo >> 64);
+        r = R_[kk] - e;                 /* the bits of hi below D's, 59..63 */
+        d = (unsigned long long)(hi >> r);
+        rest = (unsigned long long)hi & ((1ULL << r) - 1);
+        half = 1ULL << (r - 1);
+        if (rest > half || (rest == half && ((unsigned long long)lo != 0 || d & 1)))
+            d++;
+        dg[0] = (char)('0' + d / 10000000000000000ULL);
+        d %= 10000000000000000ULL;
+        eight_(dg + 1, (unsigned)(d / 100000000));
+        eight_(dg + 9, (unsigned)(d % 100000000));
+        for (nd = 17; dg[nd - 1] == '0'; nd--)
+            ;
+        k = kk + K_MIN_;
+        if (k >= 0) {                   /* k + 1 integer digits, then the dot */
+            memcpy(o, dg, 17);
+            o[k + 1] = '.';
+            memcpy(o + k + 2, dg + k + 1, 16);
+            o += nd > k + 1 ? nd + 1 : k + 1;
+        } else if (k >= -4) {           /* "0.", -k - 1 zeros, the digits */
+            memcpy(o, "0.000", 5);
+            memcpy(o + 1 - k, dg, 17);
+            o += 1 - k + nd;
+        } else {                        /* one digit, the dot, "e-" and -k */
+            o[0] = dg[0];
+            o[1] = '.';
+            memcpy(o + 2, dg + 1, 16);
+            o += nd > 1 ? nd + 1 : 1;
+            memcpy(o, "e-", 2);
+            memcpy(o + 2, D2_ + 2 * -k, 2);
+            o += 4;
+        }
+        *o++ = ',';
+    }
+    *at = stop;
+    return o - out;
+}
+"""
+
+
+def _csv_source() -> str:
+    """The kernel's C text, its tables written in: per binade of the
+    window, k - _K_MIN of its least double and its decimal edge (inf where
+    it has none); per k, F_j's two 64-bit halves and s_j - j + 1075 - 64;
+    the two-digit pairs; the mode labels, each ending its line."""
+    import bisect
+    edges = [_csv_edge(k) for k in range(_K_MIN, _K_MAX + 2)]
+    e0, e1 = (math.frexp(v)[1] + 1022 for v in (_CSV_LO, _CSV_HI))
+    kb, edge = [], []
+    for e in range(e0, e1 + 1):
+        low = math.ldexp(1.0, e - 1023)
+        kb.append(bisect.bisect_right(edges, low) - 1)
+        edge.append(edges[kb[-1] + 1] if edges[kb[-1] + 1] < 2 * low else math.inf)
+    f, r = [], []
+    for j in range(16 - _K_MIN, 16 - _K_MAX - 1, -1):
+        s = 128 - (5 ** j).bit_length()
+        f.append(f"{{{(5 ** j << s) >> 64:#x}ULL, {(5 ** j << s) & (1 << 64) - 1:#x}ULL}}")
+        r.append(s - j + 1075 - 64)
+    labels = [control.MODE_LABELS[mode] for mode in (-1, 0, 1)]
+    return "\n".join([
+        "#include <math.h>", "#include <string.h>", "",
+        f"#define K_MIN_ {_K_MIN}", f"#define E0_ {e0}",
+        f"static const double LO_ = {_CSV_LO.hex()}, HI_ = {_CSV_HI.hex()};",
+        f"static const int BINADE_K_[] = {{{', '.join(map(str, kb))}}};",
+        "static const double BINADE_EDGE_[] = {"
+        + ", ".join("INFINITY" if v == math.inf else v.hex() for v in edge) + "};",
+        f"static const unsigned long long F_[][2] = {{{', '.join(f)}}};",
+        f"static const int R_[] = {{{', '.join(map(str, r))}}};",
+        f'static const char D2_[] = "{"".join(f"{i:02d}" for i in range(100))}";',
+        "static const char LABEL_[][16] = {" + ", ".join(f'"{v}\\n"' for v in labels) + "};",
+        f"static const long LABEL_SIZE_[] = {{{', '.join(str(len(v) + 1) for v in labels)}}};",
+        _CSV_KERNEL])
+
+
+def _build_csv():
+    """The kernel's lines, from the cache or built into it; None where it
+    cannot be built or loaded."""
+    fn = _load(_csv_source(), "lines")
+    if fn is not None:
+        import ctypes
+        long_p = ctypes.POINTER(ctypes.c_long)
+        fn.restype = ctypes.c_long
+        fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), long_p, ctypes.c_long, ctypes.c_void_p,
+                       ctypes.c_long, ctypes.c_long, ctypes.c_char_p, long_p)
+    return fn
+
+
+def csv_lines(cols, mode, block: int) -> list:
+    """The CSV lines of the float columns cols and of the mode column mode,
+    all of one length: each float as ``sim.fmt`` writes it, then the row's
+    mode label; as strings of at most block rows each, with a cell that
+    fmt writes between them.  The C kernel renders them where it is built
+    or, once the rows rendered in the process (these included) reach
+    _COMPILE_STEPS, can be built; else the '%.17g' row loop does.  The
+    path taken goes to PATHS."""
+    mode = np.asarray(mode)
+    if mode.size and (mode.min() < -1 or mode.max() > 1):
+        raise ValueError("mode column holds values other than -1, 0 and 1")
+    mode = np.ascontiguousarray(mode, np.int8)
+    cols = [np.asarray(col, dtype=float) for col in cols]
+    if mode.ndim != 1 or any(col.shape != mode.shape for col in cols):
+        raise ValueError("columns of unequal length")
+    fn = _compiled("to_csv", len(mode), _build_csv)
+    PATHS.append(("to_csv", "python" if fn is None else "compiled"))
+    m, rows = len(cols), len(mode)
+    parts = []
+    if fn is None:
+        line = ",".join(["%.17g"] * m) + ",%s\n"
+        for a in range(0, rows, block):
+            labels = [control.MODE_LABELS[v] for v in mode[a:a + block].tolist()]
+            parts.append("".join([line % row for row in zip(
+                *(col[a:a + block].tolist() for col in cols), labels)]))
+        return parts
+    import ctypes
+    data = (ctypes.c_void_p * m)(*(col.ctypes.data for col in cols))
+    steps = (ctypes.c_long * m)(*(col.strides[0] for col in cols))
+    modes = mode.ctypes.data
+    buf = bytearray(block * (m + 1) * _CELL)
+    out, view, at = (ctypes.c_char * len(buf)).from_buffer(buf), memoryview(buf), ctypes.c_long()
+    for a in range(0, rows, block):
+        pos, stop = a * (m + 1), min(a + block, rows) * (m + 1)
+        while True:
+            size = fn(data, steps, m, modes, pos, stop, out, at)
+            parts.append(str(view[:size], "ascii"))
+            if at.value == stop:
+                break
+            row, col = divmod(at.value, m + 1)
+            parts.append(sim.fmt(float(cols[col][row])) + ",")
+            pos = at.value + 1
+    return parts
+
+
 def _build(emit):
     """The C advance of emit's description, from the cache or built into
     it; None where it stays in Python."""
-    text = c_source(emit)
+    fn = _load(c_source(emit), "advance")
+    if fn is not None:
+        import ctypes
+        fn.restype = ctypes.c_long
+        fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
+                       ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p))
+    return fn
+
+
+def _load(text, name: str):
+    """The function name of the C text, from the cache or built into it;
+    None where text is None or it cannot be built or loaded."""
     cache = None if text is None else _cache_dir()
     if cache is None:
         return None
@@ -424,13 +668,9 @@ def _build(emit):
         return None
     import ctypes
     try:
-        fn = ctypes.CDLL(str(path)).advance
+        return getattr(ctypes.CDLL(str(path)), name)
     except OSError:
         return None
-    fn.restype = ctypes.c_long
-    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p))
-    return fn
 
 
 def _entry_name(text: str) -> str:

@@ -28,7 +28,6 @@ over from any step the C loop stops at, so either way a run's results,
 and its exceptions, are the Python loop's bit for bit.
 """
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -57,175 +56,6 @@ REPORT_COLUMNS = ("scenario", "gains", "max_h1", "t_at_max", "tail_abs_h1",
 def fmt(v) -> str:
     """Render a float with 17 significant digits (CSV contract)."""
     return f"{v:.17g}"
-
-
-# Trajectory.to_csv renders its floats with one numpy kernel, ``_csv_lines``,
-# whose text is ``fmt``'s byte for byte.  For a finite x with decimal
-# exponent k in [_K_MIN, _K_MAX] (1e-11 < |x| < 1e17), '%.17g' writes the
-# 17-digit integer D = round-half-even(|x| * 10**j), j = 16 - k, with its
-# trailing zeros dropped.  With |x| = M * 2**(e - 1075), M the 53-bit
-# significand and e the biased exponent, D = round(M * F_j / 2**r) exactly,
-# where F_j = 5**j * 2**s_j is 5**j (< 2**63 up to j = 27) shifted into
-# [2**62, 2**63) and r = s_j - j + 1075 - e falls in [57, 63]: the 117-bit
-# product is formed from 32-bit limbs in uint64.  k itself is read off the
-# binary exponent, since a binade holds at most one decimal edge.  Every
-# other value (NaN, infinities, subnormals, huge or tiny magnitudes) is
-# rendered by fmt, one at a time; ±0 has a slot form of its own.
-#
-# The text of a value is laid out in a slot of _SLOT columns and the kept
-# ones are compacted with one boolean index: column 0 the sign, 1-5
-# "0.000" (the 0.000ddd form, -4 <= k < 0), 6-23 the digits with the dot
-# spliced in after the integer ones, 24-27 "e-XX" (k < -4) and 28 the
-# separator.  What a slot keeps depends only on k and on the number of
-# significant digits nd, so it is a row of a table (_SLOT_CHARS,
-# _SLOT_KEEP, _SLOT_DOT) keyed by (k - _K_MIN) * 17 + nd - 1; the rows
-# past those hold ±0, the fmt fallback and the mode labels that end a line.
-
-_K_MIN, _K_MAX = -11, 16
-_SLOT = 29
-_NO_DOT = 17            # dot position of a slot whose digits take no dot
-_KEY_ZERO = (_K_MAX - _K_MIN + 1) * 17
-_KEY_FALLBACK = _KEY_ZERO + 1
-_KEY_LABEL = _KEY_ZERO + 3      # + mode
-
-
-def _csv_tables():
-    # Python loops and slice fills, not numpy arithmetic: each numpy loop
-    # run for the first time maps more of numpy's library into memory than
-    # these tables take (built by broadcasting, they cost 0.9 MB resident).
-    # edges[k - _K_MIN]: the least double whose 17 digits have exponent >= k
-    edges = [v if int(f"{v:.16e}"[-3:]) >= k else math.nextafter(v, math.inf)
-             for k in range(_K_MIN, _K_MAX + 2) for v in (float(f"1e{k}"),)]
-    # per biased exponent e in the window: k - _K_MIN of the binade's least
-    # double, and the binade's decimal edge (inf where it has none)
-    binade_k, binade_edge = [0] * 2048, [math.inf] * 2048
-    for e in range(math.frexp(edges[0])[1] + 1022, math.frexp(edges[-1])[1] + 1023):
-        low = math.ldexp(1.0, e - 1023)
-        binade_k[e] = kk = bisect.bisect_right(edges, low) - 1
-        if edges[kk + 1] < 2 * low:
-            binade_edge[e] = edges[kk + 1]
-    scale, shift = [], []
-    for j in range(16 - _K_MIN, 16 - _K_MAX - 1, -1):
-        s = 63 - (5 ** j).bit_length()
-        scale.append(5 ** j << s)
-        shift.append(s - j + 1075)
-    scale = np.array(scale, dtype=np.uint64)
-
-    # the four digit characters of 0..9999 as one uint32, and their trailing zeros
-    digits4 = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for i in range(4):
-        digits4[..., i] = np.frombuffer(b"0123456789", np.uint8)[(...,) + (None,) * (3 - i)]
-    zeros4 = np.zeros(10000, np.int8)
-    for i in range(4):
-        zeros4[::10 ** (i + 1)] = i + 1
-
-    # the slot tables: the rows of each (k, nd), then zero, fallback and the labels
-    chars = np.empty((_KEY_LABEL + 2, _SLOT), np.uint8)
-    chars[:] = np.frombuffer(b"-0.000" + b"0" * 18 + b"e-00,", np.uint8)
-    keep = np.zeros(chars.shape, bool)
-    keep[:, 28] = True
-    dot = [_NO_DOT] * len(chars)
-    first = np.zeros((19, 18), bool)            # first[n]: the first n of 18 columns
-    for n in range(19):
-        first[n, :n] = True
-    for k in range(_K_MIN, _K_MAX + 1):
-        rows = slice((k - _K_MIN) * 17, (k - _K_MIN + 1) * 17)
-        p = k + 1 if k >= 0 else 1 if k < -4 else _NO_DOT
-        dot[rows] = [p] * 17
-        if -4 <= k < 0:
-            keep[rows, 1:2 - k] = True          # "0." and -k - 1 zeros
-        if k < -4:
-            chars[rows, 26:28] = [ord("0") + d for d in divmod(-k, 10)]
-            keep[rows, 24:28] = True
-        # the digit and dot columns kept at each nd
-        keep[rows, 6:24] = first[[nd if -4 <= k < 0 else nd + 1 if nd > p else p
-                                  for nd in range(1, 18)]]
-    keep[_KEY_ZERO, 1] = True
-    for mode, label in control.MODE_LABELS.items():
-        row = _KEY_LABEL + mode
-        chars[row, 6:6 + len(label)] = np.frombuffer(label.encode(), np.uint8)
-        keep[row, 6:6 + len(label)] = True
-        chars[row, 28] = ord("\n")
-    return (edges[0], edges[-1], np.array(binade_k), np.array(binade_edge),
-            scale >> np.uint64(32), scale & np.uint64(0xFFFFFFFF),
-            np.array(shift, dtype=np.uint64), digits4.view(np.uint32).ravel(), zeros4,
-            chars, keep, np.array(dot))
-
-
-(_CSV_LO, _CSV_HI, _BINADE_K, _BINADE_EDGE, _SCALE_HI, _SCALE_LO, _SHIFT, _DIGITS4,
- _ZEROS4, _SLOT_CHARS, _SLOT_KEEP, _SLOT_DOT) = _csv_tables()
-
-_U1, _U32, _U52, _U64 = (np.uint64(i) for i in (1, 32, 52, 64))
-_MAN, _HIDDEN, _LOW32 = np.uint64((1 << 52) - 1), np.uint64(1 << 52), np.uint64(0xFFFFFFFF)
-
-
-def _decimal_digits(ax):
-    """k - _K_MIN, and the 17 significant digits as the lead digit and four
-    groups of four, of each magnitude in ax, all inside the kernel's window."""
-    bits = ax.view(np.uint64)
-    e = (bits >> _U52).view(np.int64)
-    kk = np.take(_BINADE_K, e) + (ax >= np.take(_BINADE_EDGE, e))
-    # D = round-half-even(M * F_j / 2**r), 2 * 64 bits wide before the shift
-    man = (bits & _MAN) | _HIDDEN
-    r = np.take(_SHIFT, kk) - e.view(np.uint64)
-    m1, m0 = man >> _U32, man & _LOW32
-    f1, f0 = np.take(_SCALE_HI, kk), np.take(_SCALE_LO, kk)
-    low = m0 * f0
-    mid = m0 * f1 + m1 * f0
-    lo = low + (mid << _U32)
-    hi = m1 * f1 + (mid >> _U32) + (lo < low)
-    big = (hi << (_U64 - r)) | (lo >> r)
-    rest = lo & ((_U1 << r) - _U1)
-    big += rest + (big & _U1) > _U1 << (r - _U1)
-
-    lead, tail = np.divmod(big.view(np.int64), 10 ** 16)
-    halves = np.empty((len(ax), 2), np.intp)
-    np.divmod(tail, 10 ** 8, out=(halves[:, 0], halves[:, 1]))
-    groups = np.empty((len(ax), 4), np.intp)
-    np.divmod(halves, 10000, out=(groups[:, 0::2], groups[:, 1::2]))
-    return kk, lead, groups
-
-
-def _csv_lines(vals, mode) -> str:
-    """The CSV lines of one block of rows: the float cells vals (rows, m),
-    each written as ``fmt`` writes it, then the mode label."""
-    rows, m = vals.shape
-    v = vals.ravel()
-    ax = np.abs(v)
-    outside = ~((ax >= _CSV_LO) & (ax < _CSV_HI))
-    ax[outside] = 1.0                   # stands in; the slot is rewritten below
-    kk, lead, groups = _decimal_digits(ax)
-    tz = np.take(_ZEROS4, groups)
-    z = groups == 0
-    trailing = tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0]))
-    key = kk * 17 + 16 - trailing                       # nd = 17 - D's trailing zeros
-    key[outside] = _KEY_FALLBACK
-    key[v == 0] = _KEY_ZERO
-    keys = np.empty((rows, m + 1), np.intp)
-    keys[:, :m] = key.reshape(rows, m)
-    keys[:, m] = mode
-    keys[:, m] += _KEY_LABEL
-
-    chars = np.take(_SLOT_CHARS, keys, axis=0)
-    keep = np.take(_SLOT_KEEP, keys, axis=0)
-    keep[:, :m, 0] = np.signbit(vals)
-    digits = chars[:, :m, 6:23]
-    digits[..., 0] = (lead + ord("0")).reshape(rows, m)
-    digits[..., 1:] = np.take(_DIGITS4, groups).view(np.uint8).reshape(rows, m, 16)
-    slots = chars.reshape(-1, _SLOT)
-    dot = np.take(_SLOT_DOT, keys).ravel()
-    # the dot goes after the integer digits, the rest one column right:
-    # one splice per dot position present in the block
-    for p in np.flatnonzero(np.bincount(dot, minlength=_NO_DOT + 1)[:_NO_DOT]):
-        at = np.flatnonzero(dot == p)
-        slots[at, 7 + p:24] = slots[at, 6 + p:23]
-        slots[at, 6 + p] = ord(".")
-    for i in np.flatnonzero(key == _KEY_FALLBACK):         # rare: one fmt call each
-        text = np.frombuffer(fmt(v[i]).encode(), np.uint8)
-        row, col = divmod(i, m)
-        chars[row, col, :len(text)] = text
-        keep[row, col, :len(text)] = True
-    return chars[keep].tobytes().decode("ascii")
 
 
 def rk4_step(rhs, t: float, x, dt: float):
@@ -280,13 +110,7 @@ class Trajectory:
         header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
             + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
         cols = (self.t, *self.x.T, *self.h.T, self.u, self.yr, self.margin)
-        if self.mode.size and (self.mode.min() < -1 or self.mode.max() > 1):
-            raise ValueError("mode column holds values other than -1, 0 and 1")
-        parts = [",".join(header) + "\n"]
-        for a in range(0, len(self.t), _CSV_ROWS):
-            vals = np.column_stack([col[a:a + _CSV_ROWS] for col in cols])
-            parts.append(_csv_lines(vals.astype(float, copy=False), self.mode[a:a + _CSV_ROWS]))
-        return "".join(parts)
+        return "".join([",".join(header) + "\n", *native.csv_lines(cols, self.mode, _CSV_ROWS)])
 
 
 @dataclass

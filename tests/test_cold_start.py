@@ -5,7 +5,9 @@ loads no library: ``subprocess`` and ``ctypes`` are imported where a
 compiled loop is first built (``native``), not at a module's top, and
 ``hashlib`` (with its OpenSSL module) where a cache entry is named,
 checked or built, so a run too short to build its loop loads neither
-``hashlib`` nor ``subprocess`` (numpy imports ``ctypes`` itself)."""
+``hashlib`` nor ``subprocess`` (numpy imports ``ctypes`` itself).  The
+CSV kernel is built by the same rule, so rendering a short trajectory
+does neither."""
 
 import ast
 import os
@@ -77,6 +79,33 @@ def test_setting_up_a_run_starts_no_process_and_loads_no_library():
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[] False"
+
+
+RENDER = """
+import sys
+import numpy as np          # which imports ctypes itself
+events = []
+sys.addaudithook(lambda event, args: events.append(event) if event in (
+    "subprocess.Popen", "os.posix_spawn", "os.fork", "os.forkpty", "os.exec", "os.system",
+    "ctypes.dlopen", "ctypes.dlsym") else None)
+from nonovershoot import native
+from nonovershoot.sim import Trajectory
+t = np.arange(10) * 1e-3
+traj = Trajectory(t=t, x=np.column_stack([t, -t]), h=np.column_stack([t, t]), u=t, yr=t,
+                  margin=t, mode=np.zeros(10, np.int8))
+assert len(traj.to_csv().splitlines()) == 11
+print(sorted(set(events)), native.PATHS[-1],
+      sorted({"_hashlib", "hashlib", "subprocess"} & set(sys.modules)))
+"""
+
+
+def test_rendering_a_short_csv_starts_no_process_and_loads_no_library():
+    # a 10-row trajectory is far below the kernel's build threshold: the
+    # row loop writes it, and nothing names, builds or loads a cache entry
+    done = subprocess.run([sys.executable, "-c", RENDER], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] ('to_csv', 'python') []"
 
 
 def test_no_module_under_src_imports_ctypes_or_subprocess_at_its_top():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_sim
 from conftest import NO_SHRINK, random_gains, random_poly_system
 from nonovershoot import (ConstantReference, DriftBound, GainConfig, GainFloorViolation,
                           LyapunovSpec, Scenario, SineReference, SystemModel, averaging,
@@ -130,7 +131,7 @@ def test_a_compiled_run_in_blocks_is_one_run(monkeypatch):
     monkeypatch.setattr(native, "_BLOCK_STEPS", 7)
     with native.forced("compiled"):
         assert run_scenario(plant, "safety-filter", gains, sc)[0].to_csv() == expected
-    assert native.PATHS[-1][1] == "compiled"
+    assert _run_path() == "compiled"
 
 
 class _CalledSine(SineReference):
@@ -301,6 +302,11 @@ def _demo_csv(path="compiled"):
         return run_scenario(example_system(), "es", demo_gains(), DEMO)[0].to_csv()
 
 
+def _run_path():
+    """The path of the latest run: the latest entry of PATHS but to_csv's."""
+    return next(path for label, path in reversed(native.PATHS) if label != "to_csv")
+
+
 def _leftovers(cache):
     """What the cache holds besides intact entries."""
     return sorted(p.name for p in cache.iterdir() if not (
@@ -312,7 +318,7 @@ def test_a_missing_or_failing_compiler_leaves_the_python_loop(cache, monkeypatch
     monkeypatch.setattr(native, "_CC", compiler)
     expected = _demo_csv("python")
     assert _demo_csv() == expected
-    assert native.PATHS[-1][1] == "python"
+    assert _run_path() == "python" and native.PATHS[-1] == ("to_csv", "python")
     assert _leftovers(cache) == [] and list(cache.iterdir()) == []
 
 
@@ -335,8 +341,10 @@ def test_a_truncated_cache_entry_is_rebuilt_not_loaded(cache, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda path, cdll=ctypes.CDLL: loaded.append(
         native._intact(native.Path(path))) or cdll(path))
     expected = _demo_csv("python")
-    assert _demo_csv() == expected and native.PATHS[-1][1] == "compiled"
-    assert loaded == [True] and entry.read_bytes() == whole
+    assert _demo_csv() == expected and _run_path() == "compiled"
+    # the loop's entry, rebuilt, then the CSV kernel's, each intact when loaded
+    assert loaded == [True, True] and entry.read_bytes() == whole
+    assert native.PATHS[-1] == ("to_csv", "compiled")
     assert _leftovers(cache) == []
 
 
@@ -344,7 +352,7 @@ def test_a_truncated_entry_with_no_compiler_leaves_the_python_loop(cache, monkey
     entry, whole = _truncated_entry(cache)
     monkeypatch.setattr(native, "_CC", "false")
     expected = _demo_csv("python")
-    assert _demo_csv() == expected and native.PATHS[-1][1] == "python"
+    assert _demo_csv() == expected and _run_path() == "python"
     assert entry.read_bytes() == whole[:len(whole) // 2]
 
 
@@ -360,7 +368,8 @@ def test_an_unwritable_or_shared_cache_leaves_the_python_loop(tmp_path, monkeypa
     monkeypatch.setattr(native, "_CACHE", path)
     monkeypatch.setattr(native, "_built", {})
     expected = _demo_csv("python")
-    assert _demo_csv() == expected and native.PATHS[-1][1] == "python"
+    assert _demo_csv() == expected and _run_path() == "python"
+    assert native.PATHS[-1] == ("to_csv", "python")
     assert not path.exists() or list(path.iterdir()) == []
 
 
@@ -376,3 +385,38 @@ def test_two_builds_of_one_entry_at_once_leave_one_intact_entry(cache):
         thread.join()
     assert done == [True, True] and os.listdir(cache) == ["entry.so"]
     assert native._intact(cache / "entry.so")
+
+
+# --- the CSV kernel ------------------------------------------------------------------
+
+def _demo_trajectory(rows):
+    """The first rows of a demo es run, as a trajectory."""
+    traj, _ = run_scenario(example_system(), "es", demo_gains(),
+                           Scenario(x0=(-0.5, 0.0), t_end=(rows - 1) * 1e-3, dt=1e-3))
+    assert len(traj.t) == rows
+    return traj
+
+
+def test_to_csv_takes_the_compiled_kernel_once_it_pays(monkeypatch):
+    # below _COMPILE_STEPS rows rendered in the process to_csv stays in
+    # Python; the call that reaches it builds the kernel, here on this host
+    monkeypatch.setattr(native, "_steps_run", {})
+    monkeypatch.setattr(native, "_built", {})
+    traj = _demo_trajectory(native._COMPILE_STEPS // 2)
+    paths, texts = [], []
+    for _ in range(3):
+        texts.append(traj.to_csv())
+        paths.append(native.PATHS[-1])
+    assert paths == [("to_csv", "python"), ("to_csv", "compiled"), ("to_csv", "compiled")]
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_to_csv_without_a_cache_is_the_row_loop(monkeypatch):
+    monkeypatch.setattr(native, "_cache_dir", lambda: None)
+    monkeypatch.setattr(native, "_built", {})
+    monkeypatch.setattr(native, "_compile", lambda *args: pytest.fail("gcc ran"))
+    traj = _demo_trajectory(300)
+    with native.forced("compiled"):
+        text = traj.to_csv()
+    assert native.PATHS[-1] == ("to_csv", "python")
+    assert text == test_sim._row_loop_csv(traj)

@@ -5,6 +5,7 @@ import re
 import struct
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, GainFloorViolatio
                           get_reference, nominal_backstepping, nussbaum_control, refine_dt,
                           rk4_step, run_scenario, simulate_averaged, state_from_errors,
                           sweep)
-from nonovershoot import averaging, control, model, sim, synth
+from nonovershoot import averaging, control, model, native, sim, synth
 from nonovershoot.synth import coords_and_drift
 from nonovershoot.sim import DEFAULT_PSI_SCALE, fmt, gains_text
 
@@ -270,23 +271,73 @@ def test_csv_kernel_matches_fmt_across_its_window():
     assert _csv_cells(values) == [fmt(v) for v in values]
 
 
-def test_csv_kernel_edge_values():
-    # 17-digit ties round to even
-    assert _csv_cells([1250000000000000.25, 1250000000000000.75]) == \
-        ["1250000000000000.2", "1250000000000000.8"]
-    # double(1e-11) has exponent -12, below the window; the double below
-    # 1e-4 is the largest value in the e form
-    assert _csv_cells([1e-11, 9.9999999999999991e-05, 1e-4]) == \
-        ["9.9999999999999994e-12", "9.9999999999999991e-05", "0.0001"]
+def _edge_values():
+    """Values at the edges of the kernel's window and of its text forms,
+    either sign, and past them."""
     values = [1e-5, 9.9999999999999991e-05, 5e-324, 2.2250738585072014e-308,
-              1.7976931348623157e308, 1e16, 1e17, sim._CSV_LO, sim._CSV_HI,
+              1.7976931348623157e308, 1e16, 1e17, native._CSV_LO, native._CSV_HI,
               -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
     for k in range(-13, 19):
         x = float(f"1e{k}")
         values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
-    values += [math.nextafter(sim._CSV_LO, 0.0), math.nextafter(sim._CSV_HI, 0.0)]
-    values += [-v for v in values]
+    values += [math.nextafter(native._CSV_LO, 0.0), math.nextafter(native._CSV_HI, 0.0)]
+    return values + [-v for v in values]
+
+
+def test_csv_kernel_edge_values():
+    # 17-digit ties round to even
+    assert _csv_cells([1250000000000000.25, 1250000000000000.75]) == \
+        ["1250000000000000.2", "1250000000000000.8"]
+    # double(1e-11) has exponent -12; the double below 1e-4 is the largest
+    # value in the e form
+    assert _csv_cells([1e-11, 9.9999999999999991e-05, 1e-4]) == \
+        ["9.9999999999999994e-12", "9.9999999999999991e-05", "0.0001"]
+    values = _edge_values()
     assert _csv_cells(values) == [fmt(v) for v in values]
+
+
+def _ties():
+    """Doubles x whose x * 10**j, j = 16 - k for the decimal exponent k of
+    their 17 digits, is an odd multiple of 1/2 (a 17-digit tie): x = a /
+    2**(j + 1) for odd a, which exist for j = 1..24; either sign."""
+    values = []
+    for j in range(1, 25):
+        lo = -(-2 * 10 ** 16 // 5 ** j) | 1        # the least odd a with a * 5**j / 2 >= 1e16
+        for a in (lo, lo + 2, lo + 1234567890, (2 * 10 ** 17 - 1) // 5 ** j | 1):
+            if a < 1 << 53 and 10 ** 16 <= a * 5 ** j // 2 < 10 ** 17:
+                values.append(math.ldexp(a, -j - 1))
+    return values + [-v for v in values]
+
+
+@pytest.mark.parametrize("path", ["python", "compiled"])
+def test_csv_edge_values_on_each_path(path):
+    # across the widened window: 1e-k and its neighbours for k = 11..41,
+    # past both of its ends; 17-digit ties; -0.0, -nan (written nan) and -inf
+    values = _edge_values()
+    for k in range(11, 42):
+        x = float(f"1e-{k}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
+    ties = _ties()
+    assert len(ties) > 150
+    for x in ties:
+        twice = Fraction(abs(x)) * 2 * 10 ** (16 - int(f"{x:.16e}".split("e")[1]))
+        assert twice.denominator == 1 and twice.numerator % 2
+    with native.forced(path):
+        assert _csv_cells(values + ties) == [fmt(v) for v in values + ties]
+        assert _csv_cells([-0.0, -math.nan, -math.inf]) == ["-0", "nan", "-inf"]
+    assert native.PATHS[-1] == ("to_csv", path)
+
+
+def _mixed_trajectory(n, rows):
+    """A trajectory of random floats, about 2% of them zeros, non-finite,
+    subnormal or huge, and random mode labels."""
+    rng = np.random.default_rng([n, rows])
+    shape = (rows, 2 * n + 4)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 20, shape)
+    special = rng.random(values.shape) < 0.02
+    values[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300],
+                                 int(special.sum()))
+    return _trajectory_of(values, n, mode=rng.integers(-1, 2, rows).astype(np.int8))
 
 
 @pytest.mark.parametrize("rows", [0, 1, sim._CSV_ROWS - 1, sim._CSV_ROWS, sim._CSV_ROWS + 1,
@@ -296,14 +347,39 @@ def test_csv_equals_the_row_loop(n, rows):
     # row counts about the _CSV_ROWS block edges, every mode label, and
     # cells outside the kernel's window (zeros, non-finite, subnormal and
     # huge values)
-    rng = np.random.default_rng([n, rows])
-    shape = (rows, 2 * n + 4)
-    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 20, shape)
-    special = rng.random(values.shape) < 0.02
-    values[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300],
-                                 int(special.sum()))
-    traj = _trajectory_of(values, n, mode=rng.integers(-1, 2, rows).astype(np.int8))
+    traj = _mixed_trajectory(n, rows)
     assert traj.to_csv() == _row_loop_csv(traj)
+
+
+@pytest.mark.parametrize("path", ["python", "compiled"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_csv_equals_the_row_loop_on_each_path(n, path):
+    for rows in (0, 1, sim._CSV_ROWS - 1, sim._CSV_ROWS, sim._CSV_ROWS + 1, 1001):
+        traj = _mixed_trajectory(n, rows)
+        with native.forced(path):
+            assert traj.to_csv() == _row_loop_csv(traj)
+        assert native.PATHS[-1] == ("to_csv", path)
+
+
+def test_csv_of_a_strided_or_narrow_typed_record_equals_the_row_loop():
+    # the kernel reads each column at its own stride; other dtypes are
+    # converted to float first
+    values = _mixed_trajectory(2, 300)
+    traj = sim.Trajectory(t=values.t[::-1], x=np.asfortranarray(values.x),
+                          h=np.linspace(-1, 1, 600, dtype=np.float32).reshape(300, 2),
+                          u=np.arange(300),
+                          yr=np.repeat(values.yr[:150], 2), margin=values.margin,
+                          mode=values.mode.astype(np.int64))
+    for path in ("python", "compiled"):
+        with native.forced(path):
+            assert traj.to_csv() == _row_loop_csv(traj)
+
+
+def test_csv_rejects_columns_of_unequal_length():
+    traj = _trajectory_of(np.ones((3, 6)))
+    traj.u = traj.u[:2]
+    with pytest.raises(ValueError, match="unequal"):
+        traj.to_csv()
 
 
 def test_csv_rejects_an_unknown_mode():
@@ -328,6 +404,7 @@ def test_csv_rendering_stays_block_wise():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * sys.getsizeof(text)
+    assert native.PATHS[-1] == ("to_csv", "compiled")
 
 
 def test_determinism_bitwise(demo, gains):
@@ -817,13 +894,12 @@ def _gainless_integrator():
 
 @pytest.mark.parametrize("controller", ["es", "nominal", "safety-filter", "nussbaum"])
 @pytest.mark.parametrize("k", [255, 256, 257])
-def test_range_failure_at_a_flush_block_edge(controller, k):
+def test_range_failure_at_step_k_keeps_rows_0_to_k(controller, k):
     # the reference jumps between node 1 and node 2 of step k, so step k is
     # the first to leave the finite range (the seeking law's V grows as
     # |h|^4, so a lower jump keeps its end state finite): rows 0..k are
     # kept, and the error carries the end of step k, its replay through the
-    # library laws (the name keeps the 256-step edge at which the loop once
-    # flushed buffered rows; its steps straddle it)
+    # library laws
     dt = 1e-3
     plant = _gainless_integrator() if controller == "nussbaum" else chain_integrator(1)
     gains = GainConfig(c=(1.5,), kappa=1.1, lam=4.0, beta=0.8, omega=60.0)
@@ -852,9 +928,8 @@ def test_range_failure_at_a_flush_block_edge(controller, k):
 
 
 @pytest.mark.parametrize("nsteps", [255, 256, 257])
-def test_runs_ending_at_a_flush_block_edge_keep_every_sample(demo, gains, nsteps):
-    # every sample, the last one included (the name keeps the 256-step edge
-    # at which the loop once flushed buffered rows)
+def test_runs_of_any_length_keep_every_sample(demo, gains, nsteps):
+    # every sample, the last one included
     sc = Scenario(x0=(-0.5, 0.0), t_end=300e-3, dt=1e-3)
     full, _ = run_scenario(demo, "es", gains, sc)
     short, _ = run_scenario(demo, "es", gains, Scenario(x0=sc.x0, t_end=nsteps * 1e-3,
