@@ -57,7 +57,7 @@ kernel ``lines`` is built, cached and loaded by the same rules, under the
 key "to_csv", its count the rows rendered in the process.  It writes
 '%.17g''s text in exact integer arithmetic (its window and its fallback
 to ``sim.fmt`` are set out above ``_K_MIN``); where it is not built, a
-'%.17g' row loop renders every row, about twenty times slower.
+'%.17g' row loop renders every row, about fifteen times slower.
 """
 
 import array
@@ -474,7 +474,7 @@ static void eight_(char *o, unsigned v)
 /* Write the cells pos..stop-1 of the rows, m floats (column j at cols[j],
    steps[j] bytes apart) and a mode label each, into out; return the bytes
    written, *at the cell where it stopped: stop, or a float for fmt.  Each
-   cell stores at most 34 bytes from its start, and keeps at most 24. */
+   cell stores at most 35 bytes from its start, and keeps at most 24. */
 long lines(const char *const *cols, const long *steps, long m, const signed char *mode,
            long pos, long stop, char *out, long *at)
 {

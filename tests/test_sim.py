@@ -261,6 +261,16 @@ def test_csv_kernel_writes_every_float_as_fmt_does(values):
     assert _csv_cells(values) == [fmt(v) for v in values]
 
 
+@pytest.mark.parametrize("path", ["python", "compiled"])
+@given(values=st.lists(st.one_of(_float_bits, st.floats()), min_size=1, max_size=40))
+def test_csv_writes_every_float_as_fmt_does_on_each_path(path, values):
+    # the property above takes whichever path the rows rendered so far in
+    # the process select; this one takes each
+    with native.forced(path):
+        assert _csv_cells(values) == [fmt(v) for v in values]
+    assert native.PATHS[-1] == ("to_csv", path)
+
+
 def test_csv_kernel_matches_fmt_across_its_window():
     # log-uniform magnitudes over [1e-13, 1e19], either sign, and values
     # with few significant digits (trailing zeros dropped)
@@ -312,11 +322,14 @@ def _ties():
 @pytest.mark.parametrize("path", ["python", "compiled"])
 def test_csv_edge_values_on_each_path(path):
     # across the widened window: 1e-k and its neighbours for k = 11..41,
-    # past both of its ends; 17-digit ties; -0.0, -nan (written nan) and -inf
+    # past both of its ends, and log-uniform magnitudes over [1e-41, 1e-11];
+    # 17-digit ties; -0.0, -nan (written nan) and -inf
     values = _edge_values()
     for k in range(11, 42):
         x = float(f"1e-{k}")
         values += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
+    rng = np.random.default_rng(29)
+    values += list(rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-41, -11, 5000))
     ties = _ties()
     assert len(ties) > 150
     for x in ties:
