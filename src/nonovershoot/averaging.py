@@ -95,10 +95,9 @@ def simulate_averaged(sys: SystemModel, spec: LyapunovSpec, gains: GainConfig,
     kind, ref_b = stack_binding(ref, n)
     def emit(lang):
         return _averaged_source(sys, nw, kind, lang)
-    [out] = _drive(sys, ("averaged", nw, kind), emit,
-                   (sys, gains, spec, _coef(gains, halved), ref_b, dt),
-                   tuple(np.asarray(h0, dtype=float).tolist()), scenario.nsteps, dt, ref, None)
-    return out
+    return _drive(sys, ("averaged", nw, kind), emit,
+                  (sys, gains, spec, _coef(gains, halved), ref_b, dt),
+                  tuple(np.asarray(h0, dtype=float).tolist()), scenario.nsteps, dt, ref, None)
 
 
 def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
@@ -110,7 +109,7 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     stack, of the given kind (``model.stack_binding``, as in
     ``sim._step_source``), and size is the number of samples; nw is the
     number of the Lyapunov weight's coefficients.  make returns advance,
-    the run constants and the record, one (size, n) array of each step's
+    the run constants and the record, the (size, n) block of each step's
     start hbar (``sim.Python.source``), as the closed loop's does.  Every
     RK4 node time sets the stack once and every node calls one node
     function: ``averaged_rhs`` written out from the plant's ``state``,
@@ -132,14 +131,13 @@ def _averaged_source(sys: SystemModel, nw, kind: str, lang=Python):
     defs = lang.node("node", P + params, [*x_lines, *g_lines, *d_lines, *r_lines], R)
     S = [f"s{i}" for i in range(n)]
     ya_lines, ya = at("t", "ya")
-    row = [("d", S)]
     first = [*[lang.let("t", "k * dt")] * bool(ya_lines),
-             *lang.record(row), *ya_lines,
+             *lang.record(S), *ya_lines,
              lang.unpack([f"k1_{i}" for i in range(n)], lang.call("node", f"{_seq(S)}{ya}"))]
     return lang.source("plant, gains, spec, coef, ref, dt", setup + bound.lines,
                        ["dt", *sorted(bound.names), "half", "sixth"], defs, n, n,
                        _rk4(n, first, lang.call("node", "{S}{Y}"), at, lang),
-                       "averaged system diverged", row)
+                       "averaged system diverged", S)
 
 
 # --- generic dither coupling ---------------------------------------------------

@@ -99,6 +99,8 @@ class SingularGainError(ZeroDivisionError):
 
 SINGULAR_GAIN = 1e-9    # |gain| below this is singular for the known-gain law
 
+_STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``sim.Python.source``)
+
 
 def singular_gain(g: float) -> SingularGainError:
     return SingularGainError(f"input gain {g:.3g} too close to zero")

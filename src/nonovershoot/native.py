@@ -12,9 +12,9 @@ C library's ``sin``, ``cos``, ``exp`` and ``pow`` (and float ``**`` its
 ``pow``), as the C loop does, so on one host the two agree bit for bit.
 One binder serves both loops: the Python loop's make returns advance, the
 values of the run constants, which the C loop reads in the order that
-the description gives both dialects, and the record, the arrays that it
-allocates from the description's row, into which both loops write each
-sample at its step's index, each column's width compiled in.  gcc builds
+the description gives both dialects, and the record, one C-contiguous
+float64 block of a row of W items per sample, which C reads as rec_ and
+into which both loops write item i of sample k at k * W + i.  gcc builds
 the C with
 
 * ``-O2``, never ``-ffast-math``, which would reassociate and drop the
@@ -34,9 +34,8 @@ stops before that step commits and returns its index; the run goes on in
 the Python loop from there (``run``), so every exception, message, t and
 partial record is the Python loop's own.  A loop stays in Python where
 its description has what the C dialect does not write (a call tape, such
-as an untraceable gain's; a ``call`` stack; an fsum of more than
-_FSUM_TERMS terms), where gcc is missing or fails, and where the cache
-cannot be written.
+as an untraceable gain's; a ``call`` stack), where gcc is missing or
+fails, and where the cache cannot be written.
 
 A loop is built once the steps that its runs (this one included) have
 taken in the process reach _COMPILE_STEPS, about what gcc's one-time cost
@@ -55,9 +54,10 @@ from.
 ``Trajectory.to_csv`` renders its rows through ``csv_lines``: its C
 kernel ``lines`` is built, cached and loaded by the same rules, under the
 key "to_csv", its count the rows rendered in the process.  It writes
-'%.17g''s text in exact integer arithmetic (its window and its fallback
-to ``sim.fmt`` are set out above ``_K_MIN``); where it is not built, a
-'%.17g' row loop renders every row, about fifteen times slower.
+'%.17g''s text in exact integer arithmetic within a window, and the C
+library's sprintf outside it (both set out above ``_K_MIN``); where it is
+not built, a '%.17g' row loop renders every row, about fifteen times
+slower.
 """
 
 import array
@@ -69,8 +69,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, sim
-from .model import SINGULAR_GAIN
+from . import control
+from .model import _STATE_LIMIT, SINGULAR_GAIN
 from .synth import _constant
 
 _COMPILE_STEPS = 20_000      # steps a loop's runs take in one process before it is built
@@ -98,15 +98,11 @@ _C_FORMS = {
         f"if (fabs({{0}}) < {SINGULAR_GAIN!r}) *bad_ = 1;",
 }
 
-_FSUM_TERMS = 64     # terms of the longest fsum the C writes (its partials' room)
-
-_C_TYPES = {"d": "double", "b": "signed char"}      # of the record's struct codes
-
 # CPython's rules for where float arithmetic and math raise, on which the
 # helpers set *bad_: math_1 (Modules/mathmodule.c) for sin, cos, exp and
 # sqrt, float_pow (Objects/floatobject.c) for **; and math_fsum's exact
 # sum (Shewchuk's partials, then its half-even correction), of which a
-# non-finite partial sets *bad_
+# non-finite partial sets *bad_; each term adds at most one partial
 _PRELUDE = r"""#include <errno.h>
 #include <fenv.h>
 #include <math.h>
@@ -176,7 +172,7 @@ static double pow_(double v, double w, int *bad_)
 
 static double fsum_(const double *xs, int count, int *bad_)
 {
-    double p[64], x, y, t, hi, yr, lo = 0.0;
+    double p[count + 1], x, y, t, hi, yr, lo = 0.0;
     int i, j, k, n = 0;
     for (k = 0; k < count; k++) {
         x = xs[k];
@@ -230,10 +226,10 @@ static double fsum_(const double *xs, int count, int *bad_)
 
 class C:
     """The generated loops' constructs in C (``sim.Python``): the step is
-    the body of a loop over k in advance(k, stop, st_, B_, cols_), which
+    the body of a loop over k in advance(k, stop, st_, B_, rec_), which
     runs the steps k..stop-1 from the state st_, the run constants in B_,
-    writing each sample into the record's arrays cols_, and returns the
-    step where it stopped, st_ then its start state.  It never records the
+    writing each sample into row k of the record's block rec_, and returns
+    the step where it stopped, st_ then its start state.  It never records the
     last sample alone: the Python loop does that.  An instance writes one
     loop and keeps the names that its lets and unpacks assign, which each
     function declares."""
@@ -244,7 +240,7 @@ class C:
     @staticmethod
     def form(form: str) -> str:
         terms = form.count("{}")
-        if form == "fsum((" + "{}, " * terms + "))" and terms <= _FSUM_TERMS:
+        if form == "fsum((" + "{}, " * terms + "))":
             return f"fsum_((const double[]){{{{{', '.join(['{}'] * terms)}}}}}, {terms}, bad_)"
         try:
             return _C_FORMS[form]
@@ -280,8 +276,7 @@ class C:
 
     @staticmethod
     def record(row) -> list:
-        return [f"(({_C_TYPES[row[j][0]]} *)cols_[{j}])[{index}] = {v};"
-                for j, index, v in sim._cells(row)]
+        return [f"rec_[k * {len(row)}{f' + {i}' * bool(i)}] = {v};" for i, v in enumerate(row)]
 
     def node(self, name: str, params, body, outs) -> list:
         args = "".join(f"double {p}, " for p in params)
@@ -316,11 +311,11 @@ class C:
     def source(self, params: str, setup: list, consts: list, defs: list, m: int, n: int,
                step: list, cause: str, row) -> str:
         """The C text.  B_ holds the run constants consts, in order, and
-        cols_ the record's arrays, as the Python make returns them (whose
-        source allocates them from row)."""
-        in_range = " && ".join(f"fabs(n{i}) <= {sim._STATE_LIMIT!r}" for i in range(m))
+        rec_ the record, as the Python make returns them (whose source
+        allocates it, a row of len(row) items per sample)."""
+        in_range = " && ".join(f"fabs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
         loop = self._function(
-            "long advance(long k, long stop, double *st_, const double *B_, void **cols_)", (),
+            "long advance(long k, long stop, double *st_, const double *B_, double *rec_)", (),
             [f"double {', '.join(f's{i} = st_[{i}]' for i in range(m))};",
              f"double kk_[{m}];", "int failed_ = 0, *bad_ = &failed_;", "fexcept_t saved_;",
              "fegetexceptflag(&saved_, FLAGS_);", "feclearexcept(FLAGS_);",
@@ -367,7 +362,7 @@ def _compiled(key: str, count: int, build):
 
 
 def _run_c(fn, start, nsteps: int, consts, record):
-    """Steps 0..nsteps-1 of the C advance fn from start into the arrays
+    """Steps 0..nsteps-1 of the C advance fn from start into the block
     record, each as the Python loop takes it: [k, state, k] where it
     stopped, k = nsteps unless step k is for the Python loop to take;
     [0, start, 0] where a run constant (of consts, their values) is past
@@ -378,17 +373,17 @@ def _run_c(fn, start, nsteps: int, consts, record):
     except OverflowError:
         return [0, start, 0]
     st = (ctypes.c_double * len(start))(*start)
-    cols = (ctypes.c_void_p * len(record))(*(a.ctypes.data for a in record))
+    rec = record.ctypes.data
     k = stop = 0
     while k == stop < nsteps:       # in blocks, so that a signal is seen between them
         stop = min(stop + _BLOCK_STEPS, nsteps)
-        k = fn(k, stop, st, vals, cols)
+        k = fn(k, stop, st, vals, rec)
     return [k, tuple(st), k] if k else [0, start, 0]
 
 
 def run(loop, emit, start, nsteps: int, consts, record):
     """Run steps 0..nsteps-1 of loop (``sim._Loop``) on its run constants'
-    values consts, into the arrays record that its make allocated, in C
+    values consts, into the block record that its make allocated, in C
     where it is built or, once its steps reach _COMPILE_STEPS, can be
     built from its description emit(C()); record the path taken in PATHS.
     Returns [k, state, rows]: the step from which the Python loop takes
@@ -443,13 +438,14 @@ def libm_fingerprint() -> str:
 # read off the binary exponent, since a binade holds at most one decimal
 # edge.  The text is then laid out as '%.17g' lays it out: the integer
 # digits and the dot (k >= 0), "0." and -k - 1 zeros (-4 <= k < 0), or one
-# digit, the dot and "e-XX" (k < -4).  ±0 has a text of its own; every
-# other value (NaN, infinities, subnormals, huge or tiny magnitudes) stops
-# the kernel, and fmt writes it.
+# digit, the dot and "e-XX" (k < -4).  ±0 has a text of its own, and so
+# has NaN: "nan" whatever its sign, as fmt writes it.  Every other value
+# (infinities, subnormals, huge or tiny magnitudes) the C library's
+# sprintf writes with '%.17g', which glibc, as Python, rounds correctly.
 
 _K_MIN = 16 - max(j for j in range(128) if 5 ** j < 1 << 128)
 _K_MAX = 16
-_CELL = 40           # bytes the kernel may store from a cell's start (it keeps 24 at most)
+_CELL = 40           # bytes the kernel may store from a cell's start (it keeps 25 at most)
 
 
 def _csv_edge(k: int) -> float:
@@ -471,83 +467,88 @@ static void eight_(char *o, unsigned v)
     memcpy(o + 6, D2_ + 2 * (b % 100), 2);
 }
 
-/* Write the cells pos..stop-1 of the rows, m floats (column j at cols[j],
-   steps[j] bytes apart) and a mode label each, into out; return the bytes
-   written, *at the cell where it stopped: stop, or a float for fmt.  Each
-   cell stores at most 35 bytes from its start, and keeps at most 24. */
-long lines(const char *const *cols, const long *steps, long m, const signed char *mode,
-           long pos, long stop, char *out, long *at)
+/* Write the cell of x, '%.17g''s text and a comma, at o; return its end.
+   A cell stores at most 35 bytes from its start, and keeps at most 25. */
+static char *cell_(char *o, double x)
 {
-    char *o = out, dg[33];
-    long row = pos / (m + 1), c = pos % (m + 1);
-    for (; pos < stop; pos++) {
-        double x, ax;
-        unsigned long long bits, man, d, rest, half;
-        u128_ lo, hi;
-        int e, kk, k, r, nd;
-        if (c == m) {
-            memcpy(o, LABEL_[mode[row] + 1], sizeof LABEL_[0]);
-            o += LABEL_SIZE_[mode[row] + 1];
-            row++;
-            c = 0;
-            continue;
-        }
-        memcpy(&x, cols[c] + row * steps[c], sizeof x);
-        c++;
-        memcpy(&bits, &x, sizeof bits);
-        ax = fabs(x);
-        if (ax == 0.0) {
-            *o = '-';
-            o += bits >> 63;
-            memcpy(o, "0,", 2);
-            o += 2;
-            continue;
-        }
-        if (!(ax >= LO_ && ax < HI_)) {
-            *at = pos;
-            return o - out;
-        }
+    char dg[33];
+    double ax = fabs(x);
+    unsigned long long bits, man, d, rest, half;
+    u128_ lo, hi;
+    int e, kk, k, r, nd;
+    memcpy(&bits, &x, sizeof bits);
+    if (ax == 0.0) {
         *o = '-';
         o += bits >> 63;
-        e = (int)(bits >> 52 & 0x7ff);
-        kk = BINADE_K_[e - E0_] + (ax >= BINADE_EDGE_[e - E0_]);
-        man = (bits & 0xfffffffffffffULL) | 1ULL << 52;
-        lo = (u128_)man * F_[kk][1];
-        hi = (u128_)man * F_[kk][0] + (lo >> 64);
-        r = R_[kk] - e;                 /* the bits of hi below D's, 59..63 */
-        d = (unsigned long long)(hi >> r);
-        rest = (unsigned long long)hi & ((1ULL << r) - 1);
-        half = 1ULL << (r - 1);
-        if (rest > half || (rest == half && ((unsigned long long)lo != 0 || d & 1)))
-            d++;
-        dg[0] = (char)('0' + d / 10000000000000000ULL);
-        d %= 10000000000000000ULL;
-        eight_(dg + 1, (unsigned)(d / 100000000));
-        eight_(dg + 9, (unsigned)(d % 100000000));
-        for (nd = 17; dg[nd - 1] == '0'; nd--)
-            ;
-        k = kk + K_MIN_;
-        if (k >= 0) {                   /* k + 1 integer digits, then the dot */
-            memcpy(o, dg, 17);
-            o[k + 1] = '.';
-            memcpy(o + k + 2, dg + k + 1, 16);
-            o += nd > k + 1 ? nd + 1 : k + 1;
-        } else if (k >= -4) {           /* "0.", -k - 1 zeros, the digits */
-            memcpy(o, "0.000", 5);
-            memcpy(o + 1 - k, dg, 17);
-            o += 1 - k + nd;
-        } else {                        /* one digit, the dot, "e-" and -k */
-            o[0] = dg[0];
-            o[1] = '.';
-            memcpy(o + 2, dg + 1, 16);
-            o += nd > 1 ? nd + 1 : 1;
-            memcpy(o, "e-", 2);
-            memcpy(o + 2, D2_ + 2 * -k, 2);
-            o += 4;
-        }
-        *o++ = ',';
+        memcpy(o, "0,", 2);
+        return o + 2;
     }
-    *at = stop;
+    if (!(ax >= LO_ && ax < HI_)) {
+        if (isnan(x)) {
+            memcpy(o, "nan,", 4);
+            return o + 4;
+        }
+        return o + sprintf(o, "%.17g,", x);
+    }
+    *o = '-';
+    o += bits >> 63;
+    e = (int)(bits >> 52 & 0x7ff);
+    kk = BINADE_K_[e - E0_] + (ax >= BINADE_EDGE_[e - E0_]);
+    man = (bits & 0xfffffffffffffULL) | 1ULL << 52;
+    lo = (u128_)man * F_[kk][1];
+    hi = (u128_)man * F_[kk][0] + (lo >> 64);
+    r = R_[kk] - e;                     /* the bits of hi below D's, 59..63 */
+    d = (unsigned long long)(hi >> r);
+    rest = (unsigned long long)hi & ((1ULL << r) - 1);
+    half = 1ULL << (r - 1);
+    if (rest > half || (rest == half && ((unsigned long long)lo != 0 || d & 1)))
+        d++;
+    dg[0] = (char)('0' + d / 10000000000000000ULL);
+    d %= 10000000000000000ULL;
+    eight_(dg + 1, (unsigned)(d / 100000000));
+    eight_(dg + 9, (unsigned)(d % 100000000));
+    for (nd = 17; dg[nd - 1] == '0'; nd--)
+        ;
+    k = kk + K_MIN_;
+    if (k >= 0) {                       /* k + 1 integer digits, then the dot */
+        memcpy(o, dg, 17);
+        o[k + 1] = '.';
+        memcpy(o + k + 2, dg + k + 1, 16);
+        o += nd > k + 1 ? nd + 1 : k + 1;
+    } else if (k >= -4) {               /* "0.", -k - 1 zeros, the digits */
+        memcpy(o, "0.000", 5);
+        memcpy(o + 1 - k, dg, 17);
+        o += 1 - k + nd;
+    } else {                            /* one digit, the dot, "e-" and -k */
+        o[0] = dg[0];
+        o[1] = '.';
+        memcpy(o + 2, dg + 1, 16);
+        o += nd > 1 ? nd + 1 : 1;
+        memcpy(o, "e-", 2);
+        memcpy(o + 2, D2_ + 2 * -k, 2);
+        o += 4;
+    }
+    *o = ',';
+    return o + 1;
+}
+
+/* Write the rows row..stop-1, m floats (column j at cols[j], steps[j]
+   bytes apart) and a mode label each, into out; return the bytes
+   written. */
+long lines(const char *const *cols, const long *steps, long m, const signed char *mode,
+           long row, long stop, char *out)
+{
+    char *o = out;
+    double x;
+    long c;
+    for (; row < stop; row++) {
+        for (c = 0; c < m; c++) {
+            memcpy(&x, cols[c] + row * steps[c], sizeof x);
+            o = cell_(o, x);
+        }
+        memcpy(o, LABEL_[mode[row] + 1], sizeof LABEL_[0]);
+        o += LABEL_SIZE_[mode[row] + 1];
+    }
     return o - out;
 }
 """
@@ -573,7 +574,7 @@ def _csv_source() -> str:
         r.append(s - j + 1075 - 64)
     labels = [control.MODE_LABELS[mode] for mode in (-1, 0, 1)]
     return "\n".join([
-        "#include <math.h>", "#include <string.h>", "",
+        "#include <math.h>", "#include <stdio.h>", "#include <string.h>", "",
         f"#define K_MIN_ {_K_MIN}", f"#define E0_ {e0}",
         f"static const double LO_ = {_CSV_LO.hex()}, HI_ = {_CSV_HI.hex()};",
         f"static const int BINADE_K_[] = {{{', '.join(map(str, kb))}}};",
@@ -593,23 +594,23 @@ def _build_csv():
     fn = _load(_csv_source(), "lines")
     if fn is not None:
         import ctypes
-        long_p = ctypes.POINTER(ctypes.c_long)
         fn.restype = ctypes.c_long
-        fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), long_p, ctypes.c_long, ctypes.c_void_p,
-                       ctypes.c_long, ctypes.c_long, ctypes.c_char_p, long_p)
+        fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_long),
+                       ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                       ctypes.c_char_p)
     return fn
 
 
 def csv_lines(cols, mode, block: int) -> list:
     """The CSV lines of the float columns cols and of the mode column mode,
     all of one length: each float as ``sim.fmt`` writes it, then the row's
-    mode label; as strings of at most block rows each, with a cell that
-    fmt writes between them.  The C kernel renders them where it is built
-    or, once the rows rendered in the process (these included) reach
-    _COMPILE_STEPS, can be built; else the '%.17g' row loop does.  The
-    path taken goes to PATHS."""
+    mode label; as strings of at most block rows each.  The C kernel
+    renders them where it is built or, once the rows rendered in the
+    process (these included) reach _COMPILE_STEPS, can be built; else the
+    '%.17g' row loop does.  The path taken goes to PATHS.  ValueError for
+    a mode other than -1, 0 or 1 and for columns of unequal length."""
     mode = np.asarray(mode)
-    if mode.size and (mode.min() < -1 or mode.max() > 1):
+    if not np.isin(mode, (-1, 0, 1)).all():
         raise ValueError("mode column holds values other than -1, 0 and 1")
     mode = np.ascontiguousarray(mode, np.int8)
     cols = [np.asarray(col, dtype=float) for col in cols]
@@ -631,17 +632,10 @@ def csv_lines(cols, mode, block: int) -> list:
     steps = (ctypes.c_long * m)(*(col.strides[0] for col in cols))
     modes = mode.ctypes.data
     buf = bytearray(block * (m + 1) * _CELL)
-    out, view, at = (ctypes.c_char * len(buf)).from_buffer(buf), memoryview(buf), ctypes.c_long()
+    out, view = (ctypes.c_char * len(buf)).from_buffer(buf), memoryview(buf)
     for a in range(0, rows, block):
-        pos, stop = a * (m + 1), min(a + block, rows) * (m + 1)
-        while True:
-            size = fn(data, steps, m, modes, pos, stop, out, at)
-            parts.append(str(view[:size], "ascii"))
-            if at.value == stop:
-                break
-            row, col = divmod(at.value, m + 1)
-            parts.append(sim.fmt(float(cols[col][row])) + ",")
-            pos = at.value + 1
+        size = fn(data, steps, m, modes, a, min(a + block, rows), out)
+        parts.append(str(view[:size], "ascii"))
     return parts
 
 
@@ -653,7 +647,7 @@ def _build(emit):
         import ctypes
         fn.restype = ctypes.c_long
         fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
-                       ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_void_p))
+                       ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
     return fn
 
 

@@ -36,15 +36,14 @@ from typing import Optional
 import numpy as np
 
 from . import control, native, synth
-from .model import (GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario, SystemModel,
-                    bound_stack, get_reference, is_divergence, max_dither_dt, stack_binding)
+from .model import (_STATE_LIMIT, GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario,
+                    SystemModel, bound_stack, get_reference, is_divergence, max_dither_dt,
+                    stack_binding)
 from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
                     check_gains, items_read, render, stack_order, stack_tape, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
-
-_STATE_LIMIT = 1e9      # |state item| past which every generated loop stops (``Python.source``)
 
 CONTROLLERS = ("es", "nominal", "nussbaum", "safety-filter")
 DITHERED = ("es", "safety-filter")      # the controllers whose input carries the dither
@@ -106,6 +105,9 @@ class Trajectory:
         return self.x.shape[1]
 
     def to_csv(self) -> str:
+        if np.ndim(self.x) != 2 or np.shape(self.x) != np.shape(self.h):
+            raise ValueError(f"x and h must both be (N, n), got x {np.shape(self.x)} "
+                             f"and h {np.shape(self.h)}")
         n = self.n
         header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
             + [f"h{i}" for i in range(1, n + 1)] + ["u", "yr", "H", "mode"]
@@ -148,9 +150,12 @@ _CSV_ROWS = 256     # rows Trajectory.to_csv renders into one string
 
 
 def _trajectory(record, complete=True) -> Trajectory:
-    """The closed loop's record (the arrays of ``_step_source``'s row)."""
-    t, x, h, u, yr, mode = record
-    return Trajectory(t=t, x=x, h=h, u=u, yr=yr, margin=yr - x[:, 0], mode=mode,
+    """The closed loop's record, the (N, 2n + 4) block of ``_step_source``'s
+    row t, x, h, u, yr, mode: views of its columns, the mode as int8."""
+    n = (record.shape[1] - 4) // 2
+    x, yr = record[:, 1:n + 1], record[:, 2 * n + 2]
+    return Trajectory(t=record[:, 0], x=x, h=record[:, n + 1:2 * n + 1], u=record[:, 2 * n + 1],
+                      yr=yr, margin=yr - x[:, 0], mode=record[:, -1].astype(np.int8),
                       complete=complete)
 
 
@@ -226,16 +231,16 @@ def _drive(sys: SystemModel, key, emit, args, start, nsteps: int, dt: float, ref
     sys under key) from the state start, on args and the record's size,
     which its make binds: the steps that C can take there (``native.run``),
     then from the step where C stopped, advance (``Python.source``) to
-    nsteps, then the last sample.  Returns the record, the arrays that make
-    allocates.  The one divergence diagnosis of the generated loops:
-    besides the loop's range check, an ``OverflowError`` or math-domain
-    ``ValueError`` (``model.is_divergence``) in step k is BlowupError
-    "arithmetic divergence: <cause>" at k * dt, and once a step has failed,
-    a non-finite stack that it read (``_reference_fault``, on the stacks of
-    the tracked reference ref and the safety filter's nominal reference
-    nom, None for the other loops, bound then) is the cause instead.  A
-    BlowupError carries the rows recorded before it, copied out, as
-    ``record``; other exceptions propagate."""
+    nsteps, then the last sample.  Returns the record, the float64 block
+    that make allocates.  The one divergence diagnosis of the generated
+    loops: besides the loop's range check, an ``OverflowError`` or
+    math-domain ``ValueError`` (``model.is_divergence``) in step k is
+    BlowupError "arithmetic divergence: <cause>" at k * dt, and once a step
+    has failed, a non-finite stack that it read (``_reference_fault``, on
+    the stacks of the tracked reference ref and the safety filter's nominal
+    reference nom, None for the other loops, bound then) is the cause
+    instead.  A BlowupError carries the rows of the block recorded before
+    it, copied out, as ``record``; other exceptions propagate."""
     loop = _factory(sys, key, emit)
     advance, consts, record = loop.make(*args, nsteps + 1)
     pos = native.run(loop, emit, start, nsteps, consts, record)
@@ -256,7 +261,7 @@ def _drive(sys: SystemModel, key, emit, args, start, nsteps: int, dt: float, ref
         node = _reference_fault(ref_d, nom_d, k * dt, state[0], dt, k == nsteps)
         if node is not None:
             exc = BlowupError("non-finite reference value", t=node, state=np.array(state[:sys.n]))
-        exc.record = tuple(a[:rows].copy() for a in record)
+        exc.record = record[:rows].copy()
         raise exc from None
     return record
 
@@ -339,20 +344,6 @@ def _rk4(m: int, first: list, call: str, fetch, lang) -> list:
                     for i in range(m)]
 
 
-def _cells(row):
-    """(j, index, item) for each item of a sample in the record's row: per
-    column a struct code ("d" or "b") and its items, one text for a 1-D
-    column or a list of w texts for an (N, w) one; the item goes into
-    column j at the flat index (a text over the step k) of row k."""
-    for j, (_, items) in enumerate(row):
-        if isinstance(items, str):
-            yield j, "k", items
-        else:
-            w = len(items)
-            for i, v in enumerate(items):
-                yield j, "k" if w == 1 else f"k * {w}" + f" + {i}" * bool(i), v
-
-
 class Python(synth.Python):
     """The text of a generated loop's constructs in Python, the loop that
     every run can take; ``native.C`` writes the same constructs in C.  An
@@ -367,12 +358,11 @@ class Python(synth.Python):
 
     @staticmethod
     def record(row) -> list:
-        """The lines that write one sample, the items of row (``_cells``),
-        straight into the record's arrays at row k, through the flat view
-        r<j>_ of column j, and count k + 1 rows; the last sample ends the
-        run there."""
-        return [*(f"r{j}_[{index}] = {v}" for j, index, v in _cells(row)), "rows = k + 1",
-                "if last: return"]
+        """The lines that write one sample, the W float texts of row, into
+        row k of the record through its flat view r_, item i at k * W + i,
+        and count k + 1 rows; the last sample ends the run there."""
+        return [*(f"r_[k * {len(row)}{f' + {i}' * bool(i)}] = {v}" for i, v in enumerate(row)),
+                "rows = k + 1", "if last: return"]
 
     @staticmethod
     def node(name: str, params, body, outs) -> list:
@@ -407,8 +397,8 @@ class Python(synth.Python):
         """``def make(<params>, size)``: the setup lines, the node functions
         defs, the record, then the run loop advance; make returns advance,
         the values of the run constants consts, which the C loop reads, and
-        the record: per column of row (``_cells``) an array of size rows of
-        its struct code, (size, w) for a list of w items.  advance(pos, stop,
+        the record, one C-contiguous (size, W) float64 block for the W items
+        of row, which both loops write (``record``).  advance(pos, stop,
         last=False) runs the steps pos[0]..stop-1 from the m floats pos[1]:
         each runs the lines step, which set t = k * dt where they read it,
         record the start sample (and return if last) and leave the new
@@ -424,13 +414,11 @@ class Python(synth.Python):
         loop = [*step, f"if not ({in_range}):",
                 f"    raise BlowupError({cause!r}, t=(k + 1) * dt, "
                 f"state=array(({_seq(f'n{i}' for i in range(n))})))", f"{S}= {N}"]
-        arrays = _seq(f"empty({'size' if isinstance(items, str) else f'(size, {len(items)})'}, "
-                      f"{code!r})" for code, items in row)
         return "\n".join([f"def make({params}, size):",
                           *(f"    {line}" for line in setup + defs),
-                          "    half = dt / 2", "    sixth = dt / 6", f"    record = ({arrays})",
-                          f"    {_seq(f'r{j}_' for j in range(len(row)))}= "
-                          "(memoryview(a.reshape(-1)) for a in record)",
+                          "    half = dt / 2", "    sixth = dt / 6",
+                          f"    record = empty((size, {len(row)}))",
+                          "    r_ = memoryview(record.reshape(-1))",
                           "    def advance(pos, stop, last=False):",
                           f"        k, ({S}), rows = pos", "        try:",
                           "            for k in range(k, stop):",
@@ -493,10 +481,11 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
     is built for: a built-in form's parameters, which the nodes write the
     stack out from, or "call", a stack to call; size is the number of
     samples.  make returns advance, the run constants and the record, the
-    arrays of the row t, x, h, u, yr and mode (``Python.source``, read by
-    ``_trajectory``); advance's steps each record the sample at their
-    start, and advance(pos, nsteps + 1, True) only the last sample, with
-    the same code.
+    (size, 2n + 4) block of the row t, x, h, u, yr and mode, the mode as
+    -1.0, 0.0 or 1.0 (``Python.source``, read by ``_trajectory``);
+    advance's steps each record the sample at their start, and
+    advance(pos, nsteps + 1, True) only the last sample, with the same
+    code.
 
     Every node evaluates the gain (its tape, traced or one call of the
     gain: ``synth.plant_tapes``) and checks the gain floor on it (not at
@@ -564,8 +553,7 @@ def _step_source(sys: SystemModel, controller: str, ncoef, ref_kind: str,
                  *(v for seg_lines, _ in parts for v in seg_lines), *law_lines]
         lines += [lang.let(v, o) for v, o in zip(("u", f"{k}{n}"), uv)]
         if mode is not None:
-            recorded.append([("d", "t"), ("d", S[:n]), ("d", parts[0][1]), ("d", "u"),
-                             ("d", ya[0]), ("b", str(mode))])
+            recorded.append(["t", *S[:n], *parts[0][1], "u", ya[0], repr(float(mode))])
             lines += lang.record(recorded[-1])
         return lines + d_lines + [*(lang.let(f"{k}{i}", f"{S[i + 1]} + {dv[i]}")
                                     for i in range(n - 1)),

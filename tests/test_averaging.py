@@ -13,7 +13,8 @@ from nonovershoot import (BlowupError, DriftBound, GainConfig, LyapunovSpec, Ref
                           dither_coupling, effective_damping, error_coords,
                           example_lyapunov_spec, get_reference, lyapunov_weight, rk4_step,
                           simulate_averaged)
-from nonovershoot.sim import _STATE_LIMIT, DEFAULT_PSI_SCALE
+from nonovershoot.model import _STATE_LIMIT
+from nonovershoot.sim import DEFAULT_PSI_SCALE
 
 from conftest import (NO_SHRINK, chain_integrator, negated_gain, random_gains,
                       random_poly_system)

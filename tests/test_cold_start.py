@@ -57,6 +57,19 @@ def test_no_module_under_src_imports_scipy():
             assert not [v for v in names if v.split(".")[0] == "scipy"], path
 
 
+def test_native_does_not_import_sim():
+    # the compiled loops and the CSV kernel read no simulator code: the
+    # dialects and the record layout reach them as arguments
+    for node in ast.walk(ast.parse((SRC / "nonovershoot" / "native.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        else:
+            continue
+        assert not [v for v in names if "sim" in v.split(".")], names
+
+
 SETUP = """
 import sys
 import numpy                # which imports ctypes itself

@@ -106,7 +106,8 @@ def test_the_compiled_loop_is_the_python_loop_bit_for_bit(n, seed, loop, kind, v
 @pytest.mark.parametrize("loop", LOOPS)
 def test_the_demo_runs_take_the_compiled_loop_once_it_pays(loop, monkeypatch):
     # below _COMPILE_STEPS a loop stays in Python; the run that reaches it
-    # builds the C loop, and it and the runs after it take it
+    # builds the C loop, and it and the runs after it take it; on each
+    # path x and h (hbar) are (N + 1, n) and the mode int8
     monkeypatch.setattr(native, "_steps_run", {})
     monkeypatch.setattr(native, "_built", {})
     plant, gains = example_system(), demo_gains()
@@ -115,9 +116,12 @@ def test_the_demo_runs_take_the_compiled_loop_once_it_pays(loop, monkeypatch):
     paths = []
     for sc in (short, replace(short, t_end=short.t_end * 0.99), short):
         if loop == "averaged":
-            simulate_averaged(plant, spec, gains, sc)
+            shapes = [simulate_averaged(plant, spec, gains, sc).shape]
         else:
-            run_scenario(plant, loop, gains, sc)
+            traj = run_scenario(plant, loop, gains, sc)[0]
+            shapes = [traj.x.shape, traj.h.shape]
+            assert traj.mode.dtype == np.int8
+        assert shapes == [(sc.nsteps + 1, 2)] * len(shapes)
         paths.append(native.PATHS[-1][1])
     assert paths == ["python", "python", "compiled"]
 
@@ -188,8 +192,8 @@ def test_a_floor_violation_keeps_the_rows_recorded_before_it(node, monkeypatch):
                                        else f"compiled to step {k}, then python")
         (_, _, rows), record = seen[-1]
         assert rows == k + (node == 2)
-        records.append([col[:rows].tobytes() for col in record])
-        assert np.array_equal(record[0][:rows], probe.t[:rows])
+        records.append(record[:rows].tobytes())
+        assert np.array_equal(record[:rows, 0], probe.t[:rows])
     assert records[0] == records[1]
 
 
@@ -262,7 +266,7 @@ _SPREAD = st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1, 1), st.integers
 @settings(max_examples=300)
 @given(st.lists(st.one_of(_SPREAD, st.floats(allow_nan=False, allow_infinity=False),
                           st.sampled_from([0.0, -0.0, 1.0, 1e-16, 1e16, 2.0 ** 53])),
-                min_size=0, max_size=native._FSUM_TERMS))
+                min_size=0, max_size=200))
 def test_the_c_fsum_is_math_fsum(c_fsum, values):
     out, bad = c_fsum(values)
     try:
@@ -271,6 +275,13 @@ def test_the_c_fsum_is_math_fsum(c_fsum, values):
         assert bad
         return
     assert not bad and math.copysign(1, out) == math.copysign(1, expected) and out == expected
+
+
+def test_the_c_dialect_writes_an_fsum_of_any_length():
+    for terms in (1, 2, 64, 65, 100):
+        names = [f"a{i}" for i in range(terms)]
+        text = native.C.form("fsum((" + "{}, " * terms + "))").format(*names)
+        assert text == f"fsum_((const double[]){{{', '.join(names)}}}, {terms}, bad_)"
 
 
 def test_the_c_fsum_rounds_half_even_across_partials(c_fsum):

@@ -323,6 +323,7 @@ def _ties():
 def test_csv_edge_values_on_each_path(path):
     # across the widened window: 1e-k and its neighbours for k = 11..41,
     # past both of its ends, and log-uniform magnitudes over [1e-41, 1e-11];
+    # random 64-bit patterns (NaN payloads, subnormals, huge values);
     # 17-digit ties; -0.0, -nan (written nan) and -inf
     values = _edge_values()
     for k in range(11, 42):
@@ -330,6 +331,7 @@ def test_csv_edge_values_on_each_path(path):
         values += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
     rng = np.random.default_rng(29)
     values += list(rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-41, -11, 5000))
+    values += rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(float).tolist()
     ties = _ties()
     assert len(ties) > 150
     for x in ties:
@@ -396,8 +398,20 @@ def test_csv_rejects_columns_of_unequal_length():
 
 
 def test_csv_rejects_an_unknown_mode():
-    traj = _trajectory_of(np.ones((3, 6)), mode=np.array([0, 2, 1], np.int8))
-    with pytest.raises(ValueError, match="mode"):
+    for mode in (np.array([0, 2, 1], np.int8), [0.5, 0, 1], [-0.9, 0, 1], [math.nan, 0, 1]):
+        traj = _trajectory_of(np.ones((3, 6)), mode=np.asarray(mode))
+        for path in ("python", "compiled"):
+            with native.forced(path), pytest.raises(ValueError, match="^mode column holds "
+                                                    "values other than -1, 0 and 1$"):
+                traj.to_csv()
+
+
+@pytest.mark.parametrize("x, h", [(np.ones((2, 2)), np.ones((2, 3))),
+                                  (np.ones(2), np.ones(2)), (np.ones((2, 1)), np.ones(2))])
+def test_csv_rejects_x_and_h_of_other_shapes(x, h):
+    traj = _trajectory_of(np.ones((2, 6)))
+    traj.x, traj.h = x, h
+    with pytest.raises(ValueError, match=re.escape(f"got x {x.shape} and h {h.shape}")):
         traj.to_csv()
 
 
@@ -773,7 +787,7 @@ def test_the_safety_filters_loop_holds_the_laws_own_node_functions(plant):
     plant = plant()
     es = sim._step_source(plant, "es", 3, "sine")
     body = es[es.index("\n                e"):es.index("\n                if not (")]
-    body = body.replace("\n", "\n    ").replace("_[k] = -1\n", "_[k] = 1\n")
+    body = body.replace("\n", "\n    ").replace("] = -1.0\n", "] = 1.0\n")
     for nom in ("sine", "call"):
         filt = sim._step_source(plant, "safety-filter", 3, "sine", nom)
         assert _node_function(sim._step_source(plant, "nominal", None, nom), "nominal") in filt
