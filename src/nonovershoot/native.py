@@ -441,7 +441,8 @@ def libm_fingerprint() -> str:
 # digit, the dot and "e-XX" (k < -4).  ±0 has a text of its own, and so
 # has NaN: "nan" whatever its sign, as fmt writes it.  Every other value
 # (infinities, subnormals, huge or tiny magnitudes) the C library's
-# sprintf writes with '%.17g', which glibc, as Python, rounds correctly.
+# sprintf writes with '%.17g', in the C locale, which glibc, as Python,
+# rounds correctly.
 
 _K_MIN = 16 - max(j for j in range(128) if 5 ** j < 1 << 128)
 _K_MAX = 16
@@ -534,10 +535,12 @@ static char *cell_(char *o, double x)
 
 /* Write the rows row..stop-1, m floats (column j at cols[j], steps[j]
    bytes apart) and a mode label each, into out; return the bytes
-   written. */
+   written.  The thread runs in the C locale meanwhile, so that sprintf
+   writes the decimal point '.' whatever setlocale set, as Python does. */
 long lines(const char *const *cols, const long *steps, long m, const signed char *mode,
            long row, long stop, char *out)
 {
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0), was = uselocale(c_locale);
     char *o = out;
     double x;
     long c;
@@ -549,6 +552,9 @@ long lines(const char *const *cols, const long *steps, long m, const signed char
         memcpy(o, LABEL_[mode[row] + 1], sizeof LABEL_[0]);
         o += LABEL_SIZE_[mode[row] + 1];
     }
+    uselocale(was);
+    if (c_locale)
+        freelocale(c_locale);
     return o - out;
 }
 """
@@ -574,7 +580,8 @@ def _csv_source() -> str:
         r.append(s - j + 1075 - 64)
     labels = [control.MODE_LABELS[mode] for mode in (-1, 0, 1)]
     return "\n".join([
-        "#include <math.h>", "#include <stdio.h>", "#include <string.h>", "",
+        "#include <locale.h>", "#include <math.h>", "#include <stdio.h>", "#include <string.h>",
+        "",
         f"#define K_MIN_ {_K_MIN}", f"#define E0_ {e0}",
         f"static const double LO_ = {_CSV_LO.hex()}, HI_ = {_CSV_HI.hex()};",
         f"static const int BINADE_K_[] = {{{', '.join(map(str, kb))}}};",
@@ -610,7 +617,7 @@ def csv_lines(cols, mode, block: int) -> list:
     '%.17g' row loop does.  The path taken goes to PATHS.  ValueError for
     a mode other than -1, 0 or 1 and for columns of unequal length."""
     mode = np.asarray(mode)
-    if not np.isin(mode, (-1, 0, 1)).all():
+    if not ((mode == -1) | (mode == 0) | (mode == 1)).all():
         raise ValueError("mode column holds values other than -1, 0 and 1")
     mode = np.ascontiguousarray(mode, np.int8)
     cols = [np.asarray(col, dtype=float) for col in cols]

@@ -1,8 +1,11 @@
 import ast
 import itertools
+import locale
 import math
 import re
+import shutil
 import struct
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -341,6 +344,29 @@ def test_csv_edge_values_on_each_path(path):
         assert _csv_cells(values + ties) == [fmt(v) for v in values + ties]
         assert _csv_cells([-0.0, -math.nan, -math.inf]) == ["-0", "nan", "-inf"]
     assert native.PATHS[-1] == ("to_csv", path)
+
+
+def test_csv_cells_outside_the_window_ignore_a_comma_locale(tmp_path, monkeypatch):
+    # the kernel's sprintf would write the locale's decimal point; it runs
+    # in the C locale, as Python's '%.17g' does whatever LC_NUMERIC says
+    if shutil.which("localedef") is None:
+        pytest.skip("no localedef to build a locale with a decimal comma")
+    subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8", str(tmp_path / "de_DE.UTF-8")],
+                   capture_output=True, timeout=120)
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
+    except locale.Error:
+        pytest.skip("the locale with a decimal comma could not be built")
+    try:
+        assert locale.localeconv()["decimal_point"] == ","
+        values = [1e300, -5e-324, 2.5e-40, 1e17, -math.inf, 0.5]
+        with native.forced("compiled"):
+            assert _csv_cells(values) == [fmt(v) for v in values]
+        assert native.PATHS[-1] == ("to_csv", "compiled")
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
 
 
 def _mixed_trajectory(n, rows):
