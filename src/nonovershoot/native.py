@@ -228,11 +228,11 @@ class C:
     """The generated loops' constructs in C (``sim.Python``): the step is
     the body of a loop over k in advance(k, stop, st_, B_, rec_), which
     runs the steps k..stop-1 from the state st_, the run constants in B_,
-    writing each sample into row k of the record's block rec_, and returns
-    the step where it stopped, st_ then its start state.  It never records the
-    last sample alone: the Python loop does that.  An instance writes one
-    loop and keeps the names that its lets and unpacks assign, which each
-    function declares."""
+    writing each sample into row k of the record's block rec_, and
+    returns the step where it stopped, st_ then its start state.  It never
+    records the last sample alone: the Python loop does that.  An instance
+    writes one loop and keeps the names that its lets and unpacks assign,
+    which each function declares."""
 
     def __init__(self):
         self.assigned = set()
