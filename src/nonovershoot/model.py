@@ -333,12 +333,13 @@ STACK_FORMS = {
 }
 
 
+_KIND_OF = {form.derivative: kind for kind, form in STACK_FORMS.items()}
+
+
 def stack_kind(ref: Reference) -> str:
     """The key of ref's stack form in STACK_FORMS, picked by its class's
     ``derivative``; "call" for any other reference."""
-    derivative = type(ref).derivative
-    return next((kind for kind, form in STACK_FORMS.items()
-                 if form.derivative is derivative), "call")
+    return _KIND_OF.get(type(ref).derivative, "call")
 
 
 def stack_binding(ref: Reference, n: int):

@@ -226,13 +226,14 @@ static double fsum_(const double *xs, int count, int *bad_)
 
 class C:
     """The generated loops' constructs in C (``sim.Python``): the step is
-    the body of a loop over k in advance(k, stop, st_, B_, rec_), which
-    runs the steps k..stop-1 from the state st_, the run constants in B_,
-    writing each sample into row k of the record's block rec_, and
-    returns the step where it stopped, st_ then its start state.  It never
-    records the last sample alone: the Python loop does that.  An instance
-    writes one loop and keeps the names that its lets and unpacks assign,
-    which each function declares."""
+    the body of a loop over k in advance(k, stop, last_, st_, B_, rec_),
+    which runs the steps k..stop-1 from the state st_, the run constants in
+    B_, writing each sample into row k of the record's block rec_, and
+    returns the step where it stopped, st_ then its start state.  Step
+    last_ is the last sample, which it records alone, as the Python loop's
+    advance(pos, last_ + 1, True) does, and returns last_ + 1 after; the
+    floor is not checked there.  An instance writes one loop and keeps the
+    names that its lets and unpacks assign, which each function declares."""
 
     def __init__(self):
         self.assigned = set()
@@ -272,11 +273,15 @@ class C:
 
     @staticmethod
     def floor_check(g: str, state: str, first: bool) -> str:
-        return f"if ({g} * {g} < floor) *bad_ = 1;"
+        return f"if ({g} * {g} < floor{' && k != last_' * first}) *bad_ = 1;"
 
     @staticmethod
     def record(row) -> list:
-        return [f"rec_[k * {len(row)}{f' + {i}' * bool(i)}] = {v};" for i, v in enumerate(row)]
+        """The sample's lines; at the last sample the loop ends there, one
+        step on where nothing was flagged."""
+        return [*(f"rec_[k * {len(row)}{f' + {i}' * bool(i)}] = {v};" for i, v in enumerate(row)),
+                "if (k == last_) {", "    k += !(*bad_ || fetestexcept(FLAGS_));", "    break;",
+                "}"]
 
     def node(self, name: str, params, body, outs) -> list:
         args = "".join(f"double {p}, " for p in params)
@@ -315,7 +320,8 @@ class C:
         allocates it, a row of len(row) items per sample)."""
         in_range = " && ".join(f"fabs(n{i}) <= {_STATE_LIMIT!r}" for i in range(m))
         loop = self._function(
-            "long advance(long k, long stop, double *st_, const double *B_, double *rec_)", (),
+            "long advance(long k, long stop, long last_, double *st_, const double *B_, "
+            "double *rec_)", (),
             [f"double {', '.join(f's{i} = st_[{i}]' for i in range(m))};",
              f"double kk_[{m}];", "int failed_ = 0, *bad_ = &failed_;", "fexcept_t saved_;",
              "fegetexceptflag(&saved_, FLAGS_);", "feclearexcept(FLAGS_);",
@@ -362,36 +368,36 @@ def _compiled(key: str, count: int, build):
 
 
 def _run_c(fn, start, nsteps: int, consts, record):
-    """Steps 0..nsteps-1 of the C advance fn from start into the block
-    record, each as the Python loop takes it: [k, state, k] where it
-    stopped, k = nsteps unless step k is for the Python loop to take;
-    [0, start, 0] where a run constant (of consts, their values) is past
-    the float range."""
-    import ctypes
+    """Steps 0..nsteps-1 and the last sample of the C advance fn from start
+    into the block record, each as the Python loop takes it: [k, state, k]
+    where it stopped, k = nsteps + 1 unless step k (the last sample, where
+    k = nsteps) is for the Python loop to take; [0, start, 0] where a run
+    constant (of consts, their values) is past the float range."""
+    from ctypes import c_double
     try:
-        vals = (ctypes.c_double * len(consts))(*consts)
+        vals = array.array("d", consts)
     except OverflowError:
         return [0, start, 0]
-    st = (ctypes.c_double * len(start))(*start)
-    rec = record.ctypes.data
+    st = array.array("d", start)
+    args = (c_double.from_buffer(st), c_double.from_buffer(vals), c_double.from_buffer(record))
     k = stop = 0
-    while k == stop < nsteps:       # in blocks, so that a signal is seen between them
-        stop = min(stop + _BLOCK_STEPS, nsteps)
-        k = fn(k, stop, st, vals, rec)
+    while k == stop <= nsteps:      # in blocks, so that a signal is seen between them
+        stop = min(stop + _BLOCK_STEPS, nsteps + 1)
+        k = fn(k, stop, nsteps, *args)
     return [k, tuple(st), k] if k else [0, start, 0]
 
 
 def run(loop, emit, start, nsteps: int, consts, record):
-    """Run steps 0..nsteps-1 of loop (``sim._Loop``) on its run constants'
-    values consts, into the block record that its make allocated, in C
-    where it is built or, once its steps reach _COMPILE_STEPS, can be
-    built from its description emit(C()); record the path taken in PATHS.
-    Returns [k, state, rows]: the step from which the Python loop takes
-    over, that step's start state and the rows written, k; [0, start, 0]
-    if C ran none."""
+    """Run steps 0..nsteps-1 and the last sample of loop (``sim._Loop``) on
+    its run constants' values consts, into the block record that its make
+    allocated, in C where it is built or, once its steps reach
+    _COMPILE_STEPS, can be built from its description emit(C()); record the
+    path taken in PATHS.  Returns [k, state, rows]: the step from which the
+    Python loop takes over (nsteps + 1 if none is left to it), that step's
+    start state and the rows written, k; [0, start, 0] if C ran none."""
     fn = _compiled(loop.text, nsteps, lambda: _build(emit))
     pos = [0, start, 0] if fn is None else _run_c(fn, start, nsteps, consts, record)
-    PATHS.append((loop.label, "python" if fn is None else "compiled" if pos[0] == nsteps
+    PATHS.append((loop.label, "python" if fn is None else "compiled" if pos[0] > nsteps
                   else f"compiled to step {pos[0]}, then python"))
     return pos
 
@@ -653,8 +659,8 @@ def _build(emit):
     if fn is not None:
         import ctypes
         fn.restype = ctypes.c_long
-        fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_double),
-                       ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
+        double = ctypes.POINTER(ctypes.c_double)
+        fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_long, double, double, double)
     return fn
 
 

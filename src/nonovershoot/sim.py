@@ -39,8 +39,8 @@ from . import control, native, synth
 from .model import (_STATE_LIMIT, GAIN_FLOOR_TOL, STACK_FORMS, BlowupError, Scenario,
                     SystemModel, bound_stack, get_reference, is_divergence, max_dither_dt,
                     stack_binding)
-from .synth import (TAPE_SCOPE, Bound, GainConfig, bound_report, check_gain_count,
-                    check_gains, items_read, render, stack_order, stack_tape, trace)
+from .synth import (TAPE_SCOPE, Bound, GainConfig, check_gain_count, check_gains,
+                    descending_bounds, items_read, render, stack_order, stack_tape, trace)
 
 DEFAULT_PSI_SCALE = 0.0025
 DEFAULT_DELTA_EST = 0.1
@@ -89,7 +89,7 @@ def refine_dt(dt: float, omega: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled closed-loop signals on a uniform grid."""
+    """Sampled closed-loop signals on a uniform grid, t ascending."""
 
     t: np.ndarray
     x: np.ndarray       # (N, n)
@@ -119,12 +119,17 @@ class Trajectory:
 class OvershootReport:
     """Overshoot / residual metrics of one run.
 
-    envelope_violation is the clipped-excess of h_1 over the transient
-    ceiling (NaN when the gain ordering provides no envelope weights).
+    envelope_violation is the clipped excess of h_1 over the transient
+    ceiling (``BoundReport.envelope``), NaN where the report has no envelope
+    weights: in ``run_scenario``, wherever the gains fail ``check_gains``'s
+    "descending" mode, that is, unless c_1 > ... > c_n > 1 and
+    lam * beta >= 1/xi1 (a descending chain with a smaller lam * beta has
+    weights, but reports NaN).  The texts scenario, the run's id, and
+    gains_text (``gains_text``) are rendered from run_id and gains when read.
     """
 
-    scenario: str
-    gains_text: str
+    run_id: object      # the id's text, or the (system, controller, scenario) of a run
+    gains: GainConfig
     max_h1: float
     t_at_max: float
     tail_abs_h1: float
@@ -132,6 +137,15 @@ class OvershootReport:
     min_margin: float
     delta_est: float
     max_abs_u: float
+
+    @property
+    def scenario(self) -> str:
+        """run_id's text, or its run's default id (``_default_id``)."""
+        return self.run_id if isinstance(self.run_id, str) else _default_id(*self.run_id)
+
+    @property
+    def gains_text(self) -> str:
+        return gains_text(self.gains)
 
     def csv_row(self) -> str:
         return ",".join([self.scenario, self.gains_text, fmt(self.max_h1),
@@ -153,10 +167,11 @@ def _trajectory(record, complete=True) -> Trajectory:
     """The closed loop's record, the (N, 2n + 4) block of ``_step_source``'s
     row t, x, h, u, yr, mode: views of its columns, the mode as int8."""
     n = (record.shape[1] - 4) // 2
-    x, yr = record[:, 1:n + 1], record[:, 2 * n + 2]
-    return Trajectory(t=record[:, 0], x=x, h=record[:, n + 1:2 * n + 1], u=record[:, 2 * n + 1],
-                      yr=yr, margin=yr - x[:, 0], mode=record[:, -1].astype(np.int8),
-                      complete=complete)
+    cols = record.T
+    # positional: t, x, h, u, yr, margin, mode, complete
+    return Trajectory(cols[0], record[:, 1:n + 1], record[:, n + 1:2 * n + 1], cols[2 * n + 1],
+                      cols[2 * n + 2], cols[2 * n + 2] - cols[1], cols[-1].astype(np.int8),
+                      complete)
 
 
 def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
@@ -219,35 +234,35 @@ def run_scenario(sys: SystemModel, controller: str, gains: GainConfig,
         exc.partial_trajectory = _trajectory(exc.record, complete=False)
         raise
 
-    descending = check_gains(sys, gains, "descending").ok   # else no envelope: NaN
-    bounds = bound_report(gains, "descending") if descending else None
-    report = overshoot_report(traj, gains, bounds, delta_est,
-                              scenario_id=_default_id(sys, controller, scenario))
+    report = overshoot_report(traj, gains, descending_bounds(sys, gains), delta_est,
+                              scenario_id=(sys, controller, scenario))
     return traj, report
 
 
 def _drive(sys: SystemModel, key, emit, args, start, nsteps: int, dt: float, ref, nom):
     """One run of the loop of emit's description (``_factory``, cached on
     sys under key) from the state start, on args and the record's size,
-    which its make binds: the steps that C can take there (``native.run``),
-    then from the step where C stopped, advance (``Python.source``) to
-    nsteps, then the last sample.  Returns the record, the float64 block
-    that make allocates.  The one divergence diagnosis of the generated
-    loops: besides the loop's range check, an ``OverflowError`` or
-    math-domain ``ValueError`` (``model.is_divergence``) in step k is
-    BlowupError "arithmetic divergence: <cause>" at k * dt, and once a step
-    has failed, a non-finite stack that it read (``_reference_fault``, on
-    the stacks of the tracked reference ref and the safety filter's nominal
-    reference nom, None for the other loops, bound then) is the cause
-    instead.  A BlowupError carries the rows of the block recorded before
-    it, copied out, as ``record``; other exceptions propagate."""
+    which its make binds: the steps and the last sample that C can take
+    there (``native.run``), then from the step where C stopped, advance
+    (``Python.source``) to nsteps, then the last sample.  Returns the
+    record, the float64 block that make allocates.  The one divergence
+    diagnosis of the generated loops: besides the loop's range check, an
+    ``OverflowError`` or math-domain ``ValueError`` (``model.is_divergence``)
+    in step k is BlowupError "arithmetic divergence: <cause>" at k * dt, and
+    once a step has failed, a non-finite stack that it read
+    (``_reference_fault``, on the stacks of the tracked reference ref and the
+    safety filter's nominal reference nom, None for the other loops, bound
+    then) is the cause instead.  A BlowupError carries the rows of the block
+    recorded before it, copied out, as ``record``; other exceptions
+    propagate."""
     loop = _factory(sys, key, emit)
     advance, consts, record = loop.make(*args, nsteps + 1)
     pos = native.run(loop, emit, start, nsteps, consts, record)
     try:
         try:
-            advance(pos, nsteps)
-            advance(pos, nsteps + 1, True)      # the last sample only
+            if pos[0] <= nsteps:
+                advance(pos, nsteps)
+                advance(pos, nsteps + 1, True)      # the last sample only
         except (OverflowError, ValueError) as exc:
             if not is_divergence(exc):
                 raise
@@ -596,29 +611,39 @@ def _default_id(sys, controller, scenario):
 
 
 def overshoot_report(traj: Trajectory, gains: GainConfig, bounds, delta_est: float,
-                     scenario_id: str = "run") -> OvershootReport:
-    """Metrics from samples; the transient envelope is anchored at the
-    trajectory's own initial error coordinates.  The reductions are ndarray
-    methods, the same as the ``np.*`` functions (NaN included) without
-    their dispatch, which cost more than the reductions of a short run."""
-    h1 = traj.h[:, 0]
-    imax = int(h1.argmax())
-    tail = traj.t >= 0.8 * traj.t[-1]
-    viol = float("nan")
+                     scenario_id="run") -> OvershootReport:
+    """Metrics from samples on an ascending grid, as a run records them;
+    the transient ceiling is anchored at the trajectory's own initial error
+    coordinates.  scenario_id is the run's id, or the (system, controller,
+    scenario) of a run, whose default id the report renders when read.
+
+    The ceiling is floor = overshoot_core + delta_est plus terms
+    w_i |h_i(0)| e^{-c_i t}, each >= 0 or NaN, so it is >= floor or NaN at
+    every sample, in floating point too: a sample with h_1 <= floor cannot
+    raise the violation max(0, max(h_1 - ceiling)), which is 0 where any
+    h_1 - ceiling is NaN.  The ceiling is evaluated only where h_1 is not
+    <= floor, if the terms are finite everywhere (finite w_i |h_i(0)| and
+    floor, t from 0 up) and so NaN nowhere; else at every sample.  The
+    reductions are ndarray methods, the same as the ``np.*`` functions (NaN
+    included) without their dispatch, which cost more than the reductions
+    of a short run; each reads a column of the record once."""
+    t, h1 = traj.t, traj.h[:, 0]
+    imax = h1.argmax()              # the first NaN, if any
+    peak = h1.item(imax)
+    viol = math.nan
     if bounds is not None and bounds.envelope_weights is not None:
-        env = bounds.envelope(traj.h[0].tolist(), gains.c, traj.t, delta_est)
-        viol = max(0.0, float((h1 - env).max()))
-    return OvershootReport(
-        scenario=scenario_id,
-        gains_text=gains_text(gains),
-        max_h1=float(h1[imax]),
-        t_at_max=float(traj.t[imax]),
-        tail_abs_h1=float(abs(h1[tail]).max()),
-        envelope_violation=viol,
-        min_margin=float(traj.margin.min()),
-        delta_est=delta_est,
-        max_abs_u=float(abs(traj.u).max()),
-    )
+        viol, floor = 0.0, bounds.overshoot_core + delta_est
+        if not peak <= floor:
+            h0 = traj.h[0].tolist()
+            finite = math.isfinite(floor) and t.item(0) >= 0 and all(
+                math.isfinite(w * abs(v)) for w, v in zip(bounds.envelope_weights, h0))
+            at = (~(h1 <= floor)).nonzero()[0] if finite else slice(None)
+            env = bounds.envelope(h0, gains.c, t[at], delta_est)
+            viol = max(0.0, float((h1[at] - env).max()))
+    tail = h1[t.searchsorted(0.8 * t.item(-1)):]
+    # positional: the fields in order, run_id to max_abs_u
+    return OvershootReport(scenario_id, gains, peak, t.item(imax), float(abs(tail).max()), viol,
+                           float(traj.margin.min()), delta_est, float(abs(traj.u).max()))
 
 
 _GAIN_KEYS = {"kappa_n": "kappa", "lambda": "lam", "beta": "beta", "omega": "omega"}

@@ -45,6 +45,7 @@ they may be built from (``model.SystemModel``).
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -741,9 +742,8 @@ def check_gains(sys: SystemModel, gains: GainConfig, mode: str,
     lb, floor = gains.lam * gains.beta, 1.0 / sys.xi1
     conds = [(lambda: f"lam*beta = {lb:.6g} >= 1/xi1 = {floor:.6g}", lb >= floor)]
     if mode == "descending":
-        strict = all(c[i] > c[i + 1] for i in range(gains.n - 1))
-        conds.append((lambda: "strict descending chain "
-                      + " > ".join(f"{ci:g}" for ci in c) + " > 1", strict and c[-1] > 1.0))
+        conds.append((lambda: "strict descending chain " + " > ".join(f"{ci:g}" for ci in c)
+                      + " > 1", _descends(c)))
     else:
         conds += [(lambda i=i, ci=ci: f"c_{i} = {ci:g} > 1", ci > 1.0)
                   for i, ci in enumerate(c, start=1)]
@@ -754,6 +754,11 @@ def check_gains(sys: SystemModel, gains: GainConfig, mode: str,
         conds += [(lambda i=i, ci=ci, fl=fl: f"c_{i} = {ci:g} > max(floor {fl:.6g}, 1)",
                    ci > max(fl, 1.0)) for i, (ci, fl) in enumerate(zip(c, floors), start=1)]
     return GainVerdict(ok=all(good for _, good in conds), mode=mode, checks=tuple(conds))
+
+
+def _descends(c) -> bool:
+    """c_1 > ... > c_n > 1."""
+    return all(map(operator.gt, c, c[1:])) and c[-1] > 1.0
 
 
 @dataclass(frozen=True)
@@ -808,3 +813,12 @@ def bound_report(gains: GainConfig, mode: str) -> BoundReport:
         weights = tuple(weights)
     return BoundReport(residual_core=residual, overshoot_core=overshoot, c_min=cm,
                        envelope_weights=weights)
+
+
+def descending_bounds(sys: SystemModel, gains: GainConfig) -> Optional[BoundReport]:
+    """``bound_report(gains, "descending")`` where the gains pass
+    ``check_gains``'s "descending" mode, else None: the bounds that a run's
+    report reads (``sim.run_scenario``), without the verdict and its texts."""
+    if gains.lam * gains.beta >= 1.0 / sys.xi1 and _descends(gains.c):
+        return bound_report(gains, "descending")
+    return None

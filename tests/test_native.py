@@ -197,6 +197,31 @@ def test_a_floor_violation_keeps_the_rows_recorded_before_it(node, monkeypatch):
     assert records[0] == records[1]
 
 
+def test_the_c_loop_records_the_last_sample_unchecked_by_the_floor():
+    # a floor broken only at the last sample raises nowhere (as
+    # test_sim.test_gain_floor_is_not_checked_at_the_last_sample on the
+    # Python loop): the C loop records that sample itself
+    probe, _ = _floor_run(10.0)
+    runs = []
+    for path in ("python", "compiled"):
+        with native.forced(path):
+            runs.append(_outcome(lambda: _floor_run(probe.x[-1, 0] + 1e-7)))
+        assert native.PATHS[-1][1] == path
+    assert runs[0] == runs[1] and runs[0][0]
+
+
+def test_a_last_sample_that_fails_in_c_is_taken_by_python():
+    # a zero gain at the last state sets C's singular-gain flag there; the
+    # Python loop then takes that sample, with the same outcome
+    probe, _ = _floor_run(10.0)
+    runs = []
+    for path in ("python", "compiled"):
+        with native.forced(path):
+            runs.append(_outcome(lambda: _floor_run(probe.x[-1, 0])))
+    assert native.PATHS[-1][1] == f"compiled to step {probe.t.size - 1}, then python"
+    assert runs[0] == runs[1]
+
+
 def _bindings(emit):
     """What emit's description gives the Python and the C dialect of what
     make binds: (its setup lines, the run constants) for each."""

@@ -312,6 +312,21 @@ def test_check_gains_floor_mode(demo, gains):
         check_gains(demo, gains, "mode-nine")
 
 
+@given(c=st.lists(st.sampled_from([0.5, 1.0, 1.2, 1.5, 2.0, 3.0]), min_size=1, max_size=4),
+       lam=st.sampled_from([0.5, 1.25, 4.0]), xi1=st.sampled_from([0.2, 0.8, 1.0]))
+def test_descending_bounds_are_the_descending_verdicts(c, lam, xi1):
+    # a run's report reads these bounds: where check_gains's descending mode
+    # fails (lam * beta = 0.8 * lam against 1/xi1, the chain), none
+    sys = chain_integrator(len(c))
+    sys = SystemModel(n=sys.n, drift=sys.drift, gain=sys.gain, xi1=xi1)
+    g = GainConfig(c=tuple(c), kappa=1.1, lam=lam, beta=0.8, omega=60.0)
+    bounds = synth.descending_bounds(sys, g)
+    if check_gains(sys, g, "descending").ok:
+        assert bounds == bound_report(g, "descending")
+    else:
+        assert bounds is None
+
+
 def test_bound_report_values(gains):
     rep = bound_report(gains, "descending")
     assert rep.residual_core == pytest.approx(1.34840, abs=1e-5)
